@@ -17,6 +17,7 @@ inputs ride along as '#' comment lines (CSV) or top-level fields (JSON).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -89,10 +90,14 @@ def _meta_fields() -> dict:
     }
 
 
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """Stream for command output: stdout, or the --out file closed on exit."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        yield stream
 
 
 def _cmd_spectrum(args) -> int:
@@ -102,13 +107,9 @@ def _cmd_spectrum(args) -> int:
         raise _UsageError(f"--smax must be in [pi, 10000], got {args.smax}")
     pts = scan_roots(SpectrumRequest(Z=args.Z, s_max=args.smax, options=ScanOptions()))
     rows = [[p.n, p.branch.value, p.params.s, p.params.t, p.E, p.residual] for p in pts]
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _emit(stream, "spectrum", {"Z": args.Z, "smax": args.smax},
               ["n", "branch", "s", "t", "E", "residual"], rows, args.format, args.meta)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -117,13 +118,9 @@ def _cmd_critical(args) -> int:
         raise _UsageError(f"--count must be in 1..16, got {args.count}")
     folds = transition.critical_sequence(args.count)
     rows = [[f.nu, f.Z_crit, f.s_merge, f.E_merge, f.branch.value] for f in folds]
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _emit(stream, "critical", {"count": args.count},
               ["nu", "Z_crit", "s_merge", "E_merge", "branch"], rows, args.format, args.meta)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -150,13 +147,9 @@ def _cmd_broken(args) -> int:
         raise _UsageError(f"--pair must be in 0..15, got {args.pair}")
     params, energy = _solve_pair_at(args.Z, args.pair)
     rows = [[args.Z, params.alpha, params.beta, params.K, energy.re_E, energy.eps]]
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _emit(stream, "broken", {"Z": args.Z, "pair": args.pair},
               ["Z", "alpha", "beta", "K", "ReE", "eps"], rows, args.format, args.meta)
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
@@ -182,8 +175,7 @@ def _cmd_table1(args) -> int:
             "SUSPECT" if suspect else "ok",
             "pinned" if pinned else "reported",
         ])
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _emit(
             stream, "table1", {},
             ["Z", "pair", "alpha", "alpha_ref", "d_alpha", "beta", "beta_ref", "d_beta",
@@ -194,13 +186,12 @@ def _cmd_table1(args) -> int:
                 "deviation flags are reporting only; pinned rows form the golden set",
             ],
         )
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
 def _cmd_fig(args) -> int:
+    if not all(map(math.isfinite, (args.t_min, args.t_max, args.z_min, args.z_max))):
+        raise _UsageError("--t-min, --t-max, --z-min and --z-max must be finite")
     if args.which == 1:
         if args.points < 2 or args.points > 4096:
             raise _UsageError(f"--points must be in 2..4096, got {args.points}")
@@ -211,15 +202,11 @@ def _cmd_fig(args) -> int:
         for i in range(args.points):
             t = args.t_min + i * step
             rows.append([t, secular_t(t, args.Z)])
-        stream, close = _open_out(args.out)
-        try:
+        with _output(args.out) as stream:
             _emit(stream, "fig1",
                   {"Z": args.Z, "t_min": args.t_min, "t_max": args.t_max, "points": args.points},
                   ["t", "value"], rows, args.format, args.meta,
                   preamble=["determinant in the t form along t at fixed coupling"])
-        finally:
-            if close:
-                stream.close()
         return EXIT_OK
     if not (1 <= args.nt <= 4096 and 1 <= args.nz <= 4096):
         raise _UsageError("grid dimensions must be in 1..4096 per axis")
@@ -234,8 +221,7 @@ def _cmd_fig(args) -> int:
             t = args.t_min + (i + 0.5) * dt
             v = secular_t(t, Z)
             rows.append([t, Z, 0 if v == 0.0 else int(math.copysign(1.0, v))])
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         _emit(stream, "fig2",
               {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
                "z_max": args.z_max, "nt": args.nt, "nz": args.nz},
@@ -245,23 +231,16 @@ def _cmd_fig(args) -> int:
                   "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
                   "the sign-change contour is the eigenvalue locus",
               ])
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     results = verify_mod.run_checks(args.level)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         for r in results:
             stream.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
         failed = [r for r in results if not r.passed]
         stream.write(f"# {len(results) - len(failed)}/{len(results)} checks passed\n")
-    finally:
-        if close:
-            stream.close()
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL
 
 

@@ -14,6 +14,11 @@ Three equivalent closed forms of the condition are provided:
 * ``secular_factor`` -- the factored form  (t*sinh t + s*sin s)(t*sinh t - s*sin s),
   one factor per branch.
 
+On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
+scan variable and the coupling.  ``constraint_factor`` evaluates it and
+``constraint_factor_derivatives`` gives its closed-form partial derivatives;
+every root scan, fold polish and unfolding seed goes through these two.
+
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in
 this package uses.  The two unfactored forms are kept for cross-validation
@@ -38,6 +43,8 @@ __all__ = [
     "secular_s",
     "secular_factor",
     "factor_value",
+    "constraint_factor",
+    "constraint_factor_derivatives",
     "representation_identity_residual",
     "energy_of",
     "t_sinh_t",
@@ -184,6 +191,42 @@ def factor_value(t: float, s: float, branch: SecularBranch) -> float:
     extension, value 0 for the hyperbolic/oscillatory terms respectively).
     """
     return t_sinh_t(t) + branch.sin_term_sign * s * math.sin(s)
+
+
+def constraint_factor(s: float, Z: float, branch: SecularBranch) -> float:
+    """Factor F(s; Z) = t*sinh t +/- s*sin s on the constraint curve t = Z/(2s)."""
+    return factor_value(Z / (2.0 * s), s, branch)
+
+
+def constraint_factor_derivatives(
+    s: float, Z: float, branch: SecularBranch
+) -> tuple[float, float, float, float]:
+    """Closed-form partials (F_s, F_ss, F_Z, F_sZ) of ``constraint_factor``.
+
+    With g(t) = t*sinh t, dt/ds = -t/s and dt/dZ = 1/(2s):
+
+        F_s  = -(t/s)*g'(t) + sign*(sin s + s*cos s)
+        F_ss = (t/s**2)*(2*g'(t) + t*g''(t)) + sign*(2*cos s - s*sin s)
+        F_Z  = g'(t) / (2s)
+        F_sZ = -(g'(t) + t*g''(t)) / (2*s**2)
+
+    where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  Clamped like
+    ``t_sinh_t``: above t = 350 the hyperbolic part dominates and the signed
+    infinities (-inf, +inf, +inf, -inf) are returned.
+    """
+    t = Z / (2.0 * s)
+    if t > _SINH_CLAMP:
+        return -math.inf, math.inf, math.inf, -math.inf
+    sh, ch = math.sinh(t), math.cosh(t)
+    sin_s, cos_s = math.sin(s), math.cos(s)
+    sign = branch.sin_term_sign
+    g1 = sh + t * ch
+    g2 = 2.0 * ch + t * sh
+    F_s = -(t / s) * g1 + sign * (sin_s + s * cos_s)
+    F_ss = (t / (s * s)) * (2.0 * g1 + t * g2) + sign * (2.0 * cos_s - s * sin_s)
+    F_Z = g1 / (2.0 * s)
+    F_sZ = -(g1 + t * g2) / (2.0 * s * s)
+    return F_s, F_ss, F_Z, F_sZ
 
 
 def secular_factor(params: ExactParams, branch: SecularBranch) -> float:

@@ -30,6 +30,8 @@ from .secular import (
     ExactParams,
     SecularBranch,
     SpectralPoint,
+    constraint_factor,
+    constraint_factor_derivatives,
     factor_value,
     validate_coupling,
 )
@@ -76,18 +78,6 @@ class SpectrumRequest:
             raise ValueError(f"s_max must be at least pi, got {self.s_max}")
 
 
-def _constraint_factor(s: float, Z: float, branch: SecularBranch) -> float:
-    return factor_value(Z / (2.0 * s), s, branch)
-
-
-def _constraint_factor_ds(s: float, Z: float, branch: SecularBranch) -> float:
-    """Analytic d/ds of the factor along t = Z/(2s)."""
-    t = Z / (2.0 * s)
-    hyp = -(t / s) * (math.sinh(t) + t * math.cosh(t))
-    osc = branch.sin_term_sign * (math.sin(s) + s * math.cos(s))
-    return hyp + osc
-
-
 def _scan_grid(Z: float, s_max: float, step: float) -> np.ndarray:
     """s nodes: uniform with the given step, extended geometrically below the
     first node when the low descendant root (s near sqrt(Z/2)) could sit there."""
@@ -121,15 +111,15 @@ def refine_root(
     s_lo, s_hi = bracket
     if not (0.0 < s_lo < s_hi):
         raise ValueError(f"bracket must satisfy 0 < s_lo < s_hi, got {bracket}")
-    f_lo = _constraint_factor(s_lo, Z, branch)
-    f_hi = _constraint_factor(s_hi, Z, branch)
+    f_lo = constraint_factor(s_lo, Z, branch)
+    f_hi = constraint_factor(s_hi, Z, branch)
     if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
         raise NoSignChangeError(
             f"no sign change on [{s_lo}, {s_hi}] for {branch.value} factor at Z={Z}"
         )
     try:
         s_hat = brentq(
-            _constraint_factor,
+            constraint_factor,
             s_lo,
             s_hi,
             args=(Z, branch),
@@ -140,17 +130,17 @@ def refine_root(
     except RuntimeError as exc:  # scipy's iteration-limit signal
         raise ConvergenceError(f"refinement exceeded {opts.max_iter} iterations: {exc}") from exc
     best_s = s_hat
-    best_f = abs(_constraint_factor(s_hat, Z, branch))
+    best_f = abs(constraint_factor(s_hat, Z, branch))
     for _ in range(3):
         if best_f <= 0.25 * opts.residual_tol:
             break
-        d = _constraint_factor_ds(best_s, Z, branch)
+        d = constraint_factor_derivatives(best_s, Z, branch)[0]
         if d == 0.0:
             break
-        trial = best_s - _constraint_factor(best_s, Z, branch) / d
+        trial = best_s - constraint_factor(best_s, Z, branch) / d
         if not (s_lo <= trial <= s_hi):
             break
-        f_trial = abs(_constraint_factor(trial, Z, branch))
+        f_trial = abs(constraint_factor(trial, Z, branch))
         if f_trial >= best_f:
             break
         best_s, best_f = trial, f_trial
@@ -182,7 +172,7 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     if grid.size < 2:
         return points
     for branch in (SecularBranch.FACTOR_MINUS, SecularBranch.FACTOR_PLUS):
-        vals = [_constraint_factor(float(s), req.Z, branch) for s in grid]
+        vals = [constraint_factor(float(s), req.Z, branch) for s in grid]
         for i in range(len(grid) - 1):
             a, b = vals[i], vals[i + 1]
             if a == 0.0 or (a < 0.0) != (b < 0.0):

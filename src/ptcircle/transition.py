@@ -42,7 +42,13 @@ from .errors import (
     NotAFoldError,
     TrackingLossError,
 )
-from .secular import SecularBranch, t_sinh_t, validate_coupling
+from .secular import (
+    SecularBranch,
+    constraint_factor,
+    constraint_factor_derivatives,
+    t_sinh_t,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
+    validate_coupling,
+)
 
 __all__ = [
     "BrokenParams",
@@ -174,14 +180,20 @@ def solve_broken(
     The real and imaginary parts of the secular residual are driven to zero
     with a forward-difference-free central Jacobian (relative step 1e-7) and
     step halving until the residual decreases.  Terminates when the residual,
-    scaled by the largest secular term, drops below ``tol``.
+    scaled by the largest secular term, drops below ``tol``.  An iterate whose
+    hyperbolic terms overflow raises ConvergenceError.
     """
     validate_coupling(Z)
     if Z <= 0.0:
         raise ValueError("broken-regime solves require Z > 0")
 
     def resid(x: np.ndarray) -> np.ndarray:
-        r = broken_secular(BrokenParams.bind(x[0], x[1], Z), Z)
+        try:
+            r = broken_secular(BrokenParams.bind(x[0], x[1], Z), Z)
+        except OverflowError as exc:
+            raise ConvergenceError(
+                f"broken solve overflowed at alpha={x[0]}, beta={x[1]}, Z={Z}"
+            ) from exc
         return np.array([r.real, r.imag])
 
     x = np.array([init.alpha, init.beta], dtype=float)
@@ -247,18 +259,9 @@ def _branch_for_interval(nu: int) -> SecularBranch:
     return SecularBranch.FACTOR_MINUS if nu % 2 == 0 else SecularBranch.FACTOR_PLUS
 
 
-def _F(s: float, Z: float, branch: SecularBranch) -> float:
-    t = Z / (2.0 * s)
-    return t_sinh_t(t) + branch.sin_term_sign * s * math.sin(s)
-
-
-def _F_s(s: float, Z: float, branch: SecularBranch) -> float:
-    t = Z / (2.0 * s)
-    if t > 350.0:
-        return -math.inf
-    return -(t / s) * (math.sinh(t) + t * math.cosh(t)) + branch.sin_term_sign * (
-        math.sin(s) + s * math.cos(s)
-    )
+def _fold_state(s: float, Z: float, branch: SecularBranch) -> tuple[float, ...]:
+    """(F, F_s, F_ss, F_Z, F_sZ) of the branch factor at (s, Z)."""
+    return (constraint_factor(s, Z, branch), *constraint_factor_derivatives(s, Z, branch))
 
 
 def find_double_root(
@@ -266,56 +269,41 @@ def find_double_root(
 ) -> CriticalPoint:
     """Polish a fold of the factor along the constraint curve.
 
-    Newton on the pair {F(s; Z) = 0, dF/ds(s; Z) = 0} with the analytic
-    s-derivative and central finite differences in Z.  The converged point is
-    certified as a quadratic fold: both residuals at or below 1e-10 and
-    |d2F/ds2| bounded away from zero, otherwise NotAFoldError.
+    Newton on the pair {F(s; Z) = 0, F_s(s; Z) = 0} with the closed-form
+    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``constraint_factor_derivatives``.
+    The converged point is certified as a quadratic fold: both residuals at or
+    below 1e-10 and |F_ss| bounded away from zero, otherwise NotAFoldError.
     """
     s, Z = float(s_guess), float(Z_guess)
     for _ in range(100):
-        g = np.array([_F(s, Z, branch), _F_s(s, Z, branch)])
-        if max(abs(g[0]), abs(g[1])) < 1e-13:
+        F, F_s, F_ss, F_Z, F_sZ = _fold_state(s, Z, branch)
+        if max(abs(F), abs(F_s)) < 1e-13:
             break
-        hs = 1e-7 * max(1.0, abs(s))
-        hz = 1e-7 * max(1.0, abs(Z))
-        J = np.array(
-            [
-                [_F_s(s, Z, branch), (_F(s, Z + hz, branch) - _F(s, Z - hz, branch)) / (2 * hz)],
-                [
-                    (_F_s(s + hs, Z, branch) - _F_s(s - hs, Z, branch)) / (2 * hs),
-                    (_F_s(s, Z + hz, branch) - _F_s(s, Z - hz, branch)) / (2 * hz),
-                ],
-            ]
-        )
         try:
-            step = np.linalg.solve(J, -g)
+            step = np.linalg.solve(np.array([[F_s, F_Z], [F_ss, F_sZ]]), [-F, -F_s])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"fold Newton singular near s={s}, Z={Z}") from exc
         lam = 1.0
-        norm0 = np.hypot(g[0], g[1])
+        norm0 = math.hypot(F, F_s)
         for _ in range(30):
             s_try, Z_try = s + lam * step[0], Z + lam * step[1]
             if s_try > 0.0 and Z_try > 0.0:
-                g_try = np.array([_F(s_try, Z_try, branch), _F_s(s_try, Z_try, branch)])
-                if np.hypot(g_try[0], g_try[1]) < norm0:
+                if math.hypot(*_fold_state(s_try, Z_try, branch)[:2]) < norm0:
                     s, Z = s_try, Z_try
                     break
             lam *= 0.5
         else:
             break
-    res_F = abs(_F(s, Z, branch))
-    res_Fs = abs(_F_s(s, Z, branch))
-    if res_F > _FOLD_RESIDUAL or res_Fs > _FOLD_RESIDUAL:
+    s, Z = float(s), float(Z)
+    F, F_s, curvature, _, _ = _fold_state(s, Z, branch)
+    if abs(F) > _FOLD_RESIDUAL or abs(F_s) > _FOLD_RESIDUAL:
         raise ConvergenceError(
-            f"fold polish stalled at |F|={res_F:.2e}, |F_s|={res_Fs:.2e} (s={s}, Z={Z})"
+            f"fold polish stalled at |F|={abs(F):.2e}, |F_s|={abs(F_s):.2e} (s={s}, Z={Z})"
         )
-    hs = 1e-5 * max(1.0, abs(s))
-    curvature = (_F(s + hs, Z, branch) - 2.0 * _F(s, Z, branch) + _F(s - hs, Z, branch)) / hs**2
     if abs(curvature) < _MIN_CURVATURE:
         raise NotAFoldError(
             f"vanishing curvature {curvature:.2e} at s={s}, Z={Z}: not a quadratic fold"
         )
-    s, Z = float(s), float(Z)
     t = Z / (2.0 * s)
     nu = int(math.floor(s / math.pi))
     return CriticalPoint(nu=nu, Z_crit=Z, s_merge=s, E_merge=s * s - t * t, branch=branch)
@@ -326,46 +314,38 @@ def _pair_in_interval(Z: float, nu: int, branch: SecularBranch) -> list[float]:
 
     The factor is positive at both interval ends and dips negative between the
     pair.  A grid scan finds well-separated roots; when the pair is too close
-    for the grid (near a fold) the dip minimum is refined by golden section
-    and the two roots bracketed on its flanks.
+    for the grid (near a fold) the dip minimum is the root of F_s on the grid
+    bracket around the smallest sample, and the two roots are bracketed on its
+    flanks.  No sign change of F_s on that bracket means no dip, so no roots.
     """
     lo = nu * math.pi + 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
     hi = (nu + 1) * math.pi - 1e-9
     grid = np.linspace(lo, hi, 513)
-    vals = [_F(float(s), Z, branch) for s in grid]
+    vals = [constraint_factor(float(s), Z, branch) for s in grid]
     roots = []
     for i in range(len(grid) - 1):
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
             roots.append(
-                brentq(_F, float(grid[i]), float(grid[i + 1]), args=(Z, branch), xtol=1e-14)
+                brentq(constraint_factor, float(grid[i]), float(grid[i + 1]),
+                       args=(Z, branch), xtol=1e-14)
             )
     if len(roots) >= 2:
         return roots
     if not roots:
         i_min = int(np.argmin(vals))
-        a = float(grid[max(i_min - 1, 0)])
-        b = float(grid[min(i_min + 1, len(grid) - 1)])
-        inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-        c = b - inv_phi * (b - a)
-        d = a + inv_phi * (b - a)
-        fc, fd = _F(c, Z, branch), _F(d, Z, branch)
-        for _ in range(90):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - inv_phi * (b - a)
-                fc = _F(c, Z, branch)
-            else:
-                a, c, fc = c, d, fd
-                d = a + inv_phi * (b - a)
-                fd = _F(d, Z, branch)
-        s_dip = c if fc < fd else d
-        if _F(s_dip, Z, branch) < 0.0:
-            left = float(grid[max(i_min - 1, 0)])
-            right = float(grid[min(i_min + 1, len(grid) - 1)])
-            roots = [
-                brentq(_F, left, s_dip, args=(Z, branch), xtol=1e-14),
-                brentq(_F, s_dip, right, args=(Z, branch), xtol=1e-14),
-            ]
+        left = float(grid[max(i_min - 1, 0)])
+        right = float(grid[min(i_min + 1, len(grid) - 1)])
+
+        def slope(x: float) -> float:
+            return constraint_factor_derivatives(x, Z, branch)[0]
+
+        if slope(left) < 0.0 < slope(right):
+            s_dip = brentq(slope, left, right, xtol=1e-14)
+            if constraint_factor(s_dip, Z, branch) < 0.0:
+                roots = [
+                    brentq(constraint_factor, left, s_dip, args=(Z, branch), xtol=1e-14),
+                    brentq(constraint_factor, s_dip, right, args=(Z, branch), xtol=1e-14),
+                ]
     return sorted(roots)
 
 
@@ -427,17 +407,16 @@ def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
     """Square-root unfolding seed for the broken branch just above a fold.
 
     The real pair continues to complex s = s* +/- i*a_s*sqrt(Z - Z_crit) with
-    a_s set by the fold's curvature and Z-slope; translated to the hyperbolic
-    parameters this puts alpha and beta at alpha* -/+ delta with
+    a_s = sqrt(|2*F_Z / F_ss|), the fold's Z-slope and curvature taken in
+    closed form; translated to the hyperbolic parameters this puts alpha and
+    beta at alpha* -/+ delta with
 
         delta = eps_est / (2*E* * cosh(2*alpha*)).
     """
     if Z <= fold.Z_crit:
         raise ValueError(f"unfolding seed needs Z above the fold ({fold.Z_crit})")
-    s0, Z0, branch = fold.s_merge, fold.Z_crit, fold.branch
-    h = 1e-5
-    F_ss = (_F(s0 + h, Z0, branch) - 2.0 * _F(s0, Z0, branch) + _F(s0 - h, Z0, branch)) / h**2
-    F_Z = (_F(s0, Z0 + h, branch) - _F(s0, Z0 - h, branch)) / (2.0 * h)
+    s0, Z0 = fold.s_merge, fold.Z_crit
+    _, F_ss, F_Z, _ = constraint_factor_derivatives(s0, Z0, fold.branch)
     a_s = math.sqrt(abs(2.0 * F_Z / F_ss))
     t0 = Z0 / (2.0 * s0)
     dE_ds = 2.0 * s0 + 2.0 * t0 * t0 / s0
@@ -489,8 +468,3 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
         out.append(broken_params_from_real_point(s, t, Z))
     out.sort(key=lambda p: p.alpha)
     return out
-
-
-def scan_interval_pair(Z: float, nu: int) -> list[float]:
-    """Convenience wrapper: s locations of the interval's (still real) pair."""
-    return _pair_in_interval(Z, nu, _branch_for_interval(nu))

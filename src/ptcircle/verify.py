@@ -194,8 +194,10 @@ def _fold_certificates(folds) -> CheckResult:
     ok = True
     prev = 0.0
     for fold, (lo, hi) in zip(folds, CRITICAL_INTERVALS[:count]):
-        res_f = abs(transition._F(fold.s_merge, fold.Z_crit, fold.branch))
-        res_fs = abs(transition._F_s(fold.s_merge, fold.Z_crit, fold.branch))
+        res_f = abs(secular.constraint_factor(fold.s_merge, fold.Z_crit, fold.branch))
+        res_fs = abs(
+            secular.constraint_factor_derivatives(fold.s_merge, fold.Z_crit, fold.branch)[0]
+        )
         inside = lo <= fold.Z_crit <= hi
         increasing = fold.Z_crit > prev
         prev = fold.Z_crit

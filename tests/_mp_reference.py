@@ -32,6 +32,12 @@ def mp_root_s(n: int, branch, Z) -> mp.mpf:
     return mp.findroot(f, guess)
 
 
+def mp_constraint_factor(s, Z, branch) -> mp.mpf:
+    """Branch factor t*sinh t +/- s*sin s on the constraint curve t = Z/(2s)."""
+    t = Z / (2 * s)
+    return t * mp.sinh(t) + branch.sin_term_sign * s * mp.sin(s)
+
+
 def mp_series_coefficients(n: int, branch, max_order: int) -> list[mp.mpf]:
     """Order-by-order recursion in mp arithmetic; mirrors the shipped solver."""
     a = n * mp.pi

@@ -130,6 +130,13 @@ class TestBrokenCommand:
         assert code == 2
         assert "spectrum" in err  # directs the user to the real-spectrum command
 
+    def test_overflow_far_above_fold_exits_2(self, capsys):
+        # the continuation's hyperbolic terms overflow; that is non-convergence
+        code, out, err = run_cli(capsys, "broken", "--Z", "1e8", "--pair", "0")
+        assert code == 2
+        assert out == ""
+        assert "solver error" in err
+
 
 class TestTable1Command:
     def test_full_table_reproduces(self, capsys):
@@ -191,6 +198,14 @@ class TestFigCommand:
         pts = scan_roots(SpectrumRequest(Z=5.0, s_max=5.0))
         in_window = [p for p in pts if 0.5 <= p.params.t <= 3.0]
         assert flips == len(in_window)
+
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_infinite_bound_is_usage_error(self, capsys, which):
+        code, out, err = run_cli(capsys, "fig", "--which", which, "--t-max", "inf",
+                                 "--points", "3", "--nt", "2", "--nz", "2")
+        assert code == 64
+        assert out == ""
+        assert "usage error" in err
 
     def test_fig2_grid_guard(self, capsys):
         code, _, err = run_cli(capsys, "fig", "--which", "2", "--nt", "5000", "--nz", "10")

@@ -1,12 +1,16 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
+from _mp_reference import mp_constraint_factor
 from ptcircle.secular import (
     ExactParams,
     SecularBranch,
     SpectralPoint,
+    constraint_factor,
+    constraint_factor_derivatives,
     energy_of,
     factor_value,
     representation_identity_residual,
@@ -106,6 +110,38 @@ class TestFactor:
 
     def test_overflow_guard(self):
         assert factor_value(800.0, 1.0, MINUS) == math.inf
+
+
+class TestConstraintKernel:
+    # (s, Z): t = 0.1, t ~ 0.81, t = 200 (exact in binary), the first fold (s_merge, Z_0)
+    POINTS = [(2.0, 0.4), (4.3, 7.0), (0.0625, 25.0), (2.50380392309, 5.54230970041)]
+    ORDERS = [(1, 0), (2, 0), (0, 1), (1, 1)]  # F_s, F_ss, F_Z, F_sZ
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("s, Z", POINTS)
+    def test_factor_is_factor_value_on_the_curve(self, branch, s, Z):
+        assert constraint_factor(s, Z, branch) == factor_value(Z / (2.0 * s), s, branch)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("s, Z", POINTS)
+    def test_derivatives_match_mpmath(self, branch, s, Z):
+        at = (mp.mpf(s), mp.mpf(Z))
+        got = constraint_factor_derivatives(s, Z, branch)
+        for value, order in zip(got, self.ORDERS):
+            ref = mp.diff(lambda x, z: mp_constraint_factor(x, z, branch), at, order)
+            # scale: the two terms' own derivatives (they cancel at a fold)
+            hyp = mp.diff(lambda x, z: (z / (2 * x)) * mp.sinh(z / (2 * x)), at, order)
+            osc = mp.diff(lambda x, z: x * mp.sin(x), at, order)
+            scale = max(1.0, float(abs(hyp) + abs(osc)))
+            assert abs(value - float(ref)) <= 1e-13 * scale, (order, value, ref)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    def test_clamped_like_t_sinh_t(self, branch):
+        # t = 500 lies above the clamp at 350
+        assert constraint_factor(0.01, 10.0, branch) == math.inf
+        assert constraint_factor_derivatives(0.01, 10.0, branch) == (
+            -math.inf, math.inf, math.inf, -math.inf
+        )
 
 
 class TestEnergy:

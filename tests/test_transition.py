@@ -109,16 +109,18 @@ class TestFindDoubleRoot:
         assert INTERVALS[1][0] < fold.Z_crit < INTERVALS[1][1]
 
     def test_fold_certificate(self):
-        from ptcircle.transition import _F, _F_s
+        from ptcircle.secular import constraint_factor as F
+        from ptcircle.secular import constraint_factor_derivatives
 
         fold = find_double_root(5.5, 2.5, MINUS)
-        assert abs(_F(fold.s_merge, fold.Z_crit, fold.branch)) <= 1e-10
-        assert abs(_F_s(fold.s_merge, fold.Z_crit, fold.branch)) <= 1e-10
+        assert abs(F(fold.s_merge, fold.Z_crit, fold.branch)) <= 1e-10
+        F_s = constraint_factor_derivatives(fold.s_merge, fold.Z_crit, fold.branch)[0]
+        assert abs(F_s) <= 1e-10
         h = 1e-5
         curv = (
-            _F(fold.s_merge + h, fold.Z_crit, fold.branch)
-            - 2.0 * _F(fold.s_merge, fold.Z_crit, fold.branch)
-            + _F(fold.s_merge - h, fold.Z_crit, fold.branch)
+            F(fold.s_merge + h, fold.Z_crit, fold.branch)
+            - 2.0 * F(fold.s_merge, fold.Z_crit, fold.branch)
+            + F(fold.s_merge - h, fold.Z_crit, fold.branch)
         ) / h**2
         assert abs(curv) >= 1e-4
 
