@@ -132,12 +132,7 @@ def _solve_pair_at(Z: float, pair: int):
             f"Z={Z} is at or below the pair-{pair} coalescence ({fold.Z_crit:.7f}); "
             "the pair is still real there, use the spectrum command"
         )
-    near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
-    seed = transition.fold_unfolding_seed(fold, near)
-    params, energy = transition.solve_broken(near, seed)
-    if Z != near:
-        _, params, energy = transition.continue_in_Z(near, Z, 16, params)[-1]
-    return params, energy
+    return transition.solve_above_fold(fold, Z)
 
 
 def _cmd_broken(args) -> int:

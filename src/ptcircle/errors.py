@@ -21,10 +21,6 @@ class NotAFoldError(SolverError):
     """A double-root search converged to a point that is not a quadratic fold."""
 
 
-class TrackingLossError(SolverError):
-    """A tracked root pair vanished without a detected coalescence."""
-
-
 class NotAnEigenvalueError(SolverError):
     """The boundary matrix is numerically non-singular at the requested energy."""
 

@@ -1,11 +1,12 @@
 """Symmetry-breaking transitions: coalescence couplings and the complex
 eigenvalue branches beyond them.
 
-As the coupling Z grows, the two real roots living in each s-interval
-(nu*pi, (nu+1)*pi) of their factor drift together and merge at a critical
-coupling Z_nu; past it they continue as a complex-conjugate pair.  The merge
-is a quadratic fold of the factor along the constraint curve: F = 0 and
-dF/ds = 0 simultaneously.
+Each s-interval (nu*pi, (nu+1)*pi) holds two real roots of its factor for
+every coupling Z below a critical coupling Z_nu: the two points where the
+real-root curve Z(s) = 2*s*t(s), with t*sinh t = |s*sin s|, crosses height
+Z.  Z_nu is the maximum of that curve, where the pair merges; past it the
+pair continues as a complex-conjugate pair.  The merge is a quadratic fold of
+the factor along the constraint curve: F = 0 and dF/ds = 0 simultaneously.
 
 The complex branches are parametrized hyperbolically.  With
 
@@ -36,12 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import (
-    ConvergenceError,
-    JacobianSingularError,
-    NotAFoldError,
-    TrackingLossError,
-)
+from .errors import ConvergenceError, JacobianSingularError, NotAFoldError
 from .secular import (
     SecularBranch,
     constraint_factor,
@@ -59,6 +55,7 @@ __all__ = [
     "find_double_root",
     "critical_sequence",
     "continue_in_Z",
+    "solve_above_fold",
     "broken_params_from_real_point",
     "fold_unfolding_seed",
     "DIRICHLET_FIRST_CRITICAL",
@@ -70,8 +67,6 @@ __all__ = [
 DIRICHLET_FIRST_CRITICAL = (4.4748, 4.4754)
 DIRICHLET_SECOND_CRITICAL = (12.80154, 12.80156)
 
-_MERGE_GAP = 0.1          # pair gap in s that triggers fold polishing
-_CAUTION_GAP = 0.35       # pair gap below which the Z step is halved
 _FOLD_RESIDUAL = 1e-10
 _MIN_CURVATURE = 1e-4
 
@@ -273,6 +268,7 @@ def find_double_root(
     Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``constraint_factor_derivatives``.
     The converged point is certified as a quadratic fold: both residuals at or
     below 1e-10 and |F_ss| bounded away from zero, otherwise NotAFoldError.
+    ``critical_sequence`` seeds it with the grid peak of the real-root curve.
     """
     s, Z = float(s_guess), float(Z_guess)
     for _ in range(100):
@@ -309,96 +305,47 @@ def find_double_root(
     return CriticalPoint(nu=nu, Z_crit=Z, s_merge=s, E_merge=s * s - t * t, branch=branch)
 
 
-def _pair_in_interval(Z: float, nu: int, branch: SecularBranch) -> list[float]:
-    """Roots of the branch factor inside (nu*pi, (nu+1)*pi) at this Z.
+def _interval_fold(nu: int) -> CriticalPoint:
+    """Coalescence of the root pair in s-interval (nu*pi, (nu+1)*pi).
 
-    The factor is positive at both interval ends and dips negative between the
-    pair.  A grid scan finds well-separated roots; when the pair is too close
-    for the grid (near a fold) the dip minimum is the root of F_s on the grid
-    bracket around the smallest sample, and the two roots are bracketed on its
-    flanks.  No sign change of F_s on that bracket means no dip, so no roots.
+    For the interval's branch, c(s) = -sin_term_sign*s*sin s = |s*sin s| is
+    positive inside the interval, and a root at coupling Z is a point where
+    t*sinh t = c(s) with t = Z/(2s).  Solving for t gives the real-root curve
+    Z(s) = 2*s*t(s): the pair at Z is where the curve crosses height Z, and
+    the pair merges at the curve's maximum.
+
+    t(s) comes from a vectorized Newton started at t = sqrt(c), which lies
+    right of the root (t*sinh t >= t**2), so on this convex increasing
+    function the iterates decrease monotonically.  The maximum over the 63
+    interior nodes of a 65-node grid seeds ``find_double_root``, whose
+    certificate is the only acceptance test.
     """
-    lo = nu * math.pi + 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
-    hi = (nu + 1) * math.pi - 1e-9
-    grid = np.linspace(lo, hi, 513)
-    vals = [constraint_factor(float(s), Z, branch) for s in grid]
-    roots = []
-    for i in range(len(grid) - 1):
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            roots.append(
-                brentq(constraint_factor, float(grid[i]), float(grid[i + 1]),
-                       args=(Z, branch), xtol=1e-14)
-            )
-    if len(roots) >= 2:
-        return roots
-    if not roots:
-        i_min = int(np.argmin(vals))
-        left = float(grid[max(i_min - 1, 0)])
-        right = float(grid[min(i_min + 1, len(grid) - 1)])
-
-        def slope(x: float) -> float:
-            return constraint_factor_derivatives(x, Z, branch)[0]
-
-        if slope(left) < 0.0 < slope(right):
-            s_dip = brentq(slope, left, right, xtol=1e-14)
-            if constraint_factor(s_dip, Z, branch) < 0.0:
-                roots = [
-                    brentq(constraint_factor, left, s_dip, args=(Z, branch), xtol=1e-14),
-                    brentq(constraint_factor, s_dip, right, args=(Z, branch), xtol=1e-14),
-                ]
-    return sorted(roots)
-
-
-def _track_interval_fold(nu: int, Z_start: float) -> CriticalPoint:
-    """March the interval's root pair upward in Z until it nearly collides,
-    then polish.  The step is halved whenever the pair gap closes below the
-    caution threshold, and on any overshoot where the pair vanishes."""
     branch = _branch_for_interval(nu)
-    Z = Z_start
-    step = 2.0
-    roots = _pair_in_interval(Z, nu, branch)
-    while len(roots) < 2:
-        # start point is already past this interval's birth range; back off
-        Z *= 0.5
-        roots = _pair_in_interval(Z, nu, branch)
-        if Z < 1e-6:
-            raise TrackingLossError(f"no initial pair found in interval {nu}")
-    while True:
-        gap = roots[-1] - roots[0]
-        if gap < _MERGE_GAP:
-            return find_double_root(Z, 0.5 * (roots[0] + roots[-1]), branch)
-        Z_next = Z + step
-        roots_next = _pair_in_interval(Z_next, nu, branch)
-        if len(roots_next) >= 2:
-            if roots_next[-1] - roots_next[0] < _CAUTION_GAP:
-                step = max(step * 0.5, 1e-7)
-            Z, roots = Z_next, roots_next
-            continue
-        # overshot the fold: shrink the step and retry from the last good Z
-        step *= 0.5
-        if step < 1e-7:
-            raise TrackingLossError(
-                f"pair in interval {nu} vanished near Z={Z_next} without a detected fold"
-            )
+    s = np.linspace(nu * math.pi, (nu + 1) * math.pi, 65)[1:-1]
+    c = -branch.sin_term_sign * s * np.sin(s)
+    t = np.sqrt(c)
+    for _ in range(100):
+        step = (t * np.sinh(t) - c) / (np.sinh(t) + t * np.cosh(t))
+        t -= step
+        if np.all(step <= 1e-15 * t):
+            break
+    Z = 2.0 * s * t
+    i = int(np.argmax(Z))
+    return find_double_root(float(Z[i]), float(s[i]), branch)
 
 
 def critical_sequence(count: int) -> list[CriticalPoint]:
     """First ``count`` critical couplings, strictly increasing in Z.
 
-    Each s-interval's root pair is tracked upward in Z with adaptive steps
-    and its collision polished by ``find_double_root``.  Guarded to
-    count <= 16; the tracker is unvalidated beyond that range.
+    Z_nu is the maximum of the real-root curve Z(s) over the interval
+    (nu*pi, (nu+1)*pi), located on a grid and polished by
+    ``find_double_root``.  Guarded to count <= 16, the range the tests pin.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > 16:
         raise ValueError("count capped at 16")
-    folds: list[CriticalPoint] = []
-    Z_start = 0.5
-    for nu in range(count):
-        fold = _track_interval_fold(nu, Z_start)
-        folds.append(fold)
-        Z_start = fold.Z_crit  # the next interval's pair is still real here
+    folds = [_interval_fold(nu) for nu in range(count)]
     folds.sort(key=lambda c: c.Z_crit)
     return folds
 
@@ -456,15 +403,42 @@ def continue_in_Z(
     return path
 
 
+def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, ComplexEnergy]:
+    """Broken-branch solution of the fold's pair at Z above the fold.
+
+    Solved from the unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2), then
+    continued to Z over 16 equal steps.  Z at or below the fold raises
+    ValueError from ``fold_unfolding_seed``.
+    """
+    near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
+    params, energy = solve_broken(near, fold_unfolding_seed(fold, near))
+    if Z != near:
+        _, params, energy = continue_in_Z(near, Z, 16, params)[-1]
+    return params, energy
+
+
 def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
-    """The still-real solutions of the fold's interval at Z below the fold,
-    in hyperbolic (alpha = beta) form, ordered by increasing alpha."""
+    """The two still-real solutions of the fold's interval at Z at or below
+    the fold, in hyperbolic (alpha = beta) form, ordered by increasing alpha.
+
+    Below the fold the factor is negative at s_merge (F_Z > 0 there) and
+    positive at both interval ends, so each root is one ``brentq`` on either
+    side of s_merge.  Within rounding of the fold, where the factor at
+    s_merge is not negative, the pair has merged and the merged state is
+    returned twice.
+    """
     if Z > fold.Z_crit:
         raise ValueError("real pair exists only at or below the fold coupling")
-    roots = _pair_in_interval(Z, fold.nu, fold.branch)
-    out = []
-    for s in roots:
-        t = Z / (2.0 * s)
-        out.append(broken_params_from_real_point(s, t, Z))
+    nu, branch, s0 = fold.nu, fold.branch, fold.s_merge
+    if constraint_factor(s0, Z, branch) >= 0.0:
+        roots = [s0, s0]
+    else:
+        lo = nu * math.pi + 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
+        hi = (nu + 1) * math.pi - 1e-9
+        roots = [
+            brentq(constraint_factor, lo, s0, args=(Z, branch), xtol=1e-14),
+            brentq(constraint_factor, s0, hi, args=(Z, branch), xtol=1e-14),
+        ]
+    out = [broken_params_from_real_point(s, Z / (2.0 * s), Z) for s in roots]
     out.sort(key=lambda p: p.alpha)
     return out

@@ -208,13 +208,7 @@ def _fold_certificates(folds) -> CheckResult:
 
 def _solve_table_row(Z, alpha_p, beta_p, pair, fold):
     if Z > fold.Z_crit:
-        near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
-        seed = transition.fold_unfolding_seed(fold, near)
-        params, energy = transition.solve_broken(near, seed)
-        if Z != near:
-            path = transition.continue_in_Z(near, Z, 12, params)
-            _, params, energy = path[-1]
-        return params, energy
+        return transition.solve_above_fold(fold, Z)
     candidates = transition.real_pair_near_fold(Z, fold)
     best = min(candidates, key=lambda p: abs(p.alpha - alpha_p))
     return best, best.energy()

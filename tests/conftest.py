@@ -11,3 +11,8 @@ def first_two_folds():
 @pytest.fixture(scope="session")
 def five_folds():
     return transition.critical_sequence(5)
+
+
+@pytest.fixture(scope="session")
+def sixteen_folds():
+    return transition.critical_sequence(16)

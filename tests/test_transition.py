@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ptcircle.errors import SolverError
@@ -30,6 +31,13 @@ INTERVALS = [
     (33.54495 - 1e-3, 33.54495 + 1e-3),
     (51.20617 - 1e-4, 51.20618 + 1e-4),
     (70.3093, 70.3095),
+]
+
+# Z_5..Z_15 as printed at full precision by `critical --count 16`
+LATER_FOLDS = [
+    90.53374575200517, 111.67602684500113, 133.59598623984684, 156.19105178940822,
+    179.38289298023932, 203.1097032644785, 227.32144685098245, 251.97677189307885,
+    277.0409184788997, 302.48425026543293, 328.28119323426256,
 ]
 
 # reference rows (Z, alpha, beta, ReE) away from the breakdowns
@@ -161,6 +169,29 @@ class TestCriticalSequence:
         with pytest.raises(ValueError):
             critical_sequence(17)
 
+    def test_later_folds_pinned(self, sixteen_folds):
+        for fold, z_ref in zip(sixteen_folds[5:], LATER_FOLDS):
+            assert fold.Z_crit == pytest.approx(z_ref, rel=1e-12)
+        assert [f.nu for f in sixteen_folds] == list(range(16))
+
+    @staticmethod
+    def _sign_count(Z, nu, nodes=4096):
+        # independent of the package kernel: the branch factor
+        # t*sinh t -/+ s*sin s written out in numpy on interior nodes
+        s = np.linspace(nu * math.pi, (nu + 1) * math.pi, nodes + 2)[1:-1]
+        t = Z / (2.0 * s)
+        sin_sign = 1.0 if nu % 2 else -1.0
+        with np.errstate(over="ignore"):  # t*sinh t overflows as s -> 0 for nu = 0
+            F = t * np.sinh(t) + sin_sign * s * np.sin(s)
+        return int(np.count_nonzero(np.signbit(F[1:]) != np.signbit(F[:-1])))
+
+    def test_sign_count_brackets_every_fold(self, sixteen_folds):
+        # two roots just below each coupling and none just above: the fold is
+        # the global maximum of the real-root curve, not a local one
+        for fold in sixteen_folds:
+            assert self._sign_count(fold.Z_crit * (1 - 1e-4), fold.nu) == 2, fold
+            assert self._sign_count(fold.Z_crit * (1 + 1e-4), fold.nu) == 0, fold
+
     def test_dirichlet_comparison_constants(self, five_folds):
         # periodic boundary conditions raise the breakdown couplings over the
         # hard-wall values; recorded constants, not recomputed
@@ -253,3 +284,14 @@ class TestExactBrokenConsistency:
         assert min(abs(a - 0.325829) for a in alphas1) <= 1e-5
         rees1 = [p.energy().re_E for p in pair1]
         assert min(abs(r - 25.61820) for r in rees1) / 25.61820 <= 1e-4
+
+    def test_pair_at_the_fold_is_the_merged_state(self, sixteen_folds):
+        from ptcircle.verify import fold_alpha
+
+        first = sixteen_folds[0]
+        cases = [(f, f.Z_crit) for f in sixteen_folds] + [(first, first.Z_crit * (1 - 1e-15))]
+        for fold, Z in cases:
+            pair = real_pair_near_fold(Z, fold)
+            assert len(pair) == 2, (fold, Z)
+            for p in pair:
+                assert abs(p.alpha - fold_alpha(fold)) <= 1e-6
