@@ -13,10 +13,6 @@ class ConvergenceError(SolverError):
     """An iteration failed to reach its tolerance within its step budget."""
 
 
-class JacobianSingularError(ConvergenceError):
-    """The Newton Jacobian is singular; typically signals proximity to a fold."""
-
-
 class NotAFoldError(SolverError):
     """A double-root search converged to a point that is not a quadratic fold."""
 

@@ -17,7 +17,8 @@ Three equivalent closed forms of the condition are provided:
 On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
 scan variable and the coupling.  ``constraint_factor`` evaluates it and
 ``constraint_factor_derivatives`` gives its closed-form partial derivatives;
-every root scan, fold polish and unfolding seed goes through these two.
+every root scan, fold polish, unfolding seed and broken-pair solve goes
+through these two, the last at complex s.
 
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in
@@ -30,6 +31,7 @@ All functions are pure and operate in double precision.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -136,12 +138,15 @@ class SpectralPoint:
             raise ValueError("energy must equal s**2 - t**2 exactly as computed")
 
 
-def t_sinh_t(t: float) -> float:
-    """t*sinh(t), clamped to +inf where exp would overflow.  Even in t."""
-    at = abs(t)
-    if at > _SINH_CLAMP:
+def t_sinh_t(t: float | complex) -> float | complex:
+    """t*sinh(t), clamped to +inf where exp would overflow.  Even in t; a
+    complex t is evaluated with ``cmath`` and clamped on |t|."""
+    if abs(t) > _SINH_CLAMP:
         return math.inf
-    return t * math.sinh(t)
+    try:
+        return t * math.sinh(t)
+    except TypeError:  # complex t
+        return t * cmath.sinh(t)
 
 
 def secular_t(t: float, Z: float) -> float:
@@ -184,23 +189,29 @@ def secular_s(s: float, Z: float) -> float:
     return first + second
 
 
-def factor_value(t: float, s: float, branch: SecularBranch) -> float:
+def factor_value(t: float | complex, s: float | complex, branch: SecularBranch) -> float | complex:
     """Factor t*sinh t +/- s*sin s evaluated at raw (t, s).
 
     Total in both arguments (the t = 0 and s = 0 edges are the continuous
     extension, value 0 for the hyperbolic/oscillatory terms respectively).
+    Complex arguments give the holomorphic continuation.
     """
-    return t_sinh_t(t) + branch.sin_term_sign * s * math.sin(s)
+    try:
+        sin_s = math.sin(s)
+    except TypeError:  # complex s
+        sin_s = cmath.sin(s)
+    return t_sinh_t(t) + branch.sin_term_sign * s * sin_s
 
 
-def constraint_factor(s: float, Z: float, branch: SecularBranch) -> float:
-    """Factor F(s; Z) = t*sinh t +/- s*sin s on the constraint curve t = Z/(2s)."""
+def constraint_factor(s: float | complex, Z: float, branch: SecularBranch) -> float | complex:
+    """Factor F(s; Z) = t*sinh t +/- s*sin s on the constraint curve t = Z/(2s),
+    holomorphic in s."""
     return factor_value(Z / (2.0 * s), s, branch)
 
 
 def constraint_factor_derivatives(
-    s: float, Z: float, branch: SecularBranch
-) -> tuple[float, float, float, float]:
+    s: float | complex, Z: float, branch: SecularBranch
+) -> tuple[float | complex, ...]:
     """Closed-form partials (F_s, F_ss, F_Z, F_sZ) of ``constraint_factor``.
 
     With g(t) = t*sinh t, dt/ds = -t/s and dt/dZ = 1/(2s):
@@ -211,14 +222,17 @@ def constraint_factor_derivatives(
         F_sZ = -(g'(t) + t*g''(t)) / (2*s**2)
 
     where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  Clamped like
-    ``t_sinh_t``: above t = 350 the hyperbolic part dominates and the signed
-    infinities (-inf, +inf, +inf, -inf) are returned.
+    ``t_sinh_t``: above |t| = 350 the hyperbolic part dominates and the signed
+    infinities (-inf, +inf, +inf, -inf) are returned.  A complex s is
+    evaluated with ``cmath``.
     """
     t = Z / (2.0 * s)
-    if t > _SINH_CLAMP:
+    if abs(t) > _SINH_CLAMP:
         return -math.inf, math.inf, math.inf, -math.inf
-    sh, ch = math.sinh(t), math.cosh(t)
-    sin_s, cos_s = math.sin(s), math.cos(s)
+    try:
+        sh, ch, sin_s, cos_s = math.sinh(t), math.cosh(t), math.sin(s), math.cos(s)
+    except TypeError:  # complex s
+        sh, ch, sin_s, cos_s = cmath.sinh(t), cmath.cosh(t), cmath.sin(s), cmath.cos(s)
     sign = branch.sin_term_sign
     g1 = sh + t * ch
     g2 = 2.0 * ch + t * sh

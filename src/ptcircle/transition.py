@@ -8,24 +8,20 @@ Z.  Z_nu is the maximum of that curve, where the pair merges; past it the
 pair continues as a complex-conjugate pair.  The merge is a quadratic fold of
 the factor along the constraint curve: F = 0 and dF/ds = 0 simultaneously.
 
-The complex branches are parametrized hyperbolically.  With
+The complex pairs are the analytic continuation of the real roots: complex
+roots s of the same holomorphic factor F(s; Z) = t*sinh t +/- s*sin s with
+t = Z/(2s), at energy E = s**2 - t**2.  They are solved that way, with the
+kernel of ``secular``.  Across the module boundary a pair is given in the
+hyperbolic form (alpha, beta, K),
 
-    s = K*sinh(alpha),  t = K*cosh(alpha),  p = K*sinh(beta),  q = K*cosh(beta),
-    K = sqrt(2Z / (sinh 2*alpha + sinh 2*beta)),
+    ReE = K**2,  eps = Im E = (K**2 / 2) * (sinh 2*beta - sinh 2*alpha),
+    sinh 2*alpha = (Z - eps) / K**2,  sinh 2*beta = (Z + eps) / K**2,
 
-the two wavenumbers are k = s - i*t and l = p - i*q, the real part of the
-energy is K**2, and the imaginary part is
-
-    eps = (K**2 / 2) * (sinh 2*beta - sinh 2*alpha).
-
-An eigenvalue pair is real exactly when alpha = beta (eps = 0); swapping
-alpha and beta flips the sign of eps (the conjugate partner).
-
-Sign conventions: this module works with E = t**2 - s**2 internally (the
-hyperbolic parametrization makes that the natural reading) while the
-real-spectrum scan uses E = s**2 - t**2 with the roles of s and t swapped.
-Only (alpha, beta, K, ReE, eps) cross the module boundary; the bridge from a
-scanned real eigenvalue is alpha = asinh(t_scan / sqrt(E)).
+which exists for ReE > 0 and |eps| < Z.  An eigenvalue pair is real exactly
+when alpha = beta (eps = 0); swapping alpha and beta flips the sign of eps
+(the conjugate partner).  ``broken_secular`` evaluates the secular condition
+directly in that form, with wavenumbers k = K*(sinh alpha - i*cosh alpha) and
+l* = K*(sinh beta + i*cosh beta), and certifies every solve.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import ConvergenceError, JacobianSingularError, NotAFoldError
+from .errors import ConvergenceError, NotAFoldError
 from .secular import (
     SecularBranch,
     constraint_factor,
@@ -167,81 +163,74 @@ def _residual_scale(params: BrokenParams) -> float:
     return max(1.0, *terms)
 
 
+def _params_from_energy(E: complex, Z: float) -> BrokenParams:
+    """Hyperbolic form of the energy E = ReE + i*eps at coupling Z:
+    alpha, beta = asinh((Z -/+ eps)/ReE)/2 and K = sqrt(ReE).  Raises
+    ValueError unless ReE > 0 and |eps| < Z."""
+    re_E, eps = E.real, E.imag
+    if not (re_E > 0.0 and abs(eps) < Z):
+        raise ValueError(f"E={E} has no hyperbolic form at Z={Z}: needs ReE > 0 and |eps| < Z")
+    return BrokenParams(
+        alpha=0.5 * math.asinh((Z - eps) / re_E),
+        beta=0.5 * math.asinh((Z + eps) / re_E),
+        K=math.sqrt(re_E),
+    )
+
+
 def solve_broken(
     Z: float, init: BrokenParams, tol: float = 1e-12, max_steps: int = 100
 ) -> tuple[BrokenParams, ComplexEnergy]:
-    """Damped two-variable Newton for (alpha, beta) at fixed Z.
+    """Complex root s of the constraint factor at fixed Z, seeded by ``init``.
 
-    The real and imaginary parts of the secular residual are driven to zero
-    with a forward-difference-free central Jacobian (relative step 1e-7) and
-    step halving until the residual decreases.  Terminates when the residual,
-    scaled by the largest secular term, drops below ``tol``.  An iterate whose
-    hyperbolic terms overflow raises ConvergenceError.
+    ``init`` maps to E = K**2 + i*eps and on to s = sqrt((E + sqrt(E**2 + Z**2))/2).
+    Of the two factors, the one with the smaller |F| there is solved by damped
+    Newton, s -= lam*F/F_s with lam halved until |F| decreases, until the step
+    falls to rounding or no step decreases |F|.  The root maps back through
+    E = s**2 - t**2 to (alpha, beta, K) and is accepted only if the secular
+    residual, scaled by the largest secular term, is at most ``tol``.  An
+    overflowing iterate, a root with ReE <= 0 or |eps| >= Z, and a failed
+    acceptance test raise ConvergenceError.
     """
     validate_coupling(Z)
     if Z <= 0.0:
         raise ValueError("broken-regime solves require Z > 0")
-
-    def resid(x: np.ndarray) -> np.ndarray:
-        try:
-            r = broken_secular(BrokenParams.bind(x[0], x[1], Z), Z)
-        except OverflowError as exc:
-            raise ConvergenceError(
-                f"broken solve overflowed at alpha={x[0]}, beta={x[1]}, Z={Z}"
-            ) from exc
-        return np.array([r.real, r.imag])
-
-    x = np.array([init.alpha, init.beta], dtype=float)
-    g = resid(x)
-    for _ in range(max_steps):
-        params = BrokenParams.bind(x[0], x[1], Z)
-        scale = _residual_scale(params)
-        if np.hypot(g[0], g[1]) <= tol * scale:
-            return params, params.energy()
-        J = np.empty((2, 2))
-        for j in range(2):
-            h = 1e-7 * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[j] += h
-            xm[j] -= h
-            J[:, j] = (resid(xp) - resid(xm)) / (2.0 * h)
-        try:
-            step = np.linalg.solve(J, -g)
-        except np.linalg.LinAlgError as exc:
-            raise JacobianSingularError(
-                f"singular Jacobian at alpha={x[0]}, beta={x[1]}, Z={Z}; "
-                "seed from the fold unfolding instead"
-            ) from exc
-        accepted = False
-        lam = 1.0
-        for _ in range(40):
-            trial = x + lam * step
-            if trial[0] > 0.0 and trial[1] > 0.0:
-                g_trial = resid(trial)
-                if np.hypot(g_trial[0], g_trial[1]) < np.hypot(g[0], g[1]):
-                    x, g = trial, g_trial
-                    accepted = True
+    E0 = init.energy()
+    E = complex(E0.re_E, E0.eps)
+    try:
+        s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
+        branch = min(SecularBranch, key=lambda b: abs(constraint_factor(s, Z, b)))
+        F = constraint_factor(s, Z, branch)
+        if not cmath.isfinite(F):
+            raise ConvergenceError(f"broken solve seed overflows at s={s}, Z={Z}")
+        for _ in range(max_steps):
+            step = F / constraint_factor_derivatives(s, Z, branch)[0]
+            if abs(step) <= 1e-15 * abs(s):
+                break
+            lam = 1.0
+            for _ in range(40):
+                trial = s - lam * step
+                F_trial = constraint_factor(trial, Z, branch)
+                if abs(F_trial) < abs(F):
+                    s, F = trial, F_trial
                     break
-            lam *= 0.5
-        if not accepted:
-            break
-    params = BrokenParams.bind(x[0], x[1], Z)
-    if np.hypot(g[0], g[1]) <= tol * _residual_scale(params):
+                lam *= 0.5
+            else:
+                break
+        t = Z / (2.0 * s)
+        params = _params_from_energy(s * s - t * t, Z)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
+    residual = abs(broken_secular(params, Z))
+    if residual <= tol * _residual_scale(params):
         return params, params.energy()
-    raise ConvergenceError(
-        f"broken solve stalled at Z={Z} with residual {np.hypot(g[0], g[1]):.3e}"
-    )
+    raise ConvergenceError(f"broken solve stalled at Z={Z} with residual {residual:.3e}")
 
 
 def broken_params_from_real_point(s: float, t: float, Z: float) -> BrokenParams:
     """Bridge a scanned real eigenvalue (scan variables, E = s**2 - t**2 > 0)
-    to the hyperbolic form: alpha = beta = asinh(t / sqrt(E))."""
-    E = s * s - t * t
-    if E <= 0.0:
-        raise ValueError("bridge requires a positive real energy")
-    alpha = math.asinh(t / math.sqrt(E))
-    return BrokenParams.bind(alpha, alpha, Z)
+    to the hyperbolic form, alpha = beta = asinh(Z/E)/2.  Raises ValueError
+    unless E > 0 and Z > 0."""
+    return _params_from_energy(s * s - t * t, Z)
 
 
 # ---------------------------------------------------------------------------
@@ -353,25 +342,16 @@ def critical_sequence(count: int) -> list[CriticalPoint]:
 def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
     """Square-root unfolding seed for the broken branch just above a fold.
 
-    The real pair continues to complex s = s* +/- i*a_s*sqrt(Z - Z_crit) with
-    a_s = sqrt(|2*F_Z / F_ss|), the fold's Z-slope and curvature taken in
-    closed form; translated to the hyperbolic parameters this puts alpha and
-    beta at alpha* -/+ delta with
-
-        delta = eps_est / (2*E* * cosh(2*alpha*)).
+    The real pair continues to the complex root s = s* + i*a_s*sqrt(Z - Z_crit)
+    with a_s = sqrt(|2*F_Z / F_ss|), the fold's Z-slope and curvature taken in
+    closed form; the seed is that s in hyperbolic form, on the eps > 0 member.
     """
     if Z <= fold.Z_crit:
         raise ValueError(f"unfolding seed needs Z above the fold ({fold.Z_crit})")
-    s0, Z0 = fold.s_merge, fold.Z_crit
-    _, F_ss, F_Z, _ = constraint_factor_derivatives(s0, Z0, fold.branch)
-    a_s = math.sqrt(abs(2.0 * F_Z / F_ss))
-    t0 = Z0 / (2.0 * s0)
-    dE_ds = 2.0 * s0 + 2.0 * t0 * t0 / s0
-    eps_est = a_s * dE_ds * math.sqrt(Z - Z0)
-    E0 = fold.E_merge
-    alpha0 = math.asinh(t0 / math.sqrt(E0))
-    delta = eps_est / (2.0 * E0 * math.cosh(2.0 * alpha0))
-    return BrokenParams.bind(alpha0 - delta, alpha0 + delta, Z)
+    _, F_ss, F_Z, _ = constraint_factor_derivatives(fold.s_merge, fold.Z_crit, fold.branch)
+    s = complex(fold.s_merge, math.sqrt(abs(2.0 * F_Z / F_ss) * (Z - fold.Z_crit)))
+    t = Z / (2.0 * s)
+    return _params_from_energy(s * s - t * t, Z)
 
 
 def continue_in_Z(
@@ -422,19 +402,20 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
     the fold, in hyperbolic (alpha = beta) form, ordered by increasing alpha.
 
     Below the fold the factor is negative at s_merge (F_Z > 0 there) and
-    positive at both interval ends, so each root is one ``brentq`` on either
-    side of s_merge.  Within rounding of the fold, where the factor at
+    positive just outside both interval ends, where t*sinh t and the
+    sign-flipped s*sin s are both positive, so each root is one ``brentq`` on
+    either side of s_merge.  Within rounding of the fold, where the factor at
     s_merge is not negative, the pair has merged and the merged state is
-    returned twice.
+    returned twice.  Z <= 0 raises ValueError.
     """
-    if Z > fold.Z_crit:
-        raise ValueError("real pair exists only at or below the fold coupling")
+    if not 0.0 < Z <= fold.Z_crit:
+        raise ValueError("real pair near a fold needs 0 < Z <= the fold coupling")
     nu, branch, s0 = fold.nu, fold.branch, fold.s_merge
     if constraint_factor(s0, Z, branch) >= 0.0:
         roots = [s0, s0]
     else:
-        lo = nu * math.pi + 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
-        hi = (nu + 1) * math.pi - 1e-9
+        lo = nu * math.pi - 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
+        hi = (nu + 1) * math.pi + 1e-9
         roots = [
             brentq(constraint_factor, lo, s0, args=(Z, branch), xtol=1e-14),
             brentq(constraint_factor, s0, hi, args=(Z, branch), xtol=1e-14),

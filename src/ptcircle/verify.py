@@ -312,8 +312,8 @@ def _exact_broken_consistency(folds) -> CheckResult:
 
 def fold_alpha(fold) -> float:
     """Hyperbolic parameter of the merged state at a fold."""
-    t = fold.Z_crit / (2.0 * fold.s_merge)
-    return math.asinh(t / math.sqrt(fold.E_merge))
+    s = fold.s_merge
+    return transition.broken_params_from_real_point(s, fold.Z_crit / (2.0 * s), fold.Z_crit).alpha
 
 
 def run_checks(level: str) -> list[CheckResult]:

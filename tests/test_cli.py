@@ -5,6 +5,7 @@ import pytest
 
 import ptcircle.secular
 from ptcircle.cli import main
+from ptcircle.oracle import nullspace_solution
 from ptcircle.spectrum import SpectrumRequest, scan_roots
 
 
@@ -124,6 +125,17 @@ class TestBrokenCommand:
         assert float(rows[0][1]) == pytest.approx(0.308679, abs=1e-5)
         assert float(rows[0][2]) == pytest.approx(0.344308, abs=1e-5)
         assert float(rows[0][4]) == pytest.approx(25.61228, rel=1e-4)
+
+    def test_pair_zero_stays_on_its_branch_at_z20(self, capsys):
+        # the 16-step continuation used to land on pair 1 here (ReE 25.8155,
+        # eps 7.5477); 200- and 2000-step continuations give pair 0's values
+        code, out, _ = run_cli(capsys, "broken", "--Z", "20", "--pair", "0")
+        assert code == 0
+        _, rows = csv_rows(out)
+        re_E, eps = float(rows[0][4]), float(rows[0][5])
+        assert re_E == pytest.approx(5.94713, rel=1e-5)
+        assert eps == pytest.approx(17.7686, rel=1e-5)
+        nullspace_solution(complex(re_E, -eps), 20.0)  # raises unless singular
 
     def test_below_fold_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "broken", "--Z", "5", "--pair", "0")

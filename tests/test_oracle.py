@@ -17,7 +17,7 @@ from ptcircle.oracle import (
     residual_check,
 )
 from ptcircle.spectrum import SpectrumRequest, scan_roots
-from ptcircle.transition import BrokenParams, solve_broken
+from ptcircle.transition import BrokenParams, solve_above_fold, solve_broken
 
 PI2 = math.pi**2
 
@@ -257,3 +257,15 @@ class TestBrokenOracle:
             report = residual_check(sol, E, 6.0)
             assert max(report.bc_residuals) <= 1e-8
             assert report.ode_residual_analytic <= 1e-12
+
+    def test_every_pair_is_certified(self, sixteen_folds):
+        # both members of each pair, from the near-fold solve to 9.5 past it
+        for fold in sixteen_folds:
+            for dZ in (1e-3, 0.3, 4.0, 9.5):
+                Z = fold.Z_crit + dZ
+                _, energy = solve_above_fold(fold, Z)
+                for sign in (+1.0, -1.0):
+                    E = complex(energy.re_E, sign * energy.eps)
+                    sol = nullspace_solution(E, Z)
+                    report = residual_check(sol, E, Z)
+                    assert max(report.bc_residuals) <= 1e-8, (fold.nu, dZ, sign)

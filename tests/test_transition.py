@@ -295,3 +295,23 @@ class TestExactBrokenConsistency:
             assert len(pair) == 2, (fold, Z)
             for p in pair:
                 assert abs(p.alpha - fold_alpha(fold)) <= 1e-6
+
+    @pytest.mark.parametrize("Z, nu", [(1e-3, 3), (1e-6, 15), (1e-3, 15), (1e-9, 13)])
+    def test_real_pair_at_small_coupling(self, sixteen_folds, Z, nu):
+        # both roots lie within rounding of an interval end, so a bracket
+        # that ends inside the interval misses them; fl(13*pi) > 13*pi
+        from ptcircle.secular import constraint_factor
+
+        fold = sixteen_folds[nu]
+        pair = real_pair_near_fold(Z, fold)
+        assert len(pair) == 2
+        for p in pair:
+            E = p.energy().re_E
+            s = math.sqrt(0.5 * (E + math.hypot(E, Z)))
+            assert nu * math.pi <= s <= (nu + 1) * math.pi
+            assert abs(constraint_factor(s, Z, fold.branch)) <= 1e-12
+
+    def test_real_pair_rejects_non_positive_coupling(self, sixteen_folds):
+        for Z, nu in ((0.0, 0), (0.0, 3), (-1.0, 1)):
+            with pytest.raises(ValueError):
+                real_pair_near_fold(Z, sixteen_folds[nu])
