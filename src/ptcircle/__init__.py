@@ -16,7 +16,6 @@ from .secular import (
     secular_t,
 )
 from .spectrum import (
-    ScanOptions,
     SeriesCoefficients,
     SpectrumRequest,
     fit_series_numeric,
@@ -55,7 +54,6 @@ __all__ = [
     "secular_factor",
     "secular_s",
     "secular_t",
-    "ScanOptions",
     "SeriesCoefficients",
     "SpectrumRequest",
     "fit_series_numeric",

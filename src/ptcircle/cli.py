@@ -25,7 +25,7 @@ import sys
 from . import __version__
 from .errors import SolverError
 from .secular import secular_t
-from .spectrum import ScanOptions, SpectrumRequest, scan_roots
+from .spectrum import SpectrumRequest, scan_roots
 from . import transition, verify as verify_mod
 
 SCHEMA_VERSION = "1"
@@ -105,7 +105,7 @@ def _cmd_spectrum(args) -> int:
         raise _UsageError(f"--Z must be finite and non-negative, got {args.Z}")
     if not math.pi <= args.smax <= 10_000.0:
         raise _UsageError(f"--smax must be in [pi, 10000], got {args.smax}")
-    pts = scan_roots(SpectrumRequest(Z=args.Z, s_max=args.smax, options=ScanOptions()))
+    pts = scan_roots(SpectrumRequest(Z=args.Z, s_max=args.smax))
     rows = [[p.n, p.branch.value, p.params.s, p.params.t, p.E, p.residual] for p in pts]
     with _output(args.out) as stream:
         _emit(stream, "spectrum", {"Z": args.Z, "smax": args.smax},
@@ -157,17 +157,13 @@ def _cmd_table1(args) -> int:
         d_a = params.alpha - a_p
         d_b = params.beta - b_p
         d_e = energy.re_E - ree_p
-        suspect = (
-            abs(d_a) > verify_mod.ALPHA_TOL
-            or abs(d_b) > verify_mod.ALPHA_TOL
-            or abs(d_e) / ree_p > verify_mod.REE_REL_TOL
-        )
+        ok = verify_mod.table_deviation_ok(max(abs(d_a), abs(d_b)), abs(d_e) / ree_p)
         rows.append([
             Z, pair,
             params.alpha, a_p, d_a,
             params.beta, b_p, d_b,
             energy.re_E, ree_p, d_e,
-            "SUSPECT" if suspect else "ok",
+            "ok" if ok else "SUSPECT",
             "pinned" if pinned else "reported",
         ])
     with _output(args.out) as stream:

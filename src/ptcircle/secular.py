@@ -34,6 +34,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -55,6 +56,10 @@ __all__ = [
 # Hyperbolics above this argument would overflow the intermediate exp(2t)
 # expressions; beyond it only sign and scale matter and +inf is returned.
 _SINH_CLAMP = 350.0
+
+# The two constants of the real-root rule ``_real_root_accepted``.
+_ROOT_RESIDUAL_FLOOR = 1e-12
+_ROOT_ROUNDING_UNITS = 16.0
 
 
 def validate_coupling(Z: float) -> float:
@@ -130,8 +135,10 @@ class SpectralPoint:
     def __post_init__(self) -> None:
         if self.residual < 0.0 or not math.isfinite(self.residual):
             raise ValueError("residual must be finite and non-negative")
-        if self.residual > 1e-10:
-            raise ValueError(f"factor residual {self.residual:.3e} exceeds 1e-10")
+        if not _real_root_accepted(self.residual, self.params.s, self.Z, self.branch):
+            raise ValueError(
+                f"factor residual {self.residual:.3e} exceeds the rounding bound at s={self.params.s}"
+            )
         if self.params.constraint_residual(self.Z) > 1e-12:
             raise ValueError("parameters violate 2*s*t = Z beyond 1e-12")
         if self.E != self.params.s**2 - self.params.t**2:
@@ -241,6 +248,23 @@ def constraint_factor_derivatives(
     F_Z = g1 / (2.0 * s)
     F_sZ = -(g1 + t * g2) / (2.0 * s * s)
     return F_s, F_ss, F_Z, F_sZ
+
+
+def _real_root_accepted(residual: float, s: float, Z: float, branch: SecularBranch) -> bool:
+    """The one acceptance test for a real root s of the constraint factor.
+
+    A backward-error test: the factor residual |F(s)| must be at most 1e-12,
+    or at most 16 units of |s*F_s(s)|*eps, the residual that rounding s to a
+    double makes at a simple root.  The second bound grows like s**2*eps on
+    the s*sin s term, so the test holds at every s; F_s is evaluated only when
+    the floor is exceeded.
+    """
+    if residual <= _ROOT_RESIDUAL_FLOOR:
+        return True
+    if not math.isfinite(residual):
+        return False
+    F_s = constraint_factor_derivatives(s, Z, branch)[0]
+    return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)
 
 
 def secular_factor(params: ExactParams, branch: SecularBranch) -> float:

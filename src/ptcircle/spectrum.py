@@ -4,8 +4,11 @@ the small-coupling perturbation series.
 Scanning works in the s variable.  Along the constraint curve t = Z/(2s) the
 factors have root spacing of order pi (set by s*sin s), so a grid of step
 pi/64 cannot skip a sign change below the scan ceilings used here; roots that
-accumulate at small t are the same roots seen at large s.  Each level is
-labelled n = round(s/pi) together with the factor that vanished.
+accumulate at small t are the same roots seen at large s.  Each bracket is
+refined by Brent's method alone, with no Newton polish, and the root is
+accepted by the one rounding-aware residual rule of ``secular``, which holds
+at every s.  Each level is labelled n = round(s/pi) together with the factor
+that vanished.
 
 The perturbation series writes a root near s = n*pi as s = n*pi + rho(t)
 with rho even in t, and solves the branch equation
@@ -20,7 +23,7 @@ coefficients.  The leading term is sigma*(-1)^n/(n*pi) * t**2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -30,14 +33,13 @@ from .secular import (
     ExactParams,
     SecularBranch,
     SpectralPoint,
+    _real_root_accepted,
     constraint_factor,
-    constraint_factor_derivatives,
     factor_value,
     validate_coupling,
 )
 
 __all__ = [
-    "ScanOptions",
     "SpectrumRequest",
     "SeriesCoefficients",
     "scan_roots",
@@ -49,38 +51,26 @@ __all__ = [
 ]
 
 _GRID_STEP = math.pi / 64.0
-
-
-@dataclass(frozen=True)
-class ScanOptions:
-    """Tolerances of the scan: factor residual at roots and grid resolution."""
-
-    residual_tol: float = 1e-12
-    grid_step: float = _GRID_STEP
-    max_iter: int = 200
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.grid_step <= _GRID_STEP + 1e-15:
-            raise ValueError(f"grid step must lie in (0, pi/64], got {self.grid_step}")
-        if self.residual_tol <= 0.0:
-            raise ValueError(f"residual tolerance must be positive, got {self.residual_tol}")
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class SpectrumRequest:
     Z: float
     s_max: float
-    options: ScanOptions = field(default_factory=ScanOptions)
 
     def __post_init__(self) -> None:
         validate_coupling(self.Z)
+        if not math.isfinite(self.s_max):
+            raise ValueError(f"s_max must be finite, got {self.s_max}")
         if self.s_max < math.pi:
             raise ValueError(f"s_max must be at least pi, got {self.s_max}")
 
 
-def _scan_grid(Z: float, s_max: float, step: float) -> np.ndarray:
-    """s nodes: uniform with the given step, extended geometrically below the
+def _scan_grid(Z: float, s_max: float) -> np.ndarray:
+    """s nodes: uniform with step pi/64, extended geometrically below the
     first node when the low descendant root (s near sqrt(Z/2)) could sit there."""
+    step = _GRID_STEP
     base = np.arange(step, s_max + 0.5 * step, step)
     base = base[base <= s_max]
     if Z > 0.0:
@@ -93,20 +83,15 @@ def _scan_grid(Z: float, s_max: float, step: float) -> np.ndarray:
     return base
 
 
-def refine_root(
-    bracket: tuple[float, float],
-    Z: float,
-    branch: SecularBranch,
-    options: ScanOptions | None = None,
-) -> SpectralPoint:
+def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -> SpectralPoint:
     """Refine a sign-change bracket in s to a SpectralPoint.
 
-    Safeguarded bracket shrinkage (Brent) followed by a short Newton polish;
-    the result carries a factor residual at or below the option tolerance.
+    Safeguarded bracket shrinkage (Brent) and no Newton polish; the root is
+    accepted by the package's one real-root residual rule (factor residual at
+    most 1e-12, or at most 16 units of its rounding error |s*F_s|*eps).
     Raises NoSignChangeError when the bracket does not straddle a root and
-    ConvergenceError if the residual target cannot be met.
+    ConvergenceError if the iteration limit is hit or the rule rejects the root.
     """
-    opts = options or ScanOptions()
     validate_coupling(Z)
     s_lo, s_hi = bracket
     if not (0.0 < s_lo < s_hi):
@@ -118,57 +103,44 @@ def refine_root(
             f"no sign change on [{s_lo}, {s_hi}] for {branch.value} factor at Z={Z}"
         )
     try:
-        s_hat = brentq(
+        s = brentq(
             constraint_factor,
             s_lo,
             s_hi,
             args=(Z, branch),
             xtol=1e-15,
             rtol=4.0 * np.finfo(float).eps,
-            maxiter=opts.max_iter,
+            maxiter=_MAX_ITER,
         )
     except RuntimeError as exc:  # scipy's iteration-limit signal
-        raise ConvergenceError(f"refinement exceeded {opts.max_iter} iterations: {exc}") from exc
-    best_s = s_hat
-    best_f = abs(constraint_factor(s_hat, Z, branch))
-    for _ in range(3):
-        if best_f <= 0.25 * opts.residual_tol:
-            break
-        d = constraint_factor_derivatives(best_s, Z, branch)[0]
-        if d == 0.0:
-            break
-        trial = best_s - constraint_factor(best_s, Z, branch) / d
-        if not (s_lo <= trial <= s_hi):
-            break
-        f_trial = abs(constraint_factor(trial, Z, branch))
-        if f_trial >= best_f:
-            break
-        best_s, best_f = trial, f_trial
-    if best_f > opts.residual_tol:
+        raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations: {exc}") from exc
+    residual = abs(constraint_factor(s, Z, branch))
+    if not _real_root_accepted(residual, s, Z, branch):
         raise ConvergenceError(
-            f"bracket refinement stalled at residual {best_f:.3e} "
-            f"(target {opts.residual_tol:.1e}) near s={best_s}"
+            f"bracket refinement stalled at residual {residual:.3e} above its rounding bound "
+            f"near s={s}"
         )
-    params = ExactParams(t=Z / (2.0 * best_s), s=best_s)
+    params = ExactParams(t=Z / (2.0 * s), s=s)
     return SpectralPoint(
         Z=Z,
         branch=branch,
-        n=round(best_s / math.pi),
+        n=round(s / math.pi),
         params=params,
         E=params.s**2 - params.t**2,
-        residual=best_f,
+        residual=residual,
     )
 
 
 def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     """All real roots with s in (0, s_max], sorted by energy.
 
-    Both factors are sign-scanned on the grid and every detected bracket is
-    refined; a refinement failure on a detected bracket propagates (brackets
-    are never silently dropped).  An empty result is legal.
+    Both factors are sign-scanned on the pi/64 grid and every detected bracket
+    is refined by ``refine_root`` (Brent, no Newton polish); a refinement
+    failure on a detected bracket propagates (brackets are never silently
+    dropped).  An empty result is legal.
     """
     points: list[SpectralPoint] = []
-    grid = _scan_grid(req.Z, req.s_max, req.options.grid_step)
+    grid = _scan_grid(req.Z, req.s_max)
     if grid.size < 2:
         return points
     for branch in (SecularBranch.FACTOR_MINUS, SecularBranch.FACTOR_PLUS):
@@ -176,9 +148,7 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
         for i in range(len(grid) - 1):
             a, b = vals[i], vals[i + 1]
             if a == 0.0 or (a < 0.0) != (b < 0.0):
-                points.append(
-                    refine_root((float(grid[i]), float(grid[i + 1])), req.Z, branch, req.options)
-                )
+                points.append(refine_root((float(grid[i]), float(grid[i + 1])), req.Z, branch))
     points.sort(key=lambda p: (p.E, p.branch.value))
     return points
 

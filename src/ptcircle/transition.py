@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, NotAFoldError
 from .secular import (
@@ -41,6 +40,7 @@ from .secular import (
     t_sinh_t,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
     validate_coupling,
 )
+from .spectrum import refine_root
 
 __all__ = [
     "BrokenParams",
@@ -403,10 +403,11 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
 
     Below the fold the factor is negative at s_merge (F_Z > 0 there) and
     positive just outside both interval ends, where t*sinh t and the
-    sign-flipped s*sin s are both positive, so each root is one ``brentq`` on
-    either side of s_merge.  Within rounding of the fold, where the factor at
-    s_merge is not negative, the pair has merged and the merged state is
-    returned twice.  Z <= 0 raises ValueError.
+    sign-flipped s*sin s are both positive, so each root is one ``refine_root``
+    on either side of s_merge, accepted by the package's real-root rule.
+    Within rounding of the fold, where the factor at s_merge is not negative,
+    the pair has merged and the merged state is returned twice.  Z <= 0
+    raises ValueError.
     """
     if not 0.0 < Z <= fold.Z_crit:
         raise ValueError("real pair near a fold needs 0 < Z <= the fold coupling")
@@ -416,10 +417,7 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
     else:
         lo = nu * math.pi - 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
         hi = (nu + 1) * math.pi + 1e-9
-        roots = [
-            brentq(constraint_factor, lo, s0, args=(Z, branch), xtol=1e-14),
-            brentq(constraint_factor, s0, hi, args=(Z, branch), xtol=1e-14),
-        ]
+        roots = [refine_root(b, Z, branch).params.s for b in ((lo, s0), (s0, hi))]
     out = [broken_params_from_real_point(s, Z / (2.0 * s), Z) for s in roots]
     out.sort(key=lambda p: p.alpha)
     return out

@@ -60,6 +60,12 @@ ALPHA_TOL = 1e-5
 REE_REL_TOL = 1e-4
 
 
+def table_deviation_ok(d_alpha_beta: float, d_ree_rel: float) -> bool:
+    """The table-row rule: |d alpha|, |d beta| within ALPHA_TOL and the
+    relative ReE deviation within REE_REL_TOL (a NaN deviation fails)."""
+    return d_alpha_beta <= ALPHA_TOL and d_ree_rel <= REE_REL_TOL
+
+
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -67,42 +73,27 @@ class CheckResult:
     detail: str
 
 
-def _identity_sweep(n_points: int) -> CheckResult:
-    rng = np.random.default_rng(_SEED)
-    worst = 0.0
-    for _ in range(n_points):
-        t = rng.uniform(1e-3, 20.0)
-        Z = rng.uniform(0.0, 100.0)
-        s = Z / (2.0 * t)
-        lhs = secular.secular_t(t, Z)
-        params = secular.ExactParams(t=t, s=s)
-        fp = secular.secular_factor(params, secular.SecularBranch.FACTOR_PLUS)
-        fm = secular.secular_factor(params, secular.SecularBranch.FACTOR_MINUS)
-        worst = max(worst, abs(lhs - 16.0 * fp * fm) / max(1.0, abs(lhs)))
-    return CheckResult(
-        "factorization-identity", worst <= 1e-9, f"max relative residual {worst:.3e} over {n_points} points"
-    )
-
-
-def _s_identity_sweep(n_points: int) -> CheckResult:
-    rng = np.random.default_rng(_SEED + 1)
+def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
+    """Relative defect of the determinant = 16*F_plus*F_minus at random (t, Z),
+    in the t form (``secular_t``) or, with its own seed, the s form
+    (``secular_s`` at s = Z/(2t))."""
+    name = "s-representation-identity" if s_form else "factorization-identity"
+    rng = np.random.default_rng(_SEED + 1 if s_form else _SEED)
     worst = 0.0
     used = 0
     for _ in range(n_points):
         t = rng.uniform(1e-3, 20.0)
         Z = rng.uniform(0.0, 100.0)
-        if Z == 0.0:
+        if Z == 0.0:  # s = 0 lies outside the s form
             continue
         s = Z / (2.0 * t)
-        lhs = secular.secular_s(s, Z)
+        lhs = secular.secular_s(s, Z) if s_form else secular.secular_t(t, Z)
         params = secular.ExactParams(t=t, s=s)
         fp = secular.secular_factor(params, secular.SecularBranch.FACTOR_PLUS)
         fm = secular.secular_factor(params, secular.SecularBranch.FACTOR_MINUS)
         worst = max(worst, abs(lhs - 16.0 * fp * fm) / max(1.0, abs(lhs)))
         used += 1
-    return CheckResult(
-        "s-representation-identity", worst <= 1e-9, f"max relative residual {worst:.3e} over {used} points"
-    )
+    return CheckResult(name, worst <= 1e-9, f"max relative residual {worst:.3e} over {used} points")
 
 
 def _hermitian_limit() -> CheckResult:
@@ -225,10 +216,9 @@ def _table_goldens(pinned_only: bool, folds) -> CheckResult:
             continue
         worst_ab = max(worst_ab, abs(params.alpha - a_p), abs(params.beta - b_p))
         worst_ree = max(worst_ree, abs(energy.re_E - ree_p) / ree_p)
-    ok = worst_ab <= ALPHA_TOL and worst_ree <= REE_REL_TOL
     return CheckResult(
         "table-goldens",
-        ok,
+        table_deviation_ok(worst_ab, worst_ree),
         f"max |d alpha,beta| {worst_ab:.3e} (tol {ALPHA_TOL}), max rel dReE {worst_ree:.3e} (tol {REE_REL_TOL})",
     )
 
@@ -320,9 +310,10 @@ def run_checks(level: str) -> list[CheckResult]:
     if level not in (QUICK, FULL):
         raise ValueError(f"unknown level {level!r}")
     full = level == FULL
+    n_sweep = 10_000 if full else 2_000
     results = [
-        _identity_sweep(10_000 if full else 2_000),
-        _s_identity_sweep(10_000 if full else 2_000),
+        _identity_sweep(n_sweep, s_form=False),
+        _identity_sweep(n_sweep, s_form=True),
         _hermitian_limit(),
         _series_vs_fit((1, 2, 3) if full else (1,)),
         _zero_set_equivalence((0.5, 3.0, 5.0, 10.0, 17.0) if full else (3.0,)),

@@ -36,6 +36,13 @@ class TestSpectrumCommand:
         _, rows = csv_rows(out)
         assert len(rows) == 5
 
+    def test_ceiling_past_s128(self, capsys):
+        # rounding s alone leaves |F| above 1e-12 from s = 128.8 on
+        code, out, err = run_cli(capsys, "spectrum", "--Z", "2", "--smax", "200")
+        assert code == 0, err
+        _, rows = csv_rows(out)
+        assert len(rows) == 127
+
     def test_negative_coupling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--Z", "-1", "--smax", "10")
         assert code == 64

@@ -1,13 +1,22 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from ptcircle.errors import NoSignChangeError
-from ptcircle.oracle import boundary_determinant, boundary_matrix, determinant_scale
+from ptcircle.oracle import (
+    boundary_determinant,
+    boundary_matrix,
+    determinant_scale,
+    nullspace_solution,
+    residual_check,
+)
 from ptcircle.secular import SecularBranch, factor_value
-from ptcircle.spectrum import ScanOptions, SpectrumRequest, refine_root, scan_roots
+from ptcircle.spectrum import SpectrumRequest, refine_root, scan_roots
+
+from _mp_reference import mp_constraint_factor
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS
@@ -98,7 +107,45 @@ class TestScanRoots:
         with pytest.raises(ValueError):
             SpectrumRequest(Z=1.0, s_max=2.0)
         with pytest.raises(ValueError):
-            ScanOptions(grid_step=1.0)
+            SpectrumRequest(Z=1.0, s_max=math.inf)
+        with pytest.raises(ValueError):
+            SpectrumRequest(Z=1.0, s_max=math.nan)
+
+
+class TestLargeScanCeiling:
+    """Scans far past s = 128.8, where rounding s alone leaves |F| above 1e-12."""
+
+    @pytest.fixture(scope="class")
+    def deep_scan(self):
+        return scan_roots(SpectrumRequest(Z=2.0, s_max=1e4))
+
+    def test_branch_counts_match_numpy_sign_count(self, deep_scan):
+        Z, s_max, ds = 2.0, 1e4, math.pi / 256
+        s = ds * np.arange(1, math.floor(s_max / ds) + 1)
+        s = np.append(s[s < s_max], s_max)
+        t = Z / (2.0 * s)
+        for branch in (MINUS, PLUS):
+            f = t * np.sinh(t) + branch.sin_term_sign * s * np.sin(s)
+            expected = int(np.count_nonzero(np.signbit(f[:-1]) != np.signbit(f[1:])))
+            assert expected > 3000
+            assert sum(1 for p in deep_scan if p.branch is branch) == expected
+
+    def test_implied_s_error_is_rounding(self, deep_scan):
+        eps = np.finfo(float).eps
+        for p in deep_scan[::200]:
+            s = mp.mpf(p.params.s)
+            F = mp_constraint_factor(s, 2.0, p.branch)
+            F_s = mp.diff(lambda x: mp_constraint_factor(x, 2.0, p.branch), s)
+            assert abs(F / F_s) <= 4.0 * eps * p.params.s, p
+
+    def test_oracle_certifies_roots_near_s200(self):
+        # Z = 20 keeps the doublets split; at small Z (e.g. 2.5) near s = 200
+        # the oracle's rank test sees a multiplicity-2 null space instead
+        pts = [p for p in scan_roots(SpectrumRequest(Z=20.0, s_max=200.0)) if p.params.s > 190.0]
+        assert len(pts) >= 4
+        for p in pts:
+            report = residual_check(nullspace_solution(p.E, 20.0), p.E, 20.0)
+            assert max(report.bc_residuals) <= 1e-8, p
 
 
 class TestRefineRoot:
