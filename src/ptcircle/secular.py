@@ -37,6 +37,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "SecularBranch",
     "ExactParams",
@@ -139,8 +141,9 @@ class SpectralPoint:
             raise ValueError(
                 f"factor residual {self.residual:.3e} exceeds the rounding bound at s={self.params.s}"
             )
-        if self.params.constraint_residual(self.Z) > 1e-12:
-            raise ValueError("parameters violate 2*s*t = Z beyond 1e-12")
+        constraint_bound = max(1e-12, 4.0 * sys.float_info.epsilon * self.Z)
+        if self.params.constraint_residual(self.Z) > constraint_bound:
+            raise ValueError("parameters violate 2*s*t = Z beyond rounding")
         if self.E != self.params.s**2 - self.params.t**2:
             raise ValueError("energy must equal s**2 - t**2 exactly as computed")
 
@@ -154,6 +157,14 @@ def t_sinh_t(t: float | complex) -> float | complex:
         return t * math.sinh(t)
     except TypeError:  # complex t
         return t * cmath.sinh(t)
+
+
+def _t_sinh_t_array(t: np.ndarray) -> np.ndarray:
+    """``t_sinh_t`` elementwise on an ndarray of real t.  The clamped entries
+    never reach ``sinh``, so no overflow warning is raised."""
+    big = np.abs(t) > _SINH_CLAMP
+    t = np.where(big, 0.0, t)
+    return np.where(big, math.inf, t * np.sinh(t))
 
 
 def secular_t(t: float, Z: float) -> float:
@@ -196,23 +207,35 @@ def secular_s(s: float, Z: float) -> float:
     return first + second
 
 
-def factor_value(t: float | complex, s: float | complex, branch: SecularBranch) -> float | complex:
+def factor_value(
+    t: float | complex | np.ndarray, s: float | complex | np.ndarray, branch: SecularBranch
+) -> float | complex | np.ndarray:
     """Factor t*sinh t +/- s*sin s evaluated at raw (t, s).
 
     Total in both arguments (the t = 0 and s = 0 edges are the continuous
     extension, value 0 for the hyperbolic/oscillatory terms respectively).
-    Complex arguments give the holomorphic continuation.
+    Complex arguments give the holomorphic continuation.  An ndarray of at
+    least two real s (with t of the same shape) is evaluated elementwise with
+    numpy.  It is told apart by the TypeError that ``math.sin`` raises, so the
+    float path pays no dispatch test; a one-entry array raises none and is
+    not supported.
     """
     try:
-        sin_s = math.sin(s)
-    except TypeError:  # complex s
-        sin_s = cmath.sin(s)
-    return t_sinh_t(t) + branch.sin_term_sign * s * sin_s
+        sin_s, hyperbolic = math.sin(s), t_sinh_t
+    except TypeError:  # complex s, or an ndarray of s
+        if isinstance(s, np.ndarray):
+            sin_s, hyperbolic = np.sin(s), _t_sinh_t_array
+        else:
+            sin_s, hyperbolic = cmath.sin(s), t_sinh_t
+    return hyperbolic(t) + branch.sin_term_sign * s * sin_s
 
 
-def constraint_factor(s: float | complex, Z: float, branch: SecularBranch) -> float | complex:
+def constraint_factor(
+    s: float | complex | np.ndarray, Z: float, branch: SecularBranch
+) -> float | complex | np.ndarray:
     """Factor F(s; Z) = t*sinh t +/- s*sin s on the constraint curve t = Z/(2s),
-    holomorphic in s."""
+    holomorphic in s.  An ndarray of at least two real s gives the factor at
+    every entry in one numpy pass, as a root scan needs it."""
     return factor_value(Z / (2.0 * s), s, branch)
 
 

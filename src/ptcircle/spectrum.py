@@ -4,11 +4,13 @@ the small-coupling perturbation series.
 Scanning works in the s variable.  Along the constraint curve t = Z/(2s) the
 factors have root spacing of order pi (set by s*sin s), so a grid of step
 pi/64 cannot skip a sign change below the scan ceilings used here; roots that
-accumulate at small t are the same roots seen at large s.  Each bracket is
-refined by Brent's method alone, with no Newton polish, and the root is
-accepted by the one rounding-aware residual rule of ``secular``, which holds
-at every s.  Each level is labelled n = round(s/pi) together with the factor
-that vanished.
+accumulate at small t are the same roots seen at large s.  Each factor is
+evaluated on the whole grid in one numpy pass, and the sign changes found
+there are the brackets.  Each bracket is refined by Brent's method on the
+scalar kernel alone, with no Newton polish, and the root is accepted by the
+one rounding-aware residual rule of ``secular``, which holds at every s.
+Each level is labelled n = round(s/pi) together with the factor that
+vanished.
 
 The perturbation series writes a root near s = n*pi as s = n*pi + rho(t)
 with rho even in t, and solves the branch equation
@@ -134,21 +136,22 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
 def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     """All real roots with s in (0, s_max], sorted by energy.
 
-    Both factors are sign-scanned on the pi/64 grid and every detected bracket
-    is refined by ``refine_root`` (Brent, no Newton polish); a refinement
-    failure on a detected bracket propagates (brackets are never silently
-    dropped).  An empty result is legal.
+    Each factor is evaluated on the whole pi/64 grid in one numpy pass; a
+    cell [s_i, s_i+1] is a bracket when F(s_i) is zero or F changes sign
+    across it, and every bracket is refined by ``refine_root`` (Brent on the
+    scalar kernel, no Newton polish).  A refinement failure on a detected
+    bracket propagates (brackets are never silently dropped).  An empty
+    result is legal.
     """
     points: list[SpectralPoint] = []
     grid = _scan_grid(req.Z, req.s_max)
     if grid.size < 2:
         return points
     for branch in (SecularBranch.FACTOR_MINUS, SecularBranch.FACTOR_PLUS):
-        vals = [constraint_factor(float(s), req.Z, branch) for s in grid]
-        for i in range(len(grid) - 1):
-            a, b = vals[i], vals[i + 1]
-            if a == 0.0 or (a < 0.0) != (b < 0.0):
-                points.append(refine_root((float(grid[i]), float(grid[i + 1])), req.Z, branch))
+        vals = constraint_factor(grid, req.Z, branch)
+        a, b = vals[:-1], vals[1:]
+        for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))):
+            points.append(refine_root((float(grid[i]), float(grid[i + 1])), req.Z, branch))
     points.sort(key=lambda p: (p.E, p.branch.value))
     return points
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -42,6 +43,13 @@ class TestSpectrumCommand:
         assert code == 0, err
         _, rows = csv_rows(out)
         assert len(rows) == 127
+
+    def test_large_coupling_passes_the_constraint_check(self, capsys):
+        # rounding t = Z/(2s) leaves |2st - Z| above 1e-12 at this coupling
+        code, out, err = run_cli(capsys, "spectrum", "--Z", "10000", "--smax", "2000")
+        assert code == 0, err
+        _, rows = csv_rows(out)
+        assert len(rows) > 0
 
     def test_negative_coupling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--Z", "-1", "--smax", "10")
@@ -230,6 +238,29 @@ class TestFigCommand:
         code, _, err = run_cli(capsys, "fig", "--which", "2", "--nt", "5000", "--nz", "10")
         assert code == 64
         assert "usage error" in err
+
+    def test_fig2_overflowing_phase_is_usage_error(self, capsys):
+        # Z/t overflows to inf in the cell at t = 0.0125, Z = 7.5e307
+        code, out, err = run_cli(capsys, "fig", "--which", "2", "--t-min", "0.01", "--t-max",
+                                 "0.02", "--z-max", "1e308", "--nt", "2", "--nz", "2")
+        assert code == 64
+        assert out == ""
+        assert "usage error" in err
+
+
+class TestGoldenBytes:
+    """SHA-256 of stdout for fixed commands; any drift in a printed byte fails."""
+
+    @pytest.mark.parametrize("argv, sha256", [
+        (("spectrum", "--Z", "0.5", "--smax", "10"),
+         "654cb5f008880581afc7bc53b8a08f7f495c5f635e484fde78f535bad146462d"),
+        (("fig", "--which", "2"),
+         "300ed75d4f04c1599978e3e6c91abc3becf9220f39b5c88277cfb630029c9e4c"),
+    ])
+    def test_stdout_hash(self, capsys, argv, sha256):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
 class TestCrossCommandConsistency:

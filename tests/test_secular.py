@@ -18,6 +18,7 @@ from ptcircle.secular import (
     secular_s,
     secular_t,
 )
+from ptcircle.spectrum import _scan_grid
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS
@@ -136,6 +137,24 @@ class TestConstraintKernel:
             assert abs(value - float(ref)) <= 1e-13 * scale, (order, value, ref)
 
     @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("Z", [0.0, 1e-8, 2.5, 80.0, 1e4])
+    def test_array_path_matches_scalar_on_scan_grid(self, branch, Z):
+        # Z = 1e4 puts t above the clamp for s < 14.3
+        grid = _scan_grid(Z, 200.0)
+        got = constraint_factor(grid, Z, branch)
+        want = np.array([constraint_factor(float(s), Z, branch) for s in grid])
+        assert got.shape == grid.shape
+        assert np.array_equal(np.sign(got), np.sign(want))
+        clamped = np.isinf(want)
+        assert np.array_equal(got[clamped], want[clamped])
+        assert not np.any(np.isinf(got[~clamped]))
+        s = grid[~clamped]
+        t = Z / (2.0 * s)
+        scale = np.abs(t * np.sinh(t)) + np.abs(s * np.sin(s))
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got[~clamped] - want[~clamped]) <= 4.0 * eps * scale)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
     def test_clamped_like_t_sinh_t(self, branch):
         # t = 500 lies above the clamp at 350
         assert constraint_factor(0.01, 10.0, branch) == math.inf
@@ -236,10 +255,21 @@ class TestTypes:
         params = ExactParams.on_constraint(s=2.0, Z=6.0)
         with pytest.raises(ValueError):
             SpectralPoint(Z=6.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
-                          residual=1e-9)  # residual above the 1e-10 bound
+                          residual=1e-9)  # residual above the real-root rule's 1e-12 floor
         with pytest.raises(ValueError):
             SpectralPoint(Z=5.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
                           residual=0.0)  # violates 2st = Z
+
+    def test_constraint_bound_is_relative_to_rounding(self):
+        # at Z = 1e4 rounding t = Z/(2s) leaves |2st - Z| above 1e-12 (here 1.8e-12)
+        params = ExactParams.on_constraint(s=127.0 / 7.0, Z=1e4)
+        assert params.constraint_residual(1e4) > 1e-12
+        SpectralPoint(Z=1e4, branch=MINUS, n=0, params=params, E=params.s**2 - params.t**2,
+                      residual=0.0)
+        off = ExactParams(t=params.t * (1.0 + 1e-14), s=params.s)  # |2st - Z| ~ 1e-10
+        with pytest.raises(ValueError):
+            SpectralPoint(Z=1e4, branch=MINUS, n=0, params=off, E=off.s**2 - off.t**2,
+                          residual=0.0)
 
     def test_coupling_validation(self):
         from ptcircle.secular import validate_coupling

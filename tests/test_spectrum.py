@@ -13,8 +13,8 @@ from ptcircle.oracle import (
     nullspace_solution,
     residual_check,
 )
-from ptcircle.secular import SecularBranch, factor_value
-from ptcircle.spectrum import SpectrumRequest, refine_root, scan_roots
+from ptcircle.secular import SecularBranch, constraint_factor, factor_value
+from ptcircle.spectrum import SpectrumRequest, _scan_grid, refine_root, scan_roots
 
 from _mp_reference import mp_constraint_factor
 
@@ -110,6 +110,33 @@ class TestScanRoots:
             SpectrumRequest(Z=1.0, s_max=math.inf)
         with pytest.raises(ValueError):
             SpectrumRequest(Z=1.0, s_max=math.nan)
+
+
+class TestArraySignScan:
+    """``scan_roots`` finds its brackets in one numpy pass per branch; it must
+    return exactly the roots of a node-by-node scalar scan of the same grid."""
+
+    @staticmethod
+    def scalar_scan(Z: float, s_max: float) -> list[tuple[float, str]]:
+        grid = _scan_grid(Z, s_max)
+        out = []
+        for branch in (MINUS, PLUS):
+            vals = [constraint_factor(float(s), Z, branch) for s in grid]
+            for i in range(len(grid) - 1):
+                a, b = vals[i], vals[i + 1]
+                if a == 0.0 or (a < 0.0) != (b < 0.0):
+                    p = refine_root((float(grid[i]), float(grid[i + 1])), Z, branch)
+                    out.append((p.params.s, branch.value))
+        return sorted(out)
+
+    def test_seeded_draws_match_scalar_scan(self):
+        rng = np.random.default_rng(20260611)
+        for k in range(200):
+            Z = (0.0, 10.0 ** rng.uniform(-8.0, math.log10(3e3)), rng.uniform(0.0, 80.0))[k % 3]
+            s_max = rng.uniform(math.pi, 48.0)
+            got = sorted((p.params.s, p.branch.value)
+                         for p in scan_roots(SpectrumRequest(Z=Z, s_max=s_max)))
+            assert got == self.scalar_scan(Z, s_max), (Z, s_max)
 
 
 class TestLargeScanCeiling:
