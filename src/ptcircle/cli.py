@@ -125,8 +125,7 @@ def _cmd_critical(args) -> int:
 
 
 def _solve_pair_at(Z: float, pair: int):
-    folds = transition.critical_sequence(pair + 1)
-    fold = folds[pair]
+    fold = transition.interval_fold(pair)
     if Z <= fold.Z_crit:
         raise SolverError(
             f"Z={Z} is at or below the pair-{pair} coalescence ({fold.Z_crit:.7f}); "
@@ -149,23 +148,17 @@ def _cmd_broken(args) -> int:
 
 
 def _cmd_table1(args) -> int:
-    pairs_needed = 1 + max(row[4] for row in verify_mod.TABLE_ROWS)
-    folds = transition.critical_sequence(pairs_needed)
-    rows = []
-    for Z, a_p, b_p, ree_p, pair, pinned in verify_mod.TABLE_ROWS:
-        params, energy = verify_mod._solve_table_row(Z, a_p, b_p, pair, folds[pair])
-        d_a = params.alpha - a_p
-        d_b = params.beta - b_p
-        d_e = energy.re_E - ree_p
-        ok = verify_mod.table_deviation_ok(max(abs(d_a), abs(d_b)), abs(d_e) / ree_p)
-        rows.append([
-            Z, pair,
-            params.alpha, a_p, d_a,
-            params.beta, b_p, d_b,
-            energy.re_E, ree_p, d_e,
-            "ok" if ok else "SUSPECT",
-            "pinned" if pinned else "reported",
-        ])
+    folds = transition.critical_sequence(1 + max(row[4] for row in verify_mod.TABLE_ROWS))
+    rows = [
+        [Z, pair,
+         params.alpha, a_p, d_a,
+         params.beta, b_p, d_b,
+         energy.re_E, ree_p, d_e,
+         "ok" if ok else "SUSPECT",
+         "pinned" if pinned else "reported"]
+        for (Z, a_p, b_p, ree_p, pair, pinned), params, energy, (d_a, d_b, d_e), ok
+        in verify_mod.solve_table_rows(folds)
+    ]
     with _output(args.out) as stream:
         _emit(
             stream, "table1", {},

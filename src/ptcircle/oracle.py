@@ -27,8 +27,13 @@ complex E the hyperbolic one
 The two bases span the same solution space, so the determinant zero sets
 agree where both apply.
 
-Linear algebra on the 4x4 is a self-contained full-pivoting elimination:
-determinant, pivot-ratio rank test and null vectors need nothing beyond it.
+The determinant is numpy's LU determinant of W as built.  Rank and null
+vector come from the singular value decomposition of W with each row divided
+by its largest modulus.  The rows mix entries of size e^{+-Re k} with O(1)
+ones; unscaled, the singular-value ratio is set by the large rows, and
+energies off an eigenvalue pass the rank test.  The null vector is the right
+singular vector of the smallest singular value, which stays accurate when two
+singular values are small at once (near-degenerate doublets).
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import NotAnEigenvalueError
 from .secular import validate_coupling
@@ -136,99 +142,41 @@ def determinant_scale(W: list[list[complex]]) -> float:
     return scale
 
 
-def _eliminate(W: list[list[complex]]) -> tuple[list[list[complex]], list[int], complex, list[float]]:
-    """Full-pivoting Gaussian elimination.
-
-    Returns the upper-triangularized matrix, the column permutation, the
-    determinant (product of pivots with permutation sign) and the pivot
-    magnitudes in elimination order.
-    """
-    M = [row[:] for row in W]
-    n = 4
-    col_perm = list(range(n))
-    det: complex = 1.0
-    pivots: list[float] = []
-    for i in range(n):
-        p_val, p_row, p_col = 0.0, i, i
-        for r in range(i, n):
-            for c in range(i, n):
-                if abs(M[r][c]) > p_val:
-                    p_val, p_row, p_col = abs(M[r][c]), r, c
-        if p_row != i:
-            M[i], M[p_row] = M[p_row], M[i]
-            det = -det
-        if p_col != i:
-            for r in range(n):
-                M[r][i], M[r][p_col] = M[r][p_col], M[r][i]
-            col_perm[i], col_perm[p_col] = col_perm[p_col], col_perm[i]
-            det = -det
-        pivot = M[i][i]
-        pivots.append(abs(pivot))
-        det *= pivot
-        if pivot == 0.0:
-            continue
-        for r in range(i + 1, n):
-            f = M[r][i] / pivot
-            if f != 0.0:
-                for c in range(i, n):
-                    M[r][c] -= f * M[i][c]
-    return M, col_perm, det, pivots
-
-
 def boundary_determinant(E: complex, Z: float) -> complex:
-    """Determinant of the matching matrix (full-pivot elimination)."""
-    _, _, det, _ = _eliminate(boundary_matrix(E, Z))
-    return det
+    """Determinant of the matching matrix (numpy's LU determinant)."""
+    return complex(np.linalg.det(np.array(boundary_matrix(E, Z), dtype=complex)))
 
 
 def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> WaveSolution:
     """Amplitudes of the (near-)null vector at an eigenvalue.
 
-    Rank is decided by the pivot-ratio test |p_i|/|p_1| <= 1e-8; the energy is
-    rejected with NotAnEigenvalueError when no pivot fails it.  For a
-    multiplicity-2 null space (the uncoupled circle doublets) one basis vector
-    is returned and the multiplicity reported on the solution.
+    Rank is decided by the singular-value ratio of the row-scaled matrix,
+    sigma_i/sigma_1 <= 1e-8; the energy is rejected with NotAnEigenvalueError
+    when no singular value passes it.  For a multiplicity-2 null space (the
+    uncoupled circle doublets) one basis vector is returned and the
+    multiplicity reported on the solution.
 
     ``require_singular=False`` skips the rejection and returns the direction
-    belonging to the smallest pivot; useful for probing how the residuals of
-    a deliberately wrong energy blow up.
+    belonging to the smallest singular value; useful for probing how the
+    residuals of a deliberately wrong energy blow up.
     """
     E = complex(E)
-    W = boundary_matrix(E, Z)
-    U, col_perm, _, pivots = _eliminate(W)
-    p_max = max(pivots[0], 1e-300)
-    rank = sum(1 for p in pivots if p / p_max > _RANK_TOL)
-    if rank == 4:
+    W = np.array(boundary_matrix(E, Z), dtype=complex)
+    row_max = np.abs(W).max(axis=1, keepdims=True)
+    _, sigma, Vh = np.linalg.svd(W / np.where(row_max > 0.0, row_max, 1.0))
+    ratios = sigma / sigma[0]
+    multiplicity = int(np.count_nonzero(ratios <= _RANK_TOL))
+    if multiplicity == 0:
         if require_singular:
             raise NotAnEigenvalueError(
                 f"matrix is numerically non-singular at E={E}, Z={Z} "
-                f"(pivot ratio {pivots[-1] / p_max:.2e})"
+                f"(singular-value ratio {ratios[-1]:.2e})"
             )
-        rank = 3
-    # Back-substitute with the first free column set to 1, remaining frees to 0.
-    y = [0j, 0j, 0j, 0j]
-    y[rank] = 1.0 + 0j
-    for i in range(rank - 1, -1, -1):
-        acc = 0j
-        for c in range(i + 1, 4):
-            acc += U[i][c] * y[c]
-        y[i] = -acc / U[i][i]
-    v = [0j, 0j, 0j, 0j]
-    for pos, orig in enumerate(col_perm):
-        v[orig] = y[pos]
-    big = max(range(4), key=lambda i: abs(v[i]))
-    v = [x / v[big] for x in v]
+        multiplicity = 1
+    v = Vh[-1].conj()
+    A1, A2, B1, B2 = (v / v[np.argmax(np.abs(v))]).tolist()
     kR, kL = _wavenumbers(E, Z)
-    return WaveSolution(
-        A1=v[0],
-        A2=v[1],
-        B1=v[2],
-        B2=v[3],
-        k_right=kR,
-        k_left=kL,
-        regime=_regime_of(E),
-        multiplicity=4 - rank,
-    )
+    return WaveSolution(A1, A2, B1, B2, kR, kL, _regime_of(E), multiplicity)
 
 
 def evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
@@ -236,15 +184,8 @@ def evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     psi = np.empty(x.shape, dtype=complex)
     right = x >= 0.0
-    xr = x[right]
-    xl = x[~right]
-    kR, kL = sol.k_right, sol.k_left
-    if sol.regime is Regime.EXACT:
-        psi[right] = sol.A1 * np.exp(kR * xr) + sol.A2 * np.exp(-kR * xr)
-        psi[~right] = sol.B1 * np.exp(kL * (xl + 1.0)) + sol.B2 * np.exp(-kL * (xl + 1.0))
-    else:
-        psi[right] = sol.A1 * np.sinh(kR * (1.0 - xr)) + sol.A2 * np.cosh(kR * (1.0 - xr))
-        psi[~right] = sol.B1 * np.sinh(kL * (1.0 + xl)) + sol.B2 * np.cosh(kL * (1.0 + xl))
+    psi[right] = _piece_values(sol, "right", x[right])[0]
+    psi[~right] = _piece_values(sol, "left", x[~right])[0]
     return psi
 
 
@@ -344,24 +285,11 @@ def pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
         lam = cmath.exp(1j * theta)
         return float(np.max(np.abs(psi_pt - lam * psi))) / peak
 
-    # least-squares phase is a near-optimal start; polish by golden section
+    # least-squares phase is a near-optimal start; polish by bounded Brent
     overlap = complex(np.vdot(psi, psi_pt))
     theta0 = cmath.phase(overlap) if overlap != 0.0 else 0.0
     thetas = [theta0 + 2.0 * math.pi * j / 64.0 for j in range(64)]
     theta_best = min(thetas, key=mismatch)
-    lo, hi = theta_best - math.pi / 32.0, theta_best + math.pi / 32.0
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = mismatch(c), mismatch(d)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = mismatch(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = mismatch(d)
-    return min(fc, fd, mismatch(theta_best))
+    window = (theta_best - math.pi / 32.0, theta_best + math.pi / 32.0)
+    polished = minimize_scalar(mismatch, bounds=window, method="bounded")
+    return min(float(polished.fun), mismatch(theta_best))

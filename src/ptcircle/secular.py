@@ -172,13 +172,15 @@ def secular_t(t: float, Z: float) -> float:
 
         4*exp(-2t)*(exp(2t) - 1)**2 * t**2 + (2*Z**2/t**2)*(cos(Z/t) - 1).
 
-    Requires t > 0: at the edge the second term has an essential oscillation
-    for Z > 0.  For large t the first term dominates and the value grows
-    exponentially.
+    Requires t > 0 with t*t nonzero in double precision: at the edge the
+    second term has an essential oscillation for Z > 0.  For large t the
+    first term dominates and the value grows exponentially.
     """
     validate_coupling(Z)
     if t <= 0.0:
         raise ValueError(f"secular_t requires t > 0, got {t!r}")
+    if t * t == 0.0:
+        raise ValueError(f"secular_t requires t*t > 0, but it underflows at t={t!r}")
     if t > _SINH_CLAMP:
         return math.inf
     em = math.expm1(2.0 * t)

@@ -49,6 +49,7 @@ __all__ = [
     "broken_secular",
     "solve_broken",
     "find_double_root",
+    "interval_fold",
     "critical_sequence",
     "continue_in_Z",
     "solve_above_fold",
@@ -294,7 +295,7 @@ def find_double_root(
     return CriticalPoint(nu=nu, Z_crit=Z, s_merge=s, E_merge=s * s - t * t, branch=branch)
 
 
-def _interval_fold(nu: int) -> CriticalPoint:
+def interval_fold(nu: int) -> CriticalPoint:
     """Coalescence of the root pair in s-interval (nu*pi, (nu+1)*pi).
 
     For the interval's branch, c(s) = -sin_term_sign*s*sin s = |s*sin s| is
@@ -307,8 +308,11 @@ def _interval_fold(nu: int) -> CriticalPoint:
     right of the root (t*sinh t >= t**2), so on this convex increasing
     function the iterates decrease monotonically.  The maximum over the 63
     interior nodes of a 65-node grid seeds ``find_double_root``, whose
-    certificate is the only acceptance test.
+    certificate is the only acceptance test.  ``critical_sequence`` is this
+    fold for nu = 0, 1, ...; a negative nu raises ValueError.
     """
+    if nu < 0:
+        raise ValueError(f"interval index must be non-negative, got {nu}")
     branch = _branch_for_interval(nu)
     s = np.linspace(nu * math.pi, (nu + 1) * math.pi, 65)[1:-1]
     c = -branch.sin_term_sign * s * np.sin(s)
@@ -326,15 +330,15 @@ def _interval_fold(nu: int) -> CriticalPoint:
 def critical_sequence(count: int) -> list[CriticalPoint]:
     """First ``count`` critical couplings, strictly increasing in Z.
 
-    Z_nu is the maximum of the real-root curve Z(s) over the interval
-    (nu*pi, (nu+1)*pi), located on a grid and polished by
-    ``find_double_root``.  Guarded to count <= 16, the range the tests pin.
+    Z_nu is ``interval_fold(nu)``, the maximum of the real-root curve Z(s)
+    over the interval (nu*pi, (nu+1)*pi).  Guarded to count <= 16, the range
+    the tests pin.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     if count > 16:
         raise ValueError("count capped at 16")
-    folds = [_interval_fold(nu) for nu in range(count)]
+    folds = [interval_fold(nu) for nu in range(count)]
     folds.sort(key=lambda c: c.Z_crit)
     return folds
 

@@ -234,6 +234,15 @@ class TestFigCommand:
         assert out == ""
         assert "usage error" in err
 
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_underflowing_t_squared_is_usage_error(self, capsys, which):
+        # t*t underflows to 0 below t of about 1.5e-162
+        code, out, err = run_cli(capsys, "fig", "--which", which, "--t-min", "1e-200",
+                                 "--t-max", "1e-199", "--points", "3", "--nt", "2", "--nz", "2")
+        assert code == 64
+        assert out == ""
+        assert "usage error" in err
+
     def test_fig2_grid_guard(self, capsys):
         code, _, err = run_cli(capsys, "fig", "--which", "2", "--nt", "5000", "--nz", "10")
         assert code == 64
@@ -254,6 +263,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv, sha256", [
         (("spectrum", "--Z", "0.5", "--smax", "10"),
          "654cb5f008880581afc7bc53b8a08f7f495c5f635e484fde78f535bad146462d"),
+        (("fig", "--which", "1"),
+         "7533095ea8702962883203debd93b4d028198b7e9fbe14ae06a3da8ebec59c0f"),
         (("fig", "--which", "2"),
          "300ed75d4f04c1599978e3e6c91abc3becf9220f39b5c88277cfb630029c9e4c"),
     ])

@@ -169,6 +169,26 @@ class TestNullspace:
             )
 
 
+    @pytest.mark.parametrize("Z", [1e-3, 0.1, 0.5, 1.0, 2.5, 5.0])
+    def test_every_scanned_root_is_certified(self, Z):
+        # near-degenerate doublets included: the null vector of the smallest
+        # singular value satisfies the matching conditions to rounding
+        pts = scan_roots(SpectrumRequest(Z=Z, s_max=128.0))
+        assert len(pts) >= 80
+        for p in pts:
+            report = residual_check(nullspace_solution(p.E, Z), p.E, Z)
+            assert max(report.bc_residuals) <= 1e-8, p
+
+    @pytest.mark.parametrize("Z", [0.5, 2.5, 20.0, 80.0])
+    def test_rank_test_rejects_nearby_energies(self, Z):
+        # guards the power of the rank test: a relative shift of 1e-6 off a
+        # root must leave the row-scaled matrix non-singular at 1e-8
+        for p in scan_roots(SpectrumRequest(Z=Z, s_max=128.0)):
+            for factor in (1.0 - 1e-6, 1.0 + 1e-6):
+                with pytest.raises(NotAnEigenvalueError):
+                    nullspace_solution(p.E * factor, Z)
+
+
 class TestResidualCheck:
     def exact_mode_solution(self):
         # psi = e^{i pi x}: amplitudes (1, 0, 0, -1) with k = i pi

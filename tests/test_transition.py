@@ -17,6 +17,7 @@ from ptcircle.transition import (
     critical_sequence,
     find_double_root,
     fold_unfolding_seed,
+    interval_fold,
     real_pair_near_fold,
     solve_broken,
 )
@@ -173,6 +174,13 @@ class TestCriticalSequence:
         for fold, z_ref in zip(sixteen_folds[5:], LATER_FOLDS):
             assert fold.Z_crit == pytest.approx(z_ref, rel=1e-12)
         assert [f.nu for f in sixteen_folds] == list(range(16))
+
+    def test_interval_fold_is_the_sequence_entry(self, sixteen_folds):
+        # broken --pair p polishes fold p alone
+        for nu in (0, 7, 15):
+            assert interval_fold(nu) == sixteen_folds[nu]
+        with pytest.raises(ValueError):
+            interval_fold(-1)
 
     @staticmethod
     def _sign_count(Z, nu, nodes=4096):
