@@ -8,10 +8,11 @@ Commands
     fig        data behind the determinant figures (curve and sign map)
     verify     run the self-check suite
 
-Exit codes: 0 success, 1 verification failure, 2 numeric non-convergence,
-64 usage error.  Output is CSV by default (JSON with --format json) and is
-byte-identical for identical flags; schema version and an echo of the parsed
-inputs ride along as '#' comment lines (CSV) or top-level fields (JSON).
+Exit codes: 0 success, 1 verification failure, 2 numeric non-convergence or
+a failed internal check, 64 usage error.  Output is CSV by default (JSON with
+--format json) and is byte-identical for identical flags; schema version and
+an echo of the parsed inputs ride along as '#' comment lines (CSV) or
+top-level fields (JSON).
 """
 
 from __future__ import annotations
@@ -183,9 +184,12 @@ def _cmd_fig(args) -> int:
             raise _UsageError("need 0 < t-min < t-max")
         step = (args.t_max - args.t_min) / (args.points - 1)
         rows = []
-        for i in range(args.points):
-            t = args.t_min + i * step
-            rows.append([t, secular_t(t, args.Z)])
+        try:
+            for i in range(args.points):
+                t = args.t_min + i * step
+                rows.append([t, secular_t(t, args.Z)])
+        except ValueError as exc:  # t*t underflows, Z/t overflows or Z < 0
+            raise _UsageError(str(exc)) from exc
         with _output(args.out) as stream:
             _emit(stream, "fig1",
                   {"Z": args.Z, "t_min": args.t_min, "t_max": args.t_max, "points": args.points},
@@ -199,12 +203,15 @@ def _cmd_fig(args) -> int:
     rows = []
     dt = (args.t_max - args.t_min) / args.nt
     dz = (args.z_max - args.z_min) / args.nz
-    for j in range(args.nz):
-        Z = args.z_min + (j + 0.5) * dz
-        for i in range(args.nt):
-            t = args.t_min + (i + 0.5) * dt
-            v = secular_t(t, Z)
-            rows.append([t, Z, 0 if v == 0.0 else int(math.copysign(1.0, v))])
+    try:
+        for j in range(args.nz):
+            Z = args.z_min + (j + 0.5) * dz
+            for i in range(args.nt):
+                t = args.t_min + (i + 0.5) * dt
+                v = secular_t(t, Z)
+                rows.append([t, Z, 0 if v == 0.0 else int(math.copysign(1.0, v))])
+    except ValueError as exc:  # t*t underflows or Z/t overflows
+        raise _UsageError(str(exc)) from exc
     with _output(args.out) as stream:
         _emit(stream, "fig2",
               {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
@@ -293,9 +300,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # input errors are _UsageError; this is an internal check
+        print(f"solver error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

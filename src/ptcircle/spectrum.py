@@ -54,6 +54,7 @@ __all__ = [
 
 _GRID_STEP = math.pi / 64.0
 _MAX_ITER = 200
+_NUISANCE_ORDERS = 4
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ def _scan_grid(Z: float, s_max: float) -> np.ndarray:
     base = base[base <= s_max]
     if Z > 0.0:
         lo = 0.125 * math.sqrt(0.5 * Z)
-        if lo < step:
+        if 0.0 < lo < step:
             down = [step]
             while down[-1] > lo:
                 down.append(down[-1] / 1.25)
@@ -258,13 +259,12 @@ def fit_series_numeric(
     branch: SecularBranch,
     t_samples: list[float] | np.ndarray,
     max_order: int,
-    nuisance_orders: int = 4,
 ) -> SeriesCoefficients:
     """Independent series oracle: solve the branch equation at each sample t
     (no coupling constraint; t is the free parameter) and least-squares fit the
     even polynomial.
 
-    Up to ``nuisance_orders`` extra even powers are fitted beyond ``max_order``
+    Up to ``_NUISANCE_ORDERS`` extra even powers are fitted beyond ``max_order``
     and discarded; they absorb the truncation tail that would otherwise bias
     the reported coefficients (fewer are used when the sample count is small).
     Column-scaled least squares keeps the Vandermonde conditioning manageable;
@@ -282,7 +282,7 @@ def fit_series_numeric(
     if np.unique(ts).size != ts.size:
         raise FitConditioningError("t samples must be distinct")
 
-    deg_terms = n_coef + max(0, min(nuisance_orders, ts.size - n_coef - 2))
+    deg_terms = n_coef + max(0, min(_NUISANCE_ORDERS, ts.size - n_coef - 2))
     rhos = np.array([_rho_at(n, branch, float(t)) for t in ts])
     design = np.vander(ts**2, N=deg_terms + 1, increasing=True)[:, 1:]
     scale = np.linalg.norm(design, axis=0)

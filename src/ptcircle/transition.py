@@ -178,53 +178,63 @@ def _params_from_energy(E: complex, Z: float) -> BrokenParams:
     )
 
 
-def solve_broken(
-    Z: float, init: BrokenParams, tol: float = 1e-12, max_steps: int = 100
-) -> tuple[BrokenParams, ComplexEnergy]:
-    """Complex root s of the constraint factor at fixed Z, seeded by ``init``.
+def _newton(s: complex, Z: float, branch: SecularBranch) -> complex:
+    """Damped Newton on the factor at fixed Z, s -= lam*F/F_s with lam halved
+    until |F| decreases, until the step falls to rounding or no step decreases
+    |F|.  A non-finite factor at the start raises ConvergenceError."""
+    F = constraint_factor(s, Z, branch)
+    if not cmath.isfinite(F):
+        raise ConvergenceError(f"factor overflows at s={s}, Z={Z}")
+    for _ in range(100):
+        step = F / constraint_factor_derivatives(s, Z, branch)[0]
+        if abs(step) <= 1e-15 * abs(s):
+            break
+        lam = 1.0
+        for _ in range(40):
+            trial = s - lam * step
+            F_trial = constraint_factor(trial, Z, branch)
+            if abs(F_trial) < abs(F):
+                s, F = trial, F_trial
+                break
+            lam *= 0.5
+        else:
+            break
+    return s
 
-    ``init`` maps to E = K**2 + i*eps and on to s = sqrt((E + sqrt(E**2 + Z**2))/2).
-    Of the two factors, the one with the smaller |F| there is solved by damped
-    Newton, s -= lam*F/F_s with lam halved until |F| decreases, until the step
-    falls to rounding or no step decreases |F|.  The root maps back through
-    E = s**2 - t**2 to (alpha, beta, K) and is accepted only if the secular
-    residual, scaled by the largest secular term, is at most ``tol``.  An
-    overflowing iterate, a root with ReE <= 0 or |eps| >= Z, and a failed
-    acceptance test raise ConvergenceError.
-    """
-    validate_coupling(Z)
-    if Z <= 0.0:
-        raise ValueError("broken-regime solves require Z > 0")
-    E0 = init.energy()
-    E = complex(E0.re_E, E0.eps)
-    try:
-        s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
-        branch = min(SecularBranch, key=lambda b: abs(constraint_factor(s, Z, b)))
-        F = constraint_factor(s, Z, branch)
-        if not cmath.isfinite(F):
-            raise ConvergenceError(f"broken solve seed overflows at s={s}, Z={Z}")
-        for _ in range(max_steps):
-            step = F / constraint_factor_derivatives(s, Z, branch)[0]
-            if abs(step) <= 1e-15 * abs(s):
-                break
-            lam = 1.0
-            for _ in range(40):
-                trial = s - lam * step
-                F_trial = constraint_factor(trial, Z, branch)
-                if abs(F_trial) < abs(F):
-                    s, F = trial, F_trial
-                    break
-                lam *= 0.5
-            else:
-                break
-        t = Z / (2.0 * s)
-        params = _params_from_energy(s * s - t * t, Z)
-    except (OverflowError, ZeroDivisionError, ValueError) as exc:
-        raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
+
+def _certified(s: complex, Z: float) -> tuple[BrokenParams, ComplexEnergy]:
+    """The root s mapped through E = s**2 - t**2 to (alpha, beta, K), accepted
+    only if the secular residual, scaled by the largest secular term, is at
+    most 1e-12."""
+    t = Z / (2.0 * s)
+    params = _params_from_energy(s * s - t * t, Z)
     residual = abs(broken_secular(params, Z))
-    if residual <= tol * _residual_scale(params):
+    if residual <= 1e-12 * _residual_scale(params):
         return params, params.energy()
     raise ConvergenceError(f"broken solve stalled at Z={Z} with residual {residual:.3e}")
+
+
+def _seeded_root(Z: float, init: BrokenParams) -> tuple[complex, SecularBranch]:
+    """``init`` as s = sqrt((E + sqrt(E**2 + Z**2))/2) with E = K**2 + i*eps,
+    solved by ``_newton`` on the factor with the smaller |F| there."""
+    E0 = init.energy()
+    E = complex(E0.re_E, E0.eps)
+    s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
+    branch = min(SecularBranch, key=lambda b: abs(constraint_factor(s, Z, b)))
+    return _newton(s, Z, branch), branch
+
+
+def solve_broken(Z: float, init: BrokenParams) -> tuple[BrokenParams, ComplexEnergy]:
+    """Complex root s of the constraint factor at fixed Z, seeded by ``init``
+    (``_seeded_root``) and accepted by the secular certificate (``_certified``).
+    Z <= 0 raises ValueError; an overflowing iterate, a root with ReE <= 0 or
+    |eps| >= Z, and a failed certificate raise ConvergenceError."""
+    if not validate_coupling(Z) > 0.0:
+        raise ValueError("broken-regime solves require Z > 0")
+    try:
+        return _certified(_seeded_root(Z, init)[0], Z)
+    except (OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
 
 
 def broken_params_from_real_point(s: float, t: float, Z: float) -> BrokenParams:
@@ -364,40 +374,55 @@ def continue_in_Z(
     steps: int,
     start: BrokenParams,
 ) -> list[tuple[float, BrokenParams, ComplexEnergy]]:
-    """Continuation of a broken branch over a linear Z grid.
+    """A broken branch at the points of a linear Z grid from Z_from to Z_to.
 
-    Each grid point is solved with the previous solution as seed; the first
-    point re-solves at Z_from from ``start``.  Solver failures propagate with
-    the failing Z attached.  Along the tabulated ranges |eps| grows with Z
-    away from the fold; that is an empirical observation, not a contract this
-    function enforces.
+    ``start`` is solved at Z_from as in ``solve_broken``; the root s(Z) then
+    follows the Davidenko ODE ds/dZ = -F_Z/F_s by Euler predictor and damped
+    Newton corrector.  A step moves the prediction by half of min(|Im s|,
+    |F_s/F_ss|), cut at the next grid point: |Im s| is half the distance to
+    the conjugate root, and |F_s/F_ss|, equal to it at a fold, keeps the step
+    off neighbouring roots elsewhere.  Only grid points are certified.
+    A corrected root whose Im s has the other sign, or a step too short to
+    move Z, raises ConvergenceError with the Z reached.  That |eps| grows with
+    Z away from the fold is observed, not enforced.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
+    if not (validate_coupling(Z_from) > 0.0 and validate_coupling(Z_to) > 0.0):
+        raise ValueError("broken-regime solves require Z > 0")
     grid = np.linspace(Z_from, Z_to, steps + 1) if Z_from != Z_to else np.array([Z_from])
     path: list[tuple[float, BrokenParams, ComplexEnergy]] = []
-    seed = start
-    for Zg in grid:
-        try:
-            params, energy = solve_broken(float(Zg), seed)
-        except ConvergenceError as exc:
-            raise ConvergenceError(f"continuation failed at Z={float(Zg)}: {exc}") from exc
-        path.append((float(Zg), params, energy))
-        seed = params
+    Z = float(Z_from)
+    try:
+        s, branch = _seeded_root(Z, start)
+        side = math.copysign(1.0, s.imag)
+        for Zg in map(float, grid):
+            while Z != Zg:
+                F_s, F_ss, F_Z, _ = constraint_factor_derivatives(s, Z, branch)
+                slope = -F_Z / F_s
+                h = 0.5 * min(abs(s.imag), abs(F_s / F_ss)) / abs(slope)
+                Z_next = Zg if h >= abs(Zg - Z) else Z + math.copysign(h, Zg - Z)
+                if Z_next == Z:
+                    raise ConvergenceError("step too short to move Z")
+                s = _newton(s + (Z_next - Z) * slope, Z_next, branch)
+                if s.imag * side <= 0.0:
+                    raise ConvergenceError(f"root crossed the real axis to s={s}")
+                Z = Z_next
+            path.append((Zg, *_certified(s, Zg)))
+    except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise ConvergenceError(f"continuation failed at Z={Z}: {exc}") from exc
     return path
 
 
 def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, ComplexEnergy]:
     """Broken-branch solution of the fold's pair at Z above the fold.
 
-    Solved from the unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2), then
-    continued to Z over 16 equal steps.  Z at or below the fold raises
-    ValueError from ``fold_unfolding_seed``.
+    The unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2) is continued to Z
+    in one ``continue_in_Z`` interval, whose steps the branch sets.  Z at or
+    below the fold raises ValueError from ``fold_unfolding_seed``.
     """
     near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
-    params, energy = solve_broken(near, fold_unfolding_seed(fold, near))
-    if Z != near:
-        _, params, energy = continue_in_Z(near, Z, 16, params)[-1]
+    _, params, energy = continue_in_Z(near, Z, 1, fold_unfolding_seed(fold, near))[-1]
     return params, energy
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import ptcircle.cli
 import ptcircle.secular
 from ptcircle.cli import main
 from ptcircle.oracle import nullspace_solution
@@ -248,10 +249,14 @@ class TestFigCommand:
         assert code == 64
         assert "usage error" in err
 
-    def test_fig2_overflowing_phase_is_usage_error(self, capsys):
+    @pytest.mark.parametrize("argv", [
         # Z/t overflows to inf in the cell at t = 0.0125, Z = 7.5e307
-        code, out, err = run_cli(capsys, "fig", "--which", "2", "--t-min", "0.01", "--t-max",
-                                 "0.02", "--z-max", "1e308", "--nt", "2", "--nz", "2")
+        ("--which", "2", "--t-min", "0.01", "--t-max", "0.02", "--z-max", "1e308",
+         "--nt", "2", "--nz", "2"),
+        ("--which", "1", "--Z", "-1", "--points", "3"),
+    ])
+    def test_secular_t_domain_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "fig", *argv)
         assert code == 64
         assert out == ""
         assert "usage error" in err
@@ -308,6 +313,17 @@ class TestVerifyCommand:
 
 
 class TestUsageErrors:
+    def test_internal_value_error_is_a_solver_error(self, capsys, monkeypatch):
+        def failing(req):
+            raise ValueError("invariant broken")
+
+        monkeypatch.setattr(ptcircle.cli, "scan_roots", failing)
+        code, out, err = run_cli(capsys, "spectrum", "--Z", "1", "--smax", "10")
+        assert code == 2
+        assert out == ""
+        assert "usage error" not in err
+        assert "internal check failed: invariant broken" in err
+
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "nonsense")
         assert code == 64

@@ -94,6 +94,15 @@ class TestScanRoots:
         pts = scan_roots(SpectrumRequest(Z=5.6, s_max=3.2))
         assert pts == []
 
+    def test_subnormal_coupling_scans_like_zero(self):
+        # 0.5*Z underflows to 0, so no geometric extension below the first
+        # node can reach its lower end
+        def key(Z):
+            return [(p.n, p.branch, p.params.s, p.E)
+                    for p in scan_roots(SpectrumRequest(Z=Z, s_max=4.0))]
+
+        assert key(5e-324) == key(0.0)
+
     def test_residual_certification_through_boundary_determinant(self):
         pts = scan_roots(SpectrumRequest(Z=5.0, s_max=3.6 * math.pi))
         for p in pts:

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ptcircle.errors import SolverError
+from ptcircle.errors import ConvergenceError, SolverError
+from ptcircle.oracle import nullspace_solution, residual_check
 from ptcircle.secular import SecularBranch
 from ptcircle.spectrum import SpectrumRequest, scan_roots
 from ptcircle.transition import (
@@ -19,6 +20,7 @@ from ptcircle.transition import (
     fold_unfolding_seed,
     interval_fold,
     real_pair_near_fold,
+    solve_above_fold,
     solve_broken,
 )
 
@@ -251,6 +253,64 @@ class TestUnfoldingAndContinuation:
         eps = [e.eps for _, _, e in path]
         assert all(b > a for a, b in zip(eps, eps[1:]))
         assert all(e > 0.0 for e in eps)
+
+
+def _equal_step_branch(fold, dZ_targets, h_abs=0.05, h_rel=0.05):
+    """Broken branch by a chain of fixed-Z solves, each seeded by the last,
+    with Z steps of at most h_abs and h_rel*dZ, from dZ = 5e-4."""
+    Z = fold.Z_crit + 5e-4
+    params, energy = solve_broken(Z, fold_unfolding_seed(fold, Z))
+    out = []
+    for dZ in dZ_targets:
+        target = fold.Z_crit + dZ
+        while Z < target:
+            Z = min(target, Z + min(h_abs, h_rel * (Z - fold.Z_crit)))
+            params, energy = solve_broken(Z, params)
+        out.append(complex(energy.re_E, energy.eps))
+    return out
+
+
+class TestBranchTracking:
+    def test_pair_zero_stays_on_the_upper_member(self):
+        # the conjugate member, eps = -40.85, is an eigenvalue too
+        _, energy = solve_above_fold(interval_fold(0), 42.8)
+        assert energy.eps == pytest.approx(40.8518467913, rel=1e-10)
+        for sign in (+1.0, -1.0):
+            E = complex(energy.re_E, sign * energy.eps)
+            report = residual_check(nullspace_solution(E, 42.8), E, 42.8)
+            assert max(report.bc_residuals) <= 1e-8
+
+    def test_pair_zero_far_above_the_fold(self):
+        # 40-digit small-step continuation value; the oracle's boundary
+        # residual is limited by double precision at |Im E| of several
+        # hundred, so the value itself is the check
+        _, energy = solve_above_fold(interval_fold(0), 1000.0)
+        E = complex(energy.re_E, energy.eps)
+        assert abs(E - complex(9.248070109, 999.432019671)) <= 1e-8 * abs(E)
+
+    @pytest.mark.parametrize("nu, E_ref", [
+        (1, complex(38.6893920679, 9999.23354414)),
+        (3, complex(154.760396687, 9996.93108013)),
+    ])
+    def test_far_branches_keep_their_pair(self, nu, E_ref):
+        # 40-digit small-step continuation values at Z = 1e4; steps bounded
+        # by |Im s| alone land pair 1 on pair 3's branch here
+        _, energy = solve_above_fold(interval_fold(nu), 1e4)
+        assert energy.re_E == pytest.approx(E_ref.real, rel=1e-9)
+        assert energy.eps == pytest.approx(E_ref.imag, rel=1e-9)
+
+    @pytest.mark.parametrize("nu", [0, 1, 7, 15])
+    def test_matches_an_equal_step_chain(self, sixteen_folds, nu):
+        fold = next(f for f in sixteen_folds if f.nu == nu)
+        targets = (10.0, 37.24, 60.0)
+        for dZ, ref in zip(targets, _equal_step_branch(fold, targets)):
+            _, energy = solve_above_fold(fold, fold.Z_crit + dZ)
+            assert abs(complex(energy.re_E, energy.eps) - ref) <= 1e-8 * abs(ref), dZ
+
+    def test_continuing_into_the_fold_raises(self):
+        params, _ = solve_broken(6.0, BrokenParams.bind(0.358129, 0.622216, 6.0))
+        with pytest.raises(ConvergenceError):
+            continue_in_Z(6.0, 5.0, 4, params)
 
 
 class TestExactBrokenConsistency:
