@@ -63,6 +63,12 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-8
+# The two basis functions of a side differ by O(|k|): e^{kx} and e^{-kx} tend
+# to 1, sinh k(1-x) to 0.  Their near-dependence gives a singular value of
+# about |k|/2 of the largest one, which passes the rank test as a spurious
+# null direction from |k| of about 2e-8 down; k = 0 (E = Z = 0) makes two
+# columns equal.  Below this bound the basis cannot resolve the null space.
+_DEGENERATE_K = 4.0 * _RANK_TOL
 
 
 class Regime(enum.Enum):
@@ -154,13 +160,23 @@ def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> W
     sigma_i/sigma_1 <= 1e-8; the energy is rejected with NotAnEigenvalueError
     when no singular value passes it.  For a multiplicity-2 null space (the
     uncoupled circle doublets) one basis vector is returned and the
-    multiplicity reported on the solution.
+    multiplicity reported on the solution.  Where a wavenumber is 0 or
+    nearly so (|E -+ iZ| at most 1.6e-15) the basis cannot tell its two
+    functions of a side apart and a ValueError is raised rather
+    than a spurious multiplicity returned.
 
     ``require_singular=False`` skips the rejection and returns the direction
     belonging to the smallest singular value; useful for probing how the
     residuals of a deliberately wrong energy blow up.
     """
     E = complex(E)
+    kR, kL = _wavenumbers(E, Z)
+    k_min = min(abs(kR), abs(kL))
+    if k_min <= _DEGENERATE_K:
+        raise ValueError(
+            f"the oracle's basis is degenerate at E={E}, Z={Z}: wavenumber |k| = {k_min:.2e} "
+            f"<= {_DEGENERATE_K:.0e} makes the two basis functions of a side numerically dependent"
+        )
     W = np.array(boundary_matrix(E, Z), dtype=complex)
     row_max = np.abs(W).max(axis=1, keepdims=True)
     _, sigma, Vh = np.linalg.svd(W / np.where(row_max > 0.0, row_max, 1.0))
@@ -175,7 +191,6 @@ def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> W
         multiplicity = 1
     v = Vh[-1].conj()
     A1, A2, B1, B2 = (v / v[np.argmax(np.abs(v))]).tolist()
-    kR, kL = _wavenumbers(E, Z)
     return WaveSolution(A1, A2, B1, B2, kR, kL, _regime_of(E), multiplicity)
 
 

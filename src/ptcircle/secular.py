@@ -18,7 +18,10 @@ On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
 scan variable and the coupling.  ``constraint_factor`` evaluates it and
 ``constraint_factor_derivatives`` gives its closed-form partial derivatives;
 every root scan, fold polish, unfolding seed and broken-pair solve goes
-through these two, the last at complex s.
+through these two, the last at complex s.  The one exception is the Brent
+refinement of a scan bracket (``spectrum._brent``), which writes the float
+operations of the scalar ``factor_value`` inline for speed; tests pin its
+roots and residuals to the bit against this module's factor.
 
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in

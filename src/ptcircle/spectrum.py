@@ -6,9 +6,11 @@ factors have root spacing of order pi (set by s*sin s), so a grid of step
 pi/64 cannot skip a sign change below the scan ceilings used here; roots that
 accumulate at small t are the same roots seen at large s.  Each factor is
 evaluated on the whole grid in one numpy pass, and the sign changes found
-there are the brackets.  Each bracket is refined by Brent's method on the
-scalar kernel alone, with no Newton polish, and the root is accepted by the
-one rounding-aware residual rule of ``secular``, which holds at every s.
+there are the brackets.  Each bracket is refined by Brent's method, with no
+Newton polish: an in-module copy of scipy's ``brentq`` that evaluates the
+factor inline, so its roots are bit-identical to
+``scipy.optimize.brentq(constraint_factor, ...)``.  The root is accepted by
+the one rounding-aware residual rule of ``secular``, which holds at every s.
 Each level is labelled n = round(s/pi) together with the factor that
 vanished.
 
@@ -25,6 +27,7 @@ coefficients.  The leading term is sigma*(-1)^n/(n*pi) * t**2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +38,7 @@ from .secular import (
     ExactParams,
     SecularBranch,
     SpectralPoint,
+    _SINH_CLAMP,
     _real_root_accepted,
     constraint_factor,
     factor_value,
@@ -54,6 +58,8 @@ __all__ = [
 
 _GRID_STEP = math.pi / 64.0
 _MAX_ITER = 200
+_XTOL = 1e-15
+_RTOL = 4.0 * sys.float_info.epsilon
 _NUISANCE_ORDERS = 4
 
 
@@ -86,38 +92,93 @@ def _scan_grid(Z: float, s_max: float) -> np.ndarray:
     return base
 
 
+def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]:
+    """Root of F(s) = t*sinh t + sign*s*sin s, t = Z/(2s), in [s_lo, s_hi],
+    returned with F at it.
+
+    Brent's method (Brent 1973, ch. 4) written step for step as scipy's
+    ``brentq.c``, with xtol 1e-15, rtol 4*eps and ``_MAX_ITER`` iterations, so
+    it returns the root that ``scipy.optimize.brentq(constraint_factor, ...)``
+    returns, to the bit.  F is the float arithmetic of ``factor_value``
+    written inline, which saves the per-evaluation calls.  Raises
+    NoSignChangeError when the end values have the same sign, ValueError on a
+    NaN value and ConvergenceError when the iterations run out.
+    """
+    fpre, fcur = [
+        (math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)) + sign * x * math.sin(x)
+        for x, t in ((s_lo, Z / (2.0 * s_lo)), (s_hi, Z / (2.0 * s_hi)))
+    ]
+    # F is finite or +inf at every finite s > 0 unless Z is NaN, and then it
+    # is NaN everywhere, so checking the ends is scipy's NaN check
+    if fpre != fpre or fcur != fcur:
+        raise ValueError(f"factor is NaN at an end of [{s_lo}, {s_hi}] (Z={Z})")
+    if fpre == 0.0:
+        return s_lo, fpre
+    if fcur == 0.0:
+        return s_hi, fcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise NoSignChangeError(
+            f"no sign change on [{s_lo}, {s_hi}] for t*sinh t {'+' if sign > 0 else '-'} s*sin s "
+            f"at Z={Z}"
+        )
+    xpre, xcur = s_lo, s_hi
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_XTOL + _RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, fcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # C divides to inf or NaN, which bisects below
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        t = Z / (2.0 * xcur)
+        hyperbolic = math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)
+        fcur = hyperbolic + sign * xcur * math.sin(xcur)
+    raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
+
+
 def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -> SpectralPoint:
     """Refine a sign-change bracket in s to a SpectralPoint.
 
-    Safeguarded bracket shrinkage (Brent) and no Newton polish; the root is
-    accepted by the package's one real-root residual rule (factor residual at
-    most 1e-12, or at most 16 units of its rounding error |s*F_s|*eps).
-    Raises NoSignChangeError when the bracket does not straddle a root and
-    ConvergenceError if the iteration limit is hit or the rule rejects the root.
+    Safeguarded bracket shrinkage by the in-module Brent ``_brent`` (the
+    iterates of ``scipy.optimize.brentq`` to the bit, with the factor
+    inlined) and no Newton polish; the root is accepted by the package's one
+    real-root residual rule (factor residual at most 1e-12, or at most 16
+    units of its rounding error |s*F_s|*eps).  Raises ValueError for a
+    bracket that is not finite with 0 < s_lo < s_hi, NoSignChangeError when
+    it does not straddle a root and ConvergenceError if the iteration limit
+    is hit or the rule rejects the root.
     """
     validate_coupling(Z)
     s_lo, s_hi = bracket
-    if not (0.0 < s_lo < s_hi):
-        raise ValueError(f"bracket must satisfy 0 < s_lo < s_hi, got {bracket}")
-    f_lo = constraint_factor(s_lo, Z, branch)
-    f_hi = constraint_factor(s_hi, Z, branch)
-    if f_lo != 0.0 and f_hi != 0.0 and math.copysign(1.0, f_lo) == math.copysign(1.0, f_hi):
-        raise NoSignChangeError(
-            f"no sign change on [{s_lo}, {s_hi}] for {branch.value} factor at Z={Z}"
-        )
-    try:
-        s = brentq(
-            constraint_factor,
-            s_lo,
-            s_hi,
-            args=(Z, branch),
-            xtol=1e-15,
-            rtol=4.0 * np.finfo(float).eps,
-            maxiter=_MAX_ITER,
-        )
-    except RuntimeError as exc:  # scipy's iteration-limit signal
-        raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations: {exc}") from exc
-    residual = abs(constraint_factor(s, Z, branch))
+    if not (0.0 < s_lo < s_hi < math.inf):
+        raise ValueError(f"bracket must be finite with 0 < s_lo < s_hi, got {bracket}")
+    s, f = _brent(s_lo, s_hi, Z, branch.sin_term_sign)
+    residual = abs(f)
     if not _real_root_accepted(residual, s, Z, branch):
         raise ConvergenceError(
             f"bracket refinement stalled at residual {residual:.3e} above its rounding bound "
@@ -139,20 +200,22 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
 
     Each factor is evaluated on the whole pi/64 grid in one numpy pass; a
     cell [s_i, s_i+1] is a bracket when F(s_i) is zero or F changes sign
-    across it, and every bracket is refined by ``refine_root`` (Brent on the
-    scalar kernel, no Newton polish).  A refinement failure on a detected
-    bracket propagates (brackets are never silently dropped).  An empty
-    result is legal.
+    across it, and every bracket is refined by ``refine_root`` (the
+    in-module Brent on the inlined scalar factor, bit-identical to
+    ``scipy.optimize.brentq``; no Newton polish).  A refinement failure on a
+    detected bracket propagates (brackets are never silently dropped).  An
+    empty result is legal.
     """
     points: list[SpectralPoint] = []
     grid = _scan_grid(req.Z, req.s_max)
     if grid.size < 2:
         return points
+    nodes = grid.tolist()
     for branch in (SecularBranch.FACTOR_MINUS, SecularBranch.FACTOR_PLUS):
         vals = constraint_factor(grid, req.Z, branch)
         a, b = vals[:-1], vals[1:]
-        for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))):
-            points.append(refine_root((float(grid[i]), float(grid[i + 1])), req.Z, branch))
+        for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
+            points.append(refine_root((nodes[i], nodes[i + 1]), req.Z, branch))
     points.sort(key=lambda p: (p.E, p.branch.value))
     return points
 

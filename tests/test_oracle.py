@@ -154,6 +154,23 @@ class TestNullspace:
         with pytest.raises(NotAnEigenvalueError):
             nullspace_solution(10.0, 1.0)
 
+    @pytest.mark.parametrize("E, Z", [(0.0, 0.0), (1e-30, 0.0), (-1e-300, 0.0), (0.0, 1e-20)])
+    def test_degenerate_basis_is_refused(self, E, Z):
+        # the constant ground state at E = Z = 0 is simple, but there the two
+        # exponentials of a side coincide and the rank test used to count 3
+        # (2 just beside it); the basis cannot resolve it, so it is refused
+        with pytest.raises(ValueError, match="basis is degenerate"):
+            nullspace_solution(E, Z)
+        with pytest.raises(ValueError, match="basis is degenerate"):
+            nullspace_solution(E, Z, require_singular=False)
+
+    def test_smallest_resolved_wavenumber_ground_state(self):
+        # Z = 1e-14 puts |k| at 1e-7, above the degeneracy bound: the ground
+        # state is found, and it is simple
+        Z = 1e-14
+        ground = scan_roots(SpectrumRequest(Z=Z, s_max=4.0))[0]
+        assert nullspace_solution(ground.E, Z).multiplicity == 1
+
     def test_normalization(self):
         sol = nullspace_solution(PI2, 0.0)
         assert max(abs(sol.A1), abs(sol.A2), abs(sol.B1), abs(sol.B2)) == pytest.approx(1.0)

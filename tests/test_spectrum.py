@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ptcircle.errors import NoSignChangeError
+from ptcircle import spectrum
+from ptcircle.errors import ConvergenceError, NoSignChangeError
 from ptcircle.oracle import (
     boundary_determinant,
     boundary_matrix,
@@ -206,6 +207,52 @@ class TestRefineRoot:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             refine_root((2.0, 1.0), 0.0, MINUS)
+
+    @pytest.mark.parametrize(
+        "bracket", [(1.0, math.inf), (1.0, math.nan), (math.nan, 2.0), (-math.inf, 2.0)]
+    )
+    def test_non_finite_bracket_is_named(self, bracket):
+        with pytest.raises(ValueError, match=r"bracket must be finite .* got \("):
+            refine_root(bracket, 1.0, MINUS)
+
+    def test_iteration_limit_raises(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="exceeded 1 iterations"):
+            refine_root((3.0, 3.3), 0.1, MINUS)
+
+    def test_nan_factor_raises(self):
+        # no validated input reaches it: F is NaN only at a NaN coupling
+        with pytest.raises(ValueError, match="NaN"):
+            spectrum._brent(1.0, 2.0, math.nan, -1)
+
+
+class TestBrentIsScipyBrentq:
+    """``refine_root`` runs Brent in-module on an inline copy of the factor.
+    Root and residual must be those of ``scipy.optimize.brentq`` on
+    ``constraint_factor`` (through ``secular.factor_value``) to the bit, which
+    pins both the algorithm and the inline factor."""
+
+    def test_seeded_scan_brackets(self):
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(20261018)
+        brackets = 0
+        for k in range(400):
+            Z = (0.0, 5e-324, 10.0 ** rng.uniform(-8.0, math.log10(3e3)),
+                 rng.uniform(0.0, 80.0))[k % 4]
+            s_max = math.exp(rng.uniform(math.log(math.pi), math.log(300.0)))
+            grid = _scan_grid(Z, s_max)
+            for branch in (MINUS, PLUS):
+                vals = constraint_factor(grid, Z, branch)
+                a, b = vals[:-1], vals[1:]
+                for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
+                    lo, hi = float(grid[i]), float(grid[i + 1])
+                    p = refine_root((lo, hi), Z, branch)
+                    s = brentq(constraint_factor, lo, hi, args=(Z, branch),
+                               xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+                    assert p.params.s == s, (Z, s_max, lo, hi, branch)
+                    assert p.residual == abs(constraint_factor(s, Z, branch)), (Z, s_max, lo, hi)
+                    brackets += 1
+        assert brackets > 12000
 
 
 class TestConcurrencyDeterminism:
