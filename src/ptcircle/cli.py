@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -235,7 +236,12 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: building it costs more
+    than a small command, and ``parse_args`` keeps no state between calls (it
+    returns a fresh namespace each time), so in-process callers of ``main``
+    share it."""
     parser = _Parser(prog="ptcircle", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ptcircle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

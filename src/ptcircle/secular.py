@@ -82,10 +82,12 @@ class SecularBranch(enum.Enum):
     FACTOR_PLUS = "plus"    # t*sinh t + s*sin s = 0
     FACTOR_MINUS = "minus"  # t*sinh t - s*sin s = 0
 
-    @property
-    def sin_term_sign(self) -> int:
-        """Sign of the s*sin s term inside the factor."""
-        return 1 if self is SecularBranch.FACTOR_PLUS else -1
+    def __init__(self, value: str) -> None:
+        # Sign of the s*sin s term inside the factor.  A member attribute, not
+        # a property: every factor evaluation reads it, and a property that
+        # looks a member up on the enum class took about a third of a real
+        # constraint_factor call (Python 3.11).
+        self.sin_term_sign = 1 if value == "plus" else -1
 
     @property
     def series_sign(self) -> int:
@@ -153,13 +155,13 @@ class SpectralPoint:
 
 def t_sinh_t(t: float | complex) -> float | complex:
     """t*sinh(t), clamped to +inf where exp would overflow.  Even in t; a
-    complex t is evaluated with ``cmath`` and clamped on |t|."""
+    complex t (``numpy.complex128`` included) is evaluated with ``cmath`` and
+    clamped on |t|."""
     if abs(t) > _SINH_CLAMP:
         return math.inf
-    try:
-        return t * math.sinh(t)
-    except TypeError:  # complex t
+    if not isinstance(t, float) and isinstance(t, complex):  # float first, see factor_value
         return t * cmath.sinh(t)
+    return t * math.sinh(t)
 
 
 def _t_sinh_t_array(t: np.ndarray) -> np.ndarray:
@@ -219,28 +221,30 @@ def factor_value(
 
     Total in both arguments (the t = 0 and s = 0 edges are the continuous
     extension, value 0 for the hyperbolic/oscillatory terms respectively).
-    Complex arguments give the holomorphic continuation.  An ndarray of at
-    least two real s (with t of the same shape) is evaluated elementwise with
-    numpy.  It is told apart by the TypeError that ``math.sin`` raises, so the
-    float path pays no dispatch test; a one-entry array raises none and is
-    not supported.
+    The type of s selects the arithmetic: a complex s (``numpy.complex128``
+    included) gives the holomorphic continuation with ``cmath``, an ndarray
+    of real s (with t of the same shape) is evaluated elementwise with numpy,
+    and anything else is a real scalar for ``math``.
     """
-    try:
-        sin_s, hyperbolic = math.sin(s), t_sinh_t
-    except TypeError:  # complex s, or an ndarray of s
+    # isinstance is cheap when it holds and slow when it fails, so a float
+    # (numpy.float64 included) is told apart first, by one passing test
+    if not isinstance(s, float):
+        if isinstance(s, complex):
+            return t_sinh_t(t) + branch.sin_term_sign * s * cmath.sin(s)
         if isinstance(s, np.ndarray):
-            sin_s, hyperbolic = np.sin(s), _t_sinh_t_array
-        else:
-            sin_s, hyperbolic = cmath.sin(s), t_sinh_t
-    return hyperbolic(t) + branch.sin_term_sign * s * sin_s
+            return _t_sinh_t_array(t) + branch.sin_term_sign * s * np.sin(s)
+    return t_sinh_t(t) + branch.sin_term_sign * s * math.sin(s)
 
 
 def constraint_factor(
     s: float | complex | np.ndarray, Z: float, branch: SecularBranch
 ) -> float | complex | np.ndarray:
     """Factor F(s; Z) = t*sinh t +/- s*sin s on the constraint curve t = Z/(2s),
-    holomorphic in s.  An ndarray of at least two real s gives the factor at
-    every entry in one numpy pass, as a root scan needs it."""
+    holomorphic in s.  A ``numpy.complex128`` s is taken as the equal builtin
+    complex, so both give the same bits.  An ndarray of real s gives the
+    factor at every entry in one numpy pass, as a root scan needs it."""
+    if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
+        s = complex(s)  # numpy's complex division rounds differently from Python's
     return factor_value(Z / (2.0 * s), s, branch)
 
 
@@ -259,15 +263,17 @@ def constraint_factor_derivatives(
     where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  Clamped like
     ``t_sinh_t``: above |t| = 350 the hyperbolic part dominates and the signed
     infinities (-inf, +inf, +inf, -inf) are returned.  A complex s is
-    evaluated with ``cmath``.
+    evaluated with ``cmath``, a ``numpy.complex128`` as the equal builtin
+    complex, like in ``constraint_factor``.
     """
+    if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
+        s, m = complex(s), cmath
+    else:
+        m = math
     t = Z / (2.0 * s)
     if abs(t) > _SINH_CLAMP:
         return -math.inf, math.inf, math.inf, -math.inf
-    try:
-        sh, ch, sin_s, cos_s = math.sinh(t), math.cosh(t), math.sin(s), math.cos(s)
-    except TypeError:  # complex s
-        sh, ch, sin_s, cos_s = cmath.sinh(t), cmath.cosh(t), cmath.sin(s), cmath.cos(s)
+    sh, ch, sin_s, cos_s = m.sinh(t), m.cosh(t), m.sin(s), m.cos(s)
     sign = branch.sin_term_sign
     g1 = sh + t * ch
     g2 = 2.0 * ch + t * sh

@@ -27,7 +27,9 @@ l* = K*(sinh beta + i*cosh beta), and certifies every solve.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,8 +269,10 @@ def find_double_root(
     Newton on the pair {F(s; Z) = 0, F_s(s; Z) = 0} with the closed-form
     Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``constraint_factor_derivatives``.
     The converged point is certified as a quadratic fold: both residuals at or
-    below 1e-10 and |F_ss| bounded away from zero, otherwise NotAFoldError.
-    ``critical_sequence`` seeds it with the grid peak of the real-root curve.
+    below 1e-10, otherwise ConvergenceError, and |F_ss| at least 1e-4,
+    otherwise NotAFoldError.  A non-finite residual or curvature fails the
+    certificate.  ``interval_fold`` seeds it with the grid peak of the
+    real-root curve.
     """
     s, Z = float(s_guess), float(Z_guess)
     for _ in range(100):
@@ -292,11 +296,11 @@ def find_double_root(
             break
     s, Z = float(s), float(Z)
     F, F_s, curvature, _, _ = _fold_state(s, Z, branch)
-    if abs(F) > _FOLD_RESIDUAL or abs(F_s) > _FOLD_RESIDUAL:
+    if not (abs(F) <= _FOLD_RESIDUAL and abs(F_s) <= _FOLD_RESIDUAL):  # NaN fails too
         raise ConvergenceError(
             f"fold polish stalled at |F|={abs(F):.2e}, |F_s|={abs(F_s):.2e} (s={s}, Z={Z})"
         )
-    if abs(curvature) < _MIN_CURVATURE:
+    if not abs(curvature) >= _MIN_CURVATURE:
         raise NotAFoldError(
             f"vanishing curvature {curvature:.2e} at s={s}, Z={Z}: not a quadratic fold"
         )
@@ -305,6 +309,7 @@ def find_double_root(
     return CriticalPoint(nu=nu, Z_crit=Z, s_merge=s, E_merge=s * s - t * t, branch=branch)
 
 
+@functools.cache
 def interval_fold(nu: int) -> CriticalPoint:
     """Coalescence of the root pair in s-interval (nu*pi, (nu+1)*pi).
 
@@ -319,8 +324,17 @@ def interval_fold(nu: int) -> CriticalPoint:
     function the iterates decrease monotonically.  The maximum over the 63
     interior nodes of a 65-node grid seeds ``find_double_root``, whose
     certificate is the only acceptance test.  ``critical_sequence`` is this
-    fold for nu = 0, 1, ...; a negative nu raises ValueError.
+    fold for nu = 0, 1, ...
+
+    nu must be a non-negative integer (``int``, ``numpy.int64`` or ``bool``:
+    anything ``operator.index`` accepts), otherwise ValueError.  Each fold is
+    polished once per process and cached per nu; the CriticalPoint is frozen,
+    so every caller shares it.  A call that raises caches nothing.
     """
+    try:
+        nu = operator.index(nu)
+    except TypeError:
+        raise ValueError(f"interval index must be an integer, got {nu!r}") from None
     if nu < 0:
         raise ValueError(f"interval index must be non-negative, got {nu}")
     branch = _branch_for_interval(nu)
@@ -341,7 +355,8 @@ def critical_sequence(count: int) -> list[CriticalPoint]:
     """First ``count`` critical couplings, strictly increasing in Z.
 
     Z_nu is ``interval_fold(nu)``, the maximum of the real-root curve Z(s)
-    over the interval (nu*pi, (nu+1)*pi).  Guarded to count <= 16, the range
+    over the interval (nu*pi, (nu+1)*pi), so the folds are polished once per
+    process; each call returns a new list.  Guarded to count <= 16, the range
     the tests pin.
     """
     if count < 1:

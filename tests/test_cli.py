@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_cli(*argv):
+    """Exit code, stdout and stderr of one command in a new interpreter."""
+    src = str(Path(ptcircle.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ptcircle", *argv],
+                          capture_output=True, text=True, env=env, check=False)
+    return proc.returncode, proc.stdout, proc.stderr
 
 
 def csv_rows(out: str) -> tuple[list[str], list[list[str]]]:
@@ -277,6 +290,30 @@ class TestGoldenBytes:
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
+
+
+class TestInProcessReuse:
+    """The parser and the folds are built once per process; a later call must
+    print what a new interpreter prints."""
+
+    @pytest.mark.parametrize("first, code, second", [
+        (("fig", "--which", "1", "--Z", "7", "--points", "3"), 0,
+         ("fig", "--which", "1", "--points", "3")),  # the default Z = 5 comes back
+        (("spectrum", "--Z", "0.5", "--smax", "4", "--format", "json", "--meta"), 0,
+         ("spectrum", "--Z", "0.5", "--smax", "4")),
+        (("broken", "--Z", "6", "--pair", "99"), 64,
+         ("broken", "--Z", "6", "--pair", "0")),
+    ])
+    def test_second_call_prints_what_a_new_interpreter_prints(self, capsys, first, code, second):
+        assert run_cli(capsys, *first)[0] == code
+        assert run_cli(capsys, *second) == fresh_cli(*second)
+
+    def test_stdout_after_out_file(self, capsys, tmp_path):
+        path = tmp_path / "critical.csv"
+        assert run_cli(capsys, "critical", "--count", "3", "--out", str(path)) == (0, "", "")
+        code, out, err = run_cli(capsys, "critical", "--count", "3")
+        assert (code, out, err) == fresh_cli("critical", "--count", "3")
+        assert path.read_text(encoding="utf-8") == out
 
 
 class TestCrossCommandConsistency:

@@ -17,6 +17,7 @@ from ptcircle.secular import (
     secular_factor,
     secular_s,
     secular_t,
+    t_sinh_t,
 )
 from ptcircle.spectrum import _scan_grid
 
@@ -153,6 +154,32 @@ class TestConstraintKernel:
         scale = np.abs(t * np.sinh(t)) + np.abs(s * np.sin(s))
         eps = np.finfo(float).eps
         assert np.all(np.abs(got[~clamped] - want[~clamped]) <= 4.0 * eps * scale)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("s, Z", [(3.5, 7.0), (0.0625, 25.0), (130.1, 2.0)])
+    def test_one_entry_array_is_the_scalar(self, branch, s, Z):
+        # np.sinh may differ from math.sinh in the last bit: the bound of the
+        # many-entry test above
+        got = constraint_factor(np.array([s]), Z, branch)
+        assert got.shape == (1,)
+        t = Z / (2.0 * s)
+        scale = abs(t * math.sinh(t)) + abs(s * math.sin(s))
+        assert abs(got[0] - constraint_factor(s, Z, branch)) <= 4.0 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("z, Z", [(3.5 + 0.3j, 7.0), (2.5 - 1.2j, 5.6), (40.0 + 3.0j, 300.0)])
+    def test_numpy_complex_is_the_builtin_complex(self, branch, z, Z):
+        # math.sin used to take a numpy.complex128 as its real part, with
+        # only a ComplexWarning (an error under this suite's filterwarnings):
+        # at 3.5+0.3j, Z = 7 the minus factor came back 2.383+0.006j, not
+        # 2.338+0.880j
+        np_z = np.complex128(z)
+        assert complex(constraint_factor(np_z, Z, branch)) == constraint_factor(z, Z, branch)
+        assert [complex(v) for v in constraint_factor_derivatives(np_z, Z, branch)] == list(
+            constraint_factor_derivatives(z, Z, branch))
+        assert complex(t_sinh_t(np_z)) == t_sinh_t(z)
+        mp_value = complex(mp_constraint_factor(mp.mpc(z), mp.mpf(Z), branch))
+        assert abs(constraint_factor(np_z, Z, branch) - mp_value) <= 1e-12 * abs(mp_value)
 
     @pytest.mark.parametrize("branch", [MINUS, PLUS])
     def test_clamped_like_t_sinh_t(self, branch):

@@ -139,6 +139,12 @@ class TestFindDoubleRoot:
         with pytest.raises(SolverError):
             find_double_root(1e6, 2.5, MINUS)
 
+    @pytest.mark.parametrize("Z, s", [(math.nan, 6.3), (5.5, math.nan), (math.inf, 6.3)])
+    def test_non_finite_guess_fails_the_certificate(self, Z, s):
+        # a NaN residual used to pass both comparisons and came back as a fold
+        with pytest.raises(ConvergenceError):
+            find_double_root(Z, s, PLUS)
+
 
 class TestCriticalSequence:
     def test_first_five_in_pinned_intervals(self, five_folds):
@@ -181,8 +187,33 @@ class TestCriticalSequence:
         # broken --pair p polishes fold p alone
         for nu in (0, 7, 15):
             assert interval_fold(nu) == sixteen_folds[nu]
-        with pytest.raises(ValueError):
-            interval_fold(-1)
+
+    def test_interval_fold_is_cached(self):
+        assert interval_fold(3) is interval_fold(3)
+        assert interval_fold(np.int64(1)) == interval_fold(True) == interval_fold(1)
+
+    def test_interval_fold_rejects_a_non_integral_index(self):
+        # 1.5 used to return a fold labelled nu=2 with Z_crit=nan
+        size = interval_fold.cache_info().currsize
+        for _ in range(2):
+            for nu in (1.5, 2.0, -1):
+                with pytest.raises(ValueError):
+                    interval_fold(nu)
+        assert interval_fold.cache_info().currsize == size
+
+    def test_sequence_after_broken_and_a_mutated_result(self, capsys):
+        from ptcircle.cli import main
+
+        assert main(["broken", "--Z", "20", "--pair", "1"]) == 0
+        capsys.readouterr()
+        folds = critical_sequence(16)
+        folds.reverse()
+        folds.pop()
+        again = critical_sequence(16)
+        assert [f.Z_crit for f in again[5:]] == pytest.approx(LATER_FOLDS, rel=1e-12)
+        for fold, (lo, hi) in zip(again, INTERVALS):
+            assert lo <= fold.Z_crit <= hi
+        assert [f.nu for f in again] == list(range(16))
 
     @staticmethod
     def _sign_count(Z, nu, nodes=4096):
