@@ -301,6 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except SystemExit:  # --help and --version print their text, then argparse exits 0
+        return EXIT_OK
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -58,11 +58,12 @@ __all__ = [
     "t_sinh_t",
 ]
 
-# Hyperbolics above this argument would overflow the intermediate exp(2t)
-# expressions; beyond it only sign and scale matter and +inf is returned.
+# t*sinh t is taken as +inf above these bounds, where exp would overflow: on
+# |t| for a real t (the exp(2t) terms), on |Re t| for a complex t (cmath, ~710).
 _SINH_CLAMP = 350.0
+_COMPLEX_SINH_CLAMP = 700.0
 
-# The two constants of the real-root rule ``_real_root_accepted``.
+# The two constants of the root rule ``_root_accepted``.
 _ROOT_RESIDUAL_FLOOR = 1e-12
 _ROOT_ROUNDING_UNITS = 16.0
 
@@ -142,7 +143,7 @@ class SpectralPoint:
     def __post_init__(self) -> None:
         if self.residual < 0.0 or not math.isfinite(self.residual):
             raise ValueError("residual must be finite and non-negative")
-        if not _real_root_accepted(self.residual, self.params.s, self.Z, self.branch):
+        if not _root_accepted(self.residual, self.params.s, self.Z, self.branch):
             raise ValueError(
                 f"factor residual {self.residual:.3e} exceeds the rounding bound at s={self.params.s}"
             )
@@ -154,14 +155,12 @@ class SpectralPoint:
 
 
 def t_sinh_t(t: float | complex) -> float | complex:
-    """t*sinh(t), clamped to +inf where exp would overflow.  Even in t; a
-    complex t (``numpy.complex128`` included) is evaluated with ``cmath`` and
-    clamped on |t|."""
-    if abs(t) > _SINH_CLAMP:
-        return math.inf
+    """t*sinh(t), clamped to +inf where exp would overflow.  Even in t; a real
+    t is clamped on |t| > 350, a complex t (``numpy.complex128`` included) is
+    evaluated with ``cmath`` and clamped on |Re t| > 700."""
     if not isinstance(t, float) and isinstance(t, complex):  # float first, see factor_value
-        return t * cmath.sinh(t)
-    return t * math.sinh(t)
+        return math.inf if abs(t.real) > _COMPLEX_SINH_CLAMP else t * cmath.sinh(t)
+    return math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)
 
 
 def _t_sinh_t_array(t: np.ndarray) -> np.ndarray:
@@ -261,9 +260,9 @@ def constraint_factor_derivatives(
         F_sZ = -(g'(t) + t*g''(t)) / (2*s**2)
 
     where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  Clamped like
-    ``t_sinh_t``: above |t| = 350 the hyperbolic part dominates and the signed
-    infinities (-inf, +inf, +inf, -inf) are returned.  A complex s is
-    evaluated with ``cmath``, a ``numpy.complex128`` as the equal builtin
+    ``t_sinh_t`` (|t| > 350 for a real s, |Re t| > 700 for a complex s), where
+    the signed infinities (-inf, +inf, +inf, -inf) are returned.  A complex s
+    is evaluated with ``cmath``, a ``numpy.complex128`` as the equal builtin
     complex, like in ``constraint_factor``.
     """
     if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
@@ -271,7 +270,7 @@ def constraint_factor_derivatives(
     else:
         m = math
     t = Z / (2.0 * s)
-    if abs(t) > _SINH_CLAMP:
+    if (abs(t.real) > _COMPLEX_SINH_CLAMP) if m is cmath else (abs(t) > _SINH_CLAMP):
         return -math.inf, math.inf, math.inf, -math.inf
     sh, ch, sin_s, cos_s = m.sinh(t), m.cosh(t), m.sin(s), m.cos(s)
     sign = branch.sin_term_sign
@@ -284,12 +283,13 @@ def constraint_factor_derivatives(
     return F_s, F_ss, F_Z, F_sZ
 
 
-def _real_root_accepted(residual: float, s: float, Z: float, branch: SecularBranch) -> bool:
-    """The one acceptance test for a real root s of the constraint factor.
+def _root_accepted(residual: float, s: float | complex, Z: float, branch: SecularBranch) -> bool:
+    """The one acceptance test for a root s of the constraint factor, a real
+    root of the spectrum or a complex root of a broken pair.
 
     A backward-error test: the factor residual |F(s)| must be at most 1e-12,
     or at most 16 units of |s*F_s(s)|*eps, the residual that rounding s to a
-    double makes at a simple root.  The second bound grows like s**2*eps on
+    double makes at a simple root.  The second bound grows like |s|**2*eps on
     the s*sin s term, so the test holds at every s; F_s is evaluated only when
     the floor is exceeded.
     """

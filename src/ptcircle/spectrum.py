@@ -39,7 +39,7 @@ from .secular import (
     SecularBranch,
     SpectralPoint,
     _SINH_CLAMP,
-    _real_root_accepted,
+    _root_accepted,
     constraint_factor,
     factor_value,
     validate_coupling,
@@ -167,7 +167,7 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
     Safeguarded bracket shrinkage by the in-module Brent ``_brent`` (the
     iterates of ``scipy.optimize.brentq`` to the bit, with the factor
     inlined) and no Newton polish; the root is accepted by the package's one
-    real-root residual rule (factor residual at most 1e-12, or at most 16
+    root residual rule (factor residual at most 1e-12, or at most 16
     units of its rounding error |s*F_s|*eps).  Raises ValueError for a
     bracket that is not finite with 0 < s_lo < s_hi, NoSignChangeError when
     it does not straddle a root and ConvergenceError if the iteration limit
@@ -179,7 +179,7 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
         raise ValueError(f"bracket must be finite with 0 < s_lo < s_hi, got {bracket}")
     s, f = _brent(s_lo, s_hi, Z, branch.sin_term_sign)
     residual = abs(f)
-    if not _real_root_accepted(residual, s, Z, branch):
+    if not _root_accepted(residual, s, Z, branch):
         raise ConvergenceError(
             f"bracket refinement stalled at residual {residual:.3e} above its rounding bound "
             f"near s={s}"

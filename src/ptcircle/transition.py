@@ -19,9 +19,11 @@ hyperbolic form (alpha, beta, K),
 
 which exists for ReE > 0 and |eps| < Z.  An eigenvalue pair is real exactly
 when alpha = beta (eps = 0); swapping alpha and beta flips the sign of eps
-(the conjugate partner).  ``broken_secular`` evaluates the secular condition
-directly in that form, with wavenumbers k = K*(sinh alpha - i*cosh alpha) and
-l* = K*(sinh beta + i*cosh beta), and certifies every solve.
+(the conjugate partner).  A root is accepted by the factor's rule that
+accepts real roots, ``secular._root_accepted``, and only then put in that
+form.  ``broken_secular``, the secular condition in that form with
+k = K*(sinh alpha - i*cosh alpha) and l* = K*(sinh beta + i*cosh beta), is
+an independent check for the tests and ``verify``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import numpy as np
 from .errors import ConvergenceError, NotAFoldError
 from .secular import (
     SecularBranch,
+    _root_accepted,
     constraint_factor,
     constraint_factor_derivatives,
     t_sinh_t,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
@@ -68,6 +71,7 @@ DIRICHLET_SECOND_CRITICAL = (12.80154, 12.80156)
 
 _FOLD_RESIDUAL = 1e-10
 _MIN_CURVATURE = 1e-4
+_MAX_ROOT_MOVE = math.pi / 4  # largest predicted move of s per step, see continue_in_Z
 
 
 @dataclass(frozen=True)
@@ -155,24 +159,14 @@ def broken_secular_symmetric(params: BrokenParams, Z: float) -> complex:
     return l_star * broken_secular(params, Z)
 
 
-def _residual_scale(params: BrokenParams) -> float:
-    """Magnitude of the largest secular term, used to scale residual tests."""
-    k, ls = _wavenumbers(params)
-    terms = (
-        abs(2.0 * k),
-        abs(2.0 * k * cmath.cosh(k) * cmath.cosh(ls)),
-        abs((k * k + ls * ls) / ls * cmath.sinh(k) * cmath.sinh(ls)),
-    )
-    return max(1.0, *terms)
-
-
 def _params_from_energy(E: complex, Z: float) -> BrokenParams:
     """Hyperbolic form of the energy E = ReE + i*eps at coupling Z:
     alpha, beta = asinh((Z -/+ eps)/ReE)/2 and K = sqrt(ReE).  Raises
-    ValueError unless ReE > 0 and |eps| < Z."""
+    ValueError unless |eps| < Z and ReE > 16 ulps of |E|, which keeps out the
+    k = 0 state E = i*Z, where rounding leaves ReE of about |E|*1e-16."""
     re_E, eps = E.real, E.imag
-    if not (re_E > 0.0 and abs(eps) < Z):
-        raise ValueError(f"E={E} has no hyperbolic form at Z={Z}: needs ReE > 0 and |eps| < Z")
+    if not (re_E > 16.0 * math.ulp(abs(E)) and abs(eps) < Z):
+        raise ValueError(f"E={E} has no hyperbolic form at Z={Z}: needs ReE > 16 ulp(|E|), |eps| < Z")
     return BrokenParams(
         alpha=0.5 * math.asinh((Z - eps) / re_E),
         beta=0.5 * math.asinh((Z + eps) / re_E),
@@ -204,16 +198,17 @@ def _newton(s: complex, Z: float, branch: SecularBranch) -> complex:
     return s
 
 
-def _certified(s: complex, Z: float) -> tuple[BrokenParams, ComplexEnergy]:
-    """The root s mapped through E = s**2 - t**2 to (alpha, beta, K), accepted
-    only if the secular residual, scaled by the largest secular term, is at
-    most 1e-12."""
+def _certified(s: complex, Z: float, branch: SecularBranch) -> tuple[BrokenParams, ComplexEnergy]:
+    """The root s, accepted by the package's one root rule on the factor,
+    then mapped through E = s**2 - t**2 to (alpha, beta, K).  The mapping
+    raises ValueError at the k = 0 state E = i*Z (s**2 = i*Z/2), a root of
+    FACTOR_PLUS at every Z but no eigenvalue (``_params_from_energy``)."""
+    residual = abs(constraint_factor(s, Z, branch))
+    if not _root_accepted(residual, s, Z, branch):
+        raise ConvergenceError(f"broken solve stalled at Z={Z} with residual {residual:.3e}")
     t = Z / (2.0 * s)
     params = _params_from_energy(s * s - t * t, Z)
-    residual = abs(broken_secular(params, Z))
-    if residual <= 1e-12 * _residual_scale(params):
-        return params, params.energy()
-    raise ConvergenceError(f"broken solve stalled at Z={Z} with residual {residual:.3e}")
+    return params, params.energy()
 
 
 def _seeded_root(Z: float, init: BrokenParams) -> tuple[complex, SecularBranch]:
@@ -228,13 +223,14 @@ def _seeded_root(Z: float, init: BrokenParams) -> tuple[complex, SecularBranch]:
 
 def solve_broken(Z: float, init: BrokenParams) -> tuple[BrokenParams, ComplexEnergy]:
     """Complex root s of the constraint factor at fixed Z, seeded by ``init``
-    (``_seeded_root``) and accepted by the secular certificate (``_certified``).
-    Z <= 0 raises ValueError; an overflowing iterate, a root with ReE <= 0 or
-    |eps| >= Z, and a failed certificate raise ConvergenceError."""
+    (``_seeded_root``) and accepted by the root rule (``_certified``).  Z <= 0
+    raises ValueError; an overflowing iterate, a rejected root and a root with
+    no hyperbolic form, such as E = i*Z, raise ConvergenceError."""
     if not validate_coupling(Z) > 0.0:
         raise ValueError("broken-regime solves require Z > 0")
     try:
-        return _certified(_seeded_root(Z, init)[0], Z)
+        s, branch = _seeded_root(Z, init)
+        return _certified(s, Z, branch)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
 
@@ -394,12 +390,14 @@ def continue_in_Z(
     ``start`` is solved at Z_from as in ``solve_broken``; the root s(Z) then
     follows the Davidenko ODE ds/dZ = -F_Z/F_s by Euler predictor and damped
     Newton corrector.  A step moves the prediction by half of min(|Im s|,
-    |F_s/F_ss|), cut at the next grid point: |Im s| is half the distance to
-    the conjugate root, and |F_s/F_ss|, equal to it at a fold, keeps the step
-    off neighbouring roots elsewhere.  Only grid points are certified.
-    A corrected root whose Im s has the other sign, or a step too short to
-    move Z, raises ConvergenceError with the Z reached.  That |eps| grows with
-    Z away from the fold is observed, not enforced.
+    |F_s/F_ss|), at most pi/4, cut at the next grid point: |Im s| is half the
+    distance to the conjugate root, |F_s/F_ss|, equal to it at a fold, keeps
+    the step off neighbouring roots elsewhere, and the cap keeps it below the
+    root spacing (pi in Re s along one factor, about 1.6 between neighbouring
+    pairs at large Z), so s stays on its own pair.  Only grid points are
+    certified.  A corrected root whose Im s has the other sign, or a step too
+    short to move Z, raises ConvergenceError with the Z reached.  That |eps|
+    grows with Z away from the fold is observed, not enforced.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -415,7 +413,7 @@ def continue_in_Z(
             while Z != Zg:
                 F_s, F_ss, F_Z, _ = constraint_factor_derivatives(s, Z, branch)
                 slope = -F_Z / F_s
-                h = 0.5 * min(abs(s.imag), abs(F_s / F_ss)) / abs(slope)
+                h = min(0.5 * abs(s.imag), 0.5 * abs(F_s / F_ss), _MAX_ROOT_MOVE) / abs(slope)
                 Z_next = Zg if h >= abs(Zg - Z) else Z + math.copysign(h, Zg - Z)
                 if Z_next == Z:
                     raise ConvergenceError("step too short to move Z")
@@ -423,7 +421,7 @@ def continue_in_Z(
                 if s.imag * side <= 0.0:
                     raise ConvergenceError(f"root crossed the real axis to s={s}")
                 Z = Z_next
-            path.append((Zg, *_certified(s, Zg)))
+            path.append((Zg, *_certified(s, Zg, branch)))
     except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"continuation failed at Z={Z}: {exc}") from exc
     return path
@@ -448,7 +446,7 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
     Below the fold the factor is negative at s_merge (F_Z > 0 there) and
     positive just outside both interval ends, where t*sinh t and the
     sign-flipped s*sin s are both positive, so each root is one ``refine_root``
-    on either side of s_merge, accepted by the package's real-root rule.
+    on either side of s_merge, accepted by the package's root rule.
     Within rounding of the fold, where the factor at s_merge is not negative,
     the pair has merged and the merged state is returned twice.  Z <= 0
     raises ValueError.

@@ -110,3 +110,64 @@ def mp_reference_energy(n: int, branch, Z) -> mp.mpf:
     s = mp_root_s(n, branch, Z)
     t = mp.mpf(Z) / (2 * s)
     return s * s - t * t
+
+
+def _mp_factor_parts(s, Z, sign):
+    """F, F_s, F_ss, F_Z, F_sZ of t*sinh t + sign*s*sin s on t = Z/(2s), in mp."""
+    t = Z / (2 * s)
+    sh, ch, sn, cs = mp.sinh(t), mp.cosh(t), mp.sin(s), mp.cos(s)
+    g1, g2 = sh + t * ch, 2 * ch + t * sh
+    return (
+        t * sh + sign * s * sn,
+        -(t / s) * g1 + sign * (sn + s * cs),
+        (t / (s * s)) * (2 * g1 + t * g2) + sign * (2 * cs - s * sn),
+        g1 / (2 * s),
+        -(g1 + t * g2) / (2 * s * s),
+    )
+
+
+def _mp_newton(s, Z, sign):
+    for _ in range(60):
+        F, F_s = _mp_factor_parts(s, Z, sign)[:2]
+        step = F / F_s
+        s -= step
+        if abs(step) < mp.mpf(10) ** -34 * abs(s):
+            return s
+    raise ArithmeticError(f"mp Newton did not converge at Z={Z}")
+
+
+def mp_broken_branch(fold, targets, max_move="0.05"):
+    """Complex root s(Z) of a broken pair at each Z of ``targets`` (ascending,
+    above the fold), by a small-step continuation in mp.
+
+    The fold (s_merge, Z_crit) is re-polished as F = F_s = 0, the root is
+    started on the Im s > 0 member by the square-root unfolding 1e-6 above it,
+    and then follows ds/dZ = -F_Z/F_s by Euler steps that move s by at most
+    min(max_move, |Im s|/20), each corrected by Newton to 34 digits.  Pairs
+    at large Z lie about 1.6 apart in Re s, so with the default 0.05 no
+    step comes near a neighbouring root.  Returns {Z: (s, E = s**2 - t**2)}.
+    """
+    sign, cap = fold.branch.sin_term_sign, mp.mpf(max_move)
+    s, Z = mp.mpf(fold.s_merge), mp.mpf(fold.Z_crit)
+    for _ in range(50):
+        F, F_s, F_ss, F_Z, F_sZ = _mp_factor_parts(s, Z, sign)
+        det = F_s * F_sZ - F_Z * F_ss
+        ds, dZ = (F_Z * F_s - F * F_sZ) / det, (F * F_ss - F_s * F_s) / det
+        s, Z = s + ds, Z + dZ
+        if abs(ds) + abs(dZ) < mp.mpf(10) ** -30:
+            break
+    _, _, F_ss, F_Z, _ = _mp_factor_parts(s, Z, sign)
+    dZ0 = mp.mpf("1e-6")
+    s, Z = mp.mpc(s, mp.sqrt(abs(2 * F_Z / F_ss) * dZ0)), Z + dZ0
+    s = _mp_newton(s, Z, sign)
+    out = {}
+    for target in targets:
+        target = mp.mpf(target)
+        while Z < target:
+            _, F_s, _, F_Z, _ = _mp_factor_parts(s, Z, sign)
+            slope = -F_Z / F_s
+            Z_next = min(target, Z + min(cap, abs(s.imag) / 20) / abs(slope))
+            s, Z = _mp_newton(s + (Z_next - Z) * slope, Z_next, sign), Z_next
+        t = Z / (2 * s)
+        out[target] = (s, s * s - t * t)
+    return out

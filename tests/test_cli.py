@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import ptcircle
 import ptcircle.cli
 import ptcircle.secular
 from ptcircle.cli import main
@@ -172,11 +173,14 @@ class TestBrokenCommand:
         assert "spectrum" in err  # directs the user to the real-spectrum command
 
     def test_overflow_far_above_fold_exits_2(self, capsys):
-        # the continuation's hyperbolic terms overflow; that is non-convergence
+        # from about Z = 1.96e6 on, Re t of pair 0 passes the complex clamp at
+        # 700 and the continuation's hyperbolic terms overflow; that is
+        # non-convergence
         code, out, err = run_cli(capsys, "broken", "--Z", "1e8", "--pair", "0")
         assert code == 2
         assert out == ""
         assert "solver error" in err
+        assert "Traceback" not in err
 
 
 class TestTable1Command:
@@ -368,3 +372,22 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, err = run_cli(capsys, "spectrum", "--Z", "1")
         assert code == 64
+
+
+class TestHelpAndVersion:
+    # argparse exits after printing these; main returns 0 instead of raising
+    def test_version_returns_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "--version")
+        assert code == 0
+        assert out == f"ptcircle {ptcircle.__version__}\n"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["broken", "--help"], ["verify", "-h"]])
+    def test_help_returns_zero(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith("usage: ptcircle")
+
+    def test_module_entry_point_exits_zero(self):
+        code, out, _ = fresh_cli("--version")
+        assert code == 0
+        assert out.startswith("ptcircle ")

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import mpmath as mp
@@ -188,6 +189,31 @@ class TestConstraintKernel:
         assert constraint_factor_derivatives(0.01, 10.0, branch) == (
             -math.inf, math.inf, math.inf, -math.inf
         )
+
+    def test_complex_t_is_clamped_on_its_real_part(self):
+        # |t| = 400 used to pass the clamp at 350 and give inf; the value is
+        # -400*sin(400)
+        got = t_sinh_t(400j)
+        ref = complex(mp.mpc(0, 400) * mp.sinh(mp.mpc(0, 400)))
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        assert got.real == pytest.approx(340.3677438556706, rel=1e-13)
+        for t in (701.0 + 1.0j, -701.0 + 3.0j, np.complex128(800.0 - 5.0j)):
+            assert t_sinh_t(t) == math.inf
+        assert math.isfinite(abs(t_sinh_t(699.0 + 3.0j)))
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    def test_complex_derivatives_past_the_real_clamp(self, branch):
+        # t = Z/(2s) = 357.14*(1 - 1j): |t| = 505 > 350, Re t < 700
+        s, Z = 0.7 + 0.7j, 1000.0
+        derivatives = constraint_factor_derivatives(s, Z, branch)
+        assert all(cmath.isfinite(v) for v in derivatives)
+        ref = complex(mp_constraint_factor(mp.mpc(s), mp.mpf(Z), branch))
+        assert abs(constraint_factor(s, Z, branch) - ref) <= 1e-12 * abs(ref)
+        # Re t = 714 lies above the complex clamp
+        assert constraint_factor_derivatives(0.7 + 0.0j, Z, branch) == (
+            -math.inf, math.inf, math.inf, -math.inf
+        )
+        assert constraint_factor(0.7 + 0.0j, Z, branch) == math.inf
 
 
 class TestEnergy:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from _mp_reference import mp_broken_branch
+from ptcircle import transition
 from ptcircle.errors import ConvergenceError, SolverError
 from ptcircle.oracle import nullspace_solution, residual_check
 from ptcircle.secular import SecularBranch
@@ -342,6 +344,77 @@ class TestBranchTracking:
         params, _ = solve_broken(6.0, BrokenParams.bind(0.358129, 0.622216, 6.0))
         with pytest.raises(ConvergenceError):
             continue_in_Z(6.0, 5.0, 4, params)
+
+
+# E = ReE + i*eps of pairs 0, 1, 3 and 15 far above their folds, computed once
+# by ``_mp_reference.mp_broken_branch``: a 40-digit continuation from each fold
+# whose Euler steps move s by at most 0.05, each corrected by Newton.  Neither
+# halving that cap nor a second, separately written continuation changed any
+# of the 20 digits kept here.
+LARGE_Z_REFERENCE = {
+    (0, 2e5): complex("9.8254672437099701514+199999.95615681119498j"),
+    (0, 1e6): complex("9.8498652871198830029+999999.9803199136333j"),
+    (1, 2e5): complex("39.301871104716401398+199999.82462506708624j"),
+    (1, 1e6): complex("39.399461341357539685+999999.92127945972297j"),
+    (3, 2e5): complex("157.20751850269032039+199999.29846543083907j"),
+    (3, 1e6): complex("157.59784845158209737+999999.68511472203019j"),
+    (15, 2e5): complex("2515.3312339383411524+199988.76432907545698j"),
+    (15, 1e6): complex("2521.5665633516390682+999994.96083870617018j"),
+}
+
+
+class TestLargeCoupling:
+    @pytest.mark.parametrize("nu, Z", sorted(LARGE_Z_REFERENCE))
+    def test_matches_the_mp_continuation(self, nu, Z):
+        # ReE = Re(s**2 - t**2) cancels down from |E| ~ Z, so it is checked
+        # to rounding of |E|, not of itself
+        _, energy = solve_above_fold(interval_fold(nu), Z)
+        ref = LARGE_Z_REFERENCE[nu, Z]
+        assert abs(complex(energy.re_E, energy.eps) - ref) <= 1e-13 * abs(ref)
+
+    def test_mp_continuation_reproduces_the_solver_near_a_fold(self):
+        # the helper behind LARGE_Z_REFERENCE, on a path short enough to run
+        (_, E), = mp_broken_branch(interval_fold(0), [100]).values()
+        _, energy = solve_above_fold(interval_fold(0), 100.0)
+        assert abs(complex(energy.re_E, energy.eps) - complex(E)) <= 1e-13 * abs(complex(E))
+
+    def test_pair_zero_does_not_jump_to_pair_two(self):
+        # steps bounded by min(|Im s|, |F_s/F_ss|)/2 alone moved s by 8-27 from
+        # Z ~ 5e3 on, where the pairs lie about 1.6 apart in Re s: pair 0
+        # landed on pair 2's branch near Z = 1.43e5 and gave ReE = 88.43 here
+        _, energy = solve_above_fold(interval_fold(0), 2e5)
+        assert energy.re_E == pytest.approx(9.8255, abs=1e-4)
+
+    def test_answers_do_not_depend_on_the_step_cap(self, monkeypatch):
+        before = [solve_above_fold(interval_fold(nu), 2e5)[1] for nu in (0, 7)]
+        monkeypatch.setattr(transition, "_MAX_ROOT_MOVE", math.pi / 16)
+        after = [solve_above_fold(interval_fold(nu), 2e5)[1] for nu in (0, 7)]
+        for a, b in zip(before, after):
+            E = complex(a.re_E, a.eps)
+            assert abs(complex(b.re_E, b.eps) - E) <= 1e-13 * abs(E)
+
+    @pytest.mark.parametrize("Z", [1e4, 1e6])
+    def test_every_pair_in_its_band_and_in_order(self, Z):
+        re_E = [solve_above_fold(interval_fold(nu), Z)[1].re_E for nu in range(16)]
+        for nu, value in enumerate(re_E):
+            assert ((nu + 0.5) * math.pi) ** 2 < value < ((nu + 1) * math.pi) ** 2, nu
+        assert all(b > a for a, b in zip(re_E, re_E[1:]))
+
+    @pytest.mark.parametrize("Z", [20.0, 100.0, 1e4, 33387.16008733851, 1e6])
+    @pytest.mark.parametrize("K2", [1e-3, 1e-6])
+    def test_k_zero_state_is_never_returned(self, Z, K2):
+        # E = i*Z (k = 0, s**2 = i*Z/2) is a root of FACTOR_PLUS at every Z
+        # but no eigenvalue, and seeds next to it converge to it.  At
+        # Z = 33387.16008733851 rounding leaves it ReE = +1.8e-12 and eps < Z,
+        # which a plain ReE > 0 test let through
+        eps = Z * (1.0 - 1e-9)
+        seed = BrokenParams(
+            alpha=0.5 * math.asinh((Z - eps) / K2),
+            beta=0.5 * math.asinh((Z + eps) / K2),
+            K=math.sqrt(K2),
+        )
+        with pytest.raises(ConvergenceError, match="no hyperbolic form"):
+            solve_broken(Z, seed)
 
 
 class TestExactBrokenConsistency:
