@@ -9,8 +9,9 @@ Commands
     verify     run the self-check suite
 
 Exit codes: 0 success, 1 verification failure, 2 numeric non-convergence or
-a failed internal check, 64 usage error.  Output is CSV by default (JSON with
---format json) and is byte-identical for identical flags; schema version and
+a failed internal check, 64 usage error, 141 stdout closed by its reader (as
+by ``| head``; the rest of the output is dropped, with no traceback).
+Output is CSV by default (JSON with --format json) and is byte-identical for identical flags; schema version and
 an echo of the parsed inputs ride along as '#' comment lines (CSV) or
 top-level fields (JSON).
 """
@@ -22,7 +23,10 @@ import contextlib
 import functools
 import json
 import math
+import os
 import sys
+
+import numpy as np
 
 from . import __version__
 from .errors import SolverError
@@ -36,6 +40,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_SOLVER = 2
 EXIT_USAGE = 64
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a process a closed pipe ended
 
 
 class _UsageError(Exception):
@@ -201,18 +206,22 @@ def _cmd_fig(args) -> int:
         raise _UsageError("grid dimensions must be in 1..4096 per axis")
     if not (0 < args.t_min < args.t_max) or not (0 <= args.z_min < args.z_max):
         raise _UsageError("need 0 < t-min < t-max and 0 <= z-min < z-max")
-    rows = []
     dt = (args.t_max - args.t_min) / args.nt
     dz = (args.z_max - args.z_min) / args.nz
+    ts = [args.t_min + (i + 0.5) * dt for i in range(args.nt)]
+    zs = [args.z_min + (j + 0.5) * dz for j in range(args.nz)]
+    signs = np.empty((args.nz, args.nt), dtype=np.int8)
+    z_column = np.array(zs)
     try:
-        for j in range(args.nz):
-            Z = args.z_min + (j + 0.5) * dz
-            for i in range(args.nt):
-                t = args.t_min + (i + 0.5) * dt
-                v = secular_t(t, Z)
-                rows.append([t, Z, 0 if v == 0.0 else int(math.copysign(1.0, v))])
+        for i, t in enumerate(ts):  # one numpy pass per t column
+            v = secular_t(t, z_column)
+            signs[:, i] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN cell keeps its sign bit
     except ValueError as exc:  # t*t underflows or Z/t overflows
         raise _UsageError(str(exc)) from exc
+    signs = signs.tolist()
+    rows = []  # CSV rows are streamed after the comment lines, one Z row at a time
+    if args.format == "json":
+        rows = [[t, Z, sign] for Z, row in zip(zs, signs) for t, sign in zip(ts, row)]
     with _output(args.out) as stream:
         _emit(stream, "fig2",
               {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
@@ -223,6 +232,10 @@ def _cmd_fig(args) -> int:
                   "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
                   "the sign-change contour is the eigenvalue locus",
               ])
+        if args.format == "csv":  # each axis value is formatted once
+            t_text = [_fmt(t) for t in ts]
+            for z, row in zip(map(_fmt, zs), signs):
+                stream.write("".join(f"{t},{z},{sign}\n" for t, sign in zip(t_text, row)))
     return EXIT_OK
 
 
@@ -304,7 +317,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit:  # --help and --version print their text, then argparse exits 0
         return EXIT_OK
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `| head` does
+        # the interpreter flushes stdout again at exit; let that flush go nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

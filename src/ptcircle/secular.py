@@ -171,26 +171,47 @@ def _t_sinh_t_array(t: np.ndarray) -> np.ndarray:
     return np.where(big, math.inf, t * np.sinh(t))
 
 
-def secular_t(t: float, Z: float) -> float:
+def _t_form(t: float, Z: float | np.ndarray, cos) -> float | np.ndarray:
+    em = math.expm1(2.0 * t)
+    return 4.0 * math.exp(-2.0 * t) * em * em * t * t + (2.0 * Z * Z / (t * t)) * (cos(Z / t) - 1.0)
+
+
+def secular_t(t: float, Z: float | np.ndarray) -> float | np.ndarray:
     """t-representation of the secular determinant,
 
         4*exp(-2t)*(exp(2t) - 1)**2 * t**2 + (2*Z**2/t**2)*(cos(Z/t) - 1).
 
     Requires t > 0 with t*t nonzero in double precision: at the edge the
     second term has an essential oscillation for Z > 0.  For large t the
-    first term dominates and the value grows exponentially.
+    first term dominates and the value grows exponentially; above t = 350 it
+    is +inf.  Z/t must not overflow.
+
+    An ndarray Z gives the value at every entry for the one scalar t, as a
+    column of the sign map needs it, bit-equal to the scalar call at each
+    entry: only cos(Z/t) is taken from numpy, whose cos equals ``math.cos``
+    on the arguments tested.  It raises the ValueError of a scalar call
+    whenever one entry would: a negative or non-finite Z, t <= 0, t*t == 0,
+    or (for t <= 350) a Z/t that overflows.  Overflow in 2*Z**2/t**2 and the
+    NaN of inf*0 pass without a numpy warning, as they do in ``math``.
     """
-    validate_coupling(Z)
+    grid = isinstance(Z, np.ndarray)
+    if grid:  # the extreme entries fail whenever some entry would
+        validate_coupling(Z.min(initial=0.0))
+        z_max = validate_coupling(Z.max(initial=0.0))
+    else:
+        z_max = validate_coupling(Z)
     if t <= 0.0:
         raise ValueError(f"secular_t requires t > 0, got {t!r}")
     if t * t == 0.0:
         raise ValueError(f"secular_t requires t*t > 0, but it underflows at t={t!r}")
     if t > _SINH_CLAMP:
-        return math.inf
-    em = math.expm1(2.0 * t)
-    first = 4.0 * math.exp(-2.0 * t) * em * em * t * t
-    second = (2.0 * Z * Z / (t * t)) * (math.cos(Z / t) - 1.0)
-    return first + second
+        return np.full(Z.shape, math.inf) if grid else math.inf
+    if not math.isfinite(z_max / t):
+        raise ValueError(f"secular_t requires a finite Z/t, but it overflows at t={t!r}, Z={z_max!r}")
+    if not grid:
+        return _t_form(t, Z, math.cos)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _t_form(t, Z, np.cos)
 
 
 def secular_s(s: float, Z: float) -> float:

@@ -73,17 +73,29 @@ class CheckResult:
     detail: str
 
 
+def _uniform(u: np.ndarray, lo: float, hi: float) -> list[float]:
+    """The floats ``Generator.uniform(lo, hi)`` makes of the doubles u."""
+    return (lo + (hi - lo) * u).tolist()
+
+
 def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
     """Relative defect of the determinant = 16*F_plus*F_minus at random (t, Z),
     in the t form (``secular_t``) or, with its own seed, the s form
-    (``secular_s`` at s = Z/(2t))."""
+    (``secular_s`` at s = Z/(2t)).
+
+    Draw order and seeds are those of one ``uniform`` call each for t in
+    [1e-3, 20) and then Z in [0, 100) per point, from ``default_rng(_SEED)``
+    (t form) or ``default_rng(_SEED + 1)`` (s form); the doubles come from one
+    ``random(2*n_points)`` call, mapped by ``_uniform`` to the same floats.
+    Each point still goes through the public scalar kernels, so a defect
+    injected into any of them trips the check."""
     name = "s-representation-identity" if s_form else "factorization-identity"
-    rng = np.random.default_rng(_SEED + 1 if s_form else _SEED)
+    u = np.random.default_rng(_SEED + 1 if s_form else _SEED).random(2 * n_points)
+    ts = _uniform(u[0::2], 1e-3, 20.0)
+    zs = _uniform(u[1::2], 0.0, 100.0)
     worst = 0.0
     used = 0
-    for _ in range(n_points):
-        t = rng.uniform(1e-3, 20.0)
-        Z = rng.uniform(0.0, 100.0)
+    for t, Z in zip(ts, zs):
         if Z == 0.0:  # s = 0 lies outside the s form
             continue
         s = Z / (2.0 * t)
@@ -126,8 +138,10 @@ def _series_vs_fit(levels: tuple[int, ...]) -> CheckResult:
     )
 
 
-def _det_roots(Z: float, s_max: float) -> list[float]:
-    """Real-axis roots of the boundary determinant, by sweep and refinement."""
+def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Energies of the sign sweep along the constraint curve and the real part
+    of the boundary determinant at each, as one stacked LU determinant:
+    bit-equal to ``boundary_determinant(E, Z).real`` per energy."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
     if Z > 0:
         lo = 0.1 * math.sqrt(0.5 * Z)
@@ -139,11 +153,17 @@ def _det_roots(Z: float, s_max: float) -> list[float]:
                 extra.append(v)
             s_grid = np.concatenate([np.array(extra[::-1]), s_grid])
     energies = s_grid**2 - (Z / (2.0 * s_grid)) ** 2
+    matrices = np.array([oracle.boundary_matrix(E, Z) for E in energies.tolist()], dtype=complex)
+    return energies, np.linalg.det(matrices).real
+
+
+def _det_roots(Z: float, s_max: float) -> list[float]:
+    """Real-axis roots of the boundary determinant, by sweep and refinement."""
+    energies, vals = _det_sweep(Z, s_max)
 
     def det_re(E: float) -> float:
         return oracle.boundary_determinant(E, Z).real
 
-    vals = np.array([det_re(float(E)) for E in energies])
     roots = []
     for i in range(len(energies) - 1):
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):

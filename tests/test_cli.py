@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -278,6 +279,65 @@ class TestFigCommand:
         assert out == ""
         assert "usage error" in err
 
+    @staticmethod
+    def reference_fig2(fmt, meta, nt, nz, t_min, t_max, z_min, z_max):
+        """The sign map as one scalar ``secular_t`` call per cell, formatted
+        row by row through ``_emit``."""
+        rows = []
+        dt = (t_max - t_min) / nt
+        dz = (z_max - z_min) / nz
+        for j in range(nz):
+            Z = z_min + (j + 0.5) * dz
+            for i in range(nt):
+                t = t_min + (i + 0.5) * dt
+                v = ptcircle.secular.secular_t(t, Z)
+                rows.append([t, Z, 0 if v == 0.0 else int(math.copysign(1.0, v))])
+        stream = io.StringIO()
+        ptcircle.cli._emit(
+            stream, "fig2",
+            {"t_min": t_min, "t_max": t_max, "z_min": z_min, "z_max": z_max, "nt": nt, "nz": nz},
+            ["t", "Z", "sign"], rows, fmt, meta,
+            preamble=[
+                "sign map of the determinant in the t form; cell-centered sampling",
+                "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
+                "the sign-change contour is the eigenvalue locus",
+            ])
+        return stream.getvalue()
+
+    @pytest.mark.parametrize("fmt, meta", [("csv", False), ("json", False), ("csv", True)])
+    @pytest.mark.parametrize("window", [
+        (300, 300, 0.01, 7.0, 0.0, 200.0),
+        (256, 200, 0.05, 3.0, 0.0, 20.0),      # the defaults
+        (5, 4, 340.0, 360.0, 0.0, 1e200),       # columns above t = 350, and NaN cells
+        (3, 4, 1e-160, 1e-150, 0.0, 1.0),       # tiny t, huge Z/t
+        (7, 1, 0.5, 3.0, 4.95, 5.05),
+    ])
+    def test_fig2_matches_per_cell_loop(self, capsys, fmt, meta, window):
+        nt, nz, t_min, t_max, z_min, z_max = window
+        code, out, err = run_cli(capsys, "fig", "--which", "2", "--format", fmt,
+                                 *(["--meta"] if meta else []),
+                                 "--nt", str(nt), "--nz", str(nz), "--t-min", repr(t_min),
+                                 "--t-max", repr(t_max), "--z-min", repr(z_min),
+                                 "--z-max", repr(z_max))
+        assert (code, err) == (0, "")
+        assert out == self.reference_fig2(fmt, meta, nt, nz, t_min, t_max, z_min, z_max)
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_141_without_traceback(self):
+        # fig 2 writes about 1.2 MB, far more than a pipe buffers
+        src = str(Path(ptcircle.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with subprocess.Popen([sys.executable, "-m", "ptcircle", "fig", "--which", "2"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert first == b"t,Z,sign\n"
+        assert code == 141
+        assert err == b""
+
 
 class TestGoldenBytes:
     """SHA-256 of stdout for fixed commands; any drift in a printed byte fails."""
@@ -351,6 +411,21 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--level", "full")
         assert code == 1
         assert "FAIL factorization-identity" in out
+
+    @pytest.mark.parametrize("kernel, check", [
+        ("secular_t", "factorization-identity"),
+        ("secular_s", "s-representation-identity"),
+    ])
+    def test_injected_sign_bug_in_a_form_trips_its_identity(self, capsys, monkeypatch,
+                                                           kernel, check):
+        # the sweeps must keep calling the public kernels point by point
+        real = getattr(ptcircle.secular, kernel)
+        monkeypatch.setattr(ptcircle.secular, kernel, lambda x, Z: -real(x, Z))
+        code, out, _ = run_cli(capsys, "verify", "--level", "full")
+        assert code == 1
+        assert f"FAIL {check}:" in out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert len(failed) == 1
 
 
 class TestUsageErrors:

@@ -63,6 +63,62 @@ class TestSecularT:
             assert secular_t(t, Z) > 0.0
 
 
+
+def _scalar_or_error(t, Z):
+    try:
+        return secular_t(t, Z)
+    except ValueError:
+        return ValueError
+
+
+class TestSecularTOnGrid:
+    """An ndarray Z must give, at each entry, the bits of the scalar call, and
+    raise exactly where some scalar call raises."""
+
+    GRID = np.array([0.0, 1e-300, 0.5, 5.0, 20.0, 200.0, 1e4, 1e6, 1e154, 1e155, 1e200,
+                     1e300, 1.7e306])
+
+    @pytest.mark.parametrize("t", [
+        1e-161, 1e-10, 1e-3, 0.01, 0.05, 0.3, 1.0, 7.0, 20.0, 340.0, 349.0, 349.9, 350.0,
+        350.5, 400.0, 1e300,
+    ])
+    @pytest.mark.parametrize("grid", [GRID, GRID[:8], GRID[:1], np.linspace(0.0, 200.0, 301)])
+    def test_matches_scalar_at_every_entry(self, t, grid):
+        expected = [_scalar_or_error(t, Z) for Z in grid.tolist()]
+        if ValueError in expected:
+            with pytest.raises(ValueError):
+                secular_t(t, grid)
+            return
+        got = secular_t(t, grid)
+        assert got.shape == grid.shape
+        # bit-equal, NaN sign included: fig 2 prints the sign bit of each value
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_covers_every_regime(self):
+        # the parametrization above reaches each branch of the scalar rule
+        assert secular_t(400.0, self.GRID).tolist() == [math.inf] * len(self.GRID)
+        assert np.isnan(secular_t(349.0, self.GRID)).any()
+        assert secular_t(0.3, np.array([0.0]))[0] == secular_t(0.3, 0.0) > 0.0
+        assert _scalar_or_error(1e-3, 1.7e306) is ValueError  # Z/t overflows
+        assert _scalar_or_error(1e-161, 0.0) is not ValueError  # t*t is subnormal, not 0
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, 1e-170])
+    def test_bad_t_raises(self, t):
+        with pytest.raises(ValueError):
+            secular_t(t, np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("t", [1.0, 400.0])
+    def test_bad_coupling_raises(self, t, bad):
+        with pytest.raises(ValueError):
+            secular_t(t, bad)
+        with pytest.raises(ValueError):
+            secular_t(t, np.array([1.0, bad, 2.0]))
+
+    def test_negative_zero_is_a_coupling(self):
+        assert secular_t(1.0, np.array([-0.0])).tolist() == [secular_t(1.0, -0.0)]
+
+
 class TestSecularS:
     def test_circle_eigenvalue(self):
         assert secular_s(math.pi, 0.0) == pytest.approx(0.0, abs=1e-12)
