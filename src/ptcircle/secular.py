@@ -18,10 +18,12 @@ On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
 scan variable and the coupling.  ``constraint_factor`` evaluates it and
 ``constraint_factor_derivatives`` gives its closed-form partial derivatives;
 every root scan, fold polish, unfolding seed and broken-pair solve goes
-through these two, the last at complex s.  The one exception is the Brent
-refinement of a scan bracket (``spectrum._brent``), which writes the float
-operations of the scalar ``factor_value`` inline for speed; tests pin its
-roots and residuals to the bit against this module's factor.
+through these two, the last at complex s.  There are two exceptions, both
+for speed.  The Brent refinement of a scan bracket (``spectrum._brent``)
+writes the float operations of the scalar ``factor_value`` inline, and the
+grid pass of a scan (``spectrum._grid_factors``) forms both factors from one
+t*sinh t and one s*sin s array.  Tests pin both to the bit against this
+module's factor.
 
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in
@@ -66,6 +68,11 @@ _COMPLEX_SINH_CLAMP = 700.0
 # The two constants of the root rule ``_root_accepted``.
 _ROOT_RESIDUAL_FLOOR = 1e-12
 _ROOT_ROUNDING_UNITS = 16.0
+
+# Instance construction past the frozen dataclasses' checks, for
+# ``SpectralPoint._at_root``.
+_new = object.__new__
+_setattr = object.__setattr__
 
 
 def validate_coupling(Z: float) -> float:
@@ -131,7 +138,14 @@ class ExactParams:
 
 @dataclass(frozen=True)
 class SpectralPoint:
-    """One real eigenvalue: coupling, branch, level label, parameters, energy."""
+    """One real eigenvalue: coupling, branch, level label, parameters, energy.
+
+    The public constructor checks every invariant: a finite non-negative
+    residual accepted by the root rule ``_root_accepted``, 2*s*t = Z to
+    rounding and E == s**2 - t**2 as computed.  ``spectrum.refine_root``
+    builds its points through ``_at_root`` instead, which holds them by
+    construction.
+    """
 
     Z: float
     branch: SecularBranch
@@ -152,6 +166,41 @@ class SpectralPoint:
             raise ValueError("parameters violate 2*s*t = Z beyond rounding")
         if self.E != self.params.s**2 - self.params.t**2:
             raise ValueError("energy must equal s**2 - t**2 exactly as computed")
+
+    @classmethod
+    def _at_root(
+        cls, Z: float, branch: SecularBranch, s: float, residual: float
+    ) -> "SpectralPoint":
+        """The point at a root s of ``branch`` that the caller has accepted,
+        built without the checks of the public constructors.
+
+        It derives t = Z/(2s), n = round(s/pi) and E = s**2 - t**2 itself,
+        with the float operations the public path uses, so the fields, ``==``
+        and ``hash`` equal those of ``SpectralPoint(...)`` built from
+        ``ExactParams(t=Z/(2s), s=s)``.  The caller guarantees the rest:
+        Z passed ``validate_coupling``, s is finite and positive (it lies in
+        a bracket 0 < s_lo < s_hi < inf), and ``_root_accepted(residual, s,
+        Z, branch)`` holds.  That rule rejects a non-finite residual, and F
+        is +inf wherever |t| > 350, so t is finite and non-negative too.
+        Then 2*s*t = Z to rounding (2s is exact, t one rounding of Z/(2s)),
+        and every check of ``__post_init__`` and ``ExactParams.__post_init__``
+        would pass.  The instances are frozen like any other.
+        """
+        # field by field, as the dataclass __init__ sets them: this keeps the
+        # instances' shared-key attribute storage, which a whole new __dict__
+        # would double
+        t = Z / (2.0 * s)
+        params = _new(ExactParams)
+        _setattr(params, "t", t)
+        _setattr(params, "s", s)
+        point = _new(cls)
+        _setattr(point, "Z", Z)
+        _setattr(point, "branch", branch)
+        _setattr(point, "n", round(s / math.pi))
+        _setattr(point, "params", params)
+        _setattr(point, "E", s**2 - t**2)
+        _setattr(point, "residual", residual)
+        return point
 
 
 def t_sinh_t(t: float | complex) -> float | complex:

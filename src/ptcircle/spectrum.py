@@ -4,13 +4,15 @@ the small-coupling perturbation series.
 Scanning works in the s variable.  Along the constraint curve t = Z/(2s) the
 factors have root spacing of order pi (set by s*sin s), so a grid of step
 pi/64 cannot skip a sign change below the scan ceilings used here; roots that
-accumulate at small t are the same roots seen at large s.  Each factor is
-evaluated on the whole grid in one numpy pass, and the sign changes found
-there are the brackets.  Each bracket is refined by Brent's method, with no
-Newton polish: an in-module copy of scipy's ``brentq`` that evaluates the
-factor inline, so its roots are bit-identical to
-``scipy.optimize.brentq(constraint_factor, ...)``.  The root is accepted by
-the one rounding-aware residual rule of ``secular``, which holds at every s.
+accumulate at small t are the same roots seen at large s.  One numpy pass
+over the whole grid evaluates t*sinh t and s*sin s once and gives both
+factors, and the sign changes found there are the brackets.  Each bracket is
+refined by Brent's method, with no Newton polish: an in-module copy of
+scipy's ``brentq`` that evaluates the factor inline, so its roots are
+bit-identical to ``scipy.optimize.brentq(constraint_factor, ...)``.  The root
+is accepted by the one rounding-aware residual rule of ``secular``, which
+holds at every s, and its point is then built once, by
+``SpectralPoint._at_root``, without the public constructor's re-checks.
 Each level is labelled n = round(s/pi) together with the factor that
 vanished.
 
@@ -27,6 +29,7 @@ coefficients.  The leading term is sigma*(-1)^n/(n*pi) * t**2.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -35,12 +38,11 @@ from scipy.optimize import brentq
 
 from .errors import ConvergenceError, FitConditioningError, NoSignChangeError
 from .secular import (
-    ExactParams,
     SecularBranch,
     SpectralPoint,
     _SINH_CLAMP,
     _root_accepted,
-    constraint_factor,
+    _t_sinh_t_array,
     factor_value,
     validate_coupling,
 )
@@ -61,6 +63,7 @@ _MAX_ITER = 200
 _XTOL = 1e-15
 _RTOL = 4.0 * sys.float_info.epsilon
 _NUISANCE_ORDERS = 4
+_energy = operator.attrgetter("E")
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,11 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     NoSignChangeError when the end values have the same sign, ValueError on a
     NaN value and ConvergenceError when the iterations run out.
     """
-    fpre, fcur = [
-        (math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)) + sign * x * math.sin(x)
-        for x, t in ((s_lo, Z / (2.0 * s_lo)), (s_hi, Z / (2.0 * s_hi)))
-    ]
+    sin, sinh = math.sin, math.sinh
+    t = Z / (2.0 * s_lo)
+    fpre = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * s_lo * sin(s_lo)
+    t = Z / (2.0 * s_hi)
+    fcur = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * s_hi * sin(s_hi)
     # F is finite or +inf at every finite s > 0 unless Z is NaN, and then it
     # is NaN everywhere, so checking the ends is scipy's NaN check
     if fpre != fpre or fcur != fcur:
@@ -156,8 +160,7 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
         else:
             xcur += delta if sbis > 0 else -delta
         t = Z / (2.0 * xcur)
-        hyperbolic = math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)
-        fcur = hyperbolic + sign * xcur * math.sin(xcur)
+        fcur = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * xcur * sin(xcur)
     raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
 
 
@@ -168,10 +171,13 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
     iterates of ``scipy.optimize.brentq`` to the bit, with the factor
     inlined) and no Newton polish; the root is accepted by the package's one
     root residual rule (factor residual at most 1e-12, or at most 16
-    units of its rounding error |s*F_s|*eps).  Raises ValueError for a
-    bracket that is not finite with 0 < s_lo < s_hi, NoSignChangeError when
-    it does not straddle a root and ConvergenceError if the iteration limit
-    is hit or the rule rejects the root.
+    units of its rounding error |s*F_s|*eps).  That test, the validated Z
+    and the finite bracket are what ``SpectralPoint._at_root`` needs, so the
+    point is built from (Z, branch, s, residual) without checking them
+    again; it equals the publicly constructed point bit for bit.  Raises
+    ValueError for a bracket that is not finite with 0 < s_lo < s_hi,
+    NoSignChangeError when it does not straddle a root and ConvergenceError
+    if the iteration limit is hit or the rule rejects the root.
     """
     validate_coupling(Z)
     s_lo, s_hi = bracket
@@ -184,21 +190,25 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
             f"bracket refinement stalled at residual {residual:.3e} above its rounding bound "
             f"near s={s}"
         )
-    params = ExactParams(t=Z / (2.0 * s), s=s)
-    return SpectralPoint(
-        Z=Z,
-        branch=branch,
-        n=round(s / math.pi),
-        params=params,
-        E=params.s**2 - params.t**2,
-        residual=residual,
-    )
+    return SpectralPoint._at_root(Z, branch, s, residual)
+
+
+def _grid_factors(grid: np.ndarray, Z: float) -> tuple[tuple[SecularBranch, np.ndarray], ...]:
+    """(branch, F on the grid) for FACTOR_MINUS and then FACTOR_PLUS, with
+    t*sinh t and s*sin s evaluated once for both."""
+    # constraint_factor adds (sign*s)*sin s to t*sinh t, and with sign = +-1
+    # that product is exactly +-(s*sin s): so hyp - osc and hyp + osc are
+    # constraint_factor(grid, Z, branch) of the two branches, bit for bit
+    hyp = _t_sinh_t_array(Z / (2.0 * grid))
+    osc = grid * np.sin(grid)
+    return (SecularBranch.FACTOR_MINUS, hyp - osc), (SecularBranch.FACTOR_PLUS, hyp + osc)
 
 
 def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     """All real roots with s in (0, s_max], sorted by energy.
 
-    Each factor is evaluated on the whole pi/64 grid in one numpy pass; a
+    Both factors are evaluated on the whole pi/64 grid in one numpy pass
+    (``_grid_factors``, bit-equal to ``constraint_factor`` on the grid); a
     cell [s_i, s_i+1] is a bracket when F(s_i) is zero or F changes sign
     across it, and every bracket is refined by ``refine_root`` (the
     in-module Brent on the inlined scalar factor, bit-identical to
@@ -211,12 +221,13 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     if grid.size < 2:
         return points
     nodes = grid.tolist()
-    for branch in (SecularBranch.FACTOR_MINUS, SecularBranch.FACTOR_PLUS):
-        vals = constraint_factor(grid, req.Z, branch)
+    for branch, vals in _grid_factors(grid, req.Z):
         a, b = vals[:-1], vals[1:]
         for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
             points.append(refine_root((nodes[i], nodes[i + 1]), req.Z, branch))
-    points.sort(key=lambda p: (p.E, p.branch.value))
+    # the order of (E, branch.value): list.sort is stable and every "minus"
+    # point was appended before every "plus" point
+    points.sort(key=_energy)
     return points
 
 

@@ -106,6 +106,23 @@ def mp_truncated_energy(n: int, branch, Z, coeffs) -> tuple[mp.mpf, mp.mpf]:
     return s * s - t * t, t
 
 
+def mp_ground_energy(Z, dps: int = 50) -> mp.mpf:
+    """E of the n = 0 level (FACTOR_MINUS, s near sqrt(Z/2)) at a small
+    coupling Z > 0, from a root found at ``dps`` digits.  E is about Z**2/12
+    there, and forming s**2 - t**2 loses about log10(24/Z) digits, which the
+    extra working digits cover."""
+    with mp.workdps(dps):
+        Z = mp.mpf(Z)
+
+        def f(s):
+            t = Z / (2 * s)
+            return t * mp.sinh(t) - s * mp.sin(s)
+
+        s = mp.findroot(f, mp.sqrt(Z / 2) * (1 + Z / 24))
+        t = Z / (2 * s)
+        return s * s - t * t
+
+
 def mp_reference_energy(n: int, branch, Z) -> mp.mpf:
     s = mp_root_s(n, branch, Z)
     t = mp.mpf(Z) / (2 * s)

@@ -369,6 +369,28 @@ class TestTypes:
             SpectralPoint(Z=5.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
                           residual=0.0)  # violates 2st = Z
 
+    @pytest.mark.parametrize("t, s", [(-0.1, 1.0), (1.0, -0.1), (math.nan, 1.0),
+                                      (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_exact_params_rejects(self, t, s):
+        with pytest.raises(ValueError):
+            ExactParams(t=t, s=s)
+
+    @pytest.mark.parametrize("field, value", [
+        ("residual", -1e-20), ("residual", math.nan), ("residual", math.inf),
+        ("residual", 1e-9),  # above the root rule at this (s, Z)
+        ("Z", 6.0 + 1e-9),  # violates 2st = Z
+        ("E", math.nextafter(2.0**2 - 1.5**2, math.inf)),  # not s**2 - t**2 as computed
+    ])
+    def test_spectral_point_rejects(self, field, value):
+        # the checked constructor stays strict; only refine_root's own points
+        # (SpectralPoint._at_root) skip the checks they hold by construction
+        params = ExactParams.on_constraint(s=2.0, Z=6.0)
+        good = dict(Z=6.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
+                    residual=0.0)
+        SpectralPoint(**good)
+        with pytest.raises(ValueError):
+            SpectralPoint(**{**good, field: value})
+
     def test_constraint_bound_is_relative_to_rounding(self):
         # at Z = 1e4 rounding t = Z/(2s) leaves |2st - Z| above 1e-12 (here 1.8e-12)
         params = ExactParams.on_constraint(s=127.0 / 7.0, Z=1e4)

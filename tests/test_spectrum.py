@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import mpmath as mp
@@ -14,10 +15,16 @@ from ptcircle.oracle import (
     nullspace_solution,
     residual_check,
 )
-from ptcircle.secular import SecularBranch, constraint_factor, factor_value
+from ptcircle.secular import (
+    ExactParams,
+    SecularBranch,
+    SpectralPoint,
+    constraint_factor,
+    factor_value,
+)
 from ptcircle.spectrum import SpectrumRequest, _scan_grid, refine_root, scan_roots
 
-from _mp_reference import mp_constraint_factor
+from _mp_reference import mp_constraint_factor, mp_ground_energy
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS
@@ -226,6 +233,22 @@ class TestRefineRoot:
             spectrum._brent(1.0, 2.0, math.nan, -1)
 
 
+def seeded_scan_brackets():
+    """(Z, s_max, s_lo, s_hi, branch) of every bracket that the scans of 400
+    seeded (Z, s_max) draws refine; Z = 0 and 5e-324 included."""
+    rng = np.random.default_rng(20261018)
+    for k in range(400):
+        Z = (0.0, 5e-324, 10.0 ** rng.uniform(-8.0, math.log10(3e3)),
+             rng.uniform(0.0, 80.0))[k % 4]
+        s_max = math.exp(rng.uniform(math.log(math.pi), math.log(300.0)))
+        grid = _scan_grid(Z, s_max)
+        for branch in (MINUS, PLUS):
+            vals = constraint_factor(grid, Z, branch)
+            a, b = vals[:-1], vals[1:]
+            for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
+                yield Z, s_max, float(grid[i]), float(grid[i + 1]), branch
+
+
 class TestBrentIsScipyBrentq:
     """``refine_root`` runs Brent in-module on an inline copy of the factor.
     Root and residual must be those of ``scipy.optimize.brentq`` on
@@ -234,25 +257,115 @@ class TestBrentIsScipyBrentq:
 
     def test_seeded_scan_brackets(self):
         eps = np.finfo(float).eps
-        rng = np.random.default_rng(20261018)
         brackets = 0
-        for k in range(400):
-            Z = (0.0, 5e-324, 10.0 ** rng.uniform(-8.0, math.log10(3e3)),
-                 rng.uniform(0.0, 80.0))[k % 4]
-            s_max = math.exp(rng.uniform(math.log(math.pi), math.log(300.0)))
-            grid = _scan_grid(Z, s_max)
-            for branch in (MINUS, PLUS):
-                vals = constraint_factor(grid, Z, branch)
-                a, b = vals[:-1], vals[1:]
-                for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
-                    lo, hi = float(grid[i]), float(grid[i + 1])
-                    p = refine_root((lo, hi), Z, branch)
-                    s = brentq(constraint_factor, lo, hi, args=(Z, branch),
-                               xtol=1e-15, rtol=4.0 * eps, maxiter=200)
-                    assert p.params.s == s, (Z, s_max, lo, hi, branch)
-                    assert p.residual == abs(constraint_factor(s, Z, branch)), (Z, s_max, lo, hi)
-                    brackets += 1
+        for Z, s_max, lo, hi, branch in seeded_scan_brackets():
+            p = refine_root((lo, hi), Z, branch)
+            s = brentq(constraint_factor, lo, hi, args=(Z, branch),
+                       xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+            assert p.params.s == s, (Z, s_max, lo, hi, branch)
+            assert p.residual == abs(constraint_factor(s, Z, branch)), (Z, s_max, lo, hi)
+            brackets += 1
         assert brackets > 12000
+
+
+def public_point(Z: float, branch: SecularBranch, s: float, residual: float) -> SpectralPoint:
+    """A root's point built through the public, fully checked constructors,
+    as ``refine_root`` built it before ``SpectralPoint._at_root``."""
+    params = ExactParams(t=Z / (2.0 * s), s=s)
+    return SpectralPoint(
+        Z=Z,
+        branch=branch,
+        n=round(s / math.pi),
+        params=params,
+        E=params.s**2 - params.t**2,
+        residual=residual,
+    )
+
+
+def field_bits(p: SpectralPoint) -> list[tuple[type, object]]:
+    """Every field of a point with its type; floats by their bits (hex)."""
+    values = (p.Z, p.branch, p.n, p.params.t, p.params.s, p.E, p.residual)
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+
+
+class TestCertifiedConstruction:
+    """``refine_root`` builds its point by ``SpectralPoint._at_root``, which
+    skips the public constructors' checks; the point must be the one the
+    public constructors give, and still a frozen, checkable value."""
+
+    def test_seeded_scan_brackets_match_public_construction(self):
+        brackets = 0
+        for Z, s_max, lo, hi, branch in seeded_scan_brackets():
+            p = refine_root((lo, hi), Z, branch)
+            s, f = spectrum._brent(lo, hi, Z, branch.sin_term_sign)
+            ref = public_point(Z, branch, s, abs(f))
+            assert field_bits(p) == field_bits(ref), (Z, s_max, lo, hi, branch)
+            assert p == ref and hash(p) == hash(ref)
+            assert dataclasses.replace(p) == p  # re-runs SpectralPoint's checks
+            assert dataclasses.replace(p.params) == p.params  # and ExactParams'
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                p.E = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                p.params.s = 1.0
+            brackets += 1
+        assert brackets > 12000
+
+
+GRID_COUPLINGS = (0.0, 5e-324, 1e-8, 2.5, 80.0, 1e4)
+
+
+def reference_scan(Z: float, s_max: float) -> list[SpectralPoint]:
+    """``scan_roots`` as built before the one-pass grid, the certified
+    constructor and the sort on E alone: one ``constraint_factor`` pass per
+    branch and publicly constructed points sorted by (E, branch name)."""
+    grid = _scan_grid(Z, s_max)
+    nodes = grid.tolist()
+    points = []
+    for branch in (MINUS, PLUS):
+        vals = constraint_factor(grid, Z, branch)
+        a, b = vals[:-1], vals[1:]
+        for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
+            s, f = spectrum._brent(nodes[i], nodes[i + 1], Z, branch.sin_term_sign)
+            points.append(public_point(Z, branch, s, abs(f)))
+    points.sort(key=lambda p: (p.E, p.branch.value))
+    return points
+
+
+class TestGridFactors:
+    """The scan forms both factors from one t*sinh t and one s*sin s array."""
+
+    @pytest.mark.parametrize("Z", GRID_COUPLINGS)
+    @pytest.mark.parametrize("s_max", [math.pi, 40.0, 2000.0])
+    def test_one_pass_is_constraint_factor_bit_for_bit(self, Z, s_max):
+        grid = _scan_grid(Z, s_max)
+        factors = spectrum._grid_factors(grid, Z)
+        assert [branch for branch, _ in factors] == [MINUS, PLUS]
+        for branch, vals in factors:
+            ref = constraint_factor(grid, Z, branch)
+            assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes(), branch
+        if Z >= 80.0:  # t = Z/(2s) > 350 at the low end of the grid
+            assert np.isposinf(factors[0][1][0])
+            assert np.isposinf(factors[1][1][0])
+
+    @pytest.mark.parametrize("Z", GRID_COUPLINGS)
+    @pytest.mark.parametrize("s_max", [math.pi, 40.0, 2000.0])
+    def test_scan_returns_the_reference_points(self, Z, s_max):
+        got = scan_roots(SpectrumRequest(Z=Z, s_max=s_max))
+        ref = reference_scan(Z, s_max)
+        assert [field_bits(p) for p in got] == [field_bits(p) for p in ref]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the n = 0 level at small Z: E = s**2 - t**2 is about Z**2/12 with "
+    "condition about 24/Z in s, and Brent's absolute xtol leaves s more than an ulp off",
+)
+def test_ground_level_energy_at_small_coupling():
+    Z = 1e-6
+    p = next(p for p in scan_roots(SpectrumRequest(Z=Z, s_max=4.0)) if p.n == 0)
+    assert p.branch is MINUS
+    E = mp_ground_energy(Z)
+    assert abs((p.E - E) / E) <= 1e-9
 
 
 class TestConcurrencyDeterminism:
