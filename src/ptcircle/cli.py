@@ -22,6 +22,9 @@ import argparse
 import contextlib
 import functools
 import json
+# argparse's gettext imports locale when it builds the first parser; loading
+# it here keeps that cost in the import instead of in the command
+import locale  # noqa: F401
 import math
 import os
 import sys

@@ -42,9 +42,9 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import NotAnEigenvalueError
 from .secular import validate_coupling
@@ -283,13 +283,97 @@ def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -
     )
 
 
+def _fminbound(func: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
+    """(x, func(x)) at a local minimum of func on [lo, hi]: Brent's bounded
+    minimizer, golden-section steps safeguarding parabolic ones (Brent 1973,
+    ch. 5), with absolute tolerance 1e-5 in x and at most 500 evaluations.
+
+    A port of scipy's ``_minimize_scalar_bounded`` with the same float and
+    numpy operations in the same order, so it returns the x and value of
+    ``scipy.optimize.minimize_scalar(func, bounds=(lo, hi),
+    method="bounded")`` to the bit, after the same evaluations.  A bound that
+    is not finite raises ValueError, as in scipy.
+    """
+    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN wave function's phase
+        raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
+    xatol, maxfun = 1e-5, 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if np.abs(e) > tol1:  # try a parabola through the three best points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden_mean * e
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf, fx
+
+
 def pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
     """Best-phase mismatch between psi(-x)* and psi(x),
 
         min over |lambda| = 1 of  max_x |psi(-x)* - lambda psi(x)| / max |psi|.
 
     Tiny for unbroken eigenfunctions; order one in the broken regime where
-    conjugation-parity maps a pair member to its partner.
+    conjugation-parity maps a pair member to its partner.  The phase is the
+    best of 64 around the least-squares one, polished over +-pi/32 by
+    ``_fminbound``, which gives the bits of scipy's bounded
+    ``minimize_scalar``.
     """
     x = np.linspace(-1.0, 1.0, grid_n)
     psi = evaluate_wavefunction(sol, x)
@@ -300,11 +384,12 @@ def pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
         lam = cmath.exp(1j * theta)
         return float(np.max(np.abs(psi_pt - lam * psi))) / peak
 
-    # least-squares phase is a near-optimal start; polish by bounded Brent
+    # least-squares phase is a near-optimal start; polish by Brent's bounded
+    # minimizer
     overlap = complex(np.vdot(psi, psi_pt))
     theta0 = cmath.phase(overlap) if overlap != 0.0 else 0.0
     thetas = [theta0 + 2.0 * math.pi * j / 64.0 for j in range(64)]
     theta_best = min(thetas, key=mismatch)
     window = (theta_best - math.pi / 32.0, theta_best + math.pi / 32.0)
-    polished = minimize_scalar(mismatch, bounds=window, method="bounded")
-    return min(float(polished.fun), mismatch(theta_best))
+    _, polished = _fminbound(mismatch, *window)
+    return min(float(polished), mismatch(theta_best))

