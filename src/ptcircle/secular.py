@@ -15,15 +15,17 @@ Three equivalent closed forms of the condition are provided:
   one factor per branch.
 
 On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
-scan variable and the coupling.  ``constraint_factor`` evaluates it and
-``constraint_factor_derivatives`` gives its closed-form partial derivatives;
-every root scan, fold polish, unfolding seed and broken-pair solve goes
-through these two, the last at complex s.  There are two exceptions, both
-for speed.  The Brent refinement of a scan bracket (``spectrum._brent``)
-writes the float operations of the scalar ``factor_value`` inline, and the
-grid pass of a scan (``spectrum._grid_factors``) forms both factors from one
-t*sinh t and one s*sin s array.  Tests pin both to the bit against this
-module's factor.
+scan variable and the coupling.  ``constraint_factor`` evaluates it alone,
+and ``_factor_state`` evaluates it together with its closed-form partial
+derivatives at one point, the one place their formulas are written
+(``constraint_factor_derivatives`` returns its partials).  Every root scan,
+fold polish, unfolding seed and broken-pair solve goes through these, the
+last at complex s.  There are two exceptions, both for speed.  The Brent
+refinement of a scan bracket (``spectrum._brent``) writes the float
+operations of the scalar ``factor_value`` inline, and the grid pass of a
+scan (``spectrum._grid_factors``) forms both factors from one t*sinh t and
+one s*sin s array.  Tests pin both to the bit against this module's
+factor.
 
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in
@@ -317,6 +319,51 @@ def constraint_factor(
     return factor_value(Z / (2.0 * s), s, branch)
 
 
+def _factor_state(
+    s: float | complex, Z: float, branch: SecularBranch
+) -> tuple[float | complex, ...]:
+    """(F, F_s, F_ss, F_Z, F_sZ) of ``constraint_factor`` at one point, with
+    sin s, cos s, sinh t and cosh t each computed once.
+
+    F takes the float operations of ``constraint_factor`` and the partials
+    those of the formulas in ``constraint_factor_derivatives``, in the same
+    order, so each equals its separate evaluation to the bit.  A real s is
+    evaluated with ``math``, a complex s with ``cmath`` (a
+    ``numpy.complex128`` as the equal builtin complex).  Past the clamp of
+    ``t_sinh_t`` (|t| > 350 for a real s, |Re t| > 700 for a complex s) F is
+    +inf plus the s*sin s term, as ``constraint_factor`` gives it, and the
+    partials are (-inf, +inf, +inf, -inf).  This is the one home of the
+    derivative formulas; the continuation and the fold polish carry the
+    state from point to point instead of evaluating a point twice.
+    """
+    sign = branch.sin_term_sign
+    if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
+        s = complex(s)  # numpy's complex division rounds differently from Python's
+        two_s = 2.0 * s
+        t = Z / two_s
+        if abs(t.real) > _COMPLEX_SINH_CLAMP:
+            return math.inf + sign * s * cmath.sin(s), -math.inf, math.inf, math.inf, -math.inf
+        sh, ch, sin_s, cos_s = cmath.sinh(t), cmath.cosh(t), cmath.sin(s), cmath.cos(s)
+    else:
+        two_s = 2.0 * s
+        t = Z / two_s
+        if abs(t) > _SINH_CLAMP:
+            return math.inf + sign * s * math.sin(s), -math.inf, math.inf, math.inf, -math.inf
+        sh, ch, sin_s, cos_s = math.sinh(t), math.cosh(t), math.sin(s), math.cos(s)
+    # a product that the formulas below share is formed once: the same
+    # operation on the same operands, so the same bits
+    t_sh = t * sh
+    g1 = sh + t * ch
+    g2 = 2.0 * ch + t_sh
+    t_g2 = t * g2
+    F = t_sh + sign * s * sin_s
+    F_s = -(t / s) * g1 + sign * (sin_s + s * cos_s)
+    F_ss = (t / (s * s)) * (2.0 * g1 + t_g2) + sign * (2.0 * cos_s - s * sin_s)
+    F_Z = g1 / two_s
+    F_sZ = -(g1 + t_g2) / (two_s * s)
+    return F, F_s, F_ss, F_Z, F_sZ
+
+
 def constraint_factor_derivatives(
     s: float | complex, Z: float, branch: SecularBranch
 ) -> tuple[float | complex, ...]:
@@ -333,24 +380,10 @@ def constraint_factor_derivatives(
     ``t_sinh_t`` (|t| > 350 for a real s, |Re t| > 700 for a complex s), where
     the signed infinities (-inf, +inf, +inf, -inf) are returned.  A complex s
     is evaluated with ``cmath``, a ``numpy.complex128`` as the equal builtin
-    complex, like in ``constraint_factor``.
+    complex, like in ``constraint_factor``.  The formulas are written once,
+    in ``_factor_state``.
     """
-    if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
-        s, m = complex(s), cmath
-    else:
-        m = math
-    t = Z / (2.0 * s)
-    if (abs(t.real) > _COMPLEX_SINH_CLAMP) if m is cmath else (abs(t) > _SINH_CLAMP):
-        return -math.inf, math.inf, math.inf, -math.inf
-    sh, ch, sin_s, cos_s = m.sinh(t), m.cosh(t), m.sin(s), m.cos(s)
-    sign = branch.sin_term_sign
-    g1 = sh + t * ch
-    g2 = 2.0 * ch + t * sh
-    F_s = -(t / s) * g1 + sign * (sin_s + s * cos_s)
-    F_ss = (t / (s * s)) * (2.0 * g1 + t * g2) + sign * (2.0 * cos_s - s * sin_s)
-    F_Z = g1 / (2.0 * s)
-    F_sZ = -(g1 + t * g2) / (2.0 * s * s)
-    return F_s, F_ss, F_Z, F_sZ
+    return _factor_state(s, Z, branch)[1:]
 
 
 def _root_accepted(residual: float, s: float | complex, Z: float, branch: SecularBranch) -> bool:
@@ -367,7 +400,7 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
         return True
     if not math.isfinite(residual):
         return False
-    F_s = constraint_factor_derivatives(s, Z, branch)[0]
+    F_s = _factor_state(s, Z, branch)[1]
     return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)
 
 

@@ -39,9 +39,9 @@ import numpy as np
 from .errors import ConvergenceError, NotAFoldError
 from .secular import (
     SecularBranch,
+    _factor_state,
     _root_accepted,
     constraint_factor,
-    constraint_factor_derivatives,
     t_sinh_t,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
     validate_coupling,
 )
@@ -174,36 +174,43 @@ def _params_from_energy(E: complex, Z: float) -> BrokenParams:
     )
 
 
-def _newton(s: complex, Z: float, branch: SecularBranch) -> complex:
+def _newton(s: complex, Z: float, branch: SecularBranch) -> tuple[complex, tuple[complex, ...]]:
     """Damped Newton on the factor at fixed Z, s -= lam*F/F_s with lam halved
     until |F| decreases, until the step falls to rounding or no step decreases
-    |F|.  A non-finite factor at the start raises ConvergenceError."""
-    F = constraint_factor(s, Z, branch)
-    if not cmath.isfinite(F):
+    |F|.  Returns the last accepted s with its ``_factor_state``, computed
+    once per trial point.  A non-finite factor at the start raises
+    ConvergenceError."""
+    state = _factor_state(s, Z, branch)
+    if not cmath.isfinite(state[0]):
         raise ConvergenceError(f"factor overflows at s={s}, Z={Z}")
+    size = abs(state[0])
     for _ in range(100):
-        step = F / constraint_factor_derivatives(s, Z, branch)[0]
+        step = state[0] / state[1]
         if abs(step) <= 1e-15 * abs(s):
             break
         lam = 1.0
         for _ in range(40):
             trial = s - lam * step
-            F_trial = constraint_factor(trial, Z, branch)
-            if abs(F_trial) < abs(F):
-                s, F = trial, F_trial
+            trial_state = _factor_state(trial, Z, branch)
+            trial_size = abs(trial_state[0])
+            if trial_size < size:
+                s, state, size = trial, trial_state, trial_size
                 break
             lam *= 0.5
         else:
             break
-    return s
+    return s, state
 
 
-def _certified(s: complex, Z: float, branch: SecularBranch) -> tuple[BrokenParams, ComplexEnergy]:
-    """The root s, accepted by the package's one root rule on the factor,
-    then mapped through E = s**2 - t**2 to (alpha, beta, K).  The mapping
-    raises ValueError at the k = 0 state E = i*Z (s**2 = i*Z/2), a root of
-    FACTOR_PLUS at every Z but no eigenvalue (``_params_from_energy``)."""
-    residual = abs(constraint_factor(s, Z, branch))
+def _certified(
+    s: complex, Z: float, branch: SecularBranch, F: complex
+) -> tuple[BrokenParams, ComplexEnergy]:
+    """The root s, with its factor value F at (s, Z), accepted by the
+    package's one root rule on the factor, then mapped through
+    E = s**2 - t**2 to (alpha, beta, K).  The mapping raises ValueError at
+    the k = 0 state E = i*Z (s**2 = i*Z/2), a root of FACTOR_PLUS at every Z
+    but no eigenvalue (``_params_from_energy``)."""
+    residual = abs(F)
     if not _root_accepted(residual, s, Z, branch):
         raise ConvergenceError(f"broken solve stalled at Z={Z} with residual {residual:.3e}")
     t = Z / (2.0 * s)
@@ -211,14 +218,17 @@ def _certified(s: complex, Z: float, branch: SecularBranch) -> tuple[BrokenParam
     return params, params.energy()
 
 
-def _seeded_root(Z: float, init: BrokenParams) -> tuple[complex, SecularBranch]:
+def _seeded_root(
+    Z: float, init: BrokenParams
+) -> tuple[complex, tuple[complex, ...], SecularBranch]:
     """``init`` as s = sqrt((E + sqrt(E**2 + Z**2))/2) with E = K**2 + i*eps,
-    solved by ``_newton`` on the factor with the smaller |F| there."""
+    solved by ``_newton`` on the factor with the smaller |F| there: the root,
+    its ``_factor_state`` and the branch."""
     E0 = init.energy()
     E = complex(E0.re_E, E0.eps)
     s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
     branch = min(SecularBranch, key=lambda b: abs(constraint_factor(s, Z, b)))
-    return _newton(s, Z, branch), branch
+    return (*_newton(s, Z, branch), branch)
 
 
 def solve_broken(Z: float, init: BrokenParams) -> tuple[BrokenParams, ComplexEnergy]:
@@ -229,8 +239,8 @@ def solve_broken(Z: float, init: BrokenParams) -> tuple[BrokenParams, ComplexEne
     if not validate_coupling(Z) > 0.0:
         raise ValueError("broken-regime solves require Z > 0")
     try:
-        s, branch = _seeded_root(Z, init)
-        return _certified(s, Z, branch)
+        s, state, branch = _seeded_root(Z, init)
+        return _certified(s, Z, branch, state[0])
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
 
@@ -252,18 +262,13 @@ def _branch_for_interval(nu: int) -> SecularBranch:
     return SecularBranch.FACTOR_MINUS if nu % 2 == 0 else SecularBranch.FACTOR_PLUS
 
 
-def _fold_state(s: float, Z: float, branch: SecularBranch) -> tuple[float, ...]:
-    """(F, F_s, F_ss, F_Z, F_sZ) of the branch factor at (s, Z)."""
-    return (constraint_factor(s, Z, branch), *constraint_factor_derivatives(s, Z, branch))
-
-
 def find_double_root(
     Z_guess: float, s_guess: float, branch: SecularBranch
 ) -> CriticalPoint:
     """Polish a fold of the factor along the constraint curve.
 
     Newton on the pair {F(s; Z) = 0, F_s(s; Z) = 0} with the closed-form
-    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``constraint_factor_derivatives``.
+    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``secular._factor_state``.
     The converged point is certified as a quadratic fold: both residuals at or
     below 1e-10, otherwise ConvergenceError, and |F_ss| at least 1e-4,
     otherwise NotAFoldError.  A non-finite residual or curvature fails the
@@ -272,7 +277,7 @@ def find_double_root(
     """
     s, Z = float(s_guess), float(Z_guess)
     for _ in range(100):
-        F, F_s, F_ss, F_Z, F_sZ = _fold_state(s, Z, branch)
+        F, F_s, F_ss, F_Z, F_sZ = _factor_state(s, Z, branch)
         if max(abs(F), abs(F_s)) < 1e-13:
             break
         try:
@@ -284,14 +289,14 @@ def find_double_root(
         for _ in range(30):
             s_try, Z_try = s + lam * step[0], Z + lam * step[1]
             if s_try > 0.0 and Z_try > 0.0:
-                if math.hypot(*_fold_state(s_try, Z_try, branch)[:2]) < norm0:
+                if math.hypot(*_factor_state(s_try, Z_try, branch)[:2]) < norm0:
                     s, Z = s_try, Z_try
                     break
             lam *= 0.5
         else:
             break
     s, Z = float(s), float(Z)
-    F, F_s, curvature, _, _ = _fold_state(s, Z, branch)
+    F, F_s, curvature, _, _ = _factor_state(s, Z, branch)
     if not (abs(F) <= _FOLD_RESIDUAL and abs(F_s) <= _FOLD_RESIDUAL):  # NaN fails too
         raise ConvergenceError(
             f"fold polish stalled at |F|={abs(F):.2e}, |F_s|={abs(F_s):.2e} (s={s}, Z={Z})"
@@ -373,10 +378,28 @@ def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
     """
     if Z <= fold.Z_crit:
         raise ValueError(f"unfolding seed needs Z above the fold ({fold.Z_crit})")
-    _, F_ss, F_Z, _ = constraint_factor_derivatives(fold.s_merge, fold.Z_crit, fold.branch)
+    _, _, F_ss, F_Z, _ = _factor_state(fold.s_merge, fold.Z_crit, fold.branch)
     s = complex(fold.s_merge, math.sqrt(abs(2.0 * F_Z / F_ss) * (Z - fold.Z_crit)))
     t = Z / (2.0 * s)
     return _params_from_energy(s * s - t * t, Z)
+
+
+def _linear_grid(Z_from: float, Z_to: float, steps: int) -> list[float]:
+    """The steps + 1 points of ``np.linspace(Z_from, Z_to, steps + 1)``,
+    Z_from + i*(Z_to - Z_from)/steps and then Z_to, with linspace's float
+    operations and so its bits; just [Z_from] when the ends are equal.  Built
+    in Python because each ``broken`` call asks for one step, and the numpy
+    call cost more than such a grid."""
+    if Z_from == Z_to:
+        return [Z_from]
+    delta = Z_to - Z_from
+    step = delta / steps
+    if step == 0.0:  # linspace's own fallback when delta/steps underflows
+        grid = [i / steps * delta + Z_from for i in range(steps)]
+    else:
+        grid = [i * step + Z_from for i in range(steps)]
+    grid.append(Z_to)
+    return grid
 
 
 def continue_in_Z(
@@ -401,27 +424,27 @@ def continue_in_Z(
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    if not (validate_coupling(Z_from) > 0.0 and validate_coupling(Z_to) > 0.0):
+    Z_from, Z_to = validate_coupling(Z_from), validate_coupling(Z_to)
+    if not (Z_from > 0.0 and Z_to > 0.0):
         raise ValueError("broken-regime solves require Z > 0")
-    grid = np.linspace(Z_from, Z_to, steps + 1) if Z_from != Z_to else np.array([Z_from])
     path: list[tuple[float, BrokenParams, ComplexEnergy]] = []
-    Z = float(Z_from)
+    Z = Z_from
     try:
-        s, branch = _seeded_root(Z, start)
+        s, state, branch = _seeded_root(Z, start)
         side = math.copysign(1.0, s.imag)
-        for Zg in map(float, grid):
+        for Zg in _linear_grid(Z_from, Z_to, steps):
             while Z != Zg:
-                F_s, F_ss, F_Z, _ = constraint_factor_derivatives(s, Z, branch)
+                _, F_s, F_ss, F_Z, _ = state
                 slope = -F_Z / F_s
                 h = min(0.5 * abs(s.imag), 0.5 * abs(F_s / F_ss), _MAX_ROOT_MOVE) / abs(slope)
                 Z_next = Zg if h >= abs(Zg - Z) else Z + math.copysign(h, Zg - Z)
                 if Z_next == Z:
                     raise ConvergenceError("step too short to move Z")
-                s = _newton(s + (Z_next - Z) * slope, Z_next, branch)
+                s, state = _newton(s + (Z_next - Z) * slope, Z_next, branch)
                 if s.imag * side <= 0.0:
                     raise ConvergenceError(f"root crossed the real axis to s={s}")
                 Z = Z_next
-            path.append((Zg, *_certified(s, Zg, branch)))
+            path.append((Zg, *_certified(s, Zg, branch, state[0])))
     except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"continuation failed at Z={Z}: {exc}") from exc
     return path
@@ -450,6 +473,12 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
     Within rounding of the fold, where the factor at s_merge is not negative,
     the pair has merged and the merged state is returned twice.  Z <= 0
     raises ValueError.
+
+    Small-Z limit: for the nu = 0 fold, Z <= 1e-10 raises ValueError ("no
+    hyperbolic form").  The lower root there is the n = 0 level, with
+    s ~ t ~ sqrt(Z/2) and energy about Z**2/12, and s*s - t*t cancels to
+    zero or below in double precision, so the pair has no hyperbolic form.
+    Z = 1e-9 still gives the pair; the folds with nu > 0 are not affected.
     """
     if not 0.0 < Z <= fold.Z_crit:
         raise ValueError("real pair near a fold needs 0 < Z <= the fold coupling")

@@ -3,16 +3,19 @@
 scipy is a test dependency only: ``import ptcircle, ptcircle.cli`` must not
 load it, and every README command must run with it unavailable.  A command
 must also load no module of its own after the import, so that a command
-timed after the import is charged only for its own work.
+timed after the import is charged only for its own work.  And every name that
+the traced benchmark run wraps (``perfbench/spans.py``) must stay bound.
 """
 
 import contextlib
 import functools
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -82,3 +85,18 @@ def test_readme_command_loads_no_module(argv):
     # a module loaded on first use inside a command (numpy.random, numpy.ma,
     # locale) would be charged to the command, not to the import
     assert probe(tuple(argv))["added"] == []
+
+
+def test_every_traced_name_is_bound():
+    # a traced benchmark run replaces these names for the duration of a call
+    # and aborts with AttributeError on one that is no longer bound; the file
+    # is executed from its source, so no bytecode is written next to it
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spans = types.ModuleType("spans")
+    exec(compile(path.read_text(), str(path), "exec"), spans.__dict__)
+    names = [entry[:2] for entry in spans.SPANNED + spans.COUNTED]
+    assert names
+    # ptcircle.cli is imported at the top of this file, as in a traced run
+    unbound = [(module, attr) for module, attr in names
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    assert unbound == []

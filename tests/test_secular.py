@@ -1,15 +1,18 @@
 import cmath
 import math
+import struct
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from _mp_reference import mp_constraint_factor
+from _tracker_reference import ref_constraint_factor_derivatives
 from ptcircle.secular import (
     ExactParams,
     SecularBranch,
     SpectralPoint,
+    _factor_state,
     constraint_factor,
     constraint_factor_derivatives,
     energy_of,
@@ -270,6 +273,87 @@ class TestConstraintKernel:
             -math.inf, math.inf, math.inf, -math.inf
         )
         assert constraint_factor(0.7 + 0.0j, Z, branch) == math.inf
+
+
+
+def _bits(value):
+    """Type and bit pattern, so that NaNs and signed zeros compare too."""
+    parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
+    return type(value), tuple(struct.pack("<d", v) for v in parts)
+
+
+class TestFactorState:
+    """``_factor_state`` against ``constraint_factor`` and the partials as
+    ``constraint_factor_derivatives`` computed them before the state was
+    shared (``_tracker_reference``), bit for bit."""
+
+    REAL = [0.3, 2.50380392309, 4.3, 17.0, 130.1]
+    COMPLEX = [3.5 + 0.3j, 2.5 - 1.2j, 40.0 + 3.0j, 0.7 + 0.7j, 9.8 + 0.004j]
+    COUPLINGS = [1e-8, 0.4, 7.0, 300.0]
+
+    @staticmethod
+    def _assert_state(s, Z, branch):
+        state = _factor_state(s, Z, branch)
+        assert len(state) == 5
+        assert _bits(state[0]) == _bits(constraint_factor(s, Z, branch))
+        want = ref_constraint_factor_derivatives(s, Z, branch)
+        assert [_bits(v) for v in state[1:]] == [_bits(v) for v in want]
+        assert [_bits(v) for v in constraint_factor_derivatives(s, Z, branch)] == [
+            _bits(v) for v in want
+        ]
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("kind", [float, np.float64])
+    @pytest.mark.parametrize("Z", COUPLINGS)
+    def test_real_s(self, branch, kind, Z):
+        for s in self.REAL:
+            self._assert_state(kind(s), Z, branch)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("kind", [complex, np.complex128])
+    @pytest.mark.parametrize("Z", COUPLINGS + [1e4])
+    def test_complex_s(self, branch, kind, Z):
+        for s in self.COMPLEX:
+            self._assert_state(kind(s), Z, branch)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    def test_numpy_complex_is_the_builtin_complex(self, branch):
+        for s in self.COMPLEX:
+            got = _factor_state(np.complex128(s), 300.0, branch)
+            assert [_bits(complex(v)) for v in got] == [
+                _bits(v) for v in _factor_state(s, 300.0, branch)
+            ]
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    def test_real_clamp_below_and_above(self, branch):
+        # s = 0.5 makes t = Z exactly
+        below, above = 350.0, math.nextafter(350.0, math.inf)
+        for Z in (below, above):
+            self._assert_state(0.5, Z, branch)
+        assert math.isfinite(_factor_state(0.5, below, branch)[0])
+        F, *partials = _factor_state(0.5, above, branch)
+        assert F == math.inf
+        assert tuple(partials) == (-math.inf, math.inf, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    @pytest.mark.parametrize("imag", [0.0, 1e-3])
+    def test_complex_clamp_below_and_above(self, branch, imag):
+        s = complex(0.5, imag)
+        below = 700.0 if imag == 0.0 else 700.0 * (1.0 + 4e-6)
+        above = math.nextafter(below, math.inf) if imag == 0.0 else 700.0 * (1.0 + 5e-6)
+        assert abs((below / (2.0 * s)).real) <= 700.0 < abs((above / (2.0 * s)).real)
+        for Z in (below, above):
+            self._assert_state(s, Z, branch)
+            self._assert_state(np.complex128(s), Z, branch)
+        assert cmath.isfinite(_factor_state(s, below, branch)[0])
+        F, *partials = _factor_state(s, above, branch)
+        assert F.real == math.inf
+        assert tuple(partials) == (-math.inf, math.inf, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("branch", [MINUS, PLUS])
+    def test_nan_s(self, branch):
+        for s in (math.nan, np.float64(math.nan), complex(math.nan, 1.0), complex(2.0, math.nan)):
+            self._assert_state(s, 7.0, branch)
 
 
 class TestEnergy:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _mp_reference import mp_broken_branch
-from ptcircle import transition
+from _tracker_reference import ref_continue_in_Z, ref_fold_unfolding_seed, ref_solve_above_fold
+from ptcircle import secular, transition
 from ptcircle.errors import ConvergenceError, SolverError
 from ptcircle.oracle import nullspace_solution, residual_check
 from ptcircle.secular import SecularBranch
@@ -417,6 +418,86 @@ class TestLargeCoupling:
             solve_broken(Z, seed)
 
 
+def _hex(Z, params, energy):
+    values = (Z, params.alpha, params.beta, params.K, energy.re_E, energy.eps)
+    return tuple(float(v).hex() for v in values)
+
+
+def _answer(call, *args):
+    """The bits of a tracker answer (a path or one point), or its error type
+    and text."""
+    try:
+        result = call(*args)
+    except ConvergenceError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, list):
+        return [_hex(*point) for point in result]
+    return _hex(args[-1], *result)
+
+
+class TestSharedFactorState:
+    """The tracker carries each point's ``_factor_state`` instead of
+    evaluating the point again; its answers and error texts must stay those
+    of the tracker that evaluated twice (``_tracker_reference``), bit for
+    bit."""
+
+    DZ = [1e-6, 1e-4, 1e-2, 0.3, 1.0, 7.5, 60.0, 1e3, 3e4, 1e6]
+
+    def test_solve_above_fold_matches_the_reference(self, sixteen_folds):
+        for fold in sixteen_folds:
+            for dZ in self.DZ:
+                Z = fold.Z_crit + dZ
+                want = _answer(ref_solve_above_fold, fold, Z)
+                assert _answer(solve_above_fold, fold, Z) == want, (fold.nu, dZ)
+
+    def test_error_text_past_the_overflow_matches_the_reference(self, sixteen_folds):
+        # every pair's Re t passes 700 from about Z = 1.96e6 on
+        for fold in sixteen_folds:
+            got = _answer(solve_above_fold, fold, 2.5e6)
+            assert got[0] == "ConvergenceError" and "factor overflows" in got[1]
+            assert got == _answer(ref_solve_above_fold, fold, 2.5e6)
+
+    @pytest.mark.parametrize("steps", [2, 3, 7, 20])
+    def test_multi_step_paths_match_the_reference(self, sixteen_folds, steps):
+        for fold in (sixteen_folds[0], sixteen_folds[7], sixteen_folds[15]):
+            near = fold.Z_crit + 1e-3
+            for Z_to in (fold.Z_crit + 0.5, fold.Z_crit + 40.0, fold.Z_crit + 2e3):
+                args = (near, Z_to, steps, ref_fold_unfolding_seed(fold, near))
+                got = _answer(continue_in_Z, *args)
+                assert got == _answer(ref_continue_in_Z, *args)
+                assert len(got) == steps + 1
+
+    def test_downward_and_degenerate_paths_match_the_reference(self, sixteen_folds):
+        fold = sixteen_folds[2]
+        start = ref_fold_unfolding_seed(fold, fold.Z_crit + 30.0)
+        for Z_to, steps in ((fold.Z_crit + 1.0, 4), (fold.Z_crit + 30.0, 3)):
+            args = (fold.Z_crit + 30.0, Z_to, steps, start)
+            assert _answer(continue_in_Z, *args) == _answer(ref_continue_in_Z, *args)
+
+    def test_linear_grid_is_numpy_linspace(self):
+        rng = np.random.default_rng(7)
+        cases = [(5.0, 5.0, 3), (5e-324, 1.5e-323, 4), (1e-300, 1e300, 9), (60.0, 5.5, 7)]
+        for _ in range(500):
+            a, b = 10.0 ** rng.uniform(-6, 6, size=2)
+            cases.append((float(a), float(b), int(rng.integers(1, 200))))
+        for a, b, steps in cases:
+            got = transition._linear_grid(a, b, steps)
+            want = [a] if a == b else np.linspace(a, b, steps + 1).tolist()
+            assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, steps)
+
+    def test_answers_without_the_separate_derivatives(self, monkeypatch, sixteen_folds):
+        # the tracker takes F_s, F_ss and F_Z from the state of each point
+        def boom(*args):
+            raise AssertionError("constraint_factor_derivatives called")
+
+        cases = [(fold, fold.Z_crit + dZ) for fold in sixteen_folds[::3] for dZ in (1e-3, 2.0, 1e4)]
+        want = [_answer(ref_solve_above_fold, fold, Z) for fold, Z in cases]
+        monkeypatch.setattr(secular, "constraint_factor_derivatives", boom)
+        monkeypatch.setattr(transition, "constraint_factor_derivatives", boom, raising=False)
+        assert [_answer(solve_above_fold, fold, Z) for fold, Z in cases] == want
+        assert not hasattr(transition, "_fold_state")
+
+
 class TestExactBrokenConsistency:
     def test_near_fold_real_pair(self, first_two_folds):
         fold = first_two_folds[0]
@@ -482,6 +563,22 @@ class TestExactBrokenConsistency:
             s = math.sqrt(0.5 * (E + math.hypot(E, Z)))
             assert nu * math.pi <= s <= (nu + 1) * math.pi
             assert abs(constraint_factor(s, Z, fold.branch)) <= 1e-12
+
+    @pytest.mark.parametrize("Z", [1e-10, 1e-12])
+    def test_real_pair_small_coupling_limit_of_the_first_fold(self, sixteen_folds, Z):
+        # the n = 0 level's E = s*s - t*t, about Z**2/12, cancels to zero or
+        # below: the documented limit
+        with pytest.raises(ValueError, match="no hyperbolic form"):
+            real_pair_near_fold(Z, sixteen_folds[0])
+
+    def test_real_pair_at_the_first_fold_down_to_1e_9(self, sixteen_folds):
+        pair = real_pair_near_fold(1e-9, sixteen_folds[0])
+        assert len(pair) == 2
+        assert [p.alpha == p.beta for p in pair] == [True, True]
+        assert pair[0].energy().re_E == pytest.approx(math.pi**2, rel=1e-12)
+        # about Z**2/12; the n = 0 level's E is off by about 1e-4 relative
+        # here, the known small-Z loss of digits
+        assert pair[1].energy().re_E == pytest.approx(1e-18 / 12.0, rel=1e-3)
 
     def test_real_pair_rejects_non_positive_coupling(self, sixteen_folds):
         for Z, nu in ((0.0, 0), (0.0, 3), (-1.0, 1)):
