@@ -27,6 +27,12 @@ complex E the hyperbolic one
 The two bases span the same solution space, so the determinant zero sets
 agree where both apply.
 
+``boundary_matrices`` builds W for a whole array of real energies at once,
+as the determinant sweep of ``verify`` needs it.  It takes each square root
+and exponential from ``cmath`` entry by entry and forms the rest in numpy
+with the float operations of Python's complex arithmetic, so each matrix has
+the bits of ``boundary_matrix``.
+
 The determinant is numpy's LU determinant of W as built.  Rank and null
 vector come from the singular value decomposition of W with each row divided
 by its largest modulus.  The rows mix entries of size e^{+-Re k} with O(1)
@@ -47,13 +53,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import NotAnEigenvalueError
-from .secular import validate_coupling
+from .secular import _each, validate_coupling
 
 __all__ = [
     "Regime",
     "WaveSolution",
     "ResidualReport",
     "boundary_matrix",
+    "boundary_matrices",
     "boundary_determinant",
     "determinant_scale",
     "nullspace_solution",
@@ -138,6 +145,48 @@ def boundary_matrix(E: complex, Z: float) -> list[list[complex]]:
         [sh_r, ch_r, -sh_l, -ch_l],
         [-kR * ch_r, -kR * sh_r, -kL * ch_l, -kL * sh_l],
     ]
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a*b over complex ndarrays with the float operations of Python's complex
+    product, each rounded on its own (numpy's complex multiply may fuse them)."""
+    out = np.empty(a.shape, complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+def boundary_matrices(E: np.ndarray, Z: float) -> np.ndarray:
+    """The matching matrices W of a 1-D ndarray of real energies, stacked:
+    shape (len(E), 4, 4), entry i the bits of
+    ``np.array(boundary_matrix(E[i], Z), dtype=complex)``.
+
+    The wavenumbers and exponentials are taken from ``cmath`` entry by entry;
+    negations, sums and the products of the exponential basis are formed in
+    numpy with the float operations of Python's complex arithmetic.
+    """
+    validate_coupling(Z)
+    jz = 1j * Z  # as boundary_matrix forms it, for the signs of its zeros
+    # -E for complex(E) is (-E, -0.0)
+    arg_r = np.empty(E.shape, complex)
+    arg_r.real, arg_r.imag = -E + jz.real, -0.0 + jz.imag
+    arg_l = np.empty(E.shape, complex)
+    arg_l.real, arg_l.imag = -E - jz.real, -0.0 - jz.imag
+    sqrt, exp = _each(cmath.sqrt, complex), _each(cmath.exp, complex)
+    kR, kL = sqrt(arg_r), sqrt(arg_l)
+    ekR, emkR = exp(kR), exp(-kR)
+    ekL, emkL = exp(kL), exp(-kL)
+    rows = (
+        (ekR, emkR, -1.0, -1.0),
+        (_product(kR, ekR), _product(-kR, emkR), -kL, kL),
+        (1.0, 1.0, -ekL, -emkL),
+        (kR, -kR, _product(-kL, ekL), _product(kL, emkL)),
+    )
+    W = np.empty(E.shape + (4, 4), complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            W[:, i, j] = entry
+    return W
 
 
 def determinant_scale(W: list[list[complex]]) -> float:

@@ -33,6 +33,16 @@ this package uses.  The two unfactored forms are kept for cross-validation
 and for figure emission; they refuse the t = 0 / s = 0 edges where their
 extra terms oscillate or blow up.
 
+``secular_t``, ``secular_s`` and ``secular_factor`` also take ndarrays, one
+point per entry, as the identity sweeps of ``verify`` and the curve of
+figure 1 need them.  Each writes its expression once for both paths: the
+array path takes every transcendental from ``math`` entry by entry
+(``_each``) and does the rest in numpy, whose +, -, * and / round like
+Python's floats.  So every entry has the bits of the scalar call.  numpy's
+own exp, expm1 and sinh differ from ``math`` in the last bit on a few
+percent of arguments, and are not used there.  An array raises the scalar
+call's error, that of its first failing entry, wherever one would.
+
 All functions are pure and operate in double precision.
 """
 
@@ -43,6 +53,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -115,12 +126,24 @@ class ExactParams:
 
     ``t`` and ``s`` are non-negative; when the parameters are bound to a
     coupling Z they satisfy 2*s*t = Z to construction accuracy.
+
+    ``t`` and ``s`` may also be float ndarrays of one shape, one point per
+    entry, for the array path of ``secular_factor``.  They are checked entry
+    by entry, with the error of the first entry that fails.  Such parameters
+    cannot be hashed or compared with ``==``.
     """
 
-    t: float
-    s: float
+    t: float | np.ndarray
+    s: float | np.ndarray
 
     def __post_init__(self) -> None:
+        if isinstance(self.t, np.ndarray):
+            t, s = self.t, self.s
+            bad = ~(np.isfinite(t) & np.isfinite(s) & (t >= 0.0) & (s >= 0.0))
+            if bad.any():
+                i = int(bad.argmax())
+                ExactParams(t=float(t.flat[i]), s=float(s.flat[i]))
+            return
         if not (math.isfinite(self.t) and math.isfinite(self.s)):
             raise ValueError("parameters must be finite")
         if self.t < 0.0 or self.s < 0.0:
@@ -214,20 +237,44 @@ def t_sinh_t(t: float | complex) -> float | complex:
     return math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)
 
 
-def _t_sinh_t_array(t: np.ndarray) -> np.ndarray:
-    """``t_sinh_t`` elementwise on an ndarray of real t.  The clamped entries
-    never reach ``sinh``, so no overflow warning is raised."""
+def _t_sinh_t_array(
+    t: np.ndarray, sinh: Callable[[np.ndarray], np.ndarray] = np.sinh
+) -> np.ndarray:
+    """``t_sinh_t`` elementwise on an ndarray of real t.  numpy's sinh serves
+    the grid pass of a root scan, which needs its speed; ``secular_factor``
+    passes ``math.sinh`` entry by entry for the scalar bits.  The clamped
+    entries never reach ``sinh``, so no overflow warning is raised."""
     big = np.abs(t) > _SINH_CLAMP
     t = np.where(big, 0.0, t)
-    return np.where(big, math.inf, t * np.sinh(t))
+    return np.where(big, math.inf, t * sinh(t))
 
 
-def _t_form(t: float, Z: float | np.ndarray, cos) -> float | np.ndarray:
-    em = math.expm1(2.0 * t)
-    return 4.0 * math.exp(-2.0 * t) * em * em * t * t + (2.0 * Z * Z / (t * t)) * (cos(Z / t) - 1.0)
+def _each(f: Callable, dtype: type = float) -> Callable[[np.ndarray], np.ndarray]:
+    """The function of ndarrays that applies the ``math`` (or, with dtype
+    complex, ``cmath``) function f entry by entry, so that every entry has
+    the bits of the scalar call."""
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(f, x.ravel().tolist()), dtype, x.size).reshape(x.shape)
+    return apply
 
 
-def secular_t(t: float, Z: float | np.ndarray) -> float | np.ndarray:
+_exp, _expm1, _cos, _sin, _sinh = map(_each, (math.exp, math.expm1, math.cos, math.sin, math.sinh))
+
+
+def _raise_first(bad: np.ndarray, kernel: Callable, x: np.ndarray, Z: float | np.ndarray) -> None:
+    """Call the scalar ``kernel`` at the first entry of (x, Z) flagged in
+    ``bad``, to raise the error that the scalar call raises there."""
+    if bad.any():
+        i = int(bad.argmax())
+        kernel(float(x.flat[i]), float(np.broadcast_to(Z, x.shape).flat[i]))
+
+
+def _t_form(t, Z, exp, expm1, cos):
+    em = expm1(2.0 * t)
+    return 4.0 * exp(-2.0 * t) * em * em * t * t + (2.0 * Z * Z / (t * t)) * (cos(Z / t) - 1.0)
+
+
+def secular_t(t: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarray:
     """t-representation of the secular determinant,
 
         4*exp(-2t)*(exp(2t) - 1)**2 * t**2 + (2*Z**2/t**2)*(cos(Z/t) - 1).
@@ -238,13 +285,22 @@ def secular_t(t: float, Z: float | np.ndarray) -> float | np.ndarray:
     is +inf.  Z/t must not overflow.
 
     An ndarray Z gives the value at every entry for the one scalar t, as a
-    column of the sign map needs it, bit-equal to the scalar call at each
-    entry: only cos(Z/t) is taken from numpy, whose cos equals ``math.cos``
-    on the arguments tested.  It raises the ValueError of a scalar call
-    whenever one entry would: a negative or non-finite Z, t <= 0, t*t == 0,
-    or (for t <= 350) a Z/t that overflows.  Overflow in 2*Z**2/t**2 and the
+    column of the sign map needs it: only cos(Z/t) is taken from numpy, whose
+    cos equals ``math.cos`` on the arguments tested.  An ndarray t, with a
+    scalar Z or Z of the same shape, gives one point per entry, with every
+    transcendental from ``math``.  Either way each entry has the bits of the
+    scalar call, and the ValueError of a scalar call is raised whenever one
+    entry would raise it: a negative or non-finite Z, t <= 0, t*t == 0, or
+    (for t <= 350) a Z/t that overflows.  Overflow in 2*Z**2/t**2 and the
     NaN of inf*0 pass without a numpy warning, as they do in ``math``.
     """
+    if isinstance(t, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            big = t > _SINH_CLAMP
+            _raise_first(~np.isfinite(Z) | (Z < 0.0) | (t <= 0.0) | (t * t == 0.0)
+                         | (~big & ~np.isfinite(Z / t)), secular_t, t, Z)
+            # the clamped entries never reach expm1, which overflows past 355
+            return np.where(big, math.inf, _t_form(np.where(big, 1.0, t), Z, _exp, _expm1, _cos))
     grid = isinstance(Z, np.ndarray)
     if grid:  # the extreme entries fail whenever some entry would
         validate_coupling(Z.min(initial=0.0))
@@ -260,29 +316,46 @@ def secular_t(t: float, Z: float | np.ndarray) -> float | np.ndarray:
     if not math.isfinite(z_max / t):
         raise ValueError(f"secular_t requires a finite Z/t, but it overflows at t={t!r}, Z={z_max!r}")
     if not grid:
-        return _t_form(t, Z, math.cos)
+        return _t_form(t, Z, math.exp, math.expm1, math.cos)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _t_form(t, Z, np.cos)
+        return _t_form(t, Z, math.exp, math.expm1, np.cos)
 
 
-def secular_s(s: float, Z: float) -> float:
+def _s_form(s, Z, u, exp, expm1, cos):
+    em = expm1(u)
+    first = 8.0 * s * s * (cos(2.0 * s) - 1.0)
+    second = exp(-u) * em * em * Z * Z / (s * s)
+    return first + second
+
+
+def secular_s(s: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarray:
     """s-representation of the secular determinant,
 
         8*s**2*(cos(2s) - 1) + exp(-Z/s)*(exp(Z/s) - 1)**2 * Z**2/s**2.
 
     Requires s > 0.  At Z = 0 it reduces to 8*s**2*(cos 2s - 1), whose zeros
-    are the circle spectrum s = n*pi.
+    are the circle spectrum s = n*pi.  Where Z/s > 700 it is +inf.
+
+    An ndarray s, with a scalar Z or Z of the same shape, gives one point per
+    entry, with every transcendental from ``math``: each entry has the bits
+    of the scalar call, and the error of a scalar call is raised whenever one
+    entry would raise it (a negative or non-finite Z, s <= 0, an infinite
+    2s, or, at Z/s <= 700, the ZeroDivisionError of an s*s that underflows).
     """
+    if isinstance(s, np.ndarray):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = Z / s
+            big = u > 2.0 * _SINH_CLAMP
+            _raise_first(~np.isfinite(Z) | (Z < 0.0) | (s <= 0.0)
+                         | (~big & (np.isinf(2.0 * s) | (s * s == 0.0))), secular_s, s, Z)
+            return np.where(big, math.inf, _s_form(s, Z, np.where(big, 0.0, u), _exp, _expm1, _cos))
     validate_coupling(Z)
     if s <= 0.0:
         raise ValueError(f"secular_s requires s > 0, got {s!r}")
     u = Z / s
     if u > 2.0 * _SINH_CLAMP:
         return math.inf
-    em = math.expm1(u)
-    first = 8.0 * s * s * (math.cos(2.0 * s) - 1.0)
-    second = math.exp(-u) * em * em * Z * Z / (s * s)
-    return first + second
+    return _s_form(s, Z, u, math.exp, math.expm1, math.cos)
 
 
 def factor_value(
@@ -404,9 +477,16 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
     return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)
 
 
-def secular_factor(params: ExactParams, branch: SecularBranch) -> float:
-    """Factored secular form at the given parameters; the canonical root form."""
-    return factor_value(params.t, params.s, branch)
+def secular_factor(params: ExactParams, branch: SecularBranch) -> float | np.ndarray:
+    """Factored secular form at the given parameters; the canonical root form.
+
+    Parameters with ndarray fields give the factor at every entry, with sinh
+    and sin from ``math``, so each entry has the bits of the scalar call
+    (``factor_value`` on ndarrays uses numpy's sinh, for the scan grid)."""
+    t, s = params.t, params.s
+    if isinstance(s, np.ndarray):
+        return _t_sinh_t_array(t, _sinh) + branch.sin_term_sign * s * _sin(s)
+    return factor_value(t, s, branch)
 
 
 def energy_of(params: ExactParams) -> float:

@@ -174,11 +174,18 @@ def _params_from_energy(E: complex, Z: float) -> BrokenParams:
     )
 
 
+def _same_signs(a: complex, b: complex) -> bool:
+    """The components of a and b have the same signs, those of zeros included:
+    with a == b, a and b are the same complex double."""
+    return (math.copysign(1.0, a.real) == math.copysign(1.0, b.real)
+            and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag))
+
+
 def _newton(s: complex, Z: float, branch: SecularBranch) -> tuple[complex, tuple[complex, ...]]:
     """Damped Newton on the factor at fixed Z, s -= lam*F/F_s with lam halved
     until |F| decreases, until the step falls to rounding or no step decreases
-    |F|.  Returns the last accepted s with its ``_factor_state``, computed
-    once per trial point.  A non-finite factor at the start raises
+    |F| (a trial that rounds back to s ends the search at once).  Returns the
+    last accepted s with its ``_factor_state``, computed once per trial point.  A non-finite factor at the start raises
     ConvergenceError."""
     state = _factor_state(s, Z, branch)
     if not cmath.isfinite(state[0]):
@@ -191,6 +198,10 @@ def _newton(s: complex, Z: float, branch: SecularBranch) -> tuple[complex, tuple
         lam = 1.0
         for _ in range(40):
             trial = s - lam * step
+            if trial == s and _same_signs(trial, s):
+                # the step rounds away, and so does every shorter one: each
+                # later trial would be s again, with the same |F|
+                return s, state
             trial_state = _factor_state(trial, Z, branch)
             trial_size = abs(trial_state[0])
             if trial_size < size:

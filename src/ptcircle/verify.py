@@ -5,7 +5,10 @@ sweep intended to finish in seconds; the full level runs the complete
 property set.  Checks deliberately route through the public operations (for
 instance the factorization identity is recomputed through
 ``secular.secular_factor``) so that an injected defect in any public surface
-trips the corresponding named property.
+trips the corresponding named property.  The two identity sweeps make one
+array call per kernel, and the determinant sweep stacks its matrices with
+``oracle.boundary_matrices``; their array paths give each point the bits of
+the scalar calls, so the checks print what a per-point loop printed.
 
 The suite runs without scipy: determinant roots are refined by
 ``spectrum._brentq`` and the symmetry check polishes its phase with
@@ -86,34 +89,40 @@ def _uniform(u: np.ndarray, lo: float, hi: float) -> list[float]:
     return (lo + (hi - lo) * u).tolist()
 
 
-def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
+def _identity_residuals(n_points: int, s_form: bool) -> np.ndarray:
     """Relative defect of the determinant = 16*F_plus*F_minus at random (t, Z),
     in the t form (``secular_t``) or, with its own seed, the s form
-    (``secular_s`` at s = Z/(2t)).
+    (``secular_s`` at s = Z/(2t)), one entry per point with Z != 0.
 
     Draw order and seeds are those of one ``uniform`` call each for t in
     [1e-3, 20) and then Z in [0, 100) per point, from ``default_rng(_SEED)``
     (t form) or ``default_rng(_SEED + 1)`` (s form); the doubles come from one
     ``random(2*n_points)`` call, mapped by ``_uniform`` to the same floats.
-    Each point still goes through the public scalar kernels, so a defect
-    injected into any of them trips the check."""
-    name = "s-representation-identity" if s_form else "factorization-identity"
+    All points go through the public kernels in one array call each, whose
+    entries have the bits of the scalar calls, so a defect injected into any
+    of the kernels trips the check."""
     u = default_rng(_SEED + 1 if s_form else _SEED).random(2 * n_points)
-    ts = _uniform(u[0::2], 1e-3, 20.0)
-    zs = _uniform(u[1::2], 0.0, 100.0)
-    worst = 0.0
-    used = 0
-    for t, Z in zip(ts, zs):
-        if Z == 0.0:  # s = 0 lies outside the s form
-            continue
-        s = Z / (2.0 * t)
-        lhs = secular.secular_s(s, Z) if s_form else secular.secular_t(t, Z)
-        params = secular.ExactParams(t=t, s=s)
-        fp = secular.secular_factor(params, secular.SecularBranch.FACTOR_PLUS)
-        fm = secular.secular_factor(params, secular.SecularBranch.FACTOR_MINUS)
-        worst = max(worst, abs(lhs - 16.0 * fp * fm) / max(1.0, abs(lhs)))
-        used += 1
-    return CheckResult(name, worst <= 1e-9, f"max relative residual {worst:.3e} over {used} points")
+    t = np.array(_uniform(u[0::2], 1e-3, 20.0))
+    Z = np.array(_uniform(u[1::2], 0.0, 100.0))
+    keep = Z != 0.0  # s = 0 lies outside the s form
+    t, Z = t[keep], Z[keep]
+    s = Z / (2.0 * t)
+    lhs = secular.secular_s(s, Z) if s_form else secular.secular_t(t, Z)
+    params = secular.ExactParams(t=t, s=s)
+    fp = secular.secular_factor(params, secular.SecularBranch.FACTOR_PLUS)
+    fm = secular.secular_factor(params, secular.SecularBranch.FACTOR_MINUS)
+    return np.abs(lhs - 16.0 * fp * fm) / np.maximum(1.0, np.abs(lhs))
+
+
+def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
+    """The largest of ``_identity_residuals``, at most 1e-9."""
+    name = "s-representation-identity" if s_form else "factorization-identity"
+    residual = _identity_residuals(n_points, s_form)
+    # fmax skips a NaN, as the running max(worst, r) of a per-point loop did
+    worst = float(np.fmax.reduce(residual, initial=0.0))
+    return CheckResult(
+        name, worst <= 1e-9, f"max relative residual {worst:.3e} over {residual.size} points"
+    )
 
 
 def _hermitian_limit() -> CheckResult:
@@ -148,8 +157,9 @@ def _series_vs_fit(levels: tuple[int, ...]) -> CheckResult:
 
 def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Energies of the sign sweep along the constraint curve and the real part
-    of the boundary determinant at each, as one stacked LU determinant:
-    bit-equal to ``boundary_determinant(E, Z).real`` per energy."""
+    of the boundary determinant at each, as one stacked LU determinant of
+    ``oracle.boundary_matrices``: bit-equal to ``boundary_determinant(E,
+    Z).real`` per energy."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
     if Z > 0:
         lo = 0.1 * math.sqrt(0.5 * Z)
@@ -161,8 +171,7 @@ def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
                 extra.append(v)
             s_grid = np.concatenate([np.array(extra[::-1]), s_grid])
     energies = s_grid**2 - (Z / (2.0 * s_grid)) ** 2
-    matrices = np.array([oracle.boundary_matrix(E, Z) for E in energies.tolist()], dtype=complex)
-    return energies, np.linalg.det(matrices).real
+    return energies, np.linalg.det(oracle.boundary_matrices(energies, Z)).real
 
 
 def _det_roots(Z: float, s_max: float) -> list[float]:

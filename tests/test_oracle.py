@@ -11,6 +11,7 @@ from ptcircle.oracle import (
     Regime,
     WaveSolution,
     boundary_determinant,
+    boundary_matrices,
     boundary_matrix,
     determinant_scale,
     evaluate_wavefunction,
@@ -83,6 +84,26 @@ class TestBoundaryMatrix:
                 d1 = boundary_determinant(E, Z)
                 d2 = boundary_determinant(E.conjugate(), Z)
                 assert abs(d2) == pytest.approx(abs(d1), rel=1e-9)
+
+
+class TestBoundaryMatrices:
+    """The stacked matrices of real energies must hold, entry by entry, the
+    bytes of the per-energy ``boundary_matrix``."""
+
+    @pytest.mark.parametrize("Z", [0.0, -0.0, 1e-8, 0.5, 3.0, 5.0, 10.0, 17.0, 25.0])
+    def test_bytes_of_each_matrix(self, Z):
+        s = np.arange(math.pi / 128, 4.6 * math.pi, math.pi / 128)  # the verify sweep
+        E = np.concatenate([s**2 - (Z / (2.0 * s)) ** 2,
+                            [0.0, -0.0, 1e-300, -1e-300, PI2, -1.0, -1e3, 1e4, 5e-324]])
+        W = boundary_matrices(E, Z)
+        assert W.shape == (E.size, 4, 4)
+        for E_i, W_i in zip(E.tolist(), W):
+            assert W_i.tobytes() == np.array(boundary_matrix(E_i, Z), dtype=complex).tobytes(), E_i
+
+    @pytest.mark.parametrize("Z", [-1.0, math.nan, math.inf])
+    def test_bad_coupling_raises(self, Z):
+        with pytest.raises(ValueError, match="coupling"):
+            boundary_matrices(np.array([1.0]), Z)
 
 
 class TestPrefactorObservation:

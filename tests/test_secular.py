@@ -122,6 +122,104 @@ class TestSecularTOnGrid:
         assert secular_t(1.0, np.array([-0.0])).tolist() == [secular_t(1.0, -0.0)]
 
 
+def _outcome(kernel, *args):
+    """The scalar call's value, or the type and text of its error."""
+    try:
+        return kernel(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _failed(outcome):
+    return isinstance(outcome, tuple)
+
+
+class TestArrayKernels:
+    """An ndarray of points must give, entry by entry, the bits of the scalar
+    call at each point, and raise the scalar call's error at the first entry
+    where one would."""
+
+    T = [1e-161, 1e-10, 1e-3, 0.05, 1.0, 20.0, 349.0, 349.9, 350.0, 350.5, 354.9, 355.0,
+         400.0, 1e300, math.inf, 0.0, -0.0, -1.0, 1e-170, math.nan]
+    S = [1e-300, 1e-170, 1e-10, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e300, 9e307, math.inf, 0.0, -1.0,
+         math.nan]
+    Z = [0.0, -0.0, 1e-300, 0.5, 5.0, 100.0, 699.9, 700.0, 700.1, 1e4, 1e154, 1e155, 1e300,
+         1.7e306, -1.0, math.nan, math.inf]
+
+    def assert_entrywise(self, kernel, x, Z):
+        """Every passing pair as one array, and each failing pair put into it."""
+        expected = [_outcome(kernel, a, b) for a, b in zip(x, Z)]
+        ok = [i for i, e in enumerate(expected) if not _failed(e)]
+        got = kernel(np.array([x[i] for i in ok]), np.array([Z[i] for i in ok]))
+        assert got.tobytes() == np.array([expected[i] for i in ok]).tobytes()
+        failing = [i for i, e in enumerate(expected) if _failed(e)]
+        for i in failing:
+            # second from the end, after every passing entry but one
+            xs = [x[j] for j in ok[:-1]] + [x[i], x[ok[-1]]]
+            zs = [Z[j] for j in ok[:-1]] + [Z[i], Z[ok[-1]]]
+            with pytest.raises(expected[i][0]) as info:
+                kernel(np.array(xs), np.array(zs))
+            assert str(info.value) == expected[i][1]
+        # two failing entries: the first one's error
+        for i, j in zip(failing, failing[1:]):
+            with pytest.raises(expected[i][0]) as info:
+                kernel(np.array([x[ok[0]], x[i], x[j]]), np.array([Z[ok[0]], Z[i], Z[j]]))
+            assert str(info.value) == expected[i][1]
+        return expected
+
+    def test_t_form(self):
+        t, Z = (v.ravel().tolist() for v in np.meshgrid(self.T, self.Z))
+        expected = self.assert_entrywise(secular_t, t, Z)
+        # every regime of the scalar rule is reached
+        values = [e for e in expected if not _failed(e)]
+        assert {math.inf, -math.inf, 0.0} <= set(values) and any(map(math.isnan, values))
+        assert {e[1].split(",")[0] for e in expected if _failed(e)} >= {
+            "coupling must be non-negative", "coupling must be finite",
+            "secular_t requires t > 0", "secular_t requires t*t > 0",
+            "secular_t requires a finite Z/t"}
+        # either side of the clamp, where the unclamped value is NaN
+        assert math.isnan(secular_t(349.9, 1e300)) and secular_t(350.5, 1e300) == math.inf
+
+    def test_s_form(self):
+        s, Z = (v.ravel().tolist() for v in np.meshgrid(self.S, self.Z))
+        # u = Z/s either side of 700
+        s += [1.0, 1.0, 0.1, 0.1, 1e-170]
+        Z += [700.0, 700.0000000000001, 70.0, 70.00000000000001, 7e-168]
+        expected = self.assert_entrywise(secular_s, s, Z)
+        values = [e for e in expected if not _failed(e)]
+        assert {math.inf, 0.0} <= set(values) and any(map(math.isnan, values))
+        assert {e[0] for e in expected if _failed(e)} == {ValueError, ZeroDivisionError}
+        assert "math domain error" in {e[1] for e in expected if _failed(e)}  # cos(inf)
+
+    def test_scalar_coupling(self):
+        t = np.array([1e-3, 0.05, 1.0, 349.0, 400.0])
+        for Z in (0.0, 5.0, 1e300):
+            assert secular_t(t, Z).tobytes() == np.array(
+                [secular_t(x, Z) for x in t.tolist()]).tobytes()
+            assert secular_s(t, Z).tobytes() == np.array(
+                [secular_s(x, Z) for x in t.tolist()]).tobytes()
+        with pytest.raises(ValueError, match="coupling must be non-negative"):
+            secular_t(t, -1.0)
+
+    @pytest.mark.parametrize("branch", [PLUS, MINUS])
+    def test_factor(self, branch):
+        values = [0.0, 1e-300, 1e-3, 0.5, math.pi, 20.0, 349.9, 350.0, 350.5, 1e3, 1e300]
+        t, s = (v.ravel() for v in np.meshgrid(values, values))
+        got = secular_factor(ExactParams(t=t, s=s), branch)
+        expected = [secular_factor(ExactParams(t=a, s=b), branch)
+                    for a, b in zip(t.tolist(), s.tolist())]
+        assert got.tobytes() == np.array(expected).tobytes()
+        assert math.inf in expected
+
+    @pytest.mark.parametrize("bad", [(-1.0, 1.0), (1.0, -0.5), (math.nan, 1.0), (1.0, math.inf)])
+    def test_params_raise_the_scalar_error(self, bad):
+        with pytest.raises(ValueError) as want:
+            ExactParams(*bad)
+        with pytest.raises(ValueError) as got:
+            ExactParams(t=np.array([1.0, bad[0], -2.0]), s=np.array([1.0, bad[1], 1.0]))
+        assert str(got.value) == str(want.value)
+
+
 class TestSecularS:
     def test_circle_eigenvalue(self):
         assert secular_s(math.pi, 0.0) == pytest.approx(0.0, abs=1e-12)

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from _mp_reference import mp_broken_branch
 from _tracker_reference import ref_continue_in_Z, ref_fold_unfolding_seed, ref_solve_above_fold
-from ptcircle import secular, transition
+from ptcircle import cli, secular, transition
 from ptcircle.errors import ConvergenceError, SolverError
 from ptcircle.oracle import nullspace_solution, residual_check
 from ptcircle.secular import SecularBranch
@@ -496,6 +497,67 @@ class TestSharedFactorState:
         monkeypatch.setattr(transition, "constraint_factor_derivatives", boom, raising=False)
         assert [_answer(solve_above_fold, fold, Z) for fold, Z in cases] == want
         assert not hasattr(transition, "_fold_state")
+
+
+def _newton_without_round_back(s, Z, branch, wasted):
+    """``transition._newton`` as it was before it stopped at a trial that
+    rounds back to s: it halves on, 40 times at most.  ``wasted`` counts the
+    evaluations at trials with the bits of s."""
+    state = transition._factor_state(s, Z, branch)
+    if not cmath.isfinite(state[0]):
+        raise ConvergenceError(f"factor overflows at s={s}, Z={Z}")
+    size = abs(state[0])
+    for _ in range(100):
+        step = state[0] / state[1]
+        if abs(step) <= 1e-15 * abs(s):
+            break
+        lam = 1.0
+        for _ in range(40):
+            trial = s - lam * step
+            wasted[0] += (trial.real.hex(), trial.imag.hex()) == (s.real.hex(), s.imag.hex())
+            trial_state = transition._factor_state(trial, Z, branch)
+            trial_size = abs(trial_state[0])
+            if trial_size < size:
+                s, state, size = trial, trial_state, trial_size
+                break
+            lam *= 0.5
+        else:
+            break
+    return s, state
+
+
+class TestNewtonRoundBack:
+    """``_newton`` stops at the first halving trial with the bits of s: every
+    later trial would be s again.  The answers keep their bits and only the
+    evaluations at those trials go."""
+
+    @pytest.mark.parametrize("pair, dZ", [(0, 1e-3), (0, 0.3), (0, 10.0)])
+    def test_replayed_broken_op_skips_the_round_back_trials(self, monkeypatch, capsys,
+                                                            sixteen_folds, pair, dZ):
+        argv = ["broken", "--Z", repr(sixteen_folds[pair].Z_crit + dZ), "--pair", str(pair),
+                "--format", "json"]
+        calls = [0]
+        real = transition._factor_state
+
+        def counting(*args):
+            calls[0] += 1
+            return real(*args)
+
+        def replay():
+            calls[0] = 0
+            assert cli.main(argv) == 0
+            return capsys.readouterr().out, calls[0]
+
+        monkeypatch.setattr(transition, "_factor_state", counting)
+        replay()  # the process builds its parser and the pair's fold once
+        out, count = replay()
+        wasted = [0]
+        monkeypatch.setattr(transition, "_newton",
+                            lambda s, Z, branch: _newton_without_round_back(s, Z, branch, wasted))
+        ref_out, ref_count = replay()
+        assert out == ref_out
+        assert wasted[0] > 0
+        assert count == ref_count - wasted[0]
 
 
 class TestExactBrokenConsistency:

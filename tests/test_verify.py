@@ -1,11 +1,13 @@
 """The fast paths of the verify sweeps against the per-point loops they replaced.
 
 Each reference below is the earlier loop, kept verbatim as the oracle: the
-identity sweep drew each point with two scalar ``rng.uniform`` calls, and the
-determinant sweep called ``boundary_determinant`` once per energy.  Equality
-is exact, so ``verify`` prints the same digits.
+identity sweep drew each point with two scalar ``rng.uniform`` calls and
+called the scalar kernels per point, and the determinant sweep called
+``boundary_determinant`` once per energy.  Equality is exact, so ``verify``
+prints the same digits.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -40,22 +42,47 @@ def reference_identity_sweep(n_points, s_form):
 @pytest.mark.parametrize("n_points", [2000, 10_000])
 @pytest.mark.parametrize("s_form", [False, True])
 def test_identity_sweep_matches_per_point_draws(monkeypatch, n_points, s_form):
-    expected_args, worst, used = reference_identity_sweep(n_points, s_form)
     name = "secular_s" if s_form else "secular_t"
     kernel = getattr(secular, name)
+    factor = secular.secular_factor
+    outputs = {name: [], "secular_factor": []}
+
+    def recorder(key, f):
+        def record(*args):
+            outputs[key].append(f(*args))
+            return outputs[key][-1]
+        return record
+
+    # the reference's per-point values, as its scalar calls return them
+    monkeypatch.setattr(secular, name, recorder(name, kernel))
+    monkeypatch.setattr(secular, "secular_factor", recorder("secular_factor", factor))
+    expected_args, worst, used = reference_identity_sweep(n_points, s_form)
+    lhs, fp, fm = outputs[name], outputs["secular_factor"][0::2], outputs["secular_factor"][1::2]
+    expected = [abs(v - 16.0 * p * m) / max(1.0, abs(v)) for v, p, m in zip(lhs, fp, fm)]
+    assert functools.reduce(max, expected, 0.0) == worst
+
     seen = []
+    residuals = []
+    real_residuals = verify._identity_residuals
 
     def recording(*args):
         seen.append(args)
         return kernel(*args)
 
+    def keep_residuals(*args):
+        residuals.append(real_residuals(*args))
+        return residuals[-1]
+
     monkeypatch.setattr(secular, name, recording)
+    monkeypatch.setattr(secular, "secular_factor", factor)
+    monkeypatch.setattr(verify, "_identity_residuals", keep_residuals)
     result = verify._identity_sweep(n_points, s_form)
-    # the same points in the same order through the same per-point code give
-    # the same worst residual to the bit
-    assert seen == expected_args
-    assert all(type(x) is float for x in seen[0])
-    assert used == len(seen)
+    # one array call, with the reference's points in its order, bit for bit
+    assert len(seen) == 1
+    assert np.column_stack(seen[0]).tobytes() == np.array(expected_args).tobytes()
+    # and the reference's residual at every point, bit for bit
+    assert residuals[0].tobytes() == np.array(expected).tobytes()
+    assert used == residuals[0].size
     assert result.detail == f"max relative residual {worst:.3e} over {used} points"
     assert result.passed == (worst <= 1e-9)
 
