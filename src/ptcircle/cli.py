@@ -212,18 +212,14 @@ def _cmd_fig(args) -> int:
     dz = (args.z_max - args.z_min) / args.nz
     ts = [args.t_min + (i + 0.5) * dt for i in range(args.nt)]
     zs = [args.z_min + (j + 0.5) * dz for j in range(args.nz)]
-    signs = np.empty((args.nz, args.nt), dtype=np.int8)
-    z_column = np.array(zs)
-    try:
-        for i, t in enumerate(ts):  # one numpy pass per t column
-            v = secular_t(t, z_column)
-            signs[:, i] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN cell keeps its sign bit
+    try:  # one pass over the grid, a Z column against a t row
+        v = secular_t(np.array(ts), np.array(zs)[:, None])
     except ValueError as exc:  # t*t underflows or Z/t overflows
         raise _UsageError(str(exc)) from exc
-    signs = signs.tolist()
+    signs = np.where(v == 0.0, 0.0, np.copysign(1.0, v)).astype(np.int8)  # a NaN keeps its sign bit
     rows = []  # CSV rows are streamed after the comment lines, one Z row at a time
     if args.format == "json":
-        rows = [[t, Z, sign] for Z, row in zip(zs, signs) for t, sign in zip(ts, row)]
+        rows = [[t, Z, sign] for Z, row in zip(zs, signs.tolist()) for t, sign in zip(ts, row)]
     with _output(args.out) as stream:
         _emit(stream, "fig2",
               {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
@@ -234,10 +230,17 @@ def _cmd_fig(args) -> int:
                   "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
                   "the sign-change contour is the eigenvalue locus",
               ])
-        if args.format == "csv":  # each axis value is formatted once
+        if args.format == "csv":
+            # a Z row is the join by ",Z," of t_0, then "sign\nt" for each
+            # next t, looked up by the sign before it, then the last "sign\n"
             t_text = [_fmt(t) for t in ts]
-            for z, row in zip(map(_fmt, zs), signs):
-                stream.write("".join(f"{t},{z},{sign}\n" for t, sign in zip(t_text, row)))
+            inner = np.empty((3, args.nt - 1), dtype=object)
+            inner[:] = [[f"{sign}\n{t}" for t in t_text[1:]] for sign in (-1, 0, 1)]
+            index = signs + 1
+            middles = inner[index[:, :-1], np.arange(args.nt - 1)].tolist()
+            last = ("-1\n", "0\n", "1\n")
+            for z, middle, k in zip(map(_fmt, zs), middles, index[:, -1].tolist()):
+                stream.write(f",{z},".join([t_text[0], *middle, last[k]]))
     return EXIT_OK
 
 

@@ -28,7 +28,9 @@ The two bases span the same solution space, so the determinant zero sets
 agree where both apply.
 
 ``boundary_matrices`` builds W for a whole array of real energies at once,
-as the determinant sweep of ``verify`` needs it.  It takes each square root
+as the determinant sweep of ``verify`` needs it, at one coupling or at an
+array of couplings that broadcasts against the energies, as the batched
+refinement of the determinant roots needs it.  It takes each square root
 and exponential from ``cmath`` entry by entry and forms the rest in numpy
 with the float operations of Python's complex arithmetic, so each matrix has
 the bits of ``boundary_matrix``.
@@ -156,21 +158,29 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def boundary_matrices(E: np.ndarray, Z: float) -> np.ndarray:
-    """The matching matrices W of a 1-D ndarray of real energies, stacked:
-    shape (len(E), 4, 4), entry i the bits of
-    ``np.array(boundary_matrix(E[i], Z), dtype=complex)``.
+def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
+    """The matching matrices W of an ndarray of real energies, stacked: shape
+    E.shape + (4, 4), entry i the bits of ``np.array(boundary_matrix(E[i],
+    Z), dtype=complex)``.  Z is a coupling or an ndarray of couplings that
+    broadcasts against E (one per energy, as the batched determinant roots
+    of ``verify`` need), and then the shape is that of the broadcast; the
+    first coupling that fails ``validate_coupling`` raises its error.
 
     The wavenumbers and exponentials are taken from ``cmath`` entry by entry;
     negations, sums and the products of the exponential basis are formed in
     numpy with the float operations of Python's complex arithmetic.
     """
-    validate_coupling(Z)
-    jz = 1j * Z  # as boundary_matrix forms it, for the signs of its zeros
-    # -E for complex(E) is (-E, -0.0)
-    arg_r = np.empty(E.shape, complex)
+    Z = np.asarray(Z, dtype=float)
+    bad = ~(np.isfinite(Z) & (Z >= 0.0))
+    if bad.any():
+        validate_coupling(float(Z.flat[bad.argmax()]))
+    # i*Z as boundary_matrix forms it, by Python's complex arithmetic, for the
+    # signs of its zeros; -E for complex(E) is (-E, -0.0)
+    jz = _each((1j).__mul__, complex)(Z)
+    shape = np.broadcast_shapes(E.shape, Z.shape)
+    arg_r = np.empty(shape, complex)
     arg_r.real, arg_r.imag = -E + jz.real, -0.0 + jz.imag
-    arg_l = np.empty(E.shape, complex)
+    arg_l = np.empty(shape, complex)
     arg_l.real, arg_l.imag = -E - jz.real, -0.0 - jz.imag
     sqrt, exp = _each(cmath.sqrt, complex), _each(cmath.exp, complex)
     kR, kL = sqrt(arg_r), sqrt(arg_l)
@@ -182,10 +192,10 @@ def boundary_matrices(E: np.ndarray, Z: float) -> np.ndarray:
         (1.0, 1.0, -ekL, -emkL),
         (kR, -kR, _product(-kL, ekL), _product(kL, emkL)),
     )
-    W = np.empty(E.shape + (4, 4), complex)
+    W = np.empty(shape + (4, 4), complex)
     for i, row in enumerate(rows):
         for j, entry in enumerate(row):
-            W[:, i, j] = entry
+            W[..., i, j] = entry
     return W
 
 
@@ -286,7 +296,8 @@ def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -
     finite-difference channel (5-point stencil per smooth piece) is a separate
     sanity check whose truncation error scales as grid_n**-4.  Boundary
     residuals are the four matching conditions from the closed forms,
-    normalized by max |psi|.
+    normalized by max |psi|; their values at x = -1, 0 and 1 are the end
+    points of the two grids, which ``linspace`` gives exactly.
     """
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
@@ -296,10 +307,12 @@ def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -
     ode_fd = 0.0
     ode_an = 0.0
     peak = 0.0
+    ends = []  # (psi, psi') at both ends of each piece
     for side, (lo, hi), pot in (("right", (0.0, 1.0), 1j * Z), ("left", (-1.0, 0.0), -1j * Z)):
         x = np.linspace(lo, hi, grid_n)
         h = x[1] - x[0]
-        psi, _, d2_exact = _piece_values(sol, side, x)
+        psi, dpsi, d2_exact = _piece_values(sol, side, x)
+        ends.append(((psi[0], dpsi[0]), (psi[-1], dpsi[-1])))
         peak = max(peak, float(np.max(np.abs(psi))))
         res_an = np.abs(-d2_exact + pot * psi - E * psi)
         ode_an = max(ode_an, float(np.max(res_an)))
@@ -310,18 +323,12 @@ def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -
         res_fd = np.abs(-d2_fd + pot * inner - E * inner)
         ode_fd = max(ode_fd, float(np.max(res_fd)))
 
-    x1 = np.array([1.0])
-    x0 = np.array([0.0])
-    xm1 = np.array([-1.0])
-    p1_1, d1_1, _ = _piece_values(sol, "right", x1)
-    p1_0, d1_0, _ = _piece_values(sol, "right", x0)
-    p2_m1, d2_m1, _ = _piece_values(sol, "left", xm1)
-    p2_0, d2_0, _ = _piece_values(sol, "left", x0)
+    ((p1_0, d1_0), (p1_1, d1_1)), ((p2_m1, d2_m1), (p2_0, d2_0)) = ends
     bc = (
-        float(abs(p1_1[0] - p2_m1[0])) / peak,
-        float(abs(d1_1[0] - d2_m1[0])) / peak,
-        float(abs(p1_0[0] - p2_0[0])) / peak,
-        float(abs(d1_0[0] - d2_0[0])) / peak,
+        float(abs(p1_1 - p2_m1)) / peak,
+        float(abs(d1_1 - d2_m1)) / peak,
+        float(abs(p1_0 - p2_0)) / peak,
+        float(abs(d1_0 - d2_0)) / peak,
     )
     det = boundary_determinant(E, Z)
     return ResidualReport(

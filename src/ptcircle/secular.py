@@ -42,6 +42,9 @@ Python's floats.  So every entry has the bits of the scalar call.  numpy's
 own exp, expm1 and sinh differ from ``math`` in the last bit on a few
 percent of arguments, and are not used there.  An array raises the scalar
 call's error, that of its first failing entry, wherever one would.
+``secular_t`` also takes a t row against a Z column, the sign map of
+figure 2, in one pass: exp and expm1 once per t from ``math``, and cos(Z/t)
+per cell from numpy, whose cos matches ``math.cos`` on the arguments tested.
 
 All functions are pure and operate in double precision.
 """
@@ -262,11 +265,19 @@ _exp, _expm1, _cos, _sin, _sinh = map(_each, (math.exp, math.expm1, math.cos, ma
 
 
 def _raise_first(bad: np.ndarray, kernel: Callable, x: np.ndarray, Z: float | np.ndarray) -> None:
-    """Call the scalar ``kernel`` at the first entry of (x, Z) flagged in
-    ``bad``, to raise the error that the scalar call raises there."""
+    """Raise the error of the scalar ``kernel`` at the first entry of x that
+    meets a flagged cell of ``bad``, the broadcast of (x, Z).
+
+    Its shape ends in x's shape, so each entry of x meets one Z (Z a scalar
+    or of x's shape) or a column of Z (a grid).  The smallest and then the
+    largest of those Z are checked as couplings, as the kernels check
+    theirs, and the kernel is called at the largest; for one Z that is the
+    scalar call's error at that point."""
     if bad.any():
-        i = int(bad.argmax())
-        kernel(float(x.flat[i]), float(np.broadcast_to(Z, x.shape).flat[i]))
+        i = int(bad.reshape(-1, x.size).any(axis=0).argmax())
+        z = np.broadcast_to(Z, bad.shape).reshape(-1, x.size)[:, i]
+        validate_coupling(float(z.min(initial=0.0)))
+        kernel(float(x.flat[i]), validate_coupling(float(z.max(initial=0.0))))
 
 
 def _t_form(t, Z, exp, expm1, cos):
@@ -284,41 +295,41 @@ def secular_t(t: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarra
     first term dominates and the value grows exponentially; above t = 350 it
     is +inf.  Z/t must not overflow.
 
-    An ndarray Z gives the value at every entry for the one scalar t, as a
-    column of the sign map needs it: only cos(Z/t) is taken from numpy, whose
-    cos equals ``math.cos`` on the arguments tested.  An ndarray t, with a
-    scalar Z or Z of the same shape, gives one point per entry, with every
-    transcendental from ``math``.  Either way each entry has the bits of the
-    scalar call, and the ValueError of a scalar call is raised whenever one
+    An ndarray t takes a scalar Z or an ndarray Z that broadcasts against
+    it, and gives the value at every entry of the broadcast; exp(-2t) and
+    expm1(2t) are taken from ``math`` once per entry of t.  Where each t
+    meets one Z (Z a scalar or of t's shape, as in the identity sweeps and
+    figure 1), cos(Z/t) is taken from ``math`` too.  Where the t entries
+    meet whole columns of Z (a Z column against a t row, the sign map of
+    figure 2), cos(Z/t) is taken from numpy, whose cos equals ``math.cos``
+    on the arguments tested.  Either way each entry has the bits of the
+    scalar call.  The ValueError of a scalar call is raised whenever one
     entry would raise it: a negative or non-finite Z, t <= 0, t*t == 0, or
-    (for t <= 350) a Z/t that overflows.  Overflow in 2*Z**2/t**2 and the
-    NaN of inf*0 pass without a numpy warning, as they do in ``math``.
+    (for t <= 350) a Z/t that overflows.  On a grid it is the error of the
+    first failing column, that of the scalar call at its largest Z after
+    its smallest and largest Z are checked as couplings (``_raise_first``).
+    Overflow in 2*Z**2/t**2 and the NaN of inf*0 pass without a numpy
+    warning, as they do in ``math``.
     """
     if isinstance(t, np.ndarray):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             big = t > _SINH_CLAMP
-            _raise_first(~np.isfinite(Z) | (Z < 0.0) | (t <= 0.0) | (t * t == 0.0)
-                         | (~big & ~np.isfinite(Z / t)), secular_t, t, Z)
+            bad = (~np.isfinite(Z) | (Z < 0.0) | (t <= 0.0) | (t * t == 0.0)
+                   | (~big & ~np.isfinite(Z / t)))
+            _raise_first(bad, secular_t, t, Z)
+            cos = _cos if bad.shape == t.shape else np.cos
             # the clamped entries never reach expm1, which overflows past 355
-            return np.where(big, math.inf, _t_form(np.where(big, 1.0, t), Z, _exp, _expm1, _cos))
-    grid = isinstance(Z, np.ndarray)
-    if grid:  # the extreme entries fail whenever some entry would
-        validate_coupling(Z.min(initial=0.0))
-        z_max = validate_coupling(Z.max(initial=0.0))
-    else:
-        z_max = validate_coupling(Z)
+            return np.where(big, math.inf, _t_form(np.where(big, 1.0, t), Z, _exp, _expm1, cos))
+    z = validate_coupling(Z)
     if t <= 0.0:
         raise ValueError(f"secular_t requires t > 0, got {t!r}")
     if t * t == 0.0:
         raise ValueError(f"secular_t requires t*t > 0, but it underflows at t={t!r}")
     if t > _SINH_CLAMP:
-        return np.full(Z.shape, math.inf) if grid else math.inf
-    if not math.isfinite(z_max / t):
-        raise ValueError(f"secular_t requires a finite Z/t, but it overflows at t={t!r}, Z={z_max!r}")
-    if not grid:
-        return _t_form(t, Z, math.exp, math.expm1, math.cos)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _t_form(t, Z, math.exp, math.expm1, np.cos)
+        return math.inf
+    if not math.isfinite(z / t):
+        raise ValueError(f"secular_t requires a finite Z/t, but it overflows at t={t!r}, Z={z!r}")
+    return _t_form(t, Z, math.exp, math.expm1, math.cos)
 
 
 def _s_form(s, Z, u, exp, expm1, cos):

@@ -14,8 +14,10 @@ is accepted by the one rounding-aware residual rule of ``secular``, which
 holds at every s, and its point is then built once, by
 ``SpectralPoint._at_root``, without the public constructor's re-checks.
 Each level is labelled n = round(s/pi) together with the factor that
-vanished.  ``_brentq`` is the same Brent loop for any callable; the series
-fit and ``verify`` use it, so the package needs no scipy at run time.
+vanished.  ``_brentq`` is the same Brent loop for any function, run on a
+batch of brackets in lockstep with one array evaluation per round; the
+series fit solves its samples together with it and ``verify`` refines its
+determinant roots with it, so the package needs no scipy at run time.
 
 The perturbation series writes a root near s = n*pi as s = n*pi + rho(t)
 with rho even in t, and solves the branch equation
@@ -33,18 +35,20 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, FitConditioningError, NoSignChangeError
 from .secular import (
+    ExactParams,
     SecularBranch,
     SpectralPoint,
     _SINH_CLAMP,
     _root_accepted,
     _t_sinh_t_array,
-    factor_value,
+    factor_value,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
+    secular_factor,
     validate_coupling,
 )
 
@@ -104,8 +108,8 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     ``brentq.c``, with xtol 1e-15, rtol 4*eps and ``_MAX_ITER`` iterations, so
     it returns the root that ``scipy.optimize.brentq(constraint_factor, ...)``
     returns, to the bit.  F is the float arithmetic of ``factor_value``
-    written inline, which saves the per-evaluation calls that the generic
-    ``_brentq`` makes (about a third of the time per root).  Raises
+    written inline, which saves a function call per evaluation (about a
+    third of the time per root).  Raises
     NoSignChangeError when the end values have the same sign, ValueError on a
     NaN value and ConvergenceError when the iterations run out.
     """
@@ -166,31 +170,18 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
 
 
-def _brentq(
-    f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float,
-    maxiter: int = 100,
-) -> float:
-    """Root of f in [a, b] by Brent's method: scipy's ``brentq.c`` step for
-    step, so it returns the root that ``scipy.optimize.brentq(f, a, b,
-    xtol=xtol, rtol=rtol, maxiter=maxiter)`` returns, to the bit.
-
-    The loop of ``_brent`` with ``f(x)`` in place of the inlined factor;
-    the arguments and each value are taken as doubles, as the C code takes
-    them, so the root is a float even for numpy inputs.  Raises what scipy
-    raises: ValueError for a NaN value or ends of the same sign and
-    RuntimeError when ``maxiter`` iterations do not converge.  ``_rho_at``
-    and ``verify._det_roots`` call it; the scan keeps ``_brent``.
-    """
-
-    def value(x: float) -> float:
-        fx = f(x)
-        if fx != fx:
-            raise ValueError(f"the function value at x={x} is NaN; solver cannot continue")
-        return float(fx)
-
-    xpre, xcur, xtol, rtol = float(a), float(b), float(xtol), float(rtol)
-    fpre = value(xpre)
-    fcur = value(xcur)
+def _brent_steps(
+    a: float, b: float, xtol: float, rtol: float, maxiter: int
+) -> Generator[float, float, float]:
+    """Brent's method on one bracket [a, b] as a generator: scipy's
+    ``brentq.c`` step for step, written once for ``_brentq``.  It yields each
+    x at which it needs the function, is sent the value there back as a
+    float, and returns the root.  Raises what scipy raises for ends of the
+    same sign (ValueError) and for ``maxiter`` iterations without
+    convergence (RuntimeError)."""
+    xpre, xcur = a, b
+    fpre = yield xpre
+    fcur = yield xcur
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:
@@ -230,8 +221,60 @@ def _brentq(
             xcur += scur
         else:
             xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
+        fcur = yield xcur
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
+
+
+def _brentq(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    brackets: Sequence[tuple[float, float]],
+    xtol: float,
+    rtol: float,
+    maxiter: int = 100,
+) -> list[float]:
+    """The root of f in each bracket (a, b), by Brent's method run on all
+    brackets at once: for each bracket the root that ``scipy.optimize.brentq(
+    f_k, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)`` returns, to the bit,
+    after the same evaluations, where f_k is f on bracket k alone.
+
+    ``f(x, k)`` takes an ndarray x of points and the ndarray k of the
+    brackets they belong to (x[i] lies in bracket k[i]) and returns the
+    values as an ndarray.  Each bracket runs the loop of ``_brent_steps``;
+    the brackets advance in lockstep, with one call of f per round over the
+    brackets still running.  The ends, tolerances and values are taken as
+    doubles, as the C code takes them, so each root is a float.  When a
+    bracket fails, the batch raises what scipy raises there, for the first
+    failing bracket in input order: ValueError for a NaN value or ends of
+    the same sign, RuntimeError when ``maxiter`` iterations do not converge.
+    The series fit (``fit_series_numeric``) and ``verify._det_roots`` call
+    it; the scan keeps ``_brent``.
+    """
+    xtol, rtol = float(xtol), float(rtol)
+    steps = [_brent_steps(float(a), float(b), xtol, rtol, maxiter) for a, b in brackets]
+    x = [next(step) for step in steps]
+    roots: list = [None] * len(steps)
+    running = list(range(len(steps)))
+    while running:
+        values = np.asarray(f(np.array([x[k] for k in running]), np.array(running)), float)
+        still = []
+        for k, fx in zip(running, values.tolist()):
+            try:
+                if fx != fx:
+                    raise ValueError(
+                        f"the function value at x={x[k]} is NaN; solver cannot continue"
+                    )
+                x[k] = steps[k].send(fx)
+            except StopIteration as stop:
+                roots[k] = stop.value
+            except (ValueError, RuntimeError) as exc:  # raised below, in input order
+                roots[k] = exc
+            else:
+                still.append(k)
+        running = still
+    for root in roots:
+        if isinstance(root, Exception):
+            raise root
+    return roots
 
 
 def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -> SpectralPoint:
@@ -388,14 +431,19 @@ def quartic_coefficient_printed_variant(n: int, branch: SecularBranch) -> float:
     return branch.series_sign * (-1) ** n / a - 1.0 / a**3
 
 
-def _rho_at(n: int, branch: SecularBranch, t: float) -> float:
-    """Root offset rho = s - n*pi of the branch equation at fixed small t."""
+def _rhos_at(n: int, branch: SecularBranch, ts: np.ndarray) -> np.ndarray:
+    """Root offsets rho = s - n*pi of the branch equation at each fixed small
+    t of ts, solved together by ``_brentq`` on the bracket n*pi +- 0.4 (xtol
+    1e-16, rtol 4*eps).  Each round evaluates ``secular_factor`` once on the
+    ``ExactParams`` arrays of the samples still running, which gives each
+    entry the bits of ``factor_value``."""
     a = n * math.pi
 
-    def f(s: float) -> float:
-        return factor_value(t, s, branch)
+    def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return secular_factor(ExactParams(t=ts[k], s=s), branch)
 
-    return _brentq(f, a - 0.4, a + 0.4, xtol=1e-16, rtol=4.0 * np.finfo(float).eps) - a
+    roots = _brentq(f, [(a - 0.4, a + 0.4)] * ts.size, xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
+    return np.array(roots) - a
 
 
 def fit_series_numeric(
@@ -412,9 +460,9 @@ def fit_series_numeric(
     and discarded; they absorb the truncation tail that would otherwise bias
     the reported coefficients (fewer are used when the sample count is small).
     Column-scaled least squares keeps the Vandermonde conditioning manageable;
-    a rank deficiency raises FitConditioningError.  Each sample's root comes
-    from ``_brentq`` on the bracket n*pi +- 0.4 (xtol 1e-16, rtol 4*eps), the
-    root ``scipy.optimize.brentq`` gives to the bit.
+    a rank deficiency raises FitConditioningError.  The samples' roots come
+    from one batched ``_brentq`` on the bracket n*pi +- 0.4 (xtol 1e-16,
+    rtol 4*eps), each the root ``scipy.optimize.brentq`` gives to the bit.
     """
     _validate_series_args(n, max_order)
     ts = np.asarray(t_samples, dtype=float)
@@ -431,7 +479,7 @@ def fit_series_numeric(
         raise FitConditioningError("t samples must be distinct")
 
     deg_terms = n_coef + max(0, min(_NUISANCE_ORDERS, ts.size - n_coef - 2))
-    rhos = np.array([_rho_at(n, branch, float(t)) for t in ts])
+    rhos = _rhos_at(n, branch, ts)
     design = np.vander(ts**2, N=deg_terms + 1, increasing=True)[:, 1:]
     scale = np.linalg.norm(design, axis=0)
     if np.any(scale == 0.0):

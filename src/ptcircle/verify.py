@@ -10,11 +10,15 @@ array call per kernel, and the determinant sweep stacks its matrices with
 ``oracle.boundary_matrices``; their array paths give each point the bits of
 the scalar calls, so the checks print what a per-point loop printed.
 
-The suite runs without scipy: determinant roots are refined by
-``spectrum._brentq`` and the symmetry check polishes its phase with
-``oracle._fminbound``, in-module ports that give scipy's bits.  Everything
-the checks use is loaded when the module is imported (``numpy.random``
-included), so a timed ``verify`` command pays only for its checks.
+The suite runs without scipy: the determinant roots of all couplings of the
+zero-set check are refined together by the batched ``spectrum._brentq``,
+one stacked determinant per round, and the symmetry check polishes its
+phase with ``oracle._fminbound``; both are in-module ports that give
+scipy's bits.  Every check takes its worst value with ``_worst``, which
+keeps a NaN, so a measurement that comes back NaN fails its check.
+Everything the checks use is loaded when the module is imported
+(``numpy.random`` included), so a timed ``verify`` command pays only for
+its checks.
 """
 
 from __future__ import annotations
@@ -84,9 +88,16 @@ class CheckResult:
     detail: str
 
 
-def _uniform(u: np.ndarray, lo: float, hi: float) -> list[float]:
+def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """The floats ``Generator.uniform(lo, hi)`` makes of the doubles u."""
-    return (lo + (hi - lo) * u).tolist()
+    return lo + (hi - lo) * u
+
+
+def _worst(values) -> float:
+    """The largest of values, 0.0 for none, and NaN if any value is NaN: a
+    measurement that comes back NaN fails its bound instead of being
+    skipped, as Python's max(worst, x) would skip it."""
+    return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
 def _identity_residuals(n_points: int, s_form: bool) -> np.ndarray:
@@ -97,13 +108,14 @@ def _identity_residuals(n_points: int, s_form: bool) -> np.ndarray:
     Draw order and seeds are those of one ``uniform`` call each for t in
     [1e-3, 20) and then Z in [0, 100) per point, from ``default_rng(_SEED)``
     (t form) or ``default_rng(_SEED + 1)`` (s form); the doubles come from one
-    ``random(2*n_points)`` call, mapped by ``_uniform`` to the same floats.
+    ``random(2*n_points)`` call, mapped by ``_uniform`` to the same floats in
+    one array each.
     All points go through the public kernels in one array call each, whose
     entries have the bits of the scalar calls, so a defect injected into any
     of the kernels trips the check."""
     u = default_rng(_SEED + 1 if s_form else _SEED).random(2 * n_points)
-    t = np.array(_uniform(u[0::2], 1e-3, 20.0))
-    Z = np.array(_uniform(u[1::2], 0.0, 100.0))
+    t = _uniform(u[0::2], 1e-3, 20.0)
+    Z = _uniform(u[1::2], 0.0, 100.0)
     keep = Z != 0.0  # s = 0 lies outside the s form
     t, Z = t[keep], Z[keep]
     s = Z / (2.0 * t)
@@ -118,8 +130,7 @@ def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
     """The largest of ``_identity_residuals``, at most 1e-9."""
     name = "s-representation-identity" if s_form else "factorization-identity"
     residual = _identity_residuals(n_points, s_form)
-    # fmax skips a NaN, as the running max(worst, r) of a per-point loop did
-    worst = float(np.fmax.reduce(residual, initial=0.0))
+    worst = _worst(residual)
     return CheckResult(
         name, worst <= 1e-9, f"max relative residual {worst:.3e} over {residual.size} points"
     )
@@ -127,11 +138,9 @@ def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
 
 def _hermitian_limit() -> CheckResult:
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=1e-8, s_max=5.6 * math.pi))
-    worst = 0.0
-    for n in range(1, 6):
-        target = (n * math.pi) ** 2
-        best = min(abs(p.E - target) for p in pts)
-        worst = max(worst, best)
+    energies = np.array([p.E for p in pts])
+    # the distance to the nearest level, NaN if a level is NaN
+    worst = _worst([np.min(np.abs(energies - (n * math.pi) ** 2)) for n in range(1, 6)])
     return CheckResult(
         "hermitian-limit", worst <= 1e-6, f"max |E - (n*pi)^2| = {worst:.3e} for n=1..5 at Z=1e-8"
     )
@@ -139,15 +148,16 @@ def _hermitian_limit() -> CheckResult:
 
 def _series_vs_fit(levels: tuple[int, ...]) -> CheckResult:
     ts = np.linspace(0.05, 0.2, 24)
-    worst = 0.0
+    deviations = []
     for n in levels:
         for branch in (secular.SecularBranch.FACTOR_MINUS, secular.SecularBranch.FACTOR_PLUS):
             derived = spectrum.series_coefficients(n, branch, 4)
             fitted = spectrum.fit_series_numeric(n, branch, ts, 4)
             lead = branch.series_sign * (-1) ** n / (n * math.pi)
-            worst = max(worst, abs(derived.coeffs[0] - lead) / abs(lead))
-            for c_d, c_f in zip(derived.coeffs, fitted.coeffs):
-                worst = max(worst, abs(c_d - c_f) / abs(c_d))
+            deviations.append(abs(derived.coeffs[0] - lead) / abs(lead))
+            deviations.extend(abs(c_d - c_f) / abs(c_d)
+                              for c_d, c_f in zip(derived.coeffs, fitted.coeffs))
+    worst = _worst(deviations)
     return CheckResult(
         "series-vs-fit",
         worst <= 1e-6,
@@ -174,31 +184,41 @@ def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     return energies, np.linalg.det(oracle.boundary_matrices(energies, Z)).real
 
 
-def _det_roots(Z: float, s_max: float) -> list[float]:
-    """Real-axis roots of the boundary determinant, by sweep and refinement."""
-    energies, vals = _det_sweep(Z, s_max)
+def _det_roots(z_values: tuple[float, ...], s_max: float) -> list[list[float]]:
+    """Real-axis roots of the boundary determinant at each coupling of
+    z_values, sorted, by sweep and refinement.
 
-    def det_re(E: float) -> float:
-        return oracle.boundary_determinant(E, Z).real
+    The sign changes of each coupling's ``_det_sweep`` are the brackets.  The
+    brackets of all couplings are refined together by ``spectrum._brentq``,
+    each round one stacked determinant of ``oracle.boundary_matrices`` at
+    the energies and couplings of the brackets still running, so each root
+    is the one ``scipy.optimize.brentq`` gives on ``boundary_determinant(E,
+    Z).real`` over that bracket, to the bit."""
+    brackets: list[tuple[float, float]] = []
+    couplings: list[float] = []
+    counts = []
+    for Z in z_values:
+        energies, vals = _det_sweep(Z, s_max)
+        cells = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
+        brackets.extend((float(energies[i]), float(energies[i + 1])) for i in cells)
+        couplings.extend([Z] * len(cells))
+        counts.append(len(cells))
+    z_of = np.array(couplings, dtype=float)
 
-    roots = []
-    for i in range(len(energies) - 1):
-        if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            roots.append(
-                spectrum._brentq(
-                    det_re, float(energies[i]), float(energies[i + 1]), xtol=1e-12, rtol=1e-14
-                )
-            )
-    return sorted(roots)
+    def det_re(E: np.ndarray, k: np.ndarray) -> np.ndarray:
+        return np.linalg.det(oracle.boundary_matrices(E, z_of[k])).real
+
+    roots = spectrum._brentq(det_re, brackets, xtol=1e-12, rtol=1e-14)
+    ends = np.cumsum([0, *counts]).tolist()
+    return [sorted(roots[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 
 
 def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
     s_max = 4.6 * math.pi
-    worst_match = 0.0
-    worst_bc = 0.0
-    for Z in z_values:
+    matches = []
+    bc_residuals = []
+    for Z, det_es in zip(z_values, _det_roots(z_values, s_max)):
         pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=s_max))
-        det_es = _det_roots(Z, s_max)
         if len(det_es) != len(pts):
             return CheckResult(
                 "zero-set-equivalence",
@@ -206,10 +226,11 @@ def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
                 f"root count mismatch at Z={Z}: {len(pts)} secular vs {len(det_es)} determinant",
             )
         for p, e_det in zip(pts, det_es):
-            worst_match = max(worst_match, abs(p.E - e_det))
+            matches.append(abs(p.E - e_det))
             sol = oracle.nullspace_solution(p.E, Z)
-            report = oracle.residual_check(sol, p.E, Z)
-            worst_bc = max(worst_bc, max(report.bc_residuals))
+            bc_residuals.extend(oracle.residual_check(sol, p.E, Z).bc_residuals)
+    worst_match = _worst(matches)
+    worst_bc = _worst(bc_residuals)
     ok = worst_match <= 1e-8 and worst_bc <= 1e-8
     return CheckResult(
         "zero-set-equivalence",
@@ -258,21 +279,23 @@ def solve_table_rows(folds, pinned_only: bool = False):
             continue
         params, energy = _solve_table_row(Z, a_p, b_p, pair, folds[pair])
         d_a, d_b, d_e = params.alpha - a_p, params.beta - b_p, energy.re_E - ree_p
-        ok = table_deviation_ok(max(abs(d_a), abs(d_b)), abs(d_e) / ree_p)
+        ok = table_deviation_ok(_worst((abs(d_a), abs(d_b))), abs(d_e) / ree_p)
         yield row, params, energy, (d_a, d_b, d_e), ok
 
 
 def _table_goldens(pinned_only: bool, folds) -> CheckResult:
     passed = True
-    worst_ab = 0.0
-    worst_ree = 0.0
+    d_ab = []
+    d_ree = []
     rows = solve_table_rows(folds, pinned_only)
     for (_, _, _, ree_p, _, pinned), _, _, (d_a, d_b, d_e), ok in rows:
         if not pinned:  # reported rows are solved but not judged
             continue
         passed = passed and ok
-        worst_ab = max(worst_ab, abs(d_a), abs(d_b))
-        worst_ree = max(worst_ree, abs(d_e) / ree_p)
+        d_ab += [abs(d_a), abs(d_b)]
+        d_ree.append(abs(d_e) / ree_p)
+    worst_ab = _worst(d_ab)
+    worst_ree = _worst(d_ree)
     return CheckResult(
         "table-goldens",
         passed,
@@ -291,11 +314,10 @@ def _dirichlet_comparison(folds) -> CheckResult:
 
 
 def _pt_symmetry() -> CheckResult:
-    worst_unbroken = 0.0
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=2.0, s_max=3.5 * math.pi))
-    for p in pts:
-        sol = oracle.nullspace_solution(p.E, 2.0)
-        worst_unbroken = max(worst_unbroken, oracle.pt_symmetry_check(sol, 2.0))
+    worst_unbroken = _worst(
+        [oracle.pt_symmetry_check(oracle.nullspace_solution(p.E, 2.0), 2.0) for p in pts]
+    )
     params, energy = transition.solve_broken(6.0, transition.BrokenParams.bind(0.36, 0.62, 6.0))
     sol = oracle.nullspace_solution(complex(energy.re_E, -energy.eps), 6.0)
     broken_dev = oracle.pt_symmetry_check(sol, 6.0)
@@ -308,7 +330,7 @@ def _pt_symmetry() -> CheckResult:
 
 
 def _perturbative_vs_scan() -> CheckResult:
-    worst = 0.0
+    deviations = []
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=0.2, s_max=2.6 * math.pi))
     for n in (1, 2):
         for branch in (secular.SecularBranch.FACTOR_MINUS, secular.SecularBranch.FACTOR_PLUS):
@@ -317,14 +339,15 @@ def _perturbative_vs_scan() -> CheckResult:
                 (p.E for p in pts if p.n == n and p.branch is branch),
                 key=lambda e: abs(e - e_series),
             )
-            worst = max(worst, abs(e_series - e_scan))
+            deviations.append(abs(e_series - e_scan))
+    worst = _worst(deviations)
     return CheckResult(
         "perturbative-vs-scan", worst <= 1e-10, f"max |E_series - E_scan| = {worst:.3e} at Z=0.2"
     )
 
 
 def _conjugate_pairing() -> CheckResult:
-    worst = 0.0
+    defects = []
     for alpha, beta, Z in ((0.35, 0.62, 6.0), (0.31, 0.35, 17.95), (0.2, 0.9, 8.0)):
         p = transition.BrokenParams.bind(alpha, beta, Z)
         q = p.swapped()
@@ -332,7 +355,8 @@ def _conjugate_pairing() -> CheckResult:
             return CheckResult("conjugate-pairing", False, "eps/ReE swap symmetry broken")
         s1 = transition.broken_secular_symmetric(p, Z)
         s2 = transition.broken_secular_symmetric(q, Z)
-        worst = max(worst, abs(s1 - s2.conjugate()) / max(1.0, abs(s1)))
+        defects.append(abs(s1 - s2.conjugate()) / max(1.0, abs(s1)))
+    worst = _worst(defects)
     return CheckResult(
         "conjugate-pairing", worst <= 1e-12,
         f"max defect of S(a,b) = conj(S(b,a)) is {worst:.3e}",
@@ -346,9 +370,9 @@ def _exact_broken_consistency(folds) -> CheckResult:
     params, _ = transition.solve_broken(Z, seed)
     sym = abs(params.alpha - params.beta)
     pair = transition.real_pair_near_fold(Z, fold)
-    energies = [p.energy().re_E for p in pair]
+    energies = np.array([p.energy().re_E for p in pair])
     k2 = params.energy().re_E
-    closest = min(abs(k2 - e) / e for e in energies)
+    closest = float(np.min(np.abs(k2 - energies) / energies))  # NaN if a value is NaN
     ok = sym <= 1e-4 and closest <= 1e-5
     return CheckResult(
         "exact-broken-consistency",

@@ -279,6 +279,30 @@ class TestFigCommand:
         assert out == ""
         assert "usage error" in err
 
+    @pytest.mark.parametrize("nt, nz, t_min, t_max, z_max", [
+        (2, 2, 0.01, 0.02, 1e308),    # Z/t overflows in both columns, at both Z
+        (4, 3, 1e-170, 1e-161, 1.0),  # t*t underflows in the first column only
+    ])
+    def test_fig2_error_is_the_first_failing_column(self, capsys, nt, nz, t_min, t_max, z_max):
+        # the error of the column-by-column loop: the scalar call's error at
+        # the first column that fails, at the column's largest Z
+        dt, dz = (t_max - t_min) / nt, z_max / nz
+        zs = [(j + 0.5) * dz for j in range(nz)]
+        expected = None
+        for t in (t_min + (i + 0.5) * dt for i in range(nt)):
+            try:
+                for Z in zs:
+                    ptcircle.secular.secular_t(t, Z)
+            except ValueError:
+                with pytest.raises(ValueError) as info:
+                    ptcircle.secular.secular_t(t, max(zs))
+                expected = f"usage error: {info.value}\n"
+                break
+        code, out, err = run_cli(capsys, "fig", "--which", "2", "--nt", str(nt), "--nz", str(nz),
+                                 "--t-min", repr(t_min), "--t-max", repr(t_max),
+                                 "--z-max", repr(z_max))
+        assert (code, out, err) == (64, "", expected)
+
     @staticmethod
     def reference_fig2(fmt, meta, nt, nz, t_min, t_max, z_min, z_max):
         """The sign map as one scalar ``secular_t`` call per cell, formatted

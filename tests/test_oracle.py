@@ -104,6 +104,110 @@ class TestBoundaryMatrices:
     def test_bad_coupling_raises(self, Z):
         with pytest.raises(ValueError, match="coupling"):
             boundary_matrices(np.array([1.0]), Z)
+        # in an array of couplings, the error of the first bad one
+        with pytest.raises(ValueError) as info:
+            boundary_matrices(np.array([1.0, 2.0, 3.0]), np.array([0.5, Z, -2.0]))
+        with pytest.raises(ValueError) as scalar:
+            boundary_matrix(2.0, Z)
+        assert str(info.value) == str(scalar.value)
+
+    def test_couplings_broadcast_against_energies(self):
+        # one coupling per energy, as the batched determinant roots use it,
+        # and a column of couplings against a row of energies
+        rng = np.random.default_rng(17)
+        E = np.concatenate([rng.uniform(-50.0, 400.0, 200), [0.0, -0.0, PI2, 1e-300]])
+        Z = rng.choice([0.0, -0.0, 1e-8, 0.5, 3.0, 17.0, 25.0], E.size)
+        W = boundary_matrices(E, Z)
+        assert W.shape == (E.size, 4, 4)
+        for E_i, Z_i, W_i in zip(E.tolist(), Z.tolist(), W):
+            assert W_i.tobytes() == np.array(boundary_matrix(E_i, Z_i), complex).tobytes()
+        grid = boundary_matrices(E[:7], np.array([[0.5], [-0.0], [3.0]]))
+        assert grid.shape == (3, 7, 4, 4)
+        for Z_j, row in zip((0.5, -0.0, 3.0), grid):
+            assert row.tobytes() == boundary_matrices(E[:7], Z_j).tobytes()
+
+
+def reference_residual_check(sol, E, Z, grid_n=256):
+    """``oracle.residual_check`` as it was before it read the boundary values
+    off its own grids: the four matching conditions from eight one-point
+    ``_piece_values`` calls."""
+    if grid_n < 64:
+        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
+    E = complex(E)
+    oracle.validate_coupling(Z)
+
+    ode_fd = 0.0
+    ode_an = 0.0
+    peak = 0.0
+    for side, (lo, hi), pot in (("right", (0.0, 1.0), 1j * Z), ("left", (-1.0, 0.0), -1j * Z)):
+        x = np.linspace(lo, hi, grid_n)
+        h = x[1] - x[0]
+        psi, _, d2_exact = oracle._piece_values(sol, side, x)
+        peak = max(peak, float(np.max(np.abs(psi))))
+        res_an = np.abs(-d2_exact + pot * psi - E * psi)
+        ode_an = max(ode_an, float(np.max(res_an)))
+        d2_fd = (
+            -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
+        ) / (12.0 * h * h)
+        inner = psi[2:-2]
+        res_fd = np.abs(-d2_fd + pot * inner - E * inner)
+        ode_fd = max(ode_fd, float(np.max(res_fd)))
+
+    x1 = np.array([1.0])
+    x0 = np.array([0.0])
+    xm1 = np.array([-1.0])
+    p1_1, d1_1, _ = oracle._piece_values(sol, "right", x1)
+    p1_0, d1_0, _ = oracle._piece_values(sol, "right", x0)
+    p2_m1, d2_m1, _ = oracle._piece_values(sol, "left", xm1)
+    p2_0, d2_0, _ = oracle._piece_values(sol, "left", x0)
+    bc = (
+        float(abs(p1_1[0] - p2_m1[0])) / peak,
+        float(abs(d1_1[0] - d2_m1[0])) / peak,
+        float(abs(p1_0[0] - p2_0[0])) / peak,
+        float(abs(d1_0[0] - d2_0[0])) / peak,
+    )
+    det = boundary_determinant(E, Z)
+    return oracle.ResidualReport(
+        ode_residual=ode_fd / peak,
+        ode_residual_analytic=ode_an / peak,
+        bc_residuals=bc,
+        det_modulus=abs(det),
+    )
+
+
+def report_bytes(report):
+    """Every field of a ResidualReport by the bytes of its doubles."""
+    return np.array([report.ode_residual, report.ode_residual_analytic,
+                     *report.bc_residuals, report.det_modulus]).tobytes()
+
+
+class TestResidualCheckIsTheEarlierOne:
+    """The boundary values come from the ends of the 256-point grids; every
+    field of the report must keep the bytes of the version that evaluated
+    them at one point each."""
+
+    @pytest.mark.parametrize("Z", [0.0, 1e-3, 0.5, 3.0, 5.0, 10.0, 17.0])
+    def test_real_spectrum(self, Z):
+        cases = [(p.E, Z) for p in scan_roots(SpectrumRequest(Z=Z, s_max=30.0))]
+        cases += [(E, Z) for E in (5.0, 40.0)]  # off the spectrum
+        for E, Z in cases:
+            sol = nullspace_solution(E, Z, require_singular=False)
+            for grid_n in (64, 256, 1000):
+                got = residual_check(sol, E, Z, grid_n)
+                assert report_bytes(got) == report_bytes(
+                    reference_residual_check(sol, E, Z, grid_n)), (E, Z, grid_n)
+
+    @pytest.mark.parametrize("pair, Z", [(0, 6.0), (1, 20.0), (2, 40.0), (3, 100.0), (3, 500.0)])
+    def test_broken_pairs(self, pair, Z):
+        from ptcircle.transition import interval_fold
+
+        _, energy = solve_above_fold(interval_fold(pair), Z)
+        for sign in (+1.0, -1.0):
+            E = complex(energy.re_E, sign * energy.eps)
+            sol = nullspace_solution(E, Z)
+            got = residual_check(sol, E, Z)
+            assert got.bc_residuals == reference_residual_check(sol, E, Z).bc_residuals
+            assert report_bytes(got) == report_bytes(reference_residual_check(sol, E, Z))
 
 
 class TestPrefactorObservation:

@@ -74,52 +74,91 @@ def _scalar_or_error(t, Z):
         return ValueError
 
 
+def _column_error(t, zs):
+    """The error of the column of scalar calls at t over the couplings zs, as
+    the sign map raises it: None if every call passes, else the type and
+    text of the call at the largest Z (Z/t overflows first there)."""
+    if all(_scalar_or_error(t, Z) is not ValueError for Z in zs):
+        return None
+    return _outcome(secular_t, t, max(zs))
+
+
 class TestSecularTOnGrid:
-    """An ndarray Z must give, at each entry, the bits of the scalar call, and
-    raise exactly where some scalar call raises."""
+    """A t row against a Z column must give, at each cell, the bits of the
+    scalar call, and raise where some scalar call raises: the error of the
+    first failing column."""
 
     GRID = np.array([0.0, 1e-300, 0.5, 5.0, 20.0, 200.0, 1e4, 1e6, 1e154, 1e155, 1e200,
                      1e300, 1.7e306])
+    T = [1e-161, 1e-10, 1e-3, 0.01, 0.05, 0.3, 1.0, 7.0, 20.0, 340.0, 349.0, 349.9, 350.0,
+         350.5, 400.0, 1e300]
 
-    @pytest.mark.parametrize("t", [
-        1e-161, 1e-10, 1e-3, 0.01, 0.05, 0.3, 1.0, 7.0, 20.0, 340.0, 349.0, 349.9, 350.0,
-        350.5, 400.0, 1e300,
-    ])
+    @pytest.mark.parametrize("t", T)
     @pytest.mark.parametrize("grid", [GRID, GRID[:8], GRID[:1], np.linspace(0.0, 200.0, 301)])
     def test_matches_scalar_at_every_entry(self, t, grid):
         expected = [_scalar_or_error(t, Z) for Z in grid.tolist()]
         if ValueError in expected:
-            with pytest.raises(ValueError):
-                secular_t(t, grid)
+            with pytest.raises(ValueError) as info:
+                secular_t(np.array([t]), grid[:, None])
+            assert (ValueError, str(info.value)) == _column_error(t, grid.tolist())
             return
-        got = secular_t(t, grid)
-        assert got.shape == grid.shape
+        got = secular_t(np.array([t]), grid[:, None])
+        assert got.shape == (grid.size, 1)
         # bit-equal, NaN sign included: fig 2 prints the sign bit of each value
         assert got.tobytes() == np.array(expected).tobytes()
 
+    @pytest.mark.parametrize("grid", [GRID, GRID[:8], np.linspace(0.0, 200.0, 301)])
+    def test_whole_grid_matches_scalar_at_every_cell(self, grid):
+        # every column that passes, above t = 350 and NaN cells included
+        ts = [t for t in self.T if _column_error(t, grid.tolist()) is None]
+        got = secular_t(np.array(ts), grid[:, None])
+        assert got.shape == (grid.size, len(ts))
+        expected = [[secular_t(t, Z) for t in ts] for Z in grid.tolist()]
+        assert got.tobytes() == np.array(expected).tobytes()
+        if grid is self.GRID:
+            assert {t for t in ts if t > 350.0} and np.isnan(got).any()
+
+    @pytest.mark.parametrize("ts", [
+        [1.0, 1e-170, 1e-3, 400.0],   # t*t underflows before Z/t overflows
+        [1.0, 1e-3, 1e-170, 400.0],   # Z/t overflows before t*t underflows
+        [0.3, 1e-161, -1.0, 1e-3],    # t <= 0 after a column that passes
+        [7.0, 1e-10, 1e-161, 1e-3],
+    ])
+    def test_first_failing_column_raises(self, ts):
+        zs = self.GRID.tolist()
+        failing = [e for e in (_column_error(t, zs) for t in ts) if e is not None]
+        assert len(failing) >= 2 and failing[0] != failing[1]
+        with pytest.raises(ValueError) as info:
+            secular_t(np.array(ts), self.GRID[:, None])
+        assert (ValueError, str(info.value)) == failing[0]
+
     def test_covers_every_regime(self):
         # the parametrization above reaches each branch of the scalar rule
-        assert secular_t(400.0, self.GRID).tolist() == [math.inf] * len(self.GRID)
-        assert np.isnan(secular_t(349.0, self.GRID)).any()
-        assert secular_t(0.3, np.array([0.0]))[0] == secular_t(0.3, 0.0) > 0.0
+        column = self.GRID[:, None]
+        assert secular_t(np.array([400.0]), column).ravel().tolist() == [math.inf] * len(self.GRID)
+        assert np.isnan(secular_t(np.array([349.0]), column)).any()
+        assert secular_t(np.array([0.3]), np.array([[0.0]]))[0, 0] == secular_t(0.3, 0.0) > 0.0
         assert _scalar_or_error(1e-3, 1.7e306) is ValueError  # Z/t overflows
         assert _scalar_or_error(1e-161, 0.0) is not ValueError  # t*t is subnormal, not 0
 
     @pytest.mark.parametrize("t", [0.0, -1.0, 1e-170])
     def test_bad_t_raises(self, t):
-        with pytest.raises(ValueError):
-            secular_t(t, np.array([1.0, 2.0]))
+        with pytest.raises(ValueError) as info:
+            secular_t(np.array([1.0, t]), np.array([[1.0], [2.0]]))
+        assert (ValueError, str(info.value)) == _outcome(secular_t, t, 2.0)
 
     @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("t", [1.0, 400.0])
     def test_bad_coupling_raises(self, t, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             secular_t(t, bad)
-        with pytest.raises(ValueError):
-            secular_t(t, np.array([1.0, bad, 2.0]))
+        # in a column, the scalar call's error at that coupling
+        with pytest.raises(ValueError) as in_column:
+            secular_t(np.array([t, 2.0]), np.array([[1.0], [bad], [2.0]]))
+        assert str(in_column.value) == str(info.value)
 
     def test_negative_zero_is_a_coupling(self):
-        assert secular_t(1.0, np.array([-0.0])).tolist() == [secular_t(1.0, -0.0)]
+        assert secular_t(np.array([1.0]), np.array([[-0.0]])).tolist() == [[secular_t(1.0, -0.0)]]
 
 
 def _outcome(kernel, *args):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import struct
 
@@ -319,72 +320,176 @@ def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):
     return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
 
 
-class TestBrentqIsScipyBrentq:
-    """``spectrum._brentq`` is scipy's ``brentq.c``: the same evaluations,
-    the same root to the bit, and the same exception types."""
+def batched(fs):
+    """The batch function of the scalar functions fs, one per bracket, and
+    the list of the points each bracket is evaluated at, in order."""
+    seen = [[] for _ in fs]
 
-    def assert_same(self, f, a, b, xtol, rtol, maxiter=100):
-        """Both return the same root, or both run out of iterations, after
-        the same evaluations; returns the root, or None when they ran out."""
-        f_ours, ours = recorded(f)
-        f_ref, ref = recorded(f)
-        try:
-            want = scipy_brentq(f_ref, a, b, xtol, rtol, maxiter)
-        except RuntimeError:
-            with pytest.raises(RuntimeError, match="converge"):
-                spectrum._brentq(f_ours, a, b, xtol, rtol, maxiter)
-            want = None
-        else:
-            got = spectrum._brentq(f_ours, a, b, xtol, rtol, maxiter)
-            assert same_bits(got, want), (a, b, xtol, rtol, got, want)
-            assert type(got) is type(want) is float
-        assert ours == ref, (a, b, xtol, rtol)
-        return want
+    def f(x, k):
+        assert x.dtype == float and x.shape == k.shape
+        values = []
+        for xi, ki in zip(x.tolist(), k.tolist()):
+            seen[ki].append(xi)
+            values.append(fs[ki](xi))
+        return np.array(values, dtype=float)
+
+    return f, seen
+
+
+def scipy_outcome(f, a, b, xtol, rtol, maxiter=100):
+    """scipy's root, or the type of its error, and its evaluation points."""
+    g, xs = recorded(f)
+    try:
+        return scipy_brentq(g, a, b, xtol, rtol, maxiter), xs
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), xs
+
+
+def error_alone(f, a, b, xtol, rtol, maxiter=100):
+    """The type and text of the error ``_brentq`` raises on [a, b] alone."""
+    with pytest.raises((ValueError, RuntimeError)) as info:
+        spectrum._brentq(batched([f])[0], [(a, b)], xtol, rtol, maxiter)
+    return type(info.value), str(info.value)
+
+
+class TestBrentqIsScipyBrentq:
+    """``spectrum._brentq`` runs scipy's ``brentq.c`` on every bracket of a
+    batch: the same evaluations per bracket, the same root to the bit, and
+    the same exception types, alone and in a batch."""
+
+    def assert_batch(self, cases, maxiter=100):
+        """Run cases (f, a, b) of one tolerance pair as one batch; each
+        bracket is evaluated where scipy evaluates it.  Returns scipy's
+        outcomes; the batch returns their roots, or raises the error of the
+        first failing bracket."""
+        fs, brackets, (xtol, rtol) = [c[0] for c in cases], [c[1:3] for c in cases], cases[0][3:]
+        expected = [scipy_outcome(f, a, b, xtol, rtol, maxiter) for f, (a, b) in zip(fs, brackets)]
+        f, seen = batched(fs)
+        failing = [i for i, (root, _) in enumerate(expected) if isinstance(root, type)]
+        if failing:
+            i = failing[0]
+            with pytest.raises(expected[i][0]) as info:
+                spectrum._brentq(f, brackets, xtol, rtol, maxiter)
+            assert str(info.value) == error_alone(fs[i], *brackets[i], xtol, rtol, maxiter)[1]
+            for got, (_, xs) in zip(seen, expected):
+                assert got == xs[: len(got)]
+            return expected
+        roots = spectrum._brentq(f, brackets, xtol, rtol, maxiter)
+        assert len(roots) == len(cases)
+        for got, (want, xs), evaluated in zip(roots, expected, seen):
+            assert same_bits(got, want) and type(got) is float, (got, want)
+            assert evaluated == xs
+        return expected
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("branch", [MINUS, PLUS])
     def test_series_fit_brackets(self, n, branch):
         # the t grid of verify's series check and of tests/test_series.py, and
-        # a denser one, through the bracket and tolerances of _rho_at
+        # a denser one, through the bracket and tolerances of _rhos_at
         a = n * math.pi
-        ts = {*np.linspace(0.05, 0.2, 24).tolist(), *np.linspace(1e-3, 0.2, 97).tolist()}
-        for t in sorted(ts):
-            root = self.assert_same(lambda s: factor_value(t, s, branch), a - 0.4, a + 0.4,
-                                    1e-16, 4.0 * np.finfo(float).eps)
-            assert spectrum._rho_at(n, branch, t) == root - a
+        ts = sorted({*np.linspace(0.05, 0.2, 24).tolist(), *np.linspace(1e-3, 0.2, 97).tolist()})
+        fs = [lambda s, t=t: factor_value(t, s, branch) for t in ts]
+        expected = self.assert_batch([(f, a - 0.4, a + 0.4, 1e-16, 4.0 * np.finfo(float).eps)
+                                      for f in fs])
+        rhos = spectrum._rhos_at(n, branch, np.array(ts))
+        assert rhos.tobytes() == np.array([root - a for root, _ in expected]).tobytes()
 
-    @pytest.mark.parametrize("Z", [0.5, 3.0, 5.0, 10.0, 17.0])
-    def test_determinant_brackets(self, Z):
-        energies, vals = verify._det_sweep(Z, 4.6 * math.pi)
-        brackets = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
-        assert brackets
-        for i in brackets:
-            self.assert_same(lambda E: boundary_determinant(E, Z).real,
-                             float(energies[i]), float(energies[i + 1]), 1e-12, 1e-14)
+    @pytest.mark.parametrize("z_values", [(0.5,), (3.0,), (5.0,), (10.0,), (17.0,),
+                                          (0.5, 3.0, 5.0, 10.0, 17.0)])
+    def test_determinant_brackets(self, z_values):
+        cases = []
+        for Z in z_values:
+            energies, vals = verify._det_sweep(Z, 4.6 * math.pi)
+            brackets = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
+            assert brackets
+            cases += [(lambda E, Z=Z: boundary_determinant(E, Z).real,
+                       float(energies[i]), float(energies[i + 1]), 1e-12, 1e-14)
+                      for i in brackets]
+        self.assert_batch(cases)
 
-    def test_seeded_smooth_functions(self):
-        roots = [self.assert_same(*case) for case in smooth_cases()]
+    def test_seeded_smooth_functions_alone(self):
+        outcomes = [self.assert_batch([case])[0][0] for case in smooth_cases()]
         # the triple and fifth-order roots run out of iterations at the
         # tighter tolerances, so both outcomes are compared
-        assert 0 < roots.count(None) < 0.25 * len(roots)
+        failed = [root for root in outcomes if isinstance(root, type)]
+        assert set(failed) == {RuntimeError} and 0 < len(failed) < 0.25 * len(outcomes)
+
+    def test_seeded_smooth_functions_batched(self):
+        by_tols = {}
+        for f, a, b, xtol, rtol in smooth_cases():
+            by_tols.setdefault((xtol, rtol), []).append((f, a, b, xtol, rtol))
+        for cases in by_tols.values():
+            converging = [c for c in cases
+                          if not isinstance(scipy_outcome(*c)[0], type)]
+            self.assert_batch(converging)
+            self.assert_batch(cases)  # raises for the first bracket that runs out
+
+    def test_mixed_batch(self):
+        eps = np.finfo(float).eps
+        cases = [
+            (lambda x: math.tanh(4.0 * (x - 0.3)), -2.0, 3.0),
+            (lambda x: x - 1.0, 1.0, 3.0),          # the lower end's value is 0
+            (lambda x: 2.0 * (x - 1.5), 1.0, 2.0),  # the first step lands on the root
+            (lambda x: (x - 0.7) ** 3 + 0.1 * (x - 0.7), -4.0, 1.0),
+            (lambda x: math.exp(x - 2.0) - 1.0, 0.0, 5.0),
+            (lambda x: -0.0 if x == 3.0 else x - 2.5, 1.0, 3.0),  # an upper end's -0.0
+        ]
+        outcomes = self.assert_batch([(f, a, b, 2e-12, 4.0 * eps) for f, a, b in cases])
+        assert all(isinstance(root, float) for root, _ in outcomes)
+        f, seen = batched([c[0] for c in cases])
+        roots = spectrum._brentq(f, [c[1:] for c in cases], 2e-12, 4.0 * eps)
+        assert roots[1] == 1.0 and len(seen[1]) == 2
+        assert roots[2] == 1.5 and len(seen[2]) == 3 and cases[2][0](seen[2][-1]) == 0.0
+        assert same_bits(roots[5], 3.0) and len(seen[5]) == 2
+        assert len({len(xs) for xs in seen}) >= 4  # different iteration counts
+
+    def test_empty_batch(self):
+        assert spectrum._brentq(batched([])[0], [], 1e-12, 1e-12) == []
 
     def test_iterations_run_out(self):
-        assert self.assert_same(lambda x: x**3 - 0.3, 0.0, 5.0, 1e-15, 1e-15, maxiter=3) is None
+        with pytest.raises(RuntimeError, match="converge"):
+            spectrum._brentq(batched([lambda x: x**3 - 0.3])[0], [(0.0, 5.0)], 1e-15, 1e-15, 3)
+        self.assert_batch([(lambda x: x**3 - 0.3, 0.0, 5.0, 1e-15, 1e-15)], maxiter=3)
 
-    @pytest.mark.parametrize("impl", [spectrum._brentq, scipy_brentq])
+    @pytest.mark.parametrize("impl", ["ours", "scipy"])
     def test_same_sign_ends(self, impl):
+        f, a, b = (lambda x: x * x + 1.0), -1.0, 2.0
         with pytest.raises(ValueError, match="different signs"):
-            impl(lambda x: x * x + 1.0, -1.0, 2.0, 2e-12, 1e-12)
+            if impl == "ours":
+                spectrum._brentq(batched([f])[0], [(a, b)], 2e-12, 1e-12)
+            else:
+                scipy_brentq(f, a, b, 2e-12, 1e-12)
 
-    @pytest.mark.parametrize("impl", [spectrum._brentq, scipy_brentq])
+    @staticmethod
+    def nan_inside(x):
+        return math.nan if x <= -1.0 or x >= 2.0 or 0.3 < x < 0.5 else x - 0.4
+
+    @pytest.mark.parametrize("impl", ["ours", "scipy"])
     @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 2.0), (0.0, 1.0)])
     def test_nan_value(self, impl, a, b):
         # NaN at the lower end, at the upper end, or at the first step inside
-        def f(x):
-            return math.nan if x <= -1.0 or x >= 2.0 or 0.3 < x < 0.5 else x - 0.4
-
         with pytest.raises(ValueError, match="NaN"):
-            impl(f, a, b, 2e-12, 1e-12)
+            if impl == "ours":
+                spectrum._brentq(batched([self.nan_inside])[0], [(a, b)], 2e-12, 1e-12)
+            else:
+                scipy_brentq(self.nan_inside, a, b, 2e-12, 1e-12)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(5))))
+    def test_first_failing_bracket_in_input_order(self, order):
+        # same-sign ends, a NaN inside, iterations that run out, and two
+        # brackets that converge, in every order: the batch raises what
+        # the first failing bracket raises alone
+        cases = [
+            (lambda x: x - 0.4, 0.0, 1.0),
+            (lambda x: x * x + 1.0, -1.0, 2.0),
+            (self.nan_inside, 0.0, 1.0),
+            (lambda x: x**3 - 0.3, 0.0, 5.0),
+            (lambda x: 2.0 * (x - 1.5), 1.0, 2.0),
+        ]
+        batch = [(*cases[i], 1e-15, 1e-15) for i in order]
+        outcomes = [root for root, _ in self.assert_batch(batch, maxiter=4)]
+        kinds = sorted(root.__name__ if isinstance(root, type) else "root" for root in outcomes)
+        assert kinds == ["RuntimeError", "ValueError", "ValueError", "root", "root"]
 
 
 def public_point(Z: float, branch: SecularBranch, s: float, residual: float) -> SpectralPoint:
