@@ -45,6 +45,11 @@ EXIT_SOLVER = 2
 EXIT_USAGE = 64
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a process a closed pipe ended
 
+# fig 2 evaluates and writes its grid in blocks of whole Z rows of about this
+# many cells, which bounds its float temporaries (the default 256 x 256 grid
+# is one block)
+_FIG2_BLOCK_CELLS = 1 << 20
+
 
 class _UsageError(Exception):
     pass
@@ -212,11 +217,20 @@ def _cmd_fig(args) -> int:
     dz = (args.z_max - args.z_min) / args.nz
     ts = [args.t_min + (i + 0.5) * dt for i in range(args.nt)]
     zs = [args.z_min + (j + 0.5) * dz for j in range(args.nz)]
-    try:  # one pass over the grid, a Z column against a t row
-        v = secular_t(np.array(ts), np.array(zs)[:, None])
+    t_row, z_column = np.array(ts), np.array(zs)[:, None]
+    step = max(1, _FIG2_BLOCK_CELLS // args.nt)
+    blocks = [slice(j, j + step) for j in range(0, args.nz, step)]
+    signs = np.empty((args.nz, args.nt), dtype=np.int8)
+    try:
+        if len(blocks) > 1:
+            # a t column fails at its smallest or largest Z if anywhere (Z
+            # rises down the column), so those two rows raise the grid's error
+            secular_t(t_row, z_column[[0, -1]])
+        for b in blocks:  # one pass per block, a Z column against a t row
+            v = secular_t(t_row, z_column[b])
+            signs[b] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN keeps its sign bit
     except ValueError as exc:  # t*t underflows or Z/t overflows
         raise _UsageError(str(exc)) from exc
-    signs = np.where(v == 0.0, 0.0, np.copysign(1.0, v)).astype(np.int8)  # a NaN keeps its sign bit
     rows = []  # CSV rows are streamed after the comment lines, one Z row at a time
     if args.format == "json":
         rows = [[t, Z, sign] for Z, row in zip(zs, signs.tolist()) for t, sign in zip(ts, row)]
@@ -236,11 +250,13 @@ def _cmd_fig(args) -> int:
             t_text = [_fmt(t) for t in ts]
             inner = np.empty((3, args.nt - 1), dtype=object)
             inner[:] = [[f"{sign}\n{t}" for t in t_text[1:]] for sign in (-1, 0, 1)]
-            index = signs + 1
-            middles = inner[index[:, :-1], np.arange(args.nt - 1)].tolist()
+            columns = np.arange(args.nt - 1)
             last = ("-1\n", "0\n", "1\n")
-            for z, middle, k in zip(map(_fmt, zs), middles, index[:, -1].tolist()):
-                stream.write(f",{z},".join([t_text[0], *middle, last[k]]))
+            for b in blocks:
+                index = signs[b] + 1
+                middles = inner[index[:, :-1], columns].tolist()
+                for z, middle, k in zip(map(_fmt, zs[b]), middles, index[:, -1].tolist()):
+                    stream.write(f",{z},".join([t_text[0], *middle, last[k]]))
     return EXIT_OK
 
 

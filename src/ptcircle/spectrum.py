@@ -41,14 +41,12 @@ import numpy as np
 
 from .errors import ConvergenceError, FitConditioningError, NoSignChangeError
 from .secular import (
-    ExactParams,
     SecularBranch,
     SpectralPoint,
     _SINH_CLAMP,
     _root_accepted,
     _t_sinh_t_array,
-    factor_value,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
-    secular_factor,
+    factor_value,
     validate_coupling,
 )
 
@@ -434,13 +432,14 @@ def quartic_coefficient_printed_variant(n: int, branch: SecularBranch) -> float:
 def _rhos_at(n: int, branch: SecularBranch, ts: np.ndarray) -> np.ndarray:
     """Root offsets rho = s - n*pi of the branch equation at each fixed small
     t of ts, solved together by ``_brentq`` on the bracket n*pi +- 0.4 (xtol
-    1e-16, rtol 4*eps).  Each round evaluates ``secular_factor`` once on the
-    ``ExactParams`` arrays of the samples still running, which gives each
-    entry the bits of ``factor_value``."""
+    1e-16, rtol 4*eps).  Each round calls ``factor_value`` once per sample
+    still running: for a few dozen samples the scalar calls cost less than
+    one array pass through ``ExactParams`` and ``secular_factor``."""
     a = n * math.pi
+    t_list = ts.tolist()
 
     def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return secular_factor(ExactParams(t=ts[k], s=s), branch)
+        return np.array([factor_value(t_list[i], x, branch) for x, i in zip(s.tolist(), k.tolist())])
 
     roots = _brentq(f, [(a - 0.4, a + 0.4)] * ts.size, xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
     return np.array(roots) - a

@@ -279,13 +279,19 @@ class TestFigCommand:
         assert out == ""
         assert "usage error" in err
 
+    @pytest.mark.parametrize("block_cells", [None, 1, 7])
     @pytest.mark.parametrize("nt, nz, t_min, t_max, z_max", [
         (2, 2, 0.01, 0.02, 1e308),    # Z/t overflows in both columns, at both Z
         (4, 3, 1e-170, 1e-161, 1.0),  # t*t underflows in the first column only
+        (2, 4, 0.1, 0.2, 1e308),      # Z/t overflows in the rows below the first
     ])
-    def test_fig2_error_is_the_first_failing_column(self, capsys, nt, nz, t_min, t_max, z_max):
+    def test_fig2_error_is_the_first_failing_column(self, capsys, monkeypatch, block_cells,
+                                                    nt, nz, t_min, t_max, z_max):
         # the error of the column-by-column loop: the scalar call's error at
-        # the first column that fails, at the column's largest Z
+        # the first column that fails, at the column's largest Z, also when
+        # the grid is evaluated in blocks of Z rows
+        if block_cells is not None:
+            monkeypatch.setattr(ptcircle.cli, "_FIG2_BLOCK_CELLS", block_cells)
         dt, dz = (t_max - t_min) / nt, z_max / nz
         zs = [(j + 0.5) * dz for j in range(nz)]
         expected = None
@@ -328,6 +334,7 @@ class TestFigCommand:
             ])
         return stream.getvalue()
 
+    @pytest.mark.parametrize("block_cells", [None, 7, 600])
     @pytest.mark.parametrize("fmt, meta", [("csv", False), ("json", False), ("csv", True)])
     @pytest.mark.parametrize("window", [
         (300, 300, 0.01, 7.0, 0.0, 200.0),
@@ -336,7 +343,11 @@ class TestFigCommand:
         (3, 4, 1e-160, 1e-150, 0.0, 1.0),       # tiny t, huge Z/t
         (7, 1, 0.5, 3.0, 4.95, 5.05),
     ])
-    def test_fig2_matches_per_cell_loop(self, capsys, fmt, meta, window):
+    def test_fig2_matches_per_cell_loop(self, capsys, monkeypatch, fmt, meta, window, block_cells):
+        # block_cells None is one block for every window; 7 and 600 cells
+        # split it into blocks of one or a few Z rows, the last one shorter
+        if block_cells is not None:
+            monkeypatch.setattr(ptcircle.cli, "_FIG2_BLOCK_CELLS", block_cells)
         nt, nz, t_min, t_max, z_min, z_max = window
         code, out, err = run_cli(capsys, "fig", "--which", "2", "--format", fmt,
                                  *(["--meta"] if meta else []),

@@ -337,19 +337,26 @@ def batched(fs):
 
 
 def scipy_outcome(f, a, b, xtol, rtol, maxiter=100):
-    """scipy's root, or the type of its error, and its evaluation points."""
+    """scipy's root, or the exception it raised, and its evaluation points."""
     g, xs = recorded(f)
     try:
         return scipy_brentq(g, a, b, xtol, rtol, maxiter), xs
     except (ValueError, RuntimeError) as exc:
-        return type(exc), xs
+        return exc, xs
 
 
-def error_alone(f, a, b, xtol, rtol, maxiter=100):
-    """The type and text of the error ``_brentq`` raises on [a, b] alone."""
-    with pytest.raises((ValueError, RuntimeError)) as info:
-        spectrum._brentq(batched([f])[0], [(a, b)], xtol, rtol, maxiter)
-    return type(info.value), str(info.value)
+def package_error_text(exc, xs, maxiter):
+    """The text ``_brentq`` raises where scipy raised exc after evaluating
+    f at xs: scipy's error, worded as the package words it, at the same x."""
+    text = str(exc)
+    if isinstance(exc, RuntimeError):
+        assert text == f"Failed to converge after {maxiter} iterations."
+        return f"failed to converge after {maxiter} iterations, value is {xs[-1]}"
+    if "NaN" in text:
+        assert text == f"The function value at x={xs[-1]} is NaN; solver cannot continue."
+        return f"the function value at x={xs[-1]} is NaN; solver cannot continue"
+    assert text == "f(a) and f(b) must have different signs"
+    return text
 
 
 class TestBrentqIsScipyBrentq:
@@ -365,14 +372,15 @@ class TestBrentqIsScipyBrentq:
         fs, brackets, (xtol, rtol) = [c[0] for c in cases], [c[1:3] for c in cases], cases[0][3:]
         expected = [scipy_outcome(f, a, b, xtol, rtol, maxiter) for f, (a, b) in zip(fs, brackets)]
         f, seen = batched(fs)
-        failing = [i for i, (root, _) in enumerate(expected) if isinstance(root, type)]
+        failing = [i for i, (root, _) in enumerate(expected) if isinstance(root, Exception)]
         if failing:
-            i = failing[0]
-            with pytest.raises(expected[i][0]) as info:
+            # every bracket, failing or not, runs to its end in lockstep
+            exc, xs = expected[failing[0]]
+            with pytest.raises(type(exc)) as info:
                 spectrum._brentq(f, brackets, xtol, rtol, maxiter)
-            assert str(info.value) == error_alone(fs[i], *brackets[i], xtol, rtol, maxiter)[1]
+            assert str(info.value) == package_error_text(exc, xs, maxiter)
             for got, (_, xs) in zip(seen, expected):
-                assert got == xs[: len(got)]
+                assert got == xs
             return expected
         roots = spectrum._brentq(f, brackets, xtol, rtol, maxiter)
         assert len(roots) == len(cases)
@@ -411,7 +419,7 @@ class TestBrentqIsScipyBrentq:
         outcomes = [self.assert_batch([case])[0][0] for case in smooth_cases()]
         # the triple and fifth-order roots run out of iterations at the
         # tighter tolerances, so both outcomes are compared
-        failed = [root for root in outcomes if isinstance(root, type)]
+        failed = [type(root) for root in outcomes if isinstance(root, Exception)]
         assert set(failed) == {RuntimeError} and 0 < len(failed) < 0.25 * len(outcomes)
 
     def test_seeded_smooth_functions_batched(self):
@@ -420,7 +428,7 @@ class TestBrentqIsScipyBrentq:
             by_tols.setdefault((xtol, rtol), []).append((f, a, b, xtol, rtol))
         for cases in by_tols.values():
             converging = [c for c in cases
-                          if not isinstance(scipy_outcome(*c)[0], type)]
+                          if not isinstance(scipy_outcome(*c)[0], Exception)]
             self.assert_batch(converging)
             self.assert_batch(cases)  # raises for the first bracket that runs out
 
@@ -488,7 +496,8 @@ class TestBrentqIsScipyBrentq:
         ]
         batch = [(*cases[i], 1e-15, 1e-15) for i in order]
         outcomes = [root for root, _ in self.assert_batch(batch, maxiter=4)]
-        kinds = sorted(root.__name__ if isinstance(root, type) else "root" for root in outcomes)
+        kinds = sorted(type(root).__name__ if isinstance(root, Exception) else "root"
+                       for root in outcomes)
         assert kinds == ["RuntimeError", "ValueError", "ValueError", "root", "root"]
 
 
