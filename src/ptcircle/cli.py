@@ -28,6 +28,7 @@ import locale  # noqa: F401
 import math
 import os
 import sys
+import threading
 
 import numpy as np
 
@@ -270,43 +271,38 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL
 
 
-@functools.cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: building it costs more
-    than a small command, and ``parse_args`` keeps no state between calls (it
-    returns a fresh namespace each time), so in-process callers of ``main``
-    share it."""
-    parser = _Parser(prog="ptcircle", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"ptcircle {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _common_arguments(p: _Parser) -> None:
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.add_argument("--out", default=None, help="output path (default stdout)")
+    p.add_argument("--meta", action="store_true", help="append run metadata comments")
 
-    def common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--meta", action="store_true", help="append run metadata comments")
 
-    p = sub.add_parser("spectrum", help="real eigenvalues at a coupling")
+def _spectrum_arguments(p: _Parser) -> None:
     p.add_argument("--Z", type=float, required=True)
     p.add_argument("--smax", type=float, required=True)
-    common(p)
+    _common_arguments(p)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("critical", help="coalescence couplings")
+
+def _critical_arguments(p: _Parser) -> None:
     p.add_argument("--count", type=int, required=True)
-    common(p)
+    _common_arguments(p)
     p.set_defaults(func=_cmd_critical)
 
-    p = sub.add_parser("broken", help="complex branch above a coalescence")
+
+def _broken_arguments(p: _Parser) -> None:
     p.add_argument("--Z", type=float, required=True)
     p.add_argument("--pair", type=int, required=True)
-    common(p)
+    _common_arguments(p)
     p.set_defaults(func=_cmd_broken)
 
-    p = sub.add_parser("table1", help="recompute the reference coupling table")
-    common(p)
+
+def _table1_arguments(p: _Parser) -> None:
+    _common_arguments(p)
     p.set_defaults(func=_cmd_table1)
 
-    p = sub.add_parser("fig", help="figure data: determinant curve or sign map")
+
+def _fig_arguments(p: _Parser) -> None:
     p.add_argument("--which", type=int, choices=(1, 2), required=True)
     p.add_argument("--Z", type=float, default=5.0, help="coupling for the curve (fig 1)")
     p.add_argument("--t-min", dest="t_min", type=float, default=0.05)
@@ -316,22 +312,67 @@ def _build_parser() -> _Parser:
     p.add_argument("--z-max", dest="z_max", type=float, default=20.0)
     p.add_argument("--nt", type=int, default=256)
     p.add_argument("--nz", type=int, default=200)
-    common(p)
+    _common_arguments(p)
     p.set_defaults(func=_cmd_fig)
 
-    p = sub.add_parser("verify", help="run the self-check suite")
+
+def _verify_arguments(p: _Parser) -> None:
     p.add_argument("--level", choices=(verify_mod.QUICK, verify_mod.FULL),
                    default=verify_mod.QUICK)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_verify)
 
+
+# each command's help line, and the function that adds its arguments
+_COMMANDS = {
+    "spectrum": ("real eigenvalues at a coupling", _spectrum_arguments),
+    "critical": ("coalescence couplings", _critical_arguments),
+    "broken": ("complex branch above a coalescence", _broken_arguments),
+    "table1": ("recompute the reference coupling table", _table1_arguments),
+    "fig": ("figure data: determinant curve or sign map", _fig_arguments),
+    "verify": ("run the self-check suite", _verify_arguments),
+}
+
+
+@functools.cache
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The argument parser, built once per process, and its subcommand
+    parsers still without their arguments.
+
+    Building every command's arguments costs more than a small command, so
+    the six subparsers are created empty, which is all the top-level help
+    and the command choices read, and ``_parser_for`` adds a command's
+    arguments the first time its name occurs in an argv.  ``parse_args``
+    keeps no state between calls (it returns a fresh namespace each time),
+    so in-process callers of ``main`` share the parser.
+    """
+    parser = _Parser(prog="ptcircle", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"ptcircle {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    empty = {name: sub.add_parser(name, help=help) for name, (help, _) in _COMMANDS.items()}
+    return parser, empty
+
+
+_FILL_LOCK = threading.Lock()
+
+
+def _parser_for(argv: list[str]) -> _Parser:
+    """The parser with the arguments of every command named in argv: argparse
+    hands the words after a command to that command's parser only when the
+    word is the command's name, so no other subparser is read."""
+    parser, empty = _build_parser()
+    if empty.keys() & argv:
+        with _FILL_LOCK:  # each command's arguments are added once
+            for name in empty.keys() & argv:
+                _COMMANDS[name][1](empty[name])
+                del empty[name]  # only now, so no caller parses a half-filled parser
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

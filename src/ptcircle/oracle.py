@@ -27,13 +27,21 @@ complex E the hyperbolic one
 The two bases span the same solution space, so the determinant zero sets
 agree where both apply.
 
-``boundary_matrices`` builds W for a whole array of real energies at once,
-as the determinant sweep of ``verify`` needs it, at one coupling or at an
-array of couplings that broadcasts against the energies, as the batched
-refinement of the determinant roots needs it.  It takes each square root
-and exponential from ``cmath`` entry by entry and forms the rest in numpy
-with the float operations of Python's complex arithmetic, so each matrix has
-the bits of ``boundary_matrix``.
+``boundary_matrices`` builds W for a whole array of energies at once, in
+each energy's basis, as the determinant sweep of ``verify`` needs it, at one
+coupling or at an array of couplings that broadcasts against the energies,
+as the batched refinement of the determinant roots needs it.  It takes each
+square root, exponential and hyperbolic function from ``cmath`` entry by
+entry and forms the rest in numpy with the float operations of Python's
+complex arithmetic, so each matrix has the bits of ``boundary_matrix``.
+
+``nullspace_solutions`` and ``residual_checks`` certify many energies in one
+stacked pass: one stack of matrices and one batched SVD for the null
+vectors, and each piece's residual grids as (solutions x grid_n) arrays, in
+blocks of about ``_BLOCK_CELLS`` cells.  ``nullspace_solution`` and
+``residual_check`` are their one-entry calls, and every product with a
+solution's amplitude or wavenumber is formed as with that Python number
+alone, so an entry has the same bits alone or in a stack.
 
 The determinant is numpy's LU determinant of W as built.  Rank and null
 vector come from the singular value decomposition of W with each row divided
@@ -50,7 +58,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -66,7 +74,9 @@ __all__ = [
     "boundary_determinant",
     "determinant_scale",
     "nullspace_solution",
+    "nullspace_solutions",
     "residual_check",
+    "residual_checks",
     "pt_symmetry_check",
     "evaluate_wavefunction",
 ]
@@ -78,6 +88,12 @@ _RANK_TOL = 1e-8
 # null direction from |k| of about 2e-8 down; k = 0 (E = Z = 0) makes two
 # columns equal.  Below this bound the basis cannot resolve the null space.
 _DEGENERATE_K = 4.0 * _RANK_TOL
+# The stacked grid passes run in blocks of about this many cells: 64 KiB per
+# complex temporary, below the allocator's 128 KiB threshold for mapping
+# fresh memory, above which every temporary is mapped and faulted in anew
+# (on a 2-core x86 VM one 64 x 256 phase scan took about 1.6x the time of
+# four 16 x 256 blocks, and 41 residual checks about 1.2x that of three blocks)
+_BLOCK_CELLS = 4096
 
 
 class Regime(enum.Enum):
@@ -158,45 +174,76 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
-    """The matching matrices W of an ndarray of real energies, stacked: shape
-    E.shape + (4, 4), entry i the bits of ``np.array(boundary_matrix(E[i],
-    Z), dtype=complex)``.  Z is a coupling or an ndarray of couplings that
-    broadcasts against E (one per energy, as the batched determinant roots
-    of ``verify`` need), and then the shape is that of the broadcast; the
-    first coupling that fails ``validate_coupling`` raises its error.
+def _stacked_wavenumbers(E: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """kR and kL of ``_wavenumbers`` for ndarrays E and Z that broadcast
+    against each other, each entry with the bits of the scalar call."""
+    # i*Z as _wavenumbers forms it, by Python's complex arithmetic, for the
+    # signs of its zeros; -E for complex(E) is (-E.real, -E.imag)
+    jz = _each((1j).__mul__, complex)(Z)
+    args = np.empty((2,) + np.broadcast_shapes(E.shape, Z.shape), complex)
+    args[0].real, args[0].imag = -E.real + jz.real, -E.imag + jz.imag
+    args[1].real, args[1].imag = -E.real - jz.real, -E.imag - jz.imag
+    kR, kL = _each(cmath.sqrt, complex)(args)
+    return kR, kL
 
-    The wavenumbers and exponentials are taken from ``cmath`` entry by entry;
-    negations, sums and the products of the exponential basis are formed in
+
+def _exponential_rows(kR: np.ndarray, kL: np.ndarray) -> tuple:
+    e = _each(cmath.exp, complex)(np.array([kR, -kR, kL, -kL]))
+    p = _product(np.array([kR, -kR, -kL, kL]), e)
+    return (
+        (e[0], e[1], -1.0, -1.0),
+        (p[0], p[1], -kL, kL),
+        (1.0, 1.0, -e[2], -e[3]),
+        (kR, -kR, p[2], p[3]),
+    )
+
+
+def _hyperbolic_rows(kR: np.ndarray, kL: np.ndarray) -> tuple:
+    k = np.array([kR, kL])
+    (sh_r, sh_l), (ch_r, ch_l) = _each(cmath.sinh, complex)(k), _each(cmath.cosh, complex)(k)
+    p = _product(np.array([-kR, -kR, -kL, -kL]), np.array([ch_r, sh_r, ch_l, sh_l]))
+    return (
+        (0.0, 1.0, 0.0, -1.0),
+        (-kR, 0.0, -kL, 0.0),
+        (sh_r, ch_r, -sh_l, -ch_l),
+        tuple(p),
+    )
+
+
+def _matrices(kR: np.ndarray, kL: np.ndarray, broken: np.ndarray) -> np.ndarray:
+    """The matrices W of ``boundary_matrix`` from the wavenumbers, in the
+    exponential basis and, where ``broken``, the hyperbolic one."""
+    W = np.empty(kR.shape + (4, 4), complex)
+    for rows, at in ((_exponential_rows, ~broken), (_hyperbolic_rows, broken)):
+        if at.any():
+            at = ... if at.all() else at  # all in one basis: views, not copies
+            for i, row in enumerate(rows(kR[at], kL[at])):
+                for j, entry in enumerate(row):
+                    W[at, i, j] = entry
+    return W
+
+
+def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
+    """The matching matrices W of an ndarray of energies, stacked: shape
+    E.shape + (4, 4), entry i the bits of ``np.array(boundary_matrix(E[i],
+    Z), dtype=complex)``, in the exponential basis at real energies and the
+    hyperbolic one at the rest.  Z is a coupling or an ndarray of couplings
+    that broadcasts against E (one per energy, as the batched determinant
+    roots of ``verify`` and ``nullspace_solutions`` need), and then the shape
+    is that of the broadcast; the first coupling that fails
+    ``validate_coupling`` raises its error.
+
+    The wavenumbers, exponentials and hyperbolic functions are taken from
+    ``cmath`` entry by entry; negations, sums and products are formed in
     numpy with the float operations of Python's complex arithmetic.
     """
     Z = np.asarray(Z, dtype=float)
     bad = ~(np.isfinite(Z) & (Z >= 0.0))
     if bad.any():
         validate_coupling(float(Z.flat[bad.argmax()]))
-    # i*Z as boundary_matrix forms it, by Python's complex arithmetic, for the
-    # signs of its zeros; -E for complex(E) is (-E, -0.0)
-    jz = _each((1j).__mul__, complex)(Z)
-    shape = np.broadcast_shapes(E.shape, Z.shape)
-    arg_r = np.empty(shape, complex)
-    arg_r.real, arg_r.imag = -E + jz.real, -0.0 + jz.imag
-    arg_l = np.empty(shape, complex)
-    arg_l.real, arg_l.imag = -E - jz.real, -0.0 - jz.imag
-    sqrt, exp = _each(cmath.sqrt, complex), _each(cmath.exp, complex)
-    kR, kL = sqrt(arg_r), sqrt(arg_l)
-    ekR, emkR = exp(kR), exp(-kR)
-    ekL, emkL = exp(kL), exp(-kL)
-    rows = (
-        (ekR, emkR, -1.0, -1.0),
-        (_product(kR, ekR), _product(-kR, emkR), -kL, kL),
-        (1.0, 1.0, -ekL, -emkL),
-        (kR, -kR, _product(-kL, ekL), _product(kL, emkL)),
-    )
-    W = np.empty(shape + (4, 4), complex)
-    for i, row in enumerate(rows):
-        for j, entry in enumerate(row):
-            W[..., i, j] = entry
-    return W
+    E = np.asarray(E)
+    kR, kL = _stacked_wavenumbers(E, Z)
+    return _matrices(kR, kL, np.broadcast_to(E.imag != 0.0, kR.shape))
 
 
 def determinant_scale(W: list[list[complex]]) -> float:
@@ -227,30 +274,61 @@ def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> W
     ``require_singular=False`` skips the rejection and returns the direction
     belonging to the smallest singular value; useful for probing how the
     residuals of a deliberately wrong energy blow up.
+
+    This is the one-entry call of ``nullspace_solutions``.
     """
-    E = complex(E)
-    kR, kL = _wavenumbers(E, Z)
-    k_min = min(abs(kR), abs(kL))
-    if k_min <= _DEGENERATE_K:
-        raise ValueError(
-            f"the oracle's basis is degenerate at E={E}, Z={Z}: wavenumber |k| = {k_min:.2e} "
-            f"<= {_DEGENERATE_K:.0e} makes the two basis functions of a side numerically dependent"
-        )
-    W = np.array(boundary_matrix(E, Z), dtype=complex)
-    row_max = np.abs(W).max(axis=1, keepdims=True)
+    return nullspace_solutions([E], [Z], require_singular)[0]
+
+
+def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
+                        require_singular: bool = True) -> list[WaveSolution]:
+    """``nullspace_solution`` at each energy of E with the coupling of Z at
+    the same place, in one stacked pass: one ``boundary_matrices`` stack,
+    one batched SVD of its row-scaled matrices.  Each solution has the bits
+    the scalar call gives.
+
+    The error raised is that of the first entry that fails, as a loop of
+    scalar calls raises it, except where the matrices cannot be built or
+    decomposed: an exponential that overflows (OverflowError) or a NaN entry
+    (numpy's LinAlgError from the SVD) raises before any entry's rank test.
+    """
+    E = [complex(e) for e in E]
+    E_arr, Z_arr = np.array(E, dtype=complex), np.array(Z, dtype=float)
+    kR, kL = _stacked_wavenumbers(E_arr, Z_arr)
+    # min(abs(kR), abs(kL)) of each; kR and kL are NaN together or not at all
+    k_min = np.minimum(np.hypot(kR.real, kR.imag), np.hypot(kL.real, kL.imag))
+    degenerate = k_min <= _DEGENERATE_K
+    failing = degenerate | ~(np.isfinite(Z_arr) & (Z_arr >= 0.0))
+    first = int(failing.argmax()) if failing.any() else len(E)
+    broken = E_arr.imag != 0.0
+    # the entries before the first failing one are built and rank tested
+    W = _matrices(kR[:first], kL[:first], broken[:first])
+    row_max = np.abs(W).max(axis=-1, keepdims=True)
     _, sigma, Vh = np.linalg.svd(W / np.where(row_max > 0.0, row_max, 1.0))
-    ratios = sigma / sigma[0]
-    multiplicity = int(np.count_nonzero(ratios <= _RANK_TOL))
-    if multiplicity == 0:
-        if require_singular:
-            raise NotAnEigenvalueError(
-                f"matrix is numerically non-singular at E={E}, Z={Z} "
-                f"(singular-value ratio {ratios[-1]:.2e})"
-            )
-        multiplicity = 1
-    v = Vh[-1].conj()
-    A1, A2, B1, B2 = (v / v[np.argmax(np.abs(v))]).tolist()
-    return WaveSolution(A1, A2, B1, B2, kR, kL, _regime_of(E), multiplicity)
+    ratios = sigma / sigma[:, :1]
+    multiplicity = np.count_nonzero(ratios <= _RANK_TOL, axis=-1)
+    if require_singular and not multiplicity.all():
+        i = int(multiplicity.argmin())
+        raise NotAnEigenvalueError(
+            f"matrix is numerically non-singular at E={E[i]}, Z={Z[i]} "
+            f"(singular-value ratio {ratios[i, -1]:.2e})"
+        )
+    if first < len(E):
+        if not degenerate[first]:
+            validate_coupling(Z[first])
+        raise ValueError(
+            f"the oracle's basis is degenerate at E={E[first]}, Z={Z[first]}: wavenumber "
+            f"|k| = {k_min[first]:.2e} <= {_DEGENERATE_K:.0e} makes the two basis functions "
+            "of a side numerically dependent"
+        )
+    v = Vh[:, -1].conj()
+    pivot = v[np.arange(first), np.abs(v).argmax(axis=-1)]
+    amplitudes = (v / pivot[:, None]).tolist()
+    return [
+        WaveSolution(*a, k_r, k_l, Regime.BROKEN if b else Regime.EXACT, m or 1)
+        for a, k_r, k_l, b, m in zip(amplitudes, kR.tolist(), kL.tolist(), broken.tolist(),
+                                     multiplicity.tolist())
+    ]
 
 
 def evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
@@ -264,28 +342,54 @@ def evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
 
 
 def _piece_values(sol: WaveSolution, side: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi', psi'') of one smooth piece from the closed forms."""
-    if side == "right":
-        k = sol.k_right
-        if sol.regime is Regime.EXACT:
-            up = sol.A1 * np.exp(k * x)
-            dn = sol.A2 * np.exp(-k * x)
-            return up + dn, k * up - k * dn, k * k * (up + dn)
-        arg = 1.0 - x
+    """(psi, psi', psi'') of one smooth piece from the closed forms: the
+    one-solution call of ``_stacked_piece_values``."""
+    return tuple(values[0] for values in _stacked_piece_values(*_stack_solutions([sol]), side, x))
+
+
+def _stack_solutions(sols: Sequence[WaveSolution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The amplitudes (A1, A2, B1, B2) and wavenumbers (k_right, k_left) of
+    each solution as rows, and which rows are in the exponential basis."""
+    amps = np.array([(s.A1, s.A2, s.B1, s.B2) for s in sols], dtype=complex).reshape(-1, 4)
+    k = np.array([(s.k_right, s.k_left) for s in sols], dtype=complex).reshape(-1, 2)
+    exact = np.array([s.regime is Regime.EXACT for s in sols], dtype=bool)
+    return amps, k, exact
+
+
+def _stacked_piece_values(amps: np.ndarray, k: np.ndarray, exact: np.ndarray, side: str,
+                          x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, psi', psi'') of one smooth piece from the closed forms, each of
+    shape (solutions, points): one row per solution of ``_stack_solutions``,
+    at the points x.  Every product with a solution's amplitude or
+    wavenumber is formed as with that Python complex alone."""
+    right = side == "right"
+    amps, k = (amps[:, :2], k[:, :1]) if right else (amps[:, 2:], k[:, 1:])
+    if exact.all() or not exact.any():  # all rows in one basis
+        return _basis_values(amps, k, bool(exact.all()), right, x)
+    values = tuple(np.empty((len(k), x.size), complex) for _ in range(3))
+    for exponential, at in ((True, exact), (False, ~exact)):
+        for out, rows in zip(values, _basis_values(amps[at], k[at], exponential, right, x)):
+            out[at] = rows
+    return values
+
+
+def _basis_values(amps: np.ndarray, k: np.ndarray, exponential: bool, right: bool,
+                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_stacked_piece_values`` of rows all in the exponential basis or all
+    in the hyperbolic one."""
+    c1, c2 = amps[:, :1], amps[:, 1:]
+    if exponential:
+        arg = x if right else x + 1.0
+        up = c1 * np.exp(k * arg)
+        dn = c2 * np.exp(-k * arg)
+        psi = up + dn
+        dpsi = k * up - k * dn
+    else:
+        arg = 1.0 - x if right else 1.0 + x
         sh, ch = np.sinh(k * arg), np.cosh(k * arg)
-        psi = sol.A1 * sh + sol.A2 * ch
-        dpsi = -k * (sol.A1 * ch + sol.A2 * sh)
-        return psi, dpsi, k * k * psi
-    k = sol.k_left
-    if sol.regime is Regime.EXACT:
-        up = sol.B1 * np.exp(k * (x + 1.0))
-        dn = sol.B2 * np.exp(-k * (x + 1.0))
-        return up + dn, k * up - k * dn, k * k * (up + dn)
-    arg = 1.0 + x
-    sh, ch = np.sinh(k * arg), np.cosh(k * arg)
-    psi = sol.B1 * sh + sol.B2 * ch
-    dpsi = k * (sol.B1 * ch + sol.B2 * sh)
-    return psi, dpsi, k * k * psi
+        psi = c1 * sh + c2 * ch
+        dpsi = (-k if right else k) * (c1 * ch + c2 * sh)
+    return psi, dpsi, _product(k, k) * psi
 
 
 def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -> ResidualReport:
@@ -298,45 +402,73 @@ def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -
     residuals are the four matching conditions from the closed forms,
     normalized by max |psi|; their values at x = -1, 0 and 1 are the end
     points of the two grids, which ``linspace`` gives exactly.
+
+    This is the one-entry call of ``residual_checks``.
     """
+    return residual_checks([sol], [E], [Z], grid_n)[0]
+
+
+def residual_checks(sols: Sequence[WaveSolution], E: Sequence[complex], Z: Sequence[float],
+                    grid_n: int = 256) -> list[ResidualReport]:
+    """``residual_check`` of each solution at the energy and coupling at the
+    same place in E and Z, stacked: each piece's grids as (solutions x
+    grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells, one
+    ``boundary_matrices`` stack per block for the determinants.  Each report
+    has the bits of the scalar call; the first coupling that fails
+    ``validate_coupling`` raises its error before any is checked."""
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
-    E = complex(E)
-    validate_coupling(Z)
+    sols, E, Z = list(sols), [complex(e) for e in E], list(Z)
+    for z in Z:
+        validate_coupling(z)
+    step = max(1, _BLOCK_CELLS // grid_n)
+    reports = []
+    for i in range(0, len(sols), step):
+        reports += _residual_block(sols[i:i + step], E[i:i + step], Z[i:i + step], grid_n)
+    return reports
 
-    ode_fd = 0.0
-    ode_an = 0.0
-    peak = 0.0
+
+def _residual_block(sols: list[WaveSolution], E: list[complex], Z: list[float],
+                    grid_n: int) -> list[ResidualReport]:
+    E_arr, Z_arr = np.array(E, dtype=complex), np.array(Z, dtype=float)
+    stack = _stack_solutions(sols)
+    e = E_arr[:, None]
+
+    maxima = []  # per side: max |psi|, the analytic and the 5-point residual
     ends = []  # (psi, psi') at both ends of each piece
-    for side, (lo, hi), pot in (("right", (0.0, 1.0), 1j * Z), ("left", (-1.0, 0.0), -1j * Z)):
+    # the potentials i*Z and -i*Z by Python's complex arithmetic
+    for side, (lo, hi), pot in (("right", (0.0, 1.0), (1j).__mul__),
+                                ("left", (-1.0, 0.0), (-1j).__mul__)):
+        pot = _each(pot, complex)(Z_arr)[:, None]
         x = np.linspace(lo, hi, grid_n)
         h = x[1] - x[0]
-        psi, dpsi, d2_exact = _piece_values(sol, side, x)
-        ends.append(((psi[0], dpsi[0]), (psi[-1], dpsi[-1])))
-        peak = max(peak, float(np.max(np.abs(psi))))
-        res_an = np.abs(-d2_exact + pot * psi - E * psi)
-        ode_an = max(ode_an, float(np.max(res_an)))
+        psi, dpsi, d2_exact = _stacked_piece_values(*stack, side, x)
+        ends.append(((psi[:, 0], dpsi[:, 0]), (psi[:, -1], dpsi[:, -1])))
+        res_an = np.abs(-d2_exact + pot * psi - e * psi)
         d2_fd = (
-            -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
+            -psi[:, :-4] + 16.0 * psi[:, 1:-3] - 30.0 * psi[:, 2:-2] + 16.0 * psi[:, 3:-1]
+            - psi[:, 4:]
         ) / (12.0 * h * h)
-        inner = psi[2:-2]
-        res_fd = np.abs(-d2_fd + pot * inner - E * inner)
-        ode_fd = max(ode_fd, float(np.max(res_fd)))
+        inner = psi[:, 2:-2]
+        res_fd = np.abs(-d2_fd + pot * inner - e * inner)
+        maxima.append([np.abs(psi).max(axis=1), res_an.max(axis=1), res_fd.max(axis=1)])
 
     ((p1_0, d1_0), (p1_1, d1_1)), ((p2_m1, d2_m1), (p2_0, d2_0)) = ends
-    bc = (
-        float(abs(p1_1 - p2_m1)) / peak,
-        float(abs(d1_1 - d2_m1)) / peak,
-        float(abs(p1_0 - p2_0)) / peak,
-        float(abs(d1_0 - d2_0)) / peak,
-    )
-    det = boundary_determinant(E, Z)
-    return ResidualReport(
-        ode_residual=ode_fd / peak,
-        ode_residual_analytic=ode_an / peak,
-        bc_residuals=bc,
-        det_modulus=abs(det),
-    )
+    gaps = np.array([p1_1 - p2_m1, d1_1 - d2_m1, p1_0 - p2_0, d1_0 - d2_0]).T
+    bc = np.hypot(gaps.real, gaps.imag)  # abs() of each
+    dets = np.linalg.det(boundary_matrices(E_arr, Z_arr))
+    reports = []
+    # each side's maximum joined by Python's max and divided by Python's
+    # division, with their NaN and zero-division rules
+    for (peaks, an, fd), bc_i, det in zip(np.array(maxima).T.tolist(), bc.tolist(), dets.tolist()):
+        peak = max(max(0.0, peaks[0]), peaks[1])
+        reports.append(ResidualReport(
+            ode_residual=max(max(0.0, fd[0]), fd[1]) / peak,
+            ode_residual_analytic=max(max(0.0, an[0]), an[1]) / peak,
+            bc_residuals=tuple(b / peak for b in bc_i),
+            det_modulus=abs(det),
+        ))
+    return reports
 
 
 def _fminbound(func: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
@@ -427,25 +559,32 @@ def pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
 
     Tiny for unbroken eigenfunctions; order one in the broken regime where
     conjugation-parity maps a pair member to its partner.  The phase is the
-    best of 64 around the least-squares one, polished over +-pi/32 by
-    ``_fminbound``, which gives the bits of scipy's bounded
-    ``minimize_scalar``.
+    first best of 64 around the least-squares one, all 64 evaluated as
+    (phases x grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells,
+    polished over +-pi/32 by ``_fminbound``, which gives the bits of scipy's
+    bounded ``minimize_scalar``.  Each phase's mismatch has the bits of its
+    own one-phase pass, the form the polishing evaluates.
     """
     x = np.linspace(-1.0, 1.0, grid_n)
     psi = evaluate_wavefunction(sol, x)
     psi_pt = np.conj(psi[::-1])
     peak = float(np.max(np.abs(psi)))
+    step = max(1, _BLOCK_CELLS // grid_n)
 
-    def mismatch(theta: float) -> float:
-        lam = cmath.exp(1j * theta)
-        return float(np.max(np.abs(psi_pt - lam * psi))) / peak
+    def mismatches(thetas: list[float]) -> list[float]:
+        lam = np.array([cmath.exp(1j * theta) for theta in thetas], dtype=complex).reshape(-1, 1)
+        worst = []
+        for i in range(0, len(lam), step):  # (phases x grid_n) blocks
+            worst += np.abs(psi_pt - lam[i:i + step] * psi).max(axis=1).tolist()
+        return [m / peak for m in worst]
 
     # least-squares phase is a near-optimal start; polish by Brent's bounded
     # minimizer
     overlap = complex(np.vdot(psi, psi_pt))
     theta0 = cmath.phase(overlap) if overlap != 0.0 else 0.0
     thetas = [theta0 + 2.0 * math.pi * j / 64.0 for j in range(64)]
-    theta_best = min(thetas, key=mismatch)
-    window = (theta_best - math.pi / 32.0, theta_best + math.pi / 32.0)
-    _, polished = _fminbound(mismatch, *window)
-    return min(float(polished), mismatch(theta_best))
+    scan = mismatches(thetas)
+    best = min(range(64), key=scan.__getitem__)  # the first least; np.argmin stops at a NaN
+    window = (thetas[best] - math.pi / 32.0, thetas[best] + math.pi / 32.0)
+    _, polished = _fminbound(lambda theta: mismatches([theta])[0], *window)
+    return min(float(polished), scan[best])

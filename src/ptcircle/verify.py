@@ -7,8 +7,12 @@ instance the factorization identity is recomputed through
 ``secular.secular_factor``) so that an injected defect in any public surface
 trips the corresponding named property.  The two identity sweeps make one
 array call per kernel, and the determinant sweep stacks its matrices with
-``oracle.boundary_matrices``; their array paths give each point the bits of
-the scalar calls, so the checks print what a per-point loop printed.
+``oracle.boundary_matrices``; the zero-set check certifies the scanned roots
+of all its couplings with one ``oracle.nullspace_solutions`` and one
+``oracle.residual_checks`` call, and the symmetry check takes its unbroken
+states' null vectors from one ``oracle.nullspace_solutions`` call.  These
+array paths give each point the bits of the scalar calls, so the checks
+print what a per-point loop printed.
 
 The suite runs without scipy: the determinant roots of all couplings of the
 zero-set check are refined together by the batched ``spectrum._brentq``,
@@ -214,9 +218,14 @@ def _det_roots(z_values: tuple[float, ...], s_max: float) -> list[list[float]]:
 
 
 def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
+    """Each coupling's scanned roots against its determinant roots, and each
+    scanned root certified by the oracle: its null vector and the matching
+    conditions at it, for the roots of all couplings in one
+    ``oracle.nullspace_solutions`` and one ``oracle.residual_checks`` call."""
     s_max = 4.6 * math.pi
     matches = []
-    bc_residuals = []
+    energies: list[float] = []
+    couplings: list[float] = []
     for Z, det_es in zip(z_values, _det_roots(z_values, s_max)):
         pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=s_max))
         if len(det_es) != len(pts):
@@ -225,12 +234,13 @@ def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
                 False,
                 f"root count mismatch at Z={Z}: {len(pts)} secular vs {len(det_es)} determinant",
             )
-        for p, e_det in zip(pts, det_es):
-            matches.append(abs(p.E - e_det))
-            sol = oracle.nullspace_solution(p.E, Z)
-            bc_residuals.extend(oracle.residual_check(sol, p.E, Z).bc_residuals)
+        matches.extend(abs(p.E - e_det) for p, e_det in zip(pts, det_es))
+        energies.extend(p.E for p in pts)
+        couplings.extend([Z] * len(pts))
+    sols = oracle.nullspace_solutions(energies, couplings)
+    reports = oracle.residual_checks(sols, energies, couplings)
     worst_match = _worst(matches)
-    worst_bc = _worst(bc_residuals)
+    worst_bc = _worst([r for report in reports for r in report.bc_residuals])
     ok = worst_match <= 1e-8 and worst_bc <= 1e-8
     return CheckResult(
         "zero-set-equivalence",
@@ -315,9 +325,8 @@ def _dirichlet_comparison(folds) -> CheckResult:
 
 def _pt_symmetry() -> CheckResult:
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=2.0, s_max=3.5 * math.pi))
-    worst_unbroken = _worst(
-        [oracle.pt_symmetry_check(oracle.nullspace_solution(p.E, 2.0), 2.0) for p in pts]
-    )
+    sols = oracle.nullspace_solutions([p.E for p in pts], [2.0] * len(pts))
+    worst_unbroken = _worst([oracle.pt_symmetry_check(sol, 2.0) for sol in sols])
     params, energy = transition.solve_broken(6.0, transition.BrokenParams.bind(0.36, 0.62, 6.0))
     sol = oracle.nullspace_solution(complex(energy.re_E, -energy.eps), 6.0)
     broken_dev = oracle.pt_symmetry_check(sol, 6.0)

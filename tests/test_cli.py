@@ -391,6 +391,145 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == sha256
 
 
+def reference_parser():
+    """The parser as it was built before each command's arguments were added
+    on first use: every command filled at once (the body kept verbatim, but
+    for the ``cli.`` prefixes)."""
+    cli = ptcircle.cli
+    parser = cli._Parser(prog="ptcircle", description=cli.__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"ptcircle {cli.__version__}")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=cli._Parser)
+
+    def common(p):
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.add_argument("--meta", action="store_true", help="append run metadata comments")
+
+    p = sub.add_parser("spectrum", help="real eigenvalues at a coupling")
+    p.add_argument("--Z", type=float, required=True)
+    p.add_argument("--smax", type=float, required=True)
+    common(p)
+    p.set_defaults(func=cli._cmd_spectrum)
+
+    p = sub.add_parser("critical", help="coalescence couplings")
+    p.add_argument("--count", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cli._cmd_critical)
+
+    p = sub.add_parser("broken", help="complex branch above a coalescence")
+    p.add_argument("--Z", type=float, required=True)
+    p.add_argument("--pair", type=int, required=True)
+    common(p)
+    p.set_defaults(func=cli._cmd_broken)
+
+    p = sub.add_parser("table1", help="recompute the reference coupling table")
+    common(p)
+    p.set_defaults(func=cli._cmd_table1)
+
+    p = sub.add_parser("fig", help="figure data: determinant curve or sign map")
+    p.add_argument("--which", type=int, choices=(1, 2), required=True)
+    p.add_argument("--Z", type=float, default=5.0, help="coupling for the curve (fig 1)")
+    p.add_argument("--t-min", dest="t_min", type=float, default=0.05)
+    p.add_argument("--t-max", dest="t_max", type=float, default=3.0)
+    p.add_argument("--points", type=int, default=1000, help="samples for fig 1")
+    p.add_argument("--z-min", dest="z_min", type=float, default=0.0)
+    p.add_argument("--z-max", dest="z_max", type=float, default=20.0)
+    p.add_argument("--nt", type=int, default=256)
+    p.add_argument("--nz", type=int, default=200)
+    common(p)
+    p.set_defaults(func=cli._cmd_fig)
+
+    p = sub.add_parser("verify", help="run the self-check suite")
+    p.add_argument("--level", choices=(cli.verify_mod.QUICK, cli.verify_mod.FULL),
+                   default=cli.verify_mod.QUICK)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=cli._cmd_verify)
+
+    return parser
+
+
+def reference_main(argv):
+    """Exit code of ``main``'s parsing step on the reference parser (None when
+    argv parses), printing what ``main`` prints."""
+    try:
+        reference_parser().parse_args(argv)
+    except ptcircle.cli._UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 64
+    except SystemExit:
+        return 0
+    return None
+
+
+COMMANDS = ("spectrum", "critical", "broken", "table1", "fig", "verify")
+PARSE_ONLY = [  # help, version and usage errors: main returns after parsing
+    ("--help",), ("-h",), ("--version",), ("verify", "-h"),
+    *[(command, "--help") for command in COMMANDS],
+    (), ("nonsense",), ("spectrum", "--Z", "1"),
+    ("spectrum", "--Z", "1", "--smax", "10", "--format", "xml"),
+    ("--format", "json", "spectrum", "--Z", "1", "--smax", "10"),  # a flag before the command
+    ("spectrum", "verify"), ("verify", "spectrum", "--level", "full"),  # two command names
+    ("fig", "--which", "3"), ("verify", "--level", "bogus"), ("broken", "--Z", "x", "--pair", "0"),
+    ("critical", "--count", "1", "--bogus"), ("--version", "spectrum"),
+    ("spectrum", "--Z", "1", "--smax", "10", "--help"), ("table1", "extra"),
+]
+
+
+@pytest.fixture(params=["unfilled", "filled"])
+def parser_state(request):
+    """The process's parser before any command was named, or with every
+    command's arguments already added."""
+    ptcircle.cli._build_parser.cache_clear()
+    if request.param == "filled":
+        ptcircle.cli._parser_for(list(COMMANDS))
+    yield request.param
+    ptcircle.cli._build_parser.cache_clear()
+
+
+class TestLazyParser:
+    """Each command's arguments are added the first time its name occurs in
+    an argv; everything printed must be what the eagerly built parser printed."""
+
+    @pytest.mark.parametrize("argv", PARSE_ONLY)
+    def test_help_version_and_usage_errors(self, capsys, monkeypatch, parser_state, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected_code = reference_main(list(argv))
+        expected = capsys.readouterr()
+        assert expected_code is not None
+        assert run_cli(capsys, *argv) == (expected_code, expected.out, expected.err)
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--Z", "0.5", "--smax", "10"), ("critical", "--count", "3"),
+        ("broken", "--Z", "6", "--pair", "0", "--out", "x.csv"), ("table1", "--format", "json", "--meta"),
+        ("fig", "--which", "2", "--nt", "5", "--z-max", "3"), ("verify",), ("verify", "--level", "full"),
+        ("spectrum", "--out", "fig", "--Z", "1", "--smax", "4"),  # another command's name as a value
+    ])
+    def test_parsed_arguments(self, parser_state, argv):
+        parsed = ptcircle.cli._parser_for(list(argv)).parse_args(list(argv))
+        assert vars(parsed) == vars(reference_parser().parse_args(list(argv)))
+
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("nonsense",), ("fig", "--help"),
+        ("--format", "json", "spectrum", "--Z", "1", "--smax", "10"), ("spectrum", "verify"),
+    ])
+    def test_in_a_new_interpreter(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        expected_code = reference_main(list(argv))
+        expected = capsys.readouterr()
+        assert fresh_cli(*argv) == (expected_code, expected.out, expected.err)
+
+    def test_each_command_is_filled_once(self, parser_state):
+        parser, empty = ptcircle.cli._build_parser()
+        assert set(empty) == (set() if parser_state == "filled" else set(COMMANDS))
+        broken = parser._subparsers._group_actions[0].choices["broken"]
+        assert ptcircle.cli._parser_for(["broken", "--Z", "6", "--pair", "0"]) is parser
+        actions = list(broken._actions)
+        assert len(actions) == 6  # --help and its five arguments
+        ptcircle.cli._parser_for(["broken", "--Z", "7", "--pair", "1"])
+        assert broken._actions == actions and "broken" not in empty
+        assert ptcircle.cli._parser_for(["--help"]) is parser
+
+
 class TestInProcessReuse:
     """The parser and the folds are built once per process; a later call must
     print what a new interpreter prints."""
@@ -406,6 +545,18 @@ class TestInProcessReuse:
     def test_second_call_prints_what_a_new_interpreter_prints(self, capsys, first, code, second):
         assert run_cli(capsys, *first)[0] == code
         assert run_cli(capsys, *second) == fresh_cli(*second)
+
+    @pytest.mark.parametrize("sequence", [
+        (("spectrum", "--Z", "0.5", "--smax", "4"), ("fig", "--help"),
+         ("broken", "--Z", "6", "--pair", "0"), ("verify", "--level", "quick")),
+        (("--help",), ("nonsense",), ("critical", "--help"), ("critical", "--count", "2"),
+         ("spectrum", "--Z", "1"), ("--version",), ("table1", "--format", "json")),
+    ])
+    def test_commands_switching_in_one_process(self, capsys, monkeypatch, sequence):
+        monkeypatch.setenv("COLUMNS", "80")
+        ptcircle.cli._build_parser.cache_clear()  # a process that has named no command yet
+        for argv in sequence:
+            assert run_cli(capsys, *argv) == fresh_cli(*argv), argv
 
     def test_stdout_after_out_file(self, capsys, tmp_path):
         path = tmp_path / "critical.csv"

@@ -498,3 +498,311 @@ class TestBrokenOracle:
                     sol = nullspace_solution(E, Z)
                     report = residual_check(sol, E, Z)
                     assert max(report.bc_residuals) <= 1e-8, (fold.nu, dZ, sign)
+
+
+# ---------------------------------------------------------------------------
+# the stacked core against the per-root path it replaced
+
+from _oracle_reference import (  # noqa: E402
+    ref_nullspace_solution,
+    ref_piece_values,
+    ref_pt_symmetry_check,
+    ref_residual_check,
+)
+
+ZERO_SET_Z = (0.5, 3.0, 5.0, 10.0, 17.0)  # the full zero-set check's couplings
+
+
+def roots_at(couplings, s_max=4.6 * math.pi):
+    """The scanned roots of each coupling as (energies, couplings) lists."""
+    energies, zs = [], []
+    for Z in couplings:
+        pts = scan_roots(SpectrumRequest(Z=Z, s_max=s_max))
+        energies += [p.E for p in pts]
+        zs += [Z] * len(pts)
+    return energies, zs
+
+
+def broken_members():
+    """Both members of broken pairs 0-3, with their couplings."""
+    from ptcircle.transition import interval_fold
+
+    energies, zs = [], []
+    for pair, Z in ((0, 6.0), (1, 20.0), (2, 40.0), (3, 100.0)):
+        _, energy = solve_above_fold(interval_fold(pair), Z)
+        for sign in (+1.0, -1.0):
+            energies.append(complex(energy.re_E, sign * energy.eps))
+            zs.append(Z)
+    return energies, zs
+
+
+def solution_bytes(sol):
+    """Every field of a WaveSolution: amplitudes and wavenumbers by the bytes
+    of their doubles, then regime and multiplicity."""
+    values = [sol.A1, sol.A2, sol.B1, sol.B2, sol.k_right, sol.k_left]
+    return np.array(values, dtype=complex).tobytes(), sol.regime, sol.multiplicity
+
+
+def outcome(f, *args):
+    """What f(*args) gives, or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the error itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def stacked_solutions(energies, zs, require_singular=True):
+    return [solution_bytes(s) for s in
+            oracle.nullspace_solutions(energies, zs, require_singular)]
+
+
+def looped_solutions(energies, zs, require_singular=True):
+    return [solution_bytes(ref_nullspace_solution(E, Z, require_singular))
+            for E, Z in zip(energies, zs)]
+
+
+def stacked_reports(energies, zs, grid_n=256):
+    sols = oracle.nullspace_solutions(energies, zs, require_singular=False)
+    return [report_bytes(r) for r in oracle.residual_checks(sols, energies, zs, grid_n)]
+
+
+def looped_reports(energies, zs, grid_n=256):
+    reports = []
+    for E, Z in zip(energies, zs):
+        sol = ref_nullspace_solution(E, Z, require_singular=False)
+        reports.append(report_bytes(ref_residual_check(sol, E, Z, grid_n)))
+    return reports
+
+
+class TestStackedCoreIsThePerRootPath:
+    """``nullspace_solutions`` and ``residual_checks`` must give each entry
+    the bytes of the per-root ``nullspace_solution`` and ``residual_check``
+    they replaced, and raise the error a loop of them raised first."""
+
+    @pytest.mark.parametrize("block_cells", [None, 1, 3000, 1 << 30])
+    def test_zero_set_roots(self, monkeypatch, block_cells):
+        # in blocks of 16 roots, and of one root, 11 roots or all 41 at once
+        if block_cells is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
+        energies, zs = roots_at(ZERO_SET_Z)
+        assert len(energies) == 41
+        expected = looped_solutions(energies, zs)
+        assert stacked_solutions(energies, zs) == expected
+        assert [solution_bytes(nullspace_solution(E, Z)) for E, Z in zip(energies, zs)] == expected
+        sols = oracle.nullspace_solutions(energies, zs)
+        expected = [report_bytes(ref_residual_check(s, E, Z)) for s, E, Z in zip(sols, energies, zs)]
+        got = oracle.residual_checks(sols, energies, zs)
+        assert [report_bytes(r) for r in got] == expected
+        assert [report_bytes(residual_check(s, E, Z))
+                for s, E, Z in zip(sols, energies, zs)] == expected
+
+    @pytest.mark.parametrize("Z", ZERO_SET_Z)
+    def test_each_coupling_alone(self, Z):
+        energies, zs = roots_at((Z,))
+        assert stacked_solutions(energies, zs) == looped_solutions(energies, zs)
+        assert stacked_reports(energies, zs) == looped_reports(energies, zs)
+
+    @pytest.mark.parametrize("Z", [0.0, 1e-8, 1e-3])
+    def test_near_degenerate_doublets(self, Z):
+        energies, zs = roots_at((Z,), s_max=6.0 * math.pi)
+        if Z == 0.0:  # E = 0 is refused there (see the degenerate case below)
+            energies, zs = energies[1:], zs[1:]
+        sols = oracle.nullspace_solutions(energies, zs)
+        assert sum(s.multiplicity == 2 for s in sols) >= 8
+        assert stacked_solutions(energies, zs) == looped_solutions(energies, zs)
+        assert stacked_reports(energies, zs) == looped_reports(energies, zs)
+
+    def test_broken_energies_alone_and_among_real_ones(self):
+        energies, zs = broken_members()
+        assert stacked_solutions(energies, zs) == looped_solutions(energies, zs)
+        assert stacked_reports(energies, zs) == looped_reports(energies, zs)
+        real_e, real_z = roots_at((3.0, 6.0))
+        mixed_e = real_e[:3] + energies[:2] + real_e[3:] + energies[2:]
+        mixed_z = real_z[:3] + zs[:2] + real_z[3:] + zs[2:]
+        assert stacked_solutions(mixed_e, mixed_z) == looped_solutions(mixed_e, mixed_z)
+        assert stacked_reports(mixed_e, mixed_z) == looped_reports(mixed_e, mixed_z)
+
+    def test_off_spectrum_energies_without_the_rank_test(self):
+        energies = [5.0, 40.0, -3.0, complex(3.0, 2.0), complex(10.0, -0.5), complex(7.0, -0.0)]
+        zs = [0.0, 3.0, 17.0, 2.0, 6.0, 2.5]
+        expected = looped_solutions(energies, zs, require_singular=False)
+        assert stacked_solutions(energies, zs, require_singular=False) == expected
+        assert stacked_reports(energies, zs) == looped_reports(energies, zs)
+
+    @pytest.mark.parametrize("grid_n", [64, 255, 257, 1000])
+    def test_grid_sizes(self, grid_n):
+        energies, zs = roots_at((0.5, 10.0))
+        b_e, b_z = broken_members()
+        energies, zs = energies + b_e, zs + b_z
+        assert stacked_reports(energies, zs, grid_n) == looped_reports(energies, zs, grid_n)
+
+    def test_piece_values_row_by_row(self):
+        # each stacked row against the one-solution closed forms, mixed regimes
+        energies, zs = roots_at((0.5, 17.0))
+        b_e, b_z = broken_members()
+        sols = oracle.nullspace_solutions(energies + b_e, zs + b_z)
+        sols.append(WaveSolution(A1=1.0, A2=0.0, B1=0.0, B2=-1.0, k_right=1j * math.pi,
+                                 k_left=-1j * math.pi, regime=Regime.EXACT))
+        stack = oracle._stack_solutions(sols)
+        for side in ("right", "left"):
+            for x in (np.linspace(0.0, 1.0, 257) - (side == "left"), np.array([0.5]), np.array([])):
+                values = np.array(oracle._stacked_piece_values(*stack, side, x))
+                for sol, rows in zip(sols, values.transpose(1, 0, 2)):
+                    expected = ref_piece_values(sol, side, x)
+                    assert rows.tobytes() == np.array(expected).tobytes(), (sol, side, x.size)
+
+    def test_stacked_svd_and_determinant_are_each_matrix_alone(self):
+        energies, zs = roots_at(ZERO_SET_Z)
+        b_e, b_z = broken_members()
+        W = boundary_matrices(np.array(energies + b_e), np.array(zs + b_z))
+        row_max = np.abs(W).max(axis=-1, keepdims=True)
+        scaled = W / np.where(row_max > 0.0, row_max, 1.0)
+        _, sigma, Vh = np.linalg.svd(scaled)
+        dets = np.linalg.det(W)
+        for i, (E, Z) in enumerate(zip(energies + b_e, zs + b_z)):
+            W_i = np.array(boundary_matrix(E, Z), dtype=complex)
+            assert W[i].tobytes() == W_i.tobytes()
+            m = np.abs(W_i).max(axis=1, keepdims=True)
+            _, s_i, Vh_i = np.linalg.svd(W_i / np.where(m > 0.0, m, 1.0))
+            assert sigma[i].tobytes() == s_i.tobytes() and Vh[i].tobytes() == Vh_i.tobytes()
+            assert dets[i] == boundary_determinant(E, Z)
+
+    @pytest.mark.parametrize("energies, zs", [
+        ([PI2, 10.0, 4 * PI2], [0.0, 1.0, 0.0]),             # not an eigenvalue
+        ([PI2, 0.0, 10.0], [0.0, 0.0, 1.0]),                 # degenerate basis first
+        ([PI2, 10.0, 0.0], [0.0, 1.0, 0.0]),                 # not an eigenvalue first
+        ([PI2, 4 * PI2, 1e-300], [0.0, 0.0, 0.0]),           # degenerate basis last
+        ([PI2, 5.0, 10.0], [0.0, -1.0, 1.0]),                # bad coupling first
+        ([PI2, 10.0, 5.0], [0.0, 1.0, math.nan]),            # not an eigenvalue first
+        ([0.0, 5.0], [-1e-20, 1.0]),                         # degenerate before the coupling
+        ([PI2, 5.0], [0.0, math.inf]),
+        ([], []),
+    ])
+    def test_first_failing_entry_raises_the_loop_error(self, energies, zs):
+        for require_singular in (True, False):
+            assert outcome(stacked_solutions, energies, zs, require_singular) == outcome(
+                looped_solutions, energies, zs, require_singular)
+        assert outcome(stacked_reports, energies, zs) == outcome(looped_reports, energies, zs)
+
+    def test_errors_of_residual_checks(self):
+        sol = nullspace_solution(PI2, 0.0)
+        for grid_n, zs in ((63, [0.0, 0.0]), (256, [0.0, -1.0]), (256, [math.nan, -1.0])):
+            got = outcome(oracle.residual_checks, [sol, sol], [PI2, PI2], zs, grid_n)
+            assert got == outcome(lambda: [ref_residual_check(sol, PI2, Z, grid_n) for Z in zs])
+            assert isinstance(got[0], type) and issubclass(got[0], ValueError)
+        assert oracle.residual_checks([], [], []) == []
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_and_vanishing_solutions(self):
+        # NaN and overflowing amplitudes give the loop's NaN and inf fields;
+        # a wave function that vanishes on both grids the loop's zero division
+        sols = [
+            WaveSolution(math.nan, 1.0, 0.0, -1.0, 1j * math.pi, -1j * math.pi, Regime.EXACT),
+            WaveSolution(1e308, 1e308, -1e308, -1e308, 1j * math.pi, -1j * math.pi, Regime.EXACT),
+            WaveSolution(math.inf, 0.5, 0.2, -1.0, 1 + 2j, 1 - 2j, Regime.BROKEN),
+            WaveSolution(1.0, 0.5, 0.2, -1.0, complex(math.nan, 2.0), 1 - 2j, Regime.EXACT),
+            WaveSolution(1.0, 1.0, 1.0, 1.0, 800 + 2j, 1 - 2j, Regime.EXACT),
+        ]
+        energies, zs = [PI2, 10.0, complex(3.0, 1.0), 5.0, 2.0], [0.0, 2.0, 2.0, 0.5, 1.0]
+        got = oracle.residual_checks(sols, energies, zs)
+        for sol, E, Z, report in zip(sols, energies, zs, got):
+            assert report_bytes(report) == report_bytes(ref_residual_check(sol, E, Z))
+        vanishing = WaveSolution(1.0, -1.0, 1.0, -1.0, 0j, 0j, Regime.EXACT)
+        expected = outcome(ref_residual_check, vanishing, 0.0, 0.0)
+        assert expected[0] is ZeroDivisionError
+        assert outcome(oracle.residual_checks, sols + [vanishing], energies + [0.0], zs + [0.0]) \
+            == expected
+
+
+class TestBoundaryMatricesAtComplexEnergies:
+    def test_bytes_of_each_matrix(self):
+        # the hyperbolic basis at non-real energies, the exponential one at
+        # real energies, also given as complex numbers with a zero imaginary part
+        rng = np.random.default_rng(23)
+        E = rng.uniform(-20.0, 200.0, 60) + 1j * rng.choice([0.0, -0.0, 1e-3, -2.0, 5.0], 60)
+        E = np.concatenate([E, [0j, complex(0.0, -0.0), complex(PI2, 1e-300)]])
+        Z = rng.choice([0.0, -0.0, 0.5, 6.0, 17.0], E.size)
+        W = boundary_matrices(E, Z)
+        for E_i, Z_i, W_i in zip(E.tolist(), Z.tolist(), W):
+            assert W_i.tobytes() == np.array(boundary_matrix(E_i, Z_i), complex).tobytes(), E_i
+        grid = boundary_matrices(E[:9], np.array([[0.5], [6.0]]))
+        for Z_j, row in zip((0.5, 6.0), grid):
+            assert row.tobytes() == boundary_matrices(E[:9], Z_j).tobytes()
+
+
+def pt_states():
+    """(solution, Z) of every state the pt-symmetry tests and verify's
+    check look at, and the unbroken states up to s = 6*pi at five couplings."""
+    states = [(WaveSolution(A1=1.0, A2=1.0, B1=-1.0, B2=-1.0, k_right=1j * math.pi,
+                            k_left=-1j * math.pi, regime=Regime.EXACT), 0.0)]
+    for Z in (0.0, 0.5, 2.0, 3.0, 5.0):
+        energies, zs = roots_at((Z,), s_max=6.0 * math.pi)
+        if Z == 0.0:
+            energies, zs = energies[1:], zs[1:]  # the refused E = 0
+        states += [(s, Z) for s in oracle.nullspace_solutions(energies, zs)]
+    for a, b in ((0.358129, 0.622216), (0.36, 0.62)):  # TestPTSymmetry's and verify's
+        _, energy = solve_broken(6.0, BrokenParams.bind(a, b, 6.0))
+        for sign in (+1.0, -1.0):
+            states.append((nullspace_solution(complex(energy.re_E, sign * energy.eps), 6.0), 6.0))
+    return states
+
+
+class TestPTScanIsThePerPhaseScan:
+    """The 64 phases in one array pass must choose the phase and return the
+    float of the scan that evaluated one phase at a time."""
+
+    @pytest.mark.parametrize("grid_n, block_cells", [
+        (256, None), (257, None), (256, 1), (256, 1 << 30), (257, 5000)])
+    def test_every_checked_state(self, monkeypatch, grid_n, block_cells):
+        # 64 phases in blocks of 16 (15 at 257 points), 1, 19 or all 64
+        if block_cells is not None:
+            monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
+        states = pt_states()
+        assert len(states) >= 58
+        for sol, Z in states:
+            got = pt_symmetry_check(sol, Z, grid_n)
+            assert same_bits(got, ref_pt_symmetry_check(sol, Z, grid_n)), (sol, Z)
+
+    def test_scan_picks_the_phase_of_the_per_phase_scan(self, monkeypatch):
+        # the polishing window is centred on the chosen phase: the same
+        # windows mean the same phases, for every state
+        import _oracle_reference
+
+        windows = {"stacked": [], "looped": []}
+
+        def recording(key, fminbound):
+            def record(func, lo, hi):
+                windows[key].append((lo, hi))
+                return fminbound(func, lo, hi)
+            return record
+
+        monkeypatch.setattr(oracle, "_fminbound", recording("stacked", oracle._fminbound))
+        monkeypatch.setattr(_oracle_reference, "_fminbound",
+                            recording("looped", _oracle_reference._fminbound))
+        for sol, Z in pt_states():
+            pt_symmetry_check(sol, Z)
+            ref_pt_symmetry_check(sol, Z)
+        assert len(windows["stacked"]) == len(pt_states())
+        assert windows["stacked"] == windows["looped"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sol", [
+        WaveSolution(math.nan, 1.0, -1.0, -1.0, 1j * math.pi, -1j * math.pi, Regime.EXACT),
+        WaveSolution(1.0, 1.0, -1.0, math.nan, 1j * math.pi, -1j * math.pi, Regime.EXACT),
+        WaveSolution(1e308, 1e308, -1e308, -1e308, 1j * math.pi, -1j * math.pi, Regime.EXACT),
+        WaveSolution(math.inf, 0.5, 0.2, -1.0, 1 + 2j, 1 - 2j, Regime.BROKEN),
+        WaveSolution(1.0, 0.5, 0.2, -1.0, complex(math.nan, 2.0), 1 - 2j, Regime.EXACT),
+        WaveSolution(1.0, 1.0, 1.0, 1.0, 800 + 2j, 1 - 2j, Regime.EXACT),
+        WaveSolution(1.0, -1.0, 1.0, -1.0, 0j, 0j, Regime.EXACT),  # vanishes: zero division
+        # real, up to about 1.4e308: some phases' differences overflow
+        WaveSolution(0.5e308, 0.1e308, -0.5e308, -0.1e308, 1 + 0j, 1 + 0j, Regime.EXACT),
+        WaveSolution(0.6e308, 0.1e308, 0.6e308, 0.1e308, 1 + 0j, 1 + 0j, Regime.EXACT),
+    ])
+    def test_non_finite_wave_functions(self, sol):
+        for grid_n in (256, 257):
+            got = outcome(pt_symmetry_check, sol, 2.0, grid_n)
+            expected = outcome(ref_pt_symmetry_check, sol, 2.0, grid_n)
+            if isinstance(expected, float):
+                assert same_bits(got, expected)
+            else:
+                assert got == expected
