@@ -27,19 +27,20 @@ complex E the hyperbolic one
 The two bases span the same solution space, so the determinant zero sets
 agree where both apply.
 
-``boundary_matrices`` builds W for a whole array of energies at once, in
-each energy's basis, as the determinant sweep of ``verify`` needs it, at one
-coupling or at an array of couplings that broadcasts against the energies,
-as the batched refinement of the determinant roots needs it.  It takes each
-square root, exponential and hyperbolic function from ``cmath`` entry by
-entry and forms the rest in numpy with the float operations of Python's
-complex arithmetic, so each matrix has the bits of ``boundary_matrix``.
+``boundary_matrices`` builds W for a whole array of real energies at once,
+as the determinant sweep of ``verify`` needs it, at one coupling or at an
+array of couplings that broadcasts against the energies, as the batched
+refinement of the determinant roots needs it.  It takes each square root
+and exponential from ``cmath`` entry by entry and forms the rest in numpy
+with the float operations of Python's complex arithmetic, so each matrix has
+the bits of ``boundary_matrix``.
 
 ``nullspace_solutions`` and ``residual_checks`` certify many energies in one
-stacked pass: one stack of matrices and one batched SVD for the null
-vectors, and each piece's residual grids as (solutions x grid_n) arrays, in
-blocks of about ``_BLOCK_CELLS`` cells.  ``nullspace_solution`` and
-``residual_check`` are their one-entry calls, and every product with a
+stacked pass: the matrices of ``boundary_matrix`` as one stack, decomposed
+by one batched SVD for the null vectors and one batched LU for the
+determinants, and each piece's residual grids as (solutions x grid_n)
+arrays, in blocks of about ``_BLOCK_CELLS`` cells.  ``nullspace_solution``
+and ``residual_check`` are their one-entry calls, and every product with a
 solution's amplitude or wavenumber is formed as with that Python number
 alone, so an entry has the same bits alone or in a stack.
 
@@ -174,76 +175,45 @@ def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stacked_wavenumbers(E: np.ndarray, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """kR and kL of ``_wavenumbers`` for ndarrays E and Z that broadcast
-    against each other, each entry with the bits of the scalar call."""
-    # i*Z as _wavenumbers forms it, by Python's complex arithmetic, for the
-    # signs of its zeros; -E for complex(E) is (-E.real, -E.imag)
-    jz = _each((1j).__mul__, complex)(Z)
-    args = np.empty((2,) + np.broadcast_shapes(E.shape, Z.shape), complex)
-    args[0].real, args[0].imag = -E.real + jz.real, -E.imag + jz.imag
-    args[1].real, args[1].imag = -E.real - jz.real, -E.imag - jz.imag
-    kR, kL = _each(cmath.sqrt, complex)(args)
-    return kR, kL
-
-
-def _exponential_rows(kR: np.ndarray, kL: np.ndarray) -> tuple:
-    e = _each(cmath.exp, complex)(np.array([kR, -kR, kL, -kL]))
-    p = _product(np.array([kR, -kR, -kL, kL]), e)
-    return (
-        (e[0], e[1], -1.0, -1.0),
-        (p[0], p[1], -kL, kL),
-        (1.0, 1.0, -e[2], -e[3]),
-        (kR, -kR, p[2], p[3]),
-    )
-
-
-def _hyperbolic_rows(kR: np.ndarray, kL: np.ndarray) -> tuple:
-    k = np.array([kR, kL])
-    (sh_r, sh_l), (ch_r, ch_l) = _each(cmath.sinh, complex)(k), _each(cmath.cosh, complex)(k)
-    p = _product(np.array([-kR, -kR, -kL, -kL]), np.array([ch_r, sh_r, ch_l, sh_l]))
-    return (
-        (0.0, 1.0, 0.0, -1.0),
-        (-kR, 0.0, -kL, 0.0),
-        (sh_r, ch_r, -sh_l, -ch_l),
-        tuple(p),
-    )
-
-
-def _matrices(kR: np.ndarray, kL: np.ndarray, broken: np.ndarray) -> np.ndarray:
-    """The matrices W of ``boundary_matrix`` from the wavenumbers, in the
-    exponential basis and, where ``broken``, the hyperbolic one."""
-    W = np.empty(kR.shape + (4, 4), complex)
-    for rows, at in ((_exponential_rows, ~broken), (_hyperbolic_rows, broken)):
-        if at.any():
-            at = ... if at.all() else at  # all in one basis: views, not copies
-            for i, row in enumerate(rows(kR[at], kL[at])):
-                for j, entry in enumerate(row):
-                    W[at, i, j] = entry
-    return W
-
-
 def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
-    """The matching matrices W of an ndarray of energies, stacked: shape
+    """The matching matrices W of an ndarray of real energies, stacked: shape
     E.shape + (4, 4), entry i the bits of ``np.array(boundary_matrix(E[i],
-    Z), dtype=complex)``, in the exponential basis at real energies and the
-    hyperbolic one at the rest.  Z is a coupling or an ndarray of couplings
-    that broadcasts against E (one per energy, as the batched determinant
-    roots of ``verify`` and ``nullspace_solutions`` need), and then the shape
-    is that of the broadcast; the first coupling that fails
-    ``validate_coupling`` raises its error.
+    Z), dtype=complex)``.  Z is a coupling or an ndarray of couplings that
+    broadcasts against E (one per energy, as the batched determinant roots
+    of ``verify`` need), and then the shape is that of the broadcast; the
+    first coupling that fails ``validate_coupling`` raises its error.
 
-    The wavenumbers, exponentials and hyperbolic functions are taken from
-    ``cmath`` entry by entry; negations, sums and products are formed in
+    The wavenumbers and exponentials are taken from ``cmath`` entry by entry;
+    negations, sums and the products of the exponential basis are formed in
     numpy with the float operations of Python's complex arithmetic.
     """
     Z = np.asarray(Z, dtype=float)
     bad = ~(np.isfinite(Z) & (Z >= 0.0))
     if bad.any():
         validate_coupling(float(Z.flat[bad.argmax()]))
-    E = np.asarray(E)
-    kR, kL = _stacked_wavenumbers(E, Z)
-    return _matrices(kR, kL, np.broadcast_to(E.imag != 0.0, kR.shape))
+    # i*Z as boundary_matrix forms it, by Python's complex arithmetic, for the
+    # signs of its zeros; -E for complex(E) is (-E, -0.0)
+    jz = _each((1j).__mul__, complex)(Z)
+    shape = np.broadcast_shapes(E.shape, Z.shape)
+    arg_r = np.empty(shape, complex)
+    arg_r.real, arg_r.imag = -E + jz.real, -0.0 + jz.imag
+    arg_l = np.empty(shape, complex)
+    arg_l.real, arg_l.imag = -E - jz.real, -0.0 - jz.imag
+    sqrt, exp = _each(cmath.sqrt, complex), _each(cmath.exp, complex)
+    kR, kL = sqrt(arg_r), sqrt(arg_l)
+    ekR, emkR = exp(kR), exp(-kR)
+    ekL, emkL = exp(kL), exp(-kL)
+    rows = (
+        (ekR, emkR, -1.0, -1.0),
+        (_product(kR, ekR), _product(-kR, emkR), -kL, kL),
+        (1.0, 1.0, -ekL, -emkL),
+        (kR, -kR, _product(-kL, ekL), _product(kL, emkL)),
+    )
+    W = np.empty(shape + (4, 4), complex)
+    for i, row in enumerate(rows):
+        for j, entry in enumerate(row):
+            W[..., i, j] = entry
+    return W
 
 
 def determinant_scale(W: list[list[complex]]) -> float:
@@ -283,26 +253,32 @@ def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> W
 def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
                         require_singular: bool = True) -> list[WaveSolution]:
     """``nullspace_solution`` at each energy of E with the coupling of Z at
-    the same place, in one stacked pass: one ``boundary_matrices`` stack,
-    one batched SVD of its row-scaled matrices.  Each solution has the bits
-    the scalar call gives.
+    the same place, in one stacked pass: the matrices of ``boundary_matrix``
+    as one stack and one batched SVD of its row-scaled matrices.  Each
+    solution has the bits the scalar call gives.
 
     The error raised is that of the first entry that fails, as a loop of
-    scalar calls raises it, except where the matrices cannot be built or
-    decomposed: an exponential that overflows (OverflowError) or a NaN entry
-    (numpy's LinAlgError from the SVD) raises before any entry's rank test.
+    scalar calls raises it, except that a matrix with a NaN entry raises
+    numpy's LinAlgError from the SVD before any entry's rank test.
     """
     E = [complex(e) for e in E]
-    E_arr, Z_arr = np.array(E, dtype=complex), np.array(Z, dtype=float)
-    kR, kL = _stacked_wavenumbers(E_arr, Z_arr)
-    # min(abs(kR), abs(kL)) of each; kR and kL are NaN together or not at all
-    k_min = np.minimum(np.hypot(kR.real, kR.imag), np.hypot(kL.real, kL.imag))
-    degenerate = k_min <= _DEGENERATE_K
-    failing = degenerate | ~(np.isfinite(Z_arr) & (Z_arr >= 0.0))
-    first = int(failing.argmax()) if failing.any() else len(E)
-    broken = E_arr.imag != 0.0
-    # the entries before the first failing one are built and rank tested
-    W = _matrices(kR[:first], kL[:first], broken[:first])
+    wavenumbers, matrices, failure = [], [], None
+    for e, z in zip(E, Z):  # up to the first entry that fails
+        kR, kL = _wavenumbers(e, z)
+        wavenumbers.append((kR, kL))
+        k_min = min(abs(kR), abs(kL))
+        if k_min <= _DEGENERATE_K:
+            failure = ValueError(
+                f"the oracle's basis is degenerate at E={e}, Z={z}: wavenumber |k| = {k_min:.2e} "
+                f"<= {_DEGENERATE_K:.0e} makes the two basis functions of a side numerically dependent"
+            )
+            break
+        try:
+            matrices.append(boundary_matrix(e, z))
+        except (ValueError, OverflowError) as exc:  # a bad coupling, or cmath's
+            failure = exc
+            break
+    W = np.array(matrices, dtype=complex).reshape(-1, 4, 4)
     row_max = np.abs(W).max(axis=-1, keepdims=True)
     _, sigma, Vh = np.linalg.svd(W / np.where(row_max > 0.0, row_max, 1.0))
     ratios = sigma / sigma[:, :1]
@@ -313,21 +289,14 @@ def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
             f"matrix is numerically non-singular at E={E[i]}, Z={Z[i]} "
             f"(singular-value ratio {ratios[i, -1]:.2e})"
         )
-    if first < len(E):
-        if not degenerate[first]:
-            validate_coupling(Z[first])
-        raise ValueError(
-            f"the oracle's basis is degenerate at E={E[first]}, Z={Z[first]}: wavenumber "
-            f"|k| = {k_min[first]:.2e} <= {_DEGENERATE_K:.0e} makes the two basis functions "
-            "of a side numerically dependent"
-        )
+    if failure is not None:
+        raise failure
     v = Vh[:, -1].conj()
-    pivot = v[np.arange(first), np.abs(v).argmax(axis=-1)]
+    pivot = v[np.arange(len(v)), np.abs(v).argmax(axis=-1)]
     amplitudes = (v / pivot[:, None]).tolist()
     return [
-        WaveSolution(*a, k_r, k_l, Regime.BROKEN if b else Regime.EXACT, m or 1)
-        for a, k_r, k_l, b, m in zip(amplitudes, kR.tolist(), kL.tolist(), broken.tolist(),
-                                     multiplicity.tolist())
+        WaveSolution(*a, kR, kL, _regime_of(e), m or 1)
+        for a, (kR, kL), e, m in zip(amplitudes, wavenumbers, E, multiplicity.tolist())
     ]
 
 
@@ -389,7 +358,8 @@ def _basis_values(amps: np.ndarray, k: np.ndarray, exponential: bool, right: boo
         sh, ch = np.sinh(k * arg), np.cosh(k * arg)
         psi = c1 * sh + c2 * ch
         dpsi = (-k if right else k) * (c1 * ch + c2 * sh)
-    return psi, dpsi, _product(k, k) * psi
+    kk = np.array([kv * kv for kv in k.ravel().tolist()], dtype=complex).reshape(k.shape)
+    return psi, dpsi, kk * psi
 
 
 def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -> ResidualReport:
@@ -412,10 +382,11 @@ def residual_checks(sols: Sequence[WaveSolution], E: Sequence[complex], Z: Seque
                     grid_n: int = 256) -> list[ResidualReport]:
     """``residual_check`` of each solution at the energy and coupling at the
     same place in E and Z, stacked: each piece's grids as (solutions x
-    grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells, one
-    ``boundary_matrices`` stack per block for the determinants.  Each report
-    has the bits of the scalar call; the first coupling that fails
-    ``validate_coupling`` raises its error before any is checked."""
+    grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells, and the
+    matrices of ``boundary_matrix`` as one stack per block for the
+    determinants.  Each report has the bits of the scalar call; the first
+    coupling that fails ``validate_coupling`` raises its error before any is
+    checked."""
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
     sols, E, Z = list(sols), [complex(e) for e in E], list(Z)
@@ -430,16 +401,14 @@ def residual_checks(sols: Sequence[WaveSolution], E: Sequence[complex], Z: Seque
 
 def _residual_block(sols: list[WaveSolution], E: list[complex], Z: list[float],
                     grid_n: int) -> list[ResidualReport]:
-    E_arr, Z_arr = np.array(E, dtype=complex), np.array(Z, dtype=float)
     stack = _stack_solutions(sols)
-    e = E_arr[:, None]
+    e = np.array(E, dtype=complex)[:, None]
+    potentials = np.array([(1j * z, -1j * z) for z in Z], dtype=complex)
 
     maxima = []  # per side: max |psi|, the analytic and the 5-point residual
     ends = []  # (psi, psi') at both ends of each piece
-    # the potentials i*Z and -i*Z by Python's complex arithmetic
-    for side, (lo, hi), pot in (("right", (0.0, 1.0), (1j).__mul__),
-                                ("left", (-1.0, 0.0), (-1j).__mul__)):
-        pot = _each(pot, complex)(Z_arr)[:, None]
+    for side, (lo, hi), pot in (("right", (0.0, 1.0), potentials[:, :1]),
+                                ("left", (-1.0, 0.0), potentials[:, 1:])):
         x = np.linspace(lo, hi, grid_n)
         h = x[1] - x[0]
         psi, dpsi, d2_exact = _stacked_piece_values(*stack, side, x)
@@ -456,7 +425,7 @@ def _residual_block(sols: list[WaveSolution], E: list[complex], Z: list[float],
     ((p1_0, d1_0), (p1_1, d1_1)), ((p2_m1, d2_m1), (p2_0, d2_0)) = ends
     gaps = np.array([p1_1 - p2_m1, d1_1 - d2_m1, p1_0 - p2_0, d1_0 - d2_0]).T
     bc = np.hypot(gaps.real, gaps.imag)  # abs() of each
-    dets = np.linalg.det(boundary_matrices(E_arr, Z_arr))
+    dets = np.linalg.det(np.array([boundary_matrix(*ez) for ez in zip(E, Z)], dtype=complex))
     reports = []
     # each side's maximum joined by Python's max and divided by Python's
     # division, with their NaN and zero-division rules
