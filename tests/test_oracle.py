@@ -22,6 +22,12 @@ from ptcircle.oracle import (
 from ptcircle.spectrum import SpectrumRequest, scan_roots
 from ptcircle.transition import BrokenParams, solve_above_fold, solve_broken
 
+from _oracle_reference import (
+    ref_nullspace_solution,
+    ref_piece_values,
+    ref_pt_symmetry_check,
+    ref_residual_check,
+)
 from test_spectrum import recorded, same_bits
 
 PI2 = math.pi**2
@@ -502,13 +508,6 @@ class TestBrokenOracle:
 
 # ---------------------------------------------------------------------------
 # the stacked core against the per-root path it replaced
-
-from _oracle_reference import (  # noqa: E402
-    ref_nullspace_solution,
-    ref_piece_values,
-    ref_pt_symmetry_check,
-    ref_residual_check,
-)
 
 ZERO_SET_Z = (0.5, 3.0, 5.0, 10.0, 17.0)  # the full zero-set check's couplings
 

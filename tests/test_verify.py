@@ -282,3 +282,31 @@ def test_every_check_has_a_nan_injection():
     names = {r.name for r in verify.run_checks(verify.FULL)}
     injected = {args[0] for args in test_nan_measurement_fails_its_check.pytestmark[0].args[1]}
     assert names == injected
+
+
+def test_zero_set_certifies_every_scanned_root(monkeypatch):
+    # one stacked call each, over the scanned roots of every coupling in order
+    z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
+    calls = {"nullspace_solutions": [], "residual_checks": []}
+
+    def recording(name):
+        real = getattr(oracle, name)
+
+        def record(*args):
+            calls[name].append(args)
+            return real(*args)
+        return record
+
+    for name in calls:
+        monkeypatch.setattr(oracle, name, recording(name))
+    assert verify._zero_set_equivalence(z_values).passed
+    energies, couplings = [], []
+    for Z in z_values:
+        pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=4.6 * math.pi))
+        energies += [p.E for p in pts]
+        couplings += [Z] * len(pts)
+    assert len(energies) == 41
+    [(E, Z)] = calls["nullspace_solutions"]
+    assert (list(E), list(Z)) == (energies, couplings)
+    [(sols, E, Z)] = calls["residual_checks"]
+    assert (len(sols), list(E), list(Z)) == (41, energies, couplings)
