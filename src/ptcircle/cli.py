@@ -108,11 +108,16 @@ def _meta_fields() -> dict:
 
 @contextlib.contextmanager
 def _output(path):
-    """Stream for command output: stdout, or the --out file closed on exit."""
+    """Stream for command output: stdout, or the --out file closed on exit.
+    A path that cannot be opened for writing is a usage error."""
     if path is None:
         yield sys.stdout
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+    try:
+        stream = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {path}: {exc.strerror}") from exc
+    with stream:
         yield stream
 
 

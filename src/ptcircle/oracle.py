@@ -51,15 +51,18 @@ ones; unscaled, the singular-value ratio is set by the large rows, and
 energies off an eigenvalue pass the rank test.  The null vector is the right
 singular vector of the smallest singular value, which stays accurate when two
 singular values are small at once (near-degenerate doublets).
+
+``pt_symmetry_check`` compares psi(-x)* with psi(x) at the least-squares
+phase only: for a PT-symmetric state that phase is exact, and no phase
+brings a broken state below its modulus asymmetry, so no search is needed.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
-import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,11 +92,11 @@ _RANK_TOL = 1e-8
 # null direction from |k| of about 2e-8 down; k = 0 (E = Z = 0) makes two
 # columns equal.  Below this bound the basis cannot resolve the null space.
 _DEGENERATE_K = 4.0 * _RANK_TOL
-# The stacked grid passes run in blocks of about this many cells: 64 KiB per
-# complex temporary, below the allocator's 128 KiB threshold for mapping
-# fresh memory, above which every temporary is mapped and faulted in anew
-# (on a 2-core x86 VM one 64 x 256 phase scan took about 1.6x the time of
-# four 16 x 256 blocks, and 41 residual checks about 1.2x that of three blocks)
+# The stacked residual grids run in blocks of about this many cells: 64 KiB
+# per complex temporary, below the allocator's 128 KiB threshold for mapping
+# fresh memory, above which every temporary is mapped and faulted in anew (on
+# a 2-core x86 VM 41 residual checks in one block took about 1.2x the time of
+# three blocks)
 _BLOCK_CELLS = 4096
 
 
@@ -257,10 +260,13 @@ def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
     as one stack and one batched SVD of its row-scaled matrices.  Each
     solution has the bits the scalar call gives.
 
-    The error raised is that of the first entry that fails, as a loop of
-    scalar calls raises it, except that a matrix with a NaN entry raises
-    numpy's LinAlgError from the SVD before any entry's rank test.
+    E and Z of different lengths raise ValueError first.  Otherwise the error
+    raised is that of the first entry that fails, as a loop of scalar calls
+    raises it, except that a matrix with a NaN entry raises numpy's
+    LinAlgError from the SVD before any entry's rank test.
     """
+    if len(E) != len(Z):
+        raise ValueError(f"{len(E)} energies but {len(Z)} couplings")
     E = [complex(e) for e in E]
     wavenumbers, matrices, failure = [], [], None
     for e, z in zip(E, Z):  # up to the first entry that fails
@@ -384,9 +390,11 @@ def residual_checks(sols: Sequence[WaveSolution], E: Sequence[complex], Z: Seque
     same place in E and Z, stacked: each piece's grids as (solutions x
     grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells, and the
     matrices of ``boundary_matrix`` as one stack per block for the
-    determinants.  Each report has the bits of the scalar call; the first
-    coupling that fails ``validate_coupling`` raises its error before any is
-    checked."""
+    determinants.  Each report has the bits of the scalar call.  Inputs of
+    different lengths raise ValueError, and then the first coupling that
+    fails ``validate_coupling`` raises its error, before any is checked."""
+    if not len(sols) == len(E) == len(Z):
+        raise ValueError(f"{len(sols)} solutions, {len(E)} energies and {len(Z)} couplings")
     if grid_n < 64:
         raise ValueError(f"grid_n must be at least 64, got {grid_n}")
     sols, E, Z = list(sols), [complex(e) for e in E], list(Z)
@@ -440,120 +448,19 @@ def _residual_block(sols: list[WaveSolution], E: list[complex], Z: list[float],
     return reports
 
 
-def _fminbound(func: Callable[[float], float], lo: float, hi: float) -> tuple[float, float]:
-    """(x, func(x)) at a local minimum of func on [lo, hi]: Brent's bounded
-    minimizer, golden-section steps safeguarding parabolic ones (Brent 1973,
-    ch. 5), with absolute tolerance 1e-5 in x and at most 500 evaluations.
-
-    A port of scipy's ``_minimize_scalar_bounded`` with the same float and
-    numpy operations in the same order, so it returns the x and value of
-    ``scipy.optimize.minimize_scalar(func, bounds=(lo, hi),
-    method="bounded")`` to the bit, after the same evaluations.  A bound that
-    is not finite raises ValueError, as in scipy.
-    """
-    if not (math.isfinite(lo) and math.isfinite(hi)):  # a NaN wave function's phase
-        raise ValueError(f"bounds must be finite, got ({lo}, {hi})")
-    xatol, maxfun = 1e-5, 500
-    sqrt_eps = np.sqrt(2.2e-16)
-    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
-    a, b = lo, hi
-    fulc = a + golden_mean * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        if np.abs(e) > tol1:  # try a parabola through the three best points
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = np.abs(q)
-            r = e
-            e = rat
-            if (np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf)) and (p < q * (b - xf)):
-                rat = (p + 0.0) / q
-                x = xf + rat
-                if ((x - a) < tol2) or ((b - x) < tol2):
-                    si = np.sign(xm - xf) + ((xm - xf) == 0)
-                    rat = tol1 * si
-            else:
-                golden = True
-        if golden:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden_mean * e
-        si = np.sign(rat) + (rat == 0)
-        x = xf + si * np.maximum(np.abs(rat), tol1)
-        fu = func(x)
-        num += 1
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if (fu <= fnfc) or (nfc == xf):
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
-                fulc, ffulc = x, fu
-        xm = 0.5 * (a + b)
-        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-        if num >= maxfun:
-            break
-    return xf, fx
-
-
 def pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
-    """Best-phase mismatch between psi(-x)* and psi(x),
+    """Mismatch between psi(-x)* and psi(x) at the least-squares phase,
 
-        min over |lambda| = 1 of  max_x |psi(-x)* - lambda psi(x)| / max |psi|.
+        max_x |psi(-x)* - lambda psi(x)| / max |psi|,
+        lambda = exp(i arg <psi, psi(-x)*>)  (1 for a zero overlap).
 
-    Tiny for unbroken eigenfunctions; order one in the broken regime where
-    conjugation-parity maps a pair member to its partner.  The phase is the
-    first best of 64 around the least-squares one, all 64 evaluated as
-    (phases x grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells,
-    polished over +-pi/32 by ``_fminbound``, which gives the bits of scipy's
-    bounded ``minimize_scalar``.  Each phase's mismatch has the bits of its
-    own one-phase pass, the form the polishing evaluates.
+    Rounding-sized for unbroken eigenfunctions, for which psi(-x)* = lambda
+    psi(x); in the broken regime at least max_x ||psi(-x)| - |psi(x)|| /
+    max |psi|, the mismatch's lower bound at every phase.  A vanishing psi
+    raises ZeroDivisionError, and a NaN amplitude gives NaN.
     """
     x = np.linspace(-1.0, 1.0, grid_n)
     psi = evaluate_wavefunction(sol, x)
     psi_pt = np.conj(psi[::-1])
-    peak = float(np.max(np.abs(psi)))
-    step = max(1, _BLOCK_CELLS // grid_n)
-
-    def mismatches(thetas: list[float]) -> list[float]:
-        lam = np.array([cmath.exp(1j * theta) for theta in thetas], dtype=complex).reshape(-1, 1)
-        worst = []
-        for i in range(0, len(lam), step):  # (phases x grid_n) blocks
-            worst += np.abs(psi_pt - lam[i:i + step] * psi).max(axis=1).tolist()
-        return [m / peak for m in worst]
-
-    # least-squares phase is a near-optimal start; polish by Brent's bounded
-    # minimizer
-    overlap = complex(np.vdot(psi, psi_pt))
-    theta0 = cmath.phase(overlap) if overlap != 0.0 else 0.0
-    thetas = [theta0 + 2.0 * math.pi * j / 64.0 for j in range(64)]
-    scan = mismatches(thetas)
-    best = min(range(64), key=scan.__getitem__)  # the first least; np.argmin stops at a NaN
-    window = (thetas[best] - math.pi / 32.0, thetas[best] + math.pi / 32.0)
-    _, polished = _fminbound(lambda theta: mismatches([theta])[0], *window)
-    return min(float(polished), scan[best])
+    lam = cmath.exp(1j * cmath.phase(complex(np.vdot(psi, psi_pt))))  # phase(0) = 0
+    return float(np.max(np.abs(psi_pt - lam * psi))) / float(np.max(np.abs(psi)))

@@ -16,10 +16,11 @@ print what a per-point loop printed.
 
 The suite runs without scipy: the determinant roots of all couplings of the
 zero-set check are refined together by the batched ``spectrum._brentq``,
-one stacked determinant per round, and the symmetry check polishes its
-phase with ``oracle._fminbound``; both are in-module ports that give
-scipy's bits.  Every check takes its worst value with ``_worst``, which
-keeps a NaN, so a measurement that comes back NaN fails its check.
+one stacked determinant per round, an in-module port that gives scipy's
+bits, and the symmetry check measures each state at its least-squares
+phase, with no minimizer.  Every check takes its worst value with
+``_worst``, which keeps a NaN, so a measurement that comes back NaN fails
+its check.
 Everything the checks use is loaded when the module is imported
 (``numpy.random`` included), so a timed ``verify`` command pays only for
 its checks.

@@ -1,16 +1,12 @@
 """The oracle's per-root path as it was before its stacked core: verbatim
-copies of ``nullspace_solution``, ``evaluate_wavefunction``,
-``_piece_values``, ``residual_check`` and ``pt_symmetry_check``, each
-working on one energy, one solution or one phase at a time.
+copies of ``nullspace_solution``, ``_piece_values`` and
+``residual_check``, each working on one energy or one solution at a time.
 
-The tests hold ``nullspace_solutions``, ``residual_checks``, their one-entry
-calls and the stacked phase scan of ``pt_symmetry_check`` to these bit for
-bit.  The scalar matrix ``boundary_matrix``, ``boundary_determinant`` and
-``_fminbound``, which did not change, are taken from the package.
+The tests hold ``nullspace_solutions``, ``residual_checks`` and their
+one-entry calls to these bit for bit.  The scalar matrix
+``boundary_matrix`` and ``boundary_determinant``, which did not change, are
+taken from the package.
 """
-
-import cmath
-import math
 
 import numpy as np
 
@@ -21,7 +17,6 @@ from ptcircle.oracle import (
     Regime,
     ResidualReport,
     WaveSolution,
-    _fminbound,
     _regime_of,
     _wavenumbers,
     boundary_determinant,
@@ -69,16 +64,6 @@ def ref_nullspace_solution(E: complex, Z: float, require_singular: bool = True) 
     v = Vh[-1].conj()
     A1, A2, B1, B2 = (v / v[np.argmax(np.abs(v))]).tolist()
     return WaveSolution(A1, A2, B1, B2, kR, kL, _regime_of(E), multiplicity)
-
-
-def ref_evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
-    """psi on a grid over [-1, 1], piecewise per the solution's regime."""
-    x = np.asarray(x, dtype=float)
-    psi = np.empty(x.shape, dtype=complex)
-    right = x >= 0.0
-    psi[right] = ref_piece_values(sol, "right", x[right])[0]
-    psi[~right] = ref_piece_values(sol, "left", x[~right])[0]
-    return psi
 
 
 def ref_piece_values(sol: WaveSolution, side: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -155,34 +140,3 @@ def ref_residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 25
         bc_residuals=bc,
         det_modulus=abs(det),
     )
-
-
-def ref_pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
-    """Best-phase mismatch between psi(-x)* and psi(x),
-
-        min over |lambda| = 1 of  max_x |psi(-x)* - lambda psi(x)| / max |psi|.
-
-    Tiny for unbroken eigenfunctions; order one in the broken regime where
-    conjugation-parity maps a pair member to its partner.  The phase is the
-    best of 64 around the least-squares one, polished over +-pi/32 by
-    ``_fminbound``, which gives the bits of scipy's bounded
-    ``minimize_scalar``.
-    """
-    x = np.linspace(-1.0, 1.0, grid_n)
-    psi = ref_evaluate_wavefunction(sol, x)
-    psi_pt = np.conj(psi[::-1])
-    peak = float(np.max(np.abs(psi)))
-
-    def mismatch(theta: float) -> float:
-        lam = cmath.exp(1j * theta)
-        return float(np.max(np.abs(psi_pt - lam * psi))) / peak
-
-    # least-squares phase is a near-optimal start; polish by Brent's bounded
-    # minimizer
-    overlap = complex(np.vdot(psi, psi_pt))
-    theta0 = cmath.phase(overlap) if overlap != 0.0 else 0.0
-    thetas = [theta0 + 2.0 * math.pi * j / 64.0 for j in range(64)]
-    theta_best = min(thetas, key=mismatch)
-    window = (theta_best - math.pi / 32.0, theta_best + math.pi / 32.0)
-    _, polished = _fminbound(mismatch, *window)
-    return min(float(polished), mismatch(theta_best))

@@ -374,6 +374,24 @@ class TestClosedStdout:
         assert err == b""
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be opened is a usage error (64), not a
+    verification failure (1) with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--Z", "1", "--smax", "4"),
+        ("verify", "--level", "quick"),
+    ])
+    @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."])
+    def test_exits_64_with_one_line(self, capsys, tmp_path, argv, target):
+        path = str(tmp_path / target)
+        reason = "Is a directory" if target == "." else "No such file or directory"
+        expected = (64, "", f"usage error: cannot write --out {path}: {reason}\n")
+        assert run_cli(capsys, *argv, "--out", path) == expected
+        assert fresh_cli(*argv, "--out", path) == expected
+        assert not any(tmp_path.iterdir())  # nothing was written
+
+
 class TestGoldenBytes:
     """SHA-256 of stdout for fixed commands; any drift in a printed byte fails."""
 

@@ -3,9 +3,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
 
-from ptcircle import oracle, verify
+from ptcircle import oracle
 from ptcircle.errors import NotAnEigenvalueError
 from ptcircle.oracle import (
     Regime,
@@ -25,10 +24,8 @@ from ptcircle.transition import BrokenParams, solve_above_fold, solve_broken
 from _oracle_reference import (
     ref_nullspace_solution,
     ref_piece_values,
-    ref_pt_symmetry_check,
     ref_residual_check,
 )
-from test_spectrum import recorded, same_bits
 
 PI2 = math.pi**2
 
@@ -418,69 +415,6 @@ class TestPTSymmetry:
         assert dev <= 1e-6
 
 
-def assert_fminbound_is_scipy(func, lo, hi):
-    f_ours, ours = recorded(func)
-    f_ref, ref = recorded(func)
-    x, fun = oracle._fminbound(f_ours, lo, hi)
-    res = minimize_scalar(f_ref, bounds=(lo, hi), method="bounded")
-    assert same_bits(x, res.x) and same_bits(fun, res.fun), (lo, hi, x, res.x, fun, res.fun)
-    assert ours == ref, (lo, hi)
-    assert len(ours) == res.nfev
-
-
-class TestFminboundIsScipyBounded:
-    """``oracle._fminbound`` is scipy's ``_minimize_scalar_bounded``: the same
-    evaluations and the same x and minimum to the bit."""
-
-    def test_mismatch_of_every_checked_state(self, monkeypatch):
-        # the states of verify's pt-symmetry check and of TestPTSymmetry
-        calls = []
-        fminbound = oracle._fminbound
-
-        def recording(func, lo, hi):
-            calls.append((func, lo, hi))
-            return fminbound(func, lo, hi)
-
-        monkeypatch.setattr(oracle, "_fminbound", recording)
-        assert verify._pt_symmetry().passed
-        cosine = WaveSolution(
-            A1=1.0, A2=1.0, B1=-1.0, B2=-1.0,
-            k_right=1j * math.pi, k_left=-1j * math.pi, regime=Regime.EXACT,
-        )
-        pt_symmetry_check(cosine, 0.0)
-        _, energy = solve_broken(6.0, BrokenParams.bind(0.358129, 0.622216, 6.0))
-        pt_symmetry_check(nullspace_solution(complex(energy.re_E, -energy.eps), 6.0), 6.0)
-        monkeypatch.undo()
-        assert len(calls) == len(scan_roots(SpectrumRequest(Z=2.0, s_max=3.5 * math.pi))) + 3
-        for func, lo, hi in calls:
-            assert_fminbound_is_scipy(func, lo, hi)
-
-    @pytest.mark.parametrize(
-        "func, lo, hi",
-        [
-            (lambda x: (x - 0.3) ** 2, 0.0, 1.0),              # inside
-            (lambda x: math.cos(x), 2.0, 4.0),                 # inside, at pi
-            (lambda x: abs(x - 1.0 / 3.0), -1.0, 2.0),         # a kink inside
-            (lambda x: x**4 - x, -2.0, 3.0),                   # inside, flat
-            (lambda x: x, 0.0, 1.0),                           # at the lower end
-            (lambda x: -math.exp(x), -1.0, 0.5),               # at the upper end
-            (lambda x: 1.0, -1.0, 1.0),                        # constant
-            (lambda x: math.sin(40.0 * x) + 0.1 * x, 0.0, 0.3),  # several minima
-        ],
-    )
-    def test_analytic_functions(self, func, lo, hi):
-        assert_fminbound_is_scipy(func, lo, hi)
-
-    def test_nan_wave_function_raises(self):
-        # its phase window is NaN, which scipy's bounded minimizer refused too
-        sol = WaveSolution(
-            A1=math.nan, A2=1.0, B1=-1.0, B2=-1.0,
-            k_right=1j * math.pi, k_left=-1j * math.pi, regime=Regime.EXACT,
-        )
-        with pytest.raises(ValueError, match="finite"):
-            pt_symmetry_check(sol, 0.0)
-
-
 class TestBrokenOracle:
     def test_complex_pair_is_singular(self):
         params, energy = solve_broken(6.0, BrokenParams.bind(0.358129, 0.622216, 6.0))
@@ -693,6 +627,25 @@ class TestStackedCoreIsThePerRootPath:
             assert isinstance(got[0], type) and issubclass(got[0], ValueError)
         assert oracle.residual_checks([], [], []) == []
 
+    def test_mismatched_lengths_raise_before_any_work(self, monkeypatch):
+        # zip would certify the shorter prefix; a bad coupling, a short grid
+        # or an entry that is no eigenvalue must not be reached first
+        sol = nullspace_solution(PI2, 0.0)
+
+        def no_work(*args):
+            raise AssertionError("an entry was looked at")
+
+        monkeypatch.setattr(oracle, "boundary_matrix", no_work)
+        monkeypatch.setattr(oracle, "validate_coupling", no_work)
+        for energies, zs in (([PI2, 4 * PI2], [0.0]), ([PI2], [0.0, math.nan]), ([], [0.0])):
+            with pytest.raises(ValueError, match=f"{len(energies)} energies but {len(zs)} couplings"):
+                oracle.nullspace_solutions(energies, zs)
+        for sols, energies, zs in (([sol], [PI2, 5.0], [0.0, 0.0]), ([sol, sol], [PI2], [-1.0]),
+                                   ([sol], [PI2], [0.0, 0.0]), ([], [PI2], [])):
+            with pytest.raises(ValueError, match=f"{len(sols)} solutions, {len(energies)} "
+                               f"energies and {len(zs)} couplings"):
+                oracle.residual_checks(sols, energies, zs, grid_n=32)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_and_vanishing_solutions(self):
         # NaN and overflowing amplitudes give the loop's NaN and inf fields;
@@ -732,62 +685,65 @@ def pt_states():
     return states
 
 
-class TestPTScanIsThePerPhaseScan:
-    """The 64 phases in one array pass must choose the phase and return the
-    float of the scan that evaluated one phase at a time."""
+def modulus_asymmetry(sol, grid_n=256):
+    """max_x ||psi(-x)| - |psi(x)|| / max |psi|: for every |lambda| = 1,
+    |psi(-x)* - lambda psi(x)| >= ||psi(-x)| - |psi(x)||, so this bounds the
+    mismatch at any phase from below."""
+    psi = evaluate_wavefunction(sol, np.linspace(-1.0, 1.0, grid_n))
+    return float(np.max(np.abs(np.abs(psi[::-1]) - np.abs(psi)))) / float(np.max(np.abs(psi)))
 
-    @pytest.mark.parametrize("grid_n, block_cells", [
-        (256, None), (257, None), (256, 1), (256, 1 << 30), (257, 5000)])
-    def test_every_checked_state(self, monkeypatch, grid_n, block_cells):
-        # 64 phases in blocks of 16 (15 at 257 points), 1, 19 or all 64
-        if block_cells is not None:
-            monkeypatch.setattr(oracle, "_BLOCK_CELLS", block_cells)
+
+class TestPTAtLeastSquaresPhase:
+    """The mismatch at the least-squares phase is rounding-sized on every
+    PT-symmetric state and never below the phase-free bound on a broken one."""
+
+    def test_symmetric_and_broken_states(self):
         states = pt_states()
-        assert len(states) >= 58
-        for sol, Z in states:
-            got = pt_symmetry_check(sol, Z, grid_n)
-            assert same_bits(got, ref_pt_symmetry_check(sol, Z, grid_n)), (sol, Z)
+        symmetric = [(s, Z) for s, Z in states if s.regime is Regime.EXACT and s.multiplicity == 1]
+        broken = [s for s, _ in states if s.regime is Regime.BROKEN]
+        assert len(symmetric) >= 49 and len(broken) == 4
+        for sol, Z in symmetric:
+            assert pt_symmetry_check(sol, Z) <= 1e-8, (sol, Z)
+        for sol in broken:
+            assert 0.1 <= modulus_asymmetry(sol) <= pt_symmetry_check(sol, 6.0)
 
-    def test_scan_picks_the_phase_of_the_per_phase_scan(self, monkeypatch):
-        # the polishing window is centred on the chosen phase: the same
-        # windows mean the same phases, for every state
-        import _oracle_reference
-
-        windows = {"stacked": [], "looped": []}
-
-        def recording(key, fminbound):
-            def record(func, lo, hi):
-                windows[key].append((lo, hi))
-                return fminbound(func, lo, hi)
-            return record
-
-        monkeypatch.setattr(oracle, "_fminbound", recording("stacked", oracle._fminbound))
-        monkeypatch.setattr(_oracle_reference, "_fminbound",
-                            recording("looped", _oracle_reference._fminbound))
-        for sol, Z in pt_states():
-            pt_symmetry_check(sol, Z)
-            ref_pt_symmetry_check(sol, Z)
-        assert len(windows["stacked"]) == len(pt_states())
-        assert windows["stacked"] == windows["looped"]
+    def test_zero_overlap_takes_the_unit_phase(self):
+        # the products of the overlap underflow to 0, and lambda = 1 is the
+        # cosine mode's own phase
+        tiny = WaveSolution(1e-300, 1e-300, -1e-300, -1e-300, 1j * math.pi, -1j * math.pi,
+                            Regime.EXACT)
+        psi = evaluate_wavefunction(tiny, np.linspace(-1.0, 1.0, 256))
+        assert complex(np.vdot(psi, np.conj(psi[::-1]))) == 0.0
+        assert pt_symmetry_check(tiny, 0.0) <= 1e-12
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("sol", [
         WaveSolution(math.nan, 1.0, -1.0, -1.0, 1j * math.pi, -1j * math.pi, Regime.EXACT),
         WaveSolution(1.0, 1.0, -1.0, math.nan, 1j * math.pi, -1j * math.pi, Regime.EXACT),
+        WaveSolution(1.0, 0.5, 0.2, -1.0, complex(math.nan, 2.0), 1 - 2j, Regime.EXACT),
+        # psi overflows to inf, and inf - inf or inf * 0 is NaN
         WaveSolution(1e308, 1e308, -1e308, -1e308, 1j * math.pi, -1j * math.pi, Regime.EXACT),
         WaveSolution(math.inf, 0.5, 0.2, -1.0, 1 + 2j, 1 - 2j, Regime.BROKEN),
-        WaveSolution(1.0, 0.5, 0.2, -1.0, complex(math.nan, 2.0), 1 - 2j, Regime.EXACT),
         WaveSolution(1.0, 1.0, 1.0, 1.0, 800 + 2j, 1 - 2j, Regime.EXACT),
-        WaveSolution(1.0, -1.0, 1.0, -1.0, 0j, 0j, Regime.EXACT),  # vanishes: zero division
-        # real, up to about 1.4e308: some phases' differences overflow
+    ])
+    def test_non_finite_wave_functions_give_nan(self, sol):
+        # a NaN measurement, which verify's _worst keeps and its bound fails
+        for grid_n in (256, 257):
+            assert math.isnan(pt_symmetry_check(sol, 2.0, grid_n))
+
+    def test_vanishing_wave_function_raises(self):
+        vanishing = WaveSolution(1.0, -1.0, 1.0, -1.0, 0j, 0j, Regime.EXACT)
+        with pytest.raises(ZeroDivisionError):
+            pt_symmetry_check(vanishing, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("sol", [
+        # real, up to about 1.4e308: the overlap overflows, psi does not
         WaveSolution(0.5e308, 0.1e308, -0.5e308, -0.1e308, 1 + 0j, 1 + 0j, Regime.EXACT),
         WaveSolution(0.6e308, 0.1e308, 0.6e308, 0.1e308, 1 + 0j, 1 + 0j, Regime.EXACT),
     ])
-    def test_non_finite_wave_functions(self, sol):
+    def test_overflowing_overlap_stays_within_the_bounds(self, sol):
+        # |psi(-x)* - lambda psi(x)| <= 2 max |psi| for any unit lambda
         for grid_n in (256, 257):
-            got = outcome(pt_symmetry_check, sol, 2.0, grid_n)
-            expected = outcome(ref_pt_symmetry_check, sol, 2.0, grid_n)
-            if isinstance(expected, float):
-                assert same_bits(got, expected)
-            else:
-                assert got == expected
+            value = pt_symmetry_check(sol, 2.0, grid_n)
+            assert modulus_asymmetry(sol, grid_n) <= value <= 2.0
