@@ -380,6 +380,9 @@ class TestUnwritableOut:
 
     @pytest.mark.parametrize("argv", [
         ("spectrum", "--Z", "1", "--smax", "4"),
+        ("critical", "--count", "2"),
+        ("broken", "--Z", "6", "--pair", "0"),
+        ("table1",),
         ("verify", "--level", "quick"),
     ])
     @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."])

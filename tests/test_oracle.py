@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -706,6 +707,62 @@ class TestPTAtLeastSquaresPhase:
             assert pt_symmetry_check(sol, Z) <= 1e-8, (sol, Z)
         for sol in broken:
             assert 0.1 <= modulus_asymmetry(sol) <= pt_symmetry_check(sol, 6.0)
+
+    @pytest.mark.parametrize("grid_n", [64, 255, 257, 1000])
+    def test_bounds_hold_on_other_grids(self, grid_n):
+        # |psi(-x)* - lambda psi(x)| <= 2 max |psi| for any unit lambda; the
+        # modulus bound holds up to rounding, which is its size on symmetric
+        # states
+        for sol, Z in pt_states():
+            value = pt_symmetry_check(sol, Z, grid_n)
+            assert modulus_asymmetry(sol, grid_n) <= value + 1e-15 and value <= 2.0, (sol, Z)
+            if sol.regime is Regime.BROKEN:
+                assert 0.1 <= modulus_asymmetry(sol, grid_n) <= value
+            elif sol.multiplicity == 1:
+                assert value <= 1e-8, (sol, Z)
+
+    def test_value_is_the_mismatch_at_the_least_squares_phase(self):
+        x = np.linspace(-1.0, 1.0, 256)
+        for sol, Z in pt_states():
+            psi = evaluate_wavefunction(sol, x)
+            psi_pt = np.conj(psi[::-1])
+            overlap = complex(np.vdot(psi, psi_pt))
+            lam = overlap / abs(overlap)
+            expected = float(np.max(np.abs(psi_pt - lam * psi))) / float(np.max(np.abs(psi)))
+            assert pt_symmetry_check(sol, Z) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_broken_value_is_near_the_best_phase(self):
+        # no phase does better than the modulus bound, and the least-squares
+        # phase lands within a few percent of the best of a fine scan
+        x = np.linspace(-1.0, 1.0, 256)
+        lams = np.exp(2j * math.pi * np.arange(3600) / 3600)[:, None]
+        for sol, Z in pt_states():
+            if sol.regime is not Regime.BROKEN:
+                continue
+            psi = evaluate_wavefunction(sol, x)
+            best = float(np.min(np.max(np.abs(np.conj(psi[::-1]) - lams * psi), axis=1)))
+            best /= float(np.max(np.abs(psi)))
+            value = pt_symmetry_check(sol, Z)
+            assert modulus_asymmetry(sol) <= best * (1 + 1e-12)
+            assert best <= value <= 1.1 * best
+
+    def test_global_phase_and_scale_leave_the_value(self):
+        c = 3.7 * cmath.exp(0.9j)
+        for sol, Z in pt_states():
+            scaled = dataclasses.replace(sol, A1=c * sol.A1, A2=c * sol.A2,
+                                         B1=c * sol.B1, B2=c * sol.B2)
+            assert pt_symmetry_check(scaled, Z) == pytest.approx(
+                pt_symmetry_check(sol, Z), rel=1e-9, abs=1e-12), (sol, Z)
+
+    def test_broken_partners_have_the_same_mismatch(self):
+        # conjugation-parity swaps the partners, so each is as far from
+        # symmetric as the other
+        for a, b in ((0.358129, 0.622216), (0.36, 0.62)):
+            _, energy = solve_broken(6.0, BrokenParams.bind(a, b, 6.0))
+            minus, plus = (nullspace_solution(complex(energy.re_E, sign * energy.eps), 6.0)
+                           for sign in (-1.0, 1.0))
+            assert pt_symmetry_check(plus, 6.0) == pytest.approx(
+                pt_symmetry_check(minus, 6.0), rel=1e-9)
 
     def test_zero_overlap_takes_the_unit_phase(self):
         # the products of the overlap underflow to 0, and lambda = 1 is the

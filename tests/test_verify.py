@@ -10,6 +10,7 @@ prints the same digits.
 import dataclasses
 import functools
 import math
+import re
 import types
 
 import numpy as np
@@ -310,3 +311,11 @@ def test_zero_set_certifies_every_scanned_root(monkeypatch):
     assert (list(E), list(Z)) == (energies, couplings)
     [(sols, E, Z)] = calls["residual_checks"]
     assert (len(sols), list(E), list(Z)) == (41, energies, couplings)
+
+
+def test_pt_symmetry_line():
+    # rounding-sized on the unbroken states, order one on the broken pair
+    result = verify._pt_symmetry()
+    unbroken = re.fullmatch(r"unbroken max (\S+) \(Z=2\), broken 0\.359 \(Z=6\)", result.detail)
+    assert result.passed and unbroken is not None, result.detail
+    assert float(unbroken.group(1)) <= 1e-8
