@@ -267,8 +267,11 @@ def _cmd_fig(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify_mod.run_checks(args.level)
+    """Run the checks and write one line each and a summary.  --out is opened
+    before any check runs, so an unwritable path exits 64 at once; a check
+    that raises (exit 2) leaves the opened file behind, empty."""
     with _output(args.out) as stream:
+        results = verify_mod.run_checks(args.level)
         for r in results:
             stream.write(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}\n")
         failed = [r for r in results if not r.passed]

@@ -13,19 +13,17 @@ of the determinant is the arbiter for every closed form in the package (the
 two differ by a nonvanishing analytic prefactor that is never relied upon).
 
 Wavenumbers: on (0, 1) the potential is +iZ so the basis solves
-psi'' = kR**2 psi with kR = sqrt(-E + iZ) (principal branch); on (-1, 0) the
-potential is -iZ and kL = sqrt(-E - iZ).  For real E this makes kL the
-conjugate of kR.  Real E uses the exponential basis
+psi'' = kR**2 psi with kR = sqrt(-E + iZ) (principal branch, Re kR >= 0); on
+(-1, 0) the potential is -iZ and kL = sqrt(-E - iZ).  For real E this makes
+kL the conjugate of kR.  Every energy, real or complex, uses the one basis
 
-    psi1 = A1 e^{kR x} + A2 e^{-kR x},   psi2 = B1 e^{kL (x+1)} + B2 e^{-kL (x+1)},
+    psi1 = A1 e^{kR (x-1)} + A2 e^{-kR x},   psi2 = B1 e^{kL x} + B2 e^{-kL (x+1)},
 
-complex E the hyperbolic one
-
-    psi1 = A1 sinh kR(1-x) + A2 cosh kR(1-x),
-    psi2 = B1 sinh kL(1+x) + B2 cosh kL(1+x).
-
-The two bases span the same solution space, so the determinant zero sets
-agree where both apply.
+Each exponential is 1 at one end of its piece and, as Re k >= 0, has modulus
+at most 1 on the whole piece, however large |Im E| or Z.  W is a column
+rescaling of the matrix of the basis e^{+-kR x}, e^{+-kL (x+1)}, by e^{-kR}
+and e^{-kL}; for real E their product is e^{-2 Re kR} > 0, so the real part
+of the determinant on the real axis keeps its sign and zero set.
 
 ``boundary_matrices`` builds W for a whole array of real energies at once,
 as the determinant sweep of ``verify`` needs it, at one coupling or at an
@@ -46,11 +44,11 @@ alone, so an entry has the same bits alone or in a stack.
 
 The determinant is numpy's LU determinant of W as built.  Rank and null
 vector come from the singular value decomposition of W with each row divided
-by its largest modulus.  The rows mix entries of size e^{+-Re k} with O(1)
-ones; unscaled, the singular-value ratio is set by the large rows, and
-energies off an eigenvalue pass the rank test.  The null vector is the right
-singular vector of the smallest singular value, which stays accurate when two
-singular values are small at once (near-degenerate doublets).
+by its largest modulus.  The derivative rows carry the factor |k| that the
+value rows lack; unscaled, the singular-value ratio is set by the large rows,
+and energies off an eigenvalue pass the rank test.  The null vector is the
+right singular vector of the smallest singular value, which stays accurate
+when two singular values are small at once (near-degenerate doublets).
 
 ``pt_symmetry_check`` compares psi(-x)* with psi(x) at the least-squares
 phase only: for a PT-symmetric state that phase is exact, and no phase
@@ -60,7 +58,6 @@ brings a broken state below its modulus asymmetry, so no search is needed.
 from __future__ import annotations
 
 import cmath
-import enum
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -70,7 +67,6 @@ from .errors import NotAnEigenvalueError
 from .secular import _each, validate_coupling
 
 __all__ = [
-    "Regime",
     "WaveSolution",
     "ResidualReport",
     "boundary_matrix",
@@ -86,11 +82,11 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-8
-# The two basis functions of a side differ by O(|k|): e^{kx} and e^{-kx} tend
-# to 1, sinh k(1-x) to 0.  Their near-dependence gives a singular value of
-# about |k|/2 of the largest one, which passes the rank test as a spurious
-# null direction from |k| of about 2e-8 down; k = 0 (E = Z = 0) makes two
-# columns equal.  Below this bound the basis cannot resolve the null space.
+# The two basis functions of a side differ by O(|k|): both tend to 1 as k
+# goes to 0.  Their near-dependence gives a singular value of about |k|/2 of
+# the largest one, which passes the rank test as a spurious null direction
+# from |k| of about 2e-8 down; k = 0 (E = Z = 0) makes two columns equal.
+# Below this bound the basis cannot resolve the null space.
 _DEGENERATE_K = 4.0 * _RANK_TOL
 # The stacked residual grids run in blocks of about this many cells: 64 KiB
 # per complex temporary, below the allocator's 128 KiB threshold for mapping
@@ -100,14 +96,10 @@ _DEGENERATE_K = 4.0 * _RANK_TOL
 _BLOCK_CELLS = 4096
 
 
-class Regime(enum.Enum):
-    EXACT = "exact"
-    BROKEN = "broken"
-
-
 @dataclass(frozen=True)
 class WaveSolution:
-    """Amplitudes of the piecewise ansatz, normalized to max modulus 1."""
+    """Amplitudes (A1, A2, B1, B2) of the piecewise ansatz of the module
+    docstring, normalized to max modulus 1, and its wavenumbers."""
 
     A1: complex
     A2: complex
@@ -115,7 +107,6 @@ class WaveSolution:
     B2: complex
     k_right: complex
     k_left: complex
-    regime: Regime
     multiplicity: int = 1
 
     def __post_init__(self) -> None:
@@ -137,35 +128,20 @@ def _wavenumbers(E: complex, Z: float) -> tuple[complex, complex]:
     return kR, kL
 
 
-def _regime_of(E: complex) -> Regime:
-    return Regime.EXACT if complex(E).imag == 0.0 else Regime.BROKEN
-
-
 def boundary_matrix(E: complex, Z: float) -> list[list[complex]]:
     """Matching matrix W; columns (A1, A2, B1, B2), rows the four conditions.
 
-    Real E: exponential basis.  Complex E: hyperbolic basis.  W is singular
-    exactly at eigenvalues.
+    One basis at every energy, with eR = e^{-kR} and eL = e^{-kL} of modulus
+    at most 1.  W is singular exactly at eigenvalues.
     """
     validate_coupling(Z)
-    E = complex(E)
-    kR, kL = _wavenumbers(E, Z)
-    if _regime_of(E) is Regime.EXACT:
-        ekR, emkR = cmath.exp(kR), cmath.exp(-kR)
-        ekL, emkL = cmath.exp(kL), cmath.exp(-kL)
-        return [
-            [ekR, emkR, -1.0, -1.0],
-            [kR * ekR, -kR * emkR, -kL, kL],
-            [1.0, 1.0, -ekL, -emkL],
-            [kR, -kR, -kL * ekL, kL * emkL],
-        ]
-    sh_r, ch_r = cmath.sinh(kR), cmath.cosh(kR)
-    sh_l, ch_l = cmath.sinh(kL), cmath.cosh(kL)
+    kR, kL = _wavenumbers(complex(E), Z)
+    eR, eL = cmath.exp(-kR), cmath.exp(-kL)
     return [
-        [0.0, 1.0, 0.0, -1.0],
-        [-kR, 0.0, -kL, 0.0],
-        [sh_r, ch_r, -sh_l, -ch_l],
-        [-kR * ch_r, -kR * sh_r, -kL * ch_l, -kL * sh_l],
+        [1.0, eR, -eL, -1.0],
+        [kR, -kR * eR, -kL * eL, kL],
+        [eR, 1.0, -1.0, -eL],
+        [kR * eR, -kR, -kL, kL * eL],
     ]
 
 
@@ -187,7 +163,7 @@ def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
     first coupling that fails ``validate_coupling`` raises its error.
 
     The wavenumbers and exponentials are taken from ``cmath`` entry by entry;
-    negations, sums and the products of the exponential basis are formed in
+    negations, sums and the products with the exponentials are formed in
     numpy with the float operations of Python's complex arithmetic.
     """
     Z = np.asarray(Z, dtype=float)
@@ -204,13 +180,12 @@ def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
     arg_l.real, arg_l.imag = -E - jz.real, -0.0 - jz.imag
     sqrt, exp = _each(cmath.sqrt, complex), _each(cmath.exp, complex)
     kR, kL = sqrt(arg_r), sqrt(arg_l)
-    ekR, emkR = exp(kR), exp(-kR)
-    ekL, emkL = exp(kL), exp(-kL)
+    eR, eL = exp(-kR), exp(-kL)
     rows = (
-        (ekR, emkR, -1.0, -1.0),
-        (_product(kR, ekR), _product(-kR, emkR), -kL, kL),
-        (1.0, 1.0, -ekL, -emkL),
-        (kR, -kR, _product(-kL, ekL), _product(kL, emkL)),
+        (1.0, eR, -eL, -1.0),
+        (kR, _product(-kR, eR), _product(-kL, eL), kL),
+        (eR, 1.0, -1.0, -eL),
+        (_product(kR, eR), -kR, -kL, _product(kL, eL)),
     )
     W = np.empty(shape + (4, 4), complex)
     for i, row in enumerate(rows):
@@ -301,13 +276,13 @@ def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
     pivot = v[np.arange(len(v)), np.abs(v).argmax(axis=-1)]
     amplitudes = (v / pivot[:, None]).tolist()
     return [
-        WaveSolution(*a, kR, kL, _regime_of(e), m or 1)
-        for a, (kR, kL), e, m in zip(amplitudes, wavenumbers, E, multiplicity.tolist())
+        WaveSolution(*a, kR, kL, m or 1)
+        for a, (kR, kL), m in zip(amplitudes, wavenumbers, multiplicity.tolist())
     ]
 
 
 def evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
-    """psi on a grid over [-1, 1], piecewise per the solution's regime."""
+    """psi on a grid over [-1, 1], piecewise from the closed forms."""
     x = np.asarray(x, dtype=float)
     psi = np.empty(x.shape, dtype=complex)
     right = x >= 0.0
@@ -322,50 +297,29 @@ def _piece_values(sol: WaveSolution, side: str, x: np.ndarray) -> tuple[np.ndarr
     return tuple(values[0] for values in _stacked_piece_values(*_stack_solutions([sol]), side, x))
 
 
-def _stack_solutions(sols: Sequence[WaveSolution]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _stack_solutions(sols: Sequence[WaveSolution]) -> tuple[np.ndarray, np.ndarray]:
     """The amplitudes (A1, A2, B1, B2) and wavenumbers (k_right, k_left) of
-    each solution as rows, and which rows are in the exponential basis."""
+    each solution as rows."""
     amps = np.array([(s.A1, s.A2, s.B1, s.B2) for s in sols], dtype=complex).reshape(-1, 4)
     k = np.array([(s.k_right, s.k_left) for s in sols], dtype=complex).reshape(-1, 2)
-    exact = np.array([s.regime is Regime.EXACT for s in sols], dtype=bool)
-    return amps, k, exact
+    return amps, k
 
 
-def _stacked_piece_values(amps: np.ndarray, k: np.ndarray, exact: np.ndarray, side: str,
+def _stacked_piece_values(amps: np.ndarray, k: np.ndarray, side: str,
                           x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(psi, psi', psi'') of one smooth piece from the closed forms, each of
     shape (solutions, points): one row per solution of ``_stack_solutions``,
     at the points x.  Every product with a solution's amplitude or
     wavenumber is formed as with that Python complex alone."""
-    right = side == "right"
-    amps, k = (amps[:, :2], k[:, :1]) if right else (amps[:, 2:], k[:, 1:])
-    if exact.all() or not exact.any():  # all rows in one basis
-        return _basis_values(amps, k, bool(exact.all()), right, x)
-    values = tuple(np.empty((len(k), x.size), complex) for _ in range(3))
-    for exponential, at in ((True, exact), (False, ~exact)):
-        for out, rows in zip(values, _basis_values(amps[at], k[at], exponential, right, x)):
-            out[at] = rows
-    return values
-
-
-def _basis_values(amps: np.ndarray, k: np.ndarray, exponential: bool, right: bool,
-                  x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_stacked_piece_values`` of rows all in the exponential basis or all
-    in the hyperbolic one."""
-    c1, c2 = amps[:, :1], amps[:, 1:]
-    if exponential:
-        arg = x if right else x + 1.0
-        up = c1 * np.exp(k * arg)
-        dn = c2 * np.exp(-k * arg)
-        psi = up + dn
-        dpsi = k * up - k * dn
-    else:
-        arg = 1.0 - x if right else 1.0 + x
-        sh, ch = np.sinh(k * arg), np.cosh(k * arg)
-        psi = c1 * sh + c2 * ch
-        dpsi = (-k if right else k) * (c1 * ch + c2 * sh)
+    if side == "right":  # A1 e^{kR (x-1)} + A2 e^{-kR x}
+        amps, k, up_arg, dn_arg = amps[:, :2], k[:, :1], x - 1.0, x
+    else:  # B1 e^{kL x} + B2 e^{-kL (x+1)}
+        amps, k, up_arg, dn_arg = amps[:, 2:], k[:, 1:], x, x + 1.0
+    up = amps[:, :1] * np.exp(k * up_arg)
+    dn = amps[:, 1:] * np.exp(-k * dn_arg)
+    psi = up + dn
     kk = np.array([kv * kv for kv in k.ravel().tolist()], dtype=complex).reshape(k.shape)
-    return psi, dpsi, kk * psi
+    return psi, k * up - k * dn, kk * psi
 
 
 def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -> ResidualReport:
@@ -448,7 +402,7 @@ def _residual_block(sols: list[WaveSolution], E: list[complex], Z: list[float],
     return reports
 
 
-def pt_symmetry_check(sol: WaveSolution, Z: float, grid_n: int = 256) -> float:
+def pt_symmetry_check(sol: WaveSolution, grid_n: int = 256) -> float:
     """Mismatch between psi(-x)* and psi(x) at the least-squares phase,
 
         max_x |psi(-x)* - lambda psi(x)| / max |psi|,

@@ -327,10 +327,10 @@ def _dirichlet_comparison(folds) -> CheckResult:
 def _pt_symmetry() -> CheckResult:
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=2.0, s_max=3.5 * math.pi))
     sols = oracle.nullspace_solutions([p.E for p in pts], [2.0] * len(pts))
-    worst_unbroken = _worst([oracle.pt_symmetry_check(sol, 2.0) for sol in sols])
+    worst_unbroken = _worst([oracle.pt_symmetry_check(sol) for sol in sols])
     params, energy = transition.solve_broken(6.0, transition.BrokenParams.bind(0.36, 0.62, 6.0))
     sol = oracle.nullspace_solution(complex(energy.re_E, -energy.eps), 6.0)
-    broken_dev = oracle.pt_symmetry_check(sol, 6.0)
+    broken_dev = oracle.pt_symmetry_check(sol)
     ok = worst_unbroken <= 1e-8 and broken_dev >= 0.1
     return CheckResult(
         "pt-symmetry",

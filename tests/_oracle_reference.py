@@ -3,9 +3,10 @@ copies of ``nullspace_solution``, ``_piece_values`` and
 ``residual_check``, each working on one energy or one solution at a time.
 
 The tests hold ``nullspace_solutions``, ``residual_checks`` and their
-one-entry calls to these bit for bit.  The scalar matrix
-``boundary_matrix`` and ``boundary_determinant``, which did not change, are
-taken from the package.
+one-entry calls to these bit for bit.  ``ref_piece_values`` takes the closed
+forms of the oracle's one basis for every energy, one solution at a time.
+The scalar matrix ``boundary_matrix`` and ``boundary_determinant`` are taken
+from the package.
 """
 
 import numpy as np
@@ -14,10 +15,8 @@ from ptcircle.errors import NotAnEigenvalueError
 from ptcircle.oracle import (
     _DEGENERATE_K,
     _RANK_TOL,
-    Regime,
     ResidualReport,
     WaveSolution,
-    _regime_of,
     _wavenumbers,
     boundary_determinant,
     boundary_matrix,
@@ -63,32 +62,22 @@ def ref_nullspace_solution(E: complex, Z: float, require_singular: bool = True) 
         multiplicity = 1
     v = Vh[-1].conj()
     A1, A2, B1, B2 = (v / v[np.argmax(np.abs(v))]).tolist()
-    return WaveSolution(A1, A2, B1, B2, kR, kL, _regime_of(E), multiplicity)
+    return WaveSolution(A1, A2, B1, B2, kR, kL, multiplicity)
 
 
 def ref_piece_values(sol: WaveSolution, side: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi', psi'') of one smooth piece from the closed forms."""
+    """(psi, psi', psi'') of one smooth piece from the closed forms
+    A1 e^{kR (x-1)} + A2 e^{-kR x} on the right and B1 e^{kL x} +
+    B2 e^{-kL (x+1)} on the left."""
     if side == "right":
         k = sol.k_right
-        if sol.regime is Regime.EXACT:
-            up = sol.A1 * np.exp(k * x)
-            dn = sol.A2 * np.exp(-k * x)
-            return up + dn, k * up - k * dn, k * k * (up + dn)
-        arg = 1.0 - x
-        sh, ch = np.sinh(k * arg), np.cosh(k * arg)
-        psi = sol.A1 * sh + sol.A2 * ch
-        dpsi = -k * (sol.A1 * ch + sol.A2 * sh)
-        return psi, dpsi, k * k * psi
-    k = sol.k_left
-    if sol.regime is Regime.EXACT:
-        up = sol.B1 * np.exp(k * (x + 1.0))
+        up = sol.A1 * np.exp(k * (x - 1.0))
+        dn = sol.A2 * np.exp(-k * x)
+    else:
+        k = sol.k_left
+        up = sol.B1 * np.exp(k * x)
         dn = sol.B2 * np.exp(-k * (x + 1.0))
-        return up + dn, k * up - k * dn, k * k * (up + dn)
-    arg = 1.0 + x
-    sh, ch = np.sinh(k * arg), np.cosh(k * arg)
-    psi = sol.B1 * sh + sol.B2 * ch
-    dpsi = k * (sol.B1 * ch + sol.B2 * sh)
-    return psi, dpsi, k * k * psi
+    return up + dn, k * up - k * dn, k * k * (up + dn)
 
 
 def ref_residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -> ResidualReport:

@@ -164,13 +164,13 @@ class TestAcceptance:
         worst_unbroken = 0.0
         for p in scan_roots(SpectrumRequest(Z=2.0, s_max=3.5 * math.pi)):
             sol = nullspace_solution(p.E, 2.0)
-            worst_unbroken = max(worst_unbroken, pt_symmetry_check(sol, 2.0))
+            worst_unbroken = max(worst_unbroken, pt_symmetry_check(sol))
         # broken pair at Z = 6
         params, energy = transition.solve_broken(
             6.0, transition.BrokenParams.bind(0.358129, 0.622216, 6.0)
         )
         broken_dev = pt_symmetry_check(
-            nullspace_solution(complex(energy.re_E, -energy.eps), 6.0), 6.0
+            nullspace_solution(complex(energy.re_E, -energy.eps), 6.0)
         )
         # eps = 0 below the fold: the solver finds a real (alpha = beta) pair
         Z_below = fold.Z_crit - 1e-3

@@ -394,6 +394,26 @@ class TestUnwritableOut:
         assert fresh_cli(*argv, "--out", path) == expected
         assert not any(tmp_path.iterdir())  # nothing was written
 
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_verify_exits_before_running_a_check(self, capsys, tmp_path, monkeypatch, level):
+        def no_checks(level):
+            raise AssertionError("a check ran before --out was opened")
+
+        monkeypatch.setattr(ptcircle.cli.verify_mod, "run_checks", no_checks)
+        path = str(tmp_path / "missing-dir" / "x")
+        expected = (64, "", f"usage error: cannot write --out {path}: No such file or directory\n")
+        assert run_cli(capsys, "verify", "--level", level, "--out", path) == expected
+
+    def test_verify_check_that_raises_leaves_the_file_empty(self, capsys, tmp_path, monkeypatch):
+        def failing_check(level):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(ptcircle.cli.verify_mod, "run_checks", failing_check)
+        out = tmp_path / "x"
+        expected = (2, "", "solver error: internal check failed: injected\n")
+        assert run_cli(capsys, "verify", "--out", str(out)) == expected
+        assert out.read_bytes() == b""
+
 
 class TestGoldenBytes:
     """SHA-256 of stdout for fixed commands; any drift in a printed byte fails."""

@@ -316,12 +316,14 @@ class TestBranchTracking:
             assert max(report.bc_residuals) <= 1e-8
 
     def test_pair_zero_far_above_the_fold(self):
-        # 40-digit small-step continuation value; the oracle's boundary
-        # residual is limited by double precision at |Im E| of several
-        # hundred, so the value itself is the check
+        # 40-digit small-step continuation value, and both members certified
+        # by the oracle
         _, energy = solve_above_fold(interval_fold(0), 1000.0)
         E = complex(energy.re_E, energy.eps)
         assert abs(E - complex(9.248070109, 999.432019671)) <= 1e-8 * abs(E)
+        for member in (E, E.conjugate()):
+            report = residual_check(nullspace_solution(member, 1000.0), member, 1000.0)
+            assert max(report.bc_residuals) <= 1e-8, member
 
     @pytest.mark.parametrize("nu, E_ref", [
         (1, complex(38.6893920679, 9999.23354414)),
@@ -333,6 +335,10 @@ class TestBranchTracking:
         _, energy = solve_above_fold(interval_fold(nu), 1e4)
         assert energy.re_E == pytest.approx(E_ref.real, rel=1e-9)
         assert energy.eps == pytest.approx(E_ref.imag, rel=1e-9)
+        for sign in (+1.0, -1.0):
+            E = complex(energy.re_E, sign * energy.eps)
+            report = residual_check(nullspace_solution(E, 1e4), E, 1e4)
+            assert max(report.bc_residuals) <= 1e-8, E
 
     @pytest.mark.parametrize("nu", [0, 1, 7, 15])
     def test_matches_an_equal_step_chain(self, sixteen_folds, nu):
