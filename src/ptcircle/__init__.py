@@ -40,6 +40,7 @@ from .oracle import (
     boundary_determinant,
     boundary_matrix,
     nullspace_solution,
+    pt_norm,
     pt_symmetry_check,
     residual_check,
 )
@@ -74,6 +75,7 @@ __all__ = [
     "boundary_determinant",
     "boundary_matrix",
     "nullspace_solution",
+    "pt_norm",
     "pt_symmetry_check",
     "residual_check",
 ]

@@ -7,7 +7,7 @@ piecewise ansatz and the periodic boundary conditions
     psi1(1) = psi2(-1),  psi1'(1) = psi2'(-1),
     psi1(0) = psi2(0),   psi1'(0) = psi2'(0),
 
-and works with its determinant, null space and pointwise residuals.  An
+and works with its determinant, null space and residuals.  An
 energy E is accepted exactly when the matrix is rank deficient; the zero set
 of the determinant is the arbiter for every closed form in the package (the
 two differ by a nonvanishing analytic prefactor that is never relied upon).
@@ -33,14 +33,10 @@ and exponential from ``cmath`` entry by entry and forms the rest in numpy
 with the float operations of Python's complex arithmetic, so each matrix has
 the bits of ``boundary_matrix``.
 
-``nullspace_solutions`` and ``residual_checks`` certify many energies in one
-stacked pass: the matrices of ``boundary_matrix`` as one stack, decomposed
-by one batched SVD for the null vectors and one batched LU for the
-determinants, and each piece's residual grids as (solutions x grid_n)
-arrays, in blocks of about ``_BLOCK_CELLS`` cells.  ``nullspace_solution``
-and ``residual_check`` are their one-entry calls, and every product with a
-solution's amplitude or wavenumber is formed as with that Python number
-alone, so an entry has the same bits alone or in a stack.
+``nullspace_solutions`` finds the null vectors of many energies in one
+stacked pass: the matrices of ``boundary_matrix`` as one stack, decomposed by
+one batched SVD.  ``nullspace_solution`` is its one-entry call, and each
+entry has the same bits alone or in a stack.
 
 The determinant is numpy's LU determinant of W as built.  Rank and null
 vector come from the singular value decomposition of W with each row divided
@@ -50,14 +46,18 @@ and energies off an eigenvalue pass the rank test.  The null vector is the
 right singular vector of the smallest singular value, which stays accurate
 when two singular values are small at once (near-degenerate doublets).
 
-``pt_symmetry_check`` compares psi(-x)* with psi(x) at the least-squares
-phase only: for a PT-symmetric state that phase is exact, and no phase
-brings a broken state below its modulus asymmetry, so no search is needed.
+The checks of a solution integrate in closed form.  On each piece, with
+u = x on (0, 1) and u = x + 1 on (-1, 0), psi and psi(-x) are
+a e^{k(u-1)} + b e^{-k u}, and the integral of the product of two such
+terms is a sum of multiples of (1 - e^{-z})/z with Re z >= 0 (1 at z = 0).
+So ``residual_check`` and ``pt_symmetry_check`` normalize by ||psi||_2 and
+``pt_norm`` by its square, all formed from the amplitudes.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,9 +76,8 @@ __all__ = [
     "nullspace_solution",
     "nullspace_solutions",
     "residual_check",
-    "residual_checks",
     "pt_symmetry_check",
-    "evaluate_wavefunction",
+    "pt_norm",
 ]
 
 _RANK_TOL = 1e-8
@@ -88,12 +87,6 @@ _RANK_TOL = 1e-8
 # from |k| of about 2e-8 down; k = 0 (E = Z = 0) makes two columns equal.
 # Below this bound the basis cannot resolve the null space.
 _DEGENERATE_K = 4.0 * _RANK_TOL
-# The stacked residual grids run in blocks of about this many cells: 64 KiB
-# per complex temporary, below the allocator's 128 KiB threshold for mapping
-# fresh memory, above which every temporary is mapped and faulted in anew (on
-# a 2-core x86 VM 41 residual checks in one block took about 1.2x the time of
-# three blocks)
-_BLOCK_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -116,10 +109,8 @@ class WaveSolution:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    ode_residual: float            # 5-point finite differences, per smooth piece
-    ode_residual_analytic: float   # using the exact second derivative of the ansatz
-    bc_residuals: tuple[float, float, float, float]
-    det_modulus: float
+    ode_residual_analytic: float   # max over the pieces of |k^2 + E - V|
+    bc_residuals: tuple[float, float, float, float]  # |W a| / ||psi||_2, per row
 
 
 def _wavenumbers(E: complex, Z: float) -> tuple[complex, complex]:
@@ -281,140 +272,109 @@ def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
     ]
 
 
-def evaluate_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
-    """psi on a grid over [-1, 1], piecewise from the closed forms."""
-    x = np.asarray(x, dtype=float)
-    psi = np.empty(x.shape, dtype=complex)
-    right = x >= 0.0
-    psi[right] = _piece_values(sol, "right", x[right])[0]
-    psi[~right] = _piece_values(sol, "left", x[~right])[0]
-    return psi
+def _decay(z: complex) -> complex:
+    """(1 - e^{-z})/z, the integral of e^{-z u} over u in [0, 1], for
+    Re z >= 0; 1, the length of the interval, at z = 0."""
+    if not z:
+        return 1.0
+    x, y = -z.real, -z.imag
+    half = math.sin(0.5 * y)
+    # e^{-z} - 1 from expm1 (which cmath lacks), so no digits cancel at small |z|
+    em1 = complex(math.expm1(x) * math.cos(y) - 2.0 * half * half, math.exp(x) * math.sin(y))
+    return -em1 / z
 
 
-def _piece_values(sol: WaveSolution, side: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi', psi'') of one smooth piece from the closed forms: the
-    one-solution call of ``_stacked_piece_values``."""
-    return tuple(values[0] for values in _stacked_piece_values(*_stack_solutions([sol]), side, x))
+def _term_inner(f: tuple, h: tuple) -> complex:
+    """The integral over u in [0, 1] of f conj(h), for f = a e^{p(u-1)} +
+    b e^{-p u} and h = c e^{q(u-1)} + d e^{-q u} given as (a, b, p) and
+    (c, d, q), with Re p, Re q >= 0."""
+    (a, b, p), (c, d, q) = f, h
+    c, d, q = c.conjugate(), d.conjugate(), q.conjugate()
+    # e^{p(u-1)} e^{q(u-1)} and e^{-p u} e^{-q u} integrate to _decay(p + q),
+    # e^{p(u-1)} e^{-q u} and e^{-p u} e^{q(u-1)} to (e^{-q} - e^{-p})/(p - q),
+    # formed about the exponent of smaller real part so that no term grows
+    lo, hi = (p, q) if p.real <= q.real else (q, p)
+    same, cross = _decay(p + q), cmath.exp(-lo) * _decay(hi - lo)
+    return (a * c + b * d) * same + (a * d + b * c) * cross
 
 
-def _stack_solutions(sols: Sequence[WaveSolution]) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes (A1, A2, B1, B2) and wavenumbers (k_right, k_left) of
-    each solution as rows."""
-    amps = np.array([(s.A1, s.A2, s.B1, s.B2) for s in sols], dtype=complex).reshape(-1, 4)
-    k = np.array([(s.k_right, s.k_left) for s in sols], dtype=complex).reshape(-1, 2)
-    return amps, k
+def _inner(f: tuple, h: tuple) -> complex:
+    """The integral over [-1, 1] of f conj(h), for functions given as their
+    (right, left) pieces, each a tuple of terms of ``_term_inner``."""
+    return sum(_term_inner(s, t) for fs, hs in zip(f, h) for s in fs for t in hs)
 
 
-def _stacked_piece_values(amps: np.ndarray, k: np.ndarray, side: str,
-                          x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(psi, psi', psi'') of one smooth piece from the closed forms, each of
-    shape (solutions, points): one row per solution of ``_stack_solutions``,
-    at the points x.  Every product with a solution's amplitude or
-    wavenumber is formed as with that Python complex alone."""
-    if side == "right":  # A1 e^{kR (x-1)} + A2 e^{-kR x}
-        amps, k, up_arg, dn_arg = amps[:, :2], k[:, :1], x - 1.0, x
-    else:  # B1 e^{kL x} + B2 e^{-kL (x+1)}
-        amps, k, up_arg, dn_arg = amps[:, 2:], k[:, 1:], x, x + 1.0
-    up = amps[:, :1] * np.exp(k * up_arg)
-    dn = amps[:, 1:] * np.exp(-k * dn_arg)
-    psi = up + dn
-    kk = np.array([kv * kv for kv in k.ravel().tolist()], dtype=complex).reshape(k.shape)
-    return psi, k * up - k * dn, kk * psi
+def _norm(f: tuple) -> float:
+    # abs: a sum that rounds below zero is a rounding-sized norm
+    return math.sqrt(abs(_inner(f, f).real))
 
 
-def residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -> ResidualReport:
-    """Pointwise residuals of the eigenpair.
+def _psi_and_mirror(sol: WaveSolution) -> tuple[tuple, tuple]:
+    """psi and psi(-x) as (right, left) pieces of one term each, with the
+    amplitudes divided by their largest modulus: the measures do not depend
+    on scale, and amplitudes of about 1e308 would overflow their sums.  NaN
+    for every amplitude and wavenumber where a NaN or infinite one, or
+    Re k < 0, which no principal root has, leaves the closed forms
+    undefined, so that every measure of the solution is NaN."""
+    amps = (sol.A1, sol.A2, sol.B1, sol.B2)
+    kR, kL = sol.k_right, sol.k_left
+    if all(map(cmath.isfinite, (*amps, kR, kL))) and kR.real >= 0.0 and kL.real >= 0.0:
+        peak = max(map(abs, amps))
+        A1, A2, B1, B2 = (a / peak for a in amps)
+    else:
+        A1 = A2 = B1 = B2 = kR = kL = complex(math.nan, math.nan)
+    return (((A1, A2, kR),), ((B1, B2, kL),)), (((B2, B1, kL),), ((A2, A1, kR),))
 
-    The analytic channel uses the exact second derivative of the ansatz, so it
-    is zero up to rounding whenever the wavenumbers encode the eigenvalue; the
-    finite-difference channel (5-point stencil per smooth piece) is a separate
-    sanity check whose truncation error scales as grid_n**-4.  Boundary
-    residuals are the four matching conditions from the closed forms,
-    normalized by max |psi|; their values at x = -1, 0 and 1 are the end
-    points of the two grids, which ``linspace`` gives exactly.
 
-    This is the one-entry call of ``residual_checks``.
+def residual_check(sol: WaveSolution, E: complex, Z: float) -> ResidualReport:
+    """Residuals of the eigenpair: the four matching gaps |W a| of the
+    amplitudes a = (A1, A2, B1, B2), W = ``boundary_matrix(E, Z)``, divided
+    by ||psi||_2, and, as psi'' = k^2 psi on each piece, max |k^2 + E - V|
+    over the pieces.  A coupling that fails ``validate_coupling`` raises its
+    error; a NaN amplitude or wavenumber, or Re k < 0, gives NaN fields, and
+    a vanishing psi raises ZeroDivisionError."""
+    W = boundary_matrix(E, Z)
+    psi = (((A1, A2, kR),), ((B1, B2, kL),)) = _psi_and_mirror(sol)[0]
+    E = complex(E)
+    ode = max(abs(kR * kR + E - 1j * Z), abs(kL * kL + E + 1j * Z))
+    norm = _norm(psi)
+    return ResidualReport(ode, tuple(abs(w1 * A1 + w2 * A2 + w3 * B1 + w4 * B2) / norm
+                                     for w1, w2, w3, w4 in W))
+
+
+def pt_symmetry_check(sol: WaveSolution) -> float:
+    """Mismatch between conj psi(-x) and psi at the least-squares phase,
+
+        ||conj psi(-x) - lambda psi||_2 / ||psi||_2,
+        lambda = the phase of <conj psi(-x), psi>  (1 for a zero overlap),
+
+    at most sqrt 2, as ||conj psi(-x)|| = ||psi|| and the least-squares phase
+    makes Re(conj lambda <conj psi(-x), psi>) = |<conj psi(-x), psi>| >= 0.
+    Rounding-sized for unbroken eigenfunctions, for which
+    conj psi(-x) = lambda psi; in the broken regime at least
+    || |psi(-x)| - |psi| ||_2 / ||psi||_2, the mismatch's lower bound at
+    every phase.  A vanishing psi raises ZeroDivisionError; a NaN amplitude
+    or wavenumber, or Re k < 0, gives NaN.
     """
-    return residual_checks([sol], [E], [Z], grid_n)[0]
+    psi, mirror = _psi_and_mirror(sol)
+    pt = tuple(((a.conjugate(), b.conjugate(), k.conjugate()),) for ((a, b, k),) in mirror)
+    overlap = _inner(pt, psi)
+    lam = overlap / abs(overlap) if overlap else 1.0
+    # where the wavenumbers agree, as conj kL == kR does bit for bit for real
+    # E, the mismatch is one term of amplitude differences: the rounding of
+    # ||u||^2 + ||v||^2 - 2 Re <u, v> would be about 1e-8, the bound itself
+    mismatch = tuple(((a - lam * c, b - lam * d, p),) if p == q
+                     else ((a, b, p), (-lam * c, -lam * d, q))
+                     for ((a, b, p),), ((c, d, q),) in zip(pt, psi))
+    return _norm(mismatch) / _norm(psi)
 
 
-def residual_checks(sols: Sequence[WaveSolution], E: Sequence[complex], Z: Sequence[float],
-                    grid_n: int = 256) -> list[ResidualReport]:
-    """``residual_check`` of each solution at the energy and coupling at the
-    same place in E and Z, stacked: each piece's grids as (solutions x
-    grid_n) arrays in blocks of about ``_BLOCK_CELLS`` cells, and the
-    matrices of ``boundary_matrix`` as one stack per block for the
-    determinants.  Each report has the bits of the scalar call.  Inputs of
-    different lengths raise ValueError, and then the first coupling that
-    fails ``validate_coupling`` raises its error, before any is checked."""
-    if not len(sols) == len(E) == len(Z):
-        raise ValueError(f"{len(sols)} solutions, {len(E)} energies and {len(Z)} couplings")
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
-    sols, E, Z = list(sols), [complex(e) for e in E], list(Z)
-    for z in Z:
-        validate_coupling(z)
-    step = max(1, _BLOCK_CELLS // grid_n)
-    reports = []
-    for i in range(0, len(sols), step):
-        reports += _residual_block(sols[i:i + step], E[i:i + step], Z[i:i + step], grid_n)
-    return reports
-
-
-def _residual_block(sols: list[WaveSolution], E: list[complex], Z: list[float],
-                    grid_n: int) -> list[ResidualReport]:
-    stack = _stack_solutions(sols)
-    e = np.array(E, dtype=complex)[:, None]
-    potentials = np.array([(1j * z, -1j * z) for z in Z], dtype=complex)
-
-    maxima = []  # per side: max |psi|, the analytic and the 5-point residual
-    ends = []  # (psi, psi') at both ends of each piece
-    for side, (lo, hi), pot in (("right", (0.0, 1.0), potentials[:, :1]),
-                                ("left", (-1.0, 0.0), potentials[:, 1:])):
-        x = np.linspace(lo, hi, grid_n)
-        h = x[1] - x[0]
-        psi, dpsi, d2_exact = _stacked_piece_values(*stack, side, x)
-        ends.append(((psi[:, 0], dpsi[:, 0]), (psi[:, -1], dpsi[:, -1])))
-        res_an = np.abs(-d2_exact + pot * psi - e * psi)
-        d2_fd = (
-            -psi[:, :-4] + 16.0 * psi[:, 1:-3] - 30.0 * psi[:, 2:-2] + 16.0 * psi[:, 3:-1]
-            - psi[:, 4:]
-        ) / (12.0 * h * h)
-        inner = psi[:, 2:-2]
-        res_fd = np.abs(-d2_fd + pot * inner - e * inner)
-        maxima.append([np.abs(psi).max(axis=1), res_an.max(axis=1), res_fd.max(axis=1)])
-
-    ((p1_0, d1_0), (p1_1, d1_1)), ((p2_m1, d2_m1), (p2_0, d2_0)) = ends
-    gaps = np.array([p1_1 - p2_m1, d1_1 - d2_m1, p1_0 - p2_0, d1_0 - d2_0]).T
-    bc = np.hypot(gaps.real, gaps.imag)  # abs() of each
-    dets = np.linalg.det(np.array([boundary_matrix(*ez) for ez in zip(E, Z)], dtype=complex))
-    reports = []
-    # each side's maximum joined by Python's max and divided by Python's
-    # division, with their NaN and zero-division rules
-    for (peaks, an, fd), bc_i, det in zip(np.array(maxima).T.tolist(), bc.tolist(), dets.tolist()):
-        peak = max(max(0.0, peaks[0]), peaks[1])
-        reports.append(ResidualReport(
-            ode_residual=max(max(0.0, fd[0]), fd[1]) / peak,
-            ode_residual_analytic=max(max(0.0, an[0]), an[1]) / peak,
-            bc_residuals=tuple(b / peak for b in bc_i),
-            det_modulus=abs(det),
-        ))
-    return reports
-
-
-def pt_symmetry_check(sol: WaveSolution, grid_n: int = 256) -> float:
-    """Mismatch between psi(-x)* and psi(x) at the least-squares phase,
-
-        max_x |psi(-x)* - lambda psi(x)| / max |psi|,
-        lambda = exp(i arg <psi, psi(-x)*>)  (1 for a zero overlap).
-
-    Rounding-sized for unbroken eigenfunctions, for which psi(-x)* = lambda
-    psi(x); in the broken regime at least max_x ||psi(-x)| - |psi(x)|| /
-    max |psi|, the mismatch's lower bound at every phase.  A vanishing psi
-    raises ZeroDivisionError, and a NaN amplitude gives NaN.
-    """
-    x = np.linspace(-1.0, 1.0, grid_n)
-    psi = evaluate_wavefunction(sol, x)
-    psi_pt = np.conj(psi[::-1])
-    lam = cmath.exp(1j * cmath.phase(complex(np.vdot(psi, psi_pt))))  # phase(0) = 0
-    return float(np.max(np.abs(psi_pt - lam * psi))) / float(np.max(np.abs(psi)))
+def pt_norm(sol: WaveSolution) -> complex:
+    """The PT-norm of psi, the integral of conj psi(-x) psi(x) over [-1, 1]
+    divided by ||psi||_2^2: real for every psi, as parity is Hermitian, up
+    to a rounding-sized imaginary part, with a sign that does not depend on
+    psi's phase.  Below a fold the two merging real levels have opposite
+    signs, and the norm vanishes at the fold.  NaN and ZeroDivisionError as
+    for ``pt_symmetry_check``."""
+    psi, mirror = _psi_and_mirror(sol)
+    return _inner(psi, mirror) / _norm(psi) ** 2

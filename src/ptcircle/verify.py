@@ -7,12 +7,12 @@ instance the factorization identity is recomputed through
 ``secular.secular_factor``) so that an injected defect in any public surface
 trips the corresponding named property.  The two identity sweeps make one
 array call per kernel, and the determinant sweep stacks its matrices with
-``oracle.boundary_matrices``; the zero-set check certifies the scanned roots
-of all its couplings with one ``oracle.nullspace_solutions`` and one
-``oracle.residual_checks`` call, and the symmetry check takes its unbroken
-states' null vectors from one ``oracle.nullspace_solutions`` call.  These
-array paths give each point the bits of the scalar calls, so the checks
-print what a per-point loop printed.
+``oracle.boundary_matrices``; the zero-set check takes the null vectors of
+the scanned roots of all its couplings from one ``oracle.nullspace_solutions``
+call, and the symmetry check those of its unbroken states.  These array
+paths give each point the bits of the scalar calls.  ``oracle.residual_check``
+and ``oracle.pt_symmetry_check`` then measure each state in closed form from
+its amplitudes, relative to the L2 norm of the eigenfunction.
 
 The suite runs without scipy: the determinant roots of all couplings of the
 zero-set check are refined together by the batched ``spectrum._brentq``,
@@ -220,9 +220,9 @@ def _det_roots(z_values: tuple[float, ...], s_max: float) -> list[list[float]]:
 
 def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
     """Each coupling's scanned roots against its determinant roots, and each
-    scanned root certified by the oracle: its null vector and the matching
-    conditions at it, for the roots of all couplings in one
-    ``oracle.nullspace_solutions`` and one ``oracle.residual_checks`` call."""
+    scanned root certified by the oracle: its null vector, from one
+    ``oracle.nullspace_solutions`` call for the roots of all couplings, and
+    the matching conditions at it, by ``oracle.residual_check``."""
     s_max = 4.6 * math.pi
     matches = []
     energies: list[float] = []
@@ -239,7 +239,7 @@ def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
         energies.extend(p.E for p in pts)
         couplings.extend([Z] * len(pts))
     sols = oracle.nullspace_solutions(energies, couplings)
-    reports = oracle.residual_checks(sols, energies, couplings)
+    reports = [oracle.residual_check(*args) for args in zip(sols, energies, couplings)]
     worst_match = _worst(matches)
     worst_bc = _worst([r for report in reports for r in report.bc_residuals])
     ok = worst_match <= 1e-8 and worst_bc <= 1e-8

@@ -1,27 +1,27 @@
-"""The oracle's per-root path as it was before its stacked core: verbatim
-copies of ``nullspace_solution``, ``_piece_values`` and
-``residual_check``, each working on one energy or one solution at a time.
+"""References for the oracle, independent of its closed-form integrals.
 
-The tests hold ``nullspace_solutions``, ``residual_checks`` and their
-one-entry calls to these bit for bit.  ``ref_piece_values`` takes the closed
-forms of the oracle's one basis for every energy, one solution at a time.
-The scalar matrix ``boundary_matrix`` and ``boundary_determinant`` are taken
-from the package.
+``ref_nullspace_solution`` is the per-root path as it was before the stacked
+core, a verbatim copy of ``nullspace_solution`` working on one energy at a
+time; the tests hold ``nullspace_solutions`` and its one-entry call to it bit
+for bit.  The scalar matrix ``boundary_matrix`` is taken from the package.
+
+``ref_piece_values`` evaluates psi and its derivatives pointwise from the
+closed forms of the oracle's one basis, and ``ref_integral`` integrates a
+function of such values by mpmath's quadrature: the references for the
+norms, overlaps and PT mismatch that the oracle forms in closed form.
 """
 
+import mpmath
 import numpy as np
 
 from ptcircle.errors import NotAnEigenvalueError
 from ptcircle.oracle import (
     _DEGENERATE_K,
     _RANK_TOL,
-    ResidualReport,
     WaveSolution,
     _wavenumbers,
-    boundary_determinant,
     boundary_matrix,
 )
-from ptcircle.secular import validate_coupling
 
 
 def ref_nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> WaveSolution:
@@ -80,52 +80,26 @@ def ref_piece_values(sol: WaveSolution, side: str, x: np.ndarray) -> tuple[np.nd
     return up + dn, k * up - k * dn, k * k * (up + dn)
 
 
-def ref_residual_check(sol: WaveSolution, E: complex, Z: float, grid_n: int = 256) -> ResidualReport:
-    """Pointwise residuals of the eigenpair.
+def ref_wavefunction(sol: WaveSolution, x: np.ndarray) -> np.ndarray:
+    """psi at the points x of [-1, 1], from ``ref_piece_values``."""
+    psi = np.empty(x.shape, dtype=complex)
+    right = x >= 0.0
+    psi[right] = ref_piece_values(sol, "right", x[right])[0]
+    psi[~right] = ref_piece_values(sol, "left", x[~right])[0]
+    return psi
 
-    The analytic channel uses the exact second derivative of the ansatz, so it
-    is zero up to rounding whenever the wavenumbers encode the eigenvalue; the
-    finite-difference channel (5-point stencil per smooth piece) is a separate
-    sanity check whose truncation error scales as grid_n**-4.  Boundary
-    residuals are the four matching conditions from the closed forms,
-    normalized by max |psi|; their values at x = -1, 0 and 1 are the end
-    points of the two grids, which ``linspace`` gives exactly.
-    """
-    if grid_n < 64:
-        raise ValueError(f"grid_n must be at least 64, got {grid_n}")
-    E = complex(E)
-    validate_coupling(Z)
 
-    ode_fd = 0.0
-    ode_an = 0.0
-    peak = 0.0
-    ends = []  # (psi, psi') at both ends of each piece
-    for side, (lo, hi), pot in (("right", (0.0, 1.0), 1j * Z), ("left", (-1.0, 0.0), -1j * Z)):
-        x = np.linspace(lo, hi, grid_n)
-        h = x[1] - x[0]
-        psi, dpsi, d2_exact = ref_piece_values(sol, side, x)
-        ends.append(((psi[0], dpsi[0]), (psi[-1], dpsi[-1])))
-        peak = max(peak, float(np.max(np.abs(psi))))
-        res_an = np.abs(-d2_exact + pot * psi - E * psi)
-        ode_an = max(ode_an, float(np.max(res_an)))
-        d2_fd = (
-            -psi[:-4] + 16.0 * psi[1:-3] - 30.0 * psi[2:-2] + 16.0 * psi[3:-1] - psi[4:]
-        ) / (12.0 * h * h)
-        inner = psi[2:-2]
-        res_fd = np.abs(-d2_fd + pot * inner - E * inner)
-        ode_fd = max(ode_fd, float(np.max(res_fd)))
+def ref_psi(sol: WaveSolution, x: float) -> complex:
+    """psi at one point x of [-1, 1]."""
+    return complex(ref_wavefunction(sol, np.array([x]))[0])
 
-    ((p1_0, d1_0), (p1_1, d1_1)), ((p2_m1, d2_m1), (p2_0, d2_0)) = ends
-    bc = (
-        float(abs(p1_1 - p2_m1)) / peak,
-        float(abs(d1_1 - d2_m1)) / peak,
-        float(abs(p1_0 - p2_0)) / peak,
-        float(abs(d1_0 - d2_0)) / peak,
-    )
-    det = boundary_determinant(E, Z)
-    return ResidualReport(
-        ode_residual=ode_fd / peak,
-        ode_residual_analytic=ode_an / peak,
-        bc_residuals=bc,
-        det_modulus=abs(det),
-    )
+
+def ref_integral(f) -> complex:
+    """The integral over [-1, 1] of f, a complex function of a float, by
+    mpmath's tanh-sinh quadrature on subintervals whose ends, where its nodes
+    cluster, are the matching points and the ends of the boundary layers
+    beside them (about 1/140 wide for a broken pair at Z_nu + 1e4).  It
+    works at double precision, that of f, whatever mpmath's global precision
+    (``_mp_reference`` sets 40 digits)."""
+    with mpmath.workdps(15):
+        return complex(mpmath.quad(lambda x: f(float(x)), [-1, -0.9, -0.1, 0, 0.1, 0.9, 1]))
