@@ -203,12 +203,13 @@ def _cmd_fig(args) -> int:
         if not (0 < args.t_min < args.t_max):
             raise _UsageError("need 0 < t-min < t-max")
         step = (args.t_max - args.t_min) / (args.points - 1)
-        ts = args.t_min + np.arange(args.points) * step  # the floats of t_min + i*step
+        ts = (args.t_min + np.arange(args.points) * step).tolist()  # the floats of t_min + i*step
         try:
-            values = secular_t(ts, args.Z)
+            # the scalar kernel, from math: these bytes are pinned
+            values = [secular_t(t, args.Z) for t in ts]
         except ValueError as exc:  # at the first point where t*t underflows, Z/t overflows or Z < 0
             raise _UsageError(str(exc)) from exc
-        rows = np.column_stack((ts, values)).tolist()
+        rows = [[t, v] for t, v in zip(ts, values)]
         with _output(args.out) as stream:
             _emit(stream, "fig1",
                   {"Z": args.Z, "t_min": args.t_min, "t_max": args.t_max, "points": args.points},

@@ -28,10 +28,11 @@ of the determinant on the real axis keeps its sign and zero set.
 ``boundary_matrices`` builds W for a whole array of real energies at once,
 as the determinant sweep of ``verify`` needs it, at one coupling or at an
 array of couplings that broadcasts against the energies, as the batched
-refinement of the determinant roots needs it.  It takes each square root
-and exponential from ``cmath`` entry by entry and forms the rest in numpy
-with the float operations of Python's complex arithmetic, so each matrix has
-the bits of ``boundary_matrix``.
+refinement of the determinant roots needs it.  It takes kR from numpy's
+square root and kL as its conjugate, so its entries agree with those of
+``boundary_matrix`` to a few units of rounding, not to the bit.  The
+null vectors, and the residuals and measures formed from them, come from
+``boundary_matrix``.
 
 ``nullspace_solutions`` finds the null vectors of many energies in one
 stacked pass: the matrices of ``boundary_matrix`` as one stack, decomposed by
@@ -64,7 +65,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotAnEigenvalueError
-from .secular import _each, validate_coupling
+from .secular import validate_coupling
 
 __all__ = [
     "WaveSolution",
@@ -136,47 +137,35 @@ def boundary_matrix(E: complex, Z: float) -> list[list[complex]]:
     ]
 
 
-def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a*b over complex ndarrays with the float operations of Python's complex
-    product, each rounded on its own (numpy's complex multiply may fuse them)."""
-    out = np.empty(a.shape, complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
     """The matching matrices W of an ndarray of real energies, stacked: shape
-    E.shape + (4, 4), entry i the bits of ``np.array(boundary_matrix(E[i],
-    Z), dtype=complex)``.  Z is a coupling or an ndarray of couplings that
-    broadcasts against E (one per energy, as the batched determinant roots
-    of ``verify`` need), and then the shape is that of the broadcast; the
-    first coupling that fails ``validate_coupling`` raises its error.
+    E.shape + (4, 4), entry i ``np.array(boundary_matrix(E[i], Z),
+    dtype=complex)`` to rounding.  Z is a coupling or an ndarray of
+    couplings that broadcasts against E (one per energy, as the batched
+    determinant roots of ``verify`` need), and then the shape is that of the
+    broadcast; the first coupling that fails ``validate_coupling`` raises
+    its error.
 
-    The wavenumbers and exponentials are taken from ``cmath`` entry by entry;
-    negations, sums and the products with the exponentials are formed in
-    numpy with the float operations of Python's complex arithmetic.
+    kR = sqrt(-E + iZ) and e^{-kR} come from numpy; for real E, kL and
+    e^{-kL} are their conjugates.
     """
-    Z = np.asarray(Z, dtype=float)
+    # + 0.0 turns a coupling -0.0 into 0.0, so that kR = +i sqrt(E) at Z = 0,
+    # as ``boundary_matrix`` has it
+    Z = np.asarray(Z, dtype=float) + 0.0
     bad = ~(np.isfinite(Z) & (Z >= 0.0))
     if bad.any():
         validate_coupling(float(Z.flat[bad.argmax()]))
-    # i*Z as boundary_matrix forms it, by Python's complex arithmetic, for the
-    # signs of its zeros; -E for complex(E) is (-E, -0.0)
-    jz = _each((1j).__mul__, complex)(Z)
     shape = np.broadcast_shapes(E.shape, Z.shape)
-    arg_r = np.empty(shape, complex)
-    arg_r.real, arg_r.imag = -E + jz.real, -0.0 + jz.imag
-    arg_l = np.empty(shape, complex)
-    arg_l.real, arg_l.imag = -E - jz.real, -0.0 - jz.imag
-    sqrt, exp = _each(cmath.sqrt, complex), _each(cmath.exp, complex)
-    kR, kL = sqrt(arg_r), sqrt(arg_l)
-    eR, eL = exp(-kR), exp(-kL)
+    arg = np.empty(shape, complex)
+    arg.real, arg.imag = -E, Z
+    kR = np.sqrt(arg)
+    eR = np.exp(-kR)
+    kL, eL = kR.conj(), eR.conj()
     rows = (
         (1.0, eR, -eL, -1.0),
-        (kR, _product(-kR, eR), _product(-kL, eL), kL),
+        (kR, -kR * eR, -kL * eL, kL),
         (eR, 1.0, -1.0, -eL),
-        (_product(kR, eR), -kR, -kL, _product(kL, eL)),
+        (kR * eR, -kR, -kL, kL * eL),
     )
     W = np.empty(shape + (4, 4), complex)
     for i, row in enumerate(rows):

@@ -34,17 +34,15 @@ and for figure emission; they refuse the t = 0 / s = 0 edges where their
 extra terms oscillate or blow up.
 
 ``secular_t``, ``secular_s`` and ``secular_factor`` also take ndarrays, one
-point per entry, as the identity sweeps of ``verify`` and the curve of
-figure 1 need them.  Each writes its expression once for both paths: the
-array path takes every transcendental from ``math`` entry by entry
-(``_each``) and does the rest in numpy, whose +, -, * and / round like
-Python's floats.  So every entry has the bits of the scalar call.  numpy's
-own exp, expm1 and sinh differ from ``math`` in the last bit on a few
-percent of arguments, and are not used there.  An array raises the scalar
-call's error, that of its first failing entry, wherever one would.
-``secular_t`` also takes a t row against a Z column, the sign map of
-figure 2, in one pass: exp and expm1 once per t from ``math``, and cos(Z/t)
-per cell from numpy, whose cos matches ``math.cos`` on the arguments tested.
+point per entry, as the identity sweeps of ``verify`` need them, and
+``secular_t`` takes a t row against a Z column, the sign map of figure 2.
+Each writes its expression once for both paths: the scalar path with
+``math``, the array path with numpy's ufuncs.  numpy's exp, expm1, sinh and
+cos may differ from ``math`` in the last bit, so an entry agrees with the
+scalar call to a few units of rounding, not to the bit; output whose bytes
+are pinned (the curve of figure 1) comes from the scalar kernels.  An
+array raises the scalar call's error, that of its first failing entry,
+wherever one would.
 
 All functions are pure and operate in double precision.
 """
@@ -240,28 +238,12 @@ def t_sinh_t(t: float | complex) -> float | complex:
     return math.inf if abs(t) > _SINH_CLAMP else t * math.sinh(t)
 
 
-def _t_sinh_t_array(
-    t: np.ndarray, sinh: Callable[[np.ndarray], np.ndarray] = np.sinh
-) -> np.ndarray:
-    """``t_sinh_t`` elementwise on an ndarray of real t.  numpy's sinh serves
-    the grid pass of a root scan, which needs its speed; ``secular_factor``
-    passes ``math.sinh`` entry by entry for the scalar bits.  The clamped
-    entries never reach ``sinh``, so no overflow warning is raised."""
+def _t_sinh_t_array(t: np.ndarray) -> np.ndarray:
+    """``t_sinh_t`` elementwise on an ndarray of real t, with numpy's sinh.
+    The clamped entries never reach sinh, so no overflow warning is raised."""
     big = np.abs(t) > _SINH_CLAMP
     t = np.where(big, 0.0, t)
-    return np.where(big, math.inf, t * sinh(t))
-
-
-def _each(f: Callable, dtype: type = float) -> Callable[[np.ndarray], np.ndarray]:
-    """The function of ndarrays that applies the ``math`` (or, with dtype
-    complex, ``cmath``) function f entry by entry, so that every entry has
-    the bits of the scalar call."""
-    def apply(x: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(f, x.ravel().tolist()), dtype, x.size).reshape(x.shape)
-    return apply
-
-
-_exp, _expm1, _cos, _sin, _sinh = map(_each, (math.exp, math.expm1, math.cos, math.sin, math.sinh))
+    return np.where(big, math.inf, t * np.sinh(t))
 
 
 def _raise_first(bad: np.ndarray, kernel: Callable, x: np.ndarray, Z: float | np.ndarray) -> None:
@@ -296,20 +278,15 @@ def secular_t(t: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarra
     is +inf.  Z/t must not overflow.
 
     An ndarray t takes a scalar Z or an ndarray Z that broadcasts against
-    it, and gives the value at every entry of the broadcast; exp(-2t) and
-    expm1(2t) are taken from ``math`` once per entry of t.  Where each t
-    meets one Z (Z a scalar or of t's shape, as in the identity sweeps and
-    figure 1), cos(Z/t) is taken from ``math`` too.  Where the t entries
-    meet whole columns of Z (a Z column against a t row, the sign map of
-    figure 2), cos(Z/t) is taken from numpy, whose cos equals ``math.cos``
-    on the arguments tested.  Either way each entry has the bits of the
-    scalar call.  The ValueError of a scalar call is raised whenever one
-    entry would raise it: a negative or non-finite Z, t <= 0, t*t == 0, or
-    (for t <= 350) a Z/t that overflows.  On a grid it is the error of the
-    first failing column, that of the scalar call at its largest Z after
-    its smallest and largest Z are checked as couplings (``_raise_first``).
-    Overflow in 2*Z**2/t**2 and the NaN of inf*0 pass without a numpy
-    warning, as they do in ``math``.
+    it (one Z per t, as in the identity sweeps, or a Z column against a t
+    row, the sign map of figure 2), and gives the value at every entry of
+    the broadcast, with numpy's exp, expm1 and cos.  The ValueError of a
+    scalar call is raised whenever one entry would raise it: a negative or
+    non-finite Z, t <= 0, t*t == 0, or (for t <= 350) a Z/t that overflows.
+    On a grid it is the error of the first failing column, that of the
+    scalar call at its largest Z after its smallest and largest Z are
+    checked as couplings (``_raise_first``).  Overflow in 2*Z**2/t**2 and
+    the NaN of inf*0 pass without a numpy warning, as they do in ``math``.
     """
     if isinstance(t, np.ndarray):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -317,9 +294,9 @@ def secular_t(t: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarra
             bad = (~np.isfinite(Z) | (Z < 0.0) | (t <= 0.0) | (t * t == 0.0)
                    | (~big & ~np.isfinite(Z / t)))
             _raise_first(bad, secular_t, t, Z)
-            cos = _cos if bad.shape == t.shape else np.cos
             # the clamped entries never reach expm1, which overflows past 355
-            return np.where(big, math.inf, _t_form(np.where(big, 1.0, t), Z, _exp, _expm1, cos))
+            return np.where(big, math.inf,
+                            _t_form(np.where(big, 1.0, t), Z, np.exp, np.expm1, np.cos))
     z = validate_coupling(Z)
     if t <= 0.0:
         raise ValueError(f"secular_t requires t > 0, got {t!r}")
@@ -348,10 +325,10 @@ def secular_s(s: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarra
     are the circle spectrum s = n*pi.  Where Z/s > 700 it is +inf.
 
     An ndarray s, with a scalar Z or Z of the same shape, gives one point per
-    entry, with every transcendental from ``math``: each entry has the bits
-    of the scalar call, and the error of a scalar call is raised whenever one
-    entry would raise it (a negative or non-finite Z, s <= 0, an infinite
-    2s, or, at Z/s <= 700, the ZeroDivisionError of an s*s that underflows).
+    entry, with numpy's exp, expm1 and cos, and the error of a scalar call is
+    raised whenever one entry would raise it (a negative or non-finite Z,
+    s <= 0, an infinite 2s, or, at Z/s <= 700, the ZeroDivisionError of an
+    s*s that underflows).
     """
     if isinstance(s, np.ndarray):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -359,7 +336,8 @@ def secular_s(s: float | np.ndarray, Z: float | np.ndarray) -> float | np.ndarra
             big = u > 2.0 * _SINH_CLAMP
             _raise_first(~np.isfinite(Z) | (Z < 0.0) | (s <= 0.0)
                          | (~big & (np.isinf(2.0 * s) | (s * s == 0.0))), secular_s, s, Z)
-            return np.where(big, math.inf, _s_form(s, Z, np.where(big, 0.0, u), _exp, _expm1, _cos))
+            return np.where(big, math.inf, _s_form(s, Z, np.where(big, 0.0, u),
+                                                   np.exp, np.expm1, np.cos))
     validate_coupling(Z)
     if s <= 0.0:
         raise ValueError(f"secular_s requires s > 0, got {s!r}")
@@ -490,14 +468,9 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
 
 def secular_factor(params: ExactParams, branch: SecularBranch) -> float | np.ndarray:
     """Factored secular form at the given parameters; the canonical root form.
-
-    Parameters with ndarray fields give the factor at every entry, with sinh
-    and sin from ``math``, so each entry has the bits of the scalar call
-    (``factor_value`` on ndarrays uses numpy's sinh, for the scan grid)."""
-    t, s = params.t, params.s
-    if isinstance(s, np.ndarray):
-        return _t_sinh_t_array(t, _sinh) + branch.sin_term_sign * s * _sin(s)
-    return factor_value(t, s, branch)
+    Parameters with ndarray fields give the factor at every entry, as
+    ``factor_value`` evaluates ndarrays."""
+    return factor_value(params.t, params.s, branch)
 
 
 def energy_of(params: ExactParams) -> float:

@@ -470,9 +470,9 @@ def fit_series_numeric(
         raise FitConditioningError(
             f"need at least {n_coef + 2} samples for order {max_order}, got {ts.size}"
         )
-    if np.any(ts <= 0.0) or np.any(ts > 0.2):
+    if not np.all((ts > 0.0) & (ts <= 0.2)):  # a NaN fails both comparisons
         raise ValueError("t samples must lie in (0, 0.2]")
-    # the samples lie in (0, 0.2], so no NaN or -0.0 reaches the set; np.unique
+    # the test above keeps NaN and -0.0 out of the set; np.unique
     # would load numpy.ma on its first call, about 15 ms of a command
     if len(set(ts.tolist())) != ts.size:
         raise FitConditioningError("t samples must be distinct")

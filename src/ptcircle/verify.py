@@ -9,10 +9,12 @@ trips the corresponding named property.  The two identity sweeps make one
 array call per kernel, and the determinant sweep stacks its matrices with
 ``oracle.boundary_matrices``; the zero-set check takes the null vectors of
 the scanned roots of all its couplings from one ``oracle.nullspace_solutions``
-call, and the symmetry check those of its unbroken states.  These array
-paths give each point the bits of the scalar calls.  ``oracle.residual_check``
-and ``oracle.pt_symmetry_check`` then measure each state in closed form from
-its amplitudes, relative to the L2 norm of the eigenfunction.
+call, and the symmetry check those of its unbroken states.  The array
+paths agree with the scalar calls to a few units of rounding, far below
+every bound of the checks; no printed byte of the other commands depends on
+them.  ``oracle.residual_check`` and ``oracle.pt_symmetry_check`` then
+measure each state in closed form from its amplitudes, relative to the L2
+norm of the eigenfunction.
 
 The suite runs without scipy: the determinant roots of all couplings of the
 zero-set check are refined together by the batched ``spectrum._brentq``,
@@ -93,11 +95,6 @@ class CheckResult:
     detail: str
 
 
-def _uniform(u: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """The floats ``Generator.uniform(lo, hi)`` makes of the doubles u."""
-    return lo + (hi - lo) * u
-
-
 def _worst(values) -> float:
     """The largest of values, 0.0 for none, and NaN if any value is NaN: a
     measurement that comes back NaN fails its bound instead of being
@@ -110,17 +107,14 @@ def _identity_residuals(n_points: int, s_form: bool) -> np.ndarray:
     in the t form (``secular_t``) or, with its own seed, the s form
     (``secular_s`` at s = Z/(2t)), one entry per point with Z != 0.
 
-    Draw order and seeds are those of one ``uniform`` call each for t in
-    [1e-3, 20) and then Z in [0, 100) per point, from ``default_rng(_SEED)``
-    (t form) or ``default_rng(_SEED + 1)`` (s form); the doubles come from one
-    ``random(2*n_points)`` call, mapped by ``_uniform`` to the same floats in
-    one array each.
-    All points go through the public kernels in one array call each, whose
-    entries have the bits of the scalar calls, so a defect injected into any
-    of the kernels trips the check."""
-    u = default_rng(_SEED + 1 if s_form else _SEED).random(2 * n_points)
-    t = _uniform(u[0::2], 1e-3, 20.0)
-    Z = _uniform(u[1::2], 0.0, 100.0)
+    The points are n_points draws of t in [1e-3, 20) and then n_points of Z
+    in [0, 100), from ``default_rng(_SEED)`` (t form) or
+    ``default_rng(_SEED + 1)`` (s form).  All points go through the public
+    kernels in one array call each, so a defect injected into any of the
+    kernels trips the check."""
+    rng = default_rng(_SEED + 1 if s_form else _SEED)
+    t = rng.uniform(1e-3, 20.0, n_points)
+    Z = rng.uniform(0.0, 100.0, n_points)
     keep = Z != 0.0  # s = 0 lies outside the s form
     t, Z = t[keep], Z[keep]
     s = Z / (2.0 * t)
@@ -173,8 +167,8 @@ def _series_vs_fit(levels: tuple[int, ...]) -> CheckResult:
 def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Energies of the sign sweep along the constraint curve and the real part
     of the boundary determinant at each, as one stacked LU determinant of
-    ``oracle.boundary_matrices``: bit-equal to ``boundary_determinant(E,
-    Z).real`` per energy."""
+    ``oracle.boundary_matrices``: ``boundary_determinant(E, Z).real`` per
+    energy, to rounding."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
     if Z > 0:
         lo = 0.1 * math.sqrt(0.5 * Z)
@@ -196,9 +190,9 @@ def _det_roots(z_values: tuple[float, ...], s_max: float) -> list[list[float]]:
     The sign changes of each coupling's ``_det_sweep`` are the brackets.  The
     brackets of all couplings are refined together by ``spectrum._brentq``,
     each round one stacked determinant of ``oracle.boundary_matrices`` at
-    the energies and couplings of the brackets still running, so each root
-    is the one ``scipy.optimize.brentq`` gives on ``boundary_determinant(E,
-    Z).real`` over that bracket, to the bit."""
+    the energies and couplings of the brackets still running, with
+    ``scipy.optimize.brentq``'s steps and tolerances (xtol 1e-12, rtol
+    1e-14)."""
     brackets: list[tuple[float, float]] = []
     couplings: list[float] = []
     counts = []

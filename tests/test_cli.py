@@ -421,6 +421,8 @@ class TestGoldenBytes:
     @pytest.mark.parametrize("argv, sha256", [
         (("spectrum", "--Z", "0.5", "--smax", "10"),
          "654cb5f008880581afc7bc53b8a08f7f495c5f635e484fde78f535bad146462d"),
+        (("broken", "--Z", "6", "--pair", "0"),
+         "4dd011df55606abf304ea94b16de113b60e92e8da285e4ac708cf33af77d1b99"),
         (("fig", "--which", "1"),
          "7533095ea8702962883203debd93b4d028198b7e9fbe14ae06a3da8ebec59c0f"),
         (("fig", "--which", "2"),

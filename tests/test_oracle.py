@@ -117,19 +117,42 @@ class TestBoundaryMatrix:
                 assert abs(d2) == pytest.approx(abs(d1), rel=1e-9)
 
 
+def assert_matrices_close(W, E, Z):
+    """Each stacked matrix within 4 units of rounding of max(1, |entry|) of
+    ``boundary_matrix`` at its energy and coupling, entry by entry."""
+    E, Z = np.broadcast_arrays(E, Z)
+    assert W.shape == E.shape + (4, 4)
+    pairs = zip(E.ravel().tolist(), Z.ravel().tolist())
+    expected = np.array([boundary_matrix(e, z) for e, z in pairs], dtype=complex).reshape(W.shape)
+    bound = 4.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(expected))
+    assert np.all(np.abs(W - expected) <= bound)
+
+
 class TestBoundaryMatrices:
-    """The stacked matrices of real energies must hold, entry by entry, the
-    bytes of the per-energy ``boundary_matrix``."""
+    """The stacked matrices of real energies must hold, entry by entry, those
+    of the per-energy ``boundary_matrix`` to rounding."""
 
     @pytest.mark.parametrize("Z", [0.0, -0.0, 1e-8, 0.5, 3.0, 5.0, 10.0, 17.0, 25.0])
-    def test_bytes_of_each_matrix(self, Z):
+    def test_each_matrix_to_rounding(self, Z):
         s = np.arange(math.pi / 128, 4.6 * math.pi, math.pi / 128)  # the verify sweep
         E = np.concatenate([s**2 - (Z / (2.0 * s)) ** 2,
                             [0.0, -0.0, 1e-300, -1e-300, PI2, -1.0, -1e3, 1e4, 5e-324]])
+        assert_matrices_close(boundary_matrices(E, Z), E, Z)
+
+    @pytest.mark.parametrize("Z", [0.0, -0.0])
+    def test_uncoupled_left_wavenumber_is_the_conjugate(self, Z):
+        # E < 0 at Z = 0: kR = sqrt(-E) real and kL its conjugate, with the
+        # sign of zero the scalar builder gives it; E > 0: kL = -i sqrt(E)
+        E = np.array([-1e-300, -0.25, -1.0, -PI2, -1e3, 0.25, PI2])
         W = boundary_matrices(E, Z)
-        assert W.shape == (E.size, 4, 4)
-        for E_i, W_i in zip(E.tolist(), W):
-            assert W_i.tobytes() == np.array(boundary_matrix(E_i, Z), dtype=complex).tobytes(), E_i
+        kR, kL = W[:, 1, 0], W[:, 1, 3]
+        assert kL.tobytes() == kR.conj().tobytes()
+        negative = E < 0.0
+        assert np.all(kR[negative].imag == 0.0) and np.all(kR[negative].real > 0.0)
+        assert kL[~negative].tolist() == [-1j * math.sqrt(e) for e in E[~negative].tolist()]
+        for e, k_left in zip(E.tolist(), kL.tolist()):
+            assert cmath.isclose(k_left, boundary_matrix(e, Z)[1][3], rel_tol=4e-16)
+        assert_matrices_close(W, E, Z)
 
     @pytest.mark.parametrize("Z", [-1.0, math.nan, math.inf])
     def test_bad_coupling_raises(self, Z):
@@ -148,14 +171,11 @@ class TestBoundaryMatrices:
         rng = np.random.default_rng(17)
         E = np.concatenate([rng.uniform(-50.0, 400.0, 200), [0.0, -0.0, PI2, 1e-300]])
         Z = rng.choice([0.0, -0.0, 1e-8, 0.5, 3.0, 17.0, 25.0], E.size)
-        W = boundary_matrices(E, Z)
-        assert W.shape == (E.size, 4, 4)
-        for E_i, Z_i, W_i in zip(E.tolist(), Z.tolist(), W):
-            assert W_i.tobytes() == np.array(boundary_matrix(E_i, Z_i), complex).tobytes()
-        grid = boundary_matrices(E[:7], np.array([[0.5], [-0.0], [3.0]]))
+        assert_matrices_close(boundary_matrices(E, Z), E, Z)
+        column = np.array([[0.5], [-0.0], [3.0]])
+        grid = boundary_matrices(E[:7], column)
         assert grid.shape == (3, 7, 4, 4)
-        for Z_j, row in zip((0.5, -0.0, 3.0), grid):
-            assert row.tobytes() == boundary_matrices(E[:7], Z_j).tobytes()
+        assert_matrices_close(grid, E[:7], column)
 
 
 class TestPrefactorObservation:

@@ -140,6 +140,10 @@ class TestNumericFit:
             fit_series_numeric(1, MINUS, [0.05, 0.1], 4)
         with pytest.raises(ValueError):
             fit_series_numeric(1, MINUS, [0.1, 0.5, 0.15, 0.18], 4)
+        # a NaN sample fails both bounds of the range, and the range test
+        for ts in ([0.1, math.nan, 0.15, 0.18], [0.1, 0.05, 0.15, -0.0], [math.nan] * 4):
+            with pytest.raises(ValueError, match=r"t samples must lie in \(0, 0.2\]"):
+                fit_series_numeric(1, MINUS, ts, 4)
 
 
 class TestPerturbativeEnergy:
