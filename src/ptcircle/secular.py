@@ -39,8 +39,11 @@ point per entry, as the identity sweeps of ``verify`` need them, and
 Each writes its expression once for both paths: the scalar path with
 ``math``, the array path with numpy's ufuncs.  numpy's exp, expm1, sinh and
 cos may differ from ``math`` in the last bit, so an entry agrees with the
-scalar call to a few units of rounding, not to the bit; output whose bytes
-are pinned (the curve of figure 1) comes from the scalar kernels.  An
+scalar call to a few units of rounding, not to the bit.  The curve of
+figure 1, whose bytes are pinned, comes from the scalar kernel.  The signs
+of figure 2, pinned too, come from numpy's ufuncs; they equal the scalar
+call's wherever |value| exceeds its rounding bound, as the tests check, so
+only a rounding-sized cell could print another sign on another numpy.  An
 array raises the scalar call's error, that of its first failing entry,
 wherever one would.
 

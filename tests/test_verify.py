@@ -58,20 +58,37 @@ def test_identity_sweep_matches_per_point_calls(monkeypatch, n_points, s_form):
     # within 16 units of rounding of the terms of its form
     [((x, z), lhs)] = calls[name]
     assert x.tolist() == (s if s_form else t).tolist() and z.tolist() == Z.tolist()
-    expected = [kernel(a, b) for a, b in zip(x.tolist(), Z.tolist())]
+    lhs_scalar = np.array([kernel(a, b) for a, b in zip(x.tolist(), Z.tolist())])
     if s_form:
         scale = 16.0 * s * s + np.exp(-2.0 * t) * np.expm1(2.0 * t) ** 2 * Z * Z / (s * s)
     else:
         scale = 4.0 * np.exp(-2.0 * t) * np.expm1(2.0 * t) ** 2 * t * t + 4.0 * Z * Z / (t * t)
-    assert np.all(np.abs(lhs - expected) <= 16.0 * EPS * scale)
+    assert np.all(np.abs(lhs - lhs_scalar) <= 16.0 * EPS * scale)
     branches = (secular.SecularBranch.FACTOR_PLUS, secular.SecularBranch.FACTOR_MINUS)
     assert [args[1] for args, _ in calls["secular_factor"]] == list(branches)
+    factor_scale = np.abs(t * np.sinh(t)) + s
+    factors, factors_scalar = [], []
     for (params, branch), values in calls["secular_factor"]:
         assert params.t.tolist() == t.tolist() and params.s.tolist() == s.tolist()
         expected = [secular.factor_value(a, b, branch) for a, b in zip(t.tolist(), s.tolist())]
-        assert np.all(np.abs(values - expected) <= 16.0 * EPS * (np.abs(t * np.sinh(t)) + s))
-    # the detail reports the largest residual at those points
+        assert np.all(np.abs(values - expected) <= 16.0 * EPS * factor_scale)
+        factors.append(values)
+        factors_scalar.append(np.array(expected))
+    fp, fm = factors
+    # verify's residual at every point is the defect of those very values
     [residual] = residuals
+    assert residual.tobytes() == (
+        np.abs(lhs - 16.0 * fp * fm) / np.maximum(1.0, np.abs(lhs))).tobytes()
+    # and, at every point, the scalar calls' defect up to their differences:
+    # 16 eps of scale from the kernel, 16*16 eps of factor_scale times each
+    # factor from the product, and the rounding of the defect itself
+    fp_scalar, fm_scalar = factors_scalar
+    residual_scalar = (np.abs(lhs_scalar - 16.0 * fp_scalar * fm_scalar)
+                       / np.maximum(1.0, np.abs(lhs_scalar)))
+    bound = (64.0 * EPS * (scale + 16.0 * factor_scale * (np.abs(fp) + np.abs(fm)))
+             / np.maximum(1.0, np.abs(lhs)))
+    assert np.all(np.abs(residual - residual_scalar) <= bound)
+    # the detail reports the largest residual at those points
     worst = residual.max()
     assert result.detail == f"max relative residual {worst:.3e} over {t.size} points"
     assert result.passed and worst <= 1e-9
