@@ -22,9 +22,6 @@ import argparse
 import contextlib
 import functools
 import json
-# argparse's gettext imports locale when it builds the first parser; loading
-# it here keeps that cost in the import instead of in the command
-import locale  # noqa: F401
 import math
 import os
 import sys
@@ -280,66 +277,37 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAIL
 
 
-def _common_arguments(p: _Parser) -> None:
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--meta", action="store_true", help="append run metadata comments")
-
-
-def _spectrum_arguments(p: _Parser) -> None:
-    p.add_argument("--Z", type=float, required=True)
-    p.add_argument("--smax", type=float, required=True)
-    _common_arguments(p)
-    p.set_defaults(func=_cmd_spectrum)
-
-
-def _critical_arguments(p: _Parser) -> None:
-    p.add_argument("--count", type=int, required=True)
-    _common_arguments(p)
-    p.set_defaults(func=_cmd_critical)
-
-
-def _broken_arguments(p: _Parser) -> None:
-    p.add_argument("--Z", type=float, required=True)
-    p.add_argument("--pair", type=int, required=True)
-    _common_arguments(p)
-    p.set_defaults(func=_cmd_broken)
-
-
-def _table1_arguments(p: _Parser) -> None:
-    _common_arguments(p)
-    p.set_defaults(func=_cmd_table1)
-
-
-def _fig_arguments(p: _Parser) -> None:
-    p.add_argument("--which", type=int, choices=(1, 2), required=True)
-    p.add_argument("--Z", type=float, default=5.0, help="coupling for the curve (fig 1)")
-    p.add_argument("--t-min", dest="t_min", type=float, default=0.05)
-    p.add_argument("--t-max", dest="t_max", type=float, default=3.0)
-    p.add_argument("--points", type=int, default=1000, help="samples for fig 1")
-    p.add_argument("--z-min", dest="z_min", type=float, default=0.0)
-    p.add_argument("--z-max", dest="z_max", type=float, default=20.0)
-    p.add_argument("--nt", type=int, default=256)
-    p.add_argument("--nz", type=int, default=200)
-    _common_arguments(p)
-    p.set_defaults(func=_cmd_fig)
-
-
-def _verify_arguments(p: _Parser) -> None:
-    p.add_argument("--level", choices=(verify_mod.QUICK, verify_mod.FULL),
-                   default=verify_mod.QUICK)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
-
-
-# each command's help line, and the function that adds its arguments
+# Every command's options, declared once: its help line, its function and
+# its options, each (flag, dest, type, default, choices, required, help); a
+# type of None is a bare flag that stores True.  argparse's subparsers and the
+# plain parse in ``main`` both read this table.
+_COMMON = (("--format", "format", str, "csv", ("csv", "json"), False, None),
+           ("--out", "out", str, None, None, False, "output path (default stdout)"),
+           ("--meta", "meta", None, False, None, False, "append run metadata comments"))
 _COMMANDS = {
-    "spectrum": ("real eigenvalues at a coupling", _spectrum_arguments),
-    "critical": ("coalescence couplings", _critical_arguments),
-    "broken": ("complex branch above a coalescence", _broken_arguments),
-    "table1": ("recompute the reference coupling table", _table1_arguments),
-    "fig": ("figure data: determinant curve or sign map", _fig_arguments),
-    "verify": ("run the self-check suite", _verify_arguments),
+    "spectrum": ("real eigenvalues at a coupling", _cmd_spectrum, (
+        ("--Z", "Z", float, None, None, True, None),
+        ("--smax", "smax", float, None, None, True, None), *_COMMON)),
+    "critical": ("coalescence couplings", _cmd_critical, (
+        ("--count", "count", int, None, None, True, None), *_COMMON)),
+    "broken": ("complex branch above a coalescence", _cmd_broken, (
+        ("--Z", "Z", float, None, None, True, None),
+        ("--pair", "pair", int, None, None, True, None), *_COMMON)),
+    "table1": ("recompute the reference coupling table", _cmd_table1, _COMMON),
+    "fig": ("figure data: determinant curve or sign map", _cmd_fig, (
+        ("--which", "which", int, None, (1, 2), True, None),
+        ("--Z", "Z", float, 5.0, None, False, "coupling for the curve (fig 1)"),
+        ("--t-min", "t_min", float, 0.05, None, False, None),
+        ("--t-max", "t_max", float, 3.0, None, False, None),
+        ("--points", "points", int, 1000, None, False, "samples for fig 1"),
+        ("--z-min", "z_min", float, 0.0, None, False, None),
+        ("--z-max", "z_max", float, 20.0, None, False, None),
+        ("--nt", "nt", int, 256, None, False, None),
+        ("--nz", "nz", int, 200, None, False, None), *_COMMON)),
+    "verify": ("run the self-check suite", _cmd_verify, (
+        ("--level", "level", str, verify_mod.QUICK, (verify_mod.QUICK, verify_mod.FULL), False,
+         None),
+        ("--out", "out", str, None, None, False, None))),
 }
 
 
@@ -358,7 +326,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     parser = _Parser(prog="ptcircle", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ptcircle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    empty = {name: sub.add_parser(name, help=help) for name, (help, _) in _COMMANDS.items()}
+    empty = {name: sub.add_parser(name, help=help) for name, (help, *_) in _COMMANDS.items()}
     return parser, empty
 
 
@@ -373,15 +341,57 @@ def _parser_for(argv: list[str]) -> _Parser:
     if empty.keys() & argv:
         with _FILL_LOCK:  # each command's arguments are added once
             for name in empty.keys() & argv:
-                _COMMANDS[name][1](empty[name])
+                _, func, options = _COMMANDS[name]
+                for flag, dest, type_, default, choices, required, help in options:
+                    kind = ({"action": "store_true"} if type_ is None else
+                            {"type": type_, "default": default, "choices": choices,
+                             "required": required})
+                    empty[name].add_argument(flag, dest=dest, help=help, **kind)
+                empty[name].set_defaults(func=func)
                 del empty[name]  # only now, so no caller parses a half-filled parser
     return parser
+
+
+def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives argv when argv is a command name followed
+    by exact flags of that command, each once, every flag but ``--meta`` with
+    one value that does not start with '-', converts by its type and lies in
+    its choices, and every required flag present.  None for any other argv,
+    which argparse parses instead: building its parser costs more than a
+    small command."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    table = {option[0]: option for option in options}
+    args = argparse.Namespace(command=argv[0], func=func,
+                              **{dest: default for _, dest, _, default, *_ in options})
+    words = iter(argv[1:])
+    for flag in words:
+        if flag not in table:
+            return None
+        _, dest, type_, _, choices, _, _ = table.pop(flag)  # a repeated flag is not found
+        if type_ is None:
+            setattr(args, dest, True)
+            continue
+        text = next(words, "-")  # a missing value is handed over as one starting with '-'
+        if text.startswith("-"):
+            return None
+        try:
+            value = type_(text)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        setattr(args, dest, value)
+    if any(required for *_, required, _ in table.values()):  # a required flag not given
+        return None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser_for(argv).parse_args(argv)
+        args = _plain_parse(argv) or _parser_for(argv).parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -515,7 +516,41 @@ PARSE_ONLY = [  # help, version and usage errors: main returns after parsing
     ("fig", "--which", "3"), ("verify", "--level", "bogus"), ("broken", "--Z", "x", "--pair", "0"),
     ("critical", "--count", "1", "--bogus"), ("--version", "spectrum"),
     ("spectrum", "--Z", "1", "--smax", "10", "--help"), ("table1", "extra"),
+    ("spectrum", "--Z", "1", "-h", "--smax", "10"), ("critical", "--count", "3", "--"),
 ]
+FALLBACK = [  # argv argparse parses to a namespace, but only after its parser is built
+    ("spectrum", "--Z", "1", "--sm", "10"), ("spectrum", "--Z=1", "--smax", "10"),
+    ("critical", "--count", "3", "--count", "4"), ("spectrum", "--Z", "-1", "--smax", "10"),
+    ("critical", "--count", "3", "--out", "-"),
+]
+EDGE_VALUES = {float: ("nan", "1e400", " 5", "1_0"), int: (" 5", "1_0", "7"),
+               str: ("", "fig", "x.csv")}  # each converts by its type
+
+
+def well_formed_argvs():
+    """Argv of exact distinct flags of their command, from the option table:
+    each command with its required flags and with none, one, two or all of
+    its other flags, in table order and reversed; the values cycle through
+    EDGE_VALUES of their type, or through their choices."""
+    argvs = {}
+    for command, (_, _, options) in ptcircle.cli._COMMANDS.items():
+        values = {flag: itertools.cycle(map(str, choices) if choices else EDGE_VALUES[type_])
+                  for flag, _, type_, _, choices, _, _ in options if type_ is not None}
+        required = [option for option in options if option[5]]
+        optional = [option for option in options if not option[5]]
+        subsets = [(), *itertools.combinations(optional, 1), *itertools.combinations(optional, 2),
+                   optional]
+        for subset in subsets:
+            for chosen in (required + list(subset), (required + list(subset))[::-1]):
+                words = [[flag, next(values[flag])] if flag in values else [flag]
+                         for flag, *_ in chosen]
+                argvs[(command, *itertools.chain(*words))] = None
+    return list(argvs)
+
+
+def fields(namespace):
+    """A namespace's fields, by repr: a NaN equals itself only so."""
+    return {key: repr(value) for key, value in vars(namespace).items()}
 
 
 @pytest.fixture(params=["unfilled", "filled"])
@@ -531,7 +566,8 @@ def parser_state(request):
 
 class TestLazyParser:
     """Each command's arguments are added the first time its name occurs in
-    an argv; everything printed must be what the eagerly built parser printed."""
+    an argv; everything printed must be what the eagerly built parser printed,
+    and the plain parse must give its namespace or hand the argv over."""
 
     @pytest.mark.parametrize("argv", PARSE_ONLY)
     def test_help_version_and_usage_errors(self, capsys, monkeypatch, parser_state, argv):
@@ -539,6 +575,7 @@ class TestLazyParser:
         expected_code = reference_main(list(argv))
         expected = capsys.readouterr()
         assert expected_code is not None
+        assert ptcircle.cli._plain_parse(list(argv)) is None
         assert run_cli(capsys, *argv) == (expected_code, expected.out, expected.err)
 
     @pytest.mark.parametrize("argv", [
@@ -546,10 +583,13 @@ class TestLazyParser:
         ("broken", "--Z", "6", "--pair", "0", "--out", "x.csv"), ("table1", "--format", "json", "--meta"),
         ("fig", "--which", "2", "--nt", "5", "--z-max", "3"), ("verify",), ("verify", "--level", "full"),
         ("spectrum", "--out", "fig", "--Z", "1", "--smax", "4"),  # another command's name as a value
+        *well_formed_argvs(), *FALLBACK,
     ])
     def test_parsed_arguments(self, parser_state, argv):
-        parsed = ptcircle.cli._parser_for(list(argv)).parse_args(list(argv))
-        assert vars(parsed) == vars(reference_parser().parse_args(list(argv)))
+        expected = fields(reference_parser().parse_args(list(argv)))
+        assert fields(ptcircle.cli._parser_for(list(argv)).parse_args(list(argv))) == expected
+        plain = ptcircle.cli._plain_parse(list(argv))
+        assert plain is None if argv in FALLBACK else fields(plain) == expected
 
     @pytest.mark.parametrize("argv", [
         ("--help",), ("nonsense",), ("fig", "--help"),

@@ -37,8 +37,8 @@ README_COMMANDS = (
 )
 
 # In a new interpreter, with scipy made unimportable: import the package, then
-# run the command given as arguments; print the exit code, the stdout and the
-# modules the command added.
+# run the command given as arguments; print the exit code, the stdout, the
+# modules the command added and whether it built the argparse parser.
 PROBE = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
@@ -48,7 +48,8 @@ out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = ptcircle.cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "stdout": out.getvalue(),
-                  "added": sorted(set(sys.modules) - loaded)}))
+                  "added": sorted(set(sys.modules) - loaded),
+                  "parsers": ptcircle.cli._build_parser.cache_info().currsize}))
 """
 
 
@@ -83,8 +84,11 @@ def test_readme_command_runs_without_scipy(argv):
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
 def test_readme_command_loads_no_module(argv):
     # a module loaded on first use inside a command (numpy.random, numpy.ma,
-    # locale) would be charged to the command, not to the import
-    assert probe(tuple(argv))["added"] == []
+    # locale) would be charged to the command, not to the import; so would
+    # the argparse parser, which the plain parse of a README argv skips
+    result = probe(tuple(argv))
+    assert result["added"] == []
+    assert result["parsers"] == 0
 
 
 def test_every_traced_name_is_bound():
