@@ -9,8 +9,9 @@ Commands
     verify     run the self-check suite
 
 Exit codes: 0 success, 1 verification failure, 2 numeric non-convergence or
-a failed internal check, 64 usage error, 141 stdout closed by its reader (as
-by ``| head``; the rest of the output is dropped, with no traceback).
+a failed internal check, 64 usage error, 74 output that cannot be written (as
+on a full disk), 141 stdout closed by its reader (as by ``| head``; the rest
+of the output is dropped, with no traceback).
 Output is CSV by default (JSON with --format json) and is byte-identical for identical flags; schema version and
 an echo of the parsed inputs ride along as '#' comment lines (CSV) or
 top-level fields (JSON).
@@ -25,7 +26,6 @@ import json
 import math
 import os
 import sys
-import threading
 
 import numpy as np
 
@@ -41,6 +41,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_SOLVER = 2
 EXIT_USAGE = 64
+EXIT_IO = 74  # EX_IOERR of sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a process a closed pipe ended
 
 # fig 2 evaluates and writes its grid in blocks of whole Z rows of about this
@@ -78,7 +79,11 @@ def _emit(stream, command: str, inputs: dict, header: list[str], rows: list[list
             payload["notes"] = preamble
         if meta:
             payload["meta"] = _meta_fields()
-        stream.write(json.dumps(payload, indent=2))
+        try:
+            text = json.dumps(payload, indent=2, allow_nan=False)
+        except ValueError:  # JSON has no inf or nan; write them as CSV does
+            text = json.dumps(_finite_json(payload), indent=2)
+        stream.write(text)
         stream.write("\n")
         return
     stream.write(",".join(header) + "\n")
@@ -93,6 +98,17 @@ def _emit(stream, command: str, inputs: dict, header: list[str], rows: list[list
             stream.write(f"# meta.{key}={value}\n")
     for row in rows:
         stream.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _finite_json(value):
+    """value with each non-finite float replaced by its CSV text."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return _fmt(value)
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(item) for item in value]
+    return value
 
 
 def _meta_fields() -> dict:
@@ -312,43 +328,21 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The argument parser, built once per process, and its subcommand
-    parsers still without their arguments.
-
-    Building every command's arguments costs more than a small command, so
-    the six subparsers are created empty, which is all the top-level help
-    and the command choices read, and ``_parser_for`` adds a command's
-    arguments the first time its name occurs in an argv.  ``parse_args``
-    keeps no state between calls (it returns a fresh namespace each time),
-    so in-process callers of ``main`` share the parser.
-    """
+def _build_parser() -> _Parser:
+    """The argument parser with every command's arguments, built from
+    ``_COMMANDS`` once per process.  ``parse_args`` keeps no state between
+    calls (it returns a fresh namespace each time), so in-process callers of
+    ``main`` share the parser."""
     parser = _Parser(prog="ptcircle", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ptcircle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    empty = {name: sub.add_parser(name, help=help) for name, (help, *_) in _COMMANDS.items()}
-    return parser, empty
-
-
-_FILL_LOCK = threading.Lock()
-
-
-def _parser_for(argv: list[str]) -> _Parser:
-    """The parser with the arguments of every command named in argv: argparse
-    hands the words after a command to that command's parser only when the
-    word is the command's name, so no other subparser is read."""
-    parser, empty = _build_parser()
-    if empty.keys() & argv:
-        with _FILL_LOCK:  # each command's arguments are added once
-            for name in empty.keys() & argv:
-                _, func, options = _COMMANDS[name]
-                for flag, dest, type_, default, choices, required, help in options:
-                    kind = ({"action": "store_true"} if type_ is None else
-                            {"type": type_, "default": default, "choices": choices,
-                             "required": required})
-                    empty[name].add_argument(flag, dest=dest, help=help, **kind)
-                empty[name].set_defaults(func=func)
-                del empty[name]  # only now, so no caller parses a half-filled parser
+    for name, (summary, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, dest, type_, default, choices, required, help in options:
+            kind = ({"action": "store_true"} if type_ is None else
+                    {"type": type_, "default": default, "choices": choices, "required": required})
+            command.add_argument(flag, dest=dest, help=help, **kind)
+        command.set_defaults(func=func)
     return parser
 
 
@@ -391,22 +385,21 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _plain_parse(argv) or _parser_for(argv).parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        args = _plain_parse(argv) or _build_parser().parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe or a full disk raises here, not at interpreter exit
+        return code
     except SystemExit:  # --help and --version print their text, then argparse exits 0
         return EXIT_OK
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-        return code
     except BrokenPipeError:  # the reader closed stdout, as `| head` does
-        # the interpreter flushes stdout again at exit; let that flush go nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        _discard_stdout()
         return EXIT_BROKEN_PIPE
+    except OSError as exc:  # a write failed, as on a full disk; opening --out is _output's
+        if args.out is None:
+            _discard_stdout()
+        target = "stdout" if args.out is None else f"--out {args.out}"
+        print(f"output error: cannot write {target}: {exc.strerror}", file=sys.stderr)
+        return EXIT_IO
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -416,6 +409,14 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+
+
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device: the interpreter
+    flushes stdout again at exit, and that flush must go nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 if __name__ == "__main__":

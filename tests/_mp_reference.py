@@ -108,19 +108,20 @@ def mp_truncated_energy(n: int, branch, Z, coeffs) -> tuple[mp.mpf, mp.mpf]:
 
 def mp_ground_energy(Z, dps: int = 50) -> mp.mpf:
     """E of the n = 0 level (FACTOR_MINUS, s near sqrt(Z/2)) at a small
-    coupling Z > 0, from a root found at ``dps`` digits.  E is about Z**2/12
-    there, and forming s**2 - t**2 loses about log10(24/Z) digits, which the
-    extra working digits cover."""
-    with mp.workdps(dps):
-        Z = mp.mpf(Z)
+    coupling Z > 0, from a root found at ``dps`` digits more than the
+    log10(24/Z) that forming s**2 - t**2 loses (E is about Z**2/12 there).
+    The root is solved for u = s/sqrt(Z/2), which is about 1 at every small
+    Z, so that findroot's second point, its first plus 1/4, lies on the
+    root's scale (for s itself it does not: at Z = 1e-300 the secant steps
+    to s = 0)."""
+    with mp.workdps(dps + max(0, int(mp.log10(24 / Z)))):
+        h = mp.sqrt(mp.mpf(Z) / 2)  # s = h*u, t = Z/(2s) = h/u
 
-        def f(s):
-            t = Z / (2 * s)
-            return t * mp.sinh(t) - s * mp.sin(s)
+        def f(u):
+            return (h / u) * mp.sinh(h / u) - h * u * mp.sin(h * u)
 
-        s = mp.findroot(f, mp.sqrt(Z / 2) * (1 + Z / 24))
-        t = Z / (2 * s)
-        return s * s - t * t
+        u = mp.findroot(f, 1)
+        return h * h * (u * u - 1 / (u * u))
 
 
 def mp_reference_energy(n: int, branch, Z) -> mp.mpf:

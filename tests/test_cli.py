@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import itertools
@@ -375,6 +376,108 @@ class TestClosedStdout:
         assert err == b""
 
 
+class FullStream(io.StringIO):
+    """A text stream on a full disk: ``fail`` (write, flush or close) raises
+    ENOSPC; ``fileno`` is the descriptor a failed stdout is redirected on."""
+
+    def __init__(self, fail, fd=None):
+        super().__init__()
+        self.fail, self.fd = fail, fd
+
+    def _check(self, method):
+        if self.fail == method:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def write(self, text):
+        self._check("write")
+        return super().write(text)
+
+    def flush(self):
+        self._check("flush")
+
+    def close(self):
+        super().close()  # as a file is, also when its last flush fails
+        self._check("close")
+
+    def fileno(self):
+        return self.fd
+
+
+class TestFailedWrite:
+    """A write that fails, as on a full disk, exits 74 with one stderr line
+    and no traceback; a failed stdout is pointed at the null device, so the
+    interpreter's flush at exit prints nothing more."""
+
+    ARGVS = [("spectrum", "--Z", "0.5", "--smax", "10"), ("verify", "--level", "quick")]
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    @pytest.mark.parametrize("fail", ["write", "flush"])
+    def test_stdout(self, capsys, monkeypatch, tmp_path, argv, fail):
+        behind = tmp_path / "behind-stdout"
+        fd = os.open(behind, os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(sys, "stdout", FullStream(fail, fd))
+            code = main(list(argv))
+            os.write(fd, b"at exit")  # lands on the null device, not in the file
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        assert (code, err) == (74, "output error: cannot write stdout: No space left on device\n")
+        assert behind.read_bytes() == b""
+
+    @pytest.mark.parametrize("argv", ARGVS)
+    @pytest.mark.parametrize("fail", ["write", "close"])
+    def test_out_file(self, capsys, monkeypatch, argv, fail):
+        # capsys's stdout has no descriptor: redirecting it would raise
+        monkeypatch.setattr(ptcircle.cli, "open", lambda *args, **kwargs: FullStream(fail),
+                            raising=False)
+        expected = (74, "", "output error: cannot write --out x: No space left on device\n")
+        assert run_cli(capsys, *argv, "--out", "x") == expected
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv, target", [
+        (("spectrum", "--Z", "0.5", "--smax", "10"), "stdout"),
+        (("fig", "--which", "2"), "stdout"),  # more than stdout buffers: write raises
+        (("verify", "--out", "/dev/full"), "--out /dev/full"),
+    ])
+    def test_dev_full_in_a_new_interpreter(self, argv, target):
+        src = str(Path(ptcircle.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-X", "dev", "-m", "ptcircle", *argv],
+                                  stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+                                  check=False)
+        expected = f"output error: cannot write {target}: No space left on device\n"
+        assert (proc.returncode, proc.stderr) == (74, expected)
+
+
+def no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--Z", "0.5", "--smax", "10"), ("critical", "--count", "2"),
+        ("broken", "--Z", "6", "--pair", "0", "--meta"), ("table1",),
+        ("fig", "--which", "1", "--points", "50"),
+        ("fig", "--which", "2", "--nt", "5", "--nz", "4", "--t-min", "340", "--t-max", "360",
+         "--z-max", "1e200"),
+    ])
+    def test_every_command_writes_strict_json(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        json.loads(out, parse_constant=no_constant)
+
+    def test_non_finite_value_is_its_csv_text(self, capsys):
+        # secular_t is +inf above t = 350
+        argv = ("fig", "--which", "1", "--t-min", "1", "--t-max", "400", "--points", "3")
+        _, out, _ = run_cli(capsys, *argv, "--format", "json")
+        _, rows = csv_rows(run_cli(capsys, *argv)[1])
+        values = [row[1] for row in json.loads(out, parse_constant=no_constant)["rows"]]
+        assert values[-1] == rows[-1][1] == "inf"
+        assert [f"{value:.12g}" for value in values[:2]] == [row[1] for row in rows[:2]]
+
+
 class TestUnwritableOut:
     """An --out path that cannot be opened is a usage error (64), not a
     verification failure (1) with a traceback."""
@@ -436,9 +539,8 @@ class TestGoldenBytes:
 
 
 def reference_parser():
-    """The parser as it was built before each command's arguments were added
-    on first use: every command filled at once (the body kept verbatim, but
-    for the ``cli.`` prefixes)."""
+    """The parser as it was written out command by command, before the
+    option table (the body kept verbatim, but for the ``cli.`` prefixes)."""
     cli = ptcircle.cli
     parser = cli._Parser(prog="ptcircle", description=cli.__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ptcircle {cli.__version__}")
@@ -553,24 +655,13 @@ def fields(namespace):
     return {key: repr(value) for key, value in vars(namespace).items()}
 
 
-@pytest.fixture(params=["unfilled", "filled"])
-def parser_state(request):
-    """The process's parser before any command was named, or with every
-    command's arguments already added."""
-    ptcircle.cli._build_parser.cache_clear()
-    if request.param == "filled":
-        ptcircle.cli._parser_for(list(COMMANDS))
-    yield request.param
-    ptcircle.cli._build_parser.cache_clear()
-
-
-class TestLazyParser:
-    """Each command's arguments are added the first time its name occurs in
-    an argv; everything printed must be what the eagerly built parser printed,
-    and the plain parse must give its namespace or hand the argv over."""
+class TestParser:
+    """The parser is built from the option table; everything printed must be
+    what the parser written out by hand printed, and the plain parse must
+    give its namespace or hand the argv over."""
 
     @pytest.mark.parametrize("argv", PARSE_ONLY)
-    def test_help_version_and_usage_errors(self, capsys, monkeypatch, parser_state, argv):
+    def test_help_version_and_usage_errors(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("COLUMNS", "80")
         expected_code = reference_main(list(argv))
         expected = capsys.readouterr()
@@ -585,9 +676,9 @@ class TestLazyParser:
         ("spectrum", "--out", "fig", "--Z", "1", "--smax", "4"),  # another command's name as a value
         *well_formed_argvs(), *FALLBACK,
     ])
-    def test_parsed_arguments(self, parser_state, argv):
+    def test_parsed_arguments(self, argv):
         expected = fields(reference_parser().parse_args(list(argv)))
-        assert fields(ptcircle.cli._parser_for(list(argv)).parse_args(list(argv))) == expected
+        assert fields(ptcircle.cli._build_parser().parse_args(list(argv))) == expected
         plain = ptcircle.cli._plain_parse(list(argv))
         assert plain is None if argv in FALLBACK else fields(plain) == expected
 
@@ -601,16 +692,12 @@ class TestLazyParser:
         expected = capsys.readouterr()
         assert fresh_cli(*argv) == (expected_code, expected.out, expected.err)
 
-    def test_each_command_is_filled_once(self, parser_state):
-        parser, empty = ptcircle.cli._build_parser()
-        assert set(empty) == (set() if parser_state == "filled" else set(COMMANDS))
-        broken = parser._subparsers._group_actions[0].choices["broken"]
-        assert ptcircle.cli._parser_for(["broken", "--Z", "6", "--pair", "0"]) is parser
-        actions = list(broken._actions)
-        assert len(actions) == 6  # --help and its five arguments
-        ptcircle.cli._parser_for(["broken", "--Z", "7", "--pair", "1"])
-        assert broken._actions == actions and "broken" not in empty
-        assert ptcircle.cli._parser_for(["--help"]) is parser
+    def test_each_subparser_takes_the_table_flags(self):
+        (sub,) = ptcircle.cli._build_parser()._subparsers._group_actions
+        assert list(sub.choices) == list(ptcircle.cli._COMMANDS)
+        for name, (_, _, options) in ptcircle.cli._COMMANDS.items():
+            flags = [flag for action in sub.choices[name]._actions for flag in action.option_strings]
+            assert flags == ["-h", "--help", *(flag for flag, *_ in options)]
 
 
 class TestInProcessReuse:
@@ -637,7 +724,7 @@ class TestInProcessReuse:
     ])
     def test_commands_switching_in_one_process(self, capsys, monkeypatch, sequence):
         monkeypatch.setenv("COLUMNS", "80")
-        ptcircle.cli._build_parser.cache_clear()  # a process that has named no command yet
+        ptcircle.cli._build_parser.cache_clear()  # a process that has built no parser yet
         for argv in sequence:
             assert run_cli(capsys, *argv) == fresh_cli(*argv), argv
 

@@ -591,10 +591,16 @@ class TestGridFactors:
 @pytest.mark.xfail(
     strict=True,
     reason="the n = 0 level at small Z: E = s**2 - t**2 is about Z**2/12 with "
-    "condition about 24/Z in s, and Brent's absolute xtol leaves s more than an ulp off",
+    "condition about 24/Z in s, Brent's absolute xtol leaves s more than an ulp off, and "
+    "from Z of about 1e-12 down the 1e-12 floor on |F| accepts an s far from the root",
 )
-def test_ground_level_energy_at_small_coupling():
-    Z = 1e-6
+@pytest.mark.parametrize("Z", [
+    1e-6,    # relative error 2.2e-7
+    1e-12,   # E is 301 times Z**2/12
+    1e-16,   # E < 0
+    1e-300,  # E = -5.67e-302, s/t - 1 = -5.5e-2; the 1e-12 root floor accepts it
+])
+def test_ground_level_energy_at_small_coupling(Z):
     p = next(p for p in scan_roots(SpectrumRequest(Z=Z, s_max=4.0)) if p.n == 0)
     assert p.branch is MINUS
     E = mp_ground_energy(Z)
