@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -655,13 +656,36 @@ def fields(namespace):
     return {key: repr(value) for key, value in vars(namespace).items()}
 
 
+def longest_argv_of_each_command():
+    argvs = well_formed_argvs()
+    return [max((argv for argv in argvs if argv[0] == command), key=len) for command in COMMANDS]
+
+
+@pytest.fixture(params=["fresh", "used"])
+def parser_use(request):
+    """The process's parser just built, or the cached one after it printed
+    every help, version and usage error and parsed every command with all
+    its flags: parsing must leave nothing behind in the parser it reuses."""
+    ptcircle.cli._build_parser.cache_clear()
+    if request.param == "used":
+        parser = ptcircle.cli._build_parser()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in [*PARSE_ONLY, *FALLBACK, *longest_argv_of_each_command()]:
+                try:
+                    parser.parse_args(list(argv))
+                except (SystemExit, ptcircle.cli._UsageError):
+                    pass
+    yield request.param
+    ptcircle.cli._build_parser.cache_clear()
+
+
 class TestParser:
     """The parser is built from the option table; everything printed must be
     what the parser written out by hand printed, and the plain parse must
     give its namespace or hand the argv over."""
 
     @pytest.mark.parametrize("argv", PARSE_ONLY)
-    def test_help_version_and_usage_errors(self, capsys, monkeypatch, argv):
+    def test_help_version_and_usage_errors(self, capsys, monkeypatch, parser_use, argv):
         monkeypatch.setenv("COLUMNS", "80")
         expected_code = reference_main(list(argv))
         expected = capsys.readouterr()
@@ -676,7 +700,7 @@ class TestParser:
         ("spectrum", "--out", "fig", "--Z", "1", "--smax", "4"),  # another command's name as a value
         *well_formed_argvs(), *FALLBACK,
     ])
-    def test_parsed_arguments(self, argv):
+    def test_parsed_arguments(self, parser_use, argv):
         expected = fields(reference_parser().parse_args(list(argv)))
         assert fields(ptcircle.cli._build_parser().parse_args(list(argv))) == expected
         plain = ptcircle.cli._plain_parse(list(argv))
