@@ -22,10 +22,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -58,6 +58,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract is 64
         raise _UsageError(message)
 
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write of help or version text; main exits 74
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):
@@ -79,11 +86,7 @@ def _emit(stream, command: str, inputs: dict, header: list[str], rows: list[list
             payload["notes"] = preamble
         if meta:
             payload["meta"] = _meta_fields()
-        try:
-            text = json.dumps(payload, indent=2, allow_nan=False)
-        except ValueError:  # JSON has no inf or nan; write them as CSV does
-            text = json.dumps(_finite_json(payload), indent=2)
-        stream.write(text)
+        stream.write(_json(payload))
         stream.write("\n")
         return
     stream.write(",".join(header) + "\n")
@@ -100,15 +103,30 @@ def _emit(stream, command: str, inputs: dict, header: list[str], rows: list[list
         stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _finite_json(value):
-    """value with each non-finite float replaced by its CSV text."""
-    if isinstance(value, float) and not math.isfinite(value):
-        return _fmt(value)
+def _json(value, indent: str = "\n") -> str:
+    """value as ``json.dumps(value, indent=2)`` writes it, except that a
+    non-finite float, which JSON lacks, is the string of its CSV text.
+    ``indent`` is the line break and indent of value's own line.  (With an
+    indent, ``json.dumps`` takes its pure-Python encoder, several times
+    slower than this.)"""
+    if isinstance(value, str):
+        return _json_string(value)
+    if isinstance(value, float):
+        return float.__repr__(value) if math.isfinite(value) else _json_string(_fmt(value))
+    if value is None:
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
     if isinstance(value, dict):
-        return {key: _finite_json(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_finite_json(item) for item in value]
-    return value
+        items = [f"{_json_string(key)}: {_json(item, inner)}" for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
+    if isinstance(value, (list, tuple)):
+        items = [_json(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _meta_fields() -> dict:
@@ -384,6 +402,7 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    args = None  # help and --version write before there are any
     try:
         args = _plain_parse(argv) or _build_parser().parse_args(argv)
         code = args.func(args)
@@ -395,9 +414,10 @@ def main(argv: list[str] | None = None) -> int:
         _discard_stdout()
         return EXIT_BROKEN_PIPE
     except OSError as exc:  # a write failed, as on a full disk; opening --out is _output's
-        if args.out is None:
+        out = getattr(args, "out", None)
+        if out is None:
             _discard_stdout()
-        target = "stdout" if args.out is None else f"--out {args.out}"
+        target = "stdout" if out is None else f"--out {out}"
         print(f"output error: cannot write {target}: {exc.strerror}", file=sys.stderr)
         return EXIT_IO
     except _UsageError as exc:

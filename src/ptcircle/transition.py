@@ -72,6 +72,10 @@ DIRICHLET_SECOND_CRITICAL = (12.80154, 12.80156)
 _FOLD_RESIDUAL = 1e-10
 _MIN_CURVATURE = 1e-4
 _MAX_ROOT_MOVE = math.pi / 4  # largest predicted move of s per step, see continue_in_Z
+# Entries of the tracker's memos (see continue_in_Z): free steps, more than
+# the 1255 of pair 15's path to Z = 1.9e6, and seeded starts.
+_STEP_MEMO_SIZE = 4096
+_START_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -229,12 +233,15 @@ def _certified(
     return params, params.energy()
 
 
+@functools.lru_cache(maxsize=_START_MEMO_SIZE)
 def _seeded_root(
     Z: float, init: BrokenParams
 ) -> tuple[complex, tuple[complex, ...], SecularBranch]:
     """``init`` as s = sqrt((E + sqrt(E**2 + Z**2))/2) with E = K**2 + i*eps,
     solved by ``_newton`` on the factor with the smaller |F| there: the root,
-    its ``_factor_state`` and the branch."""
+    its ``_factor_state`` and the branch.  Memoized per (Z, init), since the
+    ``solve_above_fold`` calls of one pair share their start; a raising call
+    is not."""
     E0 = init.energy()
     E = complex(E0.re_E, E0.eps)
     s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
@@ -380,12 +387,14 @@ def critical_sequence(count: int) -> list[CriticalPoint]:
     return folds
 
 
+@functools.lru_cache(maxsize=_START_MEMO_SIZE)
 def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
     """Square-root unfolding seed for the broken branch just above a fold.
 
     The real pair continues to the complex root s = s* + i*a_s*sqrt(Z - Z_crit)
     with a_s = sqrt(|2*F_Z / F_ss|), the fold's Z-slope and curvature taken in
     closed form; the seed is that s in hyperbolic form, on the eps > 0 member.
+    Memoized per (fold, Z), like ``_seeded_root``; a raising call is not.
     """
     if Z <= fold.Z_crit:
         raise ValueError(f"unfolding seed needs Z above the fold ({fold.Z_crit})")
@@ -413,6 +422,17 @@ def _linear_grid(Z_from: float, Z_to: float, steps: int) -> list[float]:
     return grid
 
 
+@functools.lru_cache(maxsize=_STEP_MEMO_SIZE)
+def _free_newton(
+    s: complex, Z: float, branch: SecularBranch
+) -> tuple[complex, tuple[complex, ...]]:
+    """``_newton`` memoized for the free steps of ``continue_in_Z``, those
+    that stop short of a grid point.  Its answer depends on (s, Z, branch)
+    alone.  Keys compare by value, which does not tell 0.0 from -0.0, but a
+    free step moves Im s by at most half of it, so Im s is never zero here."""
+    return _newton(s, Z, branch)
+
+
 def continue_in_Z(
     Z_from: float,
     Z_to: float,
@@ -432,6 +452,15 @@ def continue_in_Z(
     certified.  A corrected root whose Im s has the other sign, or a step too
     short to move Z, raises ConvergenceError with the Z reached.  That |eps|
     grows with Z away from the fold is observed, not enforced.
+
+    Only the target cuts a step, so from one start every step short of a
+    grid point is fixed: each pair's path is one chain of nodes.  The
+    corrector of such a free step is memoized (``_free_newton``, at most
+    4096 entries, least recently used first out), as is the seeded start, so
+    a call that retraces a chain evaluates the factor only in its steps onto
+    grid points.  The step size, the tests above and the certificate run on
+    every call, so answers and error texts do not depend on the memos; an
+    exception is never memoized.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -451,7 +480,8 @@ def continue_in_Z(
                 Z_next = Zg if h >= abs(Zg - Z) else Z + math.copysign(h, Zg - Z)
                 if Z_next == Z:
                     raise ConvergenceError("step too short to move Z")
-                s, state = _newton(s + (Z_next - Z) * slope, Z_next, branch)
+                corrector = _newton if Z_next == Zg else _free_newton
+                s, state = corrector(s + (Z_next - Z) * slope, Z_next, branch)
                 if s.imag * side <= 0.0:
                     raise ConvergenceError(f"root crossed the real axis to s={s}")
                 Z = Z_next
@@ -466,7 +496,10 @@ def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, Compl
 
     The unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2) is continued to Z
     in one ``continue_in_Z`` interval, whose steps the branch sets.  Z at or
-    below the fold raises ValueError from ``fold_unfolding_seed``.
+    below the fold raises ValueError from ``fold_unfolding_seed``.  From
+    Z - Z_crit >= 2e-3 on, every call of a fold starts at the same point and
+    follows one chain, so once a call has walked the chain past Z, a call at
+    Z evaluates the factor only in its last step (see ``continue_in_Z``).
     """
     near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
     _, params, energy = continue_in_Z(near, Z, 1, fold_unfolding_seed(fold, near))[-1]

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ptcircle
@@ -410,8 +411,10 @@ class TestFailedWrite:
     interpreter's flush at exit prints nothing more."""
 
     ARGVS = [("spectrum", "--Z", "0.5", "--smax", "10"), ("verify", "--level", "quick")]
+    # argparse's own writer drops a failed write; the parser's lets it through
+    HELP_ARGVS = [("--help",), ("--version",), ("broken", "--help")]
 
-    @pytest.mark.parametrize("argv", ARGVS)
+    @pytest.mark.parametrize("argv", ARGVS + HELP_ARGVS)
     @pytest.mark.parametrize("fail", ["write", "flush"])
     def test_stdout(self, capsys, monkeypatch, tmp_path, argv, fail):
         behind = tmp_path / "behind-stdout"
@@ -440,6 +443,8 @@ class TestFailedWrite:
         (("spectrum", "--Z", "0.5", "--smax", "10"), "stdout"),
         (("fig", "--which", "2"), "stdout"),  # more than stdout buffers: write raises
         (("verify", "--out", "/dev/full"), "--out /dev/full"),
+        (("--help",), "stdout"),
+        (("--version",), "stdout"),
     ])
     def test_dev_full_in_a_new_interpreter(self, argv, target):
         src = str(Path(ptcircle.cli.__file__).resolve().parents[1])
@@ -477,6 +482,35 @@ class TestStrictJson:
         values = [row[1] for row in json.loads(out, parse_constant=no_constant)["rows"]]
         assert values[-1] == rows[-1][1] == "inf"
         assert [f"{value:.12g}" for value in values[:2]] == [row[1] for row in rows[:2]]
+
+
+class TestJsonWriter:
+    """``cli._json`` writes what ``json.dumps(value, indent=2)`` writes, but
+    each non-finite float as the string of its CSV text."""
+
+    @pytest.mark.parametrize("value", [
+        {}, [], 0, -17, 2**70, 0.1, -0.0, 5e-324, 1e300, True, False, None, "", "\u00e9",
+        {"rows": [], "notes": [], "meta": {}},
+        {"rows": [[1, 2.5, True, False, None, "x"]] * 2, "inputs": {"Z": 0.5, "pair": 3}},
+        {"notes": ["caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f"],
+         "meta": {"package": "ptcircle", "version": "1.0.0"}},
+        [[[]], [{}], [[1]], {"a": {"b": []}}],
+        [np.float64(0.1), np.float64(1e-7)],
+    ])
+    def test_equals_json_dumps(self, value):
+        assert ptcircle.cli._json(value) == json.dumps(value, indent=2)
+
+    def test_non_finite_floats(self):
+        value = {"rows": [[math.inf, -math.inf, math.nan, 1.5]], "notes": ["inf"]}
+        want = {"rows": [["inf", "-inf", "nan", 1.5]], "notes": ["inf"]}
+        assert ptcircle.cli._json(value) == json.dumps(want, indent=2)
+
+    def test_rejects_what_json_rejects(self):
+        for value in ({1, 2}, b"x", np.int64(3)):
+            with pytest.raises(TypeError):
+                json.dumps(value)
+            with pytest.raises(TypeError):
+                ptcircle.cli._json(value)
 
 
 class TestUnwritableOut:
@@ -532,6 +566,8 @@ class TestGoldenBytes:
          "7533095ea8702962883203debd93b4d028198b7e9fbe14ae06a3da8ebec59c0f"),
         (("fig", "--which", "2"),
          "300ed75d4f04c1599978e3e6c91abc3becf9220f39b5c88277cfb630029c9e4c"),
+        (("fig", "--which", "2", "--format", "json"),
+         "670adaf9c03717e7a8c6388717c3033bcc3104676e37e46dc3f3953aa5b31e44"),
     ])
     def test_stdout_hash(self, capsys, argv, sha256):
         code, out, _ = run_cli(capsys, *argv)

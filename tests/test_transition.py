@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -505,6 +506,21 @@ class TestSharedFactorState:
         assert not hasattr(transition, "_fold_state")
 
 
+def _clear_tracker_memos():
+    for memo in (transition.fold_unfolding_seed, transition._seeded_root,
+                 transition._free_newton):
+        memo.cache_clear()
+
+
+@pytest.fixture
+def cold_tracker():
+    """Empties the tracker's memos, as they are in a new process, now and after
+    the test; the test may call it to empty them again."""
+    _clear_tracker_memos()
+    yield _clear_tracker_memos
+    _clear_tracker_memos()
+
+
 def _newton_without_round_back(s, Z, branch, wasted):
     """``transition._newton`` as it was before it stopped at a trial that
     rounds back to s: it halves on, 40 times at most.  ``wasted`` counts the
@@ -539,7 +555,7 @@ class TestNewtonRoundBack:
 
     @pytest.mark.parametrize("pair, dZ", [(0, 1e-3), (0, 0.3), (0, 10.0)])
     def test_replayed_broken_op_skips_the_round_back_trials(self, monkeypatch, capsys,
-                                                            sixteen_folds, pair, dZ):
+                                                            cold_tracker, sixteen_folds, pair, dZ):
         argv = ["broken", "--Z", repr(sixteen_folds[pair].Z_crit + dZ), "--pair", str(pair),
                 "--format", "json"]
         calls = [0]
@@ -549,7 +565,8 @@ class TestNewtonRoundBack:
             calls[0] += 1
             return real(*args)
 
-        def replay():
+        def replay():  # with the tracker's memos empty, so the op walks its whole path
+            cold_tracker()
             calls[0] = 0
             assert cli.main(argv) == 0
             return capsys.readouterr().out, calls[0]
@@ -564,6 +581,80 @@ class TestNewtonRoundBack:
         assert out == ref_out
         assert wasted[0] > 0
         assert count == ref_count - wasted[0]
+
+
+class TestTrackerMemo:
+    """The tracker memoizes its seeded starts and the corrector of each free
+    step (``continue_in_Z``); answers and error texts stay those of the
+    tracker without memos, in any order of calls."""
+
+    PAIRS = (0, 7, 15)
+    DZ = (1e-4, 1.5e-3, 2e-3, 0.01, 0.3, 1.0, 7.5, 60.0, 1e3)
+
+    @pytest.fixture(scope="class")
+    def wanted(self, sixteen_folds):
+        folds = {nu: sixteen_folds[nu] for nu in self.PAIRS}
+        return {(nu, dZ): _answer(ref_solve_above_fold, fold, fold.Z_crit + dZ)
+                for nu, fold in folds.items() for dZ in self.DZ}
+
+    @staticmethod
+    def _orders():
+        ascending = [(nu, dZ) for nu in TestTrackerMemo.PAIRS for dZ in TestTrackerMemo.DZ]
+        interleaved = [(nu, dZ) for dZ in TestTrackerMemo.DZ for nu in TestTrackerMemo.PAIRS]
+        shuffled = list(ascending)
+        random.Random(25).shuffle(shuffled)
+        repeated = [case for case in shuffled[:9] for _ in range(2)] + shuffled
+        return {"ascending": ascending, "descending": ascending[::-1], "shuffled": shuffled,
+                "interleaved": interleaved, "repeated": repeated}
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "interleaved",
+                                       "repeated"])
+    def test_answers_match_the_reference_in_any_order(self, cold_tracker, sixteen_folds,
+                                                      wanted, order):
+        for nu, dZ in self._orders()[order]:
+            fold = sixteen_folds[nu]
+            assert _answer(solve_above_fold, fold, fold.Z_crit + dZ) == wanted[nu, dZ], (nu, dZ)
+
+    def test_error_text_on_the_first_and_the_second_call(self, cold_tracker, sixteen_folds):
+        fold = sixteen_folds[0]
+        want = _answer(ref_solve_above_fold, fold, 2e6)
+        assert want[0] == "ConvergenceError" and "factor overflows" in want[1]
+        assert [_answer(solve_above_fold, fold, 2e6) for _ in range(2)] == [want, want]
+
+    def test_warm_call_evaluates_only_its_last_step(self, monkeypatch, cold_tracker,
+                                                    sixteen_folds):
+        fold = sixteen_folds[7]
+        calls, steps = [0], []
+        real_state, real_newton = transition._factor_state, transition._newton
+
+        def counting(*args):
+            calls[0] += 1
+            return real_state(*args)
+
+        def newton(s, Z, branch):  # the Z of each corrector run and its evaluations
+            before = calls[0]
+            result = real_newton(s, Z, branch)
+            steps.append((Z, calls[0] - before))
+            return result
+
+        monkeypatch.setattr(transition, "_factor_state", counting)
+        monkeypatch.setattr(transition, "_newton", newton)
+        solve_above_fold(fold, fold.Z_crit + 60.0)
+        assert len(steps) > 10
+        for dZ in (60.0, 7.5, 0.3, 60.0, 1.0):
+            Z = fold.Z_crit + dZ
+            calls[0], steps[:] = 0, []
+            solve_above_fold(fold, Z)
+            assert len(steps) == 1 and steps[0] == (Z, calls[0]), dZ
+
+    def test_memo_stays_within_its_bound(self, cold_tracker, sixteen_folds):
+        fold = sixteen_folds[15]
+        for Z in np.geomspace(fold.Z_crit + 1.0, 1.9e6, 12).tolist():
+            solve_above_fold(fold, Z)
+        info = transition._free_newton.cache_info()
+        assert info.currsize <= info.maxsize == transition._STEP_MEMO_SIZE
+        assert info.currsize == info.misses  # the whole chain is held, nothing evicted
+        assert _answer(solve_above_fold, fold, 1.9e6) == _answer(ref_solve_above_fold, fold, 1.9e6)
 
 
 class TestExactBrokenConsistency:
