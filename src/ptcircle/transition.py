@@ -28,6 +28,7 @@ an independent check for the tests and ``verify``.
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import functools
 import math
@@ -72,10 +73,6 @@ DIRICHLET_SECOND_CRITICAL = (12.80154, 12.80156)
 _FOLD_RESIDUAL = 1e-10
 _MIN_CURVATURE = 1e-4
 _MAX_ROOT_MOVE = math.pi / 4  # largest predicted move of s per step, see continue_in_Z
-# Entries of the tracker's memos (see continue_in_Z): free steps, more than
-# the 1255 of pair 15's path to Z = 1.9e6, and seeded starts.
-_STEP_MEMO_SIZE = 4096
-_START_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -233,15 +230,12 @@ def _certified(
     return params, params.energy()
 
 
-@functools.lru_cache(maxsize=_START_MEMO_SIZE)
 def _seeded_root(
     Z: float, init: BrokenParams
 ) -> tuple[complex, tuple[complex, ...], SecularBranch]:
     """``init`` as s = sqrt((E + sqrt(E**2 + Z**2))/2) with E = K**2 + i*eps,
     solved by ``_newton`` on the factor with the smaller |F| there: the root,
-    its ``_factor_state`` and the branch.  Memoized per (Z, init), since the
-    ``solve_above_fold`` calls of one pair share their start; a raising call
-    is not."""
+    its ``_factor_state`` and the branch."""
     E0 = init.energy()
     E = complex(E0.re_E, E0.eps)
     s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
@@ -387,14 +381,12 @@ def critical_sequence(count: int) -> list[CriticalPoint]:
     return folds
 
 
-@functools.lru_cache(maxsize=_START_MEMO_SIZE)
 def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
     """Square-root unfolding seed for the broken branch just above a fold.
 
     The real pair continues to the complex root s = s* + i*a_s*sqrt(Z - Z_crit)
     with a_s = sqrt(|2*F_Z / F_ss|), the fold's Z-slope and curvature taken in
     closed form; the seed is that s in hyperbolic form, on the eps > 0 member.
-    Memoized per (fold, Z), like ``_seeded_root``; a raising call is not.
     """
     if Z <= fold.Z_crit:
         raise ValueError(f"unfolding seed needs Z above the fold ({fold.Z_crit})")
@@ -404,33 +396,26 @@ def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
     return _params_from_energy(s * s - t * t, Z)
 
 
-def _linear_grid(Z_from: float, Z_to: float, steps: int) -> list[float]:
-    """The steps + 1 points of ``np.linspace(Z_from, Z_to, steps + 1)``,
-    Z_from + i*(Z_to - Z_from)/steps and then Z_to, with linspace's float
-    operations and so its bits; just [Z_from] when the ends are equal.  Built
-    in Python because each ``broken`` call asks for one step, and the numpy
-    call cost more than such a grid."""
-    if Z_from == Z_to:
-        return [Z_from]
-    delta = Z_to - Z_from
-    step = delta / steps
-    if step == 0.0:  # linspace's own fallback when delta/steps underflows
-        grid = [i / steps * delta + Z_from for i in range(steps)]
-    else:
-        grid = [i * step + Z_from for i in range(steps)]
-    grid.append(Z_to)
-    return grid
+# Each fold's broken pair as one path of the tracker from Z_crit + 1e-3, grown
+# as calls walk past its end (see solve_above_fold): the fold maps to its nodes
+# (Z, s, _factor_state) in ascending Z, its branch and the sign of Im s.
+_CHAINS: dict[CriticalPoint, tuple[list, SecularBranch, float]] = {}
 
 
-@functools.lru_cache(maxsize=_STEP_MEMO_SIZE)
-def _free_newton(
-    s: complex, Z: float, branch: SecularBranch
-) -> tuple[complex, tuple[complex, ...]]:
-    """``_newton`` memoized for the free steps of ``continue_in_Z``, those
-    that stop short of a grid point.  Its answer depends on (s, Z, branch)
-    alone.  Keys compare by value, which does not tell 0.0 from -0.0, but a
-    free step moves Im s by at most half of it, so Im s is never zero here."""
-    return _newton(s, Z, branch)
+def _step(Z: float, s: complex, state: tuple[complex, ...], Z_to: float, branch: SecularBranch,
+          side: float) -> tuple[float, complex, tuple[complex, ...]]:
+    """One predictor-corrector step of the root s at Z toward Z_to, cut at
+    Z_to (see ``continue_in_Z``): the next Z, its root and its state."""
+    _, F_s, F_ss, F_Z, _ = state
+    slope = -F_Z / F_s
+    h = min(0.5 * abs(s.imag), 0.5 * abs(F_s / F_ss), _MAX_ROOT_MOVE) / abs(slope)
+    Z_next = Z_to if h >= abs(Z_to - Z) else Z + math.copysign(h, Z_to - Z)
+    if Z_next == Z:
+        raise ConvergenceError("step too short to move Z")
+    s, state = _newton(s + (Z_next - Z) * slope, Z_next, branch)
+    if s.imag * side <= 0.0:
+        raise ConvergenceError(f"root crossed the real axis to s={s}")
+    return Z_next, s, state
 
 
 def continue_in_Z(
@@ -443,48 +428,30 @@ def continue_in_Z(
 
     ``start`` is solved at Z_from as in ``solve_broken``; the root s(Z) then
     follows the Davidenko ODE ds/dZ = -F_Z/F_s by Euler predictor and damped
-    Newton corrector.  A step moves the prediction by half of min(|Im s|,
-    |F_s/F_ss|), at most pi/4, cut at the next grid point: |Im s| is half the
-    distance to the conjugate root, |F_s/F_ss|, equal to it at a fold, keeps
-    the step off neighbouring roots elsewhere, and the cap keeps it below the
-    root spacing (pi in Re s along one factor, about 1.6 between neighbouring
-    pairs at large Z), so s stays on its own pair.  Only grid points are
-    certified.  A corrected root whose Im s has the other sign, or a step too
-    short to move Z, raises ConvergenceError with the Z reached.  That |eps|
-    grows with Z away from the fold is observed, not enforced.
-
-    Only the target cuts a step, so from one start every step short of a
-    grid point is fixed: each pair's path is one chain of nodes.  The
-    corrector of such a free step is memoized (``_free_newton``, at most
-    4096 entries, least recently used first out), as is the seeded start, so
-    a call that retraces a chain evaluates the factor only in its steps onto
-    grid points.  The step size, the tests above and the certificate run on
-    every call, so answers and error texts do not depend on the memos; an
-    exception is never memoized.
+    Newton corrector (``_step``).  A step moves the prediction by half of
+    min(|Im s|, |F_s/F_ss|), at most pi/4, cut at the next grid point: |Im s|
+    is half the distance to the conjugate root, |F_s/F_ss|, equal to it at a
+    fold, keeps the step off neighbouring roots elsewhere, and the cap keeps
+    it below the root spacing (pi in Re s along one factor, about 1.6 between
+    neighbouring pairs at large Z), so s stays on its own pair.  Only grid
+    points are certified.  A corrected root whose Im s has the other sign, or
+    a step too short to move Z, raises ConvergenceError with the Z reached.
+    That |eps| grows with Z away from the fold is observed, not enforced.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
     Z_from, Z_to = validate_coupling(Z_from), validate_coupling(Z_to)
     if not (Z_from > 0.0 and Z_to > 0.0):
         raise ValueError("broken-regime solves require Z > 0")
+    grid = np.linspace(Z_from, Z_to, steps + 1).tolist() if Z_from != Z_to else [Z_from]
     path: list[tuple[float, BrokenParams, ComplexEnergy]] = []
     Z = Z_from
     try:
         s, state, branch = _seeded_root(Z, start)
         side = math.copysign(1.0, s.imag)
-        for Zg in _linear_grid(Z_from, Z_to, steps):
+        for Zg in grid:
             while Z != Zg:
-                _, F_s, F_ss, F_Z, _ = state
-                slope = -F_Z / F_s
-                h = min(0.5 * abs(s.imag), 0.5 * abs(F_s / F_ss), _MAX_ROOT_MOVE) / abs(slope)
-                Z_next = Zg if h >= abs(Zg - Z) else Z + math.copysign(h, Zg - Z)
-                if Z_next == Z:
-                    raise ConvergenceError("step too short to move Z")
-                corrector = _newton if Z_next == Zg else _free_newton
-                s, state = corrector(s + (Z_next - Z) * slope, Z_next, branch)
-                if s.imag * side <= 0.0:
-                    raise ConvergenceError(f"root crossed the real axis to s={s}")
-                Z = Z_next
+                Z, s, state = _step(Z, s, state, Zg, branch, side)
             path.append((Zg, *_certified(s, Zg, branch, state[0])))
     except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"continuation failed at Z={Z}: {exc}") from exc
@@ -494,16 +461,46 @@ def continue_in_Z(
 def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, ComplexEnergy]:
     """Broken-branch solution of the fold's pair at Z above the fold.
 
-    The unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2) is continued to Z
-    in one ``continue_in_Z`` interval, whose steps the branch sets.  Z at or
-    below the fold raises ValueError from ``fold_unfolding_seed``.  From
-    Z - Z_crit >= 2e-3 on, every call of a fold starts at the same point and
-    follows one chain, so once a call has walked the chain past Z, a call at
-    Z evaluates the factor only in its last step (see ``continue_in_Z``).
+    The unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2), solved and
+    certified there, is followed to Z by ``_step``s, as ``continue_in_Z``
+    follows it over one interval, and the root at Z is certified.  Z at or
+    below the fold raises ValueError from ``fold_unfolding_seed``.
+
+    Only the target cuts a step, so from one start every step short of Z is
+    fixed, and from Z - Z_crit >= 2e-3 on every call of a fold starts at
+    Z_crit + 1e-3: the pair's path is one chain of nodes.  It is kept per
+    process in ``_CHAINS``, grown by the free steps of calls that walk past
+    its end.  A call steps from the last node below Z, so a call within the
+    chain evaluates the factor only in its last step.  A step raises Z by a
+    factor of at most 1.41 on every chain up to the overflow, so Z minus that
+    node's Z is exact and a walk from the start would not have cut a step
+    before that node: the answer and the error text are those of the walk.
+    A raising step or start is never kept.  A call nearer the fold starts at
+    its own point and keeps nothing.
     """
     near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
-    _, params, energy = continue_in_Z(near, Z, 1, fold_unfolding_seed(fold, near))[-1]
-    return params, energy
+    kept = near == fold.Z_crit + 1e-3
+    chain = _CHAINS.get(fold) if kept else None
+    init = fold_unfolding_seed(fold, near) if chain is None else None
+    Z = validate_coupling(Z)
+    Z_at = near
+    try:
+        if chain is None:
+            s, state, branch = _seeded_root(near, init)
+            _certified(s, near, branch, state[0])
+            chain = ([(near, s, state)], branch, math.copysign(1.0, s.imag))
+            if kept:
+                _CHAINS[fold] = chain
+        nodes, branch, side = chain
+        below = bisect.bisect_left(nodes, Z, lo=1, key=operator.itemgetter(0)) - 1
+        Z_at, s, state = nodes[below]
+        while Z_at != Z:
+            Z_at, s, state = node = _step(Z_at, s, state, Z, branch, side)
+            if Z_at != Z:  # a free step, so past the end of the chain
+                nodes.append(node)
+        return _certified(s, Z, branch, state[0])
+    except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
+        raise ConvergenceError(f"continuation failed at Z={Z_at}: {exc}") from exc
 
 
 def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:

@@ -394,9 +394,10 @@ class TestLargeCoupling:
         _, energy = solve_above_fold(interval_fold(0), 2e5)
         assert energy.re_E == pytest.approx(9.8255, abs=1e-4)
 
-    def test_answers_do_not_depend_on_the_step_cap(self, monkeypatch):
+    def test_answers_do_not_depend_on_the_step_cap(self, monkeypatch, cold_tracker):
         before = [solve_above_fold(interval_fold(nu), 2e5)[1] for nu in (0, 7)]
         monkeypatch.setattr(transition, "_MAX_ROOT_MOVE", math.pi / 16)
+        cold_tracker()  # the kept chains were walked with the other cap
         after = [solve_above_fold(interval_fold(nu), 2e5)[1] for nu in (0, 7)]
         for a, b in zip(before, after):
             E = complex(a.re_E, a.eps)
@@ -482,17 +483,6 @@ class TestSharedFactorState:
             args = (fold.Z_crit + 30.0, Z_to, steps, start)
             assert _answer(continue_in_Z, *args) == _answer(ref_continue_in_Z, *args)
 
-    def test_linear_grid_is_numpy_linspace(self):
-        rng = np.random.default_rng(7)
-        cases = [(5.0, 5.0, 3), (5e-324, 1.5e-323, 4), (1e-300, 1e300, 9), (60.0, 5.5, 7)]
-        for _ in range(500):
-            a, b = 10.0 ** rng.uniform(-6, 6, size=2)
-            cases.append((float(a), float(b), int(rng.integers(1, 200))))
-        for a, b, steps in cases:
-            got = transition._linear_grid(a, b, steps)
-            want = [a] if a == b else np.linspace(a, b, steps + 1).tolist()
-            assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, steps)
-
     def test_answers_without_the_separate_derivatives(self, monkeypatch, sixteen_folds):
         # the tracker takes F_s, F_ss and F_Z from the state of each point
         def boom(*args):
@@ -506,19 +496,13 @@ class TestSharedFactorState:
         assert not hasattr(transition, "_fold_state")
 
 
-def _clear_tracker_memos():
-    for memo in (transition.fold_unfolding_seed, transition._seeded_root,
-                 transition._free_newton):
-        memo.cache_clear()
-
-
 @pytest.fixture
 def cold_tracker():
-    """Empties the tracker's memos, as they are in a new process, now and after
-    the test; the test may call it to empty them again."""
-    _clear_tracker_memos()
-    yield _clear_tracker_memos
-    _clear_tracker_memos()
+    """Empties the tracker's kept chains, as they are in a new process, now
+    and after the test; the test may call it to empty them again."""
+    transition._CHAINS.clear()
+    yield transition._CHAINS.clear
+    transition._CHAINS.clear()
 
 
 def _newton_without_round_back(s, Z, branch, wasted):
@@ -565,7 +549,7 @@ class TestNewtonRoundBack:
             calls[0] += 1
             return real(*args)
 
-        def replay():  # with the tracker's memos empty, so the op walks its whole path
+        def replay():  # with no chain kept, so the op walks its whole path
             cold_tracker()
             calls[0] = 0
             assert cli.main(argv) == 0
@@ -584,9 +568,10 @@ class TestNewtonRoundBack:
 
 
 class TestTrackerMemo:
-    """The tracker memoizes its seeded starts and the corrector of each free
-    step (``continue_in_Z``); answers and error texts stay those of the
-    tracker without memos, in any order of calls."""
+    """The tracker keeps each fold's path as a chain of nodes and steps from
+    the last node below the target (``solve_above_fold``); answers and error
+    texts stay those of the tracker that walks from the start, in any order
+    of calls."""
 
     PAIRS = (0, 7, 15)
     DZ = (1e-4, 1.5e-3, 2e-3, 0.01, 0.3, 1.0, 7.5, 60.0, 1e3)
@@ -621,40 +606,63 @@ class TestTrackerMemo:
         assert want[0] == "ConvergenceError" and "factor overflows" in want[1]
         assert [_answer(solve_above_fold, fold, 2e6) for _ in range(2)] == [want, want]
 
-    def test_warm_call_evaluates_only_its_last_step(self, monkeypatch, cold_tracker,
-                                                    sixteen_folds):
-        fold = sixteen_folds[7]
+    @pytest.mark.parametrize("pair, above_fold, walked, targets", [
+        (7, True, 60.0, (60.0, 7.5, 0.3, 60.0, 1.0)),
+        (0, False, 1e6, (1e3, 1e4, 1e5, 1e6, 999999.5, 1e4)),
+    ])
+    def test_warm_call_evaluates_only_its_last_step(self, monkeypatch, cold_tracker, sixteen_folds,
+                                                    pair, above_fold, walked, targets):
+        fold = sixteen_folds[pair]
+        base = fold.Z_crit if above_fold else 0.0
         calls, steps = [0], []
-        real_state, real_newton = transition._factor_state, transition._newton
+        real_state, real_step = transition._factor_state, transition._step
 
         def counting(*args):
             calls[0] += 1
             return real_state(*args)
 
-        def newton(s, Z, branch):  # the Z of each corrector run and its evaluations
+        def step(Z, s, state, Z_to, branch, side):  # the Z each step reaches, its evaluations
             before = calls[0]
-            result = real_newton(s, Z, branch)
-            steps.append((Z, calls[0] - before))
+            result = real_step(Z, s, state, Z_to, branch, side)
+            steps.append((result[0], calls[0] - before))
             return result
 
         monkeypatch.setattr(transition, "_factor_state", counting)
-        monkeypatch.setattr(transition, "_newton", newton)
-        solve_above_fold(fold, fold.Z_crit + 60.0)
+        monkeypatch.setattr(transition, "_step", step)
+        solve_above_fold(fold, base + walked)
         assert len(steps) > 10
-        for dZ in (60.0, 7.5, 0.3, 60.0, 1.0):
-            Z = fold.Z_crit + dZ
+        for target in targets:
+            Z = base + target
             calls[0], steps[:] = 0, []
             solve_above_fold(fold, Z)
-            assert len(steps) == 1 and steps[0] == (Z, calls[0]), dZ
+            assert len(steps) == 1 and steps[0] == (Z, calls[0]), target
 
-    def test_memo_stays_within_its_bound(self, cold_tracker, sixteen_folds):
+    def test_chain_invariants(self, cold_tracker, sixteen_folds):
         fold = sixteen_folds[15]
         for Z in np.geomspace(fold.Z_crit + 1.0, 1.9e6, 12).tolist():
             solve_above_fold(fold, Z)
-        info = transition._free_newton.cache_info()
-        assert info.currsize <= info.maxsize == transition._STEP_MEMO_SIZE
-        assert info.currsize == info.misses  # the whole chain is held, nothing evicted
+        nodes, branch, side = transition._CHAINS[fold]
+        Zs = [node[0] for node in nodes]
+        assert Zs[0] == fold.Z_crit + 1e-3
+        # rising, and by less than a factor 2, so a target's distance to the
+        # node below it is exact (solve_above_fold)
+        assert all(a < b < 2.0 * a for a, b in zip(Zs, Zs[1:]))
+        assert Zs[-1] < 1.9e6
+        assert 1200 <= len(nodes) <= 1300  # the start and 1255 free steps when first measured
+        assert branch is fold.branch and side == 1.0
         assert _answer(solve_above_fold, fold, 1.9e6) == _answer(ref_solve_above_fold, fold, 1.9e6)
+
+    @pytest.mark.parametrize("pair", [0, 7, 15])
+    def test_targets_on_and_next_to_a_kept_node(self, cold_tracker, sixteen_folds, pair):
+        # the bisection's boundary: a target equal to a node's Z steps from
+        # the node below it, one ulp above from the node itself
+        fold = sixteen_folds[pair]
+        solve_above_fold(fold, fold.Z_crit + 1e3)
+        nodes = transition._CHAINS[fold][0]
+        for i in (1, 2, len(nodes) // 3, len(nodes) - 2, len(nodes) - 1):
+            Z_node = nodes[i][0]
+            for Z in (math.nextafter(Z_node, 0.0), Z_node, math.nextafter(Z_node, math.inf)):
+                assert _answer(solve_above_fold, fold, Z) == _answer(ref_solve_above_fold, fold, Z)
 
 
 class TestExactBrokenConsistency:
