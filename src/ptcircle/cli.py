@@ -14,7 +14,9 @@ on a full disk), 141 stdout closed by its reader (as by ``| head``; the rest
 of the output is dropped, with no traceback).
 Output is CSV by default (JSON with --format json) and is byte-identical for identical flags; schema version and
 an echo of the parsed inputs ride along as '#' comment lines (CSV) or
-top-level fields (JSON).
+top-level fields (JSON).  JSON output is the bytes ``json.dumps(payload,
+indent=2)`` writes, and a line break, except that a non-finite float, which
+JSON lacks, is written as the string of its CSV text ("inf", "-inf", "nan").
 """
 
 from __future__ import annotations
@@ -72,61 +74,96 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else _json_string(_fmt(x))
+
+
+# A scalar's JSON text by its type, or the first of its bases listed
+_JSON_SCALARS = {
+    str: _json_string,
+    float: _json_float,
+    bool: lambda b: "true" if b else "false",
+    int: int.__repr__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_scalar(value) -> str:
+    """value as ``json.dumps`` writes a scalar, except that a non-finite
+    float, which JSON lacks, is the string of its CSV text.  TypeError for
+    anything but a str, float, bool, int (or a subclass of one) or None."""
+    text = _JSON_SCALARS.get(type(value))
+    if text is None:  # a subclass, such as numpy.float64, takes its first listed base's text
+        text = next(filter(None, map(_JSON_SCALARS.get, type(value).__mro__)), None)
+        if text is None:
+            raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    return text(value)
+
+
+def _json_nested(texts, brackets: str) -> str:
+    """Scalar texts, list items or '"key": value' members, as a list or an
+    object in the top-level object; ``brackets`` is "[]" or "{}"."""
+    body = ",\n    ".join(texts)
+    return f"{brackets[0]}\n    {body}\n  {brackets[1]}" if body else brackets
+
+
+def _json_members(mapping: dict) -> list[str]:
+    return [_json_string(key) + ": " + _json_scalar(value) for key, value in mapping.items()]
+
+
+# Each format's rows: the text of a value, and the text before a row's first
+# value, between two values, after its last value and between two rows
+_LAYOUT = {"csv": (_fmt, "", ",", "\n", ""),
+           "json": (_json_scalar, "[\n      ", ",\n      ", "\n    ]", ",\n    ")}
+
+
+def _rows_text(rows: list[list], fmt: str) -> str:
+    """Rows of values, all of one length of at least one, as one text of
+    whole rows (see ``_emit_blocks``): each row is one join of its values'
+    texts."""
+    text, row_open, value_sep, row_close, row_sep = _LAYOUT[fmt]
+    return row_sep.join([row_open + value_sep.join(map(text, row)) + row_close for row in rows])
+
+
 def _emit(stream, command: str, inputs: dict, header: list[str], rows: list[list],
           fmt: str, meta: bool, preamble: list[str] | None = None) -> None:
+    """Write one command's output with its rows of values."""
+    _emit_blocks(stream, command, inputs, header, [_rows_text(rows, fmt)] if rows else [],
+                 fmt, meta, preamble)
+
+
+def _emit_blocks(stream, command: str, inputs: dict, header: list[str], blocks,
+                 fmt: str, meta: bool, preamble: list[str] | None = None) -> None:
+    """Write one command's output, its rows given as ``blocks``: texts of one
+    or more whole rows each, none empty, as ``_rows_text`` writes them.  JSON
+    is what ``json.dumps(payload, indent=2)`` writes, plus a line break; CSV
+    is the header row, the '#' comment lines and the rows."""
+    notes = preamble or []
     if fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs": inputs,
-            "columns": header,
-            "rows": rows,
-        }
-        if preamble:
-            payload["notes"] = preamble
+        stream.write('{\n  "schema_version": %s,\n  "command": %s,\n  "inputs": %s,\n'
+                     '  "columns": %s,\n  "rows": [' % (
+                         _json_string(SCHEMA_VERSION), _json_string(command),
+                         _json_nested(_json_members(inputs), "{}"),
+                         _json_nested(map(_json_string, header), "[]")))
+        separator = "\n    "
+        for block in blocks:
+            stream.write(separator)
+            stream.write(block)
+            separator = ",\n    "
+        tail = "]" if separator == "\n    " else "\n  ]"
+        if notes:
+            tail += ',\n  "notes": ' + _json_nested(map(_json_string, notes), "[]")
         if meta:
-            payload["meta"] = _meta_fields()
-        stream.write(_json(payload))
-        stream.write("\n")
+            tail += ',\n  "meta": ' + _json_nested(_json_members(_meta_fields()), "{}")
+        stream.write(tail + "\n}\n")
         return
-    stream.write(",".join(header) + "\n")
-    stream.write(f"# schema_version={SCHEMA_VERSION}\n")
-    stream.write(f"# command={command}\n")
-    for key, value in inputs.items():
-        stream.write(f"# input.{key}={_fmt(value)}\n")
-    for line in preamble or []:
-        stream.write(f"# {line}\n")
-    if meta:
-        for key, value in _meta_fields().items():
-            stream.write(f"# meta.{key}={value}\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _json(value, indent: str = "\n") -> str:
-    """value as ``json.dumps(value, indent=2)`` writes it, except that a
-    non-finite float, which JSON lacks, is the string of its CSV text.
-    ``indent`` is the line break and indent of value's own line.  (With an
-    indent, ``json.dumps`` takes its pure-Python encoder, several times
-    slower than this.)"""
-    if isinstance(value, str):
-        return _json_string(value)
-    if isinstance(value, float):
-        return float.__repr__(value) if math.isfinite(value) else _json_string(_fmt(value))
-    if value is None:
-        return "null"
-    if value is True or value is False:
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        items = [f"{_json_string(key)}: {_json(item, inner)}" for key, item in value.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}" if items else "{}"
-    if isinstance(value, (list, tuple)):
-        items = [_json(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]" if items else "[]"
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+    lines = [",".join(header), f"# schema_version={SCHEMA_VERSION}", f"# command={command}",
+             *[f"# input.{key}={_fmt(value)}" for key, value in inputs.items()],
+             *[f"# {line}" for line in notes],
+             *[f"# meta.{key}={value}" for key, value in (_meta_fields() if meta else {}).items()]]
+    stream.write("\n".join(lines) + "\n")
+    for block in blocks:
+        stream.write(block)
 
 
 def _meta_fields() -> dict:
@@ -137,19 +174,16 @@ def _meta_fields() -> dict:
     }
 
 
-@contextlib.contextmanager
 def _output(path):
-    """Stream for command output: stdout, or the --out file closed on exit.
-    A path that cannot be opened for writing is a usage error."""
+    """Context manager of the stream for command output: stdout, or the --out
+    file, closed on exit.  A path that cannot be opened for writing is a
+    usage error."""
     if path is None:
-        yield sys.stdout
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        stream = open(path, "w", encoding="utf-8", newline="\n")
+        return open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise _UsageError(f"cannot write --out {path}: {exc.strerror}") from exc
-    with stream:
-        yield stream
 
 
 def _cmd_spectrum(args) -> int:
@@ -269,32 +303,35 @@ def _cmd_fig(args) -> int:
             signs[b] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN keeps its sign bit
     except ValueError as exc:  # t*t underflows or Z/t overflows
         raise _UsageError(str(exc)) from exc
-    rows = []  # CSV rows are streamed after the comment lines, one Z row at a time
-    if args.format == "json":
-        rows = [[t, Z, sign] for Z, row in zip(zs, signs.tolist()) for t, sign in zip(ts, row)]
+    # a Z row's text, in either format, is the join by the value separator,
+    # the Z text and the separator again, of the row opening and t_0, then of
+    # "sign, row end, row separator, row opening, t" for each next t, looked
+    # up by the sign before it, then of the last "sign, row end"
+    text, row_open, value_sep, row_close, row_sep = _LAYOUT[args.format]
+    t_text = [text(t) for t in ts]
+    sign_text = [text(sign) for sign in (-1, 0, 1)]
+    inner = np.empty((3, args.nt - 1), dtype=object)
+    inner[:] = [[sign + row_close + row_sep + row_open + t for t in t_text[1:]] for sign in sign_text]
+    columns = np.arange(args.nt - 1)
+    last = [sign + row_close for sign in sign_text]
+
+    def z_rows():
+        for b in blocks:
+            index = signs[b] + 1
+            middles = inner[index[:, :-1], columns].tolist()
+            for z, middle, k in zip(map(text, zs[b]), middles, index[:, -1].tolist()):
+                yield (value_sep + z + value_sep).join([row_open + t_text[0], *middle, last[k]])
+
     with _output(args.out) as stream:
-        _emit(stream, "fig2",
-              {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
-               "z_max": args.z_max, "nt": args.nt, "nz": args.nz},
-              ["t", "Z", "sign"], rows, args.format, args.meta,
-              preamble=[
-                  "sign map of the determinant in the t form; cell-centered sampling",
-                  "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
-                  "the sign-change contour is the eigenvalue locus",
-              ])
-        if args.format == "csv":
-            # a Z row is the join by ",Z," of t_0, then "sign\nt" for each
-            # next t, looked up by the sign before it, then the last "sign\n"
-            t_text = [_fmt(t) for t in ts]
-            inner = np.empty((3, args.nt - 1), dtype=object)
-            inner[:] = [[f"{sign}\n{t}" for t in t_text[1:]] for sign in (-1, 0, 1)]
-            columns = np.arange(args.nt - 1)
-            last = ("-1\n", "0\n", "1\n")
-            for b in blocks:
-                index = signs[b] + 1
-                middles = inner[index[:, :-1], columns].tolist()
-                for z, middle, k in zip(map(_fmt, zs[b]), middles, index[:, -1].tolist()):
-                    stream.write(f",{z},".join([t_text[0], *middle, last[k]]))
+        _emit_blocks(stream, "fig2",
+                     {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
+                      "z_max": args.z_max, "nt": args.nt, "nz": args.nz},
+                     ["t", "Z", "sign"], z_rows(), args.format, args.meta,
+                     preamble=[
+                         "sign map of the determinant in the t form; cell-centered sampling",
+                         "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
+                         "the sign-change contour is the eigenvalue locus",
+                     ])
     return EXIT_OK
 
 
@@ -364,6 +401,18 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# The plain parse's view of ``_COMMANDS``, built once: for each command its
+# flags, each mapped to (dest, type, choices), the fields of its namespace
+# with their defaults, and the dests of its required flags.  A parse only
+# reads these.
+_PLAIN = {
+    name: ({flag: (dest, type_, choices) for flag, dest, type_, _, choices, _, _ in options},
+           {"command": name, "func": func, **{dest: default for _, dest, _, default, *_ in options}},
+           frozenset(dest for _, dest, _, _, _, required, _ in options if required))
+    for name, (_, func, options) in _COMMANDS.items()
+}
+
+
 def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives argv when argv is a command name followed
     by exact flags of that command, each once, every flag but ``--meta`` with
@@ -371,19 +420,19 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
     its choices, and every required flag present.  None for any other argv,
     which argparse parses instead: building its parser costs more than a
     small command."""
-    if not argv or argv[0] not in _COMMANDS:
+    plan = _PLAIN.get(argv[0]) if argv else None
+    if plan is None:
         return None
-    _, func, options = _COMMANDS[argv[0]]
-    table = {option[0]: option for option in options}
-    args = argparse.Namespace(command=argv[0], func=func,
-                              **{dest: default for _, dest, _, default, *_ in options})
+    flags, defaults, required = plan
+    given = {}
     words = iter(argv[1:])
     for flag in words:
-        if flag not in table:
+        option = flags.get(flag)
+        if option is None or option[0] in given:  # not a flag of the command, or repeated
             return None
-        _, dest, type_, _, choices, _, _ = table.pop(flag)  # a repeated flag is not found
+        dest, type_, choices = option
         if type_ is None:
-            setattr(args, dest, True)
+            given[dest] = True
             continue
         text = next(words, "-")  # a missing value is handed over as one starting with '-'
         if text.startswith("-"):
@@ -394,9 +443,11 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
             return None
         if choices is not None and value not in choices:
             return None
-        setattr(args, dest, value)
-    if any(required for *_, required, _ in table.values()):  # a required flag not given
+        given[dest] = value
+    if not required.issubset(given):  # a required flag not given
         return None
+    args = argparse.Namespace()
+    vars(args).update(defaults, **given)
     return args
 
 

@@ -87,7 +87,7 @@ _ROOT_RESIDUAL_FLOOR = 1e-12
 _ROOT_ROUNDING_UNITS = 16.0
 
 # Instance construction past the frozen dataclasses' checks, for
-# ``SpectralPoint._at_root``.
+# ``SpectralPoint._at_root`` and the broken pairs of ``transition``.
 _new = object.__new__
 _setattr = object.__setattr__
 

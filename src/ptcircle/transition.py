@@ -41,7 +41,9 @@ from .errors import ConvergenceError, NotAFoldError
 from .secular import (
     SecularBranch,
     _factor_state,
+    _new,
     _root_accepted,
+    _setattr,
     constraint_factor,
     t_sinh_t,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
     validate_coupling,
@@ -75,6 +77,11 @@ _MIN_CURVATURE = 1e-4
 _MAX_ROOT_MOVE = math.pi / 4  # largest predicted move of s per step, see continue_in_Z
 
 
+def _require_positive(alpha: float, beta: float, K: float) -> None:
+    if not (alpha > 0.0 and beta > 0.0 and K > 0.0):
+        raise ValueError("alpha, beta and K must all be positive")
+
+
 @dataclass(frozen=True)
 class BrokenParams:
     """Hyperbolic parameters (alpha, beta, K) of one complex eigenvalue pair."""
@@ -84,8 +91,18 @@ class BrokenParams:
     K: float
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0 and self.beta > 0.0 and self.K > 0.0):
-            raise ValueError("alpha, beta and K must all be positive")
+        _require_positive(self.alpha, self.beta, self.K)
+
+    @classmethod
+    def _trusted(cls, alpha: float, beta: float, K: float) -> "BrokenParams":
+        """BrokenParams(alpha=alpha, beta=beta, K=K), with the same check, but
+        built field by field as ``SpectralPoint._at_root`` builds real points."""
+        _require_positive(alpha, beta, K)
+        params = _new(cls)
+        _setattr(params, "alpha", alpha)
+        _setattr(params, "beta", beta)
+        _setattr(params, "K", K)
+        return params
 
     @classmethod
     def bind(cls, alpha: float, beta: float, Z: float) -> "BrokenParams":
@@ -97,8 +114,10 @@ class BrokenParams:
 
     def energy(self) -> "ComplexEnergy":
         K2 = self.K * self.K
-        eps = 0.5 * K2 * (math.sinh(2.0 * self.beta) - math.sinh(2.0 * self.alpha))
-        return ComplexEnergy(re_E=K2, eps=eps)
+        energy = _new(ComplexEnergy)  # field by field: ComplexEnergy checks nothing
+        _setattr(energy, "re_E", K2)
+        _setattr(energy, "eps", 0.5 * K2 * (math.sinh(2.0 * self.beta) - math.sinh(2.0 * self.alpha)))
+        return energy
 
     def swapped(self) -> "BrokenParams":
         """Conjugate partner: alpha and beta exchanged (eps -> -eps)."""
@@ -168,10 +187,8 @@ def _params_from_energy(E: complex, Z: float) -> BrokenParams:
     re_E, eps = E.real, E.imag
     if not (re_E > 16.0 * math.ulp(abs(E)) and abs(eps) < Z):
         raise ValueError(f"E={E} has no hyperbolic form at Z={Z}: needs ReE > 16 ulp(|E|), |eps| < Z")
-    return BrokenParams(
-        alpha=0.5 * math.asinh((Z - eps) / re_E),
-        beta=0.5 * math.asinh((Z + eps) / re_E),
-        K=math.sqrt(re_E),
+    return BrokenParams._trusted(
+        0.5 * math.asinh((Z - eps) / re_E), 0.5 * math.asinh((Z + eps) / re_E), math.sqrt(re_E)
     )
 
 
@@ -221,7 +238,8 @@ def _certified(
     package's one root rule on the factor, then mapped through
     E = s**2 - t**2 to (alpha, beta, K).  The mapping raises ValueError at
     the k = 0 state E = i*Z (s**2 = i*Z/2), a root of FACTOR_PLUS at every Z
-    but no eigenvalue (``_params_from_energy``)."""
+    but no eigenvalue (``_params_from_energy``).  Both results are built
+    field by field after those checks, with the public path's floats."""
     residual = abs(F)
     if not _root_accepted(residual, s, Z, branch):
         raise ConvergenceError(f"broken solve stalled at Z={Z} with residual {residual:.3e}")

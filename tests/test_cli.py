@@ -484,33 +484,111 @@ class TestStrictJson:
         assert [f"{value:.12g}" for value in values[:2]] == [row[1] for row in rows[:2]]
 
 
-class TestJsonWriter:
-    """``cli._json`` writes what ``json.dumps(value, indent=2)`` writes, but
-    each non-finite float as the string of its CSV text."""
+def emit_json(command, inputs, header, rows, meta=False, notes=None, split=None):
+    """What ``_emit`` writes as JSON, or ``_emit_blocks`` with the rows split
+    into blocks of ``split`` rows."""
+    stream = io.StringIO()
+    if split is None:
+        ptcircle.cli._emit(stream, command, inputs, header, rows, "json", meta, preamble=notes)
+    else:
+        blocks = [ptcircle.cli._rows_text(rows[i:i + split], "json")
+                  for i in range(0, len(rows), split)]
+        ptcircle.cli._emit_blocks(stream, command, inputs, header, blocks, "json", meta,
+                                  preamble=notes)
+    return stream.getvalue()
 
-    @pytest.mark.parametrize("value", [
-        {}, [], 0, -17, 2**70, 0.1, -0.0, 5e-324, 1e300, True, False, None, "", "\u00e9",
-        {"rows": [], "notes": [], "meta": {}},
-        {"rows": [[1, 2.5, True, False, None, "x"]] * 2, "inputs": {"Z": 0.5, "pair": 3}},
-        {"notes": ["caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f"],
-         "meta": {"package": "ptcircle", "version": "1.0.0"}},
-        [[[]], [{}], [[1]], {"a": {"b": []}}],
-        [np.float64(0.1), np.float64(1e-7)],
+
+def dumped(command, inputs, header, rows, meta=False, notes=None):
+    """The same document through ``json.dumps(indent=2)``."""
+    payload = {"schema_version": ptcircle.cli.SCHEMA_VERSION, "command": command,
+               "inputs": inputs, "columns": header, "rows": rows}
+    if notes:
+        payload["notes"] = notes
+    if meta:
+        payload["meta"] = ptcircle.cli._meta_fields()
+    return json.dumps(payload, indent=2) + "\n"
+
+
+SCALARS = [0, -17, 2**70, 0.1, -0.0, 5e-324, 1e300, True, False, None, "", "\u00e9",
+           "caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f",
+           np.float64(0.1), np.float64(1e-7), np.float64(-0.0)]
+
+
+class TestJsonWriter:
+    """The JSON writer writes what ``json.dumps(payload, indent=2)`` writes,
+    but each non-finite float as the string of its CSV text."""
+
+    @pytest.mark.parametrize("value", SCALARS)
+    def test_scalar_equals_json_dumps(self, value):
+        assert ptcircle.cli._json_scalar(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("inputs, header, rows, meta, notes", [
+        ({}, ["a"], [], False, None),
+        ({}, ["a"], [], True, ["n"]),
+        ({"Z": 0.5, "pair": 3}, ["x", "y"], [[1, 2.5]], False, None),
+        ({"Z": 0.5}, ["a", "b", "c", "d", "e", "f"], [[1, 2.5, True, False, None, "x"]] * 3,
+         True, None),
+        ({"\u00e9": "caf\u00e9"}, ["\u2603", "tab\t"], [SCALARS, SCALARS[::-1]], True,
+         ["caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f"]),
+        ({"t": np.float64(0.1)}, ["v"], [[np.float64(1e-7)], [0]], False, []),
     ])
-    def test_equals_json_dumps(self, value):
-        assert ptcircle.cli._json(value) == json.dumps(value, indent=2)
+    @pytest.mark.parametrize("split", [None, 1, 2])
+    def test_document_equals_json_dumps(self, inputs, header, rows, meta, notes, split):
+        expected = dumped("cmd", inputs, header, rows, meta, notes)
+        assert emit_json("cmd", inputs, header, rows, meta, notes, split) == expected
 
     def test_non_finite_floats(self):
-        value = {"rows": [[math.inf, -math.inf, math.nan, 1.5]], "notes": ["inf"]}
-        want = {"rows": [["inf", "-inf", "nan", 1.5]], "notes": ["inf"]}
-        assert ptcircle.cli._json(value) == json.dumps(want, indent=2)
+        rows = [[math.inf, -math.inf, math.nan, -math.nan, 1.5, np.float64(math.inf)]]
+        want = [["inf", "-inf", "nan", "nan", 1.5, "inf"]]
+        inputs = {"Z": math.inf, "notes": "inf"}
+        expected = dumped("cmd", {"Z": "inf", "notes": "inf"}, ["a"], want, notes=["inf"])
+        assert emit_json("cmd", inputs, ["a"], rows, notes=["inf"]) == expected
+        for value, text in zip(rows[0], want[0]):
+            assert ptcircle.cli._json_scalar(value) == json.dumps(text)
 
-    def test_rejects_what_json_rejects(self):
-        for value in ({1, 2}, b"x", np.int64(3)):
+    @pytest.mark.parametrize("value", [{1, 2}, b"x", np.int64(3), [1], {"a": 1}])
+    def test_rejects_what_json_rejects(self, value):
+        # json.dumps rejects the first three; a row or input value is a
+        # scalar, so a list or dict there is rejected too
+        if not isinstance(value, (list, dict)):
             with pytest.raises(TypeError):
                 json.dumps(value)
-            with pytest.raises(TypeError):
-                ptcircle.cli._json(value)
+        with pytest.raises(TypeError):
+            ptcircle.cli._json_scalar(value)
+        with pytest.raises(TypeError):
+            emit_json("cmd", {}, ["a", "b"], [[1.0, value]])
+        with pytest.raises(TypeError):
+            emit_json("cmd", {"Z": value}, ["a"], [])
+
+    @pytest.mark.parametrize("argv", [
+        ("spectrum", "--Z", "0.5", "--smax", "10"), ("spectrum", "--Z", "100", "--smax", "3.2"),
+        ("critical", "--count", "5"), ("broken", "--Z", "6", "--pair", "0"),
+        ("broken", "--Z", "300", "--pair", "7", "--meta"), ("table1",), ("table1", "--meta"),
+        ("fig", "--which", "1", "--points", "50", "--meta"),
+        ("fig", "--which", "2", "--nt", "7", "--nz", "3"),
+    ])
+    def test_command_output_is_json_dumps_of_itself(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=no_constant)
+        assert json.dumps(payload, indent=2) + "\n" == out
+        assert ("meta" in payload) == ("--meta" in argv)
+        if argv[:3] == ("spectrum", "--Z", "100"):
+            assert payload["rows"] == []
+
+
+class TestCsvRows:
+    """A CSV row is its values' ``_fmt`` texts joined by commas."""
+
+    @pytest.mark.parametrize("row", [
+        [0.1], [1, "plus", 0.1, np.float64(1 / 3), True, None, -0.0, 2**70, math.nan],
+        [np.float32(0.1), np.int64(3), np.bool_(True), "a%sb", (1, 2), math.inf],
+    ])
+    def test_row_is_fmt_joined(self, row):
+        # reversed, each column but a middle one mixes the types of two
+        for rows in ([row], [row, row], [row, row[::-1], row]):
+            expected = "".join(",".join(map(ptcircle.cli._fmt, r)) + "\n" for r in rows)
+            assert ptcircle.cli._rows_text(rows, "csv") == expected
 
 
 class TestUnwritableOut:
@@ -758,6 +836,75 @@ class TestParser:
         for name, (_, _, options) in ptcircle.cli._COMMANDS.items():
             flags = [flag for action in sub.choices[name]._actions for flag in action.option_strings]
             assert flags == ["-h", "--help", *(flag for flag, *_ in options)]
+
+
+# Run in-process and, as a process's first parse, in a new interpreter:
+# check(argv) parses argv twice, changing every field of the first namespace
+# in between, and returns the fields (by repr, func apart) or None.
+PLAIN_PARSE_CHECK = """
+import copy
+from ptcircle import cli
+
+
+def check(argv):
+    before = copy.deepcopy(cli._PLAIN)
+    first = cli._plain_parse(list(argv))
+    assert cli._PLAIN == before, "a parse changed the shared tables"
+    if first is None:
+        return None
+    assert first.func is cli._COMMANDS[argv[0]][1]
+    fields = {key: repr(value) for key, value in vars(first).items() if key != "func"}
+    for key in vars(first):
+        setattr(first, key, "changed")
+    assert cli._PLAIN == before, "a namespace shares the shared defaults"
+    second = cli._plain_parse(list(argv))
+    assert second is not first
+    assert {key: repr(value) for key, value in vars(second).items() if key != "func"} == fields
+    return fields
+"""
+PLAIN_CASES = [  # argv, and whether the plain parse takes it
+    (("critical", "--count", "3", "--count", "4"), False),  # a repeated flag: argparse's
+    (("broken", "--Z", "6", "--format", "json", "--format", "csv", "--pair", "0"), False),
+    (("spectrum", "--Z", "1"), False),  # a required flag missing
+    (("fig", "--Z", "7", "--meta"), False),
+    (("fig", "--which", "1", "--Z", "7", "--meta", "--nt", "3"), True),
+    (("fig", "--which", "2"), True),  # every default back after the call above
+    (("broken", "--Z", "6", "--pair", "0", "--format", "json"), True),
+    (("verify",), True),
+]
+
+
+class TestPlainParseTables:
+    """The plain parse's tables are built once, at import, and shared by
+    every call: a call must change none of them, on a process's first call
+    as on later ones."""
+
+    @pytest.fixture(scope="class")
+    def check(self):
+        scope = {}
+        exec(PLAIN_PARSE_CHECK, scope)
+        return scope["check"]
+
+    @pytest.mark.parametrize("argv, plain", PLAIN_CASES)
+    def test_later_call(self, check, argv, plain):
+        for warm, _ in PLAIN_CASES:  # every case parsed before this one
+            check(warm)
+        if not plain:
+            assert check(argv) is None
+            return
+        expected = fields(reference_parser().parse_args(list(argv)))
+        del expected["func"]
+        assert check(argv) == expected
+
+    @pytest.mark.parametrize("argv, plain", PLAIN_CASES)
+    def test_first_call_of_a_new_process(self, check, argv, plain):
+        src = str(Path(ptcircle.cli.__file__).resolve().parents[1])
+        code = PLAIN_PARSE_CHECK + "import json, sys\nprint(json.dumps(check(json.loads(sys.argv[1]))))"
+        proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=src), check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout) == check(argv)
+        assert (json.loads(proc.stdout) is not None) == plain
 
 
 class TestInProcessReuse:

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -16,6 +17,7 @@ from ptcircle.transition import (
     DIRICHLET_FIRST_CRITICAL,
     DIRICHLET_SECOND_CRITICAL,
     BrokenParams,
+    ComplexEnergy,
     broken_params_from_real_point,
     broken_secular,
     broken_secular_symmetric,
@@ -112,6 +114,45 @@ class TestSolveBroken:
             solve_broken(0.0, BrokenParams.bind(0.3, 0.4, 1.0))
         with pytest.raises(ValueError):
             BrokenParams(alpha=-0.1, beta=0.2, K=1.0)
+
+
+class TestTrustedConstruction:
+    """``BrokenParams._trusted`` and ``BrokenParams.energy`` build their
+    results field by field; each must equal, hash and print as the public
+    constructor's result, and ``_trusted`` raise what it raises."""
+
+    VALUES = [(0.3, 0.4, 1.2), (5e-324, 1e-300, 2.0), (0.0, 0.4, 1.2), (0.3, -0.0, 1.2),
+              (0.3, 0.4, 0.0), (-1.0, 0.4, 1.2), (math.nan, 0.4, 1.2), (0.3, 0.4, math.inf)]
+
+    @staticmethod
+    def _built(call, *args):
+        try:
+            result = call(*args)
+        except ValueError as exc:
+            return str(exc)
+        return [float.hex(v) for v in vars(result).values()], list(vars(result)), hash(result), repr(result)
+
+    def test_trusted_is_the_public_constructor(self):
+        for alpha, beta, K in self.VALUES:
+            public = self._built(lambda *v: BrokenParams(alpha=v[0], beta=v[1], K=v[2]), alpha, beta, K)
+            assert self._built(BrokenParams._trusted, alpha, beta, K) == public, (alpha, beta, K)
+
+    def test_energy_is_the_public_constructor(self):
+        params = BrokenParams(alpha=0.3, beta=0.4, K=1.2)
+        K2 = params.K * params.K
+        eps = 0.5 * K2 * (math.sinh(2.0 * params.beta) - math.sinh(2.0 * params.alpha))
+        assert self._built(params.energy) == self._built(ComplexEnergy, K2, eps)
+
+    def test_underflowing_alpha_raises(self):
+        # (Z - eps)/ReE underflows to 0: no positive alpha
+        with pytest.raises(ValueError, match="must all be positive"):
+            transition._params_from_energy(complex(1e308, 1.0 - 2.0**-53), 1.0)
+
+    def test_results_are_frozen(self):
+        params = BrokenParams._trusted(0.3, 0.4, 1.2)
+        for instance, field in ((params, "alpha"), (params.energy(), "eps")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(instance, field, 1.0)
 
 
 class TestFindDoubleRoot:
