@@ -187,7 +187,7 @@ def boundary_determinant(E: complex, Z: float) -> complex:
     return complex(np.linalg.det(np.array(boundary_matrix(E, Z), dtype=complex)))
 
 
-def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> WaveSolution:
+def nullspace_solution(E: complex, Z: float) -> WaveSolution:
     """Amplitudes of the (near-)null vector at an eigenvalue.
 
     Rank is decided by the singular-value ratio of the row-scaled matrix,
@@ -199,17 +199,12 @@ def nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> W
     functions of a side apart and a ValueError is raised rather
     than a spurious multiplicity returned.
 
-    ``require_singular=False`` skips the rejection and returns the direction
-    belonging to the smallest singular value; useful for probing how the
-    residuals of a deliberately wrong energy blow up.
-
     This is the one-entry call of ``nullspace_solutions``.
     """
-    return nullspace_solutions([E], [Z], require_singular)[0]
+    return nullspace_solutions([E], [Z])[0]
 
 
-def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
-                        require_singular: bool = True) -> list[WaveSolution]:
+def nullspace_solutions(E: Sequence[complex], Z: Sequence[float]) -> list[WaveSolution]:
     """``nullspace_solution`` at each energy of E with the coupling of Z at
     the same place, in one stacked pass: the matrices of ``boundary_matrix``
     as one stack and one batched SVD of its row-scaled matrices.  Each
@@ -244,7 +239,7 @@ def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
     _, sigma, Vh = np.linalg.svd(W / np.where(row_max > 0.0, row_max, 1.0))
     ratios = sigma / sigma[:, :1]
     multiplicity = np.count_nonzero(ratios <= _RANK_TOL, axis=-1)
-    if require_singular and not multiplicity.all():
+    if not multiplicity.all():
         i = int(multiplicity.argmin())
         raise NotAnEigenvalueError(
             f"matrix is numerically non-singular at E={E[i]}, Z={Z[i]} "
@@ -256,7 +251,7 @@ def nullspace_solutions(E: Sequence[complex], Z: Sequence[float],
     pivot = v[np.arange(len(v)), np.abs(v).argmax(axis=-1)]
     amplitudes = (v / pivot[:, None]).tolist()
     return [
-        WaveSolution(*a, kR, kL, m or 1)
+        WaveSolution(*a, kR, kL, m)
         for a, (kR, kL), m in zip(amplitudes, wavenumbers, multiplicity.tolist())
     ]
 

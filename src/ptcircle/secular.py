@@ -33,7 +33,7 @@ this package uses.  The two unfactored forms are kept for cross-validation
 and for figure emission; they refuse the t = 0 / s = 0 edges where their
 extra terms oscillate or blow up.
 
-``secular_t``, ``secular_s`` and ``secular_factor`` also take ndarrays, one
+``secular_t``, ``secular_s`` and ``factor_value`` also take ndarrays, one
 point per entry, as the identity sweeps of ``verify`` need them, and
 ``secular_t`` takes a t row against a Z column, the sign map of figure 2.
 Each writes its expression once for both paths: the scalar path with
@@ -128,26 +128,14 @@ class SecularBranch(enum.Enum):
 class ExactParams:
     """Split wavenumber k = t + i*s of a real-spectrum state.
 
-    ``t`` and ``s`` are non-negative; when the parameters are bound to a
-    coupling Z they satisfy 2*s*t = Z to construction accuracy.
-
-    ``t`` and ``s`` may also be float ndarrays of one shape, one point per
-    entry, for the array path of ``secular_factor``.  They are checked entry
-    by entry, with the error of the first entry that fails.  Such parameters
-    cannot be hashed or compared with ``==``.
+    ``t`` and ``s`` are finite non-negative floats; when the parameters are
+    bound to a coupling Z they satisfy 2*s*t = Z to construction accuracy.
     """
 
-    t: float | np.ndarray
-    s: float | np.ndarray
+    t: float
+    s: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.t, np.ndarray):
-            t, s = self.t, self.s
-            bad = ~(np.isfinite(t) & np.isfinite(s) & (t >= 0.0) & (s >= 0.0))
-            if bad.any():
-                i = int(bad.argmax())
-                ExactParams(t=float(t.flat[i]), s=float(s.flat[i]))
-            return
         if not (math.isfinite(self.t) and math.isfinite(self.s)):
             raise ValueError("parameters must be finite")
         if self.t < 0.0 or self.s < 0.0:
@@ -469,10 +457,9 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
     return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)
 
 
-def secular_factor(params: ExactParams, branch: SecularBranch) -> float | np.ndarray:
+def secular_factor(params: ExactParams, branch: SecularBranch) -> float:
     """Factored secular form at the given parameters; the canonical root form.
-    Parameters with ndarray fields give the factor at every entry, as
-    ``factor_value`` evaluates ndarrays."""
+    ``factor_value`` takes ndarrays of points instead."""
     return factor_value(params.t, params.s, branch)
 
 

@@ -434,7 +434,7 @@ def _rhos_at(n: int, branch: SecularBranch, ts: np.ndarray) -> np.ndarray:
     t of ts, solved together by ``_brentq`` on the bracket n*pi +- 0.4 (xtol
     1e-16, rtol 4*eps).  Each round calls ``factor_value`` once per sample
     still running: for a few dozen samples the scalar calls cost less than
-    one array pass through ``ExactParams`` and ``secular_factor``."""
+    one array pass of ``factor_value``."""
     a = n * math.pi
     t_list = ts.tolist()
 

@@ -4,7 +4,7 @@ Each check returns (name, passed, detail).  The quick level runs a reduced
 sweep intended to finish in seconds; the full level runs the complete
 property set.  Checks deliberately route through the public operations (for
 instance the factorization identity is recomputed through
-``secular.secular_factor``) so that an injected defect in any public surface
+``secular.factor_value``) so that an injected defect in any public surface
 trips the corresponding named property.  The two identity sweeps make one
 array call per kernel, and the determinant sweep stacks its matrices with
 ``oracle.boundary_matrices``; the zero-set check takes the null vectors of
@@ -23,9 +23,10 @@ bits, and the symmetry check measures each state at its least-squares
 phase, with no minimizer.  Every check takes its worst value with
 ``_worst``, which keeps a NaN, so a measurement that comes back NaN fails
 its check.
-Everything the checks use is loaded when the module is imported
-(``numpy.random`` included), so a timed ``verify`` command pays only for
-its checks.
+The identity sweeps take their points from the closed-form R2 sequence of
+the plastic number, not from a random generator, so the suite loads no
+module of its own after the import and a timed ``verify`` command pays only
+for its checks.
 """
 
 from __future__ import annotations
@@ -34,9 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-# numpy.random is not loaded by `import numpy`; loaded by the first verify
-# command instead, it would cost that command about 60 ms
-from numpy.random import default_rng
 
 from . import oracle, secular, spectrum, transition
 
@@ -45,7 +43,8 @@ __all__ = ["CheckResult", "run_checks", "QUICK", "FULL"]
 QUICK = "quick"
 FULL = "full"
 
-_SEED = 20231119
+# the plastic number, the real root of g**3 = g + 1
+_PLASTIC = 1.324717957244746
 
 # Reference checkpoints for the coupling table; printed values of
 # (Z, alpha, beta, ReE).  Rows at the two breakdown points list one member of
@@ -102,26 +101,31 @@ def _worst(values) -> float:
     return float(np.max(np.asarray(values, dtype=float), initial=0.0))
 
 
+def _identity_points(n_points: int, s_form: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(t, Z) of the identity sweep of one form: n_points of the R2 sequence
+    (frac(0.5 + k/g), frac(0.5 + k/g**2)), g the plastic number, scaled to
+    t in [1e-3, 20) and Z in [0, 100), at k = 1..n_points for the t form
+    and k = n_points+1..2*n_points for the s form."""
+    k = np.arange(n_points) + (n_points + 1.0 if s_form else 1.0)
+    u = 0.5 + k / _PLASTIC
+    v = 0.5 + k / _PLASTIC**2
+    return 1e-3 + (20.0 - 1e-3) * (u - np.floor(u)), 100.0 * (v - np.floor(v))
+
+
 def _identity_residuals(n_points: int, s_form: bool) -> np.ndarray:
-    """Relative defect of the determinant = 16*F_plus*F_minus at random (t, Z),
-    in the t form (``secular_t``) or, with its own seed, the s form
+    """Relative defect of the determinant = 16*F_plus*F_minus at the points
+    of ``_identity_points``, in the t form (``secular_t``) or the s form
     (``secular_s`` at s = Z/(2t)), one entry per point with Z != 0.
 
-    The points are n_points draws of t in [1e-3, 20) and then n_points of Z
-    in [0, 100), from ``default_rng(_SEED)`` (t form) or
-    ``default_rng(_SEED + 1)`` (s form).  All points go through the public
-    kernels in one array call each, so a defect injected into any of the
-    kernels trips the check."""
-    rng = default_rng(_SEED + 1 if s_form else _SEED)
-    t = rng.uniform(1e-3, 20.0, n_points)
-    Z = rng.uniform(0.0, 100.0, n_points)
+    All points go through the public kernels in one array call each, so a
+    defect injected into any of the kernels trips the check."""
+    t, Z = _identity_points(n_points, s_form)
     keep = Z != 0.0  # s = 0 lies outside the s form
     t, Z = t[keep], Z[keep]
     s = Z / (2.0 * t)
     lhs = secular.secular_s(s, Z) if s_form else secular.secular_t(t, Z)
-    params = secular.ExactParams(t=t, s=s)
-    fp = secular.secular_factor(params, secular.SecularBranch.FACTOR_PLUS)
-    fm = secular.secular_factor(params, secular.SecularBranch.FACTOR_MINUS)
+    fp = secular.factor_value(t, s, secular.SecularBranch.FACTOR_PLUS)
+    fm = secular.factor_value(t, s, secular.SecularBranch.FACTOR_MINUS)
     return np.abs(lhs - 16.0 * fp * fm) / np.maximum(1.0, np.abs(lhs))
 
 

@@ -964,13 +964,13 @@ class TestVerifyCommand:
         assert "PASS factorization-identity" in out
 
     def test_injected_sign_bug_trips_identity(self, capsys, monkeypatch):
-        real = ptcircle.secular.secular_factor
+        real = ptcircle.secular.factor_value
 
-        def buggy(params, branch):
-            value = real(params, branch)
+        def buggy(t, s, branch):
+            value = real(t, s, branch)
             return -value if branch is ptcircle.secular.SecularBranch.FACTOR_PLUS else value
 
-        monkeypatch.setattr(ptcircle.secular, "secular_factor", buggy)
+        monkeypatch.setattr(ptcircle.secular, "factor_value", buggy)
         code, out, _ = run_cli(capsys, "verify", "--level", "full")
         assert code == 1
         assert "FAIL factorization-identity" in out

@@ -1,10 +1,11 @@
 """The import graph of the package and of its commands.
 
 scipy is a test dependency only: ``import ptcircle, ptcircle.cli`` must not
-load it, and every README command must run with it unavailable.  A command
-must also load no module of its own after the import, so that a command
-timed after the import is charged only for its own work.  And every name that
-the traced benchmark run wraps (``perfbench/spans.py``) must stay bound.
+load it, nor ``numpy.random``, and every README command must run with both
+unavailable.  A command must also load no module of its own after the
+import, so that a command timed after the import is charged only for its own
+work.  And every name that the traced benchmark run wraps
+(``perfbench/spans.py``) must stay bound.
 """
 
 import contextlib
@@ -36,12 +37,14 @@ README_COMMANDS = (
     ["verify", "--level", "full"],
 )
 
-# In a new interpreter, with scipy made unimportable: import the package, then
-# run the command given as arguments; print the exit code, the stdout, the
-# modules the command added and whether it built the argparse parser.
+# In a new interpreter, with scipy and numpy.random made unimportable: import
+# the package, then run the command given as arguments; print the exit code,
+# the stdout, the modules the command added and whether it built the argparse
+# parser.
 PROBE = """
 import contextlib, io, json, sys
 sys.modules["scipy"] = None
+sys.modules["numpy.random"] = None
 import ptcircle, ptcircle.cli
 loaded = set(sys.modules)
 out = io.StringIO()
@@ -66,6 +69,15 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=SRC)
     code = ("import sys, ptcircle, ptcircle.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_import_loads_no_numpy_random():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import sys, ptcircle, ptcircle.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert proc.stdout.strip() == "[]"

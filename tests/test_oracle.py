@@ -257,8 +257,6 @@ class TestNullspace:
         # (2 just beside it); the basis cannot resolve it, so it is refused
         with pytest.raises(ValueError, match="basis is degenerate"):
             nullspace_solution(E, Z)
-        with pytest.raises(ValueError, match="basis is degenerate"):
-            nullspace_solution(E, Z, require_singular=False)
 
     def test_smallest_resolved_wavenumber_ground_state(self):
         # Z = 1e-14 puts |k| at 1e-7, above the degeneracy bound: the ground
@@ -326,7 +324,7 @@ class TestResidualCheck:
     def test_perturbed_energy_detected(self):
         pts = scan_roots(SpectrumRequest(Z=5.0, s_max=2.0 * math.pi))
         E_bad = pts[0].E + 1e-3
-        sol = nullspace_solution(E_bad, 5.0, require_singular=False)
+        sol = ref_nullspace_solution(E_bad, 5.0, require_singular=False)
         report = residual_check(sol, E_bad, 5.0)
         assert max(report.bc_residuals) >= 1e-5
         # the wavenumbers of the right root checked at the wrong energy
@@ -339,7 +337,7 @@ class TestResidualCheck:
         cases = [(p.E, 5.0) for p in scan_roots(SpectrumRequest(Z=5.0, s_max=12.0))]
         cases += list(zip(*broken_members()))[:2] + [(E, 40.0) for E in (3.0, complex(20.0, 5.0))]
         for E, Z in cases:
-            sol = nullspace_solution(E, Z, require_singular=False)
+            sol = ref_nullspace_solution(E, Z, require_singular=False)
             a = np.array([sol.A1, sol.A2, sol.B1, sol.B2])
             gaps = np.abs(np.array(boundary_matrix(E, Z), dtype=complex) @ a)
             norm = math.sqrt(ref_integral(lambda x: abs(ref_psi(sol, x)) ** 2).real)
@@ -499,14 +497,12 @@ def outcome(f, *args):
         return type(exc), str(exc)
 
 
-def stacked_solutions(energies, zs, require_singular=True):
-    return [solution_bytes(s) for s in
-            oracle.nullspace_solutions(energies, zs, require_singular)]
+def stacked_solutions(energies, zs):
+    return [solution_bytes(s) for s in oracle.nullspace_solutions(energies, zs)]
 
 
-def looped_solutions(energies, zs, require_singular=True):
-    return [solution_bytes(ref_nullspace_solution(E, Z, require_singular))
-            for E, Z in zip(energies, zs)]
+def looped_solutions(energies, zs):
+    return [solution_bytes(ref_nullspace_solution(E, Z)) for E, Z in zip(energies, zs)]
 
 
 class TestStackedCoreIsThePerRootPath:
@@ -543,11 +539,19 @@ class TestStackedCoreIsThePerRootPath:
         mixed_z = real_z[:3] + zs[:2] + real_z[3:] + zs[2:]
         assert stacked_solutions(mixed_e, mixed_z) == looped_solutions(mixed_e, mixed_z)
 
-    def test_off_spectrum_energies_without_the_rank_test(self):
-        energies = [5.0, 40.0, -3.0, complex(3.0, 2.0), complex(10.0, -0.5), complex(7.0, -0.0)]
-        zs = [0.0, 3.0, 17.0, 2.0, 6.0, 2.5]
-        expected = looped_solutions(energies, zs, require_singular=False)
-        assert stacked_solutions(energies, zs, require_singular=False) == expected
+    @pytest.mark.parametrize("E, Z", [
+        (5.0, 0.0), (40.0, 3.0), (-3.0, 17.0),
+        (complex(3.0, 2.0), 2.0), (complex(10.0, -0.5), 6.0), (complex(7.0, -0.0), 2.5),
+    ])
+    def test_off_spectrum_energy_is_refused_as_the_loop_refuses_it(self, E, Z):
+        # the rank test is always on: alone, as the one-entry call and after
+        # real roots, an energy off the spectrum raises the loop's error
+        want = outcome(looped_solutions, [E], [Z])
+        assert want[0] is NotAnEigenvalueError
+        assert outcome(stacked_solutions, [E], [Z]) == want
+        assert outcome(nullspace_solution, E, Z) == want
+        real_e, real_z = roots_at((3.0,))
+        assert outcome(stacked_solutions, real_e + [E], real_z + [Z]) == want
 
     def test_stacked_svd_and_determinant_are_each_matrix_alone(self):
         energies, zs = roots_at(ZERO_SET_Z)
@@ -579,9 +583,7 @@ class TestStackedCoreIsThePerRootPath:
         ([], []),
     ])
     def test_first_failing_entry_raises_the_loop_error(self, energies, zs):
-        for require_singular in (True, False):
-            assert outcome(stacked_solutions, energies, zs, require_singular) == outcome(
-                looped_solutions, energies, zs, require_singular)
+        assert outcome(stacked_solutions, energies, zs) == outcome(looped_solutions, energies, zs)
 
     def test_mismatched_lengths_raise_before_any_work(self, monkeypatch):
         # zip would certify the shorter prefix; a bad coupling or an entry

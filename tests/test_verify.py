@@ -27,7 +27,7 @@ EPS = np.finfo(float).eps
 def test_identity_sweep_matches_per_point_calls(monkeypatch, n_points, s_form):
     name = "secular_s" if s_form else "secular_t"
     kernel = getattr(secular, name)
-    calls = {name: [], "secular_factor": []}
+    calls = {name: [], "factor_value": []}
 
     def recorder(key, f):
         def record(*args):
@@ -42,16 +42,18 @@ def test_identity_sweep_matches_per_point_calls(monkeypatch, n_points, s_form):
         residuals.append(real_residuals(*args))
         return residuals[-1]
 
-    factor = secular.secular_factor
+    factor = secular.factor_value
     monkeypatch.setattr(secular, name, recorder(name, kernel))
-    monkeypatch.setattr(secular, "secular_factor", recorder("secular_factor", factor))
+    monkeypatch.setattr(secular, "factor_value", recorder("factor_value", factor))
     monkeypatch.setattr(verify, "_identity_residuals", keep_residuals)
     result = verify._identity_sweep(n_points, s_form)
 
-    # the points: n draws of t, then n of Z, from the form's seed, with Z = 0 left out
-    rng = np.random.default_rng(verify._SEED + 1 if s_form else verify._SEED)
-    t = rng.uniform(1e-3, 20.0, n_points)
-    Z = rng.uniform(0.0, 100.0, n_points)
+    # the points: the R2 sequence of the plastic number at k = 1..n (t form)
+    # or n+1..2n (s form), scaled to the box, with Z = 0 left out
+    g = 1.324717957244746
+    k = np.arange(1, n_points + 1) + (n_points if s_form else 0)
+    t = 1e-3 + (20.0 - 1e-3) * ((0.5 + k / g) % 1.0)
+    Z = 100.0 * ((0.5 + k / g**2) % 1.0)
     t, Z = t[Z != 0.0], Z[Z != 0.0]
     s = Z / (2.0 * t)
     # one array call per kernel at those points, each value the scalar call's
@@ -65,12 +67,12 @@ def test_identity_sweep_matches_per_point_calls(monkeypatch, n_points, s_form):
         scale = 4.0 * np.exp(-2.0 * t) * np.expm1(2.0 * t) ** 2 * t * t + 4.0 * Z * Z / (t * t)
     assert np.all(np.abs(lhs - lhs_scalar) <= 16.0 * EPS * scale)
     branches = (secular.SecularBranch.FACTOR_PLUS, secular.SecularBranch.FACTOR_MINUS)
-    assert [args[1] for args, _ in calls["secular_factor"]] == list(branches)
+    assert [args[2] for args, _ in calls["factor_value"]] == list(branches)
     factor_scale = np.abs(t * np.sinh(t)) + s
     factors, factors_scalar = [], []
-    for (params, branch), values in calls["secular_factor"]:
-        assert params.t.tolist() == t.tolist() and params.s.tolist() == s.tolist()
-        expected = [secular.factor_value(a, b, branch) for a, b in zip(t.tolist(), s.tolist())]
+    for (ts, ss, branch), values in calls["factor_value"]:
+        assert ts.tolist() == t.tolist() and ss.tolist() == s.tolist()
+        expected = [factor(a, b, branch) for a, b in zip(t.tolist(), s.tolist())]
         assert np.all(np.abs(values - expected) <= 16.0 * EPS * factor_scale)
         factors.append(values)
         factors_scalar.append(np.array(expected))
@@ -92,6 +94,19 @@ def test_identity_sweep_matches_per_point_calls(monkeypatch, n_points, s_form):
     worst = residual.max()
     assert result.detail == f"max relative residual {worst:.3e} over {t.size} points"
     assert result.passed and worst <= 1e-9
+
+
+def test_identity_points_cover_the_box():
+    # 2000 points of each form leave no cell of a 10 x 10 partition of
+    # t in [1e-3, 20), Z in [0, 100) empty, and the two forms share no point
+    points = []
+    for s_form in (False, True):
+        t, Z = verify._identity_points(2000, s_form)
+        i = np.floor((t - 1e-3) / (20.0 - 1e-3) * 10.0).astype(int)
+        j = np.floor(Z / 10.0).astype(int)
+        assert set(zip(i.tolist(), j.tolist())) == {(a, b) for a in range(10) for b in range(10)}
+        points.append(set(zip(t.tolist(), Z.tolist())))
+    assert not points[0] & points[1]
 
 
 def reference_det_roots(Z, s_max):
