@@ -6,12 +6,9 @@ boundary-matrix oracle."""
 __version__ = "1.0.0"
 
 from .secular import (
-    ExactParams,
     SecularBranch,
     SpectralPoint,
-    energy_of,
     representation_identity_residual,
-    secular_factor,
     secular_s,
     secular_t,
 )
@@ -47,12 +44,9 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "ExactParams",
     "SecularBranch",
     "SpectralPoint",
-    "energy_of",
     "representation_identity_residual",
-    "secular_factor",
     "secular_s",
     "secular_t",
     "SeriesCoefficients",

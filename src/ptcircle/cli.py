@@ -192,7 +192,7 @@ def _cmd_spectrum(args) -> int:
     if not math.pi <= args.smax <= 10_000.0:
         raise _UsageError(f"--smax must be in [pi, 10000], got {args.smax}")
     pts = scan_roots(SpectrumRequest(Z=args.Z, s_max=args.smax))
-    rows = [[p.n, p.branch.value, p.params.s, p.params.t, p.E, p.residual] for p in pts]
+    rows = [[p.n, p.branch.value, p.s, p.t, p.E, p.residual] for p in pts]
     with _output(args.out) as stream:
         _emit(stream, "spectrum", {"Z": args.Z, "smax": args.smax},
               ["n", "branch", "s", "t", "E", "residual"], rows, args.format, args.meta)

@@ -11,8 +11,8 @@ Three equivalent closed forms of the condition are provided:
 
 * ``secular_t``      -- t-representation, with an oscillatory cos(Z/t) term;
 * ``secular_s``      -- s-representation, with an exponential exp(Z/s) term;
-* ``secular_factor`` -- the factored form  (t*sinh t + s*sin s)(t*sinh t - s*sin s),
-  one factor per branch.
+* ``factor_value``   -- the factored form  (t*sinh t + s*sin s)(t*sinh t - s*sin s),
+  one factor per branch, at raw (t, s).
 
 On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
 scan variable and the coupling.  ``constraint_factor`` evaluates it alone,
@@ -63,17 +63,14 @@ import numpy as np
 
 __all__ = [
     "SecularBranch",
-    "ExactParams",
     "SpectralPoint",
     "validate_coupling",
     "secular_t",
     "secular_s",
-    "secular_factor",
     "factor_value",
     "constraint_factor",
     "constraint_factor_derivatives",
     "representation_identity_residual",
-    "energy_of",
     "t_sinh_t",
 ]
 
@@ -125,63 +122,44 @@ class SecularBranch(enum.Enum):
 
 
 @dataclass(frozen=True)
-class ExactParams:
-    """Split wavenumber k = t + i*s of a real-spectrum state.
-
-    ``t`` and ``s`` are finite non-negative floats; when the parameters are
-    bound to a coupling Z they satisfy 2*s*t = Z to construction accuracy.
-    """
-
-    t: float
-    s: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.t) and math.isfinite(self.s)):
-            raise ValueError("parameters must be finite")
-        if self.t < 0.0 or self.s < 0.0:
-            raise ValueError(f"parameters must be non-negative, got t={self.t}, s={self.s}")
-
-    @classmethod
-    def on_constraint(cls, s: float, Z: float) -> "ExactParams":
-        """Parameters on the constraint curve t = Z/(2s) at height s."""
-        if s <= 0.0:
-            raise ValueError("s must be positive to bind t = Z/(2s)")
-        return cls(t=Z / (2.0 * s), s=s)
-
-    def constraint_residual(self, Z: float) -> float:
-        """|2*s*t - Z|, zero (to rounding) iff bound to the coupling Z."""
-        return abs(2.0 * self.s * self.t - Z)
-
-
-@dataclass(frozen=True)
 class SpectralPoint:
-    """One real eigenvalue: coupling, branch, level label, parameters, energy.
+    """One real eigenvalue: coupling, branch, level label, the split
+    wavenumber k = t + i*s, energy and factor residual.
 
-    The public constructor checks every invariant: a finite non-negative
-    residual accepted by the root rule ``_root_accepted``, 2*s*t = Z to
-    rounding and E == s**2 - t**2 as computed.  ``spectrum.refine_root``
-    builds its points through ``_at_root`` instead, which holds them by
-    construction.
+    The public constructor checks every invariant: a valid coupling Z
+    (``validate_coupling``), finite non-negative floats s and t, the label
+    n == round(s/pi), a finite non-negative residual accepted by the root
+    rule ``_root_accepted``, 2*s*t = Z to rounding and E == s**2 - t**2 as
+    computed.  ``spectrum.refine_root`` builds its points through
+    ``_at_root`` instead, which holds them by construction.
     """
 
     Z: float
     branch: SecularBranch
     n: int
-    params: ExactParams
+    s: float
+    t: float
     E: float
     residual: float
 
     def __post_init__(self) -> None:
+        validate_coupling(self.Z)
+        if not (math.isfinite(self.s) and math.isfinite(self.t)):
+            raise ValueError(f"s and t must be finite, got s={self.s}, t={self.t}")
+        if self.s < 0.0 or self.t < 0.0:
+            raise ValueError(f"s and t must be non-negative, got s={self.s}, t={self.t}")
+        if self.n != round(self.s / math.pi):
+            raise ValueError(f"label n={self.n} is not round(s/pi) at s={self.s}")
         if self.residual < 0.0 or not math.isfinite(self.residual):
             raise ValueError("residual must be finite and non-negative")
-        if not _root_accepted(self.residual, self.params.s, self.Z, self.branch):
+        if not _root_accepted(self.residual, self.s, self.Z, self.branch):
             raise ValueError(
-                f"factor residual {self.residual:.3e} exceeds the rounding bound at s={self.params.s}"
+                f"factor residual {self.residual:.3e} exceeds the rounding bound at s={self.s}"
             )
         constraint_bound = max(1e-12, 4.0 * sys.float_info.epsilon * self.Z)
-        if self.params.constraint_residual(self.Z) > constraint_bound:
-            raise ValueError("parameters violate 2*s*t = Z beyond rounding")
-        if self.E != self.params.s**2 - self.params.t**2:
+        if abs(2.0 * self.s * self.t - self.Z) > constraint_bound:
+            raise ValueError("s and t violate 2*s*t = Z beyond rounding")
+        if self.E != self.s**2 - self.t**2:
             raise ValueError("energy must equal s**2 - t**2 exactly as computed")
 
     @classmethod
@@ -189,32 +167,30 @@ class SpectralPoint:
         cls, Z: float, branch: SecularBranch, s: float, residual: float
     ) -> "SpectralPoint":
         """The point at a root s of ``branch`` that the caller has accepted,
-        built without the checks of the public constructors.
+        built without the checks of the public constructor.
 
-        It derives t = Z/(2s), n = round(s/pi) and E = s**2 - t**2 itself,
+        It derives n = round(s/pi), t = Z/(2s) and E = s**2 - t**2 itself,
         with the float operations the public path uses, so the fields, ``==``
-        and ``hash`` equal those of ``SpectralPoint(...)`` built from
-        ``ExactParams(t=Z/(2s), s=s)``.  The caller guarantees the rest:
+        and ``hash`` equal those of ``SpectralPoint(...)`` built from the
+        same (Z, branch, s, residual).  The caller guarantees the rest:
         Z passed ``validate_coupling``, s is finite and positive (it lies in
         a bracket 0 < s_lo < s_hi < inf), and ``_root_accepted(residual, s,
         Z, branch)`` holds.  That rule rejects a non-finite residual, and F
         is +inf wherever |t| > 350, so t is finite and non-negative too.
         Then 2*s*t = Z to rounding (2s is exact, t one rounding of Z/(2s)),
-        and every check of ``__post_init__`` and ``ExactParams.__post_init__``
-        would pass.  The instances are frozen like any other.
+        and every check of ``__post_init__`` would pass.  The instances are
+        frozen like any other.
         """
         # field by field, as the dataclass __init__ sets them: this keeps the
         # instances' shared-key attribute storage, which a whole new __dict__
         # would double
         t = Z / (2.0 * s)
-        params = _new(ExactParams)
-        _setattr(params, "t", t)
-        _setattr(params, "s", s)
         point = _new(cls)
         _setattr(point, "Z", Z)
         _setattr(point, "branch", branch)
         _setattr(point, "n", round(s / math.pi))
-        _setattr(point, "params", params)
+        _setattr(point, "s", s)
+        _setattr(point, "t", t)
         _setattr(point, "E", s**2 - t**2)
         _setattr(point, "residual", residual)
         return point
@@ -455,17 +431,6 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
         return False
     F_s = _factor_state(s, Z, branch)[1]
     return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)
-
-
-def secular_factor(params: ExactParams, branch: SecularBranch) -> float:
-    """Factored secular form at the given parameters; the canonical root form.
-    ``factor_value`` takes ndarrays of points instead."""
-    return factor_value(params.t, params.s, branch)
-
-
-def energy_of(params: ExactParams) -> float:
-    """Real energy E = s**2 - t**2 induced by the split wavenumber."""
-    return params.s**2 - params.t**2
 
 
 def representation_identity_residual(t: float, Z: float) -> float:

@@ -284,11 +284,12 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
     root residual rule (factor residual at most 1e-12, or at most 16
     units of its rounding error |s*F_s|*eps).  That test, the validated Z
     and the finite bracket are what ``SpectralPoint._at_root`` needs, so the
-    point is built from (Z, branch, s, residual) without checking them
-    again; it equals the publicly constructed point bit for bit.  Raises
-    ValueError for a bracket that is not finite with 0 < s_lo < s_hi,
-    NoSignChangeError when it does not straddle a root and ConvergenceError
-    if the iteration limit is hit or the rule rejects the root.
+    point, one flat record, is built from (Z, branch, s, residual) without
+    checking them again; it equals the publicly constructed point bit for
+    bit.  Raises ValueError for a bracket that is not finite with
+    0 < s_lo < s_hi, NoSignChangeError when it does not straddle a root and
+    ConvergenceError if the iteration limit is hit or the rule rejects the
+    root.
     """
     validate_coupling(Z)
     s_lo, s_hi = bracket

@@ -547,7 +547,7 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
     else:
         lo = nu * math.pi - 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
         hi = (nu + 1) * math.pi + 1e-9
-        roots = [refine_root(b, Z, branch).params.s for b in ((lo, s0), (s0, hi))]
+        roots = [refine_root(b, Z, branch).s for b in ((lo, s0), (s0, hi))]
     out = [broken_params_from_real_point(s, Z / (2.0 * s), Z) for s in roots]
     out.sort(key=lambda p: p.alpha)
     return out

@@ -246,7 +246,7 @@ class TestFigCommand:
         signs = [int(r[2]) for r in rows]
         flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
         pts = scan_roots(SpectrumRequest(Z=5.0, s_max=5.0))
-        in_window = [p for p in pts if 0.5 <= p.params.t <= 3.0]
+        in_window = [p for p in pts if 0.5 <= p.t <= 3.0]
         assert flips == len(in_window)
 
     @pytest.mark.parametrize("which", ["1", "2"])
@@ -646,6 +646,9 @@ class TestGoldenBytes:
          "300ed75d4f04c1599978e3e6c91abc3becf9220f39b5c88277cfb630029c9e4c"),
         (("fig", "--which", "2", "--format", "json"),
          "670adaf9c03717e7a8c6388717c3033bcc3104676e37e46dc3f3953aa5b31e44"),
+        # the widest documented input: 6367 rows up to s = 10^4
+        (("spectrum", "--Z", "2", "--smax", "10000", "--format", "json"),
+         "39d09d463087530d04fbbf348de7ea7349bbd9ca77e6d5d5f491118d91a3c7de"),
     ])
     def test_stdout_hash(self, capsys, argv, sha256):
         code, out, _ = run_cli(capsys, *argv)

@@ -10,21 +10,18 @@ import pytest
 from _mp_reference import mp_constraint_factor
 from _tracker_reference import ref_constraint_factor_derivatives
 from ptcircle.secular import (
-    ExactParams,
     SecularBranch,
     SpectralPoint,
     _factor_state,
     constraint_factor,
     constraint_factor_derivatives,
-    energy_of,
     factor_value,
     representation_identity_residual,
-    secular_factor,
     secular_s,
     secular_t,
     t_sinh_t,
 )
-from ptcircle.spectrum import _scan_grid
+from ptcircle.spectrum import _scan_grid, refine_root
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS
@@ -46,7 +43,7 @@ class TestSecularT:
 
         pts = scan_roots(SpectrumRequest(Z=5.0, s_max=4.0 * math.pi))
         for p in pts:
-            t = p.params.t
+            t = p.t
             scale = 4.0 * math.exp(-2.0 * t) * math.expm1(2.0 * t) ** 2 * t * t
             assert abs(secular_t(t, 5.0)) <= 1e-9 * scale
 
@@ -303,8 +300,8 @@ class TestSecularS:
 
         pts = scan_roots(SpectrumRequest(Z=0.1, s_max=7.0))
         for p in pts:
-            s = p.params.s
-            local = 8.0 * s * s * 2.0 + abs(p.params.t * math.sinh(p.params.t)) * 16.0 + 1.0
+            s = p.s
+            local = 8.0 * s * s * 2.0 + abs(p.t * math.sinh(p.t)) * 16.0 + 1.0
             assert abs(secular_s(s, 0.1)) <= 1e-9 * local
 
     def test_domain_error(self):
@@ -316,17 +313,17 @@ class TestSecularS:
 
 class TestFactor:
     def test_hermitian_root(self):
-        assert secular_factor(ExactParams(t=0.0, s=math.pi), MINUS) == pytest.approx(
+        assert factor_value(0.0, math.pi, MINUS) == pytest.approx(
             0.0, abs=1e-15
         )
 
     def test_edge_value(self):
-        assert secular_factor(ExactParams(t=0.0, s=math.pi / 2.0), MINUS) == pytest.approx(
+        assert factor_value(0.0, math.pi / 2.0, MINUS) == pytest.approx(
             -math.pi / 2.0, rel=1e-15
         )
 
     def test_generic_value(self):
-        assert secular_factor(ExactParams(t=1.0, s=1.0), PLUS) == pytest.approx(
+        assert factor_value(1.0, 1.0, PLUS) == pytest.approx(
             2.016672178451698, rel=1e-15
         )
 
@@ -526,16 +523,10 @@ class TestFactorState:
 
 class TestEnergy:
     def test_hermitian_level(self):
-        assert energy_of(ExactParams(t=0.0, s=math.pi)) == pytest.approx(math.pi**2, rel=1e-15)
-
-    def test_symmetric_point(self):
-        assert energy_of(ExactParams(t=1.3, s=1.3)) == 0.0
-
-    def test_merging_energy_from_table_parameters(self):
-        # reconstructed from the tabulated alpha and K^2 at the first merge
-        assert energy_of(ExactParams(t=1.1066, s=2.5026)) == pytest.approx(
-            5.0384432, abs=1e-7
-        )
+        # at Z = 0 the level n = 1 has t = 0, so E = s**2 = pi**2
+        p = refine_root((3.0, 3.3), 0.0, MINUS)
+        assert p.t == 0.0
+        assert p.E == pytest.approx(math.pi**2, rel=1e-15)
 
 
 class TestRepresentationIdentity:
@@ -600,66 +591,58 @@ class TestHermitianZeroSet:
             assert secular_s(s + eps, 0.0) < 0.0
 
 
+def good_point(**fields) -> dict:
+    """The fields of a valid point (s = 2, Z = 6, so t = 1.5 and n = 1),
+    with ``fields`` put in their place."""
+    return {**dict(Z=6.0, branch=MINUS, n=1, s=2.0, t=1.5, E=2.0**2 - 1.5**2, residual=0.0),
+            **fields}
+
+
 class TestTypes:
-    def test_exact_params_validation(self):
-        with pytest.raises(ValueError):
-            ExactParams(t=-0.1, s=1.0)
-        with pytest.raises(ValueError):
-            ExactParams(t=math.nan, s=1.0)
-
-    def test_on_constraint(self):
-        p = ExactParams.on_constraint(s=2.0, Z=6.0)
-        assert p.t == 1.5
-        assert p.constraint_residual(6.0) == 0.0
-
     def test_spectral_point_invariants(self):
-        params = ExactParams.on_constraint(s=2.0, Z=6.0)
+        SpectralPoint(**good_point())
         with pytest.raises(ValueError):
-            SpectralPoint(Z=6.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
-                          residual=1e-9)  # residual above the real-root rule's 1e-12 floor
+            SpectralPoint(**good_point(residual=1e-9))  # above the real-root rule's 1e-12 floor
         with pytest.raises(ValueError):
-            SpectralPoint(Z=5.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
-                          residual=0.0)  # violates 2st = Z
+            SpectralPoint(**good_point(Z=5.0))  # violates 2st = Z
 
     @pytest.mark.parametrize("t, s", [(-0.1, 1.0), (1.0, -0.1), (math.nan, 1.0),
                                       (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
-    def test_exact_params_rejects(self, t, s):
-        with pytest.raises(ValueError):
-            ExactParams(t=t, s=s)
+    def test_spectral_point_rejects_s_and_t(self, t, s):
+        with pytest.raises(ValueError, match="s and t must be"):
+            SpectralPoint(**good_point(n=0, s=s, t=t))
 
     @pytest.mark.parametrize("t, s", [(np.array([1.0, 2.0]), np.array([1.0, 1.0])),
                                       (np.array([1.0, 2.0]), 1.0), (1.0, np.array([1.0, 2.0]))])
-    def test_exact_params_take_floats_only(self, t, s):
+    def test_spectral_point_takes_floats_only(self, t, s):
         # no array mode: arrays go to factor_value, secular_t and secular_s
         with pytest.raises(TypeError):
-            ExactParams(t=t, s=s)
+            SpectralPoint(**good_point(n=0, s=s, t=t))
 
     @pytest.mark.parametrize("field, value", [
         ("residual", -1e-20), ("residual", math.nan), ("residual", math.inf),
         ("residual", 1e-9),  # above the root rule at this (s, Z)
         ("Z", 6.0 + 1e-9),  # violates 2st = Z
         ("E", math.nextafter(2.0**2 - 1.5**2, math.inf)),  # not s**2 - t**2 as computed
+        ("Z", math.nan), ("Z", math.inf), ("Z", -1.0),  # not a coupling
+        ("n", 0), ("n", 2),  # not round(s/pi) = 1
     ])
     def test_spectral_point_rejects(self, field, value):
         # the checked constructor stays strict; only refine_root's own points
         # (SpectralPoint._at_root) skip the checks they hold by construction
-        params = ExactParams.on_constraint(s=2.0, Z=6.0)
-        good = dict(Z=6.0, branch=MINUS, n=1, params=params, E=params.s**2 - params.t**2,
-                    residual=0.0)
-        SpectralPoint(**good)
+        SpectralPoint(**good_point())
         with pytest.raises(ValueError):
-            SpectralPoint(**{**good, field: value})
+            SpectralPoint(**good_point(**{field: value}))
 
     def test_constraint_bound_is_relative_to_rounding(self):
         # at Z = 1e4 rounding t = Z/(2s) leaves |2st - Z| above 1e-12 (here 1.8e-12)
-        params = ExactParams.on_constraint(s=127.0 / 7.0, Z=1e4)
-        assert params.constraint_residual(1e4) > 1e-12
-        SpectralPoint(Z=1e4, branch=MINUS, n=0, params=params, E=params.s**2 - params.t**2,
-                      residual=0.0)
-        off = ExactParams(t=params.t * (1.0 + 1e-14), s=params.s)  # |2st - Z| ~ 1e-10
-        with pytest.raises(ValueError):
-            SpectralPoint(Z=1e4, branch=MINUS, n=0, params=off, E=off.s**2 - off.t**2,
-                          residual=0.0)
+        s = 127.0 / 7.0
+        t = 1e4 / (2.0 * s)
+        assert abs(2.0 * s * t - 1e4) > 1e-12
+        SpectralPoint(Z=1e4, branch=MINUS, n=6, s=s, t=t, E=s**2 - t**2, residual=0.0)
+        off = t * (1.0 + 1e-14)  # |2st - Z| ~ 1e-10
+        with pytest.raises(ValueError, match="2\\*s\\*t = Z"):
+            SpectralPoint(Z=1e4, branch=MINUS, n=6, s=s, t=off, E=s**2 - off**2, residual=0.0)
 
     def test_coupling_validation(self):
         from ptcircle.secular import validate_coupling

@@ -18,7 +18,6 @@ from ptcircle.oracle import (
     residual_check,
 )
 from ptcircle.secular import (
-    ExactParams,
     SecularBranch,
     SpectralPoint,
     constraint_factor,
@@ -64,13 +63,13 @@ class TestScanRoots:
         assert len(pts) == 5
         ref = brute_force_roots(0.1, 7.0)
         assert len(ref) == 5
-        for p, (s_ref, branch_ref) in zip(sorted(pts, key=lambda q: q.params.s), ref):
-            assert p.params.s == pytest.approx(s_ref, abs=1e-10)
+        for p, (s_ref, branch_ref) in zip(sorted(pts, key=lambda q: q.s), ref):
+            assert p.s == pytest.approx(s_ref, abs=1e-10)
             assert p.branch.value == branch_ref
         # descendant of the constant mode: s ~ t ~ sqrt(Z/2), E near zero
         low = min(pts, key=lambda p: p.E)
-        assert low.params.s == pytest.approx(math.sqrt(0.05), abs=0.01)
-        assert low.params.t == pytest.approx(math.sqrt(0.05), abs=0.01)
+        assert low.s == pytest.approx(math.sqrt(0.05), abs=0.01)
+        assert low.t == pytest.approx(math.sqrt(0.05), abs=0.01)
         assert 0.0 < low.E < 0.01
         # doublets split symmetrically to leading order around (n pi)^2
         for n in (1, 2):
@@ -83,7 +82,7 @@ class TestScanRoots:
         pts = scan_roots(SpectrumRequest(Z=5.55, s_max=4.0))
         assert len(pts) == 1
         assert pts[0].branch is PLUS
-        assert pts[0].params.s > math.pi
+        assert pts[0].s > math.pi
 
     def test_doublet_count_below_breakdown(self):
         for Z in (0.5, 2.0, 5.0):
@@ -97,7 +96,7 @@ class TestScanRoots:
         assert energies == sorted(energies)
         for p in pts:
             assert p.residual <= 1e-12
-            assert p.params.constraint_residual(p.Z) <= 1e-12
+            assert abs(2.0 * p.s * p.t - p.Z) <= 1e-12
 
     def test_empty_result_is_legal(self):
         # above the first breakdown with a ceiling below the surviving roots
@@ -108,7 +107,7 @@ class TestScanRoots:
         # 0.5*Z underflows to 0, so no geometric extension below the first
         # node can reach its lower end
         def key(Z):
-            return [(p.n, p.branch, p.params.s, p.E)
+            return [(p.n, p.branch, p.s, p.E)
                     for p in scan_roots(SpectrumRequest(Z=Z, s_max=4.0))]
 
         assert key(5e-324) == key(0.0)
@@ -145,7 +144,7 @@ class TestArraySignScan:
                 a, b = vals[i], vals[i + 1]
                 if a == 0.0 or (a < 0.0) != (b < 0.0):
                     p = refine_root((float(grid[i]), float(grid[i + 1])), Z, branch)
-                    out.append((p.params.s, branch.value))
+                    out.append((p.s, branch.value))
         return sorted(out)
 
     def test_seeded_draws_match_scalar_scan(self):
@@ -153,7 +152,7 @@ class TestArraySignScan:
         for k in range(200):
             Z = (0.0, 10.0 ** rng.uniform(-8.0, math.log10(3e3)), rng.uniform(0.0, 80.0))[k % 3]
             s_max = rng.uniform(math.pi, 48.0)
-            got = sorted((p.params.s, p.branch.value)
+            got = sorted((p.s, p.branch.value)
                          for p in scan_roots(SpectrumRequest(Z=Z, s_max=s_max)))
             assert got == self.scalar_scan(Z, s_max), (Z, s_max)
 
@@ -179,17 +178,17 @@ class TestLargeScanCeiling:
     def test_implied_s_error_is_rounding(self, deep_scan):
         eps = np.finfo(float).eps
         for p in deep_scan[::200]:
-            s = mp.mpf(p.params.s)
+            s = mp.mpf(p.s)
             F = mp_constraint_factor(s, 2.0, p.branch)
             F_s = mp.diff(lambda x: mp_constraint_factor(x, 2.0, p.branch), s)
-            assert abs(F / F_s) <= 4.0 * eps * p.params.s, p
+            assert abs(F / F_s) <= 4.0 * eps * p.s, p
 
     @pytest.mark.parametrize("Z", [20.0, 2.5])
     def test_oracle_certifies_roots_near_s200(self, Z):
         # Z = 20 keeps the doublets split; at Z = 2.5 the two members of each
         # doublet near s = 200 lie so close that two singular values of the
         # boundary matrix are small, and the null vector must still be exact
-        pts = [p for p in scan_roots(SpectrumRequest(Z=Z, s_max=200.0)) if p.params.s > 190.0]
+        pts = [p for p in scan_roots(SpectrumRequest(Z=Z, s_max=200.0)) if p.s > 190.0]
         assert len(pts) >= 4
         for p in pts:
             report = residual_check(nullspace_solution(p.E, Z), p.E, Z)
@@ -199,7 +198,7 @@ class TestLargeScanCeiling:
 class TestRefineRoot:
     def test_hermitian_level(self):
         p = refine_root((3.0, 3.3), 0.0, MINUS)
-        assert p.params.s == pytest.approx(math.pi, abs=1e-12)
+        assert p.s == pytest.approx(math.pi, abs=1e-12)
         assert p.n == 1
 
     def test_leading_order_offset(self):
@@ -207,7 +206,7 @@ class TestRefineRoot:
         p = refine_root((3.0, 3.3), Z, MINUS)
         t = Z / (2.0 * math.pi)
         rho_leading = -t * t / math.pi
-        assert p.params.s - math.pi == pytest.approx(rho_leading, rel=5e-3)
+        assert p.s - math.pi == pytest.approx(rho_leading, rel=5e-3)
 
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
@@ -264,7 +263,7 @@ class TestBrentIsScipyBrentq:
             p = refine_root((lo, hi), Z, branch)
             s = brentq(constraint_factor, lo, hi, args=(Z, branch),
                        xtol=1e-15, rtol=4.0 * eps, maxiter=200)
-            assert p.params.s == s, (Z, s_max, lo, hi, branch)
+            assert p.s == s, (Z, s_max, lo, hi, branch)
             assert p.residual == abs(constraint_factor(s, Z, branch)), (Z, s_max, lo, hi)
             brackets += 1
         assert brackets > 12000
@@ -502,29 +501,30 @@ class TestBrentqIsScipyBrentq:
 
 
 def public_point(Z: float, branch: SecularBranch, s: float, residual: float) -> SpectralPoint:
-    """A root's point built through the public, fully checked constructors,
+    """A root's point built through the public, fully checked constructor,
     as ``refine_root`` built it before ``SpectralPoint._at_root``."""
-    params = ExactParams(t=Z / (2.0 * s), s=s)
+    t = Z / (2.0 * s)
     return SpectralPoint(
         Z=Z,
         branch=branch,
         n=round(s / math.pi),
-        params=params,
-        E=params.s**2 - params.t**2,
+        s=s,
+        t=t,
+        E=s**2 - t**2,
         residual=residual,
     )
 
 
-def field_bits(p: SpectralPoint) -> list[tuple[type, object]]:
-    """Every field of a point with its type; floats by their bits (hex)."""
-    values = (p.Z, p.branch, p.n, p.params.t, p.params.s, p.E, p.residual)
-    return [(type(v), v.hex() if isinstance(v, float) else v) for v in values]
+def field_bits(p: SpectralPoint) -> list[tuple[str, type, object]]:
+    """Every field of a point with its name and type; floats by their bits (hex)."""
+    values = [(f.name, getattr(p, f.name)) for f in dataclasses.fields(p)]
+    return [(name, type(v), v.hex() if isinstance(v, float) else v) for name, v in values]
 
 
 class TestCertifiedConstruction:
     """``refine_root`` builds its point by ``SpectralPoint._at_root``, which
-    skips the public constructors' checks; the point must be the one the
-    public constructors give, and still a frozen, checkable value."""
+    skips the public constructor's checks; the point must be the one the
+    public constructor gives, and still a frozen, checkable value."""
 
     def test_seeded_scan_brackets_match_public_construction(self):
         brackets = 0
@@ -533,13 +533,12 @@ class TestCertifiedConstruction:
             s, f = spectrum._brent(lo, hi, Z, branch.sin_term_sign)
             ref = public_point(Z, branch, s, abs(f))
             assert field_bits(p) == field_bits(ref), (Z, s_max, lo, hi, branch)
-            assert p == ref and hash(p) == hash(ref)
+            assert p == ref and hash(p) == hash(ref) and repr(p) == repr(ref)
             assert dataclasses.replace(p) == p  # re-runs SpectralPoint's checks
-            assert dataclasses.replace(p.params) == p.params  # and ExactParams'
             with pytest.raises(dataclasses.FrozenInstanceError):
                 p.E = 0.0
             with pytest.raises(dataclasses.FrozenInstanceError):
-                p.params.s = 1.0
+                p.s = 1.0
             brackets += 1
         assert brackets > 12000
 
@@ -613,11 +612,11 @@ class TestConcurrencyDeterminism:
         full = scan_roots(SpectrumRequest(Z=2.0, s_max=12.0))
         lo = scan_roots(SpectrumRequest(Z=2.0, s_max=6.0))
         hi_all = scan_roots(SpectrumRequest(Z=2.0, s_max=12.0))
-        hi = [p for p in hi_all if p.params.s > 6.0]
+        hi = [p for p in hi_all if p.s > 6.0]
         merged = sorted(lo + hi, key=lambda p: (p.E, p.branch.value))
         assert len(merged) == len(full)
         for a, b in zip(merged, full):
-            assert a.params.s == pytest.approx(b.params.s, abs=2e-12)
+            assert a.s == pytest.approx(b.s, abs=2e-12)
             assert a.branch is b.branch
 
 

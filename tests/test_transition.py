@@ -75,7 +75,7 @@ class TestBrokenSecular:
         for p in pts:
             if p.E <= 0.0:
                 continue
-            bp = broken_params_from_real_point(p.params.s, p.params.t, 3.0)
+            bp = broken_params_from_real_point(p.s, p.t, 3.0)
             assert abs(broken_secular(bp, 3.0)) <= 1e-8
 
     def test_k_formula(self):
