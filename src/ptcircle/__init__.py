@@ -8,7 +8,6 @@ __version__ = "1.0.0"
 from .secular import (
     SecularBranch,
     SpectralPoint,
-    representation_identity_residual,
     secular_s,
     secular_t,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "__version__",
     "SecularBranch",
     "SpectralPoint",
-    "representation_identity_residual",
     "secular_s",
     "secular_t",
     "SeriesCoefficients",

@@ -73,7 +73,6 @@ __all__ = [
     "boundary_matrix",
     "boundary_matrices",
     "boundary_determinant",
-    "determinant_scale",
     "nullspace_solution",
     "nullspace_solutions",
     "residual_check",
@@ -172,14 +171,6 @@ def boundary_matrices(E: np.ndarray, Z: float | np.ndarray) -> np.ndarray:
         for j, entry in enumerate(row):
             W[..., i, j] = entry
     return W
-
-
-def determinant_scale(W: list[list[complex]]) -> float:
-    """Hadamard-type magnitude of the matrix: product of row max-norms."""
-    scale = 1.0
-    for row in W:
-        scale *= max(abs(x) for x in row)
-    return scale
 
 
 def boundary_determinant(E: complex, Z: float) -> complex:

@@ -16,16 +16,14 @@ Three equivalent closed forms of the condition are provided:
 
 On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
 scan variable and the coupling.  ``constraint_factor`` evaluates it alone,
-and ``_factor_state`` evaluates it together with its closed-form partial
-derivatives at one point, the one place their formulas are written
-(``constraint_factor_derivatives`` returns its partials).  Every root scan,
-fold polish, unfolding seed and broken-pair solve goes through these, the
-last at complex s.  There are two exceptions, both for speed.  The Brent
-refinement of a scan bracket (``spectrum._brent``) writes the float
-operations of the scalar ``factor_value`` inline, and the grid pass of a
-scan (``spectrum._grid_factors``) forms both factors from one t*sinh t and
-one s*sin s array.  Tests pin both to the bit against this module's
-factor.
+and ``_factor_state`` with its closed-form partial derivatives, the one
+place their formulas are written.  Every root scan, fold polish, unfolding
+seed and broken-pair solve goes through these, the last at complex s, with
+two exceptions for speed: the Brent refinement of a scan bracket
+(``spectrum._brent``) writes the float operations of the scalar
+``factor_value`` inline, and a scan's grid pass (``spectrum._grid_factors``)
+forms both factors from one t*sinh t and one s*sin s array.  Tests pin both
+to the bit against this module's factor.
 
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in
@@ -69,8 +67,6 @@ __all__ = [
     "secular_s",
     "factor_value",
     "constraint_factor",
-    "constraint_factor_derivatives",
-    "representation_identity_residual",
     "t_sinh_t",
 ]
 
@@ -96,6 +92,14 @@ def validate_coupling(Z: float) -> float:
     if Z < 0.0:
         raise ValueError(f"coupling must be non-negative, got {Z!r}")
     return float(Z)
+
+
+def _reject_arrays(record) -> None:
+    """TypeError for an ndarray in a field of the record: a 0-d array passes
+    every value check of a float field but leaves the record unhashable."""
+    for name, value in vars(record).items():
+        if isinstance(value, np.ndarray):
+            raise TypeError(f"{name} must be a scalar, got an ndarray")
 
 
 class SecularBranch(enum.Enum):
@@ -126,7 +130,8 @@ class SpectralPoint:
     """One real eigenvalue: coupling, branch, level label, the split
     wavenumber k = t + i*s, energy and factor residual.
 
-    The public constructor checks every invariant: a valid coupling Z
+    The public constructor checks every invariant: a ``SecularBranch``, no
+    ndarray in any field (``TypeError`` for either), a valid coupling Z
     (``validate_coupling``), finite non-negative floats s and t, the label
     n == round(s/pi), a finite non-negative residual accepted by the root
     rule ``_root_accepted``, 2*s*t = Z to rounding and E == s**2 - t**2 as
@@ -143,6 +148,9 @@ class SpectralPoint:
     residual: float
 
     def __post_init__(self) -> None:
+        if not isinstance(self.branch, SecularBranch):
+            raise TypeError(f"branch must be a SecularBranch, got {self.branch!r}")
+        _reject_arrays(self)
         validate_coupling(self.Z)
         if not (math.isfinite(self.s) and math.isfinite(self.t)):
             raise ValueError(f"s and t must be finite, got s={self.s}, t={self.t}")
@@ -173,6 +181,7 @@ class SpectralPoint:
         with the float operations the public path uses, so the fields, ``==``
         and ``hash`` equal those of ``SpectralPoint(...)`` built from the
         same (Z, branch, s, residual).  The caller guarantees the rest:
+        Z, s and residual are floats and branch a member (no type checks),
         Z passed ``validate_coupling``, s is finite and positive (it lies in
         a bracket 0 < s_lo < s_hi < inf), and ``_root_accepted(residual, s,
         Z, branch)`` holds.  That rule rejects a non-finite residual, and F
@@ -342,7 +351,8 @@ def constraint_factor(
     """Factor F(s; Z) = t*sinh t +/- s*sin s on the constraint curve t = Z/(2s),
     holomorphic in s.  A ``numpy.complex128`` s is taken as the equal builtin
     complex, so both give the same bits.  An ndarray of real s gives the
-    factor at every entry in one numpy pass, as a root scan needs it."""
+    factor at every entry in one numpy pass, the reference to which the
+    tests pin a scan's ``spectrum._grid_factors`` bit for bit."""
     if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
         s = complex(s)  # numpy's complex division rounds differently from Python's
     return factor_value(Z / (2.0 * s), s, branch)
@@ -354,10 +364,16 @@ def _factor_state(
     """(F, F_s, F_ss, F_Z, F_sZ) of ``constraint_factor`` at one point, with
     sin s, cos s, sinh t and cosh t each computed once.
 
-    F takes the float operations of ``constraint_factor`` and the partials
-    those of the formulas in ``constraint_factor_derivatives``, in the same
-    order, so each equals its separate evaluation to the bit.  A real s is
-    evaluated with ``math``, a complex s with ``cmath`` (a
+    With g(t) = t*sinh t, dt/ds = -t/s and dt/dZ = 1/(2s), the partials are
+
+        F_s  = -(t/s)*g'(t) + sign*(sin s + s*cos s)
+        F_ss = (t/s**2)*(2*g'(t) + t*g''(t)) + sign*(2*cos s - s*sin s)
+        F_Z  = g'(t) / (2s)
+        F_sZ = -(g'(t) + t*g''(t)) / (2*s**2)
+
+    where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  F takes the
+    float operations of ``constraint_factor``, so it equals that call to the
+    bit.  A real s is evaluated with ``math``, a complex s with ``cmath`` (a
     ``numpy.complex128`` as the equal builtin complex).  Past the clamp of
     ``t_sinh_t`` (|t| > 350 for a real s, |Re t| > 700 for a complex s) F is
     +inf plus the s*sin s term, as ``constraint_factor`` gives it, and the
@@ -393,28 +409,6 @@ def _factor_state(
     return F, F_s, F_ss, F_Z, F_sZ
 
 
-def constraint_factor_derivatives(
-    s: float | complex, Z: float, branch: SecularBranch
-) -> tuple[float | complex, ...]:
-    """Closed-form partials (F_s, F_ss, F_Z, F_sZ) of ``constraint_factor``.
-
-    With g(t) = t*sinh t, dt/ds = -t/s and dt/dZ = 1/(2s):
-
-        F_s  = -(t/s)*g'(t) + sign*(sin s + s*cos s)
-        F_ss = (t/s**2)*(2*g'(t) + t*g''(t)) + sign*(2*cos s - s*sin s)
-        F_Z  = g'(t) / (2s)
-        F_sZ = -(g'(t) + t*g''(t)) / (2*s**2)
-
-    where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  Clamped like
-    ``t_sinh_t`` (|t| > 350 for a real s, |Re t| > 700 for a complex s), where
-    the signed infinities (-inf, +inf, +inf, -inf) are returned.  A complex s
-    is evaluated with ``cmath``, a ``numpy.complex128`` as the equal builtin
-    complex, like in ``constraint_factor``.  The formulas are written once,
-    in ``_factor_state``.
-    """
-    return _factor_state(s, Z, branch)[1:]
-
-
 def _root_accepted(residual: float, s: float | complex, Z: float, branch: SecularBranch) -> bool:
     """The one acceptance test for a root s of the constraint factor, a real
     root of the spectrum or a complex root of a broken pair.
@@ -431,25 +425,3 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
         return False
     F_s = _factor_state(s, Z, branch)[1]
     return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)
-
-
-def representation_identity_residual(t: float, Z: float) -> float:
-    """Relative defect of the factorization identity at (t, s = Z/(2t)),
-
-        | secular_t(t, Z) - 16*F_plus*F_minus | / max(1, |secular_t(t, Z)|).
-
-    The algebra behind it: exp(-2t)*(exp(2t)-1)**2 = 4*sinh(t)**2 and
-    Z/t = 2s turn the t-representation into 16*(t sinh t + s sin s)
-    *(t sinh t - s sin s).  Stays below 1e-9 for t in [1e-3, 20],
-    Z in [0, 100].
-    """
-    if t <= 0.0:
-        raise ValueError(f"identity residual requires t > 0, got {t!r}")
-    lhs = secular_t(t, Z)
-    s = Z / (2.0 * t)
-    fp = factor_value(t, s, SecularBranch.FACTOR_PLUS)
-    fm = factor_value(t, s, SecularBranch.FACTOR_MINUS)
-    rhs = 16.0 * fp * fm
-    if math.isinf(lhs) and math.isinf(rhs):
-        return 0.0
-    return abs(lhs - rhs) / max(1.0, abs(lhs))

@@ -44,6 +44,7 @@ from .secular import (
     SecularBranch,
     SpectralPoint,
     _SINH_CLAMP,
+    _reject_arrays,
     _root_accepted,
     _t_sinh_t_array,
     factor_value,
@@ -75,6 +76,7 @@ class SpectrumRequest:
     s_max: float
 
     def __post_init__(self) -> None:
+        _reject_arrays(self)
         validate_coupling(self.Z)
         if not math.isfinite(self.s_max):
             raise ValueError(f"s_max must be finite, got {self.s_max}")
@@ -291,7 +293,7 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
     ConvergenceError if the iteration limit is hit or the rule rejects the
     root.
     """
-    validate_coupling(Z)
+    Z = validate_coupling(Z)  # a float, as _at_root needs
     s_lo, s_hi = bracket
     if not (0.0 < s_lo < s_hi < math.inf):
         raise ValueError(f"bracket must be finite with 0 < s_lo < s_hi, got {bracket}")

@@ -42,6 +42,7 @@ from .secular import (
     SecularBranch,
     _factor_state,
     _new,
+    _reject_arrays,
     _root_accepted,
     _setattr,
     constraint_factor,
@@ -61,7 +62,6 @@ __all__ = [
     "critical_sequence",
     "continue_in_Z",
     "solve_above_fold",
-    "broken_params_from_real_point",
     "fold_unfolding_seed",
     "DIRICHLET_FIRST_CRITICAL",
     "DIRICHLET_SECOND_CRITICAL",
@@ -74,7 +74,7 @@ DIRICHLET_SECOND_CRITICAL = (12.80154, 12.80156)
 
 _FOLD_RESIDUAL = 1e-10
 _MIN_CURVATURE = 1e-4
-_MAX_ROOT_MOVE = math.pi / 4  # largest predicted move of s per step, see continue_in_Z
+_MAX_ROOT_MOVE = math.pi / 4  # largest predicted move of s per step, see _step
 
 
 def _require_positive(alpha: float, beta: float, K: float) -> None:
@@ -91,12 +91,13 @@ class BrokenParams:
     K: float
 
     def __post_init__(self) -> None:
+        _reject_arrays(self)
         _require_positive(self.alpha, self.beta, self.K)
 
     @classmethod
     def _trusted(cls, alpha: float, beta: float, K: float) -> "BrokenParams":
-        """BrokenParams(alpha=alpha, beta=beta, K=K), with the same check, but
-        built field by field as ``SpectralPoint._at_root`` builds real points."""
+        """BrokenParams(alpha=alpha, beta=beta, K=K) from floats, with the positivity
+        check only, built field by field as ``SpectralPoint._at_root`` builds points."""
         _require_positive(alpha, beta, K)
         params = _new(cls)
         _setattr(params, "alpha", alpha)
@@ -275,13 +276,6 @@ def solve_broken(Z: float, init: BrokenParams) -> tuple[BrokenParams, ComplexEne
         raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
 
 
-def broken_params_from_real_point(s: float, t: float, Z: float) -> BrokenParams:
-    """Bridge a scanned real eigenvalue (scan variables, E = s**2 - t**2 > 0)
-    to the hyperbolic form, alpha = beta = asinh(Z/E)/2.  Raises ValueError
-    unless E > 0 and Z > 0."""
-    return _params_from_energy(s * s - t * t, Z)
-
-
 # ---------------------------------------------------------------------------
 # folds
 
@@ -422,8 +416,16 @@ _CHAINS: dict[CriticalPoint, tuple[list, SecularBranch, float]] = {}
 
 def _step(Z: float, s: complex, state: tuple[complex, ...], Z_to: float, branch: SecularBranch,
           side: float) -> tuple[float, complex, tuple[complex, ...]]:
-    """One predictor-corrector step of the root s at Z toward Z_to, cut at
-    Z_to (see ``continue_in_Z``): the next Z, its root and its state."""
+    """One step of the root s at Z toward Z_to along the Davidenko ODE
+    ds/dZ = -F_Z/F_s, Euler predictor and ``_newton`` corrector: the next Z,
+    its root and its state.  The prediction moves by half of
+    min(|Im s|, |F_s/F_ss|), at most pi/4, cut at Z_to: |Im s| is half the
+    distance to the conjugate root, |F_s/F_ss|, equal to it at a fold, keeps
+    the step off neighbouring roots elsewhere, and the cap keeps it below
+    the root spacing (pi in Re s along one factor, about 1.6 between
+    neighbouring pairs at large Z), so s stays on its own pair.  A root whose
+    Im s leaves ``side``, or a step too short to move Z, raises
+    ConvergenceError."""
     _, F_s, F_ss, F_Z, _ = state
     slope = -F_Z / F_s
     h = min(0.5 * abs(s.imag), 0.5 * abs(F_s / F_ss), _MAX_ROOT_MOVE) / abs(slope)
@@ -444,16 +446,9 @@ def continue_in_Z(
 ) -> list[tuple[float, BrokenParams, ComplexEnergy]]:
     """A broken branch at the points of a linear Z grid from Z_from to Z_to.
 
-    ``start`` is solved at Z_from as in ``solve_broken``; the root s(Z) then
-    follows the Davidenko ODE ds/dZ = -F_Z/F_s by Euler predictor and damped
-    Newton corrector (``_step``).  A step moves the prediction by half of
-    min(|Im s|, |F_s/F_ss|), at most pi/4, cut at the next grid point: |Im s|
-    is half the distance to the conjugate root, |F_s/F_ss|, equal to it at a
-    fold, keeps the step off neighbouring roots elsewhere, and the cap keeps
-    it below the root spacing (pi in Re s along one factor, about 1.6 between
-    neighbouring pairs at large Z), so s stays on its own pair.  Only grid
-    points are certified.  A corrected root whose Im s has the other sign, or
-    a step too short to move Z, raises ConvergenceError with the Z reached.
+    ``start`` is solved at Z_from as in ``solve_broken`` and followed by
+    ``_step``s, each cut at the next grid point; only grid points are
+    certified.  A failing step raises ConvergenceError with the Z reached.
     That |eps| grows with Z away from the fold is observed, not enforced.
     """
     if steps < 1:
@@ -548,6 +543,8 @@ def real_pair_near_fold(Z: float, fold: CriticalPoint) -> list[BrokenParams]:
         lo = nu * math.pi - 1e-9 if nu > 0 else min(math.pi / 256, 0.1 * math.sqrt(0.5 * Z))
         hi = (nu + 1) * math.pi + 1e-9
         roots = [refine_root(b, Z, branch).s for b in ((lo, s0), (s0, hi))]
-    out = [broken_params_from_real_point(s, Z / (2.0 * s), Z) for s in roots]
-    out.sort(key=lambda p: p.alpha)
-    return out
+    out = []
+    for s in roots:
+        t = Z / (2.0 * s)
+        out.append(_params_from_energy(s * s - t * t, Z))
+    return sorted(out, key=lambda p: p.alpha)

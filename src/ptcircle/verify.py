@@ -81,12 +81,6 @@ ALPHA_TOL = 1e-5
 REE_REL_TOL = 1e-4
 
 
-def table_deviation_ok(d_alpha_beta: float, d_ree_rel: float) -> bool:
-    """The table-row rule: |d alpha|, |d beta| within ALPHA_TOL and the
-    relative ReE deviation within REE_REL_TOL (a NaN deviation fails)."""
-    return d_alpha_beta <= ALPHA_TOL and d_ree_rel <= REE_REL_TOL
-
-
 @dataclass(frozen=True)
 class CheckResult:
     name: str
@@ -255,9 +249,7 @@ def _fold_certificates(folds) -> CheckResult:
     prev = 0.0
     for fold, (lo, hi) in zip(folds, CRITICAL_INTERVALS[:count]):
         res_f = abs(secular.constraint_factor(fold.s_merge, fold.Z_crit, fold.branch))
-        res_fs = abs(
-            secular.constraint_factor_derivatives(fold.s_merge, fold.Z_crit, fold.branch)[0]
-        )
+        res_fs = abs(secular._factor_state(fold.s_merge, fold.Z_crit, fold.branch)[1])
         inside = lo <= fold.Z_crit <= hi
         increasing = fold.Z_crit > prev
         prev = fold.Z_crit
@@ -266,7 +258,8 @@ def _fold_certificates(folds) -> CheckResult:
     return CheckResult("fold-certificates", ok, ", ".join(detail))
 
 
-def _solve_table_row(Z, alpha_p, beta_p, pair, fold):
+def _solve_table_row(Z, alpha_p, fold):
+    """Above the fold the broken pair at Z, else the real member nearest alpha_p."""
     if Z > fold.Z_crit:
         return transition.solve_above_fold(fold, Z)
     candidates = transition.real_pair_near_fold(Z, fold)
@@ -280,26 +273,25 @@ def solve_table_rows(folds, pinned_only: bool = False):
 
         (row, params, energy, (d_alpha, d_beta, d_ReE), ok)
 
-    with the deviations from the row's printed values and ``ok`` the
-    ``table_deviation_ok`` flag of the row."""
+    with the deviations from the row's printed values.  ``ok`` is the
+    table-row rule: |d alpha|, |d beta| within ALPHA_TOL and the relative ReE
+    deviation within REE_REL_TOL (a NaN deviation fails)."""
     for row in TABLE_ROWS:
         Z, a_p, b_p, ree_p, pair, pinned = row
         if pinned_only and not pinned:
             continue
-        params, energy = _solve_table_row(Z, a_p, b_p, pair, folds[pair])
+        params, energy = _solve_table_row(Z, a_p, folds[pair])
         d_a, d_b, d_e = params.alpha - a_p, params.beta - b_p, energy.re_E - ree_p
-        ok = table_deviation_ok(_worst((abs(d_a), abs(d_b))), abs(d_e) / ree_p)
+        ok = _worst((abs(d_a), abs(d_b))) <= ALPHA_TOL and abs(d_e) / ree_p <= REE_REL_TOL
         yield row, params, energy, (d_a, d_b, d_e), ok
 
 
-def _table_goldens(pinned_only: bool, folds) -> CheckResult:
+def _table_goldens(folds) -> CheckResult:
+    """The pinned rows of TABLE_ROWS by the table-row rule; the reported ones are not solved."""
     passed = True
     d_ab = []
     d_ree = []
-    rows = solve_table_rows(folds, pinned_only)
-    for (_, _, _, ree_p, _, pinned), _, _, (d_a, d_b, d_e), ok in rows:
-        if not pinned:  # reported rows are solved but not judged
-            continue
+    for (_, _, _, ree_p, _, _), _, _, (d_a, d_b, d_e), ok in solve_table_rows(folds, True):
         passed = passed and ok
         d_ab += [abs(d_a), abs(d_b)]
         d_ree.append(abs(d_e) / ree_p)
@@ -374,7 +366,8 @@ def _conjugate_pairing() -> CheckResult:
 def _exact_broken_consistency(folds) -> CheckResult:
     fold = folds[0]
     Z = fold.Z_crit - 1e-3
-    seed = transition.BrokenParams.bind(fold_alpha(fold) * 0.999, fold_alpha(fold) * 1.001, Z)
+    alpha = fold_alpha(fold)
+    seed = transition.BrokenParams.bind(alpha * 0.999, alpha * 1.001, Z)
     params, _ = transition.solve_broken(Z, seed)
     sym = abs(params.alpha - params.beta)
     pair = transition.real_pair_near_fold(Z, fold)
@@ -391,8 +384,9 @@ def _exact_broken_consistency(folds) -> CheckResult:
 
 def fold_alpha(fold) -> float:
     """Hyperbolic parameter of the merged state at a fold."""
-    s = fold.s_merge
-    return transition.broken_params_from_real_point(s, fold.Z_crit / (2.0 * s), fold.Z_crit).alpha
+    s, Z = fold.s_merge, fold.Z_crit
+    t = Z / (2.0 * s)
+    return transition._params_from_energy(s * s - t * t, Z).alpha
 
 
 def run_checks(level: str) -> list[CheckResult]:
@@ -409,7 +403,7 @@ def run_checks(level: str) -> list[CheckResult]:
     ]
     folds = transition.critical_sequence(5 if full else 2)
     results.append(_fold_certificates(folds))
-    results.append(_table_goldens(pinned_only=not full, folds=folds))
+    results.append(_table_goldens(folds))
     results.append(_dirichlet_comparison(folds))
     if full:
         results.append(_pt_symmetry())

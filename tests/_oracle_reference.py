@@ -5,6 +5,9 @@ core, a verbatim copy of ``nullspace_solution`` working on one energy at a
 time; the tests hold ``nullspace_solutions`` and its one-entry call to it bit
 for bit.  The scalar matrix ``boundary_matrix`` is taken from the package.
 
+``determinant_scale``, the product of the row max-norms of a matrix, is the
+scale of its determinant's rounding in the tests' tolerances.
+
 ``ref_piece_values`` evaluates psi and its derivatives pointwise from the
 closed forms of the oracle's one basis, and ``ref_integral`` integrates a
 function of such values by mpmath's quadrature: the references for the
@@ -22,6 +25,14 @@ from ptcircle.oracle import (
     _wavenumbers,
     boundary_matrix,
 )
+
+
+def determinant_scale(W: list[list[complex]]) -> float:
+    """Hadamard-type magnitude of the matrix: product of row max-norms."""
+    scale = 1.0
+    for row in W:
+        scale *= max(abs(x) for x in row)
+    return scale
 
 
 def ref_nullspace_solution(E: complex, Z: float, require_singular: bool = True) -> WaveSolution:

@@ -1,5 +1,6 @@
 """The broken-pair tracker as it was before the factor state was carried
-from point to point: verbatim copies of ``constraint_factor_derivatives``,
+from point to point: verbatim copies of ``constraint_factor_derivatives``
+(the partials on their own, since folded into ``_factor_state``),
 ``_root_accepted``, ``_newton``, ``_certified``, ``_seeded_root``,
 ``continue_in_Z``, ``fold_unfolding_seed`` and ``solve_above_fold``, in which
 every Newton trial evaluates the factor and every step its partials again.

@@ -60,7 +60,7 @@ class TestAcceptance:
         worst_ree = 0.0
         reported = []
         for Z, a_p, b_p, ree_p, pair, pinned in verify_mod.TABLE_ROWS:
-            params, energy = verify_mod._solve_table_row(Z, a_p, b_p, pair, five_folds[pair])
+            params, energy = verify_mod._solve_table_row(Z, a_p, five_folds[pair])
             d_ab = max(abs(params.alpha - a_p), abs(params.beta - b_p))
             d_ree = abs(energy.re_E - ree_p) / ree_p
             if pinned:

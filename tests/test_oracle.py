@@ -12,7 +12,6 @@ from ptcircle.oracle import (
     boundary_determinant,
     boundary_matrices,
     boundary_matrix,
-    determinant_scale,
     nullspace_solution,
     pt_norm,
     pt_symmetry_check,
@@ -21,7 +20,13 @@ from ptcircle.oracle import (
 from ptcircle.spectrum import SpectrumRequest, scan_roots
 from ptcircle.transition import BrokenParams, solve_above_fold, solve_broken
 
-from _oracle_reference import ref_integral, ref_nullspace_solution, ref_psi, ref_wavefunction
+from _oracle_reference import (
+    determinant_scale,
+    ref_integral,
+    ref_nullspace_solution,
+    ref_psi,
+    ref_wavefunction,
+)
 
 PI2 = math.pi**2
 

@@ -14,14 +14,13 @@ from ptcircle.secular import (
     SpectralPoint,
     _factor_state,
     constraint_factor,
-    constraint_factor_derivatives,
     factor_value,
-    representation_identity_residual,
     secular_s,
     secular_t,
     t_sinh_t,
 )
-from ptcircle.spectrum import _scan_grid, refine_root
+from ptcircle.spectrum import SpectrumRequest, _scan_grid, refine_root
+from ptcircle.transition import BrokenParams
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS
@@ -353,7 +352,7 @@ class TestConstraintKernel:
     @pytest.mark.parametrize("s, Z", POINTS)
     def test_derivatives_match_mpmath(self, branch, s, Z):
         at = (mp.mpf(s), mp.mpf(Z))
-        got = constraint_factor_derivatives(s, Z, branch)
+        got = _factor_state(s, Z, branch)[1:]
         for value, order in zip(got, self.ORDERS):
             ref = mp.diff(lambda x, z: mp_constraint_factor(x, z, branch), at, order)
             # scale: the two terms' own derivatives (they cancel at a fold)
@@ -400,8 +399,8 @@ class TestConstraintKernel:
         # 2.338+0.880j
         np_z = np.complex128(z)
         assert complex(constraint_factor(np_z, Z, branch)) == constraint_factor(z, Z, branch)
-        assert [complex(v) for v in constraint_factor_derivatives(np_z, Z, branch)] == list(
-            constraint_factor_derivatives(z, Z, branch))
+        assert [complex(v) for v in _factor_state(np_z, Z, branch)[1:]] == list(
+            _factor_state(z, Z, branch)[1:])
         assert complex(t_sinh_t(np_z)) == t_sinh_t(z)
         mp_value = complex(mp_constraint_factor(mp.mpc(z), mp.mpf(Z), branch))
         assert abs(constraint_factor(np_z, Z, branch) - mp_value) <= 1e-12 * abs(mp_value)
@@ -410,7 +409,7 @@ class TestConstraintKernel:
     def test_clamped_like_t_sinh_t(self, branch):
         # t = 500 lies above the clamp at 350
         assert constraint_factor(0.01, 10.0, branch) == math.inf
-        assert constraint_factor_derivatives(0.01, 10.0, branch) == (
+        assert _factor_state(0.01, 10.0, branch)[1:] == (
             -math.inf, math.inf, math.inf, -math.inf
         )
 
@@ -429,12 +428,12 @@ class TestConstraintKernel:
     def test_complex_derivatives_past_the_real_clamp(self, branch):
         # t = Z/(2s) = 357.14*(1 - 1j): |t| = 505 > 350, Re t < 700
         s, Z = 0.7 + 0.7j, 1000.0
-        derivatives = constraint_factor_derivatives(s, Z, branch)
+        derivatives = _factor_state(s, Z, branch)[1:]
         assert all(cmath.isfinite(v) for v in derivatives)
         ref = complex(mp_constraint_factor(mp.mpc(s), mp.mpf(Z), branch))
         assert abs(constraint_factor(s, Z, branch) - ref) <= 1e-12 * abs(ref)
         # Re t = 714 lies above the complex clamp
-        assert constraint_factor_derivatives(0.7 + 0.0j, Z, branch) == (
+        assert _factor_state(0.7 + 0.0j, Z, branch)[1:] == (
             -math.inf, math.inf, math.inf, -math.inf
         )
         assert constraint_factor(0.7 + 0.0j, Z, branch) == math.inf
@@ -449,8 +448,8 @@ def _bits(value):
 
 class TestFactorState:
     """``_factor_state`` against ``constraint_factor`` and the partials as
-    ``constraint_factor_derivatives`` computed them before the state was
-    shared (``_tracker_reference``), bit for bit."""
+    they were computed before the state was shared (``_tracker_reference``),
+    bit for bit."""
 
     REAL = [0.3, 2.50380392309, 4.3, 17.0, 130.1]
     COMPLEX = [3.5 + 0.3j, 2.5 - 1.2j, 40.0 + 3.0j, 0.7 + 0.7j, 9.8 + 0.004j]
@@ -463,9 +462,6 @@ class TestFactorState:
         assert _bits(state[0]) == _bits(constraint_factor(s, Z, branch))
         want = ref_constraint_factor_derivatives(s, Z, branch)
         assert [_bits(v) for v in state[1:]] == [_bits(v) for v in want]
-        assert [_bits(v) for v in constraint_factor_derivatives(s, Z, branch)] == [
-            _bits(v) for v in want
-        ]
 
     @pytest.mark.parametrize("branch", [MINUS, PLUS])
     @pytest.mark.parametrize("kind", [float, np.float64])
@@ -529,17 +525,25 @@ class TestEnergy:
         assert p.E == pytest.approx(math.pi**2, rel=1e-15)
 
 
+def identity_residual(t, Z):
+    """Relative defect of secular_t = 16*F_plus*F_minus at (t, s = Z/(2t)),
+    from the scalar ``math`` kernels; verify's sweep runs the numpy ones."""
+    lhs = secular_t(t, Z)
+    s = Z / (2.0 * t)
+    return abs(lhs - 16.0 * factor_value(t, s, PLUS) * factor_value(t, s, MINUS)) / max(1.0, abs(lhs))
+
+
 class TestRepresentationIdentity:
     def test_zero_coupling(self):
-        assert representation_identity_residual(1.0, 0.0) <= 1e-12
+        assert identity_residual(1.0, 0.0) <= 1e-12
 
     def test_spot_values(self):
-        assert representation_identity_residual(0.5, 5.0) <= 1e-9
-        assert representation_identity_residual(2.0, 17.9) <= 1e-9
+        assert identity_residual(0.5, 5.0) <= 1e-9
+        assert identity_residual(2.0, 17.9) <= 1e-9
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            representation_identity_residual(0.0, 1.0)
+            identity_residual(0.0, 1.0)
 
     def test_sweep_10k_points(self):
         rng = np.random.default_rng(42)
@@ -547,7 +551,7 @@ class TestRepresentationIdentity:
         for _ in range(10_000):
             t = rng.uniform(1e-3, 20.0)
             Z = rng.uniform(0.0, 100.0)
-            worst = max(worst, representation_identity_residual(t, Z))
+            worst = max(worst, identity_residual(t, Z))
         assert worst <= 1e-9
 
     def test_s_identity_sweep_10k_points(self):
@@ -652,3 +656,55 @@ class TestTypes:
         with pytest.raises(ValueError):
             validate_coupling(math.inf)
         assert validate_coupling(3.5) == 3.5
+
+
+# a valid instance's fields for each checked record constructor
+RECORDS = {
+    SpectralPoint: good_point(),
+    BrokenParams: dict(alpha=0.3, beta=0.4, K=1.2),
+    SpectrumRequest: dict(Z=2.0, s_max=12.0),
+}
+SCALAR_FIELDS = [(cls, name) for cls, fields in RECORDS.items() for name in fields
+                 if name != "branch"]
+
+
+def _field_id(case):
+    return f"{case[0].__name__}.{case[1]}"
+
+
+class TestRecordFieldTypes:
+    """The checked constructors take scalars only, so that every record they
+    accept can be hashed, and ``SpectralPoint`` a ``SecularBranch`` only."""
+
+    @pytest.mark.parametrize("case", SCALAR_FIELDS, ids=_field_id)
+    @pytest.mark.parametrize("shape", [(), (1,)], ids=["0-d", "1-entry"])
+    def test_array_field_is_a_type_error(self, case, shape):
+        cls, name = case
+        fields = RECORDS[cls]
+        with pytest.raises(TypeError, match=f"^{name} must be a scalar"):
+            cls(**{**fields, name: np.full(shape, fields[name])})
+
+    @pytest.mark.parametrize("case", SCALAR_FIELDS, ids=_field_id)
+    def test_numpy_scalar_field_is_accepted_and_hashes(self, case):
+        cls, name = case
+        fields = RECORDS[cls]
+        kind = np.int64 if isinstance(fields[name], int) else np.float64
+        record = cls(**{**fields, name: kind(fields[name])})
+        assert record == cls(**fields)
+        assert hash(record) == hash(cls(**fields))
+
+    @pytest.mark.parametrize("branch", ["minus", "plus", None, 1, -1])
+    @pytest.mark.parametrize("residual", [0.0, 1e-9])
+    def test_branch_must_be_a_member(self, branch, residual):
+        # residual 1e-9 lies above the root rule's floor, where the rule reads
+        # the branch's sign: an AttributeError before the type check
+        with pytest.raises(TypeError, match="branch must be a SecularBranch"):
+            SpectralPoint(**good_point(branch=branch, residual=residual))
+
+    @pytest.mark.parametrize("kind", [np.float64, np.array], ids=["float64", "0-d"])
+    def test_refined_point_has_a_float_coupling(self, kind):
+        # refine_root builds its point unchecked, from the validated float Z
+        point = refine_root((3.0, 3.3), kind(0.5), MINUS)
+        assert type(point.Z) is float
+        assert point == refine_root((3.0, 3.3), 0.5, MINUS)
+        assert hash(point) == hash(refine_root((3.0, 3.3), 0.5, MINUS))

@@ -13,7 +13,6 @@ from ptcircle.errors import ConvergenceError, NoSignChangeError
 from ptcircle.oracle import (
     boundary_determinant,
     boundary_matrix,
-    determinant_scale,
     nullspace_solution,
     residual_check,
 )
@@ -26,6 +25,7 @@ from ptcircle.secular import (
 from ptcircle.spectrum import SpectrumRequest, _scan_grid, refine_root, scan_roots
 
 from _mp_reference import mp_constraint_factor, mp_ground_energy
+from _oracle_reference import determinant_scale
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS

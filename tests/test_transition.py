@@ -18,7 +18,7 @@ from ptcircle.transition import (
     DIRICHLET_SECOND_CRITICAL,
     BrokenParams,
     ComplexEnergy,
-    broken_params_from_real_point,
+    _params_from_energy,
     broken_secular,
     broken_secular_symmetric,
     continue_in_Z,
@@ -75,7 +75,7 @@ class TestBrokenSecular:
         for p in pts:
             if p.E <= 0.0:
                 continue
-            bp = broken_params_from_real_point(p.s, p.t, 3.0)
+            bp = _params_from_energy(p.s * p.s - p.t * p.t, 3.0)
             assert abs(broken_secular(bp, 3.0)) <= 1e-8
 
     def test_k_formula(self):
@@ -166,12 +166,12 @@ class TestFindDoubleRoot:
         assert INTERVALS[1][0] < fold.Z_crit < INTERVALS[1][1]
 
     def test_fold_certificate(self):
+        from ptcircle.secular import _factor_state
         from ptcircle.secular import constraint_factor as F
-        from ptcircle.secular import constraint_factor_derivatives
 
         fold = find_double_root(5.5, 2.5, MINUS)
         assert abs(F(fold.s_merge, fold.Z_crit, fold.branch)) <= 1e-10
-        F_s = constraint_factor_derivatives(fold.s_merge, fold.Z_crit, fold.branch)[0]
+        F_s = _factor_state(fold.s_merge, fold.Z_crit, fold.branch)[1]
         assert abs(F_s) <= 1e-10
         h = 1e-5
         curv = (
@@ -524,15 +524,12 @@ class TestSharedFactorState:
             args = (fold.Z_crit + 30.0, Z_to, steps, start)
             assert _answer(continue_in_Z, *args) == _answer(ref_continue_in_Z, *args)
 
-    def test_answers_without_the_separate_derivatives(self, monkeypatch, sixteen_folds):
-        # the tracker takes F_s, F_ss and F_Z from the state of each point
-        def boom(*args):
-            raise AssertionError("constraint_factor_derivatives called")
-
+    def test_answers_without_the_separate_derivatives(self, sixteen_folds):
+        # the tracker takes F_s, F_ss and F_Z from the state of each point;
+        # the package has no other evaluation of the partials
+        assert not hasattr(secular, "constraint_factor_derivatives")
         cases = [(fold, fold.Z_crit + dZ) for fold in sixteen_folds[::3] for dZ in (1e-3, 2.0, 1e4)]
         want = [_answer(ref_solve_above_fold, fold, Z) for fold, Z in cases]
-        monkeypatch.setattr(secular, "constraint_factor_derivatives", boom)
-        monkeypatch.setattr(transition, "constraint_factor_derivatives", boom, raising=False)
         assert [_answer(solve_above_fold, fold, Z) for fold, Z in cases] == want
         assert not hasattr(transition, "_fold_state")
 

@@ -8,7 +8,10 @@ roots with those of a per-energy ``boundary_determinant`` refined by
 ``scipy.optimize.brentq``.
 """
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 import re
 import types
@@ -17,7 +20,9 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ptcircle import oracle, secular, spectrum, transition, verify
+from ptcircle import cli, oracle, secular, spectrum, transition, verify
+
+from _oracle_reference import determinant_scale
 
 EPS = np.finfo(float).eps
 
@@ -151,7 +156,7 @@ def test_det_sweep_is_the_per_energy_determinant(Z):
     assert got_energies.tolist() == energies.tolist()
     # each value within 1e-13 of its matrix's scale, and of the same sign, so
     # that the sweep brackets the same roots
-    scale = [oracle.determinant_scale(oracle.boundary_matrix(E, Z)) for E in energies.tolist()]
+    scale = [determinant_scale(oracle.boundary_matrix(E, Z)) for E in energies.tolist()]
     assert np.all(np.abs(got_vals - vals) <= 1e-13 * np.array(scale))
     assert np.array_equal(got_vals < 0.0, vals < 0.0)
     assert_roots_close(verify._det_roots((Z,), s_max), [roots])
@@ -254,7 +259,7 @@ def _inject_table(mp):
         params, energy = real(*args)
         return types.SimpleNamespace(alpha=params.alpha, beta=math.nan), energy
     mp.setattr(verify, "_solve_table_row", row)
-    return verify._table_goldens(True, transition.critical_sequence(2))
+    return verify._table_goldens(transition.critical_sequence(2))
 
 
 def _inject_dirichlet(mp):
@@ -345,3 +350,39 @@ def test_pt_symmetry_line():
     unbroken = re.fullmatch(r"unbroken max (\S+) \(Z=2\), broken 0\.387 \(Z=6\)", result.detail)
     assert result.passed and unbroken is not None, result.detail
     assert float(unbroken.group(1)) <= 1e-8
+
+
+def _count_table_rows(monkeypatch) -> list[float]:
+    """Record the coupling of each ``_solve_table_row`` call from now on."""
+    real = verify._solve_table_row
+    calls = []
+
+    def row(Z, *args):
+        calls.append(Z)
+        return real(Z, *args)
+    monkeypatch.setattr(verify, "_solve_table_row", row)
+    return calls
+
+
+@pytest.mark.parametrize("level", [verify.QUICK, verify.FULL])
+def test_table_goldens_solve_only_the_pinned_rows(monkeypatch, level):
+    # the reported rows are neither judged nor solved, at either level
+    calls = _count_table_rows(monkeypatch)
+    results = verify.run_checks(level)
+    assert all(r.passed for r in results), [r for r in results if not r.passed]
+    pinned = [row[0] for row in verify.TABLE_ROWS if row[5]]
+    assert len(pinned) == 7 and len(verify.TABLE_ROWS) == 13
+    assert calls == pinned
+
+
+def test_table1_prints_every_row_with_its_role(monkeypatch):
+    calls = _count_table_rows(monkeypatch)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["table1", "--format", "json"]) == 0
+    doc = json.loads(out.getvalue())
+    rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+    assert calls == [row[0] for row in verify.TABLE_ROWS]
+    assert [(r["Z"], r["role"]) for r in rows] == [
+        (row[0], "pinned" if row[5] else "reported") for row in verify.TABLE_ROWS
+    ]
