@@ -44,7 +44,6 @@ from .secular import (
     _new,
     _reject_arrays,
     _root_accepted,
-    _setattr,
     constraint_factor,
     t_sinh_t,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
     validate_coupling,
@@ -97,12 +96,14 @@ class BrokenParams:
     @classmethod
     def _trusted(cls, alpha: float, beta: float, K: float) -> "BrokenParams":
         """BrokenParams(alpha=alpha, beta=beta, K=K) from floats, with the positivity
-        check only, built field by field as ``SpectralPoint._at_root`` builds points."""
+        check only, its instance dict filled key by key as ``SpectralPoint._at_root``
+        fills a point's."""
         _require_positive(alpha, beta, K)
         params = _new(cls)
-        _setattr(params, "alpha", alpha)
-        _setattr(params, "beta", beta)
-        _setattr(params, "K", K)
+        fields = params.__dict__
+        fields["alpha"] = alpha
+        fields["beta"] = beta
+        fields["K"] = K
         return params
 
     @classmethod
@@ -114,10 +115,14 @@ class BrokenParams:
         return cls(alpha=alpha, beta=beta, K=K)
 
     def energy(self) -> "ComplexEnergy":
+        """The pair member's energy, its instance dict filled key by key as
+        ``SpectralPoint._at_root`` fills a point's: K**2 and the eps of floats
+        are floats, so ``ComplexEnergy``'s array check has nothing to find."""
         K2 = self.K * self.K
-        energy = _new(ComplexEnergy)  # field by field: ComplexEnergy checks nothing
-        _setattr(energy, "re_E", K2)
-        _setattr(energy, "eps", 0.5 * K2 * (math.sinh(2.0 * self.beta) - math.sinh(2.0 * self.alpha)))
+        energy = _new(ComplexEnergy)
+        fields = energy.__dict__
+        fields["re_E"] = K2
+        fields["eps"] = 0.5 * K2 * (math.sinh(2.0 * self.beta) - math.sinh(2.0 * self.alpha))
         return energy
 
     def swapped(self) -> "BrokenParams":
@@ -127,21 +132,35 @@ class BrokenParams:
 
 @dataclass(frozen=True)
 class ComplexEnergy:
-    """Real part and imaginary part (eps) of one member of a conjugate pair."""
+    """Real part and imaginary part (eps) of one member of a conjugate pair.
+    The public constructor raises TypeError for an ndarray in a field."""
 
     re_E: float
     eps: float
 
+    def __post_init__(self) -> None:
+        _reject_arrays(self)
+
 
 @dataclass(frozen=True)
 class CriticalPoint:
-    """A coalescence event: order nu, coupling, double-root location, energy."""
+    """A coalescence event: order nu, coupling, double-root location, energy.
+
+    The public constructor raises TypeError for a branch that is not a
+    ``SecularBranch`` and for an ndarray in any field, which would leave the
+    record unhashable (``solve_above_fold`` looks folds up in a dict).
+    ``interval_fold`` builds each fold once per process."""
 
     nu: int
     Z_crit: float
     s_merge: float
     E_merge: float
     branch: SecularBranch
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.branch, SecularBranch):
+            raise TypeError(f"branch must be a SecularBranch, got {self.branch!r}")
+        _reject_arrays(self)
 
 
 def _wavenumbers(params: BrokenParams) -> tuple[complex, complex]:

@@ -20,7 +20,7 @@ from ptcircle.secular import (
     t_sinh_t,
 )
 from ptcircle.spectrum import SpectrumRequest, _scan_grid, refine_root
-from ptcircle.transition import BrokenParams
+from ptcircle.transition import BrokenParams, ComplexEnergy, CriticalPoint
 
 MINUS = SecularBranch.FACTOR_MINUS
 PLUS = SecularBranch.FACTOR_PLUS
@@ -663,6 +663,8 @@ RECORDS = {
     SpectralPoint: good_point(),
     BrokenParams: dict(alpha=0.3, beta=0.4, K=1.2),
     SpectrumRequest: dict(Z=2.0, s_max=12.0),
+    CriticalPoint: dict(nu=0, Z_crit=5.54, s_merge=2.0, E_merge=3.0, branch=MINUS),
+    ComplexEnergy: dict(re_E=1.0, eps=2.0),
 }
 SCALAR_FIELDS = [(cls, name) for cls, fields in RECORDS.items() for name in fields
                  if name != "branch"]
@@ -674,7 +676,8 @@ def _field_id(case):
 
 class TestRecordFieldTypes:
     """The checked constructors take scalars only, so that every record they
-    accept can be hashed, and ``SpectralPoint`` a ``SecularBranch`` only."""
+    accept can be hashed, and ``SpectralPoint`` and ``CriticalPoint`` a
+    ``SecularBranch`` only."""
 
     @pytest.mark.parametrize("case", SCALAR_FIELDS, ids=_field_id)
     @pytest.mark.parametrize("shape", [(), (1,)], ids=["0-d", "1-entry"])
@@ -700,6 +703,11 @@ class TestRecordFieldTypes:
         # the branch's sign: an AttributeError before the type check
         with pytest.raises(TypeError, match="branch must be a SecularBranch"):
             SpectralPoint(**good_point(branch=branch, residual=residual))
+
+    @pytest.mark.parametrize("branch", ["minus", "plus", None, 1, -1, np.array(1)])
+    def test_critical_point_branch_must_be_a_member(self, branch):
+        with pytest.raises(TypeError, match="branch must be a SecularBranch"):
+            CriticalPoint(**{**RECORDS[CriticalPoint], "branch": branch})
 
     @pytest.mark.parametrize("kind", [np.float64, np.array], ids=["float64", "0-d"])
     def test_refined_point_has_a_float_coupling(self, kind):

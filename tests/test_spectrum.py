@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import struct
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -563,21 +564,91 @@ def reference_scan(Z: float, s_max: float) -> list[SpectralPoint]:
     return points
 
 
+def old_bracket_rule(row: np.ndarray) -> np.ndarray:
+    """The bracket test of one factor's row as the scan made it before the
+    two rows shared one test."""
+    a, b = row[:-1], row[1:]
+    return (a == 0.0) | ((a < 0.0) != (b < 0.0))
+
+
+def old_scan_grid(Z: float, s_max: float) -> np.ndarray:
+    """``_scan_grid`` as it was before it dropped only the last node."""
+    step = math.pi / 64.0
+    base = np.arange(step, s_max + 0.5 * step, step)
+    base = base[base <= s_max]
+    if Z > 0.0:
+        lo = 0.125 * math.sqrt(0.5 * Z)
+        if 0.0 < lo < step:
+            down = [step]
+            while down[-1] > lo:
+                down.append(down[-1] / 1.25)
+            base = np.concatenate([np.array(down[:0:-1]), base])
+    return base
+
+
 class TestGridFactors:
-    """The scan forms both factors from one t*sinh t and one s*sin s array."""
+    """The scan forms both factors, the rows of one array, from one t*sinh t
+    and one s*sin s array."""
 
     @pytest.mark.parametrize("Z", GRID_COUPLINGS)
     @pytest.mark.parametrize("s_max", [math.pi, 40.0, 2000.0])
     def test_one_pass_is_constraint_factor_bit_for_bit(self, Z, s_max):
         grid = _scan_grid(Z, s_max)
         factors = spectrum._grid_factors(grid, Z)
-        assert [branch for branch, _ in factors] == [MINUS, PLUS]
-        for branch, vals in factors:
+        assert factors.shape == (2, grid.size) and spectrum._ROW_BRANCHES == (MINUS, PLUS)
+        for branch, vals in zip(spectrum._ROW_BRANCHES, factors):
             ref = constraint_factor(grid, Z, branch)
             assert vals.dtype == ref.dtype and vals.tobytes() == ref.tobytes(), branch
         if Z >= 80.0:  # t = Z/(2s) > 350 at the low end of the grid
-            assert np.isposinf(factors[0][1][0])
-            assert np.isposinf(factors[1][1][0])
+            assert np.isposinf(factors[:, 0]).all()
+
+    @pytest.mark.parametrize("Z, s_max, clamped", [
+        (1.0, 40.0, "none"), (80.0, 40.0, "part"), (1e6, 4.0, "all"),
+    ])
+    def test_clamped_prefix(self, Z, s_max, clamped):
+        grid = _scan_grid(Z, s_max)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            factors = spectrum._grid_factors(grid, Z)
+            refs = [constraint_factor(grid, Z, branch) for branch in spectrum._ROW_BRANCHES]
+            points = scan_roots(SpectrumRequest(Z=Z, s_max=s_max))
+        k = np.count_nonzero(Z / (2.0 * grid) > 350.0)
+        assert {"none": k == 0, "part": 0 < k < grid.size, "all": k == grid.size}[clamped]
+        assert np.isposinf(factors[:, :k]).all() and np.isfinite(factors[:, k:]).all()
+        for vals, ref in zip(factors, refs):
+            assert vals.tobytes() == ref.tobytes()
+        assert [field_bits(p) for p in points] == [field_bits(p) for p in reference_scan(Z, s_max)]
+        assert (points == []) == (clamped == "all")
+
+    ROWS = [
+        [0.0, 1.0, -1.0, 2.0, 3.0],         # +0.0 at the first node
+        [-0.0, -1.0, 2.0, -3.0, 4.0],       # -0.0 first, sign changes in adjacent cells
+        [1.0, 0.0, 2.0, -0.0, -1.0],        # zeros at interior nodes
+        [1.0, -1.0, 2.0, 5.0, 0.0],         # +0.0 at the last node
+        [-1.0, 2.0, -2.0, 3.0, -0.0],       # -0.0 at the last node
+        [math.inf, math.inf, 3.0, -1.0, 2.0],  # a +inf prefix
+        [math.inf] * 5,
+        [1.0, 2.0, 3.0, 4.0, 5.0],
+        [-1.0, -2.0, -3.0, -4.0, -5.0],
+    ]
+
+    @pytest.mark.parametrize("minus, plus", itertools.product(range(len(ROWS)), repeat=2))
+    def test_sign_change_cells_is_the_old_rule(self, minus, plus):
+        F = np.array([self.ROWS[minus], self.ROWS[plus]])
+        cells = spectrum._sign_change_cells(F)
+        assert cells.tolist() == [old_bracket_rule(row).tolist() for row in F]
+        assert spectrum._sign_change_cells(F[0]).tolist() == old_bracket_rule(F[0]).tolist()
+
+    def test_scan_grid_is_the_old_mask(self):
+        step = math.pi / 64.0
+        nodes = np.arange(step, 400.0, step)
+        for k in range(63, nodes.size, 37):
+            node = float(nodes[k])
+            for s_max in (math.nextafter(node, 0.0), node, math.nextafter(node, math.inf)):
+                if s_max < math.pi:
+                    continue
+                for Z in (0.0, 1e-4, 80.0):
+                    assert _scan_grid(Z, s_max).tobytes() == old_scan_grid(Z, s_max).tobytes()
 
     @pytest.mark.parametrize("Z", GRID_COUPLINGS)
     @pytest.mark.parametrize("s_max", [math.pi, 40.0, 2000.0])

@@ -117,9 +117,9 @@ class TestSolveBroken:
 
 
 class TestTrustedConstruction:
-    """``BrokenParams._trusted`` and ``BrokenParams.energy`` build their
-    results field by field; each must equal, hash and print as the public
-    constructor's result, and ``_trusted`` raise what it raises."""
+    """``BrokenParams._trusted`` and ``BrokenParams.energy`` fill their
+    results' instance dicts key by key; each must equal, hash and print as
+    the public constructor's result, and ``_trusted`` raise what it raises."""
 
     VALUES = [(0.3, 0.4, 1.2), (5e-324, 1e-300, 2.0), (0.0, 0.4, 1.2), (0.3, -0.0, 1.2),
               (0.3, 0.4, 0.0), (-1.0, 0.4, 1.2), (math.nan, 0.4, 1.2), (0.3, 0.4, math.inf)]
@@ -237,6 +237,14 @@ class TestCriticalSequence:
     def test_interval_fold_is_cached(self):
         assert interval_fold(3) is interval_fold(3)
         assert interval_fold(np.int64(1)) == interval_fold(True) == interval_fold(1)
+
+    @pytest.mark.parametrize("field, value", [("Z_crit", np.array(5.54)), ("branch", "minus")])
+    def test_a_fold_with_a_bad_field_is_a_type_error(self, field, value):
+        # an array field used to be accepted and solve_above_fold then raised
+        # "unhashable type" from its chain lookup; a str branch an AttributeError
+        # (every field of every record: test_secular.TestRecordFieldTypes)
+        with pytest.raises(TypeError, match=f"^{field} must be"):
+            dataclasses.replace(interval_fold(0), **{field: value})
 
     def test_interval_fold_rejects_a_non_integral_index(self):
         # 1.5 used to return a fold labelled nu=2 with Z_crit=nan
