@@ -11,7 +11,10 @@ prefix of the nodes only, where t = Z/(2s) exceeds 350.  One sign test over
 both rows finds the brackets, minus before plus.  Each bracket is
 refined by Brent's method, with no Newton polish: ``_brent``, an in-module
 copy of scipy's ``brentq`` that evaluates the factor inline, so its roots are
-bit-identical to ``scipy.optimize.brentq(constraint_factor, ...)``.  The root
+bit-identical to ``scipy.optimize.brentq(constraint_factor, ...)``.  Its loop
+calls fewer builtins than a line-by-line copy of the C code, but it makes the
+same float operations and comparisons in the same order, so no bit moves
+(see ``_brent``).  The root
 is accepted by the one rounding-aware residual rule of ``secular``, which
 holds at every s, and its point is then built once, by
 ``SpectralPoint._at_root``, without the public constructor's re-checks.
@@ -115,12 +118,23 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     third of the time per root).  Raises
     NoSignChangeError when the end values have the same sign, ValueError on a
     NaN value and ConvergenceError when the iterations run out.
+
+    The loop makes the float operations and comparisons of ``brentq.c`` in
+    its order with fewer builtin calls, about a quarter less time per root,
+    and the bits stay the same: |F| is taken once per evaluation and carried
+    with F through the swaps; |x| < d and |x| > d, where |x| feeds nothing
+    else, are tested on x against d and -d; 2|stry| < min(a, b) is two
+    comparisons, which agree because a and b are never NaN there; the
+    constants are floats, and x*0.5 is x/2 to the bit.  C tests fpre and
+    fcur for zero before its sign test, but fpre is never zero there and a
+    zero fcur returns in that iteration with the same root.
     """
-    sin, sinh = math.sin, math.sinh
+    sin, sinh, inf = math.sin, math.sinh, math.inf
+    clamp, xtol, rtol, sign = _SINH_CLAMP, _XTOL, _RTOL, float(sign)
     t = Z / (2.0 * s_lo)
-    fpre = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * s_lo * sin(s_lo)
+    fpre = (inf if t > clamp or t < -clamp else t * sinh(t)) + sign * s_lo * sin(s_lo)
     t = Z / (2.0 * s_hi)
-    fcur = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * s_hi * sin(s_hi)
+    fcur = (inf if t > clamp or t < -clamp else t * sinh(t)) + sign * s_hi * sin(s_hi)
     # F is finite or +inf at every finite s > 0 unless Z is NaN, and then it
     # is NaN everywhere, so checking the ends is scipy's NaN check
     if fpre != fpre or fcur != fcur:
@@ -135,19 +149,21 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
             f"at Z={Z}"
         )
     xpre, xcur = s_lo, s_hi
-    xblk = fblk = spre = scur = 0.0
+    apre, acur = abs(fpre), abs(fcur)
+    xblk = fblk = ablk = spre = scur = 0.0
     for _ in range(_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, ablk = xpre, fpre, apre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if ablk < acur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_XTOL + _RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+            apre, acur, ablk = acur, ablk, acur
+        delta = (xtol + rtol * abs(xcur)) * 0.5
+        sbis = (xblk - xcur) * 0.5
+        if fcur == 0.0 or -delta < sbis < delta:
             return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if (spre > delta or spre < -delta) and acur < apre:
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate
@@ -156,20 +172,22 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
                 try:
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
                 except ZeroDivisionError:  # C divides to inf or NaN, which bisects below
-                    stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                    stry = inf
+            step = 2.0 * abs(stry)
+            if step < abs(spre) and step < 3.0 * abs(sbis) - delta:  # good short step
                 spre, scur = scur, stry
             else:  # bisect
                 spre = scur = sbis
         else:  # bisect
             spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        xpre, fpre, apre = xcur, fcur, acur
+        if scur > delta or scur < -delta:
             xcur += scur
         else:
-            xcur += delta if sbis > 0 else -delta
+            xcur += delta if sbis > 0.0 else -delta
         t = Z / (2.0 * xcur)
-        fcur = (math.inf if abs(t) > _SINH_CLAMP else t * sinh(t)) + sign * xcur * sin(xcur)
+        fcur = (inf if t > clamp or t < -clamp else t * sinh(t)) + sign * xcur * sin(xcur)
+        acur = abs(fcur)
     raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
 
 
@@ -181,7 +199,8 @@ def _brent_steps(
     x at which it needs the function, is sent the value there back as a
     float, and returns the root.  Raises what scipy raises for ends of the
     same sign (ValueError) and for ``maxiter`` iterations without
-    convergence (RuntimeError)."""
+    convergence (RuntimeError).  Its loop is ``_brent``'s, line for line,
+    with the same trims of C's builtin calls (see there)."""
     xpre, xcur = a, b
     fpre = yield xpre
     fcur = yield xcur
@@ -191,19 +210,21 @@ def _brent_steps(
         return xcur
     if (fpre < 0.0) == (fcur < 0.0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
+    apre, acur = abs(fpre), abs(fcur)
+    xblk = fblk = ablk = spre = scur = 0.0
     for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
+        if (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk, ablk = xpre, fpre, apre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        if ablk < acur:
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
+            apre, acur, ablk = acur, ablk, acur
+        delta = (xtol + rtol * abs(xcur)) * 0.5
+        sbis = (xblk - xcur) * 0.5
+        if fcur == 0.0 or -delta < sbis < delta:
             return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        if (spre > delta or spre < -delta) and acur < apre:
             if xpre == xblk:  # interpolate
                 stry = -fcur * (xcur - xpre) / (fcur - fpre)
             else:  # extrapolate
@@ -213,18 +234,20 @@ def _brent_steps(
                     stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
                 except ZeroDivisionError:  # C divides to inf or NaN, which bisects below
                     stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+            step = 2.0 * abs(stry)
+            if step < abs(spre) and step < 3.0 * abs(sbis) - delta:  # good short step
                 spre, scur = scur, stry
             else:  # bisect
                 spre = scur = sbis
         else:  # bisect
             spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
+        xpre, fpre, apre = xcur, fcur, acur
+        if scur > delta or scur < -delta:
             xcur += scur
         else:
-            xcur += delta if sbis > 0 else -delta
+            xcur += delta if sbis > 0.0 else -delta
         fcur = yield xcur
+        acur = abs(fcur)
     raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
 
 

@@ -120,6 +120,26 @@ class TestScanRoots:
             det = boundary_determinant(p.E, p.Z)
             assert abs(det) <= 1e-8 * determinant_scale(W)
 
+    def test_every_point_is_refined_through_the_module_binding(self, monkeypatch):
+        # the benchmark's trace wraps spectrum.refine_root, so the scan must
+        # look it up in the module, once per point it returns
+        brackets = []
+        real = spectrum.refine_root
+
+        def counting(bracket, Z, branch):
+            brackets.append((bracket, branch))
+            return real(bracket, Z, branch)
+
+        monkeypatch.setattr(spectrum, "refine_root", counting)
+        counts = []
+        for Z, s_max in ((0.0, 10.0), (2.0, 40.0), (60.0, 128.0), (1e6, 4.0)):
+            brackets.clear()
+            points = scan_roots(SpectrumRequest(Z=Z, s_max=s_max))
+            assert len(brackets) == len(points), (Z, s_max)
+            assert sorted(p.branch.value for p in points) == sorted(b.value for _, b in brackets)
+            counts.append(len(points))
+        assert min(counts[:3]) > 0 and counts[3] == 0  # Z = 1e6 clamps every node
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SpectrumRequest(Z=-1.0, s_max=10.0)
@@ -235,20 +255,26 @@ class TestRefineRoot:
             spectrum._brent(1.0, 2.0, math.nan, -1)
 
 
+def scan_brackets(Z: float, s_max: float):
+    """(Z, s_max, s_lo, s_hi, branch) of every bracket that the scan of
+    (Z, s_max) refines."""
+    grid = _scan_grid(Z, s_max)
+    for branch in (MINUS, PLUS):
+        vals = constraint_factor(grid, Z, branch)
+        a, b = vals[:-1], vals[1:]
+        for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
+            yield Z, s_max, float(grid[i]), float(grid[i + 1]), branch
+
+
 def seeded_scan_brackets():
-    """(Z, s_max, s_lo, s_hi, branch) of every bracket that the scans of 400
-    seeded (Z, s_max) draws refine; Z = 0 and 5e-324 included."""
+    """The brackets of the scans of 400 seeded (Z, s_max) draws
+    (``scan_brackets``); Z = 0 and 5e-324 included."""
     rng = np.random.default_rng(20261018)
     for k in range(400):
         Z = (0.0, 5e-324, 10.0 ** rng.uniform(-8.0, math.log10(3e3)),
              rng.uniform(0.0, 80.0))[k % 4]
         s_max = math.exp(rng.uniform(math.log(math.pi), math.log(300.0)))
-        grid = _scan_grid(Z, s_max)
-        for branch in (MINUS, PLUS):
-            vals = constraint_factor(grid, Z, branch)
-            a, b = vals[:-1], vals[1:]
-            for i in np.flatnonzero((a == 0.0) | ((a < 0.0) != (b < 0.0))).tolist():
-                yield Z, s_max, float(grid[i]), float(grid[i + 1]), branch
+        yield from scan_brackets(Z, s_max)
 
 
 class TestBrentIsScipyBrentq:
@@ -268,6 +294,43 @@ class TestBrentIsScipyBrentq:
             assert p.residual == abs(constraint_factor(s, Z, branch)), (Z, s_max, lo, hi)
             brackets += 1
         assert brackets > 12000
+
+    def test_large_s_brackets(self):
+        # every bracket of the scan at Z = 2 up to s = 10^4: from s of a few
+        # hundred on, residuals exceed the root rule's floor of 1e-12, and the
+        # rule's rounding bound accepts them
+        eps = np.finfo(float).eps
+        above_floor = 0
+        for Z, s_max, lo, hi, branch in scan_brackets(2.0, 1e4):
+            p = refine_root((lo, hi), Z, branch)
+            s = brentq(constraint_factor, lo, hi, args=(Z, branch),
+                       xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+            assert p.s == s, (lo, hi, branch)
+            assert p.residual == abs(constraint_factor(s, Z, branch)), (lo, hi, branch)
+            above_floor += p.residual > 1e-12
+        assert above_floor > 1000
+
+    @pytest.mark.parametrize("Z, s_far", [(80.0, 40.0), (1e6, 1.2e5)])
+    def test_brackets_from_the_clamped_prefix(self, Z, s_far):
+        # the scan at s_max = 4 finds no bracket at Z = 1e6, where t = Z/(2s)
+        # exceeds 350 on every node; brackets from those clamped nodes, where
+        # F is +inf, to nodes further out where F < 0 start Brent on an
+        # infinite end value, as scipy starts on constraint_factor's
+        eps = np.finfo(float).eps
+        grid = _scan_grid(Z, 4.0)
+        clamped = grid[Z / (2.0 * grid) > 350.0]
+        assert clamped.size and (Z < 1e6 or not list(scan_brackets(Z, 4.0)))
+        far = _scan_grid(Z, s_far)
+        for branch in (MINUS, PLUS):
+            negative = far[constraint_factor(far, Z, branch) < 0.0]
+            assert negative.size
+            for lo in clamped[:: max(1, clamped.size // 4)].tolist():
+                for hi in negative[:: max(1, negative.size // 4)].tolist():
+                    s, f = spectrum._brent(lo, hi, Z, branch.sin_term_sign)
+                    ref = brentq(constraint_factor, lo, hi, args=(Z, branch),
+                                 xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+                    assert same_bits(s, ref), (lo, hi, branch)
+                    assert same_bits(f, constraint_factor(ref, Z, branch)), (lo, hi, branch)
 
 
 def recorded(f):

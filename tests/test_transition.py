@@ -1,7 +1,13 @@
 import cmath
+import copy
 import dataclasses
 import math
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -709,6 +715,42 @@ class TestTrackerMemo:
             Z_node = nodes[i][0]
             for Z in (math.nextafter(Z_node, 0.0), Z_node, math.nextafter(Z_node, math.inf)):
                 assert _answer(solve_above_fold, fold, Z) == _answer(ref_solve_above_fold, fold, Z)
+
+    def test_equal_fold_built_apart_reaches_the_same_chain(self, cold_tracker, sixteen_folds):
+        # the constructor computes the fold's hash once; an equal fold built
+        # on its own hashes alike, the dataclass hash, and finds the chain
+        # that the first one grew
+        fold = sixteen_folds[7]
+        twin = dataclasses.replace(fold)
+        fields = tuple(getattr(fold, f.name) for f in dataclasses.fields(fold))
+        assert twin is not fold and twin == fold
+        assert hash(twin) == hash(fold) == hash(fields)
+        solve_above_fold(fold, fold.Z_crit + 60.0)
+        nodes = transition._CHAINS[fold][0]
+        size = len(nodes)
+        assert transition._CHAINS.get(twin) is transition._CHAINS[fold]
+        Z = fold.Z_crit + 7.5
+        assert _answer(solve_above_fold, twin, Z) == _answer(ref_solve_above_fold, fold, Z)
+        assert list(transition._CHAINS) == [fold] and len(nodes) == size
+        other = dataclasses.replace(fold, Z_crit=math.nextafter(fold.Z_crit, math.inf))
+        assert other != fold and other not in transition._CHAINS
+
+    def test_pickled_fold_hashes_in_a_new_process(self, sixteen_folds):
+        # the branch hashes by its name, and a str hash differs between
+        # processes, so an unpickled fold must hash as built there
+        fold = sixteen_folds[3]
+        data = pickle.dumps(fold)
+        assert pickle.loads(data) == fold and hash(pickle.loads(data)) == hash(fold)
+        assert copy.copy(fold) == fold and hash(copy.deepcopy(fold)) == hash(fold)
+        code = ("import pickle, sys\n"
+                "f = pickle.loads(bytes.fromhex(sys.argv[1]))\n"
+                "sys.exit(hash(f) != hash((f.nu, f.Z_crit, f.s_merge, f.E_merge, f.branch)))")
+        src = str(Path(transition.__file__).resolve().parents[1])
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            proc = subprocess.run([sys.executable, "-c", code, data.hex()], capture_output=True,
+                                  text=True, env=env, check=False)
+            assert (proc.returncode, proc.stderr) == (0, ""), seed
 
 
 class TestExactBrokenConsistency:
