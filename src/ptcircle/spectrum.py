@@ -19,10 +19,11 @@ is accepted by the one rounding-aware residual rule of ``secular``, which
 holds at every s, and its point is then built once, by
 ``SpectralPoint._at_root``, without the public constructor's re-checks.
 Each level is labelled n = round(s/pi) together with the factor that
-vanished.  ``_brentq`` is the same Brent loop for any function, run on a
-batch of brackets in lockstep with one array evaluation per round; the
-series fit solves its samples together with it and ``verify`` refines its
-determinant roots with it, so the package needs no scipy at run time.
+vanished.  ``_brent_steps`` is the same Brent loop for any function, as a
+generator: the series fit runs it once per sample on the scalar factor
+(``_rhos_at``), and ``_brentq`` runs it on a batch of brackets in lockstep,
+with one array evaluation per round, for ``verify``'s determinant roots.
+So the package needs no scipy at run time.
 
 The perturbation series writes a root near s = n*pi as s = n*pi + rho(t)
 with rho even in t, and solves the branch equation
@@ -51,7 +52,8 @@ from .secular import (
     _SINH_CLAMP,
     _reject_arrays,
     _root_accepted,
-    factor_value,
+    factor_value,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
+    t_sinh_t,
     validate_coupling,
 )
 
@@ -195,12 +197,13 @@ def _brent_steps(
     a: float, b: float, xtol: float, rtol: float, maxiter: int
 ) -> Generator[float, float, float]:
     """Brent's method on one bracket [a, b] as a generator: scipy's
-    ``brentq.c`` step for step, written once for ``_brentq``.  It yields each
-    x at which it needs the function, is sent the value there back as a
-    float, and returns the root.  Raises what scipy raises for ends of the
-    same sign (ValueError) and for ``maxiter`` iterations without
-    convergence (RuntimeError).  Its loop is ``_brent``'s, line for line,
-    with the same trims of C's builtin calls (see there)."""
+    ``brentq.c`` step for step, written once for ``_brentq`` and
+    ``_rhos_at``.  It yields each x at which it needs the function, is sent
+    the value there back as a float, and returns the root.  Raises what
+    scipy raises for ends of the same sign (ValueError) and for ``maxiter``
+    iterations without convergence (RuntimeError).  Its loop is
+    ``_brent``'s, line for line, with the same trims of C's builtin calls
+    (see there)."""
     xpre, xcur = a, b
     fpre = yield xpre
     fcur = yield xcur
@@ -272,8 +275,9 @@ def _brentq(
     bracket fails, the batch raises what scipy raises there, for the first
     failing bracket in input order: ValueError for a NaN value or ends of
     the same sign, RuntimeError when ``maxiter`` iterations do not converge.
-    The series fit (``fit_series_numeric``) and ``verify._det_roots`` call
-    it; the scan keeps ``_brent``.
+    Its one caller is ``verify._det_roots``, whose determinant is an array
+    call; the scan keeps ``_brent``, and the series fit, whose factor is a
+    scalar call, runs ``_brent_steps`` per sample.
     """
     xtol, rtol = float(xtol), float(rtol)
     steps = [_brent_steps(float(a), float(b), xtol, rtol, maxiter) for a, b in brackets]
@@ -494,18 +498,25 @@ def quartic_coefficient_printed_variant(n: int, branch: SecularBranch) -> float:
 
 def _rhos_at(n: int, branch: SecularBranch, ts: np.ndarray) -> np.ndarray:
     """Root offsets rho = s - n*pi of the branch equation at each fixed small
-    t of ts, solved together by ``_brentq`` on the bracket n*pi +- 0.4 (xtol
-    1e-16, rtol 4*eps).  Each round calls ``factor_value`` once per sample
-    still running: for a few dozen samples the scalar calls cost less than
-    one array pass of ``factor_value``."""
+    t of ts, each by one ``_brent_steps`` on the bracket n*pi +- 0.4 (xtol
+    1e-16, rtol 4*eps, 100 iterations), so each root is the one
+    ``scipy.optimize.brentq(factor_value)`` returns, to the bit.  The samples
+    run one after the other: t*sinh t is formed once per sample by
+    ``t_sinh_t`` and each evaluation adds sign*s*sin s to it, the float
+    operations of ``factor_value`` at a float s in its order."""
     a = n * math.pi
-    t_list = ts.tolist()
-
-    def f(s: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return np.array([factor_value(t_list[i], x, branch) for x, i in zip(s.tolist(), k.tolist())])
-
-    roots = _brentq(f, [(a - 0.4, a + 0.4)] * ts.size, xtol=1e-16, rtol=4.0 * np.finfo(float).eps)
-    return np.array(roots) - a
+    sign, sin = branch.sin_term_sign, math.sin
+    rhos = []
+    for t in ts.tolist():
+        hyp = t_sinh_t(t)
+        steps = _brent_steps(a - 0.4, a + 0.4, 1e-16, _RTOL, 100)
+        s = next(steps)
+        try:
+            while True:
+                s = steps.send(hyp + sign * s * sin(s))
+        except StopIteration as stop:
+            rhos.append(stop.value - a)
+    return np.array(rhos)
 
 
 def fit_series_numeric(
@@ -523,8 +534,9 @@ def fit_series_numeric(
     the reported coefficients (fewer are used when the sample count is small).
     Column-scaled least squares keeps the Vandermonde conditioning manageable;
     a rank deficiency raises FitConditioningError.  The samples' roots come
-    from one batched ``_brentq`` on the bracket n*pi +- 0.4 (xtol 1e-16,
-    rtol 4*eps), each the root ``scipy.optimize.brentq`` gives to the bit.
+    from ``_rhos_at``, one Brent run per sample on the bracket n*pi +- 0.4
+    (xtol 1e-16, rtol 4*eps), each the root ``scipy.optimize.brentq`` gives
+    to the bit.
     """
     _validate_series_args(n, max_order)
     ts = np.asarray(t_samples, dtype=float)

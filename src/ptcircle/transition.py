@@ -325,26 +325,40 @@ def find_double_root(
     """Polish a fold of the factor along the constraint curve.
 
     Newton on the pair {F(s; Z) = 0, F_s(s; Z) = 0} with the closed-form
-    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``secular._factor_state``.
-    The converged point is certified as a quadratic fold: both residuals at or
-    below 1e-10, otherwise ConvergenceError, and |F_ss| at least 1e-4,
-    otherwise NotAFoldError.  A non-finite residual or curvature fails the
-    certificate.  ``interval_fold`` seeds it with the grid peak of the
-    real-root curve.
+    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``secular._factor_state``.  Each
+    step solves that 2x2 system in floats by LU with partial pivoting, the
+    elimination of LAPACK's dgesv without a LAPACK call: a step agrees with
+    ``np.linalg.solve``'s to a few units of rounding (LAPACK's kernels may
+    fuse a multiply-add), the 16 folds of ``critical_sequence`` are the
+    same to the bit, and a zero pivot raises ConvergenceError, as dgesv's
+    singular matrix did.  The converged point is certified as a quadratic
+    fold: both residuals at or below 1e-10, otherwise ConvergenceError, and
+    |F_ss| at least 1e-4, otherwise NotAFoldError.  A non-finite residual or
+    curvature fails the certificate.  ``interval_fold`` seeds it with the
+    grid peak of the real-root curve.
     """
     s, Z = float(s_guess), float(Z_guess)
     for _ in range(100):
         F, F_s, F_ss, F_Z, F_sZ = _factor_state(s, Z, branch)
         if max(abs(F), abs(F_s)) < 1e-13:
             break
-        try:
-            step = np.linalg.solve(np.array([[F_s, F_Z], [F_ss, F_sZ]]), [-F, -F_s])
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"fold Newton singular near s={s}, Z={Z}") from exc
+        # [[F_s, F_Z], [F_ss, F_sZ]] @ step = (-F, -F_s): as in dgesv, the row
+        # with the larger |first entry| pivots, the first row on a tie
+        (a, b, r), (c, d, q) = (F_s, F_Z, -F), (F_ss, F_sZ, -F_s)
+        if abs(c) > abs(a):
+            (a, b, r), (c, d, q) = (c, d, q), (a, b, r)
+        if a == 0.0:
+            raise ConvergenceError(f"fold Newton singular near s={s}, Z={Z}")
+        m = c / a
+        u = d - m * b
+        if u == 0.0:
+            raise ConvergenceError(f"fold Newton singular near s={s}, Z={Z}")
+        step_Z = (q - m * r) / u
+        step_s = (r - b * step_Z) / a
         lam = 1.0
         norm0 = math.hypot(F, F_s)
         for _ in range(30):
-            s_try, Z_try = s + lam * step[0], Z + lam * step[1]
+            s_try, Z_try = s + lam * step_s, Z + lam * step_Z
             if s_try > 0.0 and Z_try > 0.0:
                 if math.hypot(*_factor_state(s_try, Z_try, branch)[:2]) < norm0:
                     s, Z = s_try, Z_try
@@ -400,7 +414,8 @@ def interval_fold(nu: int) -> CriticalPoint:
     c = -branch.sin_term_sign * s * np.sin(s)
     t = np.sqrt(c)
     for _ in range(100):
-        step = (t * np.sinh(t) - c) / (np.sinh(t) + t * np.cosh(t))
+        sh = np.sinh(t)
+        step = (t * sh - c) / (sh + t * np.cosh(t))
         t -= step
         if np.all(step <= 1e-15 * t):
             break

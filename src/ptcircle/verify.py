@@ -20,9 +20,13 @@ The suite runs without scipy: the determinant roots of all couplings of the
 zero-set check are refined together by the batched ``spectrum._brentq``,
 one stacked determinant per round, an in-module port that gives scipy's
 bits, and the symmetry check measures each state at its least-squares
-phase, with no minimizer.  Every check takes its worst value with
-``_worst``, which keeps a NaN, so a measurement that comes back NaN fails
-its check.
+phase, with no minimizer.  The zero-set check scans first and narrows each
+determinant bracket around the scanned energy in it, where the determinant
+changes sign across the narrowed interval, so a few rounds refine all the
+brackets; the count of roots comes from the determinant sweep alone.
+Every check takes its worst value with ``_worst``, which keeps a NaN, so a
+measurement that comes back NaN fails its check, and a check that compares
+against a scan fails when the scan finds no level to compare.
 The identity sweeps take their points from the closed-form R2 sequence of
 the plastic number, not from a random generator, so the suite loads no
 module of its own after the import and a timed ``verify`` command pays only
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle, secular, spectrum, transition
+from .errors import NotAnEigenvalueError
 
 __all__ = ["CheckResult", "run_checks", "QUICK", "FULL"]
 
@@ -136,8 +141,10 @@ def _identity_sweep(n_points: int, s_form: bool) -> CheckResult:
 def _hermitian_limit() -> CheckResult:
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=1e-8, s_max=5.6 * math.pi))
     energies = np.array([p.E for p in pts])
-    # the distance to the nearest level, NaN if a level is NaN
-    worst = _worst([np.min(np.abs(energies - (n * math.pi) ** 2)) for n in range(1, 6)])
+    # the distance to the nearest level, NaN if a level is NaN and inf if
+    # the scan found none
+    worst = _worst([np.min(np.abs(energies - (n * math.pi) ** 2), initial=math.inf)
+                    for n in range(1, 6)])
     return CheckResult(
         "hermitian-limit", worst <= 1e-6, f"max |E - (n*pi)^2| = {worst:.3e} for n=1..5 at Z=1e-8"
     )
@@ -181,26 +188,47 @@ def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     return energies, np.linalg.det(oracle.boundary_matrices(energies, Z)).real
 
 
-def _det_roots(z_values: tuple[float, ...], s_max: float) -> list[list[float]]:
+def _det_roots(
+    z_values: tuple[float, ...], s_max: float, scanned: list[list[float]]
+) -> list[list[float]]:
     """Real-axis roots of the boundary determinant at each coupling of
-    z_values, sorted, by sweep and refinement.
+    z_values, sorted; scanned[j] holds the scanned energies of z_values[j].
 
-    The sign changes of each coupling's ``_det_sweep`` are the brackets.  The
-    brackets of all couplings are refined together by ``spectrum._brentq``,
-    each round one stacked determinant of ``oracle.boundary_matrices`` at
-    the energies and couplings of the brackets still running, with
+    Each sign change of a coupling's ``_det_sweep`` is a cell that holds one
+    root, so the sweep alone sets the count.  A cell that holds a scanned
+    energy E is narrowed to E +- 1e-9*max(1, |E|), clipped to the cell,
+    where Re det changes sign across that interval (one stacked determinant
+    tests them all); a scanned energy farther from its root leaves the whole
+    cell.  All brackets are then refined together by ``spectrum._brentq``,
+    one stacked determinant of ``oracle.boundary_matrices`` per round, with
     ``scipy.optimize.brentq``'s steps and tolerances (xtol 1e-12, rtol
     1e-14)."""
     brackets: list[tuple[float, float]] = []
     couplings: list[float] = []
     counts = []
-    for Z in z_values:
+    narrow: dict[int, tuple[float, float]] = {}  # bracket -> the interval about its scanned energy
+    for Z, found in zip(z_values, scanned):
         energies, vals = _det_sweep(Z, s_max)
         cells = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
-        brackets.extend((float(energies[i]), float(energies[i + 1])) for i in cells)
+        # the sweep's energies increase, so each scanned energy lies in one cell
+        cell_of = dict(zip((np.searchsorted(energies, found, side="right") - 1).tolist(), found))
+        for i in cells:
+            lo, hi = float(energies[i]), float(energies[i + 1])
+            E = cell_of.get(i)
+            if E is not None:
+                cut = 1e-9 * max(1.0, abs(E))
+                narrow[len(brackets)] = (max(lo, E - cut), min(hi, E + cut))
+            brackets.append((lo, hi))
         couplings.extend([Z] * len(cells))
         counts.append(len(cells))
     z_of = np.array(couplings, dtype=float)
+    if narrow:
+        k = list(narrow)
+        a, b = zip(*narrow.values())
+        ends = np.linalg.det(oracle.boundary_matrices(np.array(a + b), z_of[k + k])).real
+        for j, f_a, f_b in zip(k, ends[: len(k)].tolist(), ends[len(k):].tolist()):
+            if (f_a < 0.0) != (f_b < 0.0):
+                brackets[j] = narrow[j]
 
     def det_re(E: np.ndarray, k: np.ndarray) -> np.ndarray:
         return np.linalg.det(oracle.boundary_matrices(E, z_of[k])).real
@@ -211,29 +239,37 @@ def _det_roots(z_values: tuple[float, ...], s_max: float) -> list[list[float]]:
 
 
 def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
-    """Each coupling's scanned roots against its determinant roots, and each
-    scanned root certified by the oracle: its null vector, from one
+    """Each coupling's scanned roots against its determinant roots
+    (``_det_roots``, narrowed around the scanned energies), and each scanned
+    root certified by the oracle: its null vector, from one
     ``oracle.nullspace_solutions`` call for the roots of all couplings, and
-    the matching conditions at it, by ``oracle.residual_check``."""
+    the matching conditions at it, by ``oracle.residual_check``.  The count
+    check compares the scan with the determinant sweep alone."""
     s_max = 4.6 * math.pi
+    scanned = [[p.E for p in spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=s_max))]
+               for Z in z_values]
     matches = []
     energies: list[float] = []
     couplings: list[float] = []
-    for Z, det_es in zip(z_values, _det_roots(z_values, s_max)):
-        pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=s_max))
-        if len(det_es) != len(pts):
+    for Z, found, det_es in zip(z_values, scanned, _det_roots(z_values, s_max, scanned)):
+        if len(det_es) != len(found):
             return CheckResult(
                 "zero-set-equivalence",
                 False,
-                f"root count mismatch at Z={Z}: {len(pts)} secular vs {len(det_es)} determinant",
+                f"root count mismatch at Z={Z}: {len(found)} secular vs {len(det_es)} determinant",
             )
-        matches.extend(abs(p.E - e_det) for p, e_det in zip(pts, det_es))
-        energies.extend(p.E for p in pts)
-        couplings.extend([Z] * len(pts))
-    sols = oracle.nullspace_solutions(energies, couplings)
-    reports = [oracle.residual_check(*args) for args in zip(sols, energies, couplings)]
+        matches.extend(abs(E - e_det) for E, e_det in zip(found, det_es))
+        energies.extend(found)
+        couplings.extend([Z] * len(found))
+    try:
+        sols = oracle.nullspace_solutions(energies, couplings)
+    except NotAnEigenvalueError:  # no null vector at a scanned energy: it fails
+        residuals = [math.inf]
+    else:
+        reports = [oracle.residual_check(*args) for args in zip(sols, energies, couplings)]
+        residuals = [r for report in reports for r in report.bc_residuals]
     worst_match = _worst(matches)
-    worst_bc = _worst([r for report in reports for r in report.bc_residuals])
+    worst_bc = _worst(residuals)
     ok = worst_match <= 1e-8 and worst_bc <= 1e-8
     return CheckResult(
         "zero-set-equivalence",
@@ -316,8 +352,12 @@ def _dirichlet_comparison(folds) -> CheckResult:
 
 def _pt_symmetry() -> CheckResult:
     pts = spectrum.scan_roots(spectrum.SpectrumRequest(Z=2.0, s_max=3.5 * math.pi))
-    sols = oracle.nullspace_solutions([p.E for p in pts], [2.0] * len(pts))
-    worst_unbroken = _worst([oracle.pt_symmetry_check(sol) for sol in sols])
+    try:
+        sols = oracle.nullspace_solutions([p.E for p in pts], [2.0] * len(pts))
+    except NotAnEigenvalueError:  # no null vector at a scanned energy
+        sols = []
+    # inf, which fails, when no scanned state can be measured
+    worst_unbroken = _worst([oracle.pt_symmetry_check(s) for s in sols]) if sols else math.inf
     params, energy = transition.solve_broken(6.0, transition.BrokenParams.bind(0.36, 0.62, 6.0))
     sol = oracle.nullspace_solution(complex(energy.re_E, -energy.eps), 6.0)
     broken_dev = oracle.pt_symmetry_check(sol)
@@ -338,6 +378,7 @@ def _perturbative_vs_scan() -> CheckResult:
             e_scan = min(
                 (p.E for p in pts if p.n == n and p.branch is branch),
                 key=lambda e: abs(e - e_series),
+                default=math.inf,  # no such level: an infinite deviation, which fails
             )
             deviations.append(abs(e_series - e_scan))
     worst = _worst(deviations)

@@ -10,6 +10,11 @@ partials against ``ref_constraint_factor_derivatives``, and the tracker's
 answers and error texts against ``ref_solve_above_fold`` and
 ``ref_continue_in_Z``.  Only ``constraint_factor`` (the F-only path, which
 did not change) and the hyperbolic map are taken from the package.
+
+``ref_interval_fold`` and ``ref_find_double_root`` are the fold polish as it
+was while each Newton step came from ``np.linalg.solve``, with the seed's
+Newton taking sinh t twice per iteration; the tests hold every fold of
+``critical_sequence`` to them bit for bit.
 """
 
 import cmath
@@ -18,17 +23,25 @@ import sys
 
 import numpy as np
 
-from ptcircle.errors import ConvergenceError
+from ptcircle.errors import ConvergenceError, NotAFoldError
 from ptcircle.secular import (
     _COMPLEX_SINH_CLAMP,
     _ROOT_RESIDUAL_FLOOR,
     _ROOT_ROUNDING_UNITS,
     _SINH_CLAMP,
     SecularBranch,
+    _factor_state,
     constraint_factor,
     validate_coupling,
 )
-from ptcircle.transition import _MAX_ROOT_MOVE, _params_from_energy
+from ptcircle.transition import (
+    _FOLD_RESIDUAL,
+    _MAX_ROOT_MOVE,
+    _MIN_CURVATURE,
+    CriticalPoint,
+    _branch_for_interval,
+    _params_from_energy,
+)
 
 
 def ref_constraint_factor_derivatives(s, Z, branch):
@@ -139,3 +152,54 @@ def ref_solve_above_fold(fold, Z):
     near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
     _, params, energy = ref_continue_in_Z(near, Z, 1, ref_fold_unfolding_seed(fold, near))[-1]
     return params, energy
+
+
+def ref_find_double_root(Z_guess, s_guess, branch):
+    s, Z = float(s_guess), float(Z_guess)
+    for _ in range(100):
+        F, F_s, F_ss, F_Z, F_sZ = _factor_state(s, Z, branch)
+        if max(abs(F), abs(F_s)) < 1e-13:
+            break
+        try:
+            step = np.linalg.solve(np.array([[F_s, F_Z], [F_ss, F_sZ]]), [-F, -F_s])
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"fold Newton singular near s={s}, Z={Z}") from exc
+        lam = 1.0
+        norm0 = math.hypot(F, F_s)
+        for _ in range(30):
+            s_try, Z_try = s + lam * step[0], Z + lam * step[1]
+            if s_try > 0.0 and Z_try > 0.0:
+                if math.hypot(*_factor_state(s_try, Z_try, branch)[:2]) < norm0:
+                    s, Z = s_try, Z_try
+                    break
+            lam *= 0.5
+        else:
+            break
+    s, Z = float(s), float(Z)
+    F, F_s, curvature, _, _ = _factor_state(s, Z, branch)
+    if not (abs(F) <= _FOLD_RESIDUAL and abs(F_s) <= _FOLD_RESIDUAL):  # NaN fails too
+        raise ConvergenceError(
+            f"fold polish stalled at |F|={abs(F):.2e}, |F_s|={abs(F_s):.2e} (s={s}, Z={Z})"
+        )
+    if not abs(curvature) >= _MIN_CURVATURE:
+        raise NotAFoldError(
+            f"vanishing curvature {curvature:.2e} at s={s}, Z={Z}: not a quadratic fold"
+        )
+    t = Z / (2.0 * s)
+    nu = int(math.floor(s / math.pi))
+    return CriticalPoint(nu=nu, Z_crit=Z, s_merge=s, E_merge=s * s - t * t, branch=branch)
+
+
+def ref_interval_fold(nu):
+    branch = _branch_for_interval(nu)
+    s = np.linspace(nu * math.pi, (nu + 1) * math.pi, 65)[1:-1]
+    c = -branch.sin_term_sign * s * np.sin(s)
+    t = np.sqrt(c)
+    for _ in range(100):
+        step = (t * np.sinh(t) - c) / (np.sinh(t) + t * np.cosh(t))
+        t -= step
+        if np.all(step <= 1e-15 * t):
+            break
+    Z = 2.0 * s * t
+    i = int(np.argmax(Z))
+    return ref_find_double_root(float(Z[i]), float(s[i]), branch)

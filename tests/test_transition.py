@@ -12,8 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import _tracker_reference
 from _mp_reference import mp_broken_branch
-from _tracker_reference import ref_continue_in_Z, ref_fold_unfolding_seed, ref_solve_above_fold
+from _tracker_reference import (
+    ref_continue_in_Z,
+    ref_find_double_root,
+    ref_fold_unfolding_seed,
+    ref_interval_fold,
+    ref_solve_above_fold,
+)
 from ptcircle import cli, secular, transition
 from ptcircle.errors import ConvergenceError, SolverError
 from ptcircle.oracle import nullspace_solution, residual_check
@@ -196,6 +203,41 @@ class TestFindDoubleRoot:
         # a NaN residual used to pass both comparisons and came back as a fold
         with pytest.raises(ConvergenceError):
             find_double_root(Z, s, PLUS)
+
+    @staticmethod
+    def _bits(fold):
+        return fold.nu, fold.branch, fold.Z_crit.hex(), fold.s_merge.hex(), fold.E_merge.hex()
+
+    def test_folds_are_those_of_the_lapack_polish(self, sixteen_folds):
+        # the float 2x2 step gives every fold of the polish that stepped by
+        # np.linalg.solve, to the bit, and so does the seed's Newton
+        assert [self._bits(fold) for fold in sixteen_folds] == [
+            self._bits(ref_interval_fold(nu)) for nu in range(16)]
+
+    # [[F_s, F_Z], [F_ss, F_sZ]] with a zero first column, and with rows that
+    # leave a zero second pivot after the row swap
+    @pytest.mark.parametrize("state", [(1.0, 0.0, -0.0, 1.0, 1.0), (1.0, 1.0, 2.0, 1.0, 2.0)])
+    def test_zero_pivot_raises(self, monkeypatch, state):
+        for module in (transition, _tracker_reference):
+            monkeypatch.setattr(module, "_factor_state", lambda s, Z, branch: state)
+        for polish in (find_double_root, ref_find_double_root):
+            with pytest.raises(ConvergenceError, match="fold Newton singular near s=2.5, Z=5.5"):
+                polish(5.5, 2.5, MINUS)
+
+    def test_sixteen_folds_without_lapack_solve(self, sixteen_folds):
+        # in a new process, where no fold is cached yet
+        code = ("import numpy as np\n"
+                "def refuse(*args, **kwargs): raise AssertionError('np.linalg.solve called')\n"
+                "np.linalg.solve = refuse\n"
+                "from ptcircle import transition\n"
+                "for f in transition.critical_sequence(16):\n"
+                "    print(f.Z_crit.hex(), f.s_merge.hex(), f.E_merge.hex())\n")
+        src = str(Path(transition.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=False)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.split("\n")[:-1] == [
+            f"{f.Z_crit.hex()} {f.s_merge.hex()} {f.E_merge.hex()}" for f in sixteen_folds]
 
 
 class TestCriticalSequence:

@@ -114,8 +114,14 @@ def test_identity_points_cover_the_box():
     assert not points[0] & points[1]
 
 
-def reference_det_roots(Z, s_max):
-    """The determinant sweep with one ``boundary_determinant`` per energy."""
+def scanned_energies(Z, s_max):
+    return [p.E for p in spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=s_max))]
+
+
+def reference_det_roots(Z, s_max, scanned):
+    """The determinant sweep with one ``boundary_determinant`` per energy,
+    each bracket narrowed around the scanned energy in its cell as
+    ``verify._det_roots`` narrows it, and refined by scipy's ``brentq``."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
     if Z > 0:
         lo = 0.1 * math.sqrt(0.5 * Z)
@@ -135,9 +141,15 @@ def reference_det_roots(Z, s_max):
     roots = []
     for i in range(len(energies) - 1):
         if (vals[i] < 0.0) != (vals[i + 1] < 0.0):
-            roots.append(
-                brentq(det_re, float(energies[i]), float(energies[i + 1]), xtol=1e-12, rtol=1e-14)
-            )
+            a, b = float(energies[i]), float(energies[i + 1])
+            inside = [E for E in scanned if a <= E < b]
+            if inside:
+                E = inside[-1]
+                cut = 1e-9 * max(1.0, abs(E))
+                lo, hi = max(a, E - cut), min(b, E + cut)
+                if (det_re(lo) < 0.0) != (det_re(hi) < 0.0):
+                    a, b = lo, hi
+            roots.append(brentq(det_re, a, b, xtol=1e-12, rtol=1e-14))
     return energies, vals, sorted(roots)
 
 
@@ -151,7 +163,8 @@ def assert_roots_close(got, expected):
 @pytest.mark.parametrize("Z", [0.0, 0.5, 3.0, 5.0, 10.0, 17.0])
 def test_det_sweep_is_the_per_energy_determinant(Z):
     s_max = 4.6 * math.pi  # as in the zero-set-equivalence check
-    energies, vals, roots = reference_det_roots(Z, s_max)
+    scanned = scanned_energies(Z, s_max)
+    energies, vals, roots = reference_det_roots(Z, s_max, scanned)
     got_energies, got_vals = verify._det_sweep(Z, s_max)
     assert got_energies.tolist() == energies.tolist()
     # each value within 1e-13 of its matrix's scale, and of the same sign, so
@@ -159,7 +172,7 @@ def test_det_sweep_is_the_per_energy_determinant(Z):
     scale = [determinant_scale(oracle.boundary_matrix(E, Z)) for E in energies.tolist()]
     assert np.all(np.abs(got_vals - vals) <= 1e-13 * np.array(scale))
     assert np.array_equal(got_vals < 0.0, vals < 0.0)
-    assert_roots_close(verify._det_roots((Z,), s_max), [roots])
+    assert_roots_close(verify._det_roots((Z,), s_max, [scanned]), [roots])
 
 
 def test_det_roots_of_all_couplings_refined_together():
@@ -167,16 +180,20 @@ def test_det_roots_of_all_couplings_refined_together():
     # roots are those of its own per-energy reference
     z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
     s_max = 4.6 * math.pi
-    expected = [reference_det_roots(Z, s_max)[2] for Z in z_values]
-    got = verify._det_roots(z_values, s_max)
+    scanned = [scanned_energies(Z, s_max) for Z in z_values]
+    expected = [reference_det_roots(Z, s_max, found)[2] for Z, found in zip(z_values, scanned)]
+    got = verify._det_roots(z_values, s_max, scanned)
     assert sum(map(len, got)) == 41
     assert_roots_close(got, expected)
-    assert verify._det_roots((), s_max) == []
+    assert verify._det_roots((), s_max, []) == []
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
-def test_det_roots_nan_determinant_raises():
-    # a NaN value inside a bracket stops the batch with the scalar loop's error
+@pytest.mark.parametrize("narrowed", [False, True])
+def test_det_roots_nan_determinant_raises(narrowed):
+    # a NaN value inside a bracket stops the batch with the scalar loop's
+    # error; NaN ends of a narrowed interval show no sign change, so the
+    # whole cell is refined and meets the NaN
     real = oracle.boundary_matrices
 
     def nan_at_second_coupling(E, Z):
@@ -185,10 +202,11 @@ def test_det_roots_nan_determinant_raises():
             W[Z == 3.0] = np.nan
         return W
 
+    scanned = [scanned_energies(Z, 4.6 * math.pi) if narrowed else [] for Z in (0.5, 3.0)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "boundary_matrices", nan_at_second_coupling)
         with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
-            verify._det_roots((0.5, 3.0), 4.6 * math.pi)
+            verify._det_roots((0.5, 3.0), 4.6 * math.pi, scanned)
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +360,79 @@ def test_zero_set_certifies_every_scanned_root(monkeypatch):
     assert (list(E), list(Z)) == (energies, couplings)
     sols = oracle.nullspace_solutions(energies, couplings)
     assert calls["residual_check"] == list(zip(sols, energies, couplings))
+
+
+def _scan_with(monkeypatch, edit):
+    """spectrum.scan_roots with edit applied to its list of points."""
+    real = spectrum.scan_roots
+    monkeypatch.setattr(spectrum, "scan_roots", lambda req: edit(req, real(req)))
+
+
+def test_zero_set_reports_the_true_distance_of_a_moved_root(monkeypatch):
+    # the highest level at Z = 3 moved by 1e-7*E lies outside its narrowed
+    # interval, so it is compared against the root of its whole cell; the
+    # oracle finds no null vector there, an infinite BC residual
+    moved = scanned_energies(3.0, 4.6 * math.pi)[-1] * (1.0 + 1e-7)
+    _scan_with(monkeypatch, lambda req, pts: [*pts[:-1], types.SimpleNamespace(E=moved)])
+    result = verify._zero_set_equivalence((3.0,))
+    assert not result.passed
+    root = reference_det_roots(3.0, 4.6 * math.pi, [])[2][-1]
+    worst = float(re.match(r"max \|dE\| (\S+),", result.detail).group(1))
+    assert worst == pytest.approx(abs(moved - root), rel=1e-3) and worst > 1e-8
+    assert result.detail.endswith("max BC residual inf over Z in (3.0,)")
+
+
+def test_zero_set_counts_a_dropped_root(monkeypatch):
+    n = len(scanned_energies(10.0, 4.6 * math.pi))
+    _scan_with(monkeypatch, lambda req, pts: pts[:3] + pts[4:] if req.Z == 10.0 else pts)
+    result = verify._zero_set_equivalence((0.5, 3.0, 5.0, 10.0, 17.0))
+    assert not result.passed
+    assert result.detail == f"root count mismatch at Z=10.0: {n - 1} secular vs {n} determinant"
+
+
+def test_zero_set_refines_the_narrowed_brackets(monkeypatch):
+    # every determinant root of the full check is refined from its narrowed
+    # interval: five sweeps, one stacked test of the narrowed ends and a few
+    # Brent rounds, where the whole cells take 24 rounds
+    z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
+    calls, brackets = [], []
+    real_matrices, real_brentq = oracle.boundary_matrices, spectrum._brentq
+
+    def matrices(E, Z):
+        calls.append(np.size(E))
+        return real_matrices(E, Z)
+
+    def brentq_recording(f, cells, **tols):
+        brackets.extend(cells)
+        return real_brentq(f, cells, **tols)
+
+    monkeypatch.setattr(oracle, "boundary_matrices", matrices)
+    monkeypatch.setattr(spectrum, "_brentq", brentq_recording)
+    assert verify._zero_set_equivalence(z_values).passed
+    assert len(brackets) == 41 and calls[5] == 2 * 41
+    assert all(b - a <= 2.1e-9 * max(1.0, abs(b)) for a, b in brackets)
+    assert len(calls) <= len(z_values) + 1 + 6
+
+
+def _moved(req, pts):
+    """Each point with its energy 1e-7 relative off the root."""
+    return [types.SimpleNamespace(E=p.E * (1.0 + 1e-7), n=p.n, branch=p.branch) for p in pts]
+
+
+@pytest.mark.parametrize("edit", [lambda req, pts: [], _moved], ids=["empty", "moved"])
+@pytest.mark.parametrize("level", [verify.QUICK, verify.FULL])
+def test_wrong_scan_fails(monkeypatch, capsys, level, edit):
+    # a scan that finds no level, or levels that are not eigenvalues, fails
+    # every check that compares against it, with exit code 1, instead of
+    # raising (exit 2) or passing with nothing checked
+    _scan_with(monkeypatch, edit)
+    assert cli.main(["verify", "--level", level]) == 1
+    failed = {line.split(":")[0] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")}
+    expected = {"FAIL hermitian-limit", "FAIL zero-set-equivalence"}
+    if level == verify.FULL:
+        expected |= {"FAIL pt-symmetry", "FAIL perturbative-vs-scan"}
+    assert failed == expected
 
 
 def test_pt_symmetry_line():
