@@ -21,12 +21,12 @@ JSON lacks, is written as the string of its CSV text ("inf", "-inf", "nan").
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import math
 import os
 import sys
+import types
 from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
@@ -54,18 +54,6 @@ _FIG2_BLOCK_CELLS = 1 << 20
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse would exit(2); the contract is 64
-        raise _UsageError(message)
-
-    def _print_message(self, message, file=None):
-        # argparse drops a failed write of help or version text; main exits 74
-        if message:
-            file = file or sys.stderr
-            file.write(message)
-            file.flush()
 
 
 def _fmt(x) -> str:
@@ -137,33 +125,50 @@ def _emit_blocks(stream, command: str, inputs: dict, header: list[str], blocks,
     """Write one command's output, its rows given as ``blocks``: texts of one
     or more whole rows each, none empty, as ``_rows_text`` writes them.  JSON
     is what ``json.dumps(payload, indent=2)`` writes, plus a line break; CSV
-    is the header row, the '#' comment lines and the rows."""
-    notes = preamble or []
+    is the header row, the '#' comment lines and the rows.  The text around
+    the input values and the rows is the ``_envelope`` of the output's shape,
+    so a call formats only its input values and its rows."""
+    head, separators, tails = _envelope(fmt, command, tuple(inputs), tuple(header),
+                                        tuple(preamble or ()), meta)
+    stream.write(head % tuple(map(_LAYOUT[fmt][0], inputs.values())))
+    rows = False
+    for block in blocks:
+        stream.write(separators[rows])
+        stream.write(block)
+        rows = True
+    stream.write(tails[rows])
+
+
+@functools.cache
+def _envelope(fmt: str, command: str, names: tuple, header: tuple, notes: tuple,
+              meta: bool) -> tuple[str, tuple[str, str], tuple[str, str]]:
+    """The constant text of one output shape, built once per process: the
+    text before the rows, with a ``%s`` for the text of each input value in
+    the order of ``names`` (every other '%' doubled); the text before the
+    first block of rows and before each later one; and the text after the
+    rows, without and with rows."""
+    def constant(text: str) -> str:
+        return text.replace("%", "%%")
+
     if fmt == "json":
-        stream.write('{\n  "schema_version": %s,\n  "command": %s,\n  "inputs": %s,\n'
-                     '  "columns": %s,\n  "rows": [' % (
-                         _json_string(SCHEMA_VERSION), _json_string(command),
-                         _json_nested(_json_members(inputs), "{}"),
-                         _json_nested(map(_json_string, header), "[]")))
-        separator = "\n    "
-        for block in blocks:
-            stream.write(separator)
-            stream.write(block)
-            separator = ",\n    "
-        tail = "]" if separator == "\n    " else "\n  ]"
+        head = ('{\n  "schema_version": %s,\n  "command": %s,\n  "inputs": %s,\n'
+                '  "columns": %s,\n  "rows": [' % (
+                    constant(_json_string(SCHEMA_VERSION)), constant(_json_string(command)),
+                    _json_nested([constant(_json_string(name)) + ": %s" for name in names], "{}"),
+                    constant(_json_nested(map(_json_string, header), "[]"))))
+        tail = ""
         if notes:
             tail += ',\n  "notes": ' + _json_nested(map(_json_string, notes), "[]")
         if meta:
             tail += ',\n  "meta": ' + _json_nested(_json_members(_meta_fields()), "{}")
-        stream.write(tail + "\n}\n")
-        return
-    lines = [",".join(header), f"# schema_version={SCHEMA_VERSION}", f"# command={command}",
-             *[f"# input.{key}={_fmt(value)}" for key, value in inputs.items()],
-             *[f"# {line}" for line in notes],
-             *[f"# meta.{key}={value}" for key, value in (_meta_fields() if meta else {}).items()]]
-    stream.write("\n".join(lines) + "\n")
-    for block in blocks:
-        stream.write(block)
+        return head, ("\n    ", ",\n    "), ("]" + tail + "\n}\n", "\n  ]" + tail + "\n}\n")
+    lines = [constant(line) for line in
+             (",".join(header), f"# schema_version={SCHEMA_VERSION}", f"# command={command}")]
+    lines += [constant(f"# input.{name}=") + "%s" for name in names]
+    lines += [constant(f"# {line}") for line in notes]
+    lines += [constant(f"# meta.{key}={value}")
+              for key, value in (_meta_fields() if meta else {}).items()]
+    return "\n".join(lines) + "\n", ("", ""), ("", "")
 
 
 def _meta_fields() -> dict:
@@ -383,11 +388,26 @@ _COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> _Parser:
+def _build_parser():
     """The argument parser with every command's arguments, built from
     ``_COMMANDS`` once per process.  ``parse_args`` keeps no state between
     calls (it returns a fresh namespace each time), so in-process callers of
-    ``main`` share the parser."""
+    ``main`` share the parser.  argparse is imported here: only help,
+    ``--version``, usage errors and argv that the plain parse hands over
+    build the parser, and the import costs a new interpreter about 2 ms."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse would exit(2); the contract is 64
+            raise _UsageError(message)
+
+        def _print_message(self, message, file=None):
+            # argparse drops a failed write of help or version text; main exits 74
+            if message:
+                file = file or sys.stderr
+                file.write(message)
+                file.flush()
+
     parser = _Parser(prog="ptcircle", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ptcircle {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -399,6 +419,14 @@ def _build_parser() -> _Parser:
             command.add_argument(flag, dest=dest, help=help, **kind)
         command.set_defaults(func=func)
     return parser
+
+
+def __getattr__(name: str):
+    """``_Parser``, the class of ``_build_parser``'s parser, for a caller
+    that builds a parser of its own."""
+    if name == "_Parser":
+        return type(_build_parser())
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The plain parse's view of ``_COMMANDS``, built once: for each command its
@@ -413,13 +441,13 @@ _PLAIN = {
 }
 
 
-def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives argv when argv is a command name followed
-    by exact flags of that command, each once, every flag but ``--meta`` with
-    one value that does not start with '-', converts by its type and lies in
-    its choices, and every required flag present.  None for any other argv,
-    which argparse parses instead: building its parser costs more than a
-    small command."""
+def _plain_parse(argv: list[str]) -> types.SimpleNamespace | None:
+    """The fields argparse gives argv, in a namespace that needs no argparse,
+    when argv is a command name followed by exact flags of that command, each
+    once, every flag but ``--meta`` with one value that does not start with
+    '-', converts by its type and lies in its choices, and every required
+    flag present.  None for any other argv, which argparse parses instead:
+    building its parser costs more than a small command."""
     plan = _PLAIN.get(argv[0]) if argv else None
     if plan is None:
         return None
@@ -446,9 +474,7 @@ def _plain_parse(argv: list[str]) -> argparse.Namespace | None:
         given[dest] = value
     if not required.issubset(given):  # a required flag not given
         return None
-    args = argparse.Namespace()
-    vars(args).update(defaults, **given)
-    return args
+    return types.SimpleNamespace(**{**defaults, **given})
 
 
 def main(argv: list[str] | None = None) -> int:

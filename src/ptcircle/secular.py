@@ -16,15 +16,18 @@ Three equivalent closed forms of the condition are provided:
 
 On the constraint curve t = Z/(2s) one factor is a function F(s; Z) of the
 scan variable and the coupling.  ``constraint_factor`` evaluates it alone,
-and ``_factor_state`` with its closed-form partial derivatives, the one
-place their formulas are written.  Every root scan, fold polish, unfolding
-seed and broken-pair solve goes through these, the last at complex s, with
-two exceptions for speed: the Brent refinement of a scan bracket
-(``spectrum._brent``) writes the float operations of the scalar
-``factor_value`` inline, and a scan's grid pass (``spectrum._grid_factors``)
-forms both factors, as the two rows of one array, from one t*sinh t and one
-s*sin s array, clamping t*sinh t on the prefix of the grid where t > 350.
-Tests pin both to the bit against this module's factor.
+``_factor_pair`` with its first derivative F_s, and ``_factor_state`` with
+all four closed-form partial derivatives, the one place the formulas of the
+other three are written; the last two share their sines and cosines
+(``_factor_terms``) and give F and F_s with the same bits.  Every root
+scan, fold polish, unfolding seed and broken-pair solve goes through these,
+the last at complex s, with two exceptions for speed: the Brent refinement
+of a scan bracket (``spectrum._brent``) writes the float operations of the
+scalar ``factor_value`` inline, and a scan's grid pass
+(``spectrum._grid_factors``) forms both factors, as the two rows of one
+array, from one t*sinh t and one s*sin s array, clamping t*sinh t on the
+prefix of the grid where t > 350.  Tests pin both to the bit against this
+module's factor.
 
 The factored form is the numerically canonical one: it is entire in both
 variables, free of removable singularities, and is what all root finding in
@@ -357,11 +360,41 @@ def constraint_factor(
     return factor_value(Z / (2.0 * s), s, branch)
 
 
+def _factor_terms(s: float | complex, Z: float) -> tuple:
+    """(s, t, sinh t, cosh t, sin s, cos s) at one point of the constraint
+    curve t = Z/(2s), with ``math`` for a real s and ``cmath`` for a complex
+    s (a ``numpy.complex128`` taken as the equal builtin complex, which is
+    the s returned).  Past the clamp of ``t_sinh_t`` (|t| > 350 for a real
+    s, |Re t| > 700 for a complex s) sinh t, cosh t and cos s are None."""
+    if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
+        s = complex(s)  # numpy's complex division rounds differently from Python's
+        t = Z / (2.0 * s)
+        if abs(t.real) > _COMPLEX_SINH_CLAMP:
+            return s, t, None, None, cmath.sin(s), None
+        return s, t, cmath.sinh(t), cmath.cosh(t), cmath.sin(s), cmath.cos(s)
+    t = Z / (2.0 * s)
+    if abs(t) > _SINH_CLAMP:
+        return s, t, None, None, math.sin(s), None
+    return s, t, math.sinh(t), math.cosh(t), math.sin(s), math.cos(s)
+
+
+def _factor_pair(s: float | complex, Z: float, branch: SecularBranch) -> tuple:
+    """(F, F_s) of ``constraint_factor`` at one point: the first two values
+    of ``_factor_state``, with its float operations and so its bits, at
+    about two thirds of its cost.  Newton trials, their line searches and
+    the root rule read only these two."""
+    sign = branch.sin_term_sign
+    s, t, sh, ch, sin_s, cos_s = _factor_terms(s, Z)
+    if sh is None:
+        return math.inf + sign * s * sin_s, -math.inf
+    return t * sh + sign * s * sin_s, -(t / s) * (sh + t * ch) + sign * (sin_s + s * cos_s)
+
+
 def _factor_state(
     s: float | complex, Z: float, branch: SecularBranch
 ) -> tuple[float | complex, ...]:
     """(F, F_s, F_ss, F_Z, F_sZ) of ``constraint_factor`` at one point, with
-    sin s, cos s, sinh t and cosh t each computed once.
+    sin s, cos s, sinh t and cosh t each computed once (``_factor_terms``).
 
     With g(t) = t*sinh t, dt/ds = -t/s and dt/dZ = 1/(2s), the partials are
 
@@ -372,30 +405,23 @@ def _factor_state(
 
     where g' = sinh t + t*cosh t and g'' = 2*cosh t + t*sinh t.  F takes the
     float operations of ``constraint_factor``, so it equals that call to the
-    bit.  A real s is evaluated with ``math``, a complex s with ``cmath`` (a
-    ``numpy.complex128`` as the equal builtin complex).  Past the clamp of
+    bit, and (F, F_s) are the bits of ``_factor_pair``.  A real s is
+    evaluated with ``math``, a complex s with ``cmath`` (a ``numpy.complex128``
+    as the equal builtin complex).  Past the clamp of
     ``t_sinh_t`` (|t| > 350 for a real s, |Re t| > 700 for a complex s) F is
     +inf plus the s*sin s term, as ``constraint_factor`` gives it, and the
     partials are (-inf, +inf, +inf, -inf).  This is the one home of the
-    derivative formulas; the continuation and the fold polish carry the
-    state from point to point instead of evaluating a point twice.
+    formulas of F_ss, F_Z and F_sZ.  It is evaluated where they are read: at
+    each fold polish step, and once at each root from which the broken-pair
+    tracker takes a step; its Newton trials take ``_factor_pair``.
     """
     sign = branch.sin_term_sign
-    if not isinstance(s, float) and isinstance(s, complex):  # float first, see factor_value
-        s = complex(s)  # numpy's complex division rounds differently from Python's
-        two_s = 2.0 * s
-        t = Z / two_s
-        if abs(t.real) > _COMPLEX_SINH_CLAMP:
-            return math.inf + sign * s * cmath.sin(s), -math.inf, math.inf, math.inf, -math.inf
-        sh, ch, sin_s, cos_s = cmath.sinh(t), cmath.cosh(t), cmath.sin(s), cmath.cos(s)
-    else:
-        two_s = 2.0 * s
-        t = Z / two_s
-        if abs(t) > _SINH_CLAMP:
-            return math.inf + sign * s * math.sin(s), -math.inf, math.inf, math.inf, -math.inf
-        sh, ch, sin_s, cos_s = math.sinh(t), math.cosh(t), math.sin(s), math.cos(s)
+    s, t, sh, ch, sin_s, cos_s = _factor_terms(s, Z)
+    if sh is None:
+        return math.inf + sign * s * sin_s, -math.inf, math.inf, math.inf, -math.inf
     # a product that the formulas below share is formed once: the same
     # operation on the same operands, so the same bits
+    two_s = 2.0 * s
     t_sh = t * sh
     g1 = sh + t * ch
     g2 = 2.0 * ch + t_sh
@@ -422,5 +448,5 @@ def _root_accepted(residual: float, s: float | complex, Z: float, branch: Secula
         return True
     if not math.isfinite(residual):
         return False
-    F_s = _factor_state(s, Z, branch)[1]
+    F_s = _factor_pair(s, Z, branch)[1]
     return residual <= _ROOT_ROUNDING_UNITS * sys.float_info.epsilon * abs(s * F_s)

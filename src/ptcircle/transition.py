@@ -40,6 +40,7 @@ import numpy as np
 from .errors import ConvergenceError, NotAFoldError
 from .secular import (
     SecularBranch,
+    _factor_pair,
     _factor_state,
     _new,
     _reject_arrays,
@@ -233,18 +234,19 @@ def _same_signs(a: complex, b: complex) -> bool:
             and math.copysign(1.0, a.imag) == math.copysign(1.0, b.imag))
 
 
-def _newton(s: complex, Z: float, branch: SecularBranch) -> tuple[complex, tuple[complex, ...]]:
+def _newton(s: complex, Z: float, branch: SecularBranch) -> tuple[complex, complex]:
     """Damped Newton on the factor at fixed Z, s -= lam*F/F_s with lam halved
     until |F| decreases, until the step falls to rounding or no step decreases
-    |F| (a trial that rounds back to s ends the search at once).  Returns the
-    last accepted s with its ``_factor_state``, computed once per trial point.  A non-finite factor at the start raises
-    ConvergenceError."""
-    state = _factor_state(s, Z, branch)
-    if not cmath.isfinite(state[0]):
+    |F| (a trial that rounds back to s ends the search at once).  Each point
+    is evaluated once, by ``_factor_pair``: Newton reads only F and F_s.
+    Returns the last accepted s and its F.  A non-finite factor at the start
+    raises ConvergenceError."""
+    F, F_s = _factor_pair(s, Z, branch)
+    if not cmath.isfinite(F):
         raise ConvergenceError(f"factor overflows at s={s}, Z={Z}")
-    size = abs(state[0])
+    size = abs(F)
     for _ in range(100):
-        step = state[0] / state[1]
+        step = F / F_s
         if abs(step) <= 1e-15 * abs(s):
             break
         lam = 1.0
@@ -253,16 +255,16 @@ def _newton(s: complex, Z: float, branch: SecularBranch) -> tuple[complex, tuple
             if trial == s and _same_signs(trial, s):
                 # the step rounds away, and so does every shorter one: each
                 # later trial would be s again, with the same |F|
-                return s, state
-            trial_state = _factor_state(trial, Z, branch)
-            trial_size = abs(trial_state[0])
+                return s, F
+            trial_F, trial_F_s = _factor_pair(trial, Z, branch)
+            trial_size = abs(trial_F)
             if trial_size < size:
-                s, state, size = trial, trial_state, trial_size
+                s, F, F_s, size = trial, trial_F, trial_F_s, trial_size
                 break
             lam *= 0.5
         else:
             break
-    return s, state
+    return s, F
 
 
 def _certified(
@@ -282,12 +284,11 @@ def _certified(
     return params, params.energy()
 
 
-def _seeded_root(
-    Z: float, init: BrokenParams
-) -> tuple[complex, tuple[complex, ...], SecularBranch]:
+def _seeded_root(Z: float, init: BrokenParams) -> tuple[complex, complex, SecularBranch]:
     """``init`` as s = sqrt((E + sqrt(E**2 + Z**2))/2) with E = K**2 + i*eps,
     solved by ``_newton`` on the factor with the smaller |F| there: the root,
-    its ``_factor_state`` and the branch."""
+    its F and the branch.  A caller that steps from the root evaluates its
+    ``_factor_state`` itself."""
     E0 = init.energy()
     E = complex(E0.re_E, E0.eps)
     s = cmath.sqrt(0.5 * (E + cmath.sqrt(E * E + Z * Z)))
@@ -303,8 +304,8 @@ def solve_broken(Z: float, init: BrokenParams) -> tuple[BrokenParams, ComplexEne
     if not validate_coupling(Z) > 0.0:
         raise ValueError("broken-regime solves require Z > 0")
     try:
-        s, state, branch = _seeded_root(Z, init)
-        return _certified(s, Z, branch, state[0])
+        s, F, branch = _seeded_root(Z, init)
+        return _certified(s, Z, branch, F)
     except (OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"broken solve failed at Z={Z}: {exc}") from exc
 
@@ -325,7 +326,8 @@ def find_double_root(
     """Polish a fold of the factor along the constraint curve.
 
     Newton on the pair {F(s; Z) = 0, F_s(s; Z) = 0} with the closed-form
-    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``secular._factor_state``.  Each
+    Jacobian [[F_s, F_Z], [F_ss, F_sZ]] of ``secular._factor_state``, whose
+    line search reads (F, F_s) alone (``secular._factor_pair``).  Each
     step solves that 2x2 system in floats by LU with partial pivoting, the
     elimination of LAPACK's dgesv without a LAPACK call: a step agrees with
     ``np.linalg.solve``'s to a few units of rounding (LAPACK's kernels may
@@ -360,7 +362,7 @@ def find_double_root(
         for _ in range(30):
             s_try, Z_try = s + lam * step_s, Z + lam * step_Z
             if s_try > 0.0 and Z_try > 0.0:
-                if math.hypot(*_factor_state(s_try, Z_try, branch)[:2]) < norm0:
+                if math.hypot(*_factor_pair(s_try, Z_try, branch)) < norm0:
                     s, Z = s_try, Z_try
                     break
             lam *= 0.5
@@ -458,15 +460,17 @@ def fold_unfolding_seed(fold: CriticalPoint, Z: float) -> BrokenParams:
 
 # Each fold's broken pair as one path of the tracker from Z_crit + 1e-3, grown
 # as calls walk past its end (see solve_above_fold): the fold maps to its nodes
-# (Z, s, _factor_state) in ascending Z, its branch and the sign of Im s.
+# (Z, s, _factor_state at s) in ascending Z, its branch and the sign of Im s.
 _CHAINS: dict[CriticalPoint, tuple[list, SecularBranch, float]] = {}
 
 
 def _step(Z: float, s: complex, state: tuple[complex, ...], Z_to: float, branch: SecularBranch,
-          side: float) -> tuple[float, complex, tuple[complex, ...]]:
-    """One step of the root s at Z toward Z_to along the Davidenko ODE
-    ds/dZ = -F_Z/F_s, Euler predictor and ``_newton`` corrector: the next Z,
-    its root and its state.  The prediction moves by half of
+          side: float) -> tuple[float, complex, complex]:
+    """One step of the root s at Z, whose ``_factor_state`` is ``state``,
+    toward Z_to along the Davidenko ODE ds/dZ = -F_Z/F_s, Euler predictor and
+    ``_newton`` corrector: the next Z, its root and its F.  A caller that
+    steps on from there evaluates the root's ``_factor_state``; the last
+    step to a target needs only F.  The prediction moves by half of
     min(|Im s|, |F_s/F_ss|), at most pi/4, cut at Z_to: |Im s| is half the
     distance to the conjugate root, |F_s/F_ss|, equal to it at a fold, keeps
     the step off neighbouring roots elsewhere, and the cap keeps it below
@@ -480,10 +484,10 @@ def _step(Z: float, s: complex, state: tuple[complex, ...], Z_to: float, branch:
     Z_next = Z_to if h >= abs(Z_to - Z) else Z + math.copysign(h, Z_to - Z)
     if Z_next == Z:
         raise ConvergenceError("step too short to move Z")
-    s, state = _newton(s + (Z_next - Z) * slope, Z_next, branch)
+    s, F = _newton(s + (Z_next - Z) * slope, Z_next, branch)
     if s.imag * side <= 0.0:
         raise ConvergenceError(f"root crossed the real axis to s={s}")
-    return Z_next, s, state
+    return Z_next, s, F
 
 
 def continue_in_Z(
@@ -508,12 +512,12 @@ def continue_in_Z(
     path: list[tuple[float, BrokenParams, ComplexEnergy]] = []
     Z = Z_from
     try:
-        s, state, branch = _seeded_root(Z, start)
+        s, F, branch = _seeded_root(Z, start)
         side = math.copysign(1.0, s.imag)
         for Zg in grid:
             while Z != Zg:
-                Z, s, state = _step(Z, s, state, Zg, branch, side)
-            path.append((Zg, *_certified(s, Zg, branch, state[0])))
+                Z, s, F = _step(Z, s, _factor_state(s, Z, branch), Zg, branch, side)
+            path.append((Zg, *_certified(s, Zg, branch, F)))
     except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"continuation failed at Z={Z}: {exc}") from exc
     return path
@@ -531,8 +535,10 @@ def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, Compl
     fixed, and from Z - Z_crit >= 2e-3 on every call of a fold starts at
     Z_crit + 1e-3: the pair's path is one chain of nodes.  It is kept per
     process in ``_CHAINS``, grown by the free steps of calls that walk past
-    its end.  A call steps from the last node below Z, so a call within the
-    chain evaluates the factor only in its last step.  A step raises Z by a
+    its end, each node with the ``_factor_state`` of its root, which the next
+    step reads.  A call steps from the last node below Z, so a call within
+    the chain evaluates the factor only in its last step, and there only F
+    and F_s (``_factor_pair``), at its Newton trials.  A step raises Z by a
     factor of at most 1.41 on every chain up to the overflow, so Z minus that
     node's Z is exact and a walk from the start would not have cut a step
     before that node: the answer and the error text are those of the walk.
@@ -547,19 +553,21 @@ def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, Compl
     Z_at = near
     try:
         if chain is None:
-            s, state, branch = _seeded_root(near, init)
-            _certified(s, near, branch, state[0])
-            chain = ([(near, s, state)], branch, math.copysign(1.0, s.imag))
+            s, F, branch = _seeded_root(near, init)
+            _certified(s, near, branch, F)
+            chain = ([(near, s, _factor_state(s, near, branch))], branch, math.copysign(1.0, s.imag))
             if kept:
                 _CHAINS[fold] = chain
         nodes, branch, side = chain
         below = bisect.bisect_left(nodes, Z, lo=1, key=operator.itemgetter(0)) - 1
         Z_at, s, state = nodes[below]
+        F = state[0]
         while Z_at != Z:
-            Z_at, s, state = node = _step(Z_at, s, state, Z, branch, side)
+            Z_at, s, F = _step(Z_at, s, state, Z, branch, side)
             if Z_at != Z:  # a free step, so past the end of the chain
-                nodes.append(node)
-        return _certified(s, Z, branch, state[0])
+                state = _factor_state(s, Z_at, branch)
+                nodes.append((Z_at, s, state))
+        return _certified(s, Z, branch, F)
     except (ConvergenceError, OverflowError, ZeroDivisionError, ValueError) as exc:
         raise ConvergenceError(f"continuation failed at Z={Z_at}: {exc}") from exc
 

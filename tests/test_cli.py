@@ -938,6 +938,42 @@ class TestInProcessReuse:
         for argv in sequence:
             assert run_cli(capsys, *argv) == fresh_cli(*argv), argv
 
+    def test_interleaved_output_shapes_print_what_a_new_interpreter_prints(self, capsys, tmp_path):
+        # the text around an output's values is built once per output shape
+        # (command, format, input names, columns, notes, --meta) and kept
+        # for the process: no shape may print another's text
+        out = tmp_path / "broken.json"
+        sequence = [
+            ("broken", "--Z", "6", "--pair", "0", "--format", "json"),
+            ("critical", "--count", "5", "--format", "json"),
+            ("spectrum", "--Z", "0.5", "--smax", "10", "--meta"),
+            ("broken", "--Z", "60", "--pair", "3", "--format", "json", "--out", str(out)),
+            ("broken", "--Z", "6", "--pair", "0"),
+            ("critical", "--count", "5", "--format", "json"),
+            ("spectrum", "--Z", "0.5", "--smax", "10", "--format", "json", "--meta"),
+            ("broken", "--Z", "6", "--pair", "0", "--format", "json"),
+            ("broken", "--Z", "60", "--pair", "3", "--format", "json", "--out", str(out)),
+            ("spectrum", "--Z", "0.5", "--smax", "10", "--meta"),
+        ]
+        ptcircle.cli._envelope.cache_clear()  # a process that has written nothing yet
+        first, fresh = {}, {}
+        for argv in sequence:
+            code, stdout, err = run_cli(capsys, *argv)
+            if "--out" in argv:
+                assert stdout == ""
+                stdout = out.read_text(encoding="utf-8")
+                out.unlink()
+            if argv not in fresh:
+                fresh[argv] = fresh_cli(*argv)
+                if "--out" in argv:
+                    fresh[argv] = (*fresh[argv][:1], out.read_text(encoding="utf-8"),
+                                   *fresh[argv][2:])
+                    out.unlink()
+            assert (code, stdout, err) == fresh[argv], argv
+            assert first.setdefault(argv, stdout) == stdout, argv  # a repeat, the same bytes
+        # broken in JSON with and without --out is one shape
+        assert ptcircle.cli._envelope.cache_info().currsize == 5
+
     def test_stdout_after_out_file(self, capsys, tmp_path):
         path = tmp_path / "critical.csv"
         assert run_cli(capsys, "critical", "--count", "3", "--out", str(path)) == (0, "", "")

@@ -12,6 +12,7 @@ from _tracker_reference import ref_constraint_factor_derivatives
 from ptcircle.secular import (
     SecularBranch,
     SpectralPoint,
+    _factor_pair,
     _factor_state,
     constraint_factor,
     factor_value,
@@ -449,7 +450,7 @@ def _bits(value):
 class TestFactorState:
     """``_factor_state`` against ``constraint_factor`` and the partials as
     they were computed before the state was shared (``_tracker_reference``),
-    bit for bit."""
+    and ``_factor_pair`` against the state's first two values, bit for bit."""
 
     REAL = [0.3, 2.50380392309, 4.3, 17.0, 130.1]
     COMPLEX = [3.5 + 0.3j, 2.5 - 1.2j, 40.0 + 3.0j, 0.7 + 0.7j, 9.8 + 0.004j]
@@ -462,6 +463,7 @@ class TestFactorState:
         assert _bits(state[0]) == _bits(constraint_factor(s, Z, branch))
         want = ref_constraint_factor_derivatives(s, Z, branch)
         assert [_bits(v) for v in state[1:]] == [_bits(v) for v in want]
+        assert [_bits(v) for v in _factor_pair(s, Z, branch)] == [_bits(v) for v in state[:2]]
 
     @pytest.mark.parametrize("branch", [MINUS, PLUS])
     @pytest.mark.parametrize("kind", [float, np.float64])

@@ -208,6 +208,31 @@ class TestFindDoubleRoot:
     def _bits(fold):
         return fold.nu, fold.branch, fold.Z_crit.hex(), fold.s_merge.hex(), fold.E_merge.hex()
 
+    # every fold as ``critical --count 16`` gave it before the fold polish's
+    # line search took ``_factor_pair``: (nu, Z_crit, s_merge, E_merge)
+    FOLD_BITS = [
+        (0, "0x1.62b533bee4b10p+2", "0x1.407ca59ea4e22p+1", "0x1.42d227585ed17p+2"),
+        (1, "0x1.1e6b74c57b5c4p+4", "0x1.5538e75d20eeep+2", "0x1.99b8c88326fffp+4"),
+        (2, "0x1.0c5c0f0e24a68p+5", "0x1.09f68df592d74p+3", "0x1.0406398390454p+6"),
+        (3, "0x1.99a640273f2e3p+5", "0x1.6b735ef039267p+3", "0x1.eface8f913c9dp+6"),
+        (4, "0x1.193cc970cf917p+6", "0x1.ce00a81acc6a3p+3", "0x1.9507908b18b48p+7"),
+        (5, "0x1.6a228e3f14f6fp+6", "0x1.18930328e66cdp+4", "0x1.2cd80d4eca09dp+8"),
+        (6, "0x1.beb4406199fdep+6", "0x1.4a540e0cf88d7p+4", "0x1.a2ec32bbda8a6p+8"),
+        (7, "0x1.0b31251bc2043p+7", "0x1.7c33568c16085p+4", "0x1.1660c24f269d3p+9"),
+        (8, "0x1.3861d18a46b38p+7", "0x1.ae27698abc5e3p+4", "0x1.652c22ccacf88p+9"),
+        (9, "0x1.66c40a8c77fddp+7", "0x1.e02a6364e68d9p+4", "0x1.bdd82a827c696p+9"),
+        (10, "0x1.96382b06ba664p+7", "0x1.091c3481098e1p+5", "0x1.10325bc02ab2bp+10"),
+        (11, "0x1.c6a494ae80be6p+7", "0x1.22276cb9142aep+5", "0x1.4668d197c3fedp+10"),
+        (12, "0x1.f7f41b7210da0p+7", "0x1.3b35ed20b6d48p+5", "0x1.818f63ce35613p+10"),
+        (13, "0x1.150a79a228ad3p+8", "0x1.544709a7811fdp+5", "0x1.c1a600c0b1b41p+10"),
+        (14, "0x1.2e7bf7d34d1d2p+8", "0x1.6d5a42720d9a3p+5", "0x1.03564c3a62c39p+11"),
+        (15, "0x1.4847fc47a103bp+8", "0x1.866f367d912e8p+5", "0x1.28518e4dd812ap+11"),
+    ]
+
+    def test_sixteen_folds_keep_their_bits(self, sixteen_folds):
+        assert [(fold.nu, fold.Z_crit.hex(), fold.s_merge.hex(), fold.E_merge.hex())
+                for fold in sixteen_folds] == self.FOLD_BITS
+
     def test_folds_are_those_of_the_lapack_polish(self, sixteen_folds):
         # the float 2x2 step gives every fold of the polish that stepped by
         # np.linalg.solve, to the bit, and so does the seed's Newton
@@ -524,6 +549,12 @@ class TestLargeCoupling:
             solve_broken(Z, seed)
 
 
+def _bits(value):
+    """Type and bits of a float or complex, signed zeros apart."""
+    parts = (value.real, value.imag) if isinstance(value, complex) else (value,)
+    return type(value), tuple(float(v).hex() for v in parts)
+
+
 def _hex(Z, params, energy):
     values = (Z, params.alpha, params.beta, params.K, energy.re_E, energy.eps)
     return tuple(float(v).hex() for v in values)
@@ -580,6 +611,32 @@ class TestSharedFactorState:
             args = (fold.Z_crit + 30.0, Z_to, steps, start)
             assert _answer(continue_in_Z, *args) == _answer(ref_continue_in_Z, *args)
 
+    def test_every_two_value_evaluation_is_the_state_s_first_two(self, monkeypatch, cold_tracker,
+                                                                 sixteen_folds):
+        # the Newton trials of chains grown from empty, of a near-fold start,
+        # of a multi-step path and of a fold polish's line search (real s)
+        seen = []
+        real = transition._factor_pair
+
+        def recording(s, Z, branch):
+            value = real(s, Z, branch)
+            seen.append((s, Z, branch, value))
+            return value
+
+        monkeypatch.setattr(transition, "_factor_pair", recording)
+        for fold in sixteen_folds:
+            for dZ in (1e-4, 0.3, 60.0, 1e3):
+                solve_above_fold(fold, fold.Z_crit + dZ)
+        fold = sixteen_folds[4]
+        continue_in_Z(fold.Z_crit + 1e-3, fold.Z_crit + 40.0, 7,
+                      ref_fold_unfolding_seed(fold, fold.Z_crit + 1e-3))
+        find_double_root(5.5, 2.5, MINUS)
+        assert {type(s) for s, *_ in seen} == {float, complex}
+        assert len(seen) > 1000
+        for s, Z, branch, value in seen:
+            want = secular._factor_state(s, Z, branch)[:2]
+            assert [_bits(v) for v in value] == [_bits(v) for v in want], (s, Z)
+
     def test_answers_without_the_separate_derivatives(self, sixteen_folds):
         # the tracker takes F_s, F_ss and F_Z from the state of each point;
         # the package has no other evaluation of the partials
@@ -603,27 +660,27 @@ def _newton_without_round_back(s, Z, branch, wasted):
     """``transition._newton`` as it was before it stopped at a trial that
     rounds back to s: it halves on, 40 times at most.  ``wasted`` counts the
     evaluations at trials with the bits of s."""
-    state = transition._factor_state(s, Z, branch)
-    if not cmath.isfinite(state[0]):
+    F, F_s = transition._factor_pair(s, Z, branch)
+    if not cmath.isfinite(F):
         raise ConvergenceError(f"factor overflows at s={s}, Z={Z}")
-    size = abs(state[0])
+    size = abs(F)
     for _ in range(100):
-        step = state[0] / state[1]
+        step = F / F_s
         if abs(step) <= 1e-15 * abs(s):
             break
         lam = 1.0
         for _ in range(40):
             trial = s - lam * step
             wasted[0] += (trial.real.hex(), trial.imag.hex()) == (s.real.hex(), s.imag.hex())
-            trial_state = transition._factor_state(trial, Z, branch)
-            trial_size = abs(trial_state[0])
+            trial_F, trial_F_s = transition._factor_pair(trial, Z, branch)
+            trial_size = abs(trial_F)
             if trial_size < size:
-                s, state, size = trial, trial_state, trial_size
+                s, F, F_s, size = trial, trial_F, trial_F_s, trial_size
                 break
             lam *= 0.5
         else:
             break
-    return s, state
+    return s, F
 
 
 class TestNewtonRoundBack:
@@ -637,7 +694,7 @@ class TestNewtonRoundBack:
         argv = ["broken", "--Z", repr(sixteen_folds[pair].Z_crit + dZ), "--pair", str(pair),
                 "--format", "json"]
         calls = [0]
-        real = transition._factor_state
+        real = transition._factor_pair
 
         def counting(*args):
             calls[0] += 1
@@ -649,7 +706,7 @@ class TestNewtonRoundBack:
             assert cli.main(argv) == 0
             return capsys.readouterr().out, calls[0]
 
-        monkeypatch.setattr(transition, "_factor_state", counting)
+        monkeypatch.setattr(transition, "_factor_pair", counting)
         replay()  # the process builds its parser and the pair's fold once
         out, count = replay()
         wasted = [0]
@@ -708,11 +765,17 @@ class TestTrackerMemo:
                                                     pair, above_fold, walked, targets):
         fold = sixteen_folds[pair]
         base = fold.Z_crit if above_fold else 0.0
-        calls, steps = [0], []
-        real_state, real_step = transition._factor_state, transition._step
+        calls, states, steps = [0], [0], []
+        real_pair, real_state, real_step = (transition._factor_pair, transition._factor_state,
+                                            transition._step)
 
-        def counting(*args):
+        def counting_pair(*args):
             calls[0] += 1
+            return real_pair(*args)
+
+        def counting_state(*args):
+            calls[0] += 1
+            states[0] += 1
             return real_state(*args)
 
         def step(Z, s, state, Z_to, branch, side):  # the Z each step reaches, its evaluations
@@ -721,15 +784,21 @@ class TestTrackerMemo:
             steps.append((result[0], calls[0] - before))
             return result
 
-        monkeypatch.setattr(transition, "_factor_state", counting)
+        monkeypatch.setattr(transition, "_factor_pair", counting_pair)
+        monkeypatch.setattr(transition, "_factor_state", counting_state)
         monkeypatch.setattr(transition, "_step", step)
         solve_above_fold(fold, base + walked)
         assert len(steps) > 10
+        # whole states: the unfolding seed's fold, the chain's start and the
+        # root of each free step, all but the last step, once each
+        assert states[0] == 2 + len(steps) - 1
         for target in targets:
             Z = base + target
-            calls[0], steps[:] = 0, []
+            calls[0], states[0], steps[:] = 0, 0, []
             solve_above_fold(fold, Z)
-            assert len(steps) == 1 and steps[0] == (Z, calls[0]), target
+            # its Newton trials, and no full state
+            assert len(steps) == 1 and steps[0] == (Z, calls[0]) and calls[0] > 0, target
+            assert states[0] == 0, target
 
     def test_chain_invariants(self, cold_tracker, sixteen_folds):
         fold = sixteen_folds[15]
@@ -745,6 +814,18 @@ class TestTrackerMemo:
         assert 1200 <= len(nodes) <= 1300  # the start and 1255 free steps when first measured
         assert branch is fold.branch and side == 1.0
         assert _answer(solve_above_fold, fold, 1.9e6) == _answer(ref_solve_above_fold, fold, 1.9e6)
+
+    def test_kept_nodes_hold_the_state_of_their_root(self, cold_tracker, sixteen_folds):
+        # regrown from empty, each node's state is _factor_state at its own
+        # (s, Z), which its free step's Newton never evaluated whole
+        for fold in sixteen_folds:
+            for dZ in (0.3, 60.0, 1e3):
+                solve_above_fold(fold, fold.Z_crit + dZ)
+            nodes, branch, _ = transition._CHAINS[fold]
+            assert len(nodes) > 20
+            for Z, s, state in nodes:
+                want = secular._factor_state(s, Z, branch)
+                assert [_bits(v) for v in state] == [_bits(v) for v in want], (fold.nu, Z)
 
     @pytest.mark.parametrize("pair", [0, 7, 15])
     def test_targets_on_and_next_to_a_kept_node(self, cold_tracker, sixteen_folds, pair):
