@@ -83,6 +83,17 @@ def test_import_loads_no_numpy_random():
     assert proc.stdout.strip() == "[]"
 
 
+def test_import_loads_no_argparse():
+    # only help, --version, usage errors and the argv that the plain parse
+    # hands over build the argparse parser, which imports it
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = ("import sys, ptcircle, ptcircle.cli; "
+            "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
 def test_readme_command_runs_without_scipy(argv):
     result = probe(tuple(argv))
