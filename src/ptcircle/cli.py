@@ -47,9 +47,10 @@ EXIT_IO = 74  # EX_IOERR of sysexits.h
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell shows for a process a closed pipe ended
 
 # fig 2 evaluates and writes its grid in blocks of whole Z rows of about this
-# many cells, which bounds its float temporaries (the default 256 x 256 grid
-# is one block)
-_FIG2_BLOCK_CELLS = 1 << 20
+# many cells: each float temporary of a block is then at most 64 KiB, under
+# glibc's 128 KiB threshold for mapping a fresh allocation from the kernel,
+# so they reuse the heap (the default 200 x 256 grid is 7 blocks of 32 rows)
+_FIG2_BLOCK_CELLS = 1 << 13
 
 
 class _UsageError(Exception):
@@ -62,14 +63,11 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _json_float(x: float) -> str:
-    return float.__repr__(x) if math.isfinite(x) else _json_string(_fmt(x))
-
-
-# A scalar's JSON text by its type, or the first of its bases listed
+# A scalar's JSON text by its type, or the first of its bases listed; a
+# float is written by _json_scalar itself
 _JSON_SCALARS = {
     str: _json_string,
-    float: _json_float,
+    float: lambda x: _json_scalar(float(x)),  # a subclass, such as numpy.float64
     bool: lambda b: "true" if b else "false",
     int: int.__repr__,
     type(None): lambda _: "null",
@@ -80,6 +78,9 @@ def _json_scalar(value) -> str:
     """value as ``json.dumps`` writes a scalar, except that a non-finite
     float, which JSON lacks, is the string of its CSV text.  TypeError for
     anything but a str, float, bool, int (or a subclass of one) or None."""
+    if type(value) is float:  # the commonest scalar, in one frame
+        # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
+        return float.__repr__(value) if value - value == 0.0 else _json_string(_fmt(value))
     text = _JSON_SCALARS.get(type(value))
     if text is None:  # a subclass, such as numpy.float64, takes its first listed base's text
         text = next(filter(None, map(_JSON_SCALARS.get, type(value).__mro__)), None)

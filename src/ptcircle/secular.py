@@ -25,8 +25,8 @@ the last at complex s, with two exceptions for speed: the Brent refinement
 of a scan bracket (``spectrum._brent``) writes the float operations of the
 scalar ``factor_value`` inline, and a scan's grid pass
 (``spectrum._grid_factors``) forms both factors, as the two rows of one
-array, from one t*sinh t and one s*sin s array, clamping t*sinh t on the
-prefix of the grid where t > 350.  Tests pin both to the bit against this
+array, from one t*sinh t array and the s*sin s of the process's grid
+record, clamping t*sinh t on the prefix of the grid where t > 350.  Tests pin both to the bit against this
 module's factor.
 
 The factored form is the numerically canonical one: it is entire in both

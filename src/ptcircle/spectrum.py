@@ -4,20 +4,24 @@ the small-coupling perturbation series.
 Scanning works in the s variable.  Along the constraint curve t = Z/(2s) the
 factors have root spacing of order pi (set by s*sin s), so a grid of step
 pi/64 cannot skip a sign change below the scan ceilings used here; roots that
-accumulate at small t are the same roots seen at large s.  One numpy pass
-over the whole grid evaluates t*sinh t and s*sin s once and gives both
-factors as the two rows of one array; t*sinh t is clamped to +inf on a
-prefix of the nodes only, where t = Z/(2s) exceeds 350.  One sign test over
-both rows finds the brackets, minus before plus.  Each bracket is
-refined by Brent's method, with no Newton polish: ``_brent``, an in-module
-copy of scipy's ``brentq`` that evaluates the factor inline, so its roots are
-bit-identical to ``scipy.optimize.brentq(constraint_factor, ...)``.  Its loop
-calls fewer builtins than a line-by-line copy of the C code, but it makes the
-same float operations and comparisons in the same order, so no bit moves
-(see ``_brent``).  The root
-is accepted by the one rounding-aware residual rule of ``secular``, which
-holds at every s, and its point is then built once, by
-``SpectralPoint._at_root``, without the public constructor's re-checks.
+accumulate at small t are the same roots seen at large s.  The nodes, 2*s
+and s*sin s do not depend on Z: one read-only record per process holds them
+up to the largest s_max scanned, at most 10^4, and a scan reads its nodes as
+views of it (``_scan_grid``).  What depends on Z is one numpy pass over the
+grid: t = Z/(2s) and t*sinh t, once for both factors, which it gives as the
+two rows of one array; t*sinh t is clamped to +inf on a prefix of the nodes
+only, where t exceeds 350.  One sign test over both rows finds the
+brackets, minus before plus.  Each bracket is refined by Brent's method,
+with no Newton polish: ``_brent``, an in-module copy of scipy's ``brentq``
+that evaluates the factor inline, so its roots are bit-identical to
+``scipy.optimize.brentq(constraint_factor, ...)``.  Its loop calls fewer
+builtins than a line-by-line copy of the C code, but it makes the same float
+operations and comparisons in the same order, so no bit moves; and as every
+iterate stays in its bracket, where s > 0, it drops the tests that only a
+negative s could need (see ``_brent``).  The root is accepted by the one
+rounding-aware residual rule of ``secular``, which holds at every s, and
+its point is then built once, by ``SpectralPoint._at_root``, without the
+public constructor's re-checks.
 Each level is labelled n = round(s/pi) together with the factor that
 vanished.  ``_brent_steps`` is the same Brent loop for any function, as a
 generator: the series fit runs it once per sample on the scalar factor
@@ -41,7 +45,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -69,6 +73,7 @@ __all__ = [
 ]
 
 _GRID_STEP = math.pi / 64.0
+_GRID_CAP = 1e4  # the CLI's largest --smax; the grid record grows to it and no further
 _MAX_ITER = 200
 _XTOL = 1e-15
 _RTOL = 4.0 * sys.float_info.epsilon
@@ -91,26 +96,85 @@ class SpectrumRequest:
             raise ValueError(f"s_max must be at least pi, got {self.s_max}")
 
 
-def _scan_grid(Z: float, s_max: float) -> np.ndarray:
-    """s nodes: uniform with step pi/64, extended geometrically below the
-    first node when the low descendant root (s near sqrt(Z/2)) could sit there."""
+class _Grid(NamedTuple):
+    """Scan nodes s, increasing, with 2*s and s*sin s at each."""
+
+    s: np.ndarray
+    two_s: np.ndarray
+    s_sin_s: np.ndarray
+
+
+def _grid_columns(s: np.ndarray) -> _Grid:
+    return _Grid(s, 2.0 * s, s * np.sin(s))
+
+
+def _uniform_nodes(s_max: float) -> np.ndarray:
+    """The nodes step + i*step <= s_max, i >= 0, step = pi/64, as np.arange
+    gives them."""
     step = _GRID_STEP
     base = np.arange(step, s_max + 0.5 * step, step)
     if base[-1] > s_max:  # the nodes increase, so only the last can overshoot
         base = base[:-1]
+    return base
+
+
+def _build_record(s_max: float) -> tuple[float, _Grid]:
+    grid = _grid_columns(_uniform_nodes(s_max))
+    for column in grid:
+        column.flags.writeable = False
+    return s_max, grid
+
+
+# (s_top, the columns of the uniform nodes <= s_top): read-only, shared by
+# every scan of the process, and rebuilt whole, never written, when a scan's
+# s_max passes s_top, up to _GRID_CAP (203,718 nodes, 4.9 MB)
+_record: tuple[float, _Grid] = (-math.inf, _Grid(*[np.empty(0)] * 3))
+
+
+def _joined(head: _Grid, tail: _Grid) -> _Grid:
+    return _Grid(*map(np.concatenate, zip(head, tail)))
+
+
+def _scan_grid(Z: float, s_max: float) -> _Grid:
+    """The scan's nodes with 2*s and s*sin s: uniform with step pi/64 up to
+    s_max, extended geometrically below the first node when the low
+    descendant root (s near sqrt(Z/2)) could sit there.
+
+    Neither column depends on Z, so the uniform nodes up to ``_GRID_CAP``
+    are read-only views of one record per process (``_record``), rebuilt
+    whole when a scan's s_max passes the record's; only the geometric nodes
+    and the nodes past the cap are computed per call, and joined to the
+    views.  The uniform nodes are those of ``np.arange(step, s_max +
+    step/2, step)`` without a last node above s_max, bit for bit, whichever
+    s_max built the record."""
+    global _record
+    step, top = _GRID_STEP, min(s_max, _GRID_CAP)
+    record = _record  # read once: a scan in another thread may rebind it
+    if top > record[0]:
+        record = _record = _build_record(top)
+    nodes, two_s, s_sin_s = record[1]
+    # np.arange's length at s_max: only its last node can pass s_max, and
+    # that node lies past the record only when it passes the record's s_max
+    n = min(math.ceil((s_max + 0.5 * step - step) / step), nodes.size)
+    if nodes.item(n - 1) > s_max:
+        n -= 1
+    grid = _Grid(nodes[:n], two_s[:n], s_sin_s[:n])
+    if s_max > top:
+        grid = _joined(grid, _grid_columns(_uniform_nodes(s_max)[n:]))
     if Z > 0.0:
         lo = 0.125 * math.sqrt(0.5 * Z)
         if 0.0 < lo < step:
             down = [step]
             while down[-1] > lo:
                 down.append(down[-1] / 1.25)
-            base = np.concatenate([np.array(down[:0:-1]), base])
-    return base
+            grid = _joined(_grid_columns(np.array(down[:0:-1])), grid)
+    return grid
 
 
 def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]:
     """Root of F(s) = t*sinh t + sign*s*sin s, t = Z/(2s), in [s_lo, s_hi],
-    returned with F at it.
+    returned with F at it, for 0 < s_lo < s_hi and Z >= 0 (``refine_root``
+    checks both).
 
     Brent's method (Brent 1973, ch. 4) written step for step as scipy's
     ``brentq.c``, with xtol 1e-15, rtol 4*eps and ``_MAX_ITER`` iterations, so
@@ -130,13 +194,26 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     constants are floats, and x*0.5 is x/2 to the bit.  C tests fpre and
     fcur for zero before its sign test, but fpre is never zero there and a
     zero fcur returns in that iteration with the same root.
+
+    Two more trims hold on this domain alone, which is where the loop
+    differs from ``_brent_steps``: every iterate lies in [s_lo, s_hi].  A
+    step is a bisection, a step of delta toward the far end xblk, which
+    |sbis| >= delta keeps inside, or a step toward xblk of under 3/4 of the
+    way: the secant's when f(xpre) and f(xcur) differ in sign, and the
+    inverse quadratic's otherwise.  There xpre, xcur, xblk lie in that
+    order, f(xpre) and f(xcur) share a sign with |f(xcur)| < |f(xpre)|, and
+    f(xblk) has the other, so fblk*dblk and -fpre*dpre share a sign, as do
+    fblk and -fpre: nothing cancels, and stry points at xblk.  So s > 0 and
+    t = Z/(2s) >= 0 at every evaluation: t is tested against +350 alone
+    (the clamp of ``t_sinh_t`` at negative t never applies), and the
+    tolerance takes rtol*s for rtol*|s|.
     """
     sin, sinh, inf = math.sin, math.sinh, math.inf
     clamp, xtol, rtol, sign = _SINH_CLAMP, _XTOL, _RTOL, float(sign)
     t = Z / (2.0 * s_lo)
-    fpre = (inf if t > clamp or t < -clamp else t * sinh(t)) + sign * s_lo * sin(s_lo)
+    fpre = (inf if t > clamp else t * sinh(t)) + sign * s_lo * sin(s_lo)
     t = Z / (2.0 * s_hi)
-    fcur = (inf if t > clamp or t < -clamp else t * sinh(t)) + sign * s_hi * sin(s_hi)
+    fcur = (inf if t > clamp else t * sinh(t)) + sign * s_hi * sin(s_hi)
     # F is finite or +inf at every finite s > 0 unless Z is NaN, and then it
     # is NaN everywhere, so checking the ends is scipy's NaN check
     if fpre != fpre or fcur != fcur:
@@ -161,7 +238,7 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
             apre, acur, ablk = acur, ablk, acur
-        delta = (xtol + rtol * abs(xcur)) * 0.5
+        delta = (xtol + rtol * xcur) * 0.5
         sbis = (xblk - xcur) * 0.5
         if fcur == 0.0 or -delta < sbis < delta:
             return xcur, fcur
@@ -188,7 +265,7 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
         else:
             xcur += delta if sbis > 0.0 else -delta
         t = Z / (2.0 * xcur)
-        fcur = (inf if t > clamp or t < -clamp else t * sinh(t)) + sign * xcur * sin(xcur)
+        fcur = (inf if t > clamp else t * sinh(t)) + sign * xcur * sin(xcur)
         acur = abs(fcur)
     raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
 
@@ -203,7 +280,9 @@ def _brent_steps(
     scipy raises for ends of the same sign (ValueError) and for ``maxiter``
     iterations without convergence (RuntimeError).  Its loop is
     ``_brent``'s, line for line, with the same trims of C's builtin calls
-    (see there)."""
+    (see there), and one difference: its brackets may hold x <= 0, so its
+    tolerance takes rtol*|x| where ``_brent``'s, whose iterates are all
+    positive, takes rtol*s."""
     xpre, xcur = a, b
     fpre = yield xpre
     fcur = yield xcur
@@ -337,10 +416,10 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
     return SpectralPoint._at_root(Z, branch, s, residual)
 
 
-def _grid_factors(grid: np.ndarray, Z: float) -> np.ndarray:
-    """F on an increasing grid of s > 0 as one (2, n) array: row 0 is
-    FACTOR_MINUS and row 1 FACTOR_PLUS (``_ROW_BRANCHES``), with t*sinh t and
-    s*sin s evaluated once for both.
+def _grid_factors(grid: _Grid, Z: float) -> np.ndarray:
+    """F on the scan's nodes as one (2, n) array: row 0 is FACTOR_MINUS and
+    row 1 FACTOR_PLUS (``_ROW_BRANCHES``), from the grid's s*sin s and from
+    t*sinh t, the one part that depends on Z, evaluated once for both.
 
     t = Z/(2s) does not increase along the grid, so the nodes where t*sinh t
     is clamped to +inf (t > 350) are a prefix: it is counted only when the
@@ -348,9 +427,9 @@ def _grid_factors(grid: np.ndarray, Z: float) -> np.ndarray:
     overflows."""
     # constraint_factor adds (sign*s)*sin s to t*sinh t, and with sign = +-1
     # that product is exactly +-(s*sin s): so hyp - osc and hyp + osc are
-    # constraint_factor(grid, Z, branch) of the two branches, bit for bit
-    t = Z / (2.0 * grid)
-    F = np.empty((2, grid.size))
+    # constraint_factor(s, Z, branch) of the two branches, bit for bit
+    t = Z / grid.two_s
+    F = np.empty((2, t.size))
     hyp = F[1]
     if t[0] > _SINH_CLAMP:
         k = np.count_nonzero(t > _SINH_CLAMP)
@@ -359,7 +438,7 @@ def _grid_factors(grid: np.ndarray, Z: float) -> np.ndarray:
         np.multiply(t, np.sinh(t), out=hyp[k:])
     else:
         np.multiply(t, np.sinh(t), out=hyp)
-    osc = grid * np.sin(grid)
+    osc = grid.s_sin_s
     np.subtract(hyp, osc, out=F[0])
     np.add(hyp, osc, out=hyp)
     return F
@@ -383,7 +462,8 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
 
     Both factors are evaluated on the whole pi/64 grid in one numpy pass
     (``_grid_factors``, a (2, n) array bit-equal to ``constraint_factor`` on
-    the grid, with the clamp of t*sinh t applied to a prefix of the nodes);
+    the grid, with the clamp of t*sinh t applied to a prefix of the nodes),
+    which takes the nodes' s*sin s from the process's grid record;
     a cell [s_i, s_i+1] of a factor is a bracket when F(s_i) is zero or F
     changes sign across it (``_sign_change_cells``, one test for both
     rows), and every bracket is refined by ``refine_root`` (the in-module
@@ -394,10 +474,10 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     """
     points: list[SpectralPoint] = []
     grid = _scan_grid(req.Z, req.s_max)
-    if grid.size < 2:
+    if grid.s.size < 2:
         return points
     cells = _sign_change_cells(_grid_factors(grid, req.Z))
-    node, width = grid.item, grid.size - 1
+    node, width = grid.s.item, grid.s.size - 1
     # one nonzero over the flat cells, row-major: about a sixth of the cost
     # of np.nonzero on the (2, n-1) array and two tolist calls
     for j in cells.ravel().nonzero()[0].tolist():

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,25 @@ class TestJsonWriter:
     def test_document_equals_json_dumps(self, inputs, header, rows, meta, notes, split):
         expected = dumped("cmd", inputs, header, rows, meta, notes)
         assert emit_json("cmd", inputs, header, rows, meta, notes, split) == expected
+
+    FLOAT_TEXTS = [
+        (-0.0, "-0.0"), (0.0, "0.0"), (5e-324, "5e-324"), (-5e-324, "-5e-324"),
+        (1.5e-310, "1.5e-310"), (2.225073858507201e-308, "2.225073858507201e-308"),
+        (2.2250738585072014e-308, "2.2250738585072014e-308"), (1e16, "1e+16"),
+        (math.inf, '"inf"'), (-math.inf, '"-inf"'), (math.nan, '"nan"'), (-math.nan, '"nan"'),
+        (np.float64(-0.0), "-0.0"), (np.float64(5e-324), "5e-324"),
+        (np.float64(1.5e-310), "1.5e-310"), (np.float64(0.1), "0.1"),
+        (np.float64(math.inf), '"inf"'), (np.float64(-math.inf), '"-inf"'),
+        (np.float64(math.nan), '"nan"'),
+    ]
+
+    @pytest.mark.parametrize("value, text", FLOAT_TEXTS)
+    def test_float_texts_are_pinned(self, value, text):
+        # the texts the writer gave when a float took a second frame and
+        # math.isfinite; a numpy.float64 takes the float's text, no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ptcircle.cli._json_scalar(value) == text
 
     def test_non_finite_floats(self):
         rows = [[math.inf, -math.inf, math.nan, -math.nan, 1.5, np.float64(math.inf)]]

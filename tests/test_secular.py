@@ -366,7 +366,7 @@ class TestConstraintKernel:
     @pytest.mark.parametrize("Z", [0.0, 1e-8, 2.5, 80.0, 1e4])
     def test_array_path_matches_scalar_on_scan_grid(self, branch, Z):
         # Z = 1e4 puts t above the clamp for s < 14.3
-        grid = _scan_grid(Z, 200.0)
+        grid = _scan_grid(Z, 200.0).s
         got = constraint_factor(grid, Z, branch)
         want = np.array([constraint_factor(float(s), Z, branch) for s in grid])
         assert got.shape == grid.shape

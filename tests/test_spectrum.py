@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 import struct
@@ -157,7 +158,7 @@ class TestArraySignScan:
 
     @staticmethod
     def scalar_scan(Z: float, s_max: float) -> list[tuple[float, str]]:
-        grid = _scan_grid(Z, s_max)
+        grid = _scan_grid(Z, s_max).s
         out = []
         for branch in (MINUS, PLUS):
             vals = [constraint_factor(float(s), Z, branch) for s in grid]
@@ -258,7 +259,7 @@ class TestRefineRoot:
 def scan_brackets(Z: float, s_max: float):
     """(Z, s_max, s_lo, s_hi, branch) of every bracket that the scan of
     (Z, s_max) refines."""
-    grid = _scan_grid(Z, s_max)
+    grid = _scan_grid(Z, s_max).s
     for branch in (MINUS, PLUS):
         vals = constraint_factor(grid, Z, branch)
         a, b = vals[:-1], vals[1:]
@@ -317,10 +318,10 @@ class TestBrentIsScipyBrentq:
         # F is +inf, to nodes further out where F < 0 start Brent on an
         # infinite end value, as scipy starts on constraint_factor's
         eps = np.finfo(float).eps
-        grid = _scan_grid(Z, 4.0)
+        grid = _scan_grid(Z, 4.0).s
         clamped = grid[Z / (2.0 * grid) > 350.0]
         assert clamped.size and (Z < 1e6 or not list(scan_brackets(Z, 4.0)))
-        far = _scan_grid(Z, s_far)
+        far = _scan_grid(Z, s_far).s
         for branch in (MINUS, PLUS):
             negative = far[constraint_factor(far, Z, branch) < 0.0]
             assert negative.size
@@ -614,7 +615,7 @@ def reference_scan(Z: float, s_max: float) -> list[SpectralPoint]:
     """``scan_roots`` as built before the one-pass grid, the certified
     constructor and the sort on E alone: one ``constraint_factor`` pass per
     branch and publicly constructed points sorted by (E, branch name)."""
-    grid = _scan_grid(Z, s_max)
+    grid = _scan_grid(Z, s_max).s
     nodes = grid.tolist()
     points = []
     for branch in (MINUS, PLUS):
@@ -656,8 +657,9 @@ class TestGridFactors:
     @pytest.mark.parametrize("Z", GRID_COUPLINGS)
     @pytest.mark.parametrize("s_max", [math.pi, 40.0, 2000.0])
     def test_one_pass_is_constraint_factor_bit_for_bit(self, Z, s_max):
-        grid = _scan_grid(Z, s_max)
-        factors = spectrum._grid_factors(grid, Z)
+        columns = _scan_grid(Z, s_max)
+        grid = columns.s
+        factors = spectrum._grid_factors(columns, Z)
         assert factors.shape == (2, grid.size) and spectrum._ROW_BRANCHES == (MINUS, PLUS)
         for branch, vals in zip(spectrum._ROW_BRANCHES, factors):
             ref = constraint_factor(grid, Z, branch)
@@ -669,10 +671,11 @@ class TestGridFactors:
         (1.0, 40.0, "none"), (80.0, 40.0, "part"), (1e6, 4.0, "all"),
     ])
     def test_clamped_prefix(self, Z, s_max, clamped):
-        grid = _scan_grid(Z, s_max)
+        columns = _scan_grid(Z, s_max)
+        grid = columns.s
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            factors = spectrum._grid_factors(grid, Z)
+            factors = spectrum._grid_factors(columns, Z)
             refs = [constraint_factor(grid, Z, branch) for branch in spectrum._ROW_BRANCHES]
             points = scan_roots(SpectrumRequest(Z=Z, s_max=s_max))
         k = np.count_nonzero(Z / (2.0 * grid) > 350.0)
@@ -711,7 +714,7 @@ class TestGridFactors:
                 if s_max < math.pi:
                     continue
                 for Z in (0.0, 1e-4, 80.0):
-                    assert _scan_grid(Z, s_max).tobytes() == old_scan_grid(Z, s_max).tobytes()
+                    assert _scan_grid(Z, s_max).s.tobytes() == old_scan_grid(Z, s_max).tobytes()
 
     @pytest.mark.parametrize("Z", GRID_COUPLINGS)
     @pytest.mark.parametrize("s_max", [math.pi, 40.0, 2000.0])
@@ -719,6 +722,169 @@ class TestGridFactors:
         got = scan_roots(SpectrumRequest(Z=Z, s_max=s_max))
         ref = reference_scan(Z, s_max)
         assert [field_bits(p) for p in got] == [field_bits(p) for p in ref]
+
+
+def arange_nodes(s_max: float) -> np.ndarray:
+    """The uniform scan nodes as the scan formed them before the grid record:
+    ``np.arange`` up to s_max, nodes above s_max dropped."""
+    step = math.pi / 64.0
+    base = np.arange(step, s_max + 0.5 * step, step)
+    return base[base <= s_max]
+
+
+def point_text(p: SpectralPoint) -> str:
+    """Every field of a point, floats by their bits (hex)."""
+    values = [getattr(p, f.name) for f in dataclasses.fields(p)]
+    return " ".join(v.hex() if isinstance(v, float) else v.value if isinstance(v, SecularBranch)
+                    else str(v) for v in values)
+
+
+def scan_digest(count: int) -> str:
+    """sha256 of every field of every point of ``count`` seeded scans: Z = 0,
+    1e-300 and 5e-324, log-uniform over [1e-8, 1e7] and uniform over [2.5,
+    80], s_max log-uniform over [pi, 300], every 50th over [300, 2000]."""
+    rng = np.random.default_rng(20261020)
+    digest = hashlib.sha256()
+    for k in range(count):
+        Z = (0.0, 1e-300, 5e-324, 10.0 ** rng.uniform(-8.0, 7.0), rng.uniform(2.5, 80.0))[k % 5]
+        lo, hi = (300.0, 2000.0) if k % 50 == 49 else (math.pi, 300.0)
+        s_max = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+        for p in scan_roots(SpectrumRequest(Z=Z, s_max=s_max)):
+            digest.update(point_text(p).encode() + b"\n")
+        digest.update(b"\n")
+    return digest.hexdigest()
+
+
+# scan_digest(3000) of the scans that formed their nodes, 2*s and s*sin s
+# anew in each call, and whose Brent took |s| in its tolerance and tested t
+# against -350 too
+SCAN_DIGEST = "5ff89dc2e1cb1b76ca46df80bcd18901d0f3c6cec7f1eb321d48ad920e0b3461"
+
+
+@pytest.fixture
+def empty_record(monkeypatch):
+    """A process whose scans have built no grid record yet; the record is
+    put back after the test."""
+    monkeypatch.setattr(spectrum, "_record", (-math.inf, spectrum._Grid(*[np.empty(0)] * 3)))
+
+
+class TestGridRecord:
+    """The uniform nodes, 2*s and s*sin s depend on no coupling: one
+    read-only record per process holds them up to the largest s_max scanned
+    (at most ``_GRID_CAP``), and a scan reads its first n entries as views."""
+
+    @staticmethod
+    def node_s_maxes() -> list[float]:
+        """s_max on about 200 nodes from pi to the cap and one ulp either side
+        of each, the cap itself, and s_max past it."""
+        nodes = arange_nodes(spectrum._GRID_CAP)
+        past = arange_nodes(1.02e4)
+        picks = np.unique(np.geomspace(63, nodes.size - 1, 200).round().astype(int))
+        out = [spectrum._GRID_CAP, 1.02e4]
+        for node in [*nodes[picks].tolist(), float(past[nodes.size])]:
+            out += [math.nextafter(node, 0.0), node, math.nextafter(node, math.inf)]
+        return [s_max for s_max in out if s_max >= math.pi]
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+    def test_record_is_the_trimmed_arange(self, empty_record, order):
+        s_maxes = sorted(self.node_s_maxes(), reverse=order == "descending")
+        if order == "shuffled":
+            np.random.default_rng(20261020).shuffle(s_maxes)
+        builds = 0
+        for s_max in s_maxes:
+            record = spectrum._record
+            grid = _scan_grid(0.0, s_max)
+            ref = arange_nodes(s_max)
+            assert grid.s.tobytes() == ref.tobytes(), s_max
+            assert grid.two_s.tobytes() == (2.0 * ref).tobytes(), s_max
+            assert grid.s_sin_s.tobytes() == (ref * np.sin(ref)).tobytes(), s_max
+            top, columns = spectrum._record
+            if s_max <= spectrum._GRID_CAP:
+                assert all(np.shares_memory(a, b) for a, b in zip(grid, columns)), s_max
+            builds += spectrum._record is not record
+            # the record is rebuilt only for an s_max past its own, and up to the cap
+            assert (spectrum._record is not record) == (record[0] < min(s_max, spectrum._GRID_CAP))
+            assert top == max(record[0], min(s_max, spectrum._GRID_CAP))
+        assert columns.s.size == 203718 and columns.s.tobytes() == arange_nodes(1e4).tobytes()
+        assert builds > 1 if order != "descending" else builds == 1
+
+    def test_record_refuses_writes(self):
+        scan_roots(SpectrumRequest(Z=2.5, s_max=40.0))
+        for column in (*spectrum._record[1], *_scan_grid(2.5, 40.0)):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("Z", [0.0, 5e-324, 1e-8, 0.2, 2.5, 80.0, 1e6])
+    def test_factors_on_record_prefixes(self, Z):
+        # 1e-8 and 0.2 join geometric nodes below pi/64 to the views; 80 and
+        # 1e6 clamp t*sinh t on a prefix of the nodes, 1e6 on all below s = 1428
+        _scan_grid(0.0, 2000.0)
+        nodes = arange_nodes(2000.0)
+        for k in (63, 64, 200, 1000, 9000, 29000, nodes.size - 1):
+            node = float(nodes[k])
+            for s_max in (math.nextafter(node, 0.0), node, math.nextafter(node, math.inf)):
+                columns = _scan_grid(Z, s_max)
+                grid = columns.s
+                assert grid.tobytes() == old_scan_grid(Z, s_max).tobytes()
+                assert (grid[0] < nodes[0]) == (Z in (1e-8, 0.2))
+                factors = spectrum._grid_factors(columns, Z)
+                for branch, vals in zip(spectrum._ROW_BRANCHES, factors):
+                    ref = constraint_factor(grid, Z, branch)
+                    assert vals.tobytes() == ref.tobytes(), (s_max, branch)
+                assert np.isposinf(factors[:, 0]).all() == (Z >= 80.0)
+
+    def test_seeded_scans_keep_their_bits(self, empty_record):
+        assert scan_digest(3000) == SCAN_DIGEST
+
+
+class TestBrentOnItsDomain:
+    """``_brent`` takes brackets with 0 < s_lo < s_hi and Z >= 0 only, where
+    every iterate stays in the bracket, so it tests t against +350 alone and
+    takes s for |s| in its tolerance; its roots are still scipy's."""
+
+    @pytest.mark.parametrize("s_lo", [1e-300, 5e-324])
+    @pytest.mark.parametrize("Z", [0.0, 1e-8, 2.5, 80.0])
+    def test_brackets_from_near_zero(self, s_lo, Z):
+        # F is +inf at s_lo for Z > 0 (t overflows the clamp) and 0.0 at Z = 0
+        eps = np.finfo(float).eps
+        runs = 0
+        for branch in (MINUS, PLUS):
+            f_lo = constraint_factor(s_lo, Z, branch)
+            for hi in arange_nodes(40.0)[::16].tolist():
+                f_hi = constraint_factor(hi, Z, branch)
+                if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
+                    continue
+                s, f = spectrum._brent(s_lo, hi, Z, branch.sin_term_sign)
+                ref = brentq(constraint_factor, s_lo, hi, args=(Z, branch),
+                             xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+                assert same_bits(s, ref), (hi, branch)
+                assert same_bits(f, constraint_factor(ref, Z, branch)), (hi, branch)
+                runs += 1
+        assert runs >= 10
+
+    @pytest.mark.parametrize("Z", [0.0, 2.5, 80.0])
+    def test_brackets_that_end_in_delta_steps(self, Z):
+        # a bracket a few tolerances wide about a root: the interpolation
+        # steps there fall below delta = (xtol + rtol*s)/2, and Brent steps by
+        # delta toward the far end, the step its tolerance sets directly
+        eps = np.finfo(float).eps
+        delta_runs = 0
+        for p in scan_roots(SpectrumRequest(Z=Z, s_max=300.0))[::3]:
+            for k in (2.0, 5.0, 40.0):
+                w = k * (1e-15 + 4.0 * eps * p.s)
+                lo, hi = p.s - w, p.s + 0.7 * w
+                factor = (lambda x, branch=p.branch: constraint_factor(x, Z, branch))
+                f_lo, f_hi = factor(lo), factor(hi)
+                if (f_lo < 0.0) == (f_hi < 0.0):
+                    continue
+                g, xs = recorded(factor)
+                ref = brentq(g, lo, hi, xtol=1e-15, rtol=4.0 * eps, maxiter=200)
+                s, f = spectrum._brent(lo, hi, Z, p.branch.sin_term_sign)
+                assert same_bits(s, ref) and same_bits(f, factor(ref)), (p, k)
+                delta_runs += any(x in (y + d, y - d) for i, x in enumerate(xs) for y in xs[:i]
+                                  for d in [(1e-15 + 4.0 * eps * y) * 0.5])
+        assert delta_runs >= 100
 
 
 @pytest.mark.xfail(
