@@ -724,21 +724,6 @@ class TestGridFactors:
         assert [field_bits(p) for p in got] == [field_bits(p) for p in ref]
 
 
-def arange_nodes(s_max: float) -> np.ndarray:
-    """The uniform scan nodes as the scan formed them before the grid record:
-    ``np.arange`` up to s_max, nodes above s_max dropped."""
-    step = math.pi / 64.0
-    base = np.arange(step, s_max + 0.5 * step, step)
-    return base[base <= s_max]
-
-
-def point_text(p: SpectralPoint) -> str:
-    """Every field of a point, floats by their bits (hex)."""
-    values = [getattr(p, f.name) for f in dataclasses.fields(p)]
-    return " ".join(v.hex() if isinstance(v, float) else v.value if isinstance(v, SecularBranch)
-                    else str(v) for v in values)
-
-
 def scan_digest(count: int) -> str:
     """sha256 of every field of every point of ``count`` seeded scans: Z = 0,
     1e-300 and 5e-324, log-uniform over [1e-8, 1e7] and uniform over [2.5,
@@ -750,7 +735,7 @@ def scan_digest(count: int) -> str:
         lo, hi = (300.0, 2000.0) if k % 50 == 49 else (math.pi, 300.0)
         s_max = math.exp(rng.uniform(math.log(lo), math.log(hi)))
         for p in scan_roots(SpectrumRequest(Z=Z, s_max=s_max)):
-            digest.update(point_text(p).encode() + b"\n")
+            digest.update(repr(field_bits(p)).encode() + b"\n")
         digest.update(b"\n")
     return digest.hexdigest()
 
@@ -758,7 +743,7 @@ def scan_digest(count: int) -> str:
 # scan_digest(3000) of the scans that formed their nodes, 2*s and s*sin s
 # anew in each call, and whose Brent took |s| in its tolerance and tested t
 # against -350 too
-SCAN_DIGEST = "5ff89dc2e1cb1b76ca46df80bcd18901d0f3c6cec7f1eb321d48ad920e0b3461"
+SCAN_DIGEST = "feef2beaff62d13d38a250c857820fb77e4f0bca024df7ed77793e40d91f6f9d"
 
 
 @pytest.fixture
@@ -777,8 +762,8 @@ class TestGridRecord:
     def node_s_maxes() -> list[float]:
         """s_max on about 200 nodes from pi to the cap and one ulp either side
         of each, the cap itself, and s_max past it."""
-        nodes = arange_nodes(spectrum._GRID_CAP)
-        past = arange_nodes(1.02e4)
+        nodes = old_scan_grid(0.0, spectrum._GRID_CAP)
+        past = old_scan_grid(0.0, 1.02e4)
         picks = np.unique(np.geomspace(63, nodes.size - 1, 200).round().astype(int))
         out = [spectrum._GRID_CAP, 1.02e4]
         for node in [*nodes[picks].tolist(), float(past[nodes.size])]:
@@ -794,7 +779,7 @@ class TestGridRecord:
         for s_max in s_maxes:
             record = spectrum._record
             grid = _scan_grid(0.0, s_max)
-            ref = arange_nodes(s_max)
+            ref = old_scan_grid(0.0, s_max)
             assert grid.s.tobytes() == ref.tobytes(), s_max
             assert grid.two_s.tobytes() == (2.0 * ref).tobytes(), s_max
             assert grid.s_sin_s.tobytes() == (ref * np.sin(ref)).tobytes(), s_max
@@ -805,7 +790,7 @@ class TestGridRecord:
             # the record is rebuilt only for an s_max past its own, and up to the cap
             assert (spectrum._record is not record) == (record[0] < min(s_max, spectrum._GRID_CAP))
             assert top == max(record[0], min(s_max, spectrum._GRID_CAP))
-        assert columns.s.size == 203718 and columns.s.tobytes() == arange_nodes(1e4).tobytes()
+        assert columns.s.size == 203718 and columns.s.tobytes() == old_scan_grid(0.0, 1e4).tobytes()
         assert builds > 1 if order != "descending" else builds == 1
 
     def test_record_refuses_writes(self):
@@ -820,7 +805,7 @@ class TestGridRecord:
         # 1e-8 and 0.2 join geometric nodes below pi/64 to the views; 80 and
         # 1e6 clamp t*sinh t on a prefix of the nodes, 1e6 on all below s = 1428
         _scan_grid(0.0, 2000.0)
-        nodes = arange_nodes(2000.0)
+        nodes = old_scan_grid(0.0, 2000.0)
         for k in (63, 64, 200, 1000, 9000, 29000, nodes.size - 1):
             node = float(nodes[k])
             for s_max in (math.nextafter(node, 0.0), node, math.nextafter(node, math.inf)):
@@ -851,7 +836,7 @@ class TestBrentOnItsDomain:
         runs = 0
         for branch in (MINUS, PLUS):
             f_lo = constraint_factor(s_lo, Z, branch)
-            for hi in arange_nodes(40.0)[::16].tolist():
+            for hi in old_scan_grid(0.0, 40.0)[::16].tolist():
                 f_hi = constraint_factor(hi, Z, branch)
                 if f_lo != 0.0 and f_hi != 0.0 and (f_lo < 0.0) == (f_hi < 0.0):
                     continue
