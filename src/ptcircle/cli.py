@@ -299,14 +299,16 @@ def _cmd_fig(args) -> int:
     step = max(1, _FIG2_BLOCK_CELLS // args.nt)
     blocks = [slice(j, j + step) for j in range(0, args.nz, step)]
     signs = np.empty((args.nz, args.nt), dtype=np.int8)
+    passes = blocks
+    if len(blocks) > 1:
+        # a t column fails at its smallest or largest Z if anywhere (Z rises
+        # down the column), so a first pass over those two rows raises the
+        # grid's error, and the blocks leave them out
+        passes = [[0, -1], *(slice(max(b.start, 1), min(b.stop, args.nz - 1)) for b in blocks)]
     try:
-        if len(blocks) > 1:
-            # a t column fails at its smallest or largest Z if anywhere (Z
-            # rises down the column), so those two rows raise the grid's error
-            secular_t(t_row, z_column[[0, -1]])
-        for b in blocks:  # one pass per block, a Z column against a t row
-            v = secular_t(t_row, z_column[b])
-            signs[b] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN keeps its sign bit
+        for rows in passes:  # one pass per block, a Z column against a t row
+            v = secular_t(t_row, z_column[rows])
+            signs[rows] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN keeps its sign bit
     except ValueError as exc:  # t*t underflows or Z/t overflows
         raise _UsageError(str(exc)) from exc
     # a Z row's text, in either format, is the join by the value separator,

@@ -87,6 +87,7 @@ _ROOT_ROUNDING_UNITS = 16.0
 # ``SpectralPoint._at_root`` and the broken pairs of ``transition``, which
 # then fill the instance dict key by key.
 _new = object.__new__
+_PI = math.pi
 
 
 def validate_coupling(Z: float) -> float:
@@ -203,7 +204,7 @@ class SpectralPoint:
         fields = point.__dict__
         fields["Z"] = Z
         fields["branch"] = branch
-        fields["n"] = round(s / math.pi)
+        fields["n"] = round(s / _PI)
         fields["s"] = s
         fields["t"] = t
         fields["E"] = s**2 - t**2

@@ -10,8 +10,9 @@ up to the largest s_max scanned, at most 10^4, and a scan reads its nodes as
 views of it (``_scan_grid``).  What depends on Z is one numpy pass over the
 grid: t = Z/(2s) and t*sinh t, once for both factors, which it gives as the
 two rows of one array; t*sinh t is clamped to +inf on a prefix of the nodes
-only, where t exceeds 350.  One sign test over both rows finds the
-brackets, minus before plus.  Each bracket is refined by Brent's method,
+only, where t exceeds 350.  One sign test over the two rows laid end to
+end finds the brackets, minus before plus, less the cell that joins the
+rows.  Each bracket is refined by Brent's method,
 with no Newton polish: ``_brent``, an in-module copy of scipy's ``brentq``
 that evaluates the factor inline, so its roots are bit-identical to
 ``scipy.optimize.brentq(constraint_factor, ...)``.  Its loop calls fewer
@@ -21,7 +22,9 @@ iterate stays in its bracket, where s > 0, it drops the tests that only a
 negative s could need (see ``_brent``).  The root is accepted by the one
 rounding-aware residual rule of ``secular``, which holds at every s, and
 its point is then built once, by ``SpectralPoint._at_root``, without the
-public constructor's re-checks.
+public constructor's re-checks.  A request or refinement whose coupling
+(and ceiling) is a float in range skips the type and range checks that
+only other inputs need.
 Each level is labelled n = round(s/pi) together with the factor that
 vanished.  ``_brent_steps`` is the same Brent loop for any function, as a
 generator: the series fit runs it once per sample on the scalar factor
@@ -72,6 +75,7 @@ __all__ = [
     "perturbative_energy",
 ]
 
+_PI, _INF = math.pi, math.inf
 _GRID_STEP = math.pi / 64.0
 _GRID_CAP = 1e4  # the CLI's largest --smax; the grid record grows to it and no further
 _MAX_ITER = 200
@@ -88,12 +92,17 @@ class SpectrumRequest:
     s_max: float
 
     def __post_init__(self) -> None:
+        Z, s_max = self.Z, self.s_max
+        # two floats in range need no other check; any other input, valid or
+        # not, takes the checks below and their errors
+        if type(Z) is type(s_max) is float and 0.0 <= Z < _INF and _PI <= s_max < _INF:
+            return
         _reject_arrays(self)
-        validate_coupling(self.Z)
-        if not math.isfinite(self.s_max):
-            raise ValueError(f"s_max must be finite, got {self.s_max}")
-        if self.s_max < math.pi:
-            raise ValueError(f"s_max must be at least pi, got {self.s_max}")
+        validate_coupling(Z)
+        if not math.isfinite(s_max):
+            raise ValueError(f"s_max must be finite, got {s_max}")
+        if s_max < math.pi:
+            raise ValueError(f"s_max must be at least pi, got {s_max}")
 
 
 class _Grid(NamedTuple):
@@ -402,9 +411,10 @@ def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -
     ConvergenceError if the iteration limit is hit or the rule rejects the
     root.
     """
-    Z = validate_coupling(Z)  # a float, as _at_root needs
+    if not (type(Z) is float and 0.0 <= Z < _INF):  # what validate_coupling accepts as is
+        Z = validate_coupling(Z)  # a float, as _at_root needs
     s_lo, s_hi = bracket
-    if not (0.0 < s_lo < s_hi < math.inf):
+    if not (0.0 < s_lo < s_hi < _INF):
         raise ValueError(f"bracket must be finite with 0 < s_lo < s_hi, got {bracket}")
     s, f = _brent(s_lo, s_hi, Z, branch.sin_term_sign)
     residual = abs(f)
@@ -431,7 +441,7 @@ def _grid_factors(grid: _Grid, Z: float) -> np.ndarray:
     t = Z / grid.two_s
     F = np.empty((2, t.size))
     hyp = F[1]
-    if t[0] > _SINH_CLAMP:
+    if t.item(0) > _SINH_CLAMP:
         k = np.count_nonzero(t > _SINH_CLAMP)
         hyp[:k] = math.inf
         t = t[k:]
@@ -444,17 +454,22 @@ def _grid_factors(grid: _Grid, Z: float) -> np.ndarray:
     return F
 
 
-def _sign_change_cells(F: np.ndarray) -> np.ndarray:
-    """The bracket rule along the last axis of F, one factor's values per
-    row: cell i (nodes i and i+1) is a bracket when F is zero at node i or
-    changes sign across the cell, that is (a == 0) | ((a < 0) != (b < 0))
-    with a, b the values at its ends.  The zero test is made only when F has
-    a zero."""
-    neg = F < 0.0
-    cells = neg[..., :-1] != neg[..., 1:]
-    if not F.all():
-        cells |= F[..., :-1] == 0.0
-    return cells
+def _sign_change_cells(F: np.ndarray) -> list[int]:
+    """The brackets of both rows of the (2, n) factor array F (one factor
+    per row), as indices j of the cells of F.ravel(): cell j spans flat
+    nodes j and j+1, and divmod(j, n) gives its row and its first node i.
+    A cell is a bracket when F is zero at node i or changes sign across the
+    cell, that is (a == 0) | ((a < 0) != (b < 0)) with a, b the values at
+    its ends.  One test covers both rows; the one cell that joins them, j =
+    n - 1 from the last node of row 0 to the first of row 1, is cleared.
+    The zero test is made only when F has a zero."""
+    flat = F.ravel()
+    neg = flat < 0.0
+    cells = neg[:-1] != neg[1:]
+    if np.count_nonzero(flat) != flat.size:  # cheaper than F.all()
+        cells |= flat[:-1] == 0.0
+    cells[F.shape[1] - 1] = False
+    return cells.nonzero()[0].tolist()
 
 
 def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
@@ -465,24 +480,23 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     the grid, with the clamp of t*sinh t applied to a prefix of the nodes),
     which takes the nodes' s*sin s from the process's grid record;
     a cell [s_i, s_i+1] of a factor is a bracket when F(s_i) is zero or F
-    changes sign across it (``_sign_change_cells``, one test for both
-    rows), and every bracket is refined by ``refine_root`` (the in-module
-    Brent on the inlined scalar factor, bit-identical to
-    ``scipy.optimize.brentq``; no Newton polish).  A refinement failure on a
-    detected bracket propagates (brackets are never silently dropped).  An
-    empty result is legal.
+    changes sign across it (``_sign_change_cells``, one test over the
+    flattened rows, whose joining cell it drops), and every bracket is
+    refined by ``refine_root`` (the in-module Brent on the inlined scalar
+    factor, bit-identical to ``scipy.optimize.brentq``; no Newton polish).
+    A refinement failure on a detected bracket propagates (brackets are
+    never silently dropped).  An empty result is legal.
     """
     points: list[SpectralPoint] = []
-    grid = _scan_grid(req.Z, req.s_max)
-    if grid.s.size < 2:
+    Z = req.Z
+    grid = _scan_grid(Z, req.s_max)
+    n = grid.s.size
+    if n < 2:
         return points
-    cells = _sign_change_cells(_grid_factors(grid, req.Z))
-    node, width = grid.s.item, grid.s.size - 1
-    # one nonzero over the flat cells, row-major: about a sixth of the cost
-    # of np.nonzero on the (2, n-1) array and two tolist calls
-    for j in cells.ravel().nonzero()[0].tolist():
-        row, i = divmod(j, width)
-        points.append(refine_root((node(i), node(i + 1)), req.Z, _ROW_BRANCHES[row]))
+    node = grid.s.item
+    for j in _sign_change_cells(_grid_factors(grid, Z)):
+        row, i = divmod(j, n)
+        points.append(refine_root((node(i), node(i + 1)), Z, _ROW_BRANCHES[row]))
     # the order of (E, branch.value): list.sort is stable and the row-major
     # order gives every "minus" bracket (row 0) before every "plus" one
     points.sort(key=_energy)

@@ -362,6 +362,32 @@ class TestFigCommand:
         assert (code, err) == (0, "")
         assert out == self.reference_fig2(fmt, meta, nt, nz, t_min, t_max, z_min, z_max)
 
+    @pytest.mark.parametrize("block_cells, nt, nz", [
+        (None, 256, 200),  # the default map, 7 blocks
+        (None, 4096, 300),  # one row a block
+        (7, 3, 5),
+        (600, 300, 3),
+        (1, 4, 2),  # two one-row blocks, both rows taken by the first pass
+    ])
+    def test_fig2_evaluates_each_cell_once(self, capsys, monkeypatch, block_cells, nt, nz):
+        # the first and last Z rows, evaluated first to raise a failing
+        # grid's error, are not evaluated again with their blocks
+        if block_cells is not None:
+            monkeypatch.setattr(ptcircle.cli, "_FIG2_BLOCK_CELLS", block_cells)
+        rows, real = [], ptcircle.cli.secular_t
+
+        def counting(t, Z):
+            rows.extend(Z[:, 0].tolist())
+            value = real(t, Z)
+            assert value.nbytes <= 64 * 1024
+            return value
+
+        monkeypatch.setattr(ptcircle.cli, "secular_t", counting)
+        code, _, err = run_cli(capsys, "fig", "--which", "2", "--nt", str(nt), "--nz", str(nz))
+        assert (code, err) == (0, "")
+        dz = 20.0 / nz
+        assert sorted(rows) == [(j + 0.5) * dz for j in range(nz)]
+
 
 class TestClosedStdout:
     def test_closed_pipe_exits_141_without_traceback(self):

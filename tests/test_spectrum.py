@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import struct
+import types
 import warnings
 
 import mpmath as mp
@@ -21,8 +22,10 @@ from ptcircle.oracle import (
 from ptcircle.secular import (
     SecularBranch,
     SpectralPoint,
+    _reject_arrays,
     constraint_factor,
     factor_value,
+    validate_coupling,
 )
 from ptcircle.spectrum import SpectrumRequest, _scan_grid, refine_root, scan_roots
 
@@ -254,6 +257,74 @@ class TestRefineRoot:
         # no validated input reaches it: F is NaN only at a NaN coupling
         with pytest.raises(ValueError, match="NaN"):
             spectrum._brent(1.0, 2.0, math.nan, -1)
+
+
+class FloatSubclass(float):
+    pass
+
+
+def outcome(call):
+    """("value", what the call returns), or the type and text of its error."""
+    try:
+        return "value", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def checked_request(Z, s_max) -> None:
+    """The checks ``SpectrumRequest`` made on every input before it let two
+    floats in range through without them."""
+    _reject_arrays(types.SimpleNamespace(Z=Z, s_max=s_max))
+    validate_coupling(Z)
+    if not math.isfinite(s_max):
+        raise ValueError(f"s_max must be finite, got {s_max}")
+    if s_max < math.pi:
+        raise ValueError(f"s_max must be at least pi, got {s_max}")
+
+
+def kind_id(value) -> str:
+    return f"{type(value).__name__}:{value!r}"
+
+
+class TestFloatFastPaths:
+    """``SpectrumRequest`` and ``refine_root`` skip their checks for a
+    coupling (and ceiling) given as a float in range; any other input takes
+    the checks, with the values and errors it had before."""
+
+    Z_INPUTS = [2.0, 2, True, False, np.float64(2.0), FloatSubclass(2.0), 0.0, -0.0,
+                FloatSubclass(-0.0), np.float64(-0.0), -1.0, -5e-324, math.nan, math.inf,
+                -math.inf, np.float64(math.nan), FloatSubclass(math.inf), np.array(2.0),
+                np.array(-1.0)]
+    S_MAX_INPUTS = [40.0, 40, True, np.float64(40.0), FloatSubclass(40.0), math.pi, 3.0, -0.0,
+                    -1.0, math.nan, math.inf, -math.inf, np.float64(math.inf),
+                    FloatSubclass(math.nan), np.array(40.0), np.array(1.0)]
+
+    @pytest.mark.parametrize("Z", Z_INPUTS, ids=kind_id)
+    def test_request_checks_and_scan(self, Z):
+        for s_max in self.S_MAX_INPUTS:
+            expected = outcome(lambda: checked_request(Z, s_max))
+            got = outcome(lambda: SpectrumRequest(Z=Z, s_max=s_max))
+            if expected[0] != "value":
+                assert got == expected, kind_id(s_max)
+                continue
+            req = got[1]
+            assert req.Z is Z and req.s_max is s_max  # the fields are kept as given
+            ref = scan_roots(SpectrumRequest(Z=float(Z), s_max=float(s_max)))
+            points = scan_roots(req)
+            assert [field_bits(p) for p in points] == [field_bits(p) for p in ref], kind_id(s_max)
+
+    @pytest.mark.parametrize("Z", Z_INPUTS, ids=kind_id)
+    def test_refine_root_checks_and_points(self, Z):
+        expected = outcome(lambda: validate_coupling(Z))
+        if expected[0] != "value":
+            assert outcome(lambda: refine_root((3.0, 3.3), Z, MINUS)) == expected
+            return
+        brackets = [(lo, hi, branch) for *_, lo, hi, branch in scan_brackets(float(Z), 12.0)]
+        assert len(brackets) >= 6
+        for lo, hi, branch in brackets:
+            p = refine_root((lo, hi), Z, branch)
+            assert field_bits(p) == field_bits(refine_root((lo, hi), float(Z), branch))
+            assert type(p.Z) is float
 
 
 def scan_brackets(Z: float, s_max: float):
@@ -700,10 +771,16 @@ class TestGridFactors:
 
     @pytest.mark.parametrize("minus, plus", itertools.product(range(len(ROWS)), repeat=2))
     def test_sign_change_cells_is_the_old_rule(self, minus, plus):
+        # the pairs include row 0 ending negative or at +-0.0 before a row 1
+        # that starts positive or at +-0.0, where the cell joining the two
+        # rows in F.ravel() would be a bracket if it were not cleared
         F = np.array([self.ROWS[minus], self.ROWS[plus]])
+        n = F.shape[1]
         cells = spectrum._sign_change_cells(F)
-        assert cells.tolist() == [old_bracket_rule(row).tolist() for row in F]
-        assert spectrum._sign_change_cells(F[0]).tolist() == old_bracket_rule(F[0]).tolist()
+        assert all(type(j) is int for j in cells) and n - 1 not in cells
+        assert [divmod(j, n) for j in cells] == [
+            (row, i) for row in (0, 1) for i in np.flatnonzero(old_bracket_rule(F[row])).tolist()
+        ]
 
     def test_scan_grid_is_the_old_mask(self):
         step = math.pi / 64.0
