@@ -304,7 +304,8 @@ def _cmd_fig(args) -> int:
         # a t column fails at its smallest or largest Z if anywhere (Z rises
         # down the column), so a first pass over those two rows raises the
         # grid's error, and the blocks leave them out
-        passes = [[0, -1], *(slice(max(b.start, 1), min(b.stop, args.nz - 1)) for b in blocks)]
+        inner = (slice(max(b.start, 1), min(b.stop, args.nz - 1)) for b in blocks)
+        passes = [[0, -1], *(b for b in inner if b.start < b.stop)]
     try:
         for rows in passes:  # one pass per block, a Z column against a t row
             v = secular_t(t_row, z_column[rows])

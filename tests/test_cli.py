@@ -368,6 +368,7 @@ class TestFigCommand:
         (7, 3, 5),
         (600, 300, 3),
         (1, 4, 2),  # two one-row blocks, both rows taken by the first pass
+        (None, 256, 33),  # the last block holds the last row alone
     ])
     def test_fig2_evaluates_each_cell_once(self, capsys, monkeypatch, block_cells, nt, nz):
         # the first and last Z rows, evaluated first to raise a failing
@@ -377,6 +378,7 @@ class TestFigCommand:
         rows, real = [], ptcircle.cli.secular_t
 
         def counting(t, Z):
+            assert Z.size > 0
             rows.extend(Z[:, 0].tolist())
             value = real(t, Z)
             assert value.nbytes <= 64 * 1024
