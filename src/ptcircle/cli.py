@@ -63,30 +63,20 @@ def _fmt(x) -> str:
     return str(x)
 
 
-# A scalar's JSON text by its type, or the first of its bases listed; a
-# float is written by _json_scalar itself
-_JSON_SCALARS = {
-    str: _json_string,
-    float: lambda x: _json_scalar(float(x)),  # a subclass, such as numpy.float64
-    bool: lambda b: "true" if b else "false",
-    int: int.__repr__,
-    type(None): lambda _: "null",
-}
-
-
 def _json_scalar(value) -> str:
     """value as ``json.dumps`` writes a scalar, except that a non-finite
-    float, which JSON lacks, is the string of its CSV text.  TypeError for
-    anything but a str, float, bool, int (or a subclass of one) or None."""
-    if type(value) is float:  # the commonest scalar, in one frame
+    float, which JSON lacks, is the string of its CSV text.  The commands
+    write floats, ints and strs; TypeError for any other type, a bool, None
+    or a float subclass such as numpy.float64 among them."""
+    kind = type(value)
+    if kind is float:  # the commonest scalar, first
         # x - x is 0.0 for a finite x and NaN for an infinite or NaN one
         return float.__repr__(value) if value - value == 0.0 else _json_string(_fmt(value))
-    text = _JSON_SCALARS.get(type(value))
-    if text is None:  # a subclass, such as numpy.float64, takes its first listed base's text
-        text = next(filter(None, map(_JSON_SCALARS.get, type(value).__mro__)), None)
-        if text is None:
-            raise TypeError(f"{type(value).__name__} is not JSON serializable")
-    return text(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _json_string(value)
+    raise TypeError(f"{kind.__name__} is not JSON serializable")
 
 
 def _json_nested(texts, brackets: str) -> str:
@@ -274,6 +264,8 @@ def _cmd_fig(args) -> int:
         if not (0 < args.t_min < args.t_max):
             raise _UsageError("need 0 < t-min < t-max")
         step = (args.t_max - args.t_min) / (args.points - 1)
+        if not math.isfinite(args.t_min + (args.points - 1) * step):  # the samples rise
+            raise _UsageError(f"--t-max {args.t_max} is too large: the last sample overflows")
         ts = (args.t_min + np.arange(args.points) * step).tolist()  # the floats of t_min + i*step
         try:
             # the scalar kernel, from math: these bytes are pinned
@@ -299,15 +291,12 @@ def _cmd_fig(args) -> int:
     step = max(1, _FIG2_BLOCK_CELLS // args.nt)
     blocks = [slice(j, j + step) for j in range(0, args.nz, step)]
     signs = np.empty((args.nz, args.nt), dtype=np.int8)
-    passes = blocks
-    if len(blocks) > 1:
-        # a t column fails at its smallest or largest Z if anywhere (Z rises
-        # down the column), so a first pass over those two rows raises the
-        # grid's error, and the blocks leave them out
-        inner = (slice(max(b.start, 1), min(b.stop, args.nz - 1)) for b in blocks)
-        passes = [[0, -1], *(b for b in inner if b.start < b.stop)]
     try:
-        for rows in passes:  # one pass per block, a Z column against a t row
+        # a cell fails by t*t == 0, or by Z/t overflowing at t <= 350, only if
+        # the cell of the smallest t and the largest Z does (the centres rise
+        # along both axes, Z >= 0), and that cell's scalar error is the grid's
+        secular_t(ts[0], zs[-1])
+        for rows in blocks:  # one pass per block, a Z column against a t row
             v = secular_t(t_row, z_column[rows])
             signs[rows] = np.where(v == 0.0, 0.0, np.copysign(1.0, v))  # a NaN keeps its sign bit
     except ValueError as exc:  # t*t underflows or Z/t overflows
@@ -423,14 +412,6 @@ def _build_parser():
             command.add_argument(flag, dest=dest, help=help, **kind)
         command.set_defaults(func=func)
     return parser
-
-
-def __getattr__(name: str):
-    """``_Parser``, the class of ``_build_parser``'s parser, for a caller
-    that builds a parser of its own."""
-    if name == "_Parser":
-        return type(_build_parser())
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # The plain parse's view of ``_COMMANDS``, built once: for each command its

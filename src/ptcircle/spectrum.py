@@ -490,9 +490,7 @@ def scan_roots(req: SpectrumRequest) -> list[SpectralPoint]:
     points: list[SpectralPoint] = []
     Z = req.Z
     grid = _scan_grid(Z, req.s_max)
-    n = grid.s.size
-    if n < 2:
-        return points
+    n = grid.s.size  # at least 64 nodes: SpectrumRequest keeps s_max >= pi
     node = grid.s.item
     for j in _sign_change_cells(_grid_factors(grid, Z)):
         row, i = divmod(j, n)

@@ -150,11 +150,8 @@ class CriticalPoint:
     The public constructor raises TypeError for a branch that is not a
     ``SecularBranch`` and for an ndarray in any field, which would leave the
     record unhashable (``solve_above_fold`` looks folds up in a dict).
-    ``interval_fold`` builds each fold once per process.  The hash is the
-    dataclass hash of the five fields, computed once by the constructor,
-    since every ``broken`` call looks its fold up.  A pickle or copy is
-    rebuilt by the constructor: the branch hashes by its name, and a str
-    hash differs between processes."""
+    ``interval_fold`` builds each fold once per process.  Hash, equality,
+    pickling and copying are the frozen dataclass's own."""
 
     nu: int
     Z_crit: float
@@ -166,16 +163,6 @@ class CriticalPoint:
         if not isinstance(self.branch, SecularBranch):
             raise TypeError(f"branch must be a SecularBranch, got {self.branch!r}")
         _reject_arrays(self)
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self) -> tuple:
-        return self.nu, self.Z_crit, self.s_merge, self.E_merge, self.branch
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        return CriticalPoint, self._fields()
 
 
 def _wavenumbers(params: BrokenParams) -> tuple[complex, complex]:

@@ -173,17 +173,10 @@ def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Energies of the sign sweep along the constraint curve and the real part
     of the boundary determinant at each, as one stacked LU determinant of
     ``oracle.boundary_matrices``: ``boundary_determinant(E, Z).real`` per
-    energy, to rounding."""
+    energy, to rounding.  The nodes s start at pi/128, below the lowest root
+    (s near sqrt(Z/2)) at every coupling from 0.12 on, the check's among them;
+    a root below them shows as a count mismatch."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
-    if Z > 0:
-        lo = 0.1 * math.sqrt(0.5 * Z)
-        if lo < s_grid[0]:
-            extra = []
-            v = s_grid[0]
-            while v > lo:
-                v /= 1.25
-                extra.append(v)
-            s_grid = np.concatenate([np.array(extra[::-1]), s_grid])
     energies = s_grid**2 - (Z / (2.0 * s_grid)) ** 2
     return energies, np.linalg.det(oracle.boundary_matrices(energies, Z)).real
 

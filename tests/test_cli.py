@@ -267,6 +267,24 @@ class TestFigCommand:
         assert out == ""
         assert "usage error" in err
 
+    def test_fig1_overflowing_last_sample_is_usage_error(self, capsys):
+        # t_min + 9*step rounds past the float maximum: the last row was
+        # inf, a t outside the window, with numpy's overflow warning
+        code, out, err = run_cli(capsys, "fig", "--which", "1", "--t-min", "1",
+                                 "--t-max", "1.7976931348623157e308", "--points", "10")
+        assert (code, out) == (64, "")
+        assert err == ("usage error: --t-max 1.7976931348623157e+308 is too large: "
+                       "the last sample overflows\n")
+
+    def test_fig1_largest_samples_stay_in_the_window(self, capsys):
+        code, out, err = run_cli(capsys, "fig", "--which", "1", "--t-min", "1",
+                                 "--t-max", "1e308", "--points", "10")
+        assert (code, err) == (0, "")
+        _, rows = csv_rows(out)
+        ts = [float(r[0]) for r in rows]
+        assert len(ts) == 10 and all(map(math.isfinite, ts))
+        assert ts == sorted(ts) and ts[0] == 1.0 and ts[-1] <= 1e308
+
     def test_fig2_grid_guard(self, capsys):
         code, _, err = run_cli(capsys, "fig", "--which", "2", "--nt", "5000", "--nz", "10")
         assert code == 64
@@ -367,17 +385,22 @@ class TestFigCommand:
         (None, 4096, 300),  # one row a block
         (7, 3, 5),
         (600, 300, 3),
-        (1, 4, 2),  # two one-row blocks, both rows taken by the first pass
+        (1, 4, 2),  # two one-row blocks
         (None, 256, 33),  # the last block holds the last row alone
     ])
     def test_fig2_evaluates_each_cell_once(self, capsys, monkeypatch, block_cells, nt, nz):
-        # the first and last Z rows, evaluated first to raise a failing
-        # grid's error, are not evaluated again with their blocks
+        # each Z row in one array call, and one scalar call, at the cell of
+        # the smallest t and the largest Z, first, to raise a failing grid's
+        # error
         if block_cells is not None:
             monkeypatch.setattr(ptcircle.cli, "_FIG2_BLOCK_CELLS", block_cells)
-        rows, real = [], ptcircle.cli.secular_t
+        rows, scalars, real = [], [], ptcircle.cli.secular_t
 
         def counting(t, Z):
+            if isinstance(t, float):
+                assert not rows
+                scalars.append((t, Z))
+                return real(t, Z)
             assert Z.size > 0
             rows.extend(Z[:, 0].tolist())
             value = real(t, Z)
@@ -387,7 +410,8 @@ class TestFigCommand:
         monkeypatch.setattr(ptcircle.cli, "secular_t", counting)
         code, _, err = run_cli(capsys, "fig", "--which", "2", "--nt", str(nt), "--nz", str(nz))
         assert (code, err) == (0, "")
-        dz = 20.0 / nz
+        dt, dz = (3.0 - 0.05) / nt, 20.0 / nz
+        assert scalars == [(0.05 + 0.5 * dt, (nz - 0.5) * dz)]
         assert sorted(rows) == [(j + 0.5) * dz for j in range(nz)]
 
 
@@ -538,9 +562,13 @@ def dumped(command, inputs, header, rows, meta=False, notes=None):
     return json.dumps(payload, indent=2) + "\n"
 
 
-SCALARS = [0, -17, 2**70, 0.1, -0.0, 5e-324, 1e300, True, False, None, "", "\u00e9",
-           "caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f",
-           np.float64(0.1), np.float64(1e-7), np.float64(-0.0)]
+# what the commands write: floats, ints and strs
+SCALARS = [0, -17, 2**70, 0.1, -0.0, 5e-324, 1e300, 1e-7, "", "\u00e9",
+           "caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f"]
+
+
+class FloatSubclass(float):
+    pass
 
 
 class TestJsonWriter:
@@ -555,11 +583,11 @@ class TestJsonWriter:
         ({}, ["a"], [], False, None),
         ({}, ["a"], [], True, ["n"]),
         ({"Z": 0.5, "pair": 3}, ["x", "y"], [[1, 2.5]], False, None),
-        ({"Z": 0.5}, ["a", "b", "c", "d", "e", "f"], [[1, 2.5, True, False, None, "x"]] * 3,
+        ({"Z": 0.5}, ["a", "b", "c", "d", "e", "f"], [[1, 2.5, -0.0, 0, "", "x"]] * 3,
          True, None),
         ({"\u00e9": "caf\u00e9"}, ["\u2603", "tab\t"], [SCALARS, SCALARS[::-1]], True,
          ["caf\u00e9 \u2603 \U0001f600", "tab\t \"q\" \\ \x00 \x1f"]),
-        ({"t": np.float64(0.1)}, ["v"], [[np.float64(1e-7)], [0]], False, []),
+        ({"t": 0.1}, ["v"], [[1e-7], [0]], False, []),
     ])
     @pytest.mark.parametrize("split", [None, 1, 2])
     def test_document_equals_json_dumps(self, inputs, header, rows, meta, notes, split):
@@ -571,22 +599,18 @@ class TestJsonWriter:
         (1.5e-310, "1.5e-310"), (2.225073858507201e-308, "2.225073858507201e-308"),
         (2.2250738585072014e-308, "2.2250738585072014e-308"), (1e16, "1e+16"),
         (math.inf, '"inf"'), (-math.inf, '"-inf"'), (math.nan, '"nan"'), (-math.nan, '"nan"'),
-        (np.float64(-0.0), "-0.0"), (np.float64(5e-324), "5e-324"),
-        (np.float64(1.5e-310), "1.5e-310"), (np.float64(0.1), "0.1"),
-        (np.float64(math.inf), '"inf"'), (np.float64(-math.inf), '"-inf"'),
-        (np.float64(math.nan), '"nan"'),
     ]
 
     @pytest.mark.parametrize("value, text", FLOAT_TEXTS)
     def test_float_texts_are_pinned(self, value, text):
         # the texts the writer gave when a float took a second frame and
-        # math.isfinite; a numpy.float64 takes the float's text, no warning
+        # math.isfinite, with no warning
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert ptcircle.cli._json_scalar(value) == text
 
     def test_non_finite_floats(self):
-        rows = [[math.inf, -math.inf, math.nan, -math.nan, 1.5, np.float64(math.inf)]]
+        rows = [[math.inf, -math.inf, math.nan, -math.nan, 1.5, float("inf")]]
         want = [["inf", "-inf", "nan", "nan", 1.5, "inf"]]
         inputs = {"Z": math.inf, "notes": "inf"}
         expected = dumped("cmd", {"Z": "inf", "notes": "inf"}, ["a"], want, notes=["inf"])
@@ -602,6 +626,22 @@ class TestJsonWriter:
             with pytest.raises(TypeError):
                 json.dumps(value)
         with pytest.raises(TypeError):
+            ptcircle.cli._json_scalar(value)
+        with pytest.raises(TypeError):
+            emit_json("cmd", {}, ["a", "b"], [[1.0, value]])
+        with pytest.raises(TypeError):
+            emit_json("cmd", {"Z": value}, ["a"], [])
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, FloatSubclass(0.5), np.float64(0.1), np.float64(1e-7),
+        np.float64(-0.0), np.float64(5e-324), np.float64(1.5e-310), np.float64(math.inf),
+        np.float64(-math.inf), np.float64(math.nan), np.float64(1e300),
+    ])
+    def test_rejects_what_no_command_writes(self, value):
+        # json.dumps writes these; no command gives the writer one, so they
+        # are refused like any other type but float, int and str
+        json.dumps(value)
+        with pytest.raises(TypeError, match="is not JSON serializable"):
             ptcircle.cli._json_scalar(value)
         with pytest.raises(TypeError):
             emit_json("cmd", {}, ["a", "b"], [[1.0, value]])
@@ -708,9 +748,10 @@ def reference_parser():
     """The parser as it was written out command by command, before the
     option table (the body kept verbatim, but for the ``cli.`` prefixes)."""
     cli = ptcircle.cli
-    parser = cli._Parser(prog="ptcircle", description=cli.__doc__.splitlines()[0])
+    parser_class = type(cli._build_parser())
+    parser = parser_class(prog="ptcircle", description=cli.__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"ptcircle {cli.__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=cli._Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")

@@ -123,15 +123,6 @@ def reference_det_roots(Z, s_max, scanned):
     each bracket narrowed around the scanned energy in its cell as
     ``verify._det_roots`` narrows it, and refined by scipy's ``brentq``."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
-    if Z > 0:
-        lo = 0.1 * math.sqrt(0.5 * Z)
-        if lo < s_grid[0]:
-            extra = []
-            v = s_grid[0]
-            while v > lo:
-                v /= 1.25
-                extra.append(v)
-            s_grid = np.concatenate([np.array(extra[::-1]), s_grid])
     energies = s_grid**2 - (Z / (2.0 * s_grid)) ** 2
 
     def det_re(E):
