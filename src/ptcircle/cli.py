@@ -429,10 +429,12 @@ _PLAIN = {
 def _plain_parse(argv: list[str]) -> types.SimpleNamespace | None:
     """The fields argparse gives argv, in a namespace that needs no argparse,
     when argv is a command name followed by exact flags of that command, each
-    once, every flag but ``--meta`` with one value that does not start with
-    '-', converts by its type and lies in its choices, and every required
-    flag present.  None for any other argv, which argparse parses instead:
-    building its parser costs more than a small command."""
+    once, every flag but ``--meta`` with one value that converts by its type
+    and lies in its choices, a str value not starting with '-', and every
+    required flag present.  A negative number, as -1e-05 or -inf, which
+    argparse takes for a flag, is left to the command's range check.  None
+    for any other argv, which argparse parses instead: building its parser
+    costs more than a small command."""
     plan = _PLAIN.get(argv[0]) if argv else None
     if plan is None:
         return None
@@ -447,8 +449,8 @@ def _plain_parse(argv: list[str]) -> types.SimpleNamespace | None:
         if type_ is None:
             given[dest] = True
             continue
-        text = next(words, "-")  # a missing value is handed over as one starting with '-'
-        if text.startswith("-"):
+        text = next(words, "-")  # a missing value reads as '-', which only str converts
+        if type_ is str and text.startswith("-"):  # argparse takes it for a flag
             return None
         try:
             value = type_(text)

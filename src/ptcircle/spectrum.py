@@ -12,25 +12,17 @@ grid: t = Z/(2s) and t*sinh t, once for both factors, which it gives as the
 two rows of one array; t*sinh t is clamped to +inf on a prefix of the nodes
 only, where t exceeds 350.  One sign test over the two rows laid end to
 end finds the brackets, minus before plus, less the cell that joins the
-rows.  Each bracket is refined by Brent's method,
-with no Newton polish: ``_brent``, an in-module copy of scipy's ``brentq``
-that evaluates the factor inline, so its roots are bit-identical to
-``scipy.optimize.brentq(constraint_factor, ...)``.  Its loop calls fewer
-builtins than a line-by-line copy of the C code, but it makes the same float
-operations and comparisons in the same order, so no bit moves; and as every
-iterate stays in its bracket, where s > 0, it drops the tests that only a
-negative s could need (see ``_brent``).  The root is accepted by the one
-rounding-aware residual rule of ``secular``, which holds at every s, and
-its point is then built once, by ``SpectralPoint._at_root``, without the
-public constructor's re-checks.  A request or refinement whose coupling
-(and ceiling) is a float in range skips the type and range checks that
-only other inputs need.
+rows.  Each bracket is refined by ``_brent``, the package's one Brent: an
+in-module copy of scipy's ``brentq`` that evaluates the factor inline, so
+its roots are bit-identical to ``scipy.optimize.brentq(constraint_factor,
+...)`` with no scipy at run time, and no Newton polish (see ``_brent`` for
+the trims of its loop).  The root is accepted by the one rounding-aware
+residual rule of ``secular``, which holds at every s, and its point is then
+built once, by ``SpectralPoint._at_root``, without the public constructor's
+re-checks.  A request or refinement whose coupling (and ceiling) is a float
+in range skips the type and range checks that only other inputs need.
 Each level is labelled n = round(s/pi) together with the factor that
-vanished.  ``_brent_steps`` is the same Brent loop for any function, as a
-generator: the series fit runs it once per sample on the scalar factor
-(``_rhos_at``), and ``_brentq`` runs it on a batch of brackets in lockstep,
-with one array evaluation per round, for ``verify``'s determinant roots.
-So the package needs no scipy at run time.
+vanished.
 
 The perturbation series writes a root near s = n*pi as s = n*pi + rho(t)
 with rho even in t, and solves the branch equation
@@ -39,7 +31,9 @@ with rho even in t, and solves the branch equation
 
 order by order (``series_coefficients``).  An independent least-squares fit
 of rho(t) sampled at small t (``fit_series_numeric``) arbitrates the
-coefficients.  The leading term is sigma*(-1)^n/(n*pi) * t**2.
+coefficients.  The leading term is sigma*(-1)^n/(n*pi) * t**2, and the fit's
+samples are solved from it together, by Newton's method on numpy arrays
+(``_rhos_at``).
 """
 
 from __future__ import annotations
@@ -48,7 +42,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Callable, Generator, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,7 +54,6 @@ from .secular import (
     _reject_arrays,
     _root_accepted,
     factor_value,  # unused here; the traced benchmark counts calls through it (perfbench/spans.py)
-    t_sinh_t,
     validate_coupling,
 )
 
@@ -204,8 +197,8 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
     fcur for zero before its sign test, but fpre is never zero there and a
     zero fcur returns in that iteration with the same root.
 
-    Two more trims hold on this domain alone, which is where the loop
-    differs from ``_brent_steps``: every iterate lies in [s_lo, s_hi].  A
+    Two more trims hold on this domain alone, where every iterate lies in
+    [s_lo, s_hi] and so is positive, unlike a general root finder's.  A
     step is a bisection, a step of delta toward the far end xblk, which
     |sbis| >= delta keeps inside, or a step toward xblk of under 3/4 of the
     way: the secant's when f(xpre) and f(xcur) differ in sign, and the
@@ -277,122 +270,6 @@ def _brent(s_lo: float, s_hi: float, Z: float, sign: int) -> tuple[float, float]
         fcur = (inf if t > clamp else t * sinh(t)) + sign * xcur * sin(xcur)
         acur = abs(fcur)
     raise ConvergenceError(f"refinement exceeded {_MAX_ITER} iterations near s={xcur}")
-
-
-def _brent_steps(
-    a: float, b: float, xtol: float, rtol: float, maxiter: int
-) -> Generator[float, float, float]:
-    """Brent's method on one bracket [a, b] as a generator: scipy's
-    ``brentq.c`` step for step, written once for ``_brentq`` and
-    ``_rhos_at``.  It yields each x at which it needs the function, is sent
-    the value there back as a float, and returns the root.  Raises what
-    scipy raises for ends of the same sign (ValueError) and for ``maxiter``
-    iterations without convergence (RuntimeError).  Its loop is
-    ``_brent``'s, line for line, with the same trims of C's builtin calls
-    (see there), and one difference: its brackets may hold x <= 0, so its
-    tolerance takes rtol*|x| where ``_brent``'s, whose iterates are all
-    positive, takes rtol*s."""
-    xpre, xcur = a, b
-    fpre = yield xpre
-    fcur = yield xcur
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre < 0.0) == (fcur < 0.0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    apre, acur = abs(fpre), abs(fcur)
-    xblk = fblk = ablk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk, ablk = xpre, fpre, apre
-            spre = scur = xcur - xpre
-        if ablk < acur:
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-            apre, acur, ablk = acur, ablk, acur
-        delta = (xtol + rtol * abs(xcur)) * 0.5
-        sbis = (xblk - xcur) * 0.5
-        if fcur == 0.0 or -delta < sbis < delta:
-            return xcur
-        if (spre > delta or spre < -delta) and acur < apre:
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                try:
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-                except ZeroDivisionError:  # C divides to inf or NaN, which bisects below
-                    stry = math.inf
-            step = 2.0 * abs(stry)
-            if step < abs(spre) and step < 3.0 * abs(sbis) - delta:  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre, apre = xcur, fcur, acur
-        if scur > delta or scur < -delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = yield xcur
-        acur = abs(fcur)
-    raise RuntimeError(f"failed to converge after {maxiter} iterations, value is {xcur}")
-
-
-def _brentq(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    brackets: Sequence[tuple[float, float]],
-    xtol: float,
-    rtol: float,
-    maxiter: int = 100,
-) -> list[float]:
-    """The root of f in each bracket (a, b), by Brent's method run on all
-    brackets at once: for each bracket the root that ``scipy.optimize.brentq(
-    f_k, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)`` returns, to the bit,
-    after the same evaluations, where f_k is f on bracket k alone.
-
-    ``f(x, k)`` takes an ndarray x of points and the ndarray k of the
-    brackets they belong to (x[i] lies in bracket k[i]) and returns the
-    values as an ndarray.  Each bracket runs the loop of ``_brent_steps``;
-    the brackets advance in lockstep, with one call of f per round over the
-    brackets still running.  The ends, tolerances and values are taken as
-    doubles, as the C code takes them, so each root is a float.  When a
-    bracket fails, the batch raises what scipy raises there, for the first
-    failing bracket in input order: ValueError for a NaN value or ends of
-    the same sign, RuntimeError when ``maxiter`` iterations do not converge.
-    Its one caller is ``verify._det_roots``, whose determinant is an array
-    call; the scan keeps ``_brent``, and the series fit, whose factor is a
-    scalar call, runs ``_brent_steps`` per sample.
-    """
-    xtol, rtol = float(xtol), float(rtol)
-    steps = [_brent_steps(float(a), float(b), xtol, rtol, maxiter) for a, b in brackets]
-    x = [next(step) for step in steps]
-    roots: list = [None] * len(steps)
-    running = list(range(len(steps)))
-    while running:
-        values = np.asarray(f(np.array([x[k] for k in running]), np.array(running)), float)
-        still = []
-        for k, fx in zip(running, values.tolist()):
-            try:
-                if fx != fx:
-                    raise ValueError(
-                        f"the function value at x={x[k]} is NaN; solver cannot continue"
-                    )
-                x[k] = steps[k].send(fx)
-            except StopIteration as stop:
-                roots[k] = stop.value
-            except (ValueError, RuntimeError) as exc:  # raised below, in input order
-                roots[k] = exc
-            else:
-                still.append(k)
-        running = still
-    for root in roots:
-        if isinstance(root, Exception):
-            raise root
-    return roots
 
 
 def refine_root(bracket: tuple[float, float], Z: float, branch: SecularBranch) -> SpectralPoint:
@@ -589,26 +466,24 @@ def quartic_coefficient_printed_variant(n: int, branch: SecularBranch) -> float:
 
 
 def _rhos_at(n: int, branch: SecularBranch, ts: np.ndarray) -> np.ndarray:
-    """Root offsets rho = s - n*pi of the branch equation at each fixed small
-    t of ts, each by one ``_brent_steps`` on the bracket n*pi +- 0.4 (xtol
-    1e-16, rtol 4*eps, 100 iterations), so each root is the one
-    ``scipy.optimize.brentq(factor_value)`` returns, to the bit.  The samples
-    run one after the other: t*sinh t is formed once per sample by
-    ``t_sinh_t`` and each evaluation adds sign*s*sin s to it, the float
-    operations of ``factor_value`` at a float s in its order."""
-    a = n * math.pi
-    sign, sin = branch.sin_term_sign, math.sin
-    rhos = []
-    for t in ts.tolist():
-        hyp = t_sinh_t(t)
-        steps = _brent_steps(a - 0.4, a + 0.4, 1e-16, _RTOL, 100)
-        s = next(steps)
-        try:
-            while True:
-                s = steps.send(hyp + sign * s * sin(s))
-        except StopIteration as stop:
-            rhos.append(stop.value - a)
-    return np.array(rhos)
+    """Root offsets rho = s - n*pi of the branch equation at each t of ts,
+    for n >= 1 and 0 < t <= 0.2 (``fit_series_numeric`` checks both), by
+    Newton's method on all samples at once, from the leading term s = n*pi +
+    sigma*(-1)^n*t**2/(n*pi), with F = t*sinh t + sign*s*sin s and F_s =
+    sign*(sin s + s*cos s).  The root lies within about 0.013/n of n*pi,
+    where |F_s| is about n*pi, so three steps reach it, within an ulp of
+    ``scipy.optimize.brentq``'s; ConvergenceError if the eighth step is
+    still above 4*eps*s."""
+    a, sign = n * math.pi, float(branch.sin_term_sign)
+    hyp = ts * np.sinh(ts)
+    s = a + branch.series_sign * (-1) ** n * ts * ts / a
+    for _ in range(8):
+        sin_s = np.sin(s)
+        step = (hyp + sign * s * sin_s) / (sign * (sin_s + s * np.cos(s)))
+        s = s - step
+        if np.all(np.abs(step) <= _RTOL * s):  # a NaN step fails the test
+            return s - a
+    raise ConvergenceError(f"series samples did not converge near s={a} (n={n})")
 
 
 def fit_series_numeric(
@@ -626,9 +501,7 @@ def fit_series_numeric(
     the reported coefficients (fewer are used when the sample count is small).
     Column-scaled least squares keeps the Vandermonde conditioning manageable;
     a rank deficiency raises FitConditioningError.  The samples' roots come
-    from ``_rhos_at``, one Brent run per sample on the bracket n*pi +- 0.4
-    (xtol 1e-16, rtol 4*eps), each the root ``scipy.optimize.brentq`` gives
-    to the bit.
+    from ``_rhos_at``, one Newton iteration over all samples at once.
     """
     _validate_series_args(n, max_order)
     ts = np.asarray(t_samples, dtype=float)

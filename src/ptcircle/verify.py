@@ -16,14 +16,14 @@ them.  ``oracle.residual_check`` and ``oracle.pt_symmetry_check`` then
 measure each state in closed form from its amplitudes, relative to the L2
 norm of the eigenfunction.
 
-The suite runs without scipy: the determinant roots of all couplings of the
-zero-set check are refined together by the batched ``spectrum._brentq``,
-one stacked determinant per round, an in-module port that gives scipy's
-bits, and the symmetry check measures each state at its least-squares
-phase, with no minimizer.  The zero-set check scans first and narrows each
-determinant bracket around the scanned energy in it, where the determinant
-changes sign across the narrowed interval, so a few rounds refine all the
-brackets; the count of roots comes from the determinant sweep alone.
+The suite runs without scipy: the zero-set check refines the determinant
+roots of all its couplings together by a stacked Illinois solve
+(``_illinois``), one stacked determinant per round, and the symmetry check
+measures each state at its least-squares phase, with no minimizer.  The
+zero-set check scans first and narrows each determinant bracket around the
+scanned energy in it, where the determinant changes sign across the
+narrowed interval, so a few rounds refine all the brackets; the count of
+roots comes from the determinant sweep alone.
 Every check takes its worst value with ``_worst``, which keeps a NaN, so a
 measurement that comes back NaN fails its check, and a check that compares
 against a scan fails when the scan finds no level to compare.
@@ -181,6 +181,48 @@ def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     return energies, np.linalg.det(oracle.boundary_matrices(energies, Z)).real
 
 
+def _illinois(a, b, fa, fb, z_of) -> np.ndarray:
+    """The root of Re det of ``oracle.boundary_matrices`` at coupling z_of[k]
+    in each bracket [a[k], b[k]] of the arrays, fa and fb its values at the
+    ends, by the Illinois method on all brackets at once: each round
+    evaluates the secant points c of the running brackets in one stacked
+    determinant, each c at least tol/2 from the end x with the smaller |det|
+    (as Brent's method steps), and moves the end of c's sign to c; the other
+    end, when kept a second round in a row, has its value halved in the
+    secant.  A bracket stops, at x, when an end's value is zero or it is at
+    most tol = 1e-12 + 1e-14*|x| wide.  ValueError on a NaN value,
+    RuntimeError after 100 rounds."""
+    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
+    ga, gb = fa.copy(), fb.copy()  # the weighted values the secant takes
+    last = np.zeros(a.size, dtype=np.int8)  # the end the previous round moved: -1 a, 1 b
+    for _ in range(100):
+        x = np.where(np.abs(fa) <= np.abs(fb), a, b)
+        tol = 1e-12 + 1e-14 * np.abs(x)
+        k = np.flatnonzero((b - a > tol) & (fa != 0.0) & (fb != 0.0))
+        if not k.size:
+            return x
+        c = b[k] - gb[k] * (b[k] - a[k]) / (gb[k] - ga[k])
+        x, half = x[k], 0.5 * tol[k]
+        short = np.abs(c - x) < half
+        c[short] = np.where(x == a[k], x + half, x - half)[short]
+        fc = np.linalg.det(oracle.boundary_matrices(c, z_of[k])).real
+        if np.isnan(fc).any():
+            raise ValueError(
+                f"the function value at x={c[np.isnan(fc)].item(0)} is NaN; solver cannot continue"
+            )
+        to_b = (fc < 0.0) == (fb[k] < 0.0)  # c takes the place of the end of its sign
+        side = np.where(to_b, 1, -1)
+        again = last[k] == side  # the other end is kept a second round in a row
+        last[k] = side
+        ga[k[to_b & again]] *= 0.5
+        gb[k[~to_b & again]] *= 0.5
+        kb, ka = k[to_b], k[~to_b]
+        b[kb], a[ka] = c[to_b], c[~to_b]
+        fb[kb] = gb[kb] = fc[to_b]
+        fa[ka] = ga[ka] = fc[~to_b]
+    raise RuntimeError("determinant roots did not converge in 100 rounds")
+
+
 def _det_roots(
     z_values: tuple[float, ...], s_max: float, scanned: list[list[float]]
 ) -> list[list[float]]:
@@ -192,41 +234,33 @@ def _det_roots(
     energy E is narrowed to E +- 1e-9*max(1, |E|), clipped to the cell,
     where Re det changes sign across that interval (one stacked determinant
     tests them all); a scanned energy farther from its root leaves the whole
-    cell.  All brackets are then refined together by ``spectrum._brentq``,
-    one stacked determinant of ``oracle.boundary_matrices`` per round, with
-    ``scipy.optimize.brentq``'s steps and tolerances (xtol 1e-12, rtol
-    1e-14)."""
-    brackets: list[tuple[float, float]] = []
-    couplings: list[float] = []
-    counts = []
-    narrow: dict[int, tuple[float, float]] = {}  # bracket -> the interval about its scanned energy
+    cell.  All brackets are then refined together by ``_illinois``, one
+    stacked determinant per round, each to 1e-12 + 1e-14*|E|."""
+    parts = [np.empty((5, 0))]  # per coupling, rows a, b, f(a), f(b), scanned energy
+    couplings, counts = [], []
     for Z, found in zip(z_values, scanned):
         energies, vals = _det_sweep(Z, s_max)
-        cells = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
-        # the sweep's energies increase, so each scanned energy lies in one cell
-        cell_of = dict(zip((np.searchsorted(energies, found, side="right") - 1).tolist(), found))
-        for i in cells:
-            lo, hi = float(energies[i]), float(energies[i + 1])
-            E = cell_of.get(i)
-            if E is not None:
-                cut = 1e-9 * max(1.0, abs(E))
-                narrow[len(brackets)] = (max(lo, E - cut), min(hi, E + cut))
-            brackets.append((lo, hi))
-        couplings.extend([Z] * len(cells))
-        counts.append(len(cells))
+        cells = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0))
+        # the sweep's energies increase, so each scanned energy lies in one
+        # cell; a cell without one holds NaN
+        inside = np.full(energies.size, np.nan)
+        inside[np.searchsorted(energies, found, side="right") - 1] = found
+        parts.append(np.array([energies[cells], energies[cells + 1], vals[cells], vals[cells + 1],
+                               inside[cells]]))
+        couplings.extend([Z] * cells.size)
+        counts.append(cells.size)
+    a, b, fa, fb, E = np.concatenate(parts, axis=1)
     z_of = np.array(couplings, dtype=float)
-    if narrow:
-        k = list(narrow)
-        a, b = zip(*narrow.values())
-        ends = np.linalg.det(oracle.boundary_matrices(np.array(a + b), z_of[k + k])).real
-        for j, f_a, f_b in zip(k, ends[: len(k)].tolist(), ends[len(k):].tolist()):
-            if (f_a < 0.0) != (f_b < 0.0):
-                brackets[j] = narrow[j]
-
-    def det_re(E: np.ndarray, k: np.ndarray) -> np.ndarray:
-        return np.linalg.det(oracle.boundary_matrices(E, z_of[k])).real
-
-    roots = spectrum._brentq(det_re, brackets, xtol=1e-12, rtol=1e-14)
+    k = np.flatnonzero(E == E)
+    if k.size:
+        cut = 1e-9 * np.maximum(1.0, np.abs(E[k]))
+        lo, hi = np.maximum(a[k], E[k] - cut), np.minimum(b[k], E[k] + cut)
+        W = oracle.boundary_matrices(np.concatenate((lo, hi)), np.tile(z_of[k], 2))
+        f_lo, f_hi = np.split(np.linalg.det(W).real, 2)
+        keep = (f_lo < 0.0) != (f_hi < 0.0)
+        k = k[keep]
+        a[k], b[k], fa[k], fb[k] = lo[keep], hi[keep], f_lo[keep], f_hi[keep]
+    roots = _illinois(a, b, fa, fb, z_of).tolist()
     ends = np.cumsum([0, *counts]).tolist()
     return [sorted(roots[lo:hi]) for lo, hi in zip(ends, ends[1:])]
 

@@ -826,11 +826,14 @@ PARSE_ONLY = [  # help, version and usage errors: main returns after parsing
     ("critical", "--count", "1", "--bogus"), ("--version", "spectrum"),
     ("spectrum", "--Z", "1", "--smax", "10", "--help"), ("table1", "extra"),
     ("spectrum", "--Z", "1", "-h", "--smax", "10"), ("critical", "--count", "3", "--"),
+    # a value that is a flag or missing, a str value that starts with '-', a
+    # number outside the choices
+    ("spectrum", "--Z", "--smax", "10"), ("spectrum", "--Z", "1", "--smax"),
+    ("spectrum", "--Z", "1", "--smax", "10", "--out", "-x"), ("fig", "--which", "-1"),
 ]
 FALLBACK = [  # argv argparse parses to a namespace, but only after its parser is built
     ("spectrum", "--Z", "1", "--sm", "10"), ("spectrum", "--Z=1", "--smax", "10"),
-    ("critical", "--count", "3", "--count", "4"), ("spectrum", "--Z", "-1", "--smax", "10"),
-    ("critical", "--count", "3", "--out", "-"),
+    ("critical", "--count", "3", "--count", "4"), ("critical", "--count", "3", "--out", "-"),
 ]
 EDGE_VALUES = {float: ("nan", "1e400", " 5", "1_0"), int: (" 5", "1_0", "7"),
                str: ("", "fig", "x.csv")}  # each converts by its type
@@ -904,6 +907,7 @@ class TestParser:
         ("broken", "--Z", "6", "--pair", "0", "--out", "x.csv"), ("table1", "--format", "json", "--meta"),
         ("fig", "--which", "2", "--nt", "5", "--z-max", "3"), ("verify",), ("verify", "--level", "full"),
         ("spectrum", "--out", "fig", "--Z", "1", "--smax", "4"),  # another command's name as a value
+        ("spectrum", "--Z", "-1", "--smax", "10"),  # a negative number argparse takes as a value
         *well_formed_argvs(), *FALLBACK,
     ])
     def test_parsed_arguments(self, parser_use, argv):
@@ -911,6 +915,19 @@ class TestParser:
         assert fields(ptcircle.cli._build_parser().parse_args(list(argv))) == expected
         plain = ptcircle.cli._plain_parse(list(argv))
         assert plain is None if argv in FALLBACK else fields(plain) == expected
+
+    @pytest.mark.parametrize("argv, message", [
+        (("spectrum", "--Z", "-1e-05", "--smax", "10"),
+         "--Z must be finite and non-negative, got -1e-05"),
+        (("spectrum", "--Z", "-inf", "--smax", "10"), "--Z must be finite and non-negative, got -inf"),
+        (("broken", "--Z", "-2e-3", "--pair", "0"), "--Z must be finite and positive, got -0.002"),
+        (("fig", "--which", "1", "--t-min", "-1e-3"), "need 0 < t-min < t-max"),
+    ])
+    def test_negative_number_reaches_the_range_check(self, capsys, parser_use, argv, message):
+        # argparse takes these values for flags ("expected one argument");
+        # the plain parse converts them, and the command's range check answers
+        assert ptcircle.cli._plain_parse(list(argv)) is not None
+        assert run_cli(capsys, *argv) == (64, "", f"usage error: {message}\n")
 
     @pytest.mark.parametrize("argv", [
         ("--help",), ("nonsense",), ("fig", "--help"),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ptcircle import spectrum, verify
+from ptcircle import spectrum
 from ptcircle.errors import ConvergenceError, NoSignChangeError
 from ptcircle.oracle import (
     boundary_determinant,
@@ -420,220 +420,41 @@ def same_bits(x: float, y: float) -> bool:
     return struct.pack("<d", x) == struct.pack("<d", y)
 
 
-def smooth_cases():
-    """(f, a, b, xtol, rtol) for seeded smooth functions with a root in [a, b]:
-    polynomials, transcendental and flat ones, and ends whose value is
-    exactly 0.0 or -0.0."""
-    rng = np.random.default_rng(20261018)
-    eps = np.finfo(float).eps
-    tols = ((2e-12, 4.0 * eps), (1e-15, 4.0 * eps), (1e-16, 4.0 * eps), (1e-12, 1e-14), (1e-6, 1e-9))
-    for k in range(300):
-        r = float(rng.uniform(-5.0, 5.0))
-        a = r - float(rng.uniform(1e-3, 4.0))
-        b = r + float(rng.uniform(1e-3, 4.0))
-        c = float(rng.uniform(0.1, 3.0))
-        f = (
-            lambda x, r=r, c=c: c * (x - r),
-            lambda x, r=r, c=c: (x - r) ** 3 + c * (x - r),
-            lambda x, r=r: math.tanh(4.0 * (x - r)),
-            lambda x, r=r: math.exp(x - r) - 1.0,
-            lambda x, r=r, c=c: math.sin(c * (x - r)) if abs(c * (x - r)) < 1.5 else c * (x - r),
-            lambda x, r=r: (x - r) ** 5,
-            lambda x, r=r: np.float64(math.atan(x - r)),  # a numpy double, taken as a double
-            lambda x, r=r: -math.expm1(-(x - r) ** 3),
-        )[k % 8]
-        yield (f, a, b, *tols[k % len(tols)])
-    # an end whose value is exactly 0.0 or -0.0 is returned as the root
-    yield (lambda x: x - 1.0, 1.0, 3.0, 2e-12, 4.0 * eps)
-    yield (lambda x: x - 3.0, 1.0, 3.0, 2e-12, 4.0 * eps)
-    yield (lambda x: -0.0 if x == 1.0 else x - 1.0, 1.0, 3.0, 2e-12, 4.0 * eps)
-    yield (lambda x: -0.0 if x == 3.0 else x - 2.5, 1.0, 3.0, 2e-12, 4.0 * eps)
-    yield (lambda x: math.sin(x), -0.0, 1.0, 2e-12, 4.0 * eps)
+class TestSeriesSamples:
+    """``_rhos_at`` solves the series fit's samples by Newton's method on
+    numpy arrays.  Its roots are pinned by accuracy, not by bits: numpy's
+    sin may differ from math.sin in the last bit on another CPU."""
 
-
-def scipy_brentq(f, a, b, xtol, rtol, maxiter=100):
-    return brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter)
-
-
-def batched(fs):
-    """The batch function of the scalar functions fs, one per bracket, and
-    the list of the points each bracket is evaluated at, in order."""
-    seen = [[] for _ in fs]
-
-    def f(x, k):
-        assert x.dtype == float and x.shape == k.shape
-        values = []
-        for xi, ki in zip(x.tolist(), k.tolist()):
-            seen[ki].append(xi)
-            values.append(fs[ki](xi))
-        return np.array(values, dtype=float)
-
-    return f, seen
-
-
-def scipy_outcome(f, a, b, xtol, rtol, maxiter=100):
-    """scipy's root, or the exception it raised, and its evaluation points."""
-    g, xs = recorded(f)
-    try:
-        return scipy_brentq(g, a, b, xtol, rtol, maxiter), xs
-    except (ValueError, RuntimeError) as exc:
-        return exc, xs
-
-
-def package_error_text(exc, xs, maxiter):
-    """The text ``_brentq`` raises where scipy raised exc after evaluating
-    f at xs: scipy's error, worded as the package words it, at the same x."""
-    text = str(exc)
-    if isinstance(exc, RuntimeError):
-        assert text == f"Failed to converge after {maxiter} iterations."
-        return f"failed to converge after {maxiter} iterations, value is {xs[-1]}"
-    if "NaN" in text:
-        assert text == f"The function value at x={xs[-1]} is NaN; solver cannot continue."
-        return f"the function value at x={xs[-1]} is NaN; solver cannot continue"
-    assert text == "f(a) and f(b) must have different signs"
-    return text
-
-
-class TestBrentqIsScipyBrentq:
-    """``spectrum._brentq`` runs scipy's ``brentq.c`` on every bracket of a
-    batch: the same evaluations per bracket, the same root to the bit, and
-    the same exception types, alone and in a batch."""
-
-    def assert_batch(self, cases, maxiter=100):
-        """Run cases (f, a, b) of one tolerance pair as one batch; each
-        bracket is evaluated where scipy evaluates it.  Returns scipy's
-        outcomes; the batch returns their roots, or raises the error of the
-        first failing bracket."""
-        fs, brackets, (xtol, rtol) = [c[0] for c in cases], [c[1:3] for c in cases], cases[0][3:]
-        expected = [scipy_outcome(f, a, b, xtol, rtol, maxiter) for f, (a, b) in zip(fs, brackets)]
-        f, seen = batched(fs)
-        failing = [i for i, (root, _) in enumerate(expected) if isinstance(root, Exception)]
-        if failing:
-            # every bracket, failing or not, runs to its end in lockstep
-            exc, xs = expected[failing[0]]
-            with pytest.raises(type(exc)) as info:
-                spectrum._brentq(f, brackets, xtol, rtol, maxiter)
-            assert str(info.value) == package_error_text(exc, xs, maxiter)
-            for got, (_, xs) in zip(seen, expected):
-                assert got == xs
-            return expected
-        roots = spectrum._brentq(f, brackets, xtol, rtol, maxiter)
-        assert len(roots) == len(cases)
-        for got, (want, xs), evaluated in zip(roots, expected, seen):
-            assert same_bits(got, want) and type(got) is float, (got, want)
-            assert evaluated == xs
-        return expected
+    # the t grid of verify's series check and of tests/test_series.py, and a denser one
+    TS = sorted({*np.linspace(0.05, 0.2, 24).tolist(), *np.linspace(1e-3, 0.2, 97).tolist()})
 
     @pytest.mark.parametrize("n", range(1, 9))
     @pytest.mark.parametrize("branch", [MINUS, PLUS])
     def test_series_fit_brackets(self, n, branch):
-        # the t grid of verify's series check and of tests/test_series.py, and
-        # a denser one, through the bracket and tolerances of _rhos_at
-        a = n * math.pi
-        ts = sorted({*np.linspace(0.05, 0.2, 24).tolist(), *np.linspace(1e-3, 0.2, 97).tolist()})
-        fs = [lambda s, t=t: factor_value(t, s, branch) for t in ts]
-        expected = self.assert_batch([(f, a - 0.4, a + 0.4, 1e-16, 4.0 * np.finfo(float).eps)
-                                      for f in fs])
-        rhos = spectrum._rhos_at(n, branch, np.array(ts))
-        assert rhos.tobytes() == np.array([root - a for root, _ in expected]).tobytes()
+        # each root within an ulp of scipy's brentq on the bracket n*pi +- 0.4;
+        # s and n*pi are within a factor of 2, so rho = s - n*pi is exact and
+        # n*pi + rho gives s back
+        a, eps = n * math.pi, np.finfo(float).eps
+        rhos = spectrum._rhos_at(n, branch, np.array(self.TS))
+        for t, rho in zip(self.TS, rhos.tolist()):
+            ref = brentq(lambda s: factor_value(t, s, branch), a - 0.4, a + 0.4,
+                         xtol=1e-16, rtol=4.0 * eps, maxiter=100)
+            assert abs((a + rho) - ref) <= math.ulp(ref), (t, rho, ref - a)
 
-    @pytest.mark.parametrize("z_values", [(0.5,), (3.0,), (5.0,), (10.0,), (17.0,),
-                                          (0.5, 3.0, 5.0, 10.0, 17.0)])
-    def test_determinant_brackets(self, z_values):
-        cases = []
-        for Z in z_values:
-            energies, vals = verify._det_sweep(Z, 4.6 * math.pi)
-            brackets = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0)).tolist()
-            assert brackets
-            cases += [(lambda E, Z=Z: boundary_determinant(E, Z).real,
-                       float(energies[i]), float(energies[i + 1]), 1e-12, 1e-14)
-                      for i in brackets]
-        self.assert_batch(cases)
+    @pytest.mark.parametrize("n, branch, t", [
+        (1, MINUS, 1e-3), (1, PLUS, 0.2), (2, MINUS, 0.05), (3, PLUS, 0.137), (8, MINUS, 0.2),
+    ])
+    def test_within_two_ulp_of_the_mpmath_root(self, n, branch, t):
+        s = n * math.pi + spectrum._rhos_at(n, branch, np.array([t])).item(0)
+        tt = mp.mpf(t)  # the double t, exactly
+        root = mp.findroot(lambda x: tt * mp.sinh(tt) + branch.sin_term_sign * x * mp.sin(x),
+                           mp.mpf(s))
+        assert abs(mp.mpf(s) - root) <= 2 * math.ulp(s), (s, root)
 
-    def test_seeded_smooth_functions_alone(self):
-        outcomes = [self.assert_batch([case])[0][0] for case in smooth_cases()]
-        # the triple and fifth-order roots run out of iterations at the
-        # tighter tolerances, so both outcomes are compared
-        failed = [type(root) for root in outcomes if isinstance(root, Exception)]
-        assert set(failed) == {RuntimeError} and 0 < len(failed) < 0.25 * len(outcomes)
-
-    def test_seeded_smooth_functions_batched(self):
-        by_tols = {}
-        for f, a, b, xtol, rtol in smooth_cases():
-            by_tols.setdefault((xtol, rtol), []).append((f, a, b, xtol, rtol))
-        for cases in by_tols.values():
-            converging = [c for c in cases
-                          if not isinstance(scipy_outcome(*c)[0], Exception)]
-            self.assert_batch(converging)
-            self.assert_batch(cases)  # raises for the first bracket that runs out
-
-    def test_mixed_batch(self):
-        eps = np.finfo(float).eps
-        cases = [
-            (lambda x: math.tanh(4.0 * (x - 0.3)), -2.0, 3.0),
-            (lambda x: x - 1.0, 1.0, 3.0),          # the lower end's value is 0
-            (lambda x: 2.0 * (x - 1.5), 1.0, 2.0),  # the first step lands on the root
-            (lambda x: (x - 0.7) ** 3 + 0.1 * (x - 0.7), -4.0, 1.0),
-            (lambda x: math.exp(x - 2.0) - 1.0, 0.0, 5.0),
-            (lambda x: -0.0 if x == 3.0 else x - 2.5, 1.0, 3.0),  # an upper end's -0.0
-        ]
-        outcomes = self.assert_batch([(f, a, b, 2e-12, 4.0 * eps) for f, a, b in cases])
-        assert all(isinstance(root, float) for root, _ in outcomes)
-        f, seen = batched([c[0] for c in cases])
-        roots = spectrum._brentq(f, [c[1:] for c in cases], 2e-12, 4.0 * eps)
-        assert roots[1] == 1.0 and len(seen[1]) == 2
-        assert roots[2] == 1.5 and len(seen[2]) == 3 and cases[2][0](seen[2][-1]) == 0.0
-        assert same_bits(roots[5], 3.0) and len(seen[5]) == 2
-        assert len({len(xs) for xs in seen}) >= 4  # different iteration counts
-
-    def test_empty_batch(self):
-        assert spectrum._brentq(batched([])[0], [], 1e-12, 1e-12) == []
-
-    def test_iterations_run_out(self):
-        with pytest.raises(RuntimeError, match="converge"):
-            spectrum._brentq(batched([lambda x: x**3 - 0.3])[0], [(0.0, 5.0)], 1e-15, 1e-15, 3)
-        self.assert_batch([(lambda x: x**3 - 0.3, 0.0, 5.0, 1e-15, 1e-15)], maxiter=3)
-
-    @pytest.mark.parametrize("impl", ["ours", "scipy"])
-    def test_same_sign_ends(self, impl):
-        f, a, b = (lambda x: x * x + 1.0), -1.0, 2.0
-        with pytest.raises(ValueError, match="different signs"):
-            if impl == "ours":
-                spectrum._brentq(batched([f])[0], [(a, b)], 2e-12, 1e-12)
-            else:
-                scipy_brentq(f, a, b, 2e-12, 1e-12)
-
-    @staticmethod
-    def nan_inside(x):
-        return math.nan if x <= -1.0 or x >= 2.0 or 0.3 < x < 0.5 else x - 0.4
-
-    @pytest.mark.parametrize("impl", ["ours", "scipy"])
-    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (0.0, 2.0), (0.0, 1.0)])
-    def test_nan_value(self, impl, a, b):
-        # NaN at the lower end, at the upper end, or at the first step inside
-        with pytest.raises(ValueError, match="NaN"):
-            if impl == "ours":
-                spectrum._brentq(batched([self.nan_inside])[0], [(a, b)], 2e-12, 1e-12)
-            else:
-                scipy_brentq(self.nan_inside, a, b, 2e-12, 1e-12)
-
-    @pytest.mark.parametrize("order", list(itertools.permutations(range(5))))
-    def test_first_failing_bracket_in_input_order(self, order):
-        # same-sign ends, a NaN inside, iterations that run out, and two
-        # brackets that converge, in every order: the batch raises what
-        # the first failing bracket raises alone
-        cases = [
-            (lambda x: x - 0.4, 0.0, 1.0),
-            (lambda x: x * x + 1.0, -1.0, 2.0),
-            (self.nan_inside, 0.0, 1.0),
-            (lambda x: x**3 - 0.3, 0.0, 5.0),
-            (lambda x: 2.0 * (x - 1.5), 1.0, 2.0),
-        ]
-        batch = [(*cases[i], 1e-15, 1e-15) for i in order]
-        outcomes = [root for root, _ in self.assert_batch(batch, maxiter=4)]
-        kinds = sorted(type(root).__name__ if isinstance(root, Exception) else "root"
-                       for root in outcomes)
-        assert kinds == ["RuntimeError", "ValueError", "ValueError", "root", "root"]
+    def test_no_convergence_raises(self):
+        # a NaN sample never meets the step test
+        with pytest.raises(ConvergenceError, match="series samples did not converge"):
+            spectrum._rhos_at(1, MINUS, np.array([0.1, math.nan]))
 
 
 def public_point(Z: float, branch: SecularBranch, s: float, residual: float) -> SpectralPoint:

@@ -4,8 +4,8 @@ stand for.
 The identity sweeps make one array call per kernel, and the determinant sweep
 stacks its matrices; each value must agree with the scalar call at its point
 to a few units of rounding, far below the checks' bounds, and the determinant
-roots with those of a per-energy ``boundary_determinant`` refined by
-``scipy.optimize.brentq``.
+roots, refined by the stacked Illinois solve, with those of a per-energy
+``boundary_determinant`` refined by ``scipy.optimize.brentq``.
 """
 
 import contextlib
@@ -179,10 +179,24 @@ def test_det_roots_of_all_couplings_refined_together():
     assert verify._det_roots((), s_max, []) == []
 
 
+def test_det_roots_of_whole_cells():
+    # with no scanned energy to narrow around, each cell is refined whole;
+    # the reference's Brent and the Illinois solve each stop within
+    # 1e-12 + 1e-14*|E| of the root
+    z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
+    s_max = 4.6 * math.pi
+    expected = [reference_det_roots(Z, s_max, [])[2] for Z in z_values]
+    got = verify._det_roots(z_values, s_max, [[]] * len(z_values))
+    assert [len(roots) for roots in got] == [len(roots) for roots in expected]
+    for roots, reference in zip(got, expected):
+        reference = np.array(reference)
+        assert np.all(np.abs(np.array(roots) - reference) <= 2e-12 + 2e-14 * np.abs(reference))
+
+
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
 @pytest.mark.parametrize("narrowed", [False, True])
 def test_det_roots_nan_determinant_raises(narrowed):
-    # a NaN value inside a bracket stops the batch with the scalar loop's
+    # a NaN value inside a bracket stops the batch with the solver's NaN
     # error; NaN ends of a narrowed interval show no sign change, so the
     # whole cell is refined and meets the NaN
     real = oracle.boundary_matrices
@@ -384,21 +398,21 @@ def test_zero_set_counts_a_dropped_root(monkeypatch):
 def test_zero_set_refines_the_narrowed_brackets(monkeypatch):
     # every determinant root of the full check is refined from its narrowed
     # interval: five sweeps, one stacked test of the narrowed ends and a few
-    # Brent rounds, where the whole cells take 24 rounds
+    # Illinois rounds, where the whole cells take 16 rounds
     z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
     calls, brackets = [], []
-    real_matrices, real_brentq = oracle.boundary_matrices, spectrum._brentq
+    real_matrices, real_illinois = oracle.boundary_matrices, verify._illinois
 
     def matrices(E, Z):
         calls.append(np.size(E))
         return real_matrices(E, Z)
 
-    def brentq_recording(f, cells, **tols):
-        brackets.extend(cells)
-        return real_brentq(f, cells, **tols)
+    def illinois_recording(a, b, fa, fb, z_of):
+        brackets.extend(zip(a.tolist(), b.tolist()))
+        return real_illinois(a, b, fa, fb, z_of)
 
     monkeypatch.setattr(oracle, "boundary_matrices", matrices)
-    monkeypatch.setattr(spectrum, "_brentq", brentq_recording)
+    monkeypatch.setattr(verify, "_illinois", illinois_recording)
     assert verify._zero_set_equivalence(z_values).passed
     assert len(brackets) == 41 and calls[5] == 2 * 41
     assert all(b - a <= 2.1e-9 * max(1.0, abs(b)) for a, b in brackets)
