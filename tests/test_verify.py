@@ -10,11 +10,14 @@ roots, refined by the stacked Illinois solve, with those of a per-energy
 
 import contextlib
 import dataclasses
+import functools
 import io
+import itertools
 import json
 import math
 import re
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -179,11 +182,12 @@ def test_det_roots_of_all_couplings_refined_together():
     assert verify._det_roots((), s_max, []) == []
 
 
-def test_det_roots_of_whole_cells():
-    # with no scanned energy to narrow around, each cell is refined whole;
-    # the reference's Brent and the Illinois solve each stop within
-    # 1e-12 + 1e-14*|E| of the root
-    z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
+@pytest.mark.parametrize("z_values", [(0.5,), (3.0,), (5.0,), (10.0,), (17.0,),
+                                      (0.5, 3.0, 5.0, 10.0, 17.0)])
+def test_det_roots_of_whole_cells(z_values):
+    # with no scanned energy to narrow around, each cell is refined whole,
+    # each coupling alone and all together; the reference's Brent and the
+    # Illinois solve each stop within 1e-12 + 1e-14*|E| of the root
     s_max = 4.6 * math.pi
     expected = [reference_det_roots(Z, s_max, [])[2] for Z in z_values]
     got = verify._det_roots(z_values, s_max, [[]] * len(z_values))
@@ -212,6 +216,64 @@ def test_det_roots_nan_determinant_raises(narrowed):
         mp.setattr(oracle, "boundary_matrices", nan_at_second_coupling)
         with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
             verify._det_roots((0.5, 3.0), 4.6 * math.pi, scanned)
+
+
+def _nan_at_five(E, Z, real=oracle.boundary_matrices):
+    """``oracle.boundary_matrices`` with NaN matrices at the coupling 5.0."""
+    W = real(E, Z)
+    W[np.asarray(Z) == 5.0] = np.nan
+    return W
+
+
+def _cell(Z, i):
+    """[a, b, f(a), f(b), Z] of the i-th sign-change cell of Z's sweep."""
+    energies, vals = verify._det_sweep(Z, 4.6 * math.pi)
+    j = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0))[i]
+    return [energies[j], energies[j + 1], vals[j], vals[j + 1], Z]
+
+
+def _illinois(brackets):
+    a, b, fa, fb, z_of = (np.array(column, dtype=float) for column in zip(*brackets))
+    return verify._illinois(a, b, fa, fb, z_of)
+
+
+@functools.cache
+def _illinois_brackets():
+    """Five brackets and what each gives alone, its root or its error text:
+    two whole cells that take different numbers of rounds, a bracket whose
+    lower end's value is 0 (its root, at once), and two cells (3 and 4)
+    whose every determinant is NaN."""
+    zero_end = _cell(17.0, 2)
+    zero_end[2] = 0.0
+    brackets = [_cell(3.0, 0), _cell(10.0, -1), zero_end, _cell(5.0, 0), _cell(5.0, 3)]
+    alone = []
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "invalid value encountered in det", RuntimeWarning)
+        mp.setattr(oracle, "boundary_matrices", _nan_at_five)
+        for bracket in brackets:
+            try:
+                alone.append(_illinois([bracket]).item(0))
+            except ValueError as exc:
+                alone.append(str(exc))
+    return brackets, alone
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
+@pytest.mark.parametrize("order", list(itertools.permutations(range(5))))
+def test_illinois_brackets_in_every_order(monkeypatch, order):
+    # each bracket of the stacked solve runs as it runs alone: in every
+    # order, the batch raises the NaN error of the first NaN bracket in input
+    # order, and without the NaN brackets it returns each root to the bit
+    brackets, alone = _illinois_brackets()
+    assert [type(x) for x in alone] == [float, float, float, str, str]
+    assert alone[2] == brackets[2][0] and alone[3] != alone[4]
+    monkeypatch.setattr(oracle, "boundary_matrices", _nan_at_five)
+    with pytest.raises(ValueError) as info:
+        _illinois([brackets[i] for i in order])
+    assert str(info.value) == alone[next(i for i in order if i >= 3)]
+    converging = [i for i in order if i < 3]
+    roots = _illinois([brackets[i] for i in converging])
+    assert roots.tobytes() == np.array([alone[i] for i in converging]).tobytes()
 
 
 # ---------------------------------------------------------------------------
