@@ -98,36 +98,35 @@ _LAYOUT = {"csv": (_fmt, "", ",", "\n", ""),
 
 def _rows_text(rows: list[list], fmt: str) -> str:
     """Rows of values, all of one length of at least one, as one text of
-    whole rows (see ``_emit_blocks``): each row is one join of its values'
+    whole rows (see ``_emit``): each row is one join of its values'
     texts."""
     text, row_open, value_sep, row_close, row_sep = _LAYOUT[fmt]
     return row_sep.join([row_open + value_sep.join(map(text, row)) + row_close for row in rows])
 
 
-def _emit(stream, command: str, inputs: dict, header: list[str], rows: list[list],
-          fmt: str, meta: bool, preamble: list[str] | None = None) -> None:
-    """Write one command's output with its rows of values."""
-    _emit_blocks(stream, command, inputs, header, [_rows_text(rows, fmt)] if rows else [],
-                 fmt, meta, preamble)
-
-
-def _emit_blocks(stream, command: str, inputs: dict, header: list[str], blocks,
-                 fmt: str, meta: bool, preamble: list[str] | None = None) -> None:
-    """Write one command's output, its rows given as ``blocks``: texts of one
-    or more whole rows each, none empty, as ``_rows_text`` writes them.  JSON
-    is what ``json.dumps(payload, indent=2)`` writes, plus a line break; CSV
-    is the header row, the '#' comment lines and the rows.  The text around
-    the input values and the rows is the ``_envelope`` of the output's shape,
-    so a call formats only its input values and its rows."""
+def _emit(args, command: str, inputs: dict, header: list[str], rows: list[list] = (),
+          preamble: list[str] = (), blocks=None) -> None:
+    """Write one command's output in ``args.format``, with ``args.meta``, to
+    ``args.out`` (stdout when None), opened by ``_output``.  The rows are
+    ``rows``, lists of values, or ``blocks``: texts of one or more whole rows
+    each, none empty, as ``_rows_text`` writes them.  JSON is what
+    ``json.dumps(payload, indent=2)`` writes, plus a line break; CSV is the
+    header row, the '#' comment lines and the rows.  The text around the
+    input values and the rows is the ``_envelope`` of the output's shape, so
+    a call formats only its input values and its rows."""
+    fmt = args.format
+    if blocks is None:
+        blocks = [_rows_text(rows, fmt)] if rows else []
     head, separators, tails = _envelope(fmt, command, tuple(inputs), tuple(header),
-                                        tuple(preamble or ()), meta)
-    stream.write(head % tuple(map(_LAYOUT[fmt][0], inputs.values())))
-    rows = False
-    for block in blocks:
-        stream.write(separators[rows])
-        stream.write(block)
-        rows = True
-    stream.write(tails[rows])
+                                        tuple(preamble), args.meta)
+    with _output(args.out) as stream:
+        stream.write(head % tuple(map(_LAYOUT[fmt][0], inputs.values())))
+        written = False
+        for block in blocks:
+            stream.write(separators[written])
+            stream.write(block)
+            written = True
+        stream.write(tails[written])
 
 
 @functools.cache
@@ -189,9 +188,8 @@ def _cmd_spectrum(args) -> int:
         raise _UsageError(f"--smax must be in [pi, 10000], got {args.smax}")
     pts = scan_roots(SpectrumRequest(Z=args.Z, s_max=args.smax))
     rows = [[p.n, p.branch.value, p.s, p.t, p.E, p.residual] for p in pts]
-    with _output(args.out) as stream:
-        _emit(stream, "spectrum", {"Z": args.Z, "smax": args.smax},
-              ["n", "branch", "s", "t", "E", "residual"], rows, args.format, args.meta)
+    _emit(args, "spectrum", {"Z": args.Z, "smax": args.smax},
+          ["n", "branch", "s", "t", "E", "residual"], rows)
     return EXIT_OK
 
 
@@ -200,9 +198,8 @@ def _cmd_critical(args) -> int:
         raise _UsageError(f"--count must be in 1..16, got {args.count}")
     folds = transition.critical_sequence(args.count)
     rows = [[f.nu, f.Z_crit, f.s_merge, f.E_merge, f.branch.value] for f in folds]
-    with _output(args.out) as stream:
-        _emit(stream, "critical", {"count": args.count},
-              ["nu", "Z_crit", "s_merge", "E_merge", "branch"], rows, args.format, args.meta)
+    _emit(args, "critical", {"count": args.count},
+          ["nu", "Z_crit", "s_merge", "E_merge", "branch"], rows)
     return EXIT_OK
 
 
@@ -223,9 +220,8 @@ def _cmd_broken(args) -> int:
         raise _UsageError(f"--pair must be in 0..15, got {args.pair}")
     params, energy = _solve_pair_at(args.Z, args.pair)
     rows = [[args.Z, params.alpha, params.beta, params.K, energy.re_E, energy.eps]]
-    with _output(args.out) as stream:
-        _emit(stream, "broken", {"Z": args.Z, "pair": args.pair},
-              ["Z", "alpha", "beta", "K", "ReE", "eps"], rows, args.format, args.meta)
+    _emit(args, "broken", {"Z": args.Z, "pair": args.pair},
+          ["Z", "alpha", "beta", "K", "ReE", "eps"], rows)
     return EXIT_OK
 
 
@@ -241,17 +237,16 @@ def _cmd_table1(args) -> int:
         for (Z, a_p, b_p, ree_p, pair, pinned), params, energy, (d_a, d_b, d_e), ok
         in verify_mod.solve_table_rows(folds)
     ]
-    with _output(args.out) as stream:
-        _emit(
-            stream, "table1", {},
-            ["Z", "pair", "alpha", "alpha_ref", "d_alpha", "beta", "beta_ref", "d_beta",
-             "ReE", "ReE_ref", "d_ReE", "flag", "role"],
-            rows, args.format, args.meta,
-            preamble=[
-                "rows at the coalescence couplings list one member of the still-real pair",
-                "deviation flags are reporting only; pinned rows form the golden set",
-            ],
-        )
+    _emit(
+        args, "table1", {},
+        ["Z", "pair", "alpha", "alpha_ref", "d_alpha", "beta", "beta_ref", "d_beta",
+         "ReE", "ReE_ref", "d_ReE", "flag", "role"],
+        rows,
+        preamble=[
+            "rows at the coalescence couplings list one member of the still-real pair",
+            "deviation flags are reporting only; pinned rows form the golden set",
+        ],
+    )
     return EXIT_OK
 
 
@@ -273,11 +268,10 @@ def _cmd_fig(args) -> int:
         except ValueError as exc:  # at the first point where t*t underflows, Z/t overflows or Z < 0
             raise _UsageError(str(exc)) from exc
         rows = [[t, v] for t, v in zip(ts, values)]
-        with _output(args.out) as stream:
-            _emit(stream, "fig1",
-                  {"Z": args.Z, "t_min": args.t_min, "t_max": args.t_max, "points": args.points},
-                  ["t", "value"], rows, args.format, args.meta,
-                  preamble=["determinant in the t form along t at fixed coupling"])
+        _emit(args, "fig1",
+              {"Z": args.Z, "t_min": args.t_min, "t_max": args.t_max, "points": args.points},
+              ["t", "value"], rows,
+              preamble=["determinant in the t form along t at fixed coupling"])
         return EXIT_OK
     if not (1 <= args.nt <= 4096 and 1 <= args.nz <= 4096):
         raise _UsageError("grid dimensions must be in 1..4096 per axis")
@@ -320,16 +314,16 @@ def _cmd_fig(args) -> int:
             for z, middle, k in zip(map(text, zs[b]), middles, index[:, -1].tolist()):
                 yield (value_sep + z + value_sep).join([row_open + t_text[0], *middle, last[k]])
 
-    with _output(args.out) as stream:
-        _emit_blocks(stream, "fig2",
-                     {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min,
-                      "z_max": args.z_max, "nt": args.nt, "nz": args.nz},
-                     ["t", "Z", "sign"], z_rows(), args.format, args.meta,
-                     preamble=[
-                         "sign map of the determinant in the t form; cell-centered sampling",
-                         "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
-                         "the sign-change contour is the eigenvalue locus",
-                     ])
+    _emit(args, "fig2",
+          {"t_min": args.t_min, "t_max": args.t_max, "z_min": args.z_min, "z_max": args.z_max,
+           "nt": args.nt, "nz": args.nz},
+          ["t", "Z", "sign"],
+          preamble=[
+              "sign map of the determinant in the t form; cell-centered sampling",
+              "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
+              "the sign-change contour is the eigenvalue locus",
+          ],
+          blocks=z_rows())
     return EXIT_OK
 
 

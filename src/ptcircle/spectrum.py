@@ -311,11 +311,16 @@ def _grid_factors(grid: _Grid, Z: float) -> np.ndarray:
     t = Z/(2s) does not increase along the grid, so the nodes where t*sinh t
     is clamped to +inf (t > 350) are a prefix: it is counted only when the
     first node is clamped, and sinh is taken on the rest alone, so it never
-    overflows."""
+    overflows.  Nor does Z/(2s) warn where it overflows to +inf, which the
+    clamp gives there anyway."""
     # constraint_factor adds (sign*s)*sin s to t*sinh t, and with sign = +-1
     # that product is exactly +-(s*sin s): so hyp - osc and hyp + osc are
     # constraint_factor(s, Z, branch) of the two branches, bit for bit
-    t = Z / grid.two_s
+    if Z / grid.two_s.item(0) < math.inf:  # the largest t, at the first node
+        t = Z / grid.two_s
+    else:  # from Z of about 1.77e307 on, t passes the float maximum on a clamped prefix
+        with np.errstate(over="ignore"):
+            t = Z / grid.two_s
     F = np.empty((2, t.size))
     hyp = F[1]
     if t.item(0) > _SINH_CLAMP:

@@ -16,14 +16,11 @@ them.  ``oracle.residual_check`` and ``oracle.pt_symmetry_check`` then
 measure each state in closed form from its amplitudes, relative to the L2
 norm of the eigenfunction.
 
-The suite runs without scipy: the zero-set check refines the determinant
-roots of all its couplings together by a stacked Illinois solve
-(``_illinois``), one stacked determinant per round, and the symmetry check
-measures each state at its least-squares phase, with no minimizer.  The
-zero-set check scans first and narrows each determinant bracket around the
-scanned energy in it, where the determinant changes sign across the
-narrowed interval, so a few rounds refine all the brackets; the count of
-roots comes from the determinant sweep alone.
+The suite runs without scipy and with no solver of its own: the zero-set
+check certifies each scanned energy by a sign change of the determinant
+within its 1e-8 bound, one stacked determinant for all its couplings, and
+the symmetry check measures each state at its least-squares phase, with no
+minimizer.
 Every check takes its worst value with ``_worst``, which keeps a NaN, so a
 measurement that comes back NaN fails its check, and a check that compares
 against a scan fails when the scan finds no level to compare.
@@ -72,6 +69,10 @@ TABLE_ROWS: tuple[tuple[float, float, float, float, int, bool], ...] = (
     (17.95, 0.308679, 0.344308, 25.61228, 1, True),
     (19.0, 0.253831, 0.422062, 25.71469, 1, True),
 )
+
+# The zero-set check's bound on the distance of a scanned energy from its
+# determinant root: Re det must change sign across [E - _DE, E + _DE]
+_DE = 1e-8
 
 # Pinned intervals for the first five coalescence couplings.
 CRITICAL_INTERVALS: tuple[tuple[float, float], ...] = (
@@ -181,113 +182,57 @@ def _det_sweep(Z: float, s_max: float) -> tuple[np.ndarray, np.ndarray]:
     return energies, np.linalg.det(oracle.boundary_matrices(energies, Z)).real
 
 
-def _illinois(a, b, fa, fb, z_of) -> np.ndarray:
-    """The root of Re det of ``oracle.boundary_matrices`` at coupling z_of[k]
-    in each bracket [a[k], b[k]] of the arrays, fa and fb its values at the
-    ends, by the Illinois method on all brackets at once: each round
-    evaluates the secant points c of the running brackets in one stacked
-    determinant, each c at least tol/2 from the end x with the smaller |det|
-    (as Brent's method steps), and moves the end of c's sign to c; the other
-    end, when kept a second round in a row, has its value halved in the
-    secant.  A bracket stops, at x, when an end's value is zero or it is at
-    most tol = 1e-12 + 1e-14*|x| wide.  ValueError on a NaN value,
-    RuntimeError after 100 rounds."""
-    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
-    ga, gb = fa.copy(), fb.copy()  # the weighted values the secant takes
-    last = np.zeros(a.size, dtype=np.int8)  # the end the previous round moved: -1 a, 1 b
-    for _ in range(100):
-        x = np.where(np.abs(fa) <= np.abs(fb), a, b)
-        tol = 1e-12 + 1e-14 * np.abs(x)
-        k = np.flatnonzero((b - a > tol) & (fa != 0.0) & (fb != 0.0))
-        if not k.size:
-            return x
-        c = b[k] - gb[k] * (b[k] - a[k]) / (gb[k] - ga[k])
-        x, half = x[k], 0.5 * tol[k]
-        short = np.abs(c - x) < half
-        c[short] = np.where(x == a[k], x + half, x - half)[short]
-        fc = np.linalg.det(oracle.boundary_matrices(c, z_of[k])).real
-        if np.isnan(fc).any():
-            raise ValueError(
-                f"the function value at x={c[np.isnan(fc)].item(0)} is NaN; solver cannot continue"
-            )
-        to_b = (fc < 0.0) == (fb[k] < 0.0)  # c takes the place of the end of its sign
-        side = np.where(to_b, 1, -1)
-        again = last[k] == side  # the other end is kept a second round in a row
-        last[k] = side
-        ga[k[to_b & again]] *= 0.5
-        gb[k[~to_b & again]] *= 0.5
-        kb, ka = k[to_b], k[~to_b]
-        b[kb], a[ka] = c[to_b], c[~to_b]
-        fb[kb] = gb[kb] = fc[to_b]
-        fa[ka] = ga[ka] = fc[~to_b]
-    raise RuntimeError("determinant roots did not converge in 100 rounds")
-
-
 def _det_roots(
     z_values: tuple[float, ...], s_max: float, scanned: list[list[float]]
-) -> list[list[float]]:
-    """Real-axis roots of the boundary determinant at each coupling of
-    z_values, sorted; scanned[j] holds the scanned energies of z_values[j].
-
-    Each sign change of a coupling's ``_det_sweep`` is a cell that holds one
-    root, so the sweep alone sets the count.  A cell that holds a scanned
-    energy E is narrowed to E +- 1e-9*max(1, |E|), clipped to the cell,
-    where Re det changes sign across that interval (one stacked determinant
-    tests them all); a scanned energy farther from its root leaves the whole
-    cell.  All brackets are then refined together by ``_illinois``, one
-    stacked determinant per round, each to 1e-12 + 1e-14*|E|."""
-    parts = [np.empty((5, 0))]  # per coupling, rows a, b, f(a), f(b), scanned energy
-    couplings, counts = [], []
-    for Z, found in zip(z_values, scanned):
-        energies, vals = _det_sweep(Z, s_max)
-        cells = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0))
-        # the sweep's energies increase, so each scanned energy lies in one
-        # cell; a cell without one holds NaN
-        inside = np.full(energies.size, np.nan)
-        inside[np.searchsorted(energies, found, side="right") - 1] = found
-        parts.append(np.array([energies[cells], energies[cells + 1], vals[cells], vals[cells + 1],
-                               inside[cells]]))
-        couplings.extend([Z] * cells.size)
-        counts.append(cells.size)
-    a, b, fa, fb, E = np.concatenate(parts, axis=1)
-    z_of = np.array(couplings, dtype=float)
-    k = np.flatnonzero(E == E)
-    if k.size:
-        cut = 1e-9 * np.maximum(1.0, np.abs(E[k]))
-        lo, hi = np.maximum(a[k], E[k] - cut), np.minimum(b[k], E[k] + cut)
-        W = oracle.boundary_matrices(np.concatenate((lo, hi)), np.tile(z_of[k], 2))
-        f_lo, f_hi = np.split(np.linalg.det(W).real, 2)
-        keep = (f_lo < 0.0) != (f_hi < 0.0)
-        k = k[keep]
-        a[k], b[k], fa[k], fb[k] = lo[keep], hi[keep], f_lo[keep], f_hi[keep]
-    roots = _illinois(a, b, fa, fb, z_of).tolist()
-    ends = np.cumsum([0, *counts]).tolist()
-    return [sorted(roots[lo:hi]) for lo, hi in zip(ends, ends[1:])]
+) -> tuple[list[int], list[list[float]]]:
+    """How many real roots the boundary determinant has at each coupling of
+    z_values, one per sign change of its ``_det_sweep``, and its root near
+    each scanned energy E of scanned[j], the energies of z_values[j]: one
+    secant step across [E - _DE, E + _DE] where Re det changes sign there
+    (or is zero at an end), else NaN.  Re det at those ends, for every E of
+    every coupling, is one stacked determinant."""
+    counts = [int(np.count_nonzero(np.diff(_det_sweep(Z, s_max)[1] < 0.0))) for Z in z_values]
+    E = np.array([e for found in scanned for e in found], dtype=float)
+    z_of = np.repeat(z_values, [len(found) for found in scanned])
+    lo, hi = E - _DE, E + _DE
+    W = oracle.boundary_matrices(np.concatenate((lo, hi)), np.tile(z_of, 2))
+    f_lo, f_hi = np.split(np.linalg.det(W).real, 2)
+    roots = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    roots[~(np.sign(f_lo) * np.sign(f_hi) <= 0.0)] = np.nan  # no sign change, or a NaN
+    ends = np.cumsum([0, *map(len, scanned)]).tolist()
+    return counts, [roots[a:b].tolist() for a, b in zip(ends, ends[1:])]
 
 
 def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
-    """Each coupling's scanned roots against its determinant roots
-    (``_det_roots``, narrowed around the scanned energies), and each scanned
-    root certified by the oracle: its null vector, from one
-    ``oracle.nullspace_solutions`` call for the roots of all couplings, and
-    the matching conditions at it, by ``oracle.residual_check``.  The count
-    check compares the scan with the determinant sweep alone."""
+    """Each coupling's scanned roots against the real zero set of the
+    boundary determinant (``_det_roots``), and each scanned root certified by
+    the oracle: its null vector, from one ``oracle.nullspace_solutions`` call
+    for the roots of all couplings, and the matching conditions at it, by
+    ``oracle.residual_check``.  The zero sets match one to one when, at each
+    coupling, the scan finds as many roots as the sweep, its energies lie
+    more than 2*_DE apart, and Re det changes sign within _DE of each; the
+    first coupling that fails names what failed."""
     s_max = 4.6 * math.pi
     scanned = [[p.E for p in spectrum.scan_roots(spectrum.SpectrumRequest(Z=Z, s_max=s_max))]
                for Z in z_values]
-    matches = []
-    energies: list[float] = []
-    couplings: list[float] = []
-    for Z, found, det_es in zip(z_values, scanned, _det_roots(z_values, s_max, scanned)):
-        if len(det_es) != len(found):
-            return CheckResult(
-                "zero-set-equivalence",
-                False,
-                f"root count mismatch at Z={Z}: {len(found)} secular vs {len(det_es)} determinant",
-            )
-        matches.extend(abs(E - e_det) for E, e_det in zip(found, det_es))
-        energies.extend(found)
-        couplings.extend([Z] * len(found))
+    counts, roots = _det_roots(z_values, s_max, scanned)
+    for Z, found, count, near in zip(z_values, scanned, counts, roots):
+        ordered = sorted(found)
+        close = [(a, b) for a, b in zip(ordered, ordered[1:]) if b - a <= 2.0 * _DE]
+        missed = [E for E, root in zip(found, near) if root != root]
+        if count != len(found):
+            detail = f"root count mismatch at Z={Z}: {len(found)} secular vs {count} determinant"
+        elif close:
+            detail = (f"scanned energies {close[0][0]!r} and {close[0][1]!r} at Z={Z} lie "
+                      f"within {2.0 * _DE:g} of each other")
+        elif missed:
+            detail = (f"no determinant root within {_DE:g} of the scanned energy {missed[0]!r} "
+                      f"at Z={Z}")
+        else:
+            continue
+        return CheckResult("zero-set-equivalence", False, detail)
+    energies = [E for found in scanned for E in found]
+    couplings = [Z for Z, found in zip(z_values, scanned) for _ in found]
     try:
         sols = oracle.nullspace_solutions(energies, couplings)
     except NotAnEigenvalueError:  # no null vector at a scanned energy: it fails
@@ -295,12 +240,11 @@ def _zero_set_equivalence(z_values: tuple[float, ...]) -> CheckResult:
     else:
         reports = [oracle.residual_check(*args) for args in zip(sols, energies, couplings)]
         residuals = [r for report in reports for r in report.bc_residuals]
-    worst_match = _worst(matches)
+    worst_match = _worst(np.abs(np.subtract(energies, [r for near in roots for r in near])))
     worst_bc = _worst(residuals)
-    ok = worst_match <= 1e-8 and worst_bc <= 1e-8
     return CheckResult(
         "zero-set-equivalence",
-        ok,
+        worst_bc <= 1e-8,
         f"max |dE| {worst_match:.3e}, max BC residual {worst_bc:.3e} over Z in {z_values}",
     )
 

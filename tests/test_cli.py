@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -71,6 +72,15 @@ class TestSpectrumCommand:
         assert code == 0, err
         _, rows = csv_rows(out)
         assert len(rows) > 0
+
+    @pytest.mark.parametrize("Z", ["1.8e307", "1e308", "1.7976931348623157e308"])
+    @pytest.mark.parametrize("smax", ["4", "10000"])
+    def test_huge_coupling_has_no_rows_and_no_warning(self, capsys, Z, smax):
+        # t = Z/(2s) overflows at the first nodes, which t*sinh t clamps anyway
+        code, out, err = run_cli(capsys, "spectrum", "--Z", Z, "--smax", smax)
+        assert (code, err) == (0, "")
+        assert out == ("n,branch,s,t,E,residual\n# schema_version=1\n# command=spectrum\n"
+                       f"# input.Z={float(Z):.12g}\n# input.smax={float(smax):.12g}\n")
 
     def test_negative_coupling_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "spectrum", "--Z", "-1", "--smax", "10")
@@ -345,17 +355,15 @@ class TestFigCommand:
                 t = t_min + (i + 0.5) * dt
                 v = ptcircle.secular.secular_t(t, Z)
                 rows.append([t, Z, 0 if v == 0.0 else int(math.copysign(1.0, v))])
-        stream = io.StringIO()
-        ptcircle.cli._emit(
-            stream, "fig2",
+        return emitted(
+            fmt, meta, "fig2",
             {"t_min": t_min, "t_max": t_max, "z_min": z_min, "z_max": z_max, "nt": nt, "nz": nz},
-            ["t", "Z", "sign"], rows, fmt, meta,
+            ["t", "Z", "sign"], rows,
             preamble=[
                 "sign map of the determinant in the t form; cell-centered sampling",
                 "axes: t horizontal (wavenumber real part), Z vertical (coupling);",
                 "the sign-change contour is the eigenvalue locus",
             ])
-        return stream.getvalue()
 
     @pytest.mark.parametrize("block_cells", [None, 7, 600])
     @pytest.mark.parametrize("fmt, meta", [("csv", False), ("json", False), ("csv", True)])
@@ -537,18 +545,24 @@ class TestStrictJson:
         assert [f"{value:.12g}" for value in values[:2]] == [row[1] for row in rows[:2]]
 
 
+def emitted(fmt, meta, *args, **kwargs):
+    """What ``_emit`` writes to stdout, in format fmt, with or without meta,
+    for the rest of its arguments."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        ptcircle.cli._emit(types.SimpleNamespace(format=fmt, meta=meta, out=None), *args,
+                           **kwargs)
+    return out.getvalue()
+
+
 def emit_json(command, inputs, header, rows, meta=False, notes=None, split=None):
-    """What ``_emit`` writes as JSON, or ``_emit_blocks`` with the rows split
-    into blocks of ``split`` rows."""
-    stream = io.StringIO()
+    """What ``_emit`` writes as JSON, from the rows or, with ``split``, from
+    the rows in blocks of ``split`` rows."""
     if split is None:
-        ptcircle.cli._emit(stream, command, inputs, header, rows, "json", meta, preamble=notes)
-    else:
-        blocks = [ptcircle.cli._rows_text(rows[i:i + split], "json")
-                  for i in range(0, len(rows), split)]
-        ptcircle.cli._emit_blocks(stream, command, inputs, header, blocks, "json", meta,
-                                  preamble=notes)
-    return stream.getvalue()
+        return emitted("json", meta, command, inputs, header, rows, preamble=notes or ())
+    blocks = [ptcircle.cli._rows_text(rows[i:i + split], "json")
+              for i in range(0, len(rows), split)]
+    return emitted("json", meta, command, inputs, header, preamble=notes or (), blocks=blocks)
 
 
 def dumped(command, inputs, header, rows, meta=False, notes=None):
@@ -688,6 +702,8 @@ class TestUnwritableOut:
         ("critical", "--count", "2"),
         ("broken", "--Z", "6", "--pair", "0"),
         ("table1",),
+        ("fig", "--which", "1", "--points", "3"),
+        ("fig", "--which", "2", "--nt", "2", "--nz", "2"),
         ("verify", "--level", "quick"),
     ])
     @pytest.mark.parametrize("target", ["missing-dir/x.csv", "."])
@@ -698,6 +714,13 @@ class TestUnwritableOut:
         assert run_cli(capsys, *argv, "--out", path) == expected
         assert fresh_cli(*argv, "--out", path) == expected
         assert not any(tmp_path.iterdir())  # nothing was written
+
+    def test_solve_comes_before_the_out_path(self, capsys, tmp_path):
+        # a data command opens --out only to write its answer: a failed solve
+        # exits 2 with its own error
+        code, out, err = run_cli(capsys, "broken", "--Z", "5", "--pair", "0",
+                                 "--out", str(tmp_path / "missing-dir" / "x"))
+        assert (code, out) == (2, "") and "is still real there" in err
 
     @pytest.mark.parametrize("level", ["quick", "full"])
     def test_verify_exits_before_running_a_check(self, capsys, tmp_path, monkeypatch, level):

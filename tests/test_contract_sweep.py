@@ -9,6 +9,11 @@ error.  A strict xfail records that the sweep still finds such misses; a
 plain test checks that each miss belongs to a known class, so a new kind of
 miss fails at once.
 
+``broken``: seeded draws of a pair and of dZ = Z - Z_p, log-uniform on
+[1e-3, 60), each answer within 1e-5 relative of the stored branch of
+``perfbench/reference.json`` (``_branch_reference``), which an independent
+continuation computed.
+
 ``critical``: the 16 couplings rise, and each lies above the asymptote
 2*s*t (s = (nu + 1/2)*pi, t*sinh t = s) by a relative gap of at most
 0.5/(nu + 1/2)**2.
@@ -31,6 +36,7 @@ from ptcircle.cli import main
 from ptcircle.spectrum import SpectrumRequest, scan_roots
 from ptcircle.transition import interval_fold
 
+from _branch_reference import BranchReference
 from _root_counts import SCAN_STEP, root_counts
 
 SWEEP_SEED = 20261021
@@ -127,6 +133,37 @@ def run_main(capsys, argv: list[str]) -> tuple[int, str, str]:
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+BROKEN_SEED = 20261023
+BROKEN_DRAWS = 300
+BROKEN_REL_TOL = 1e-5
+
+
+def broken_draws(Z_p: list[float]):
+    """(pair, Z) with the pair uniform on 0..15 and Z - Z_p log-uniform on
+    [1e-3, 60)."""
+    rng = np.random.default_rng(BROKEN_SEED)
+    for _ in range(BROKEN_DRAWS):
+        pair = int(rng.integers(16))
+        yield pair, Z_p[pair] + math.exp(rng.uniform(math.log(1e-3), math.log(60.0)))
+
+
+def test_broken_sweep_follows_the_stored_branches(capsys):
+    reference = BranchReference()
+    pairs = collections.Counter()
+    for pair, Z in broken_draws(reference.Z_p):
+        code, out, err = run_main(capsys, ["broken", "--Z", repr(Z), "--pair", str(pair),
+                                           "--format", "json"])
+        assert (code, err) == (0, ""), (pair, Z)
+        doc = json.loads(out)
+        [row] = [dict(zip(doc["columns"], values)) for values in doc["rows"]]
+        assert row["Z"] == Z
+        expected = reference.at(pair, Z - reference.Z_p[pair])
+        got = complex(row["ReE"], row["eps"])
+        assert abs(got - expected) <= BROKEN_REL_TOL * abs(expected), (pair, Z, got, expected)
+        pairs[pair] += 1
+    assert len(pairs) == 16
 
 
 def t_sinh_t_root(s: float) -> float:

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import struct
+import sys
 import types
 import warnings
 
@@ -577,6 +578,15 @@ class TestGridFactors:
             assert vals.tobytes() == ref.tobytes()
         assert [field_bits(p) for p in points] == [field_bits(p) for p in reference_scan(Z, s_max)]
         assert (points == []) == (clamped == "all")
+
+    @pytest.mark.parametrize("Z", [1.8e307, 1e308, sys.float_info.max])
+    @pytest.mark.parametrize("s_max", [4.0, 2e4])
+    def test_overflowing_t_is_clamped_without_a_warning(self, Z, s_max):
+        # from Z of about 1.77e307 on, Z/(2s) passes the float maximum at the
+        # first node, below the grid record's cap and past it; the clamp makes
+        # every such node +inf, and pytest turns any warning into an error
+        assert Z / (2.0 * math.pi / 64.0) == math.inf
+        assert scan_roots(SpectrumRequest(Z=Z, s_max=s_max)) == []
 
     ROWS = [
         [0.0, 1.0, -1.0, 2.0, 3.0],         # +0.0 at the first node

@@ -3,21 +3,19 @@ stand for.
 
 The identity sweeps make one array call per kernel, and the determinant sweep
 stacks its matrices; each value must agree with the scalar call at its point
-to a few units of rounding, far below the checks' bounds, and the determinant
-roots, refined by the stacked Illinois solve, with those of a per-energy
-``boundary_determinant`` refined by ``scipy.optimize.brentq``.
+to a few units of rounding, far below the checks' bounds.  The zero-set
+check's determinant roots, one secant step across E -+ 1e-8 at each scanned
+energy E, must agree with those of a per-energy ``boundary_determinant``
+refined by ``scipy.optimize.brentq``.
 """
 
 import contextlib
 import dataclasses
-import functools
 import io
-import itertools
 import json
 import math
 import re
 import types
-import warnings
 
 import numpy as np
 import pytest
@@ -123,8 +121,9 @@ def scanned_energies(Z, s_max):
 
 def reference_det_roots(Z, s_max, scanned):
     """The determinant sweep with one ``boundary_determinant`` per energy,
-    each bracket narrowed around the scanned energy in its cell as
-    ``verify._det_roots`` narrows it, and refined by scipy's ``brentq``."""
+    and the root of each sign-change cell, refined by scipy's ``brentq``
+    from the cell narrowed to E -+ 1e-9*max(1, |E|) around the scanned
+    energy E in it, where Re det changes sign across that interval."""
     s_grid = np.arange(math.pi / 128, s_max, math.pi / 128)
     energies = s_grid**2 - (Z / (2.0 * s_grid)) ** 2
 
@@ -166,114 +165,47 @@ def test_det_sweep_is_the_per_energy_determinant(Z):
     scale = [determinant_scale(oracle.boundary_matrix(E, Z)) for E in energies.tolist()]
     assert np.all(np.abs(got_vals - vals) <= 1e-13 * np.array(scale))
     assert np.array_equal(got_vals < 0.0, vals < 0.0)
-    assert_roots_close(verify._det_roots((Z,), s_max, [scanned]), [roots])
+    counts, got = verify._det_roots((Z,), s_max, [scanned])
+    assert counts == [len(roots)]
+    if Z > 0.0:  # at Z = 0 the scan's doublets are double roots, where det keeps its sign
+        assert_roots_close(got, [roots])
 
 
 def test_det_roots_of_all_couplings_refined_together():
     # the couplings of the full zero-set check in one batch: each coupling's
-    # roots are those of its own per-energy reference
+    # count and the root at each of its scanned energies are those of its
+    # own per-energy reference
     z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
     s_max = 4.6 * math.pi
     scanned = [scanned_energies(Z, s_max) for Z in z_values]
     expected = [reference_det_roots(Z, s_max, found)[2] for Z, found in zip(z_values, scanned)]
-    got = verify._det_roots(z_values, s_max, scanned)
-    assert sum(map(len, got)) == 41
+    counts, got = verify._det_roots(z_values, s_max, scanned)
+    assert counts == [len(roots) for roots in expected] and sum(counts) == 41
     assert_roots_close(got, expected)
-    assert verify._det_roots((), s_max, []) == []
-
-
-@pytest.mark.parametrize("z_values", [(0.5,), (3.0,), (5.0,), (10.0,), (17.0,),
-                                      (0.5, 3.0, 5.0, 10.0, 17.0)])
-def test_det_roots_of_whole_cells(z_values):
-    # with no scanned energy to narrow around, each cell is refined whole,
-    # each coupling alone and all together; the reference's Brent and the
-    # Illinois solve each stop within 1e-12 + 1e-14*|E| of the root
-    s_max = 4.6 * math.pi
-    expected = [reference_det_roots(Z, s_max, [])[2] for Z in z_values]
-    got = verify._det_roots(z_values, s_max, [[]] * len(z_values))
-    assert [len(roots) for roots in got] == [len(roots) for roots in expected]
-    for roots, reference in zip(got, expected):
-        reference = np.array(reference)
-        assert np.all(np.abs(np.array(roots) - reference) <= 2e-12 + 2e-14 * np.abs(reference))
+    assert verify._det_roots((), s_max, []) == ([], [])
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
-@pytest.mark.parametrize("narrowed", [False, True])
-def test_det_roots_nan_determinant_raises(narrowed):
-    # a NaN value inside a bracket stops the batch with the solver's NaN
-    # error; NaN ends of a narrowed interval show no sign change, so the
-    # whole cell is refined and meets the NaN
+@pytest.mark.parametrize("level", [verify.QUICK, verify.FULL])
+def test_nan_determinant_fails_the_zero_set_check(monkeypatch, capsys, level):
+    # NaN matrices at the coupling 3.0 past the sweeps give no sign change:
+    # the check fails, naming the first scanned energy there, and verify
+    # exits 1, not 2; every other check passes
     real = oracle.boundary_matrices
 
-    def nan_at_second_coupling(E, Z):
+    def nan_at_three(E, Z):
         W = real(E, Z)
-        if np.ndim(Z):  # in the refinement, not in the sweep
+        if np.ndim(Z):  # in the stacked call, not in the sweeps
             W[Z == 3.0] = np.nan
         return W
 
-    scanned = [scanned_energies(Z, 4.6 * math.pi) if narrowed else [] for Z in (0.5, 3.0)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracle, "boundary_matrices", nan_at_second_coupling)
-        with pytest.raises(ValueError, match="is NaN; solver cannot continue"):
-            verify._det_roots((0.5, 3.0), 4.6 * math.pi, scanned)
-
-
-def _nan_at_five(E, Z, real=oracle.boundary_matrices):
-    """``oracle.boundary_matrices`` with NaN matrices at the coupling 5.0."""
-    W = real(E, Z)
-    W[np.asarray(Z) == 5.0] = np.nan
-    return W
-
-
-def _cell(Z, i):
-    """[a, b, f(a), f(b), Z] of the i-th sign-change cell of Z's sweep."""
-    energies, vals = verify._det_sweep(Z, 4.6 * math.pi)
-    j = np.flatnonzero((vals[:-1] < 0.0) != (vals[1:] < 0.0))[i]
-    return [energies[j], energies[j + 1], vals[j], vals[j + 1], Z]
-
-
-def _illinois(brackets):
-    a, b, fa, fb, z_of = (np.array(column, dtype=float) for column in zip(*brackets))
-    return verify._illinois(a, b, fa, fb, z_of)
-
-
-@functools.cache
-def _illinois_brackets():
-    """Five brackets and what each gives alone, its root or its error text:
-    two whole cells that take different numbers of rounds, a bracket whose
-    lower end's value is 0 (its root, at once), and two cells (3 and 4)
-    whose every determinant is NaN."""
-    zero_end = _cell(17.0, 2)
-    zero_end[2] = 0.0
-    brackets = [_cell(3.0, 0), _cell(10.0, -1), zero_end, _cell(5.0, 0), _cell(5.0, 3)]
-    alone = []
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "invalid value encountered in det", RuntimeWarning)
-        mp.setattr(oracle, "boundary_matrices", _nan_at_five)
-        for bracket in brackets:
-            try:
-                alone.append(_illinois([bracket]).item(0))
-            except ValueError as exc:
-                alone.append(str(exc))
-    return brackets, alone
-
-
-@pytest.mark.filterwarnings("ignore:invalid value encountered in det:RuntimeWarning")
-@pytest.mark.parametrize("order", list(itertools.permutations(range(5))))
-def test_illinois_brackets_in_every_order(monkeypatch, order):
-    # each bracket of the stacked solve runs as it runs alone: in every
-    # order, the batch raises the NaN error of the first NaN bracket in input
-    # order, and without the NaN brackets it returns each root to the bit
-    brackets, alone = _illinois_brackets()
-    assert [type(x) for x in alone] == [float, float, float, str, str]
-    assert alone[2] == brackets[2][0] and alone[3] != alone[4]
-    monkeypatch.setattr(oracle, "boundary_matrices", _nan_at_five)
-    with pytest.raises(ValueError) as info:
-        _illinois([brackets[i] for i in order])
-    assert str(info.value) == alone[next(i for i in order if i >= 3)]
-    converging = [i for i in order if i < 3]
-    roots = _illinois([brackets[i] for i in converging])
-    assert roots.tobytes() == np.array([alone[i] for i in converging]).tobytes()
+    monkeypatch.setattr(oracle, "boundary_matrices", nan_at_three)
+    assert cli.main(["verify", "--level", level]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith(("PASS ", "# "))]
+    first = scanned_energies(3.0, 4.6 * math.pi)[0]
+    assert failed == ["FAIL zero-set-equivalence: no determinant root within 1e-08 of the "
+                      f"scanned energy {first!r} at Z=3.0"]
 
 
 # ---------------------------------------------------------------------------
@@ -435,18 +367,34 @@ def _scan_with(monkeypatch, edit):
     monkeypatch.setattr(spectrum, "scan_roots", lambda req: edit(req, real(req)))
 
 
-def test_zero_set_reports_the_true_distance_of_a_moved_root(monkeypatch):
-    # the highest level at Z = 3 moved by 1e-7*E lies outside its narrowed
-    # interval, so it is compared against the root of its whole cell; the
-    # oracle finds no null vector there, an infinite BC residual
-    moved = scanned_energies(3.0, 4.6 * math.pi)[-1] * (1.0 + 1e-7)
+@pytest.mark.parametrize("shift", [2e-8, -2e-8, 5e-9])
+def test_zero_set_reports_the_true_distance_of_a_moved_root(monkeypatch, shift):
+    # the highest level at Z = 3 moved by 2e-8 has no root within 1e-8, and
+    # the detail names it; moved by 5e-9 it passes, at that distance
+    moved = scanned_energies(3.0, 4.6 * math.pi)[-1] + shift
     _scan_with(monkeypatch, lambda req, pts: [*pts[:-1], types.SimpleNamespace(E=moved)])
     result = verify._zero_set_equivalence((3.0,))
+    if abs(shift) > 1e-8:
+        assert not result.passed
+        assert result.detail == (f"no determinant root within 1e-08 of the scanned energy "
+                                 f"{moved!r} at Z=3.0")
+    else:
+        assert result.passed and result.detail.startswith("max |dE| 5.000e-09, "), result.detail
+
+
+@pytest.mark.parametrize("offsets", [(-5e-9, 5e-9), (-1.5e-8, 0.0), (0.0, 0.0)])
+def test_zero_set_needs_scanned_energies_apart(monkeypatch, offsets):
+    # the two highest levels at Z = 3 replaced by two energies within 2e-8 of
+    # each other near the highest root keep the count, and each of the first
+    # pair has a root within 1e-8, the same root: the check fails
+    top = scanned_energies(3.0, 4.6 * math.pi)[-1]
+    pair = [top + offset for offset in offsets]
+    _scan_with(monkeypatch,
+               lambda req, pts: [*pts[:-2], *(types.SimpleNamespace(E=E) for E in pair)])
+    result = verify._zero_set_equivalence((3.0,))
     assert not result.passed
-    root = reference_det_roots(3.0, 4.6 * math.pi, [])[2][-1]
-    worst = float(re.match(r"max \|dE\| (\S+),", result.detail).group(1))
-    assert worst == pytest.approx(abs(moved - root), rel=1e-3) and worst > 1e-8
-    assert result.detail.endswith("max BC residual inf over Z in (3.0,)")
+    assert result.detail == (f"scanned energies {pair[0]!r} and {pair[1]!r} at Z=3.0 lie within "
+                             "2e-08 of each other")
 
 
 def test_zero_set_counts_a_dropped_root(monkeypatch):
@@ -457,28 +405,22 @@ def test_zero_set_counts_a_dropped_root(monkeypatch):
     assert result.detail == f"root count mismatch at Z=10.0: {n - 1} secular vs {n} determinant"
 
 
-def test_zero_set_refines_the_narrowed_brackets(monkeypatch):
-    # every determinant root of the full check is refined from its narrowed
-    # interval: five sweeps, one stacked test of the narrowed ends and a few
-    # Illinois rounds, where the whole cells take 16 rounds
+def test_zero_set_makes_one_stacked_call_past_its_sweeps(monkeypatch):
+    # the full check evaluates the determinant in its five sweeps and in one
+    # stacked call at E -+ 1e-8 for the 41 scanned energies, with no rounds
     z_values = (0.5, 3.0, 5.0, 10.0, 17.0)
-    calls, brackets = [], []
-    real_matrices, real_illinois = oracle.boundary_matrices, verify._illinois
+    calls = []
+    real = oracle.boundary_matrices
 
     def matrices(E, Z):
-        calls.append(np.size(E))
-        return real_matrices(E, Z)
-
-    def illinois_recording(a, b, fa, fb, z_of):
-        brackets.extend(zip(a.tolist(), b.tolist()))
-        return real_illinois(a, b, fa, fb, z_of)
+        calls.append((np.size(E), np.ndim(Z)))
+        return real(E, Z)
 
     monkeypatch.setattr(oracle, "boundary_matrices", matrices)
-    monkeypatch.setattr(verify, "_illinois", illinois_recording)
     assert verify._zero_set_equivalence(z_values).passed
-    assert len(brackets) == 41 and calls[5] == 2 * 41
-    assert all(b - a <= 2.1e-9 * max(1.0, abs(b)) for a, b in brackets)
-    assert len(calls) <= len(z_values) + 1 + 6
+    assert len(calls) == len(z_values) + 1
+    assert [ndim for _, ndim in calls] == [0] * len(z_values) + [1]
+    assert calls[-1][0] == 2 * 41
 
 
 def _moved(req, pts):
