@@ -367,17 +367,30 @@ def _scan_with(monkeypatch, edit):
     monkeypatch.setattr(spectrum, "scan_roots", lambda req: edit(req, real(req)))
 
 
+FULL_Z = (0.5, 3.0, 5.0, 10.0, 17.0)  # the couplings of the full zero-set check
+
+
+@pytest.mark.parametrize("Z, index", [
+    (Z, index) for Z in FULL_Z for index in range(len(scanned_energies(Z, 4.6 * math.pi)))
+])
 @pytest.mark.parametrize("shift", [2e-8, -2e-8, 5e-9])
-def test_zero_set_reports_the_true_distance_of_a_moved_root(monkeypatch, shift):
-    # the highest level at Z = 3 moved by 2e-8 has no root within 1e-8, and
-    # the detail names it; moved by 5e-9 it passes, at that distance
-    moved = scanned_energies(3.0, 4.6 * math.pi)[-1] + shift
-    _scan_with(monkeypatch, lambda req, pts: [*pts[:-1], types.SimpleNamespace(E=moved)])
-    result = verify._zero_set_equivalence((3.0,))
+def test_zero_set_reports_the_true_distance_of_a_moved_root(monkeypatch, shift, Z, index):
+    # any scanned level of the full check moved by 2e-8 has no root within
+    # 1e-8, and the detail names it and its coupling; moved by 5e-9 it
+    # passes, at that distance
+    moved = scanned_energies(Z, 4.6 * math.pi)[index] + shift
+
+    def move(req, pts):
+        if req.Z != Z:
+            return pts
+        return [*pts[:index], types.SimpleNamespace(E=moved), *pts[index + 1:]]
+
+    _scan_with(monkeypatch, move)
+    result = verify._zero_set_equivalence(FULL_Z)
     if abs(shift) > 1e-8:
         assert not result.passed
         assert result.detail == (f"no determinant root within 1e-08 of the scanned energy "
-                                 f"{moved!r} at Z=3.0")
+                                 f"{moved!r} at Z={Z}")
     else:
         assert result.passed and result.detail.startswith("max |dE| 5.000e-09, "), result.detail
 
