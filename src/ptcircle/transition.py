@@ -513,27 +513,29 @@ def continue_in_Z(
 def solve_above_fold(fold: CriticalPoint, Z: float) -> tuple[BrokenParams, ComplexEnergy]:
     """Broken-branch solution of the fold's pair at Z above the fold.
 
-    The unfolding seed at Z_crit + min(1e-3, (Z - Z_crit)/2), solved and
-    certified there, is followed to Z by ``_step``s, as ``continue_in_Z``
-    follows it over one interval, and the root at Z is certified.  Z at or
-    below the fold raises ValueError from ``fold_unfolding_seed``.
+    The unfolding seed at Z_crit + 1e-3, or at Z_crit + (Z - Z_crit)/2 for
+    Z at or below that, solved and certified there, is followed to Z by
+    ``_step``s, as ``continue_in_Z`` follows it over one interval, and the
+    root at Z is certified.  Z at or below the fold raises ValueError from
+    ``fold_unfolding_seed``.
 
     Only the target cuts a step, so from one start every step short of Z is
-    fixed, and from Z - Z_crit >= 2e-3 on every call of a fold starts at
-    Z_crit + 1e-3: the pair's path is one chain of nodes.  It is kept per
-    process in ``_CHAINS``, grown by the free steps of calls that walk past
-    its end, each node with the ``_factor_state`` of its root, which the next
-    step reads.  A call steps from the last node below Z, so a call within
+    fixed, and every call of a fold above Z_crit + 1e-3 starts there: the
+    pair's path is one chain of nodes.  It is kept per process in
+    ``_CHAINS``, grown by the free steps of calls that walk past its end,
+    each node with the ``_factor_state`` of its root, which the next step
+    reads.  A call steps from the last node below Z, so a call within
     the chain evaluates the factor only in its last step, and there only F
     and F_s (``_factor_pair``), at its Newton trials.  A step raises Z by a
     factor of at most 1.41 on every chain up to the overflow, so Z minus that
     node's Z is exact and a walk from the start would not have cut a step
     before that node: the answer and the error text are those of the walk.
-    A raising step or start is never kept.  A call nearer the fold starts at
-    its own point and keeps nothing.
+    A raising step or start is never kept.  A call within 1e-3 of the fold
+    starts at its own point and keeps nothing.
     """
-    near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
-    kept = near == fold.Z_crit + 1e-3
+    start = fold.Z_crit + 1e-3
+    kept = not Z <= start  # NaN too, for validate_coupling to reject
+    near = start if kept else fold.Z_crit + 0.5 * (Z - fold.Z_crit)
     chain = _CHAINS.get(fold) if kept else None
     init = fold_unfolding_seed(fold, near) if chain is None else None
     Z = validate_coupling(Z)

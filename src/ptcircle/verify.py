@@ -196,8 +196,9 @@ def _det_roots(
     z_of = np.repeat(z_values, [len(found) for found in scanned])
     lo, hi = E - _DE, E + _DE
     W = oracle.boundary_matrices(np.concatenate((lo, hi)), np.tile(z_of, 2))
-    f_lo, f_hi = np.split(np.linalg.det(W).real, 2)
-    roots = lo + (hi - lo) * f_lo / (f_lo - f_hi)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a NaN E: its root is NaN, no warning
+        f_lo, f_hi = np.split(np.linalg.det(W).real, 2)
+        roots = lo + (hi - lo) * f_lo / (f_lo - f_hi)
     roots[~(np.sign(f_lo) * np.sign(f_hi) <= 0.0)] = np.nan  # no sign change, or a NaN
     ends = np.cumsum([0, *map(len, scanned)]).tolist()
     return counts, [roots[a:b].tolist() for a, b in zip(ends, ends[1:])]

@@ -149,7 +149,7 @@ def ref_fold_unfolding_seed(fold, Z):
 
 
 def ref_solve_above_fold(fold, Z):
-    near = fold.Z_crit + min(1e-3, 0.5 * (Z - fold.Z_crit))
+    near = fold.Z_crit + 1e-3 if Z > fold.Z_crit + 1e-3 else fold.Z_crit + 0.5 * (Z - fold.Z_crit)
     _, params, energy = ref_continue_in_Z(near, Z, 1, ref_fold_unfolding_seed(fold, near))[-1]
     return params, energy
 

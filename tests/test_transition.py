@@ -509,6 +509,17 @@ class TestLargeCoupling:
         _, energy = solve_above_fold(interval_fold(0), 100.0)
         assert abs(complex(energy.re_E, energy.eps) - complex(E)) <= 1e-13 * abs(complex(E))
 
+    @pytest.mark.parametrize("nu", range(16))
+    def test_matches_the_mp_continuation_just_above_the_chain_start(self, sixteen_folds, nu):
+        # targets within 2e-3 of the fold step from the chain's start at
+        # Z_crit + 1e-3, to rounding of |E| like the targets far above it
+        fold = sixteen_folds[nu]
+        targets = [fold.Z_crit + dZ for dZ in (1.05e-3, 1.5e-3, 1.95e-3)]
+        for Z, (_, E) in zip(targets, mp_broken_branch(fold, targets).values()):
+            _, energy = solve_above_fold(fold, Z)
+            ref = complex(E)
+            assert abs(complex(energy.re_E, energy.eps) - ref) <= 1e-14 * abs(ref), Z
+
     def test_pair_zero_does_not_jump_to_pair_two(self):
         # steps bounded by min(|Im s|, |F_s/F_ss|)/2 alone moved s by 8-27 from
         # Z ~ 5e3 on, where the pairs lie about 1.6 apart in Re s: pair 0
@@ -750,6 +761,50 @@ class TestTrackerMemo:
         for nu, dZ in self._orders()[order]:
             fold = sixteen_folds[nu]
             assert _answer(solve_above_fold, fold, fold.Z_crit + dZ) == wanted[nu, dZ], (nu, dZ)
+
+    @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", "interleaved",
+                                       "repeated"])
+    def test_targets_at_the_chain_start_in_any_order(self, cold_tracker, sixteen_folds, wanted,
+                                                     order):
+        # the chain's start itself takes a one-off start, the next float above
+        # it and dZ = 1.999e-3 step from the chain; they come before each call
+        # of the order, so they meet the pair's chain cold, short and long
+        edges = {}
+        for nu in self.PAIRS:
+            fold = sixteen_folds[nu]
+            start = fold.Z_crit + 1e-3
+            for Z in (start, math.nextafter(start, math.inf), fold.Z_crit + 1.999e-3):
+                edges.setdefault(nu, []).append((Z, _answer(ref_solve_above_fold, fold, Z)))
+        for nu, dZ in self._orders()[order]:
+            fold = sixteen_folds[nu]
+            for Z, want in edges[nu]:
+                assert _answer(solve_above_fold, fold, Z) == want, (nu, Z)
+            assert _answer(solve_above_fold, fold, fold.Z_crit + dZ) == wanted[nu, dZ], (nu, dZ)
+
+    def test_a_fold_seeds_its_chain_once(self, monkeypatch, cold_tracker, sixteen_folds):
+        # every target above Z_crit + 1e-3 steps from the one chain, which the
+        # first of them seeds at that start; a target at or below the start
+        # seeds its own, halfway to the fold, and keeps nothing
+        fold = sixteen_folds[0]
+        start = fold.Z_crit + 1e-3
+        seeds = []
+        real = transition.fold_unfolding_seed
+
+        def seed(fold, Z):
+            seeds.append(Z)
+            return real(fold, Z)
+
+        monkeypatch.setattr(transition, "fold_unfolding_seed", seed)
+        for dZ in (1.5e-3, 5e-3, 1.05e-3, 60.0):
+            solve_above_fold(fold, fold.Z_crit + dZ)
+        assert seeds == [start]
+        near = []
+        for Z in (start, fold.Z_crit + 1e-4):
+            solve_above_fold(fold, Z)
+            near.append(fold.Z_crit + 0.5 * (Z - fold.Z_crit))
+        assert seeds == [start, *near]
+        assert list(transition._CHAINS) == [fold]
+        assert transition._CHAINS[fold][0][0][0] == start
 
     def test_error_text_on_the_first_and_the_second_call(self, cold_tracker, sixteen_folds):
         fold = sixteen_folds[0]

@@ -410,6 +410,20 @@ def test_zero_set_needs_scanned_energies_apart(monkeypatch, offsets):
                              "2e-08 of each other")
 
 
+@pytest.mark.parametrize("level", [verify.QUICK, verify.FULL])
+def test_nan_scanned_energy_fails_the_zero_set_check(monkeypatch, capsys, level):
+    # a NaN highest level at Z = 3 makes NaN matrices in the stacked
+    # determinant, with numpy's warnings made errors as in the suite's runs:
+    # only the zero-set check fails, naming it, and verify exits 1
+    _scan_with(monkeypatch, lambda req, pts: (
+        [*pts[:-1], types.SimpleNamespace(E=math.nan)] if req.Z == 3.0 else pts))
+    assert cli.main(["verify", "--level", level]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    failed = [line for line in lines if not line.startswith(("PASS ", "# "))]
+    assert failed == ["FAIL zero-set-equivalence: no determinant root within 1e-08 of the "
+                      "scanned energy nan at Z=3.0"]
+
+
 def test_zero_set_counts_a_dropped_root(monkeypatch):
     n = len(scanned_energies(10.0, 4.6 * math.pi))
     _scan_with(monkeypatch, lambda req, pts: pts[:3] + pts[4:] if req.Z == 10.0 else pts)
